@@ -8,9 +8,9 @@ Run from the repository root::
 ``--trace 0`` measures the end-to-end metrics with tracing off.
 ``--trace 1`` runs the wrapper self-test, a warm-up pass, one untraced
 pass and one traced pass, and reports the per-layer metrics plus the
-tracing overhead.  Both modes check the outputs (see ``correctness`` below) and
-print a report followed, as the last line, by one JSON object:
-``{"correct", "attempted", "failed", "metrics"}``.
+tracing overhead.  Both modes check the outputs (see ``correctness``)
+and print a report followed, as the last line, by one JSON object:
+``{"correct", "attempted", "failed", "metrics"}``.  See README.md.
 """
 
 from __future__ import annotations
