@@ -13,26 +13,20 @@ tracks the *repo's own* performance trajectory.  It measures:
   trace (Fig.-12 style, 5000-node Inet topology) replayed through the
   incremental ``patch_edge_costs`` path and the historical full-rebuild
   path -- the acceptance metric for the incremental-invalidation PR;
-- ``online_many_rows_s`` / ``online_many_rows_perrow_s``: a many-cached-
-  rows online trace (1250-VM pool, light requests) replayed through the
-  cross-row patch planner and the historical per-row rescan repair
-  (``OnlineSimulator(planner=False)``) -- the acceptance metric for the
-  patch-planner PR, where the per-row path's O(rows x nodes) children-
-  list state is the dominant repair cost;
-- ``online_dense_patch_s`` / ``online_dense_patch_unshared_s``: a dense-
-  patch online trace (hub-and-pods topology whose hot uplinks sit in
-  *every* cached row's shortest-path tree; background churn re-prices a
-  few uplinks between embeddings) replayed with and without cross-row
-  region sharing (``OnlineSimulator(share_regions=False)``) -- the
-  acceptance metric for the region-sharing PR, where rediscovering the
-  same detached region once per row is the dominant repair cost;
+- ``online_many_rows_s``: a many-cached-rows online trace (1250-VM
+  pool, light requests) where every patch repairs a ~1250-row cache --
+  the case the cross-row patch planner exists for;
+- ``online_dense_patch_s``: a dense-patch online trace (hub-and-pods
+  topology whose hot uplinks sit in *every* cached row's shortest-path
+  tree; background churn re-prices a few uplinks between embeddings) --
+  the case cross-row region sharing exists for;
 - ``online_churn_s`` / ``online_churn_invalidate_s``: a tenant-churn
   workload (Poisson arrivals, exponential holding-time departures,
   periodic background ticks -- the :mod:`repro.workload` engine) replayed
   through the incremental patch path and the full-rebuild path -- the
   acceptance metric for the workload-engine PR.  Departures release
-  leases, so the syncs carry *decrease* batches (the per-row reference
-  repair path) that no arrivals-only trace produces;
+  leases, so the syncs carry *decrease* batches (the repair engine's
+  decrease pass) that no arrivals-only trace produces;
 - ``online_failures_s`` / ``online_failures_invalidate_s``: the churn
   workload with a seeded MTBF/MTTR link-failure process interleaved --
   the acceptance metric for the link-failure PR.  Each failure reaches
@@ -43,7 +37,7 @@ tracks the *repo's own* performance trajectory.  It measures:
 - ``online_many_rows_kernel_s`` / ``online_dense_patch_kernel_s``: the
   same two tracked traces replayed under the oracle's raw-speed kernel
   tier (``parallel_rows=cpu_count, vectorized=True``) -- the acceptance
-  metric for the kernel-tier PR.  The serial list-backed runs above stay
+  metric for the kernel-tier PR.  The serial list-backed runs above are
   the reference; the kernel runs must match their forest costs exactly
   (drift 0.0, identical acceptance decisions).  Worker-pool spawn is
   warmed outside the timed windows (``kernel.warm_fork``), the same way
@@ -78,20 +72,18 @@ the speedup stays visible (the online-trace and sweep seeds are the
 full-rebuild / serial timings recorded when the incremental paths landed).
 The bench never fails on timings (CI runs it as a smoke test); it prints
 the measured ratios instead.  Set ``SOF_PERF_STRICT=1`` to make the
-*correctness* anchors hard failures: the largest-cell forest cost and the
-online-trace costs must match the committed baselines, the planned
-repair path must stay bit-identical to the per-row reference on the
-many-rows trace, the region-shared repair must stay bit-identical
-to the unshared planned path on the dense-patch trace, and the churn
-trace's incremental run must stay bit-identical (costs *and* acceptance
-decisions) to the full-invalidate reference across its decrease batches,
-and the failure trace's topology patches must stay bit-identical (costs,
-acceptances, reroutes, *and* disruptions) to the same reference, and the
-kernel-tier runs must stay bit-identical (drift exactly 0.0, identical
-acceptance decisions) to their serial list-backed references on both
-tracked traces, and the budgeted 50k-node churn trace must stay under
-its row-cache byte budget with drift exactly 0.0 and identical
-acceptance decisions versus the unbounded reference.
+*correctness* anchors hard failures: the largest-cell forest cost and
+the online, many-rows, dense-patch, churn and failure trace costs must
+match the committed baselines, the churn trace's incremental run must
+stay bit-identical (costs *and* acceptance decisions) to the
+full-invalidate reference across its decrease batches, and the failure
+trace's topology patches must stay bit-identical (costs, acceptances,
+reroutes, *and* disruptions) to the same reference, and the kernel-tier
+runs must stay bit-identical (drift exactly 0.0, identical acceptance
+decisions) to their serial list-backed references on both tracked
+traces, and the budgeted 50k-node churn trace must stay under its
+row-cache byte budget with drift exactly 0.0 and identical acceptance
+decisions versus the unbounded reference.
 """
 
 from __future__ import annotations
@@ -172,8 +164,7 @@ def _run_online_trace(incremental: bool):
 
 
 def _run_many_rows_trace(
-    planner: bool, parallel_rows: int = 0, vectorized: bool = False,
-    metrics=None,
+    parallel_rows: int = 0, vectorized: bool = False, metrics=None,
 ):
     """Replay 4 light requests against a 1250-VM pool.
 
@@ -181,16 +172,15 @@ def _run_many_rows_trace(
     warms one row per VM (the Procedure-1 sweep), so each patch repairs a
     ~1250-row cache.  Requests are deliberately light (1 source, 2-3
     destinations, 1 service) so the repair engine -- not the embedder --
-    dominates the loop; the per-row reference pays its O(rows x nodes)
-    children-list build here, the planner never does.  Setup -- including
-    the kernel tier's one-time worker-pool spawn -- stays outside the
-    timed window.  Returns ``(costs, elapsed_seconds)``.
+    dominates the loop.  Setup -- including the kernel tier's one-time
+    worker-pool spawn -- stays outside the timed window.  Returns
+    ``(costs, elapsed_seconds)``.
     """
     network = inet_network(
         num_nodes=5000, num_links=10000, num_datacenters=250, seed=0
     )
     simulator = OnlineSimulator(
-        network, vms_per_datacenter=5, incremental=True, planner=planner,
+        network, vms_per_datacenter=5, incremental=True,
         parallel_rows=parallel_rows, vectorized=vectorized, metrics=metrics,
     )
     generator = RequestGenerator(
@@ -210,8 +200,8 @@ def _run_many_rows_trace(
     rejected = [i for i, cost in enumerate(costs) if cost is None]
     assert not rejected, (
         f"many-rows trace requests {rejected} were rejected "
-        f"(planner={planner}, parallel_rows={parallel_rows}, "
-        f"vectorized={vectorized}); the trace must embed all 4"
+        f"(parallel_rows={parallel_rows}, vectorized={vectorized}); "
+        f"the trace must embed all 4"
     )
     return costs, elapsed
 
@@ -252,18 +242,15 @@ def _dense_patch_network():
     return CloudNetwork(name="dense-pods", graph=graph, datacenters=dcs)
 
 
-def _run_dense_patch_trace(
-    share: bool, parallel_rows: int = 0, vectorized: bool = False
-):
+def _run_dense_patch_trace(parallel_rows: int = 0, vectorized: bool = False):
     """Replay a churn-heavy online trace over the hub-and-pods topology.
 
     Between embeddings, background (cross-tenant) load keeps re-pricing a
     rotating handful of pod uplinks -- hot shared links that are tree
     edges in every one of the ~600 cached VM-pool rows, so every patch
     repairs the whole cache and the repair engine dominates the loop.
-    With ``share_regions=True`` each detached pod region is discovered
-    and seeded once per patch instead of once per row; the unshared run
-    is the PR-3 planned path, kept as the equivalence reference.  Pod
+    Region sharing engages by density here: each detached pod region is
+    discovered and seeded once per patch instead of once per row.  Pod
     internals carry distinct standing loads (heterogeneous steady-state
     utilisation), so shortest-path trees are unique and region sharing
     is exercised on stable signatures.  Setup, the standing-load
@@ -272,8 +259,7 @@ def _run_dense_patch_trace(
     """
     network = _dense_patch_network()
     simulator = OnlineSimulator(
-        network, vms_per_datacenter=5, incremental=True, planner=True,
-        share_regions=share,
+        network, vms_per_datacenter=5, incremental=True,
         parallel_rows=parallel_rows, vectorized=vectorized,
     )
     rng = random.Random(7)
@@ -312,9 +298,8 @@ def _run_dense_patch_trace(
     rejected = [i for i, cost in enumerate(costs) if cost is None]
     assert not rejected, (
         f"dense-patch trace requests {rejected} were rejected "
-        f"(share={share}, parallel_rows={parallel_rows}, "
-        f"vectorized={vectorized}); the trace must embed all "
-        f"{_DENSE_REQUESTS}"
+        f"(parallel_rows={parallel_rows}, vectorized={vectorized}); "
+        f"the trace must embed all {_DENSE_REQUESTS}"
     )
     return costs, elapsed
 
@@ -630,37 +615,27 @@ def run_perf_core() -> dict:
     rebuild_costs, trace_invalidate_s = _run_online_trace(incremental=False)
     patch_costs, trace_patch_s = _run_online_trace(incremental=True)
 
-    # Interleaved best-of-two: the planner-vs-per-row ratio is the PR-3
-    # acceptance metric, and a single ~35 s run on a shared machine can
-    # absorb a load spike on either side of the comparison.  The kernel
-    # run (parallel rows + vectorized labels, the kernel-tier acceptance
-    # metric) rides the same interleave against the same serial planner
-    # reference.
+    # Interleaved best-of-two: a single ~30 s run on a shared machine
+    # can absorb a load spike on either side of the serial-vs-kernel
+    # comparison (parallel rows + vectorized labels, the kernel-tier
+    # acceptance metric).
     kernel_rows = os.cpu_count() or 1
-    many_rows_perrow_s = many_rows_planner_s = float("inf")
-    many_rows_kernel_s = float("inf")
+    many_rows_serial_s = many_rows_kernel_s = float("inf")
     for _ in range(2):
-        perrow_costs, elapsed = _run_many_rows_trace(planner=False)
-        many_rows_perrow_s = min(many_rows_perrow_s, elapsed)
-        planner_costs, elapsed = _run_many_rows_trace(planner=True)
-        many_rows_planner_s = min(many_rows_planner_s, elapsed)
+        serial_costs, elapsed = _run_many_rows_trace()
+        many_rows_serial_s = min(many_rows_serial_s, elapsed)
         kernel_costs, elapsed = _run_many_rows_trace(
-            planner=True, parallel_rows=kernel_rows, vectorized=True
+            parallel_rows=kernel_rows, vectorized=True
         )
         many_rows_kernel_s = min(many_rows_kernel_s, elapsed)
 
-    # Same interleaved best-of-two for the shared-vs-unshared ratio, the
-    # region-sharing acceptance metric, plus the kernel run over the
-    # shared configuration.
-    dense_unshared_s = dense_shared_s = float("inf")
-    dense_kernel_s = float("inf")
+    # Same interleaved best-of-two for the dense-patch trace.
+    dense_serial_s = dense_kernel_s = float("inf")
     for _ in range(2):
-        unshared_costs, elapsed = _run_dense_patch_trace(share=False)
-        dense_unshared_s = min(dense_unshared_s, elapsed)
-        shared_costs, elapsed = _run_dense_patch_trace(share=True)
-        dense_shared_s = min(dense_shared_s, elapsed)
+        dense_costs, elapsed = _run_dense_patch_trace()
+        dense_serial_s = min(dense_serial_s, elapsed)
         dense_kernel_costs, elapsed = _run_dense_patch_trace(
-            share=True, parallel_rows=kernel_rows, vectorized=True
+            parallel_rows=kernel_rows, vectorized=True
         )
         dense_kernel_s = min(dense_kernel_s, elapsed)
 
@@ -695,9 +670,7 @@ def run_perf_core() -> dict:
         incremental=True, metrics=churn_recorder
     )
     many_rows_recorder = Recorder(registry=MetricsRegistry())
-    metered_costs, _ = _run_many_rows_trace(
-        planner=True, metrics=many_rows_recorder
-    )
+    metered_costs, _ = _run_many_rows_trace(metrics=many_rows_recorder)
     churn_phases = {
         k: round(v, 4)
         for k, v in phase_breakdown(churn_recorder.snapshot()).items()
@@ -734,33 +707,25 @@ def run_perf_core() -> dict:
         "online_trace_max_request_drift": max(
             abs(a - b) for a, b in zip(patch_costs, rebuild_costs)
         ),
-        "online_many_rows_s": round(many_rows_planner_s, 4),
-        "online_many_rows_perrow_s": round(many_rows_perrow_s, 4),
+        "online_many_rows_s": round(many_rows_serial_s, 4),
         "online_many_rows_kernel_s": round(many_rows_kernel_s, 4),
-        "online_many_rows_cost": sum(planner_costs),
-        "online_many_rows_planner_drift": max(
-            abs(a - b) for a, b in zip(planner_costs, perrow_costs)
-        ),
+        "online_many_rows_cost": sum(serial_costs),
         "online_many_rows_kernel_drift": max(
-            abs(a - b) for a, b in zip(kernel_costs, planner_costs)
+            abs(a - b) for a, b in zip(kernel_costs, serial_costs)
         ),
         "online_many_rows_kernel_decisions_match": (
             [c is None for c in kernel_costs]
-            == [c is None for c in planner_costs]
+            == [c is None for c in serial_costs]
         ),
-        "online_dense_patch_s": round(dense_shared_s, 4),
-        "online_dense_patch_unshared_s": round(dense_unshared_s, 4),
+        "online_dense_patch_s": round(dense_serial_s, 4),
         "online_dense_patch_kernel_s": round(dense_kernel_s, 4),
-        "online_dense_patch_cost": sum(shared_costs),
-        "online_dense_patch_share_drift": max(
-            abs(a - b) for a, b in zip(shared_costs, unshared_costs)
-        ),
+        "online_dense_patch_cost": sum(dense_costs),
         "online_dense_patch_kernel_drift": max(
-            abs(a - b) for a, b in zip(dense_kernel_costs, shared_costs)
+            abs(a - b) for a, b in zip(dense_kernel_costs, dense_costs)
         ),
         "online_dense_patch_kernel_decisions_match": (
             [c is None for c in dense_kernel_costs]
-            == [c is None for c in shared_costs]
+            == [c is None for c in dense_costs]
         ),
         "kernel_parallel_rows": kernel_rows,
         "online_churn_s": round(churn_patch_s, 4),
@@ -812,7 +777,7 @@ def run_perf_core() -> dict:
             and churn_metered.departures == churn_patched.departures
         ),
         "online_many_rows_metrics_drift": max(
-            abs(a - b) for a, b in zip(metered_costs, planner_costs)
+            abs(a - b) for a, b in zip(metered_costs, serial_costs)
         ),
         "online_budget_s": round(budget_bounded_s, 4),
         "online_budget_unbounded_s": round(budget_unbounded_s, 4),
@@ -884,16 +849,6 @@ def test_perf_core(once):
         f" ({measured['online_trace_invalidate_s'] / measured['online_trace_s']:.2f}x)"
     )
     print(
-        f"  many-rows trace: per-row {measured['online_many_rows_perrow_s']}s"
-        f" -> planner {measured['online_many_rows_s']}s"
-        f" ({measured['online_many_rows_perrow_s'] / measured['online_many_rows_s']:.2f}x)"
-    )
-    print(
-        f"  dense-patch trace: unshared {measured['online_dense_patch_unshared_s']}s"
-        f" -> shared {measured['online_dense_patch_s']}s"
-        f" ({measured['online_dense_patch_unshared_s'] / measured['online_dense_patch_s']:.2f}x)"
-    )
-    print(
         f"  kernel tier (parallel_rows={measured['kernel_parallel_rows']},"
         f" vectorized): many-rows {measured['online_many_rows_s']}s"
         f" -> {measured['online_many_rows_kernel_s']}s"
@@ -960,10 +915,6 @@ def test_perf_core(once):
         or abs(measured["online_trace_cost"] - seed["online_trace_cost"])
         <= 1e-6
     )
-    # The planner and the per-row reference run the same repair algorithm
-    # with identical tie-breaks, so the tracked trace must not diverge by
-    # even an ulp.
-    planner_ok = measured["online_many_rows_planner_drift"] == 0.0
     many_rows_baseline_ok = (
         seed.get("online_many_rows_cost") is None
         or abs(measured["online_many_rows_cost"]
@@ -979,19 +930,15 @@ def test_perf_core(once):
         and measured["online_dense_patch_kernel_drift"] == 0.0
         and measured["online_dense_patch_kernel_decisions_match"]
     )
-    # Region sharing reuses verified-identical detached regions, so the
-    # dense-patch trace must not diverge from the unshared planned path
-    # by even an ulp.
-    share_ok = measured["online_dense_patch_share_drift"] == 0.0
     dense_baseline_ok = (
         seed.get("online_dense_patch_cost") is None
         or abs(measured["online_dense_patch_cost"]
                - seed["online_dense_patch_cost"]) <= 1e-6
     )
-    # Decrease batches route through the per-row reference repair, which
-    # is bit-identical to a rebuild, so the churn trace must not diverge
-    # from the full-invalidate path by even an ulp -- in costs or in
-    # acceptance decisions.
+    # Decrease batches repair to exact labels and, on these continuous
+    # costs, to the rebuild's unique shortest-path trees, so the churn
+    # trace must not diverge from the full-invalidate path by even an
+    # ulp -- in costs or in acceptance decisions.
     churn_ok = (
         measured["online_churn_max_request_drift"] == 0.0
         and measured["online_churn_decisions_match"]
@@ -1034,20 +981,12 @@ def test_perf_core(once):
         assert cost_ok, "largest-cell forest cost drifted from the baseline"
         assert trace_ok, "patched online trace diverged from full rebuild"
         assert trace_baseline_ok, "online-trace cost drifted from the baseline"
-        assert planner_ok, (
-            "planned repair diverged from the per-row reference on the "
-            "many-rows trace"
-        )
         assert many_rows_baseline_ok, (
             "many-rows trace cost drifted from the baseline"
         )
         assert kernel_ok, (
             "kernel-tier run (parallel rows + vectorized labels) "
             "diverged from the serial reference"
-        )
-        assert share_ok, (
-            "region-shared repair diverged from the unshared planned "
-            "path on the dense-patch trace"
         )
         assert dense_baseline_ok, (
             "dense-patch trace cost drifted from the baseline"
@@ -1092,15 +1031,8 @@ def test_perf_core(once):
         measured["online_trace_s"] * 2
         <= measured["online_trace_invalidate_s"],
     )
-    shape_check("many-rows trace: planner == per-row, bit-identical forests",
-                planner_ok)
     shape_check("many-rows trace cost matches committed baseline",
                 many_rows_baseline_ok)
-    shape_check(
-        "many-rows trace at least 1.3x faster with the patch planner",
-        measured["online_many_rows_s"] * 1.3
-        <= measured["online_many_rows_perrow_s"],
-    )
     shape_check("kernel tier: drift exactly 0.0 and identical acceptance "
                 "decisions on both tracked traces", kernel_ok)
     shape_check(
@@ -1113,15 +1045,8 @@ def test_perf_core(once):
         measured["online_dense_patch_kernel_s"]
         <= measured["online_dense_patch_s"],
     )
-    shape_check("dense-patch trace: shared == unshared, bit-identical forests",
-                share_ok)
     shape_check("dense-patch trace cost matches committed baseline",
                 dense_baseline_ok)
-    shape_check(
-        "dense-patch trace at least 1.2x faster with region sharing",
-        measured["online_dense_patch_s"] * 1.2
-        <= measured["online_dense_patch_unshared_s"],
-    )
     shape_check("churn trace: patch == rebuild, costs and acceptance "
                 "decisions bit-identical", churn_ok)
     shape_check("churn trace cost matches committed baseline",

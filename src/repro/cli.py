@@ -51,13 +51,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.baselines import enemp_baseline, est_baseline, st_baseline
 
     network = _NETWORKS[args.topology](seed=args.topology_seed)
-    instance = network.make_instance(
-        num_sources=args.sources,
-        num_destinations=args.destinations,
-        num_vms=args.vms,
-        chain=ServiceChain.of_length(args.chain),
-        seed=args.seed,
-    )
+    try:
+        instance = network.make_instance(
+            num_sources=args.sources,
+            num_destinations=args.destinations,
+            num_vms=args.vms,
+            chain=ServiceChain.of_length(args.chain),
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        # Inconsistent sizes (a chain longer than the VM pool, no
+        # destinations, more terminals than nodes) are usage errors.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"instance: {instance}")
     result = sofda(instance)
     print(f"{'SOFDA':10s} cost={result.cost:12.3f} "

@@ -38,14 +38,16 @@ closures, the baselines and the online simulator) -- the single-oracle
 invariant documented in ROADMAP.md.
 
 Edge-*cost* patches (:meth:`FrozenOracle.patch_edge_costs`) repair cached
-rows instead of recomputing them.  The repair engine is split into a
-*planner* -- one shared :class:`_PatchPlan` per patch that classifies the
-changed batch (increase/decrease partition, degree-1 leaf edges, and the
-rows that use each changed pair as a tree edge, via a lazily-maintained
-inverted pair->rows index) -- and a *repairer*
+rows instead of recomputing them, in Ramalingam--Reps order through one
+engine.  A batch carrying a cost decrease first relaxes every live row
+outward from the decreased edges (:func:`_relax_decreases`).  The
+batch's increases then go through a *planner* -- one shared
+:class:`_PatchPlan` per patch that classifies them (degree-1 leaf edges,
+and the rows that use each changed pair as a tree edge, via a
+lazily-maintained inverted pair->rows index) -- and a *repairer*
 (:func:`_repair_row_planned`) that applies the plan to one row.  The
-historical per-row rescan (:func:`_repair_row`) is kept, bit-identical,
-behind ``planner=False`` as the equivalence reference.
+equivalence reference is the cold rebuild: a fresh oracle over the
+patched graph.
 
 *Dense* patches -- a changed edge sitting in most rows' shortest-path
 trees, the online workload's hot shared links -- additionally share the
@@ -54,10 +56,10 @@ detached child, same detached-side node set; the region is the child's
 subtree regardless of which changed pair detached it) are grouped
 behind one :class:`_SharedRegion`, whose node list, membership mask,
 boundary seed lists and region-internal adjacency are computed once per
-group and reused by every member row's re-dijkstra (see
-:data:`PLANNER_SHARE_MIN_ROWS` / :data:`PLANNER_SHARE_DENSITY` for the
-engagement policy).  ``share_regions=False`` keeps the per-row region
-rediscovery, bit-identically, as the equivalence reference.
+group and reused by every member row's re-dijkstra.  Observed row
+density alone engages it (see :data:`PLANNER_SHARE_MIN_ROWS` /
+:data:`PLANNER_SHARE_DENSITY`); shared repairs are bit-identical to the
+per-row region walk.
 
 Edge-*topology* patches (:meth:`FrozenOracle.patch_topology`) extend the
 same repair engine to link failure and recovery.  A removed edge is a
@@ -68,14 +70,13 @@ removal reaches cached rows as an increase-to-infinity, whose detached
 region repairs from its boundary and may legitimately end *unreachable*
 (``dist=inf``, parent cleared -- the one outcome a pure cost patch can
 never produce).  A reinserted edge un-tombstones its slots and reaches
-rows as a decrease-from-infinity through the existing decrease
-machinery.  In the contracted core a failed edge keeps its chain intact
-and poisons the chain's prefix sums and total to ``inf`` instead
-(infinite candidates never win a relaxation, and interior queries
-expand through per-side prefix walks), so no global recontraction ever
-runs.  ``topology_patch=False`` keeps invalidate-and-rebuild as the
-bit-identical equivalence reference, exactly as ``planner=`` /
-``share_regions=`` do for their layers.
+rows as a decrease-from-infinity through the decrease pass.  In the
+contracted core a failed edge keeps its chain intact and poisons the
+chain's prefix sums and total to ``inf`` instead (infinite candidates
+never win a relaxation, and interior queries expand through per-side
+prefix walks), so no global recontraction ever runs.
+``topology_patch=False`` keeps invalidate-and-rebuild as the
+bit-identical equivalence reference.
 """
 
 from __future__ import annotations
@@ -737,165 +738,75 @@ class _ContractedCore:
         return dup
 
 
-def _repair_row(
+def _relax_decreases(
     adjacency: List[Tuple[Tuple[float, int], ...]],
     row: "_Row",
-    increases: List[Tuple[int, int]],
     decreases: List[Tuple[int, int, float]],
 ) -> bool:
-    """Repair one cached row in place after a batch of edge-cost changes.
+    """Propagate one batch's cost decreases through a cached row in place.
 
-    ``adjacency`` must already carry the *new* weights.  Returns ``False``
-    when the row cannot be repaired (it must be evicted), ``True`` when its
-    distances are exact again.
+    The decrease half of Ramalingam--Reps.  ``adjacency`` must already
+    carry the *new* weights.  On a full row, every decreased edge that
+    now shortens a path seeds a label-correcting sweep outward from its
+    improved endpoint.  An early-stopped row survives only when no
+    decrease can improve any label (both endpoints settled, no slack):
+    its unsettled labels are mere upper bounds, so an improvement could
+    not be bounded.  Returns ``False`` when the row must be evicted.
 
-    Increases follow Ramalingam--Reps: only descendants of a detached tree
-    edge can change, so exactly that region -- found by walking the row's
-    lazily-built (and then maintained) children lists -- is recomputed
-    from its boundary of intact nodes.  On early-stopped rows, a repaired
-    node whose new distance exceeds the original settle cutoff is demoted
-    to unsettled (its true distance could route through never-settled
-    territory, whose labels are mere upper bounds); conversely a repaired
-    node back under the cutoff is provably exact, since every path through
-    never-settled territory costs at least the cutoff.  Decreases
-    propagate improvements outward on full rows; early-stopped rows
-    survive a decrease only when it provably cannot improve any label
-    (both endpoints settled, no slack).
+    :meth:`FrozenOracle._patch_rows` runs this over every live row before
+    it classifies the batch's increases, because a decrease moves
+    parents.  It stays a separate function so its label writes remain
+    outside the fork-mutation window the invariant linter checks there.
     """
     dist = row.dist
+    if not row.full:
+        settled = row.settled
+        for a, b, w in decreases:
+            if not (settled[a] and settled[b]):
+                return False
+            if dist[a] + w < dist[b] or dist[b] + w < dist[a]:
+                return False
+        return True
     parent = row.parent
-    settled = row.settled
-    full = row.full
-
-    if decreases:
-        if full:
-            heap: List[Tuple[float, int]] = []
-            push = heapq.heappush
-            pop = heapq.heappop
-            for a, b, w in decreases:
-                if dist[a] + w < dist[b]:
-                    dist[b] = dist[a] + w
-                    parent[b] = a
-                    push(heap, (dist[b], b))
-                elif dist[b] + w < dist[a]:
-                    dist[a] = dist[b] + w
-                    parent[a] = b
-                    push(heap, (dist[a], a))
-            if heap:
-                row.children = None  # parents moved: rebuild lazily
-            while heap:
-                d, v = pop(heap)
-                if d > dist[v]:
-                    continue
-                for w, u in adjacency[v]:
-                    nd = d + w
-                    if nd < dist[u]:
-                        dist[u] = nd
-                        parent[u] = v
-                        push(heap, (nd, u))
-        else:
-            for a, b, w in decreases:
-                if not (settled[a] and settled[b]):
-                    return False
-                if dist[a] + w < dist[b] or dist[b] + w < dist[a]:
-                    return False
-
-    if increases:
-        roots = []
-        for a, b in increases:
-            if parent[b] == a:
-                roots.append(b)
-            elif parent[a] == b:
-                roots.append(a)
-        if roots:
-            n = len(dist)
-            if not full and row.cutoff is None:
-                # The original run's settle frontier: every never-settled
-                # node's true distance is at least this (Dijkstra settles
-                # in nondecreasing order), and edge costs only grew since.
-                row.cutoff = max(
-                    (dist[v] for v in range(n) if settled[v]), default=0.0
-                )
-            children = row.children
-            if children is None:
-                children = [[] for _ in range(n)]
-                for v, p in enumerate(parent):
-                    if p >= 0:
-                        children[p].append(v)
-                row.children = children
-            # Every child of an affected node is affected (an intact node's
-            # root path avoids detached edges, so its parent is intact
-            # too), so the affected region is the forest below the roots.
-            affect = bytearray(n)
-            affected: List[int] = []
-            stack = []
-            for r in roots:
-                if not affect[r]:
-                    affect[r] = 1
-                    children[parent[r]].remove(r)
-                    stack.append(r)
-            while stack:
-                v = stack.pop()
-                affected.append(v)
-                for c in children[v]:
-                    affect[c] = 1
-                    stack.append(c)
-            for v in affected:
-                dist[v] = INF
-                parent[v] = -1
-                children[v].clear()
-            heap = []
-            push = heapq.heappush
-            pop = heapq.heappop
-            for v in affected:
-                best = INF
-                best_parent = -1
-                for w, u in adjacency[v]:
-                    if not affect[u] and (full or settled[u]):
-                        nd = dist[u] + w
-                        if nd < best:
-                            best = nd
-                            best_parent = u
-                if best_parent >= 0:
-                    dist[v] = best
-                    parent[v] = best_parent
-                    push(heap, (best, v))
-            while heap:
-                d, v = pop(heap)
-                if d > dist[v]:
-                    continue
-                for w, u in adjacency[v]:
-                    if affect[u]:
-                        nd = d + w
-                        if nd < dist[u]:
-                            dist[u] = nd
-                            parent[u] = v
-                            push(heap, (nd, u))
-            for v in affected:
-                p = parent[v]
-                if p >= 0:
-                    children[p].append(v)
-            if not full:
-                cutoff = row.cutoff
-                for v in affected:
-                    settled[v] = 1 if dist[v] <= cutoff else 0
+    heap: List[Tuple[float, int]] = []
+    push = heapq.heappush
+    pop = heapq.heappop
+    for a, b, w in decreases:
+        if dist[a] + w < dist[b]:
+            dist[b] = dist[a] + w
+            parent[b] = a
+            push(heap, (dist[b], b))
+        elif dist[b] + w < dist[a]:
+            dist[a] = dist[b] + w
+            parent[a] = b
+            push(heap, (dist[a], a))
+    while heap:
+        d, v = pop(heap)
+        if d > dist[v]:
+            continue
+        for w, u in adjacency[v]:
+            nd = d + w
+            if nd < dist[u]:
+                dist[u] = nd
+                parent[u] = v
+                push(heap, (nd, u))
     return True
 
 
 class _PatchPlan:
     """Row-independent classification of one edge-cost change batch.
 
-    The online workload (pure edge-cost churn) repairs every cached row
-    per patch, and most of the *classification* work -- which changed
-    pairs can be tree edges, and with which endpoint as the child -- does
-    not depend on the row at all.  The plan hoists it:
+    The online workload (edge-cost churn) repairs every cached row per
+    patch, and most of the *classification* work -- which changed pairs
+    can be tree edges, and with which endpoint as the child -- does not
+    depend on the row at all.  The plan hoists it:
 
     - ``increases`` / ``decreases``: the direction partition of the batch
-      (shared verbatim with the legacy per-row repair).
-    - ``classified`` (lazy -- only the planned repair branch pays for
-      it): per increased pair ``(a, b, leaf)`` where ``leaf`` is the
-      degree-1 endpoint id, or ``-1`` for a general pair.  A
-      degree-1 node can only ever be the *child* of its single edge (no
+      (the decreases feed :func:`_relax_decreases`, the increases the
+      planned repair).
+    - ``classified`` (lazy): per increased pair ``(a, b, leaf)`` where
+      ``leaf`` is the degree-1 endpoint id, or ``-1`` for a general pair.
+      A degree-1 node can only ever be the *child* of its single edge (no
       shortest path routes through it), and its detached "region" is the
       node itself, so every row repairs it with one relaxation instead of
       the full region machinery.  In the online simulator the per-request
@@ -929,9 +840,9 @@ class _PatchPlan:
     def classified(self) -> List[Tuple[int, int, int]]:
         """Leaf-classified increases, built on first use.
 
-        Deferred so the ``planner=False`` reference oracles and
-        decrease-carrying batches -- which repair through the legacy
-        per-row path and never read it -- skip the degree lookups.
+        Deferred so topology patches, which preset every removal to the
+        general region repair (see :meth:`FrozenOracle.patch_topology`),
+        skip the degree lookups.
         """
         if self._classified is None:
             adjacency = self._adjacency
@@ -964,6 +875,19 @@ def _index_add(
         index[key] = {sid}
     else:
         bucket.add(sid)
+
+
+def _index_nodes(
+    index: Dict[Tuple[int, int], set],
+    sid: int,
+    parent: List[int],
+    nodes: Iterable[int],
+) -> None:
+    """Register row ``sid``'s tree edges from ``nodes`` to their parents."""
+    for v in nodes:
+        p = parent[v]
+        if p >= 0:
+            _index_add(index, v, p, sid)
 
 
 def _route_tree_edge(
@@ -1009,14 +933,20 @@ def _repair_row_planned(
     ``roots`` are the row's detached children of generally-classified
     increased pairs (already verified against ``row.parent``); ``leafs``
     holds ``(leaf, anchor)`` jobs for increased degree-1 edges of full
-    rows.  Semantics are identical to the increase half of
-    :func:`_repair_row`; the mechanics differ in two profiled ways:
+    rows.  This is the increase half of Ramalingam--Reps: only
+    descendants of a detached tree edge can change, so exactly that
+    region is recomputed from its boundary of intact nodes.  On
+    early-stopped rows, a repaired node whose new distance exceeds the
+    original settle cutoff is demoted to unsettled (its true distance
+    could route through never-settled territory, whose labels are mere
+    upper bounds); conversely a repaired node back under the cutoff is
+    provably exact, since every path through never-settled territory
+    costs at least the cutoff.  Two profiled shortcuts:
 
     - The affected region is discovered by scanning ``adjacency`` for
-      ``parent[u] == v`` children instead of building and maintaining
-      per-row children lists (the lazily-built lists are ~40% of legacy
-      repair time on the online trace, and the planner skips rows a patch
-      cannot touch, so the lists would be built for nothing).
+      ``parent[u] == v`` children, so no per-row children lists are
+      built or maintained (the planner skips rows a patch cannot touch,
+      so such lists would mostly be built for nothing).
     - Leaf jobs whose anchor is outside every detached region bypass the
       region machinery entirely: the leaf's one edge is relaxed in place
       (``dist[leaf] = dist[anchor] + w``), its parent unchanged.  A leaf
@@ -1030,12 +960,12 @@ def _repair_row_planned(
     parent = row.parent
     settled = row.settled
     full = row.full
-    # Planned repairs never maintain the legacy children lists; drop any
-    # lists a previous mixed (decrease-carrying) patch built so the legacy
-    # path cannot later reuse a tree this repair is about to move.
-    row.children = None
     n = len(dist)
     if not full and row.cutoff is None:
+        # The original run's settle frontier: every never-settled node's
+        # true distance is at least this (Dijkstra settles in
+        # nondecreasing order, and a decrease only survives on an edge
+        # between settled nodes -- see :func:`_relax_decreases`).
         row.cutoff = max(
             (dist[v] for v in range(n) if settled[v]), default=0.0
         )
@@ -1112,13 +1042,14 @@ def _repair_row_planned(
                 # territory, so it is demoted; a label exactly *on* the
                 # cutoff is still provably exact (any path through
                 # never-settled territory costs at least the cutoff) and
-                # stays settled.  Must match :func:`_repair_row` exactly.
+                # stays settled.  Must match :func:`_repair_row_shared`.
                 settled[v] = 1 if dist[v] <= cutoff else 0
     for leaf, anchor in fast:
         d = dist[anchor]
         if d == INF:
-            # The anchor itself is unreachable; mirror the legacy seeding,
-            # which finds no boundary parent and leaves the leaf detached.
+            # The anchor itself is unreachable; mirror the region
+            # seeding, which finds no boundary parent and leaves the leaf
+            # detached.
             dist[leaf] = INF
             parent[leaf] = -1
         else:
@@ -1500,7 +1431,6 @@ def _repair_row_shared(
     parent = row.parent
     settled = row.settled
     full = row.full
-    row.children = None
     n = len(dist)
     if not full and row.cutoff is None:
         row.cutoff = max(
@@ -1709,7 +1639,7 @@ class _Row:
     """
 
     __slots__ = ("dist", "parent", "settled", "full", "stale", "cutoff",
-                 "children", "used")
+                 "used")
 
     def __init__(
         self,
@@ -1726,9 +1656,6 @@ class _Row:
         #: Original settle frontier (early-stopped rows), filled lazily by
         #: the first repair.
         self.cutoff = None
-        #: Per-node child lists of the parent tree, built lazily by the
-        #: first repair and maintained across repairs.
-        self.children = None
         #: Served since the last patch?  Rows idle across a whole patch
         #: interval are dropped rather than repaired -- dead rows (e.g. a
         #: past request's terminals) would otherwise be repaired forever.
@@ -1755,6 +1682,10 @@ class FrozenOracle:
     Undirected symmetry contract: ``distance(u, v) == distance(v, u)``, and
     the oracle is free to answer either direction from whichever row is
     cheapest to obtain.
+
+    Cost and topology patches repair cached rows in place through one
+    engine (:meth:`_patch_rows`), whose equivalence reference is the cold
+    rebuild: a fresh oracle over the patched graph.
     """
 
     def __init__(
@@ -1762,8 +1693,6 @@ class FrozenOracle:
         graph: Graph,
         hot: Optional[Iterable[Node]] = None,
         patchable: bool = False,
-        planner: bool = True,
-        share_regions: bool = True,
         topology_patch: bool = True,
         parallel_rows: int = 0,
         vectorized: bool = False,
@@ -1778,17 +1707,6 @@ class FrozenOracle:
         #: values are bit-identical either way -- exhaustion only extends
         #: the relaxation sequence beyond the early stop point.
         self._patchable = patchable
-        #: ``planner=True`` (the default) drives row repairs from a shared
-        #: per-patch :class:`_PatchPlan`; ``planner=False`` keeps the
-        #: historical per-row rescan repair as the equivalence reference.
-        #: Served results are bit-identical either way.
-        self._planner = planner
-        #: ``share_regions=True`` (the default) lets dense planned patches
-        #: repair rows grouped by detached region through shared
-        #: :class:`_SharedRegion` structures; ``share_regions=False``
-        #: keeps the per-row region rediscovery as the equivalence
-        #: reference.  Served results are bit-identical either way.
-        self._share_regions = share_regions
         #: ``topology_patch=True`` (the default) lets
         #: :meth:`patch_topology` repair cached state through the CSR
         #: tombstone machinery; ``topology_patch=False`` keeps
@@ -1802,8 +1720,9 @@ class FrozenOracle:
         #: payloads, merged in deterministic row order -- bit-identical
         #: to serial.  Fork-inheritance invariant: the pool is only ever
         #: created while the oracle is *consistent* (before any install,
-        #: or after a patch plan is fully resolved and before any row is
-        #: written), so a worker can never observe a mid-patch oracle.
+        #: or after a patch's decrease pass, plan and shared regions are
+        #: fully resolved and before any increase repair writes a row), so
+        #: a worker can never observe a mid-patch oracle.
         #: ``0``/``1`` (the default) keeps everything in-process;
         #: platforms without fork fall back serially with a one-time
         #: warning (:func:`repro.graph.kernel.fork_map`).
@@ -1818,8 +1737,8 @@ class FrozenOracle:
         #: single-boundary shared-region offset solve (see
         #: :meth:`_SharedRegion.apply_offset`).  ``False`` (the default)
         #: keeps plain-list rows and per-query serving: the bit-identical
-        #: equivalence/bench reference, exactly as ``planner=`` /
-        #: ``share_regions=`` / ``topology_patch=`` gate their layers.
+        #: equivalence/bench reference, exactly as ``topology_patch=``
+        #: gates its layer.
         self._vectorized = bool(vectorized)
         #: Observability (PR 10): ``metrics=`` carries a
         #: :class:`~repro.obs.recorder.Recorder` that the instrumented
@@ -2214,10 +2133,10 @@ class FrozenOracle:
         edge or reachable from a decreased edge is recomputed) instead
         of recomputed from scratch; a row is evicted only when its repair
         cannot be bounded (an improving decrease against an early-stopped
-        row).  With ``planner=True`` (the default) the changed batch is
-        classified once per patch into a shared :class:`_PatchPlan` that
-        drives every row's repair; ``planner=False`` keeps the historical
-        per-row rescans, bit-identically.
+        row).  The changed batch is partitioned once per patch into a
+        shared :class:`_PatchPlan`: its decreases are relaxed into every
+        live row first, then its increases drive the planned region
+        repairs (see :meth:`_patch_rows`).
 
         Returns the number of (deduplicated) edges whose cost actually
         changed.
@@ -2258,25 +2177,22 @@ class FrozenOracle:
         self._slow_rows.clear()
         self._paths.clear()
         self._queries.clear()
+        if self._core is not None:
+            index = self._core.index
+            self._core.patch_edges(
+                (index[u], index[v], cost) for u, v, _, cost in applied
+            )
         if self._contracted is not None:
-            pair_updates = self._contracted.patch_edges(
+            adjacency = self._contracted.rows
+            changes = self._contracted.patch_edges(
                 (u, v, cost) for u, v, _, cost in applied
             )
-            self._patch_rows(self._contracted.rows, pair_updates)
-            if self._core is not None:
-                index = self._core.index
-                self._core.patch_edges(
-                    (index[u], index[v], cost) for u, v, _, cost in applied
-                )
         else:
-            index = self._core.index
-            id_changes = [
+            adjacency = self._core._rows
+            changes = [
                 (index[u], index[v], old, cost) for u, v, old, cost in applied
             ]
-            self._core.patch_edges(
-                (a, b, cost) for a, b, _, cost in id_changes
-            )
-            self._patch_rows(self._core._rows, id_changes)
+        self._patch_rows(adjacency, changes)
         if mx:
             mx.inc("oracle.patch.edges", len(applied))
             mx.span("oracle.patch.costs", t0,
@@ -2335,8 +2251,7 @@ class FrozenOracle:
 
         With ``topology_patch=False`` the graph is mutated and every
         cache dropped (:meth:`invalidate`) -- the bit-identical
-        equivalence reference, exactly as ``planner=`` /
-        ``share_regions=`` gate their layers.
+        equivalence reference.
 
         Returns the number of applied topology changes.
         """
@@ -2400,27 +2315,7 @@ class FrozenOracle:
         self._slow_rows.clear()
         self._paths.clear()
         self._queries.clear()
-        if self._contracted is not None:
-            pair_updates = self._contracted.patch_edges(
-                [(u, v, INF) for u, v, _ in removals]
-                + [(u, v, cost) for u, v, cost in born.values()]
-            )
-            plan = _PatchPlan(self._contracted.rows, pair_updates)
-            # Force the general region repair: the leaf classification
-            # reads *surviving* degrees, which misattribute a removed
-            # pair's repair to the wrong (still-live) edge.
-            plan._classified = [(a, b, -1) for a, b in plan.increases]
-            self._patch_rows(self._contracted.rows, pair_updates, plan=plan)
-            if self._core is not None:
-                index = self._core.index
-                self._core.remove_edges(
-                    (index[u], index[v]) for u, v, _ in removals
-                )
-                self._core.restore_edges(
-                    (index[u], index[v], cost)
-                    for u, v, cost in born.values()
-                )
-        else:
+        if self._core is not None:
             index = self._core.index
             self._core.remove_edges(
                 (index[u], index[v]) for u, v, _ in removals
@@ -2428,15 +2323,26 @@ class FrozenOracle:
             self._core.restore_edges(
                 (index[u], index[v], cost) for u, v, cost in born.values()
             )
-            id_changes = [
+        if self._contracted is not None:
+            adjacency = self._contracted.rows
+            changes = self._contracted.patch_edges(
+                [(u, v, INF) for u, v, _ in removals]
+                + [(u, v, cost) for u, v, cost in born.values()]
+            )
+        else:
+            adjacency = self._core._rows
+            changes = [
                 (index[u], index[v], old, INF) for u, v, old in removals
             ] + [
                 (index[u], index[v], INF, cost)
                 for u, v, cost in born.values()
             ]
-            plan = _PatchPlan(self._core._rows, id_changes)
-            plan._classified = [(a, b, -1) for a, b in plan.increases]
-            self._patch_rows(self._core._rows, id_changes, plan=plan)
+        plan = _PatchPlan(adjacency, changes)
+        # Force the general region repair: the leaf classification reads
+        # *surviving* degrees, which misattribute a removed pair's repair
+        # to the wrong (still-live) edge.
+        plan._classified = [(a, b, -1) for a, b in plan.increases]
+        self._patch_rows(adjacency, changes, plan=plan)
         if mx:
             mx.inc("oracle.patch.topology_changes", count)
             mx.span("oracle.patch.topology", t0, trace_args={
@@ -2460,70 +2366,65 @@ class FrozenOracle:
         the new costs, with tie-breaks possibly differing from a cold
         rebuild's.
 
-        With the planner (the default), a pure-increase batch -- the whole
-        online workload, where loads only grow -- is classified once into
-        a shared :class:`_PatchPlan` and only rows that actually use a
-        changed edge as a tree edge are repaired.  Those rows are found
-        through the inverted tree-edge index while the workload is sparse
-        (most patches miss most rows) and through one cheap scan pass
-        otherwise -- see :data:`PLANNER_INDEX_MIN_ROWS` for the adaptive
-        policy.  Batches carrying a decrease fall back to the per-row
-        reference repair: a decrease moves parents mid-repair, so root
-        classification stops being row-independent.  ``planner=False``
-        always takes the per-row path.
+        One engine serves every batch, in Ramalingam--Reps order.  A batch
+        carrying a decrease first runs :func:`_relax_decreases` over every
+        live row, evicting the early-stopped rows it could improve: a
+        decrease moves parents, so increases can only be classified
+        against the relaxed trees.  The increases are classified once
+        into the shared :class:`_PatchPlan`, and only rows that actually
+        use an increased edge as a tree edge are repaired.  Those rows are
+        found through the inverted tree-edge index while the workload is
+        sparse (most patches miss most rows) and through one cheap scan
+        pass otherwise -- see :data:`PLANNER_INDEX_MIN_ROWS` for the
+        adaptive policy.  The decrease pass drops the index and re-arms
+        its build streak.
 
-        With ``share_regions=True`` (the default), detached roots dense
-        enough to clear :data:`PLANNER_SHARE_MIN_ROWS` /
-        :data:`PLANNER_SHARE_DENSITY` get per-patch shared-region groups:
-        member rows verify against (instead of rediscovering) the
-        detached region and repair through
+        Detached roots dense enough to clear
+        :data:`PLANNER_SHARE_MIN_ROWS` / :data:`PLANNER_SHARE_DENSITY` get
+        per-patch shared-region groups: member rows verify against
+        (instead of rediscovering) the detached region and repair through
         :func:`_repair_row_shared`, bit-identically to the per-row
-        planned path.
+        :func:`_repair_row_planned` walk.
+
+        The repairs form one job list, built in row order together with
+        the idle evictions, the shared-region resolution and the repair
+        counters.  It runs in-process, repairing rows in place, or -- with
+        ``parallel_rows > 1`` and at least :data:`PARALLEL_MIN_REPAIRS`
+        jobs -- on the fork pool, whose label payloads merge back in job
+        order.  The fork thus happens after the decrease pass and the
+        plan/shared-region resolution and before any increase repair
+        writes a row (the fork-inheritance invariant), so both dispatches
+        leave bit-identical rows.
         """
         if plan is None:
             plan = _PatchPlan(adjacency, changes)
-        increases = plan.increases
         decreases = plan.decreases
-        if not increases and not decreases:
+        if not plan.increases and not decreases:
             return
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
         rows = self._rows
-        if not self._planner or decreases:
-            if self._planner:
-                # The per-row reference repair moves parents without
-                # telling the index; drop it and require a fresh sparse
-                # streak, or a workload alternating mixed and pure
-                # -increase patches would pay a wholesale index rebuild
-                # on every planned patch.
-                self._tree_index = None
-                self._indexed.clear()
-                self._index_low_hits = 0
-            for source_id, row in list(rows.items()):
-                if not row.used:
-                    # Idle for a whole patch interval: recompute on demand
-                    # (exactly the rebuild path) instead of repairing
-                    # forever.
-                    rows.evict(source_id, "idle")
-                elif _repair_row(adjacency, row, increases, decreases):
-                    row.stale = True
-                    row.used = False
-                    if mx:
-                        mx.inc("oracle.repair.rows", path="reference")
-                else:
-                    rows.evict(source_id, "repair")
-            rows.enforce()
-            if mx:
-                mx.span("oracle.repair", t0, mode="reference")
-            return
+        if decreases:
+            # The relaxation moves parents without telling the tree-edge
+            # index; drop it and require a fresh sparse streak, or a
+            # workload alternating mixed and pure-increase patches would
+            # pay a wholesale index rebuild on every pure-increase patch.
+            self._tree_index = None
+            self._indexed.clear()
+            self._index_low_hits = 0
+            for sid, row in list(rows.items()):
+                if row.used and not _relax_decreases(
+                    adjacency, row, decreases
+                ):
+                    rows.evict(sid, "repair")
 
-        # Planned pure-increase patch: classify once, then repair only the
-        # rows the plan names.  The index engages only after a streak of
-        # sparse patches (see the module constants): one-shot patches (a
-        # ``rebased`` clone's) and dense workloads -- e.g. the online
-        # simulator's VM attachment edges, which sit in every row's tree
-        # -- classify with a single scan pass instead, which costs
-        # O(rows x changes) against the index's O(rows x nodes) build.
+        # Classify the increases once, then repair only the rows the plan
+        # names.  The index engages only after a streak of sparse patches
+        # (see the module constants): one-shot patches (a ``rebased``
+        # clone's) and dense workloads -- e.g. the online simulator's VM
+        # attachment edges, which sit in every row's tree -- classify
+        # with a single scan pass instead, which costs O(rows x changes)
+        # against the index's O(rows x nodes) build.
         general_roots: Dict[int, List[int]] = {}
         leaf_jobs: Dict[int, List[Tuple[int, int]]] = {}
         index: Optional[Dict[Tuple[int, int], set]] = None
@@ -2563,14 +2464,15 @@ class FrozenOracle:
                         row, sid, a, b, leaf, general_roots, leaf_jobs
                     )
 
+        live = sum(1 for row in rows.values() if row.used)
+
         # Dense-patch region sharing: a root detaching the same region in
         # many rows gets a per-patch group whose structures every member
         # row reuses.  Groups are scoped to this patch -- their cached
         # boundary/internal weights go stale at the next weight change.
         share_groups: Optional[Dict[int, List[_SharedRegion]]] = None
         union_cache: Optional[Dict] = None
-        if self._share_regions and general_roots:
-            live_rows = sum(1 for row in rows.values() if row.used)
+        if general_roots:
             counts: Dict[int, int] = {}
             for roots in general_roots.values():
                 # dict.fromkeys dedups a row's roots in first-appearance
@@ -2578,7 +2480,7 @@ class FrozenOracle:
                 for c in dict.fromkeys(roots):
                     counts[c] = counts.get(c, 0) + 1
             threshold = max(
-                PLANNER_SHARE_MIN_ROWS, PLANNER_SHARE_DENSITY * live_rows
+                PLANNER_SHARE_MIN_ROWS, PLANNER_SHARE_DENSITY * live
             )
             dense = [c for c, k in counts.items() if k >= threshold]
             if dense:
@@ -2589,79 +2491,59 @@ class FrozenOracle:
                     for c in dense:
                         mx.observe("oracle.repair.share_group_rows", counts[c])
 
-        live = 0
-        repaired = 0
-        offset_ok = self._vectorized
+        # One job per row to repair, in row order.  Shared regions are
+        # resolved here, before any increase repair writes a row: variant
+        # founding is order-dependent, and a fork below must inherit a
+        # consistent oracle.
+        jobs: List[Tuple] = []
+        for sid, row in list(rows.items()):
+            if not row.used:
+                # Idle for a whole patch interval: recompute on demand
+                # (exactly the rebuild path) instead of repairing forever.
+                rows.evict(sid, "idle")
+                continue
+            row.stale = True
+            row.used = False
+            roots = general_roots.get(sid, ())
+            leafs = leaf_jobs.get(sid, ())
+            if roots or leafs:
+                hits: List[_SharedRegion] = []
+                walk_roots: List[int] = []
+                if share_groups is not None and roots:
+                    hits, walk_roots = self._resolve_shared(
+                        adjacency, row, roots, share_groups
+                    )
+                jobs.append((sid, row, hits, walk_roots, roots, leafs))
+                if mx:
+                    mx.inc("oracle.repair.rows",
+                           path="shared" if hits else "planned")
 
-        jobs: Optional[List[Tuple]] = None
-        if self._parallel_rows > 1:
-            touched = set(general_roots) | set(leaf_jobs)
-            candidates = sum(
-                1 for sid in touched
-                if sid in rows and rows[sid].used
-            )
-            if candidates >= PARALLEL_MIN_REPAIRS:
-                jobs = []
+        def _repair(job) -> List[int]:
+            _, row, hits, walk_roots, roots, leafs = job
+            if hits:
+                return _repair_row_shared(
+                    adjacency, row, hits, walk_roots, leafs, union_cache,
+                    offset_ok=self._vectorized,
+                )
+            return _repair_row_planned(adjacency, row, roots, leafs)
 
-        if jobs is not None:
-            # Parallel repairs, two passes.  Pass 1 evicts idle rows and
-            # resolves every row's shared-region hits *serially* (variant
-            # founding is order-dependent and must match the serial
-            # path's rows-iteration order); no row label is written yet.
-            # The fork therefore happens with the oracle fully consistent
-            # -- plan resolved, rows pristine -- upholding the
-            # fork-inheritance invariant.  Pass 2 farms the independent
-            # per-row repairs out, then merges the compact label payloads
-            # back in deterministic job order, so the resulting rows are
-            # bit-identical to the serial branch below.
-            for sid, row in list(rows.items()):
-                if not row.used:
-                    rows.evict(sid, "idle")
-                    continue
-                live += 1
-                roots = general_roots.get(sid)
-                leafs = leaf_jobs.get(sid)
-                if roots or leafs:
-                    repaired += 1
-                    hits: List[_SharedRegion] = []
-                    walk_roots: List[int] = []
-                    if share_groups is not None and roots:
-                        hits, walk_roots = self._resolve_shared(
-                            adjacency, row, roots, share_groups
-                        )
-                    jobs.append((sid, row, hits, walk_roots, roots, leafs))
-                    if mx:
-                        mx.inc("oracle.repair.rows",
-                               path="shared" if hits else "planned",
-                               dispatch="fork")
-                else:
-                    row.stale = True
-                    row.used = False
+        if self._parallel_rows > 1 and len(jobs) >= PARALLEL_MIN_REPAIRS:
 
             def _repair_job(j: int):
-                sid, row, hits, walk_roots, roots, leafs = jobs[j]
-                if hits:
-                    affected = _repair_row_shared(
-                        adjacency, row, hits, walk_roots, leafs or (),
-                        union_cache, offset_ok=offset_ok,
-                    )
-                else:
-                    affected = _repair_row_planned(
-                        adjacency, row, roots or (), leafs or ()
-                    )
-                dist = row.dist
-                parent = row.parent
+                job = jobs[j]
+                row, leafs = job[1], job[5]
+                ids = list(_repair(job))
+                n_affected = len(ids)
                 settled = row.settled
-                n_affected = len(affected)
-                ids = list(affected)
                 svals = (
                     None if row.full or settled is None
                     else bytes(settled[v] for v in ids)
                 )
-                if leafs:
-                    # Leaf fast jobs write labels outside the affected
-                    # region list; ship them too (idempotent overlap).
-                    ids.extend(leaf for leaf, _ in leafs)
+                # Leaf fast jobs write labels outside the affected region
+                # list; ship them too (idempotent overlap).
+                ids.extend(leaf for leaf, _ in leafs)
+                dist = row.dist
+                parent = row.parent
                 dvals = array("d", (dist[v] for v in ids))
                 pvals = array("q", (parent[v] for v in ids))
                 return n_affected, ids, dvals, pvals, svals, row.cutoff
@@ -2684,64 +2566,31 @@ class FrozenOracle:
                     for i in range(n_affected):
                         settled[ids[i]] = svals[i]
                 row.cutoff = cutoff
-                row.children = None
-                if index is not None and n_affected:
-                    for i in range(n_affected):
-                        v = ids[i]
-                        p = parent[v]
-                        if p >= 0:
-                            _index_add(index, v, p, sid)
-                row.stale = True
-                row.used = False
+                if index is not None:
+                    _index_nodes(index, sid, parent, ids[:n_affected])
             if mx:
                 mx.span("oracle.fork.merge", t_merge,
                         trace_args={"jobs": len(jobs)})
         else:
-            for sid, row in list(rows.items()):
-                if not row.used:
-                    rows.evict(sid, "idle")
-                    continue
-                live += 1
-                roots = general_roots.get(sid)
-                leafs = leaf_jobs.get(sid)
-                if roots or leafs:
-                    repaired += 1
-                    hits = []
-                    walk_roots = []
-                    if share_groups is not None and roots:
-                        hits, walk_roots = self._resolve_shared(
-                            adjacency, row, roots, share_groups
-                        )
-                    if hits:
-                        affected = _repair_row_shared(
-                            adjacency, row, hits, walk_roots, leafs or (),
-                            union_cache, offset_ok=offset_ok,
-                        )
-                    else:
-                        affected = _repair_row_planned(
-                            adjacency, row, roots or (), leafs or ()
-                        )
-                    if mx:
-                        mx.inc("oracle.repair.rows",
-                               path="shared" if hits else "planned")
-                    if index is not None and affected:
-                        parent = row.parent
-                        for v in affected:
-                            p = parent[v]
-                            if p >= 0:
-                                _index_add(index, v, p, sid)
-                row.stale = True
-                row.used = False
+            for job in jobs:
+                affected = _repair(job)
+                if index is not None:
+                    _index_nodes(index, job[0], job[1].parent, affected)
 
         # Adaptive index policy: keep the index only while patches repair
         # a minority of the live rows; arm a build only after a streak of
-        # sparse patches over a row set worth indexing.
+        # sparse pure-increase patches over a row set worth indexing.
+        repaired = len(jobs)
         if index is not None:
             if repaired * 2 >= live:
                 self._tree_index = None
                 self._indexed.clear()
                 self._index_low_hits = 0
-        elif live >= PLANNER_INDEX_MIN_ROWS and repaired * 4 <= live:
+        elif (
+            not decreases
+            and live >= PLANNER_INDEX_MIN_ROWS
+            and repaired * 4 <= live
+        ):
             self._index_low_hits += 1
         else:
             self._index_low_hits = 0
@@ -2820,9 +2669,7 @@ class FrozenOracle:
             if not row.used:
                 continue  # evicted by this patch before any lookup
             if indexed.get(sid) is not row:
-                for v, p in enumerate(row.parent):
-                    if p >= 0:
-                        _index_add(index, v, p, sid)
+                _index_nodes(index, sid, row.parent, range(len(row.parent)))
                 indexed[sid] = row
         for sid in [s for s in indexed if s not in rows]:
             del indexed[sid]
@@ -2840,10 +2687,11 @@ class FrozenOracle:
         adjustments use this to reroute on updated costs while leaving the
         original instance and its oracle untouched.
 
-        The clone inherits the repair modes (``planner`` and
-        ``share_regions`` flags) but not the inverted tree-edge index:
-        its immediate patch classifies with a scan pass, so one-shot
-        clones never pay for an index build.
+        The clone inherits every constructor knob (``patchable``,
+        ``topology_patch``, the kernel tier, the row budget and the
+        recorder) but not the inverted tree-edge index: its immediate
+        patch classifies with a scan pass, so one-shot clones never pay
+        for an index build.
 
         A budgeted oracle's clone inherits ``row_budget_bytes`` and
         seeds through the same policy: rows are copied in retention
@@ -2854,7 +2702,6 @@ class FrozenOracle:
         """
         clone = FrozenOracle(
             graph, hot=self._hot, patchable=self._patchable,
-            planner=self._planner, share_regions=self._share_regions,
             topology_patch=self._topology_patch,
             parallel_rows=self._parallel_rows, vectorized=self._vectorized,
             row_budget_bytes=self._rows.budget_bytes,
@@ -2889,7 +2736,6 @@ class FrozenOracle:
                 dup.stale = row.stale
                 dup.cutoff = row.cutoff
                 dup.used = row.used
-                # children stays None: rebuilt lazily, never shared.
                 clone._rows[source_id] = dup
         clone.patch_edge_costs(changed)
         return clone
@@ -2919,9 +2765,7 @@ class FrozenOracle:
         self._rows[source_id] = row
         index = self._tree_index
         if index is not None:
-            for v, p in enumerate(row.parent):
-                if p >= 0:
-                    _index_add(index, v, p, source_id)
+            _index_nodes(index, source_id, row.parent, range(len(row.parent)))
             self._indexed[source_id] = row
         if self._rows.budget_bytes is not None:
             # Budgeted oracles enforce residency at every install (cold

@@ -24,8 +24,9 @@ two primitives the kernel tier is built from:
 Fork-inheritance invariant: a worker sees the parent's memory exactly as
 it was at pool creation, so callers must only fork while their shared
 structures are *consistent* -- the oracle never forks mid-patch (rows are
-farmed either before any mutation or after the patch plan is fully
-resolved and before any row is written).
+farmed either before any mutation, or after a patch's decrease pass has
+finished and its plan and shared regions are fully resolved, and before
+any increase repair writes a row).
 """
 
 from __future__ import annotations

@@ -106,8 +106,6 @@ class OnlineSimulator:
         vm_capacity: float = 5.0,
         cost_floor: float = 0.01,
         incremental: bool = True,
-        planner: bool = True,
-        share_regions: bool = True,
         topology_patch: bool = True,
         parallel_rows: int = 0,
         vectorized: bool = False,
@@ -121,16 +119,15 @@ class OnlineSimulator:
         self._cost_floor = cost_floor
         # ``incremental=False`` falls back to a full oracle rebuild per
         # cost change -- the pre-patch behaviour, kept as the benchmark
-        # and equivalence-test reference.  ``planner=False`` keeps
-        # incremental patching but repairs rows with the historical
-        # per-row rescans instead of the shared per-patch plan (the
-        # planner-vs-per-row benchmark and equivalence reference).
-        # ``share_regions=False`` keeps the planned path but repairs
-        # dense patches without cross-row region sharing (the
-        # shared-vs-unshared benchmark and equivalence reference).
-        # ``topology_patch=False`` keeps incremental cost patching but
-        # routes link failure/recovery through invalidate-and-rebuild
-        # (the topology-change equivalence reference).
+        # and equivalence-test reference.  Incremental simulators repair
+        # the oracle's cached rows in place through its one repair engine
+        # (arrivals and background load reach it as cost increases,
+        # departures and link recoveries as decreases); dense patches
+        # share region repairs across rows by observed density, not by a
+        # knob.  ``topology_patch=False`` keeps incremental cost
+        # patching but routes link failure/recovery through
+        # invalidate-and-rebuild (the topology-change equivalence
+        # reference).
         # ``parallel_rows``/``vectorized`` turn on the oracle's kernel
         # tier (fork-pool row builds / array label buffers); the defaults
         # keep the serial list-backed path bit-identical to pre-kernel
@@ -147,8 +144,6 @@ class OnlineSimulator:
         # knobs above.
         self._metrics = metrics if metrics else None
         self._incremental = incremental
-        self._planner = planner
-        self._share_regions = share_regions
         self._topology_patch = topology_patch
         #: Canonical keys of currently failed links.
         self._failed: set = set()
@@ -175,7 +170,6 @@ class OnlineSimulator:
         # oracle computes patch-repairable (exhaustive) rows.
         self._oracle = FrozenOracle(
             graph, hot=self._vms, patchable=self._incremental,
-            planner=self._planner, share_regions=self._share_regions,
             topology_patch=self._topology_patch,
             parallel_rows=parallel_rows, vectorized=vectorized,
             row_budget_bytes=row_budget_bytes, metrics=metrics,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from repro import Graph, ServiceChain, SOFInstance
+from repro.graph import FrozenOracle
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edges: int,
@@ -46,3 +47,36 @@ def random_instance(seed: int, n: int = 14, num_vms: int = 6,
         chain=ServiceChain.of_length(chain_len),
         node_costs={vm: rng.uniform(0.5, 20.0) for vm in vms},
     )
+
+
+def assert_rows_match_cold(oracle: FrozenOracle) -> None:
+    """Every cached row of ``oracle`` agrees with a cold rebuild.
+
+    The cold rebuild is an exhaustive Dijkstra over a fresh oracle for
+    the same (patched) graph and hot set; row ids line up because both
+    intern the graph in its node order.  Shortest paths are unique on
+    continuous-cost graphs, so a full repaired row must equal it exactly
+    (labels and parent tree) and an early-stopped row must equal it on
+    every settled label.  Contracted cores agree within 1e-9: a fresh
+    contraction sums chain weights in its own order.  Reads rows
+    directly, so the check never marks a row as used.
+    """
+    fresh = FrozenOracle(oracle.graph.copy(), hot=oracle._hot)
+    contracted = fresh.contracted
+    assert (contracted is None) == (oracle.contracted is None)
+    for sid, row in oracle._rows.items():
+        if contracted is not None:
+            dist = contracted.dijkstra(sid)[0]
+            assert len(row.dist) == len(dist)
+            assert all(
+                a == b or abs(a - b) <= 1e-9 for a, b in zip(row.dist, dist)
+            ), f"row {sid} drifted from the cold rebuild"
+            continue
+        dist, parent, _, _ = fresh.core.dijkstra(sid)
+        if row.full:
+            assert list(row.dist) == dist, f"row {sid} labels differ"
+            assert list(row.parent) == parent, f"row {sid} tree differs"
+        else:
+            for v, flag in enumerate(row.settled):
+                if flag:
+                    assert row.dist[v] == dist[v], f"row {sid} node {v}"

@@ -32,6 +32,22 @@ def test_solve_with_ilp_and_verbose(capsys):
     assert "chain 0" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--chain", "4", "--vms", "2"], "cannot host a chain of length 4"),
+    (["--destinations", "0"], "at least one destination is required"),
+    (["--sources", "100"], "cannot draw 100 sources"),
+])
+def test_solve_rejects_inconsistent_sizes(capsys, flags, message):
+    """Bad sizes end in one ``error:`` line and exit status 2, not a
+    traceback from inside the instance builder."""
+    assert main(["solve", "--topology", "softlayer", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_fig7(capsys):
     assert main(["fig7", "--samples", "7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -3,13 +3,14 @@
 The raw-speed kernel tier (``FrozenOracle(parallel_rows=N)`` /
 ``FrozenOracle(vectorized=True)``) must be *bit-identical* to the serial
 list-backed reference under every workload the oracle supports: cold row
-builds, cost patches (planned, shared-region and per-row), topology
-patches, prefetch batches and the batched query entry points.  These
-tests replay identical randomized streams into kernel-tier and reference
-oracles over copies of the same graph and compare full row state after
-every patch -- the same contract (and the same idiom) as
-``test_patch_planner.py``, with row labels normalised across the
-``array``-vs-``list`` storage difference.
+builds, cost patches (planned and shared-region repairs, with and
+without a decrease pass), topology patches, prefetch batches and the
+batched query entry points.  These tests replay identical randomized
+streams into kernel-tier and reference oracles over copies of the same
+graph and compare full row state after every patch, with row labels
+normalised across the ``array``-vs-``list`` storage difference; where
+the reference itself is on trial, rows are checked against a cold
+rebuild as in ``test_patch_planner.py``.
 
 The single-boundary offset solve (summation-stable shared regions) and
 the no-fork serial fallback are audited explicitly.
@@ -22,6 +23,7 @@ from array import array
 
 import pytest
 
+from helpers import assert_rows_match_cold
 from repro.graph import FrozenOracle, Graph
 from repro.graph import indexed, kernel
 
@@ -110,25 +112,35 @@ def _row_states(oracle):
     }
 
 
-def _replay(oracle, ops):
-    """Apply one op stream; returns the row-state snapshot per patch."""
+def _apply(oracle, op) -> bool:
+    """Apply one op; returns whether it was a patch."""
+    if op[0] == "distance":
+        oracle.distance(op[1], op[2])
+    elif op[0] == "full":
+        oracle.distances_from(op[1])
+    elif op[0] == "prefetch":
+        oracle.prefetch_rows(op[1])
+    elif op[0] == "remove":
+        oracle.patch_topology(removed=[op[1]])
+    elif op[0] == "insert":
+        oracle.patch_topology(inserted={op[1]: op[2]})
+    else:
+        oracle.patch_edge_costs(op[1])
+    return op[0] in ("remove", "insert", "patch")
+
+
+def _replay(oracle, ops, check_cold=False):
+    """Apply one op stream; returns the row-state snapshot per patch.
+
+    ``check_cold`` additionally checks every cached row against a cold
+    rebuild after each patch.
+    """
     snapshots = []
     for op in ops:
-        if op[0] == "distance":
-            oracle.distance(op[1], op[2])
-        elif op[0] == "full":
-            oracle.distances_from(op[1])
-        elif op[0] == "prefetch":
-            oracle.prefetch_rows(op[1])
-        elif op[0] == "remove":
-            oracle.patch_topology(removed=[op[1]])
+        if _apply(oracle, op):
             snapshots.append(_row_states(oracle))
-        elif op[0] == "insert":
-            oracle.patch_topology(inserted={op[1]: op[2]})
-            snapshots.append(_row_states(oracle))
-        else:
-            oracle.patch_edge_costs(op[1])
-            snapshots.append(_row_states(oracle))
+            if check_cold:
+                assert_rows_match_cold(oracle)
     return snapshots
 
 
@@ -169,7 +181,7 @@ def test_vectorized_matches_list_rows(direction, patchable):
 def test_vectorized_matches_with_shared_regions(direction, monkeypatch):
     """Forced region sharing: the vectorized seed/reset/settle scans and
     the single-boundary offset solve leave state identical to the
-    list-backed shared path and the per-row reference."""
+    list-backed shared path, and every row matches a cold rebuild."""
     monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
     monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
     for trial in range(3):
@@ -177,14 +189,10 @@ def test_vectorized_matches_with_shared_regions(direction, monkeypatch):
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=8, direction=direction)
-        vec = FrozenOracle(
-            graph.copy(), hot=hot, vectorized=True, share_regions=True
-        )
-        plain = FrozenOracle(graph.copy(), hot=hot, share_regions=True)
-        legacy = FrozenOracle(graph.copy(), hot=hot, planner=False)
-        vec_snaps = _replay(vec, ops)
+        vec = FrozenOracle(graph.copy(), hot=hot, vectorized=True)
+        plain = FrozenOracle(graph.copy(), hot=hot)
+        vec_snaps = _replay(vec, ops, check_cold=True)
         assert vec_snaps == _replay(plain, ops)
-        assert vec_snaps == _replay(legacy, ops)
         _final_check(rng, vec, plain, graph, hot)
 
 
@@ -415,21 +423,46 @@ def test_parallel_patch_repairs_match_serial(direction, monkeypatch):
 
 @needs_fork
 def test_parallel_shared_regions_match_serial(monkeypatch):
-    """Parallel repairs compose with forced region sharing + offsets."""
+    """Parallel repairs compose with forced region sharing + offsets, on
+    pure-increase and mixed streams alike: decrease-carrying batches
+    fork too (after their decrease pass), and every patch leaves rows
+    identical to the in-process repair and to a cold rebuild."""
     monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
     monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
     monkeypatch.setattr(indexed, "PARALLEL_MIN_REPAIRS", 2)
-    for trial in range(2):
-        rng = random.Random(9500 + trial)
-        graph = random_graph(rng)
-        hot = rng.sample(list(graph.nodes()), 5)
-        ops = _patch_stream(rng, graph, rounds=6, direction="up")
-        parallel = FrozenOracle(
-            graph.copy(), hot=hot, parallel_rows=2, vectorized=True,
-            share_regions=True,
-        )
-        serial = FrozenOracle(graph.copy(), hot=hot, planner=False)
-        assert _replay(parallel, ops) == _replay(serial, ops)
+    forks = []
+    real_fork_map = kernel.fork_map
+
+    def spy(*args, **kwargs):
+        forks.append(kwargs.get("label"))
+        return real_fork_map(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "fork_map", spy)
+    decrease_forks = 0
+    for direction in ("up", "mixed"):
+        for trial in range(2):
+            rng = random.Random(9500 + trial + 10 * (direction == "mixed"))
+            graph = random_graph(rng)
+            hot = rng.sample(list(graph.nodes()), 5)
+            ops = _patch_stream(rng, graph, rounds=6, direction=direction)
+            parallel = FrozenOracle(
+                graph.copy(), hot=hot, parallel_rows=2, vectorized=True,
+            )
+            serial = FrozenOracle(graph.copy(), hot=hot)
+            for op in ops:
+                decrease = op[0] == "patch" and any(
+                    cost < parallel.graph.cost(u, v)
+                    for (u, v), cost in op[1].items()
+                )
+                before = len(forks)
+                _apply(serial, op)
+                if _apply(parallel, op):
+                    assert _row_states(parallel) == _row_states(serial)
+                    assert_rows_match_cold(parallel)
+                    decrease_forks += (
+                        decrease and "patch_rows" in forks[before:]
+                    )
+    assert decrease_forks, "no decrease-carrying batch forked its repairs"
 
 
 @needs_fork

@@ -4,8 +4,8 @@ The load-bearing contract is the last section: a randomized churn +
 link-failure workload replayed with metrics and tracing ON must produce
 **bit-identical** per-request costs, acceptance decisions, availability
 counters, and oracle row state to the metrics-OFF run -- the recorder
-only observes, exactly like the ``planner=``/``vectorized=`` reference
-flags.  The trace sections pin the Chrome trace-event JSONL schema and
+only observes, exactly like the ``vectorized=``/``topology_patch=``
+reference flags.  The trace sections pin the Chrome trace-event JSONL schema and
 the span-total/histogram-sum reconciliation the CLI and CI rely on.
 """
 

@@ -122,16 +122,21 @@ def test_incremental_patch_matches_full_rebuild(network):
     assert trace(True) == trace(False)
 
 
-def test_share_regions_matches_unshared_trace(monkeypatch):
-    """Dense-patch region sharing must replay a trace bit-identically."""
+def test_region_sharing_matches_unshared_trace(monkeypatch):
+    """Dense-patch region sharing must replay a trace bit-identically.
+
+    Sharing is selected by observed row density, so the two runs force
+    the thresholds: zero (every detached root shares) versus an infinite
+    minimum (none does).
+    """
     from repro.graph import indexed
 
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
     monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
 
-    def trace(share):
+    def trace(min_rows):
+        monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", min_rows)
         net = softlayer_network(seed=3)
-        sim = OnlineSimulator(net, share_regions=share)
+        sim = OnlineSimulator(net)
         gen = RequestGenerator(net, seed=7, destinations_range=(4, 5),
                                sources_range=(2, 3))
         return [
@@ -139,7 +144,7 @@ def test_share_regions_matches_unshared_trace(monkeypatch):
             for request in gen.take(6)
         ]
 
-    assert trace(True) == trace(False)
+    assert trace(1) == trace(float("inf"))
 
 
 def test_apply_background_load_reprices_and_repairs(network):

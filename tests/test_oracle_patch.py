@@ -131,23 +131,24 @@ def test_patch_rejects_unknown_edges_atomically():
 # ----------------------------------------------------------------------
 # batch canonicalisation (duplicate orientations)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("planner", [True, False])
-def test_patch_duplicate_orientation_last_write_wins(planner):
+@pytest.mark.parametrize("patchable", [True, False])
+def test_patch_duplicate_orientation_last_write_wins(patchable):
     """A batch naming one edge in both orientations applies only the last.
 
     The regression: the uncanonicalised batch produced two ``applied``
     entries with the same pre-patch ``old`` cost, double-patched the CSR
     weights and inflated the returned count; when the two new costs
     straddled the old one it even classified a phantom decrease whose
-    cost existed in neither the graph nor the batch's outcome.
+    cost existed in neither the graph nor the batch's outcome.  Checked
+    on exhaustive (patchable) and early-stopped rows alike.
     """
     graph = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
-    oracle = FrozenOracle(graph, planner=planner)
+    oracle = FrozenOracle(graph, hot={"a", "b"}, patchable=patchable)
     assert oracle.distance("a", "c") == 2.0
     # Same edge, both orientations: one logical change, last write wins.
     assert oracle.patch_edge_costs({("a", "b"): 5.0, ("b", "a"): 3.0}) == 1
     assert graph.cost("a", "b") == 3.0
-    fresh = FrozenOracle(graph.copy(), planner=planner)
+    fresh = FrozenOracle(graph.copy())
     for u in ("a", "b", "c"):
         assert oracle.distances_from(u) == fresh.distances_from(u)
     # Straddling duplicate: a decrease below the current cost followed by
@@ -155,7 +156,7 @@ def test_patch_duplicate_orientation_last_write_wins(planner):
     # 4.0, not as a decrease-to-0.5 plus an increase.
     assert oracle.patch_edge_costs({("b", "c"): 0.5, ("c", "b"): 4.0}) == 1
     assert graph.cost("b", "c") == 4.0
-    fresh = FrozenOracle(graph.copy(), planner=planner)
+    fresh = FrozenOracle(graph.copy())
     for u in ("a", "b", "c"):
         assert oracle.distances_from(u) == fresh.distances_from(u)
     # A duplicate whose last entry restores the current cost is a no-op.
@@ -256,7 +257,7 @@ def test_row_upgrade_registers_in_tree_index(monkeypatch):
     graph = Graph.from_edges([
         ("s", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("x", "y", 1.0),
     ])
-    oracle = FrozenOracle(graph, hot={"s", "a"}, planner=True)
+    oracle = FrozenOracle(graph, hot={"s", "a"})
     # Early-stopped row from s (settles once the hot set is done).
     assert oracle.distance("s", "a") == 1.0
     core = oracle.core
@@ -374,11 +375,11 @@ def test_rebased_leaves_original_untouched():
 
 def test_rebased_inherits_repair_modes():
     graph = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
-    oracle = FrozenOracle(graph, planner=False, share_regions=False)
+    oracle = FrozenOracle(graph, patchable=True, topology_patch=False)
     oracle.distance("a", "c")
     clone = oracle.rebased(graph.copy(), {("a", "b"): 2.0})
-    assert clone._planner is False
-    assert clone._share_regions is False
+    assert clone._patchable is True
+    assert clone._topology_patch is False
     assert clone.distance("a", "c") == 3.0
 
 

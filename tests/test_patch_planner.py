@@ -1,20 +1,22 @@
-"""Planner-vs-per-row equivalence for the patch repair engine.
+"""Cold-rebuild equivalence for the patch repair engine.
 
-The cross-row patch planner (``FrozenOracle(planner=True)``, the default)
-must be *bit-identical* to the historical per-row rescan repair kept
-behind ``planner=False``: same surviving row set, same distances, same
-parent trees, same settle flags and demotions, same stale marks -- after
-every patch of a stream, not just at the end.  These tests replay
-identical randomized query+patch streams into a planner oracle and a
-per-row oracle over copies of the same graph and compare full row state
-after each patch.
+Every cost patch repairs cached rows through one engine: a batch's
+decreases are relaxed into every live row first, then its increases go
+through the cross-row patch planner (:class:`_PatchPlan`) and the
+planned or region-shared repairers.  The equivalence reference is the
+cold rebuild -- a fresh oracle over the patched graph.  These tests
+replay randomized query+patch streams and, after every patch, check each
+cached row against it: full rows must equal the rebuilt labels and
+parent tree exactly (shortest paths are unique on these continuous-cost
+graphs), early-stopped rows must equal it on every settled label, and
+contracted cores must agree within 1e-9.
 
-The same contract extends to dense-patch region sharing
-(``share_regions=True``, the default): with the sharing thresholds
-forced to zero, every planned patch repairs through shared
-:class:`_SharedRegion` groups, and the resulting row state must still be
-bit-identical to both the unshared planned path and the per-row
-reference.
+Dense-patch region sharing is selected by observed row density
+(:data:`PLANNER_SHARE_MIN_ROWS` / :data:`PLANNER_SHARE_DENSITY`).  With
+the thresholds forced to zero every detached root repairs through a
+shared :class:`_SharedRegion` group, and with the minimum forced to
+infinity none does; the two runs must leave bit-identical row state
+after every patch.
 
 The settle-cutoff demotion boundary is audited here too: a repaired
 label landing *exactly* on ``row.cutoff`` is provably exact and must
@@ -27,9 +29,12 @@ import random
 
 import pytest
 
+from helpers import assert_rows_match_cold
 from repro.core.problem import ServiceChain
 from repro.graph import FrozenOracle, Graph
 from repro.graph import indexed
+from repro.graph.graph import canonical_edge
+from repro.obs import MetricsRegistry, Recorder
 from repro.topology import inet_network
 
 INF = float("inf")
@@ -47,12 +52,11 @@ def random_graph(rng, num_nodes=36, edge_probability=0.15):
 
 
 def _patch_stream(rng, graph, rounds, direction, working=5, queries=10):
-    """One randomized op stream (built once, replayed into both oracles).
+    """One randomized op stream (built once, replayable into any oracle).
 
     Patches are drawn against a simulated running cost state, so an "up"
     stream stays a strict per-edge increase even when the same edge is
-    drawn twice -- the planned repair path only engages on pure-increase
-    batches.
+    drawn twice, while a "mixed" stream's batches carry decreases too.
     """
     nodes = list(graph.nodes())
     cost_now = {(u, v): cost for u, v, cost in graph.edges()}
@@ -95,8 +99,12 @@ def _row_states(oracle):
     }
 
 
-def _replay(oracle, ops):
-    """Apply one op stream; returns the row-state snapshot per patch."""
+def _replay(oracle, ops, check_cold=False):
+    """Apply one op stream; returns the row-state snapshot per patch.
+
+    ``check_cold`` additionally checks every cached row against a cold
+    rebuild after each patch.
+    """
     snapshots = []
     for op in ops:
         if op[0] == "distance":
@@ -106,74 +114,73 @@ def _replay(oracle, ops):
         else:
             oracle.patch_edge_costs(op[1])
             snapshots.append(_row_states(oracle))
+            if check_cold:
+                assert_rows_match_cold(oracle)
     return snapshots
+
+
+def _force_sharing(monkeypatch):
+    """Make every detached root dense enough for a shared-region group."""
+    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
+    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
+
+
+def _replay_unshared(oracle, ops, **kwargs):
+    """:func:`_replay` with region sharing disengaged (no root is dense)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", INF)
+        return _replay(oracle, ops, **kwargs)
 
 
 @pytest.mark.parametrize("patchable", [False, True])
 @pytest.mark.parametrize("direction", ["up", "mixed"])
 def test_planner_matches_per_row_repair(direction, patchable):
-    """Randomized patch streams: bit-identical row state after every patch.
+    """Randomized patch streams: every row matches a cold rebuild after
+    every patch.
 
-    ``up`` streams run the planned repair path on every patch; ``mixed``
-    streams interleave it with the decrease fallback.  ``patchable=True``
-    is the online simulator's configuration (exhaustive rows, no
-    demotions); ``patchable=False`` exercises early-stopped rows with
-    settle-cutoff demotions and stale-row recomputes.
+    ``up`` streams repair through the planned path alone; ``mixed``
+    streams run the decrease pass before it.  ``patchable=True`` is the
+    online simulator's configuration (exhaustive rows, no demotions);
+    ``patchable=False`` exercises early-stopped rows with settle-cutoff
+    demotions, decrease evictions and stale-row recomputes.
     """
     for trial in range(4):
         rng = random.Random(100 * trial + (direction == "up") + 2 * patchable)
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=8, direction=direction)
-        planned = FrozenOracle(
-            graph.copy(), hot=hot, patchable=patchable, planner=True
-        )
-        legacy = FrozenOracle(
-            graph.copy(), hot=hot, patchable=patchable, planner=False
-        )
-        assert _replay(planned, ops) == _replay(legacy, ops)
-        # Both end exact: spot-check against a cold oracle per final cost.
+        planned = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+        _replay(planned, ops, check_cold=True)
+        # Served values end exact too: spot-check a cold oracle.
         fresh = FrozenOracle(planned.graph.copy(), hot=hot)
         for source in rng.sample(list(graph.nodes()), 6):
             expected = fresh.distances_from(source)
             assert planned.distances_from(source) == expected
-            assert legacy.distances_from(source) == expected
 
 
 @pytest.mark.parametrize("patchable", [False, True])
 @pytest.mark.parametrize("direction", ["up", "mixed"])
 def test_shared_matches_unshared_and_per_row(direction, patchable, monkeypatch):
-    """Forced region sharing: bit-identical across all three repair modes.
+    """Forced region sharing: bit-identical to the unshared walk, and
+    every row matches a cold rebuild.
 
-    With the sharing thresholds forced to zero every detached root of a
-    pure-increase patch goes through a shared-region group, so the
-    randomized streams exercise region verification, variant founding,
-    union repairs (rows with several detached roots) and the walk
-    fallback for rows whose regions fragment -- all of which must leave
-    row state identical to the unshared planned path and the per-row
-    reference after every patch.
+    With the sharing thresholds forced to zero every detached root goes
+    through a shared-region group, so the randomized streams exercise
+    region verification, variant founding, union repairs (rows with
+    several detached roots) and the walk fallback for rows whose regions
+    fragment -- all of which must leave row state identical to the
+    unshared planned path after every patch.
     """
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
+    _force_sharing(monkeypatch)
     for trial in range(4):
         rng = random.Random(300 * trial + (direction == "up") + 2 * patchable)
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=8, direction=direction)
-        shared = FrozenOracle(
-            graph.copy(), hot=hot, patchable=patchable,
-            planner=True, share_regions=True,
-        )
-        unshared = FrozenOracle(
-            graph.copy(), hot=hot, patchable=patchable,
-            planner=True, share_regions=False,
-        )
-        legacy = FrozenOracle(
-            graph.copy(), hot=hot, patchable=patchable, planner=False
-        )
-        shared_snaps = _replay(shared, ops)
-        assert shared_snaps == _replay(unshared, ops)
-        assert shared_snaps == _replay(legacy, ops)
+        shared = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+        unshared = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+        shared_snaps = _replay(shared, ops, check_cold=True)
+        assert shared_snaps == _replay_unshared(unshared, ops)
         fresh = FrozenOracle(shared.graph.copy(), hot=hot)
         for source in rng.sample(list(graph.nodes()), 6):
             expected = fresh.distances_from(source)
@@ -184,16 +191,15 @@ def test_shared_matches_with_tree_index(monkeypatch):
     """Region sharing composes with the inverted tree-edge index."""
     monkeypatch.setattr(indexed, "PLANNER_INDEX_MIN_ROWS", 1)
     monkeypatch.setattr(indexed, "PLANNER_INDEX_BUILD_STREAK", 0)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
+    _force_sharing(monkeypatch)
     for trial in range(4):
         rng = random.Random(8800 + trial)
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=10, direction="up")
-        shared = FrozenOracle(graph.copy(), hot=hot, share_regions=True)
-        unshared = FrozenOracle(graph.copy(), hot=hot, share_regions=False)
-        assert _replay(shared, ops) == _replay(unshared, ops)
+        shared = FrozenOracle(graph.copy(), hot=hot)
+        unshared = FrozenOracle(graph.copy(), hot=hot)
+        assert _replay(shared, ops) == _replay_unshared(unshared, ops)
 
 
 def test_shared_regions_amortize_region_builds(monkeypatch):
@@ -225,7 +231,7 @@ def test_shared_regions_amortize_region_builds(monkeypatch):
         ("hub", "p0", 1.0), ("p0", "p1", 1.1), ("p1", "p2", 1.2),
         ("p0", "q0", 0.5), ("p1", "q1", 0.5), ("p2", "q2", 0.5),
     ])
-    oracle = FrozenOracle(graph, planner=True, share_regions=True)
+    oracle = FrozenOracle(graph)
     for node in ("hub", "s0", "s1", "s2", "p0", "p1", "q2"):
         oracle.distances_from(node)
     oracle.patch_edge_costs({("hub", "p0"): 3.0})
@@ -238,17 +244,23 @@ def test_shared_regions_amortize_region_builds(monkeypatch):
 
 
 def test_planner_matches_per_row_with_tree_index(monkeypatch):
-    """Equivalence holds with the inverted tree-edge index forced on."""
+    """With the inverted tree-edge index forced on, every row matches a
+    cold rebuild, and row state is bit-identical to scan-pass
+    classification (the index only narrows which rows are visited)."""
     monkeypatch.setattr(indexed, "PLANNER_INDEX_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_INDEX_BUILD_STREAK", 0)
     for trial in range(4):
         rng = random.Random(7000 + trial)
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=10, direction="up")
-        planned = FrozenOracle(graph.copy(), hot=hot, planner=True)
-        legacy = FrozenOracle(graph.copy(), hot=hot, planner=False)
-        assert _replay(planned, ops) == _replay(legacy, ops)
+        indexed_oracle = FrozenOracle(graph.copy(), hot=hot)
+        scanned = FrozenOracle(graph.copy(), hot=hot)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indexed, "PLANNER_INDEX_BUILD_STREAK", 0)
+            snaps = _replay(indexed_oracle, ops, check_cold=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indexed, "PLANNER_INDEX_BUILD_STREAK", INF)
+            assert snaps == _replay(scanned, ops)
 
 
 def test_tree_index_engages_and_adapts(monkeypatch):
@@ -259,7 +271,7 @@ def test_tree_index_engages_and_adapts(monkeypatch):
         ("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0), ("a", "d", 5.0),
         ("x", "y", 1.0),
     ])
-    oracle = FrozenOracle(graph, planner=True)
+    oracle = FrozenOracle(graph)
     # Three full rows: a, b and x (x's component is isolated, so a patch
     # of x-y is a tree edge in only one of the three).
     assert oracle.distances_from("a")["c"] == 2.0
@@ -280,8 +292,8 @@ def test_tree_index_engages_and_adapts(monkeypatch):
     assert oracle.distance("b", "d") == 2.5
 
 
-@pytest.mark.parametrize("planner", [True, False])
-def test_settle_cutoff_boundary_exact_landing(planner):
+@pytest.mark.parametrize("shared", [True, False])
+def test_settle_cutoff_boundary_exact_landing(shared, monkeypatch):
     """A repaired label exactly *on* the cutoff stays settled; one above
     is demoted -- and the demotion is load-bearing, not conservative.
 
@@ -290,12 +302,15 @@ def test_settle_cutoff_boundary_exact_landing(planner):
     least the cutoff), so it must keep serving without a recompute.  h's
     repaired label (3.0) is only an upper bound: the true distance routes
     through the never-settled node y (2.6), so serving the label without
-    demotion would be *wrong*, not merely stale.
+    demotion would be *wrong*, not merely stale.  Both repairers (the
+    shared-region one and the per-row planned walk) must demote alike.
     """
+    if shared:
+        _force_sharing(monkeypatch)
     graph = Graph.from_edges([
         ("s", "x", 1.0), ("x", "h", 1.0), ("s", "y", 2.5), ("y", "h", 0.1),
     ])
-    oracle = FrozenOracle(graph, hot={"s", "h"}, planner=planner)
+    oracle = FrozenOracle(graph, hot={"s", "h"})
     assert oracle.distance("s", "h") == 2.0  # early-stops once h settles
     core = oracle.core
     sid, xid, hid = core.index["s"], core.index["x"], core.index["h"]
@@ -332,59 +347,89 @@ def contracted_instance():
 
 
 def test_planner_matches_per_row_contracted(contracted_instance, monkeypatch):
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
+    """Contracted cores: shared == unshared bit for bit on mixed batches,
+    and every row stays within 1e-9 of a cold rebuild."""
+    _force_sharing(monkeypatch)
     instance = contracted_instance
     hot = instance.vms | instance.sources | instance.destinations
     special = sorted(hot, key=repr)
-    oracles = []
-    for planner, share in ((True, True), (True, False), (False, False)):
-        oracle = FrozenOracle(
-            instance.graph.copy(), hot=hot, planner=planner,
-            share_regions=share,
-        )
+    shared, planned = (
+        FrozenOracle(instance.graph.copy(), hot=hot) for _ in range(2)
+    )
+    for oracle in (shared, planned):
         assert oracle.contracted is not None
         oracle.warm(special)
-        oracles.append(oracle)
-    shared, planned, legacy = oracles
     rng = random.Random(13)
     cost_now = {(u, v): c for u, v, c in planned.graph.edges()}
     edges = list(cost_now)
     for _ in range(4):
         changed = {}
         for key in rng.sample(edges, 10):
-            cost_now[key] = cost_now[key] * rng.uniform(1.05, 2.5)
+            cost_now[key] = cost_now[key] * rng.uniform(0.4, 2.5)
             changed[key] = cost_now[key]
         shared.patch_edge_costs(dict(changed))
-        planned.patch_edge_costs(dict(changed))
-        legacy.patch_edge_costs(dict(changed))
-        assert _row_states(planned) == _row_states(legacy)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", INF)
+            planned.patch_edge_costs(dict(changed))
         assert _row_states(shared) == _row_states(planned)
+        assert_rows_match_cold(shared)
         for source in special[:4]:
-            expected = legacy.distances_from(source)
-            assert planned.distances_from(source) == expected
-            assert shared.distances_from(source) == expected
+            assert shared.distances_from(source) == \
+                planned.distances_from(source)
 
 
 # ----------------------------------------------------------------------
-# tenant churn: planner/share modes across decrease-carrying batches
+# mixed batches and tenant churn: one engine for both directions
 # ----------------------------------------------------------------------
-def _churn_costs(planner, share_regions, seed=23, requests=9):
+def test_mixed_batch_repairs_on_planned_path():
+    """A batch mixing an increase and a decrease repairs its rows on the
+    planned path -- the recorder counts ``path=planned``/``shared``
+    repairs and never a ``path=reference`` one -- and stays exact."""
+    recorder = Recorder(registry=MetricsRegistry())
+    rng = random.Random(61)
+    graph = random_graph(rng)
+    oracle = FrozenOracle(graph, patchable=True, metrics=recorder)
+    for node in list(graph.nodes())[:12]:
+        oracle.distances_from(node)
+    source = next(iter(oracle._rows))
+    row = oracle._rows[source]
+    child = next(v for v, p in enumerate(row.parent) if p >= 0)
+    core = oracle.core
+    tree_edge = (core.nodes[child], core.nodes[row.parent[child]])
+    other = next(
+        (u, v) for u, v, _ in graph.edges()
+        if canonical_edge(u, v) != canonical_edge(*tree_edge)
+    )
+    oracle.patch_edge_costs({
+        tree_edge: graph.cost(*tree_edge) * 3.0,
+        other: graph.cost(*other) * 0.5,
+    })
+    repairs = {
+        key: count
+        for key, count in recorder.snapshot()["counters"].items()
+        if key.startswith("oracle.repair.rows")
+    }
+    assert repairs, "the increased tree edge must repair at least one row"
+    assert all(
+        "path=planned" in key or "path=shared" in key for key in repairs
+    ), repairs
+    assert_rows_match_cold(oracle)
+
+
+def _churn_costs(seed=23, requests=9, **simulator_kwargs):
     """One randomized arrive/depart stream through the online simulator.
 
-    Lease releases make the next sync a decrease-carrying batch -- the
-    case the planner routes to the per-row reference -- while arrival
-    commits stay pure increases on the planned path, so one stream
-    exercises the mode switch both ways.  The stream is a pure function
-    of the seeds: every configuration replays the identical workload.
+    Lease releases make the next sync a decrease-carrying batch, while
+    arrival commits stay pure increases, so one stream exercises the
+    decrease pass both on and off.  The stream is a pure function of the
+    seeds: every configuration replays the identical workload.
     """
     from repro import sofda
     from repro.online import OnlineSimulator, RequestGenerator
     from repro.topology import softlayer_network
 
     network = softlayer_network(seed=3)
-    simulator = OnlineSimulator(network, incremental=True, planner=planner,
-                                share_regions=share_regions)
+    simulator = OnlineSimulator(network, **simulator_kwargs)
     generator = RequestGenerator(network, seed=5, destinations_range=(3, 4),
                                  sources_range=(2, 2))
     rng = random.Random(seed)
@@ -401,13 +446,14 @@ def _churn_costs(planner, share_regions, seed=23, requests=9):
 
 
 def test_churn_planner_modes_bit_identical(monkeypatch):
-    """Arrive/depart streams must not depend on planner/share modes."""
+    """Arrive/depart streams must not depend on whether region sharing
+    engages, and must equal the invalidate-per-change cold rebuild."""
+    rebuilt = _churn_costs(incremental=False)
     # Force region sharing to engage on the shared run even at this
-    # small scale, so all three repair paths really differ.
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
-    shared = _churn_costs(planner=True, share_regions=True)
-    planned = _churn_costs(planner=True, share_regions=False)
-    per_row = _churn_costs(planner=False, share_regions=False)
-    assert planned == per_row
-    assert shared == planned
+    # small scale, and disengage it on the unshared one.
+    _force_sharing(monkeypatch)
+    shared = _churn_costs()
+    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", INF)
+    unshared = _churn_costs()
+    assert shared == unshared
+    assert shared == rebuilt
