@@ -35,13 +35,14 @@ tracks the *repo's own* performance trajectory.  It measures:
   released as disrupted, and each recovery is a decrease-from-infinity
   reinsert;
 - ``online_many_rows_kernel_s`` / ``online_dense_patch_kernel_s``: the
-  same two tracked traces replayed under the oracle's raw-speed kernel
-  tier (``parallel_rows=cpu_count, vectorized=True``) -- the acceptance
-  metric for the kernel-tier PR.  The serial list-backed runs above are
-  the reference; the kernel runs must match their forest costs exactly
-  (drift 0.0, identical acceptance decisions).  Worker-pool spawn is
-  warmed outside the timed windows (``kernel.warm_fork``), the same way
-  topology generation is excluded;
+  same two tracked traces replayed with the oracle's fork-pool row
+  builds and repairs (``parallel_rows=cpu_count``).  Every oracle stores
+  its rows in array label buffers, so the serial runs above differ from
+  these only in the fork pool, and the ratio isolates it.  The serial
+  runs are the reference; the parallel runs must match their forest
+  costs exactly (drift 0.0, identical acceptance decisions).  Worker-pool
+  spawn is warmed outside the timed windows (``kernel.warm_fork``), the
+  same way topology generation is excluded;
 - ``online_budget_s`` / ``online_budget_unbounded_s``: a 50k-node Inet
   churn trace replayed with the oracle's row-cache residency budgeted to
   exactly the VM-pool rows (``row_budget_bytes``, the RowCache layer)
@@ -78,9 +79,9 @@ match the committed baselines, the churn trace's incremental run must
 stay bit-identical (costs *and* acceptance decisions) to the
 full-invalidate reference across its decrease batches, and the failure
 trace's topology patches must stay bit-identical (costs, acceptances,
-reroutes, *and* disruptions) to the same reference, and the kernel-tier
-runs must stay bit-identical (drift exactly 0.0, identical acceptance
-decisions) to their serial list-backed references on both tracked
+reroutes, *and* disruptions) to the same reference, and the
+parallel-rows runs must stay bit-identical (drift exactly 0.0, identical
+acceptance decisions) to their serial references on both tracked
 traces, and the budgeted 50k-node churn trace must stay under its
 row-cache byte budget with drift exactly 0.0 and identical acceptance
 decisions versus the unbounded reference.
@@ -163,17 +164,15 @@ def _run_online_trace(incremental: bool):
     return costs, elapsed
 
 
-def _run_many_rows_trace(
-    parallel_rows: int = 0, vectorized: bool = False, metrics=None,
-):
+def _run_many_rows_trace(parallel_rows: int = 0, metrics=None):
     """Replay 4 light requests against a 1250-VM pool.
 
     The many-cached-rows case the patch planner exists for: every request
     warms one row per VM (the Procedure-1 sweep), so each patch repairs a
     ~1250-row cache.  Requests are deliberately light (1 source, 2-3
     destinations, 1 service) so the repair engine -- not the embedder --
-    dominates the loop.  Setup -- including the kernel tier's one-time
-    worker-pool spawn -- stays outside the timed window.  Returns
+    dominates the loop.  Setup -- including the fork pool's one-time
+    spawn -- stays outside the timed window.  Returns
     ``(costs, elapsed_seconds)``.
     """
     network = inet_network(
@@ -181,7 +180,7 @@ def _run_many_rows_trace(
     )
     simulator = OnlineSimulator(
         network, vms_per_datacenter=5, incremental=True,
-        parallel_rows=parallel_rows, vectorized=vectorized, metrics=metrics,
+        parallel_rows=parallel_rows, metrics=metrics,
     )
     generator = RequestGenerator(
         network, seed=0, destinations_range=(2, 3), sources_range=(1, 1),
@@ -200,8 +199,7 @@ def _run_many_rows_trace(
     rejected = [i for i, cost in enumerate(costs) if cost is None]
     assert not rejected, (
         f"many-rows trace requests {rejected} were rejected "
-        f"(parallel_rows={parallel_rows}, vectorized={vectorized}); "
-        f"the trace must embed all 4"
+        f"(parallel_rows={parallel_rows}); the trace must embed all 4"
     )
     return costs, elapsed
 
@@ -242,7 +240,7 @@ def _dense_patch_network():
     return CloudNetwork(name="dense-pods", graph=graph, datacenters=dcs)
 
 
-def _run_dense_patch_trace(parallel_rows: int = 0, vectorized: bool = False):
+def _run_dense_patch_trace(parallel_rows: int = 0):
     """Replay a churn-heavy online trace over the hub-and-pods topology.
 
     Between embeddings, background (cross-tenant) load keeps re-pricing a
@@ -260,7 +258,7 @@ def _run_dense_patch_trace(parallel_rows: int = 0, vectorized: bool = False):
     network = _dense_patch_network()
     simulator = OnlineSimulator(
         network, vms_per_datacenter=5, incremental=True,
-        parallel_rows=parallel_rows, vectorized=vectorized,
+        parallel_rows=parallel_rows,
     )
     rng = random.Random(7)
     pod_internals = sorted(
@@ -298,7 +296,7 @@ def _run_dense_patch_trace(parallel_rows: int = 0, vectorized: bool = False):
     rejected = [i for i, cost in enumerate(costs) if cost is None]
     assert not rejected, (
         f"dense-patch trace requests {rejected} were rejected "
-        f"(parallel_rows={parallel_rows}, vectorized={vectorized}); "
+        f"(parallel_rows={parallel_rows}); "
         f"the trace must embed all {_DENSE_REQUESTS}"
     )
     return costs, elapsed
@@ -616,16 +614,15 @@ def run_perf_core() -> dict:
     patch_costs, trace_patch_s = _run_online_trace(incremental=True)
 
     # Interleaved best-of-two: a single ~30 s run on a shared machine
-    # can absorb a load spike on either side of the serial-vs-kernel
-    # comparison (parallel rows + vectorized labels, the kernel-tier
-    # acceptance metric).
+    # can absorb a load spike on either side of the serial-vs-parallel
+    # comparison (the fork pool is the only difference).
     kernel_rows = os.cpu_count() or 1
     many_rows_serial_s = many_rows_kernel_s = float("inf")
     for _ in range(2):
         serial_costs, elapsed = _run_many_rows_trace()
         many_rows_serial_s = min(many_rows_serial_s, elapsed)
         kernel_costs, elapsed = _run_many_rows_trace(
-            parallel_rows=kernel_rows, vectorized=True
+            parallel_rows=kernel_rows
         )
         many_rows_kernel_s = min(many_rows_kernel_s, elapsed)
 
@@ -635,7 +632,7 @@ def run_perf_core() -> dict:
         dense_costs, elapsed = _run_dense_patch_trace()
         dense_serial_s = min(dense_serial_s, elapsed)
         dense_kernel_costs, elapsed = _run_dense_patch_trace(
-            parallel_rows=kernel_rows, vectorized=True
+            parallel_rows=kernel_rows
         )
         dense_kernel_s = min(dense_kernel_s, elapsed)
 
@@ -849,8 +846,8 @@ def test_perf_core(once):
         f" ({measured['online_trace_invalidate_s'] / measured['online_trace_s']:.2f}x)"
     )
     print(
-        f"  kernel tier (parallel_rows={measured['kernel_parallel_rows']},"
-        f" vectorized): many-rows {measured['online_many_rows_s']}s"
+        f"  parallel rows (parallel_rows={measured['kernel_parallel_rows']}):"
+        f" many-rows {measured['online_many_rows_s']}s"
         f" -> {measured['online_many_rows_kernel_s']}s"
         f" ({measured['online_many_rows_s'] / measured['online_many_rows_kernel_s']:.2f}x),"
         f" dense-patch {measured['online_dense_patch_s']}s"
@@ -920,8 +917,8 @@ def test_perf_core(once):
         or abs(measured["online_many_rows_cost"]
                - seed["online_many_rows_cost"]) <= 1e-6
     )
-    # The kernel tier only ever serves rows the serial path would have
-    # served (row-serving identity), so both kernel runs must not diverge
+    # Fork-pool builds and repairs write back the rows an in-process run
+    # computes, in row order, so both parallel runs must not diverge
     # from their serial references by even an ulp -- in costs or in
     # acceptance decisions.
     kernel_ok = (
@@ -985,8 +982,7 @@ def test_perf_core(once):
             "many-rows trace cost drifted from the baseline"
         )
         assert kernel_ok, (
-            "kernel-tier run (parallel rows + vectorized labels) "
-            "diverged from the serial reference"
+            "parallel-rows run diverged from the serial reference"
         )
         assert dense_baseline_ok, (
             "dense-patch trace cost drifted from the baseline"
@@ -1033,15 +1029,15 @@ def test_perf_core(once):
     )
     shape_check("many-rows trace cost matches committed baseline",
                 many_rows_baseline_ok)
-    shape_check("kernel tier: drift exactly 0.0 and identical acceptance "
+    shape_check("parallel rows: drift exactly 0.0 and identical acceptance "
                 "decisions on both tracked traces", kernel_ok)
     shape_check(
-        "many-rows trace at least 1.5x faster under the kernel tier",
+        "many-rows trace at least 1.5x faster with parallel rows",
         measured["online_many_rows_kernel_s"] * 1.5
         <= measured["online_many_rows_s"],
     )
     shape_check(
-        "dense-patch trace faster under the kernel tier",
+        "dense-patch trace faster with parallel rows",
         measured["online_dense_patch_kernel_s"]
         <= measured["online_dense_patch_s"],
     )

@@ -20,6 +20,7 @@ be diffed across runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -184,7 +185,33 @@ def _cmd_fig12(args: argparse.Namespace) -> int:
     return 0
 
 
+def _workload_input_error(args: argparse.Namespace) -> Optional[str]:
+    """The first inconsistent ``workload`` flag as a message, or ``None``.
+
+    Checked before anything is built, so bad input fails before
+    ``--record`` writes a trace.  Arrival and failure flags only matter
+    when a schedule is generated; a replayed trace ignores them.
+    """
+    if not args.replay:
+        if not args.rate > 0:
+            return f"--rate must be positive, got {args.rate:g}"
+        if args.fail_links > 0:
+            for flag, value in (("--mtbf", args.mtbf), ("--mttr", args.mttr)):
+                if not value > 0:
+                    return (f"{flag} must be positive with --fail-links, "
+                            f"got {value:g}")
+    mb = args.row_budget_mb
+    if mb is not None and not (math.isfinite(mb) and mb * 2 ** 20 >= 1):
+        return (f"--row-budget-mb must be a finite size of at least one "
+                f"byte, got {mb:g}")
+    return None
+
+
 def _cmd_workload(args: argparse.Namespace) -> int:
+    error = _workload_input_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     from repro.experiments import run_churn_comparison
     from repro.online import RequestGenerator
     from repro.workload import (

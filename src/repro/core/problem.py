@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
-from repro.graph import FrozenOracle, Graph, kernel
+import numpy as np
+
+from repro.graph import FrozenOracle, Graph
 
 Node = Hashable
 
@@ -197,18 +199,16 @@ class SOFInstance:
             # touches a VM is then served by undirected symmetry.  The
             # prefetch farms cold rows to the worker pool when the oracle
             # runs with ``parallel_rows``; per-pair reads then batch into
-            # one gather per row on the vectorized tier.
+            # one gather per row.
             oracle.prefetch_rows(vms)
-            np = kernel.np
-            use_np = np is not None and oracle.vectorized
-            setups = [setup(v) for v in vms] if use_np else None
+            setups = [setup(v) for v in vms]
             block: Dict[Node, Dict[Node, float]] = {v: {} for v in vms}
             for i, v1 in enumerate(vms):
                 row1 = block[v1]
                 s1 = setup(v1)
                 rest = vms[i + 1:]
                 ds = oracle.distances_to(v1, rest)
-                if use_np and len(rest) > 16:
+                if len(rest) > 16:
                     # Elementwise IEEE doubles in the scalar branch's
                     # association, ``base + ((s1 + s2) / 2.0)``, with
                     # ``inf`` rows passed through verbatim -- the costs

@@ -156,7 +156,6 @@ class AuxiliaryOracle:
             self._fallback = FrozenOracle(
                 self._aux_graph,
                 parallel_rows=base.parallel_rows,
-                vectorized=base.vectorized,
                 row_budget_bytes=base.row_budget_bytes,
                 metrics=base.metrics,
             )

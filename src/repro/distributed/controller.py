@@ -31,10 +31,9 @@ class Controller:
     domain: Set[Node]
     local_graph: Graph
     border_routers: List[Node] = field(default_factory=list)
-    #: Oracle kernel-tier knobs (fork-pool row builds / array label
-    #: buffers); defaults keep the serial list-backed reference path.
+    #: Oracle kernel-tier knob (fork-pool row builds and repairs); the
+    #: default keeps every row build in-process.
     parallel_rows: int = 0
-    vectorized: bool = False
     #: Per-domain row-cache residency budget in bytes (``None`` =
     #: unbounded); inherited from the instance oracle so a budgeted
     #: deployment bounds every controller's memory, not just the
@@ -50,7 +49,7 @@ class Controller:
     @classmethod
     def for_domain(
         cls, controller_id: int, domain: Set[Node], graph: Graph,
-        parallel_rows: int = 0, vectorized: bool = False,
+        parallel_rows: int = 0,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> "Controller":
@@ -69,7 +68,6 @@ class Controller:
             local_graph=local,
             border_routers=borders,
             parallel_rows=parallel_rows,
-            vectorized=vectorized,
             row_budget_bytes=row_budget_bytes,
             metrics=metrics if metrics else None,
         )
@@ -91,7 +89,6 @@ class Controller:
             self._oracle = FrozenOracle(
                 self.local_graph, hot=self.border_routers,
                 parallel_rows=self.parallel_rows,
-                vectorized=self.vectorized,
                 row_budget_bytes=self.row_budget_bytes,
                 metrics=self.metrics,
             )

@@ -111,8 +111,8 @@ def run_churn_comparison(
     between competitors while every one sees the identical
     embedder-independent event sequence (typically a recorded or
     replayed trace -- see :mod:`repro.workload.trace`).
-    ``simulator_kwargs`` (``incremental``, ``vectorized``, ...) reach every
-    simulator, which keeps A/B configuration comparisons on one
+    ``simulator_kwargs`` (``incremental``, ``parallel_rows``, ...) reach
+    every simulator, which keeps A/B configuration comparisons on one
     algorithm equally easy.
     """
     from repro.online.simulator import OnlineSimulator

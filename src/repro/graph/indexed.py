@@ -18,8 +18,10 @@ core the hot paths share:
   identical distances *and* identical shortest-path trees.
 - :class:`FrozenOracle` -- a drop-in replacement for
   :class:`~repro.graph.shortest_paths.DistanceOracle` over a graph that is
-  not mutated while cached.  Rows are computed lazily into flat arrays; a
-  ``hot`` node set names the nodes the workload queries repeatedly.
+  not mutated while cached.  Rows are computed lazily and cached as
+  ``array('d')``/``array('q')`` label buffers, which batch queries and
+  repair scans read through zero-copy numpy views; a ``hot`` node set
+  names the nodes the workload queries repeatedly.
 
 On large instances the oracle additionally *contracts* the search graph:
 ISP-style topologies (Euclidean MST plus shortest extra links, Inet
@@ -90,6 +92,8 @@ from typing import (
     Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from repro.graph import kernel
 from repro.graph.graph import Graph, canonical_edge
@@ -1087,7 +1091,7 @@ class _SharedRegion:
     boundary edge).
     """
 
-    __slots__ = ("root", "member", "nodes", "tail", "seed_items", "inner",
+    __slots__ = ("root", "member", "nodes", "seed_items", "inner",
                  "_mask", "_reach_mask", "_arrays", "_solo")
 
     def __init__(
@@ -1124,7 +1128,6 @@ class _SharedRegion:
         self.root = root
         self.member = member
         self.nodes = nodes
-        self.tail = nodes[1:]  # every member but the root
         self.seed_items = seed_items
         self.inner = inner
         self._mask = None
@@ -1132,34 +1135,24 @@ class _SharedRegion:
         self._arrays = None
         self._solo = None
 
-    def matches(self, parent: List[int]) -> bool:
-        """Whether ``parent``'s subtree below ``root`` is exactly this region."""
-        member = self.member
+    def matches(self, parent: array) -> bool:
+        """Whether ``parent``'s subtree below ``root`` is exactly this region.
+
+        Whole-array ops over the row's parent buffer.  A ``-1`` parent
+        wraps to the last member byte under numpy fancy indexing, but its
+        conjunct is already False, so the wrapped read can never flip the
+        outcome.
+        """
         p = parent[self.root]
-        if p >= 0 and member[p]:
+        if p >= 0 and self.member[p]:
             return False
-        if kernel.np is not None and isinstance(parent, array):
-            # Vectorized-row fast path: same predicate, whole-array ops.
-            # A ``-1`` parent wraps to the last member byte under numpy
-            # fancy indexing, but its conjunct is already False, so the
-            # wrapped read can never flip the outcome.
-            np = kernel.np
-            tail_np, member_view, seed_u, seed_v_rep = self.arrays()[:4]
-            pview = kernel.i8_view(parent)
-            tp = pview[tail_np]
-            if not ((tp >= 0) & (member_view[tp] == 1)).all():
-                return False
-            if seed_u.size and (pview[seed_u] == seed_v_rep).any():
-                return False
-            return True
-        for v in self.tail:
-            p = parent[v]
-            if p < 0 or not member[p]:
-                return False
-        for v, seed in self.seed_items:
-            for _, u in seed:
-                if parent[u] == v:
-                    return False
+        tail_np, member_view, seed_u, seed_v_rep = self.arrays()[:4]
+        pview = kernel.i8_view(parent)
+        tp = pview[tail_np]
+        if not ((tp >= 0) & (member_view[tp] == 1)).all():
+            return False
+        if seed_u.size and (pview[seed_u] == seed_v_rep).any():
+            return False
         return True
 
     def arrays(self):
@@ -1169,11 +1162,10 @@ class _SharedRegion:
         seed_w, seed_starts, seed_lens)`` -- the membership/boundary data
         re-expressed as flat arrays so :meth:`matches` and the
         re-dijkstra's reset/seed/settle scans run as whole-array ops on
-        vectorized rows.  Only called when numpy is importable.
+        the rows' label buffers.
         """
         arrays = self._arrays
         if arrays is None:
-            np = kernel.np
             nodes_np = np.fromiter(self.nodes, np.int64, len(self.nodes))
             tail_np = nodes_np[1:]
             member_view = kernel.u8_view(self.member)
@@ -1398,7 +1390,6 @@ def _repair_row_shared(
     walk_roots: Iterable[int],
     leafs: Iterable[Tuple[int, int]],
     union_cache: Dict,
-    offset_ok: bool = False,
 ) -> List[int]:
     """Apply one plan's increase repairs using shared region structures.
 
@@ -1413,8 +1404,7 @@ def _repair_row_shared(
     neighbors.  The returned affected list is shared and must be treated
     as read-only by the caller.
 
-    ``offset_ok`` (the kernel tier's ``vectorized`` flag) additionally
-    lets bridge-detached regions -- exactly one boundary node -- repair
+    Bridge-detached regions -- exactly one boundary node -- repair
     through :meth:`_SharedRegion.apply_offset`: the region is solved once
     and each row replays the solve's additions from its own boundary seed
     distance, skipping the per-row heap.  Only engaged when ``inner`` is
@@ -1422,10 +1412,12 @@ def _repair_row_shared(
     merged heap cannot perturb another), and only when the region's
     separation margin provably survives the re-based rounding -- every
     other case falls back to the heap path, so results stay
-    bit-identical.  The reset, boundary-seed and settle scans also run as
-    whole-array numpy ops on vectorized rows (same values: the scans are
-    pure gathers/constant stores and the seed scan keeps the
-    first-strict-minimum selection rule).
+    bit-identical.  The region reset and settle scans run as whole-array
+    numpy ops over the row's label buffers, and so does the boundary-seed
+    scan when ``inner`` is shared (same values: the scans are pure
+    gathers/constant stores and the seed scan keeps the
+    first-strict-minimum selection rule); non-mergeable region unions
+    keep the scalar seed scan, which must skip affected neighbors.
     """
     dist = row.dist
     parent = row.parent
@@ -1471,20 +1463,12 @@ def _repair_row_shared(
                     affect[u] = 1
                     stack.append(u)
 
-    np = kernel.np
-    use_np = np is not None and isinstance(dist, array)
-    if use_np:
-        dview = kernel.f8_view(dist)
-        pview = kernel.i8_view(parent)
-        for region in hits:
-            nodes_np = region.arrays()[4]
-            dview[nodes_np] = INF
-            pview[nodes_np] = -1
-    else:
-        for region in hits:
-            for v in region.nodes:
-                dist[v] = INF
-                parent[v] = -1
+    dview = kernel.f8_view(dist)
+    pview = kernel.i8_view(parent)
+    for region in hits:
+        nodes_np = region.arrays()[4]
+        dview[nodes_np] = INF
+        pview[nodes_np] = -1
     for v in walked:
         dist[v] = INF
         parent[v] = -1
@@ -1492,8 +1476,7 @@ def _repair_row_shared(
     heap: List[Tuple[float, int]] = []
     push = heapq.heappush
     pop = heapq.heappop
-    heap_hits = hits
-    if offset_ok and inner is not None:
+    if inner is not None:
         # Bridge-detached regions solve once and replay per row; a region
         # whose margin check fails stays at the INF/-1 reset and falls
         # back to the ordinary heap seeding below.  Island independence
@@ -1508,7 +1491,6 @@ def _repair_row_shared(
             ):
                 continue
             heap_hits.append(region)
-    if use_np and inner is not None:
         # Whole-array boundary seeding.  ``inner is not None`` guarantees
         # every seed target lies outside all regions (``not affect[u]``
         # is vacuously true), so the scan reduces to a masked gather plus
@@ -1541,7 +1523,7 @@ def _repair_row_shared(
                     parent[v] = int(seed_u[firsts[k]])
                     push(heap, (best, v))
     else:
-        for region in heap_hits:
+        for region in hits:
             for v, seed in region.seed_items:
                 best = INF
                 best_parent = -1
@@ -1595,15 +1577,10 @@ def _repair_row_shared(
 
     if not full:
         cutoff = row.cutoff
-        if use_np:
-            sview = kernel.u8_view(settled)
-            for region in hits:
-                nodes_np = region.arrays()[4]
-                sview[nodes_np] = dview[nodes_np] <= cutoff
-        else:
-            for region in hits:
-                for v in region.nodes:
-                    settled[v] = 1 if dist[v] <= cutoff else 0
+        sview = kernel.u8_view(settled)
+        for region in hits:
+            nodes_np = region.arrays()[4]
+            sview[nodes_np] = dview[nodes_np] <= cutoff
         for v in walked:
             settled[v] = 1 if dist[v] <= cutoff else 0
 
@@ -1643,8 +1620,8 @@ class _Row:
 
     def __init__(
         self,
-        dist: List[float],
-        parent: List[int],
+        dist: array,
+        parent: array,
         settled: Optional[bytearray],
         full: bool,
     ) -> None:
@@ -1695,7 +1672,6 @@ class FrozenOracle:
         patchable: bool = False,
         topology_patch: bool = True,
         parallel_rows: int = 0,
-        vectorized: bool = False,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> None:
@@ -1713,7 +1689,7 @@ class FrozenOracle:
         #: invalidate-and-rebuild as the equivalence reference.  Served
         #: results are identical either way.
         self._topology_patch = topology_patch
-        #: Kernel tier, piece 1: ``parallel_rows=N`` farms batches of
+        #: Kernel tier: ``parallel_rows=N`` farms batches of
         #: independent row builds (:meth:`prefetch_rows`) and per-patch
         #: row repairs to an ``N``-worker fork pool.  Workers inherit the
         #: frozen CSR arrays by memory copy and ship back compact label
@@ -1727,19 +1703,6 @@ class FrozenOracle:
         #: platforms without fork fall back serially with a one-time
         #: warning (:func:`repro.graph.kernel.fork_map`).
         self._parallel_rows = max(int(parallel_rows), 0)
-        #: Kernel tier, piece 2: ``vectorized=True`` stores row labels in
-        #: ``array('d')``/``array('q')`` buffers (same values bit for
-        #: bit; scalar reads still yield plain floats/ints) so batch
-        #: queries (:meth:`distances_to`, :meth:`detour_distances`) and
-        #: the repair machinery's membership/boundary/settle scans run as
-        #: zero-copy numpy whole-array ops -- with a stdlib-``array``
-        #: scalar fallback when numpy is missing.  Also enables the
-        #: single-boundary shared-region offset solve (see
-        #: :meth:`_SharedRegion.apply_offset`).  ``False`` (the default)
-        #: keeps plain-list rows and per-query serving: the bit-identical
-        #: equivalence/bench reference, exactly as ``topology_patch=``
-        #: gates its layer.
-        self._vectorized = bool(vectorized)
         #: Observability (PR 10): ``metrics=`` carries a
         #: :class:`~repro.obs.recorder.Recorder` that the instrumented
         #: seams (cold builds, patch repairs, fork batches, cache
@@ -1821,11 +1784,6 @@ class FrozenOracle:
         return self._parallel_rows
 
     @property
-    def vectorized(self) -> bool:
-        """Whether rows use the kernel tier's array label buffers."""
-        return self._vectorized
-
-    @property
     def row_budget_bytes(self) -> Optional[int]:
         """Row-cache residency budget in bytes (``None`` = unbounded)."""
         return self._rows.budget_bytes
@@ -1897,20 +1855,24 @@ class FrozenOracle:
                 if bucket is not None:
                     bucket.discard(source_id)
 
-    def _freeze_row(self, dist, parent, settled, full) -> _Row:
-        """Wrap freshly-computed labels in a row, in the configured store.
+    @staticmethod
+    def _freeze_row(dist, parent, settled, full) -> _Row:
+        """Wrap freshly-computed labels in a row with array label buffers.
 
-        The single chokepoint between the Dijkstra cores (which always
-        produce plain lists) and the cache: ``vectorized`` oracles
-        convert to ``array('d')``/``array('q')`` buffers here, so every
-        cached row is uniformly typed and the repair/query layers can
-        dispatch on one ``isinstance`` check.  Values are identical
-        either way -- the buffers store the same 64-bit doubles/ints.
+        The single chokepoint between the Dijkstra cores (which produce
+        plain lists) and the cache: labels are copied into
+        ``array('d')``/``array('q')`` buffers (the same 64-bit
+        doubles/ints; scalar reads still yield plain floats/ints), so
+        every cached row is uniformly typed and the batch queries and
+        repair scans can wrap it in zero-copy numpy views.  Fork-pool
+        payloads arrive already converted (their builders convert
+        worker-side, so the pipe carries compact buffers); copying a
+        buffer into a buffer of the same typecode is one memcpy.
         """
-        if self._vectorized and not isinstance(dist, array):
-            dist = kernel.dist_buffer(dist)
-            parent = kernel.parent_buffer(parent)
-        return _Row(dist, parent, settled, full)
+        return _Row(
+            kernel.dist_buffer(dist), kernel.parent_buffer(parent),
+            settled, full,
+        )
 
     def _build(self) -> None:
         if self._built:
@@ -2048,10 +2010,8 @@ class FrozenOracle:
     def _cold_contracted_payload(self, cid: int):
         """One contracted cold row as a compact payload (pool worker)."""
         dist, parent = self._contracted.dijkstra(cid)
-        if self._vectorized:
-            dist = kernel.dist_buffer(dist)
-            parent = kernel.parent_buffer(parent)
-        return dist, parent, None, True
+        return (kernel.dist_buffer(dist), kernel.parent_buffer(parent),
+                None, True)
 
     def _cold_row_payload(self, source_id: int):
         """One uncontracted cold row as a compact payload (pool worker).
@@ -2069,10 +2029,8 @@ class FrozenOracle:
         else:
             dist, parent, settled, _ = core.dijkstra(source_id)
             full = True
-        if self._vectorized:
-            dist = kernel.dist_buffer(dist)
-            parent = kernel.parent_buffer(parent)
-        return dist, parent, settled, full
+        return (kernel.dist_buffer(dist), kernel.parent_buffer(parent),
+                settled, full)
 
     def extend_hot(self, nodes: Iterable[Node]) -> None:
         """Add nodes to the hot set (affects future row computations).
@@ -2522,8 +2480,7 @@ class FrozenOracle:
             _, row, hits, walk_roots, roots, leafs = job
             if hits:
                 return _repair_row_shared(
-                    adjacency, row, hits, walk_roots, leafs, union_cache,
-                    offset_ok=self._vectorized,
+                    adjacency, row, hits, walk_roots, leafs, union_cache
                 )
             return _repair_row_planned(adjacency, row, roots, leafs)
 
@@ -2688,10 +2645,10 @@ class FrozenOracle:
         original instance and its oracle untouched.
 
         The clone inherits every constructor knob (``patchable``,
-        ``topology_patch``, the kernel tier, the row budget and the
-        recorder) but not the inverted tree-edge index: its immediate
-        patch classifies with a scan pass, so one-shot clones never pay
-        for an index build.
+        ``topology_patch``, ``parallel_rows``, the row budget and the
+        recorder) and copies each seeded row's label buffers, but not the
+        inverted tree-edge index: its immediate patch classifies with a
+        scan pass, so one-shot clones never pay for an index build.
 
         A budgeted oracle's clone inherits ``row_budget_bytes`` and
         seeds through the same policy: rows are copied in retention
@@ -2703,7 +2660,7 @@ class FrozenOracle:
         clone = FrozenOracle(
             graph, hot=self._hot, patchable=self._patchable,
             topology_patch=self._topology_patch,
-            parallel_rows=self._parallel_rows, vectorized=self._vectorized,
+            parallel_rows=self._parallel_rows,
             row_budget_bytes=self._rows.budget_bytes,
             metrics=self._metrics,
         )
@@ -2723,10 +2680,9 @@ class FrozenOracle:
                 row = self._rows[source_id]
                 if not clone._rows.would_fit(row):
                     continue  # seed only what fits the clone's budget
-                # Deep copies: patching repairs row arrays in place, and
+                # Deep copies: patching repairs row buffers in place, and
                 # the original oracle must keep serving its own graph.
-                # Full slices preserve the label store (list or kernel
-                # array buffer) of the source row.
+                # Slicing an array buffer copies it as a buffer.
                 dup = _Row(
                     row.dist[:],
                     row.parent[:],
@@ -2904,17 +2860,16 @@ class FrozenOracle:
     def distances_to(self, source: Node, targets: Sequence[Node]) -> List[float]:
         """Shortest-path costs from ``source`` to each of ``targets``.
 
-        Semantically ``[self.distance(source, t) for t in targets]`` --
-        and literally that on non-vectorized oracles, so the serial path
-        stays bit-identical to per-query serving.  Vectorized oracles
-        whose cached ``source`` row already serves every target (full, or
-        early-stopped with all targets settled) answer with one zero-copy
-        numpy gather instead of ``len(targets)`` dict/attribute walks,
-        replicating the per-query side effects exactly: the same query
-        counters, the same ``used`` mark, ``inf`` (and no counters) for
-        targets absent from the graph.  Any other cache state falls back
-        to the per-query loop, so no code path ever computes or serves a
-        row the scalar calls would not have.
+        Semantically ``[self.distance(source, t) for t in targets]``.
+        When the cached ``source`` row already serves every target (full,
+        or early-stopped with all targets settled) the answer is one
+        zero-copy numpy gather over the row's ``dist`` buffer instead of
+        ``len(targets)`` dict/attribute walks, replicating the per-query
+        side effects exactly: the same query counters, the same ``used``
+        mark, ``inf`` (and no counters) for targets absent from the
+        graph.  Any other cache state falls back to the per-query loop,
+        so no code path ever computes or serves a row the scalar calls
+        would not have (the row-serving identity).
         """
         mx = self._metrics
         if not mx:
@@ -2929,17 +2884,15 @@ class FrozenOracle:
         self, source: Node, targets: Sequence[Node]
     ) -> List[float]:
         targets = list(targets)
-        np = kernel.np
-        if not self._vectorized or np is None or not targets:
-            return [self.distance(source, t) for t in targets]
+        if not targets:
+            return []
         self._build()
         contracted = self._contracted
         if contracted is not None:
             index = contracted.index
             source_id = index.get(source)
             row = self._rows.get(source_id) if source_id is not None else None
-            dview = kernel.f8_view(row.dist) if row is not None else None
-            if dview is None:
+            if row is None:
                 return [self.distance(source, t) for t in targets]
             tids = _target_ids(index, targets)
             if tids is None:
@@ -2947,13 +2900,13 @@ class FrozenOracle:
                 # keep the whole batch on per-query serving.
                 return [self.distance(source, t) for t in targets]
             row.used = True
-            return dview[np.fromiter(tids, np.int64, len(tids))].tolist()
+            tid_arr = np.fromiter(tids, np.int64, len(tids))
+            return kernel.f8_view(row.dist)[tid_arr].tolist()
         core = self.core
         index = core.index
         source_id = index[source]
         row = self._rows.get(source_id)
-        dview = kernel.f8_view(row.dist) if row is not None else None
-        if dview is None:
+        if row is None:
             return [self.distance(source, t) for t in targets]
         tids = _target_ids(index, targets)
         if tids is None:
@@ -2966,13 +2919,13 @@ class FrozenOracle:
         tid_arr = np.fromiter(present, np.int64, len(present))
         if not row.full:
             sview = kernel.u8_view(row.settled)
-            if sview is None or not (sview[tid_arr] != 0).all():
+            if not (sview[tid_arr] != 0).all():
                 return [self.distance(source, t) for t in targets]
         queries = self._queries
         queries[source_id] = queries.get(source_id, 0) + len(present)
         queries.update(present)
         row.used = True
-        vals = dview[tid_arr].tolist()
+        vals = kernel.f8_view(row.dist)[tid_arr].tolist()
         if len(present) == len(tids):
             return vals
         out: List[float] = []
@@ -2990,10 +2943,12 @@ class FrozenOracle:
     ) -> Optional[Tuple[List[float], List[float]]]:
         """Batched ``d(a, m)`` and ``d(b, m)`` for corridor-detour scans.
 
-        The kernel tier's entry point for Procedure 2's pool-cap filter,
-        which scores every candidate VM against both corridor endpoints.
-        Returns ``(da, db)`` aligned with ``targets`` when the two cached
-        endpoint rows can serve every target as-is, replicating exactly
+        The batch entry point for Procedure 2's pool-cap filter, which
+        scores every candidate VM against both corridor endpoints.
+        Returns ``(da, db)`` aligned with ``targets`` -- two zero-copy
+        numpy gathers over the endpoint rows' ``dist`` buffers -- when
+        the two cached endpoint rows can serve every target as-is,
+        replicating exactly
         the side effects ``2 * len(targets)`` scalar ``distance`` calls
         would have (counters: +1 per endpoint per served target, +2 per
         target; ``used`` marks; ``inf`` and no counters for targets
@@ -3015,9 +2970,6 @@ class FrozenOracle:
     def _detour_distances_impl(
         self, a: Node, b: Node, targets: Sequence[Node]
     ) -> Optional[Tuple[List[float], List[float]]]:
-        np = kernel.np
-        if not self._vectorized or np is None:
-            return None
         targets = list(targets)
         if not targets:
             return [], []
@@ -3033,17 +2985,14 @@ class FrozenOracle:
             brow = self._rows.get(bid)
             if arow is None or brow is None:
                 return None
-            da_view = kernel.f8_view(arow.dist)
-            db_view = kernel.f8_view(brow.dist)
-            if da_view is None or db_view is None:
-                return None
             tids = _target_ids(index, targets)
             if tids is None:
                 return None
             arow.used = True
             brow.used = True
             tid_arr = np.fromiter(tids, np.int64, len(tids))
-            return da_view[tid_arr].tolist(), db_view[tid_arr].tolist()
+            return (kernel.f8_view(arow.dist)[tid_arr].tolist(),
+                    kernel.f8_view(brow.dist)[tid_arr].tolist())
         core = self.core
         index = core.index
         if a not in index or b not in index:
@@ -3053,10 +3002,6 @@ class FrozenOracle:
         arow = self._rows.get(aid)
         brow = self._rows.get(bid)
         if arow is None or brow is None:
-            return None
-        da_view = kernel.f8_view(arow.dist)
-        db_view = kernel.f8_view(brow.dist)
-        if da_view is None or db_view is None:
             return None
         tids = _target_ids(index, targets)
         if tids is None:
@@ -3068,11 +3013,11 @@ class FrozenOracle:
         if present:
             if not arow.full:
                 sview = kernel.u8_view(arow.settled)
-                if sview is None or not (sview[tid_arr] != 0).all():
+                if not (sview[tid_arr] != 0).all():
                     return None
             if not brow.full:
                 sview = kernel.u8_view(brow.settled)
-                if sview is None or not (sview[tid_arr] != 0).all():
+                if not (sview[tid_arr] != 0).all():
                     return None
         queries = self._queries
         npres = len(present)
@@ -3082,8 +3027,8 @@ class FrozenOracle:
         queries.update(present)
         arow.used = True
         brow.used = True
-        da = da_view[tid_arr].tolist()
-        db = db_view[tid_arr].tolist()
+        da = kernel.f8_view(arow.dist)[tid_arr].tolist()
+        db = kernel.f8_view(brow.dist)[tid_arr].tolist()
         if npres != len(tids):
             fa: List[float] = []
             fb: List[float] = []

@@ -5,15 +5,13 @@ patch planner, shared regions, topology tombstones) left pure interpreter
 overhead as the dominant cost of the online traces.  This module holds the
 two primitives the kernel tier is built from:
 
-- **Label buffers** -- cached rows store ``dist``/``parent`` as
-  ``array('d')``/``array('q')`` buffers instead of Python lists when the
-  oracle runs with ``vectorized=True``.  Scalar indexing still returns
+- **Label buffers** -- every cached oracle row stores ``dist``/``parent``
+  as ``array('d')``/``array('q')`` buffers.  Scalar indexing still returns
   plain Python floats/ints (unlike raw numpy arrays, whose scalar reads
   box ``np.float64`` -- slower *and* repr-visible), while the buffer
   protocol lets batch operations wrap the same memory zero-copy with
-  :func:`numpy.frombuffer` when numpy is importable.  Without numpy the
-  stdlib buffers still work; batch consumers fall back to tight scalar
-  loops over them.
+  :func:`numpy.frombuffer` (:func:`f8_view`, :func:`i8_view`,
+  :func:`u8_view`).  numpy is a hard dependency of the package.
 - **Fork pool** -- :func:`fork_map` generalises the ``run_sweep`` pattern
   (module-global state populated before a ``fork``-context pool is
   created, so workers inherit arbitrary unpicklable state by memory copy;
@@ -36,18 +34,12 @@ import warnings
 from array import array
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-try:  # pragma: no cover - exercised implicitly by every vectorized test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the stdlib-array fallback tier
-    _np = None
-
-np = _np
-HAVE_NUMPY = _np is not None
+import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Storage typecodes of the vectorized label buffers.  ``'d'`` is the C
+#: Storage typecodes of the row label buffers.  ``'d'`` is the C
 #: double every distance already is; ``'q'`` is a signed 64-bit int --
 #: platform-independent, and exactly what ``numpy.frombuffer`` maps to
 #: ``int64`` so parent gathers need no casting.
@@ -65,29 +57,23 @@ def parent_buffer(values) -> array:
     return array(PARENT_TYPECODE, values)
 
 
-def f8_view(buf):
-    """Zero-copy ``float64`` numpy view of a ``dist`` buffer, or ``None``.
+def f8_view(buf: array) -> np.ndarray:
+    """Zero-copy ``float64`` numpy view of a ``dist`` buffer.
 
     Writes through the view mutate the buffer in place (the buffers are
     never resized, so views stay valid for the row's lifetime).
     """
-    if _np is None or not isinstance(buf, array):
-        return None
-    return _np.frombuffer(buf, dtype=_np.float64)
+    return np.frombuffer(buf, dtype=np.float64)
 
 
-def i8_view(buf):
-    """Zero-copy ``int64`` numpy view of a ``parent`` buffer, or ``None``."""
-    if _np is None or not isinstance(buf, array):
-        return None
-    return _np.frombuffer(buf, dtype=_np.int64)
+def i8_view(buf: array) -> np.ndarray:
+    """Zero-copy ``int64`` numpy view of a ``parent`` buffer."""
+    return np.frombuffer(buf, dtype=np.int64)
 
 
-def u8_view(buf):
-    """Zero-copy ``uint8`` numpy view of a bytearray mask, or ``None``."""
-    if _np is None:
-        return None
-    return _np.frombuffer(buf, dtype=_np.uint8)
+def u8_view(buf: bytearray) -> np.ndarray:
+    """Zero-copy ``uint8`` numpy view of a bytearray mask."""
+    return np.frombuffer(buf, dtype=np.uint8)
 
 
 # ----------------------------------------------------------------------

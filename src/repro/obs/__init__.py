@@ -11,7 +11,7 @@ Dependency-free instrumentation for the oracle/simulator/workload stack
   through the ``metrics=`` knob on :class:`~repro.graph.indexed.FrozenOracle`
   and everything above it.  ``None`` (the default) keeps every
   instrumented hot path zero-overhead and bit-identical -- the same
-  flag-gated-reference discipline as ``vectorized=`` /
+  flag-gated-reference discipline as ``topology_patch=`` /
   ``row_budget_bytes=``.
 
 Unified cache-snapshot schema (``sof-cache-stats/1``)

@@ -108,7 +108,6 @@ class OnlineSimulator:
         incremental: bool = True,
         topology_patch: bool = True,
         parallel_rows: int = 0,
-        vectorized: bool = False,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> None:
@@ -128,10 +127,9 @@ class OnlineSimulator:
         # patching but routes link failure/recovery through
         # invalidate-and-rebuild (the topology-change equivalence
         # reference).
-        # ``parallel_rows``/``vectorized`` turn on the oracle's kernel
-        # tier (fork-pool row builds / array label buffers); the defaults
-        # keep the serial list-backed path bit-identical to pre-kernel
-        # behaviour, as the equivalence and bench reference.
+        # ``parallel_rows`` farms the oracle's cold row builds and patch
+        # repairs to a fork pool; the default keeps them in-process, with
+        # bit-identical rows either way.
         # ``row_budget_bytes`` caps the oracle row cache's accounted
         # residency (see :mod:`repro.graph.rowcache`): long-lived
         # simulators over large topologies bound memory by evicting
@@ -171,7 +169,7 @@ class OnlineSimulator:
         self._oracle = FrozenOracle(
             graph, hot=self._vms, patchable=self._incremental,
             topology_patch=self._topology_patch,
-            parallel_rows=parallel_rows, vectorized=vectorized,
+            parallel_rows=parallel_rows,
             row_budget_bytes=row_budget_bytes, metrics=metrics,
         )
 
@@ -568,8 +566,8 @@ def run_online_comparison(
 
     Each algorithm gets a fresh simulator over an identical topology, so
     load state never leaks between competitors.  Extra keyword arguments
-    (``parallel_rows``, ``vectorized``, the equivalence-reference flags)
-    pass straight through to every :class:`OnlineSimulator`.
+    (``parallel_rows``, ``row_budget_bytes``, the equivalence-reference
+    flags) pass straight through to every :class:`OnlineSimulator`.
     """
     results: Dict[str, OnlineResult] = {}
     for name, embedder in embedders.items():

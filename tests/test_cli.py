@@ -48,6 +48,31 @@ def test_solve_rejects_inconsistent_sizes(capsys, flags, message):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rate", "0"], "--rate must be positive"),
+    (["--rate", "-1"], "--rate must be positive"),
+    (["--fail-links", "3", "--mtbf", "0"], "--mtbf must be positive"),
+    (["--fail-links", "3", "--mttr", "-1"], "--mttr must be positive"),
+    (["--row-budget-mb", "0"], "--row-budget-mb must be"),
+    (["--row-budget-mb", "-2"], "--row-budget-mb must be"),
+    (["--row-budget-mb", "1e-9"], "--row-budget-mb must be"),
+], ids=["rate-zero", "rate-negative", "mtbf-zero", "mttr-negative",
+        "budget-zero", "budget-negative", "budget-under-one-byte"])
+def test_workload_rejects_bad_inputs(capsys, tmp_path, flags, message):
+    """Bad workload flags end in one ``error:`` line and exit status 2
+    before anything is built -- ``--record`` writes no trace."""
+    trace = tmp_path / "trace.jsonl"
+    assert main([
+        "workload", "--horizon", "2", "--record", str(trace), *flags,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not trace.exists()
+
+
 def test_fig7(capsys):
     assert main(["fig7", "--samples", "7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

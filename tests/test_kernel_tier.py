@@ -1,19 +1,20 @@
-"""Kernel-tier equivalence: parallel rows and vectorized label arrays.
+"""Kernel-tier equivalence: array label buffers and parallel rows.
 
-The raw-speed kernel tier (``FrozenOracle(parallel_rows=N)`` /
-``FrozenOracle(vectorized=True)``) must be *bit-identical* to the serial
-list-backed reference under every workload the oracle supports: cold row
-builds, cost patches (planned and shared-region repairs, with and
-without a decrease pass), topology patches, prefetch batches and the
-batched query entry points.  These tests replay identical randomized
-streams into kernel-tier and reference oracles over copies of the same
-graph and compare full row state after every patch, with row labels
-normalised across the ``array``-vs-``list`` storage difference; where
-the reference itself is on trial, rows are checked against a cold
-rebuild as in ``test_patch_planner.py``.
+Every cached oracle row stores its labels in ``array('d')``/``array('q')``
+buffers, and the batch queries and repair scans read them through
+zero-copy numpy views.  The equivalence reference for that store is the
+cold rebuild, as in ``test_patch_planner.py``: randomized cost, decrease
+and topology streams are replayed and every cached row is checked
+against a fresh oracle over the patched graph after every patch.  The
+fork pool (``FrozenOracle(parallel_rows=N)``) must be *bit-identical*
+to in-process builds and repairs, so those tests replay identical
+streams into parallel and serial oracles over copies of the same graph
+and compare full row state after every patch.
 
-The single-boundary offset solve (summation-stable shared regions) and
-the no-fork serial fallback are audited explicitly.
+The single-boundary offset solve (summation-stable shared regions) is
+pinned bit for bit against its own heap fallback, the batch query entry
+points against the scalar ``distance`` loop, and the no-fork serial
+fallback is audited explicitly.
 """
 
 import multiprocessing
@@ -98,7 +99,7 @@ def _topology_stream(rng, graph, rounds):
 
 
 def _row_states(oracle):
-    """Full observable repair state, normalised across buffer storage."""
+    """Full observable repair state as plain, comparable values."""
     return {
         sid: (
             list(row.dist),
@@ -144,44 +145,58 @@ def _replay(oracle, ops, check_cold=False):
     return snapshots
 
 
-def _final_check(rng, kernel_oracle, reference, graph, hot):
-    """Both oracles end exact against a cold rebuild, and agree."""
-    fresh = FrozenOracle(kernel_oracle.graph.copy(), hot=hot)
+def _final_check(rng, graph, hot, *oracles):
+    """Every oracle ends exact against a cold rebuild (hence they agree)."""
+    fresh = FrozenOracle(oracles[0].graph.copy(), hot=hot)
     for source in rng.sample(list(graph.nodes()), 6):
         expected = fresh.distances_from(source)
-        assert kernel_oracle.distances_from(source) == expected
-        assert reference.distances_from(source) == expected
+        for oracle in oracles:
+            assert oracle.distances_from(source) == expected
+
+
+def _heap_fallback(self, dist, parent, settled, full):
+    """``_SharedRegion.apply_offset`` refusing every region, so each one
+    repairs through the per-row heap (the documented fallback)."""
+    return False
+
+
+def _assert_array_rows(oracle):
+    """Every cached row holds ``array('d')``/``array('q')`` label buffers
+    whose scalar reads are plain Python floats/ints."""
+    assert oracle._rows
+    for row in oracle._rows.values():
+        assert isinstance(row.dist, array) and row.dist.typecode == "d"
+        assert isinstance(row.parent, array) and row.parent.typecode == "q"
+        assert type(row.dist[0]) is float and type(row.parent[0]) is int
 
 
 # ----------------------------------------------------------------------
-# vectorized label arrays
+# array label buffers
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("patchable", [False, True])
 @pytest.mark.parametrize("direction", ["up", "mixed"])
-def test_vectorized_matches_list_rows(direction, patchable):
-    """Randomized streams: bit-identical row state after every patch."""
+def test_array_rows_match_cold_rebuild(direction, patchable):
+    """Randomized streams: every cached row equals a cold rebuild after
+    every patch (full rows bit for bit, early-stopped rows on every
+    settled label)."""
     for trial in range(3):
         rng = random.Random(4100 * trial + (direction == "up") + 2 * patchable)
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=8, direction=direction)
-        vectorized = FrozenOracle(
-            graph.copy(), hot=hot, patchable=patchable, vectorized=True
-        )
-        reference = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
-        assert _replay(vectorized, ops) == _replay(reference, ops)
-        # Same cache-evolution decisions: the root-choice heuristics read
-        # the query counters, so these must match exactly too.
-        assert vectorized._queries == reference._queries
-        _final_check(rng, vectorized, reference, graph, hot)
+        oracle = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+        _replay(oracle, ops, check_cold=True)
+        _assert_array_rows(oracle)
+        _final_check(rng, graph, hot, oracle)
 
 
 @pytest.mark.parametrize("direction", ["up", "mixed"])
-def test_vectorized_matches_with_shared_regions(direction, monkeypatch):
-    """Forced region sharing: the vectorized seed/reset/settle scans and
-    the single-boundary offset solve leave state identical to the
-    list-backed shared path, and every row matches a cold rebuild."""
+def test_shared_regions_match_cold_rebuild(direction, monkeypatch):
+    """Forced region sharing: the whole-array seed/reset/settle scans and
+    the single-boundary offset solve match a cold rebuild after every
+    patch, and leave row state bit-identical to an oracle that never
+    shares (``PLANNER_SHARE_MIN_ROWS`` at infinity)."""
     monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
     monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
     for trial in range(3):
@@ -189,11 +204,36 @@ def test_vectorized_matches_with_shared_regions(direction, monkeypatch):
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=8, direction=direction)
-        vec = FrozenOracle(graph.copy(), hot=hot, vectorized=True)
-        plain = FrozenOracle(graph.copy(), hot=hot)
-        vec_snaps = _replay(vec, ops, check_cold=True)
-        assert vec_snaps == _replay(plain, ops)
-        _final_check(rng, vec, plain, graph, hot)
+        shared = FrozenOracle(graph.copy(), hot=hot)
+        unshared = FrozenOracle(graph.copy(), hot=hot)
+        shared_snaps = _replay(shared, ops, check_cold=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", INF)
+            assert shared_snaps == _replay(unshared, ops)
+        _final_check(rng, graph, hot, shared, unshared)
+
+
+def _offset_vs_heap(monkeypatch, edges, ops, hot=None):
+    """Run ``ops`` on an oracle with the offset solve and on a twin whose
+    every region takes the heap fallback; returns ``(offset, heap,
+    outcomes)`` with the offset oracle's ``apply_offset`` results."""
+    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
+    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
+    outcomes = []
+    orig = indexed._SharedRegion.apply_offset
+
+    def counting(self, *args, **kwargs):
+        result = orig(self, *args, **kwargs)
+        outcomes.append(result)
+        return result
+
+    offset = FrozenOracle(Graph.from_edges(edges), hot=hot)
+    heap = FrozenOracle(Graph.from_edges(edges), hot=hot)
+    for oracle, apply_offset in ((offset, counting), (heap, _heap_fallback)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indexed._SharedRegion, "apply_offset", apply_offset)
+            ops(oracle)
+    return offset, heap, outcomes
 
 
 def test_offset_solve_single_boundary_pod(monkeypatch):
@@ -201,97 +241,127 @@ def test_offset_solve_single_boundary_pod(monkeypatch):
 
     Star-of-trees behind a single uplink (the ``test_patch_planner``
     amortisation topology): every row rooted outside the pod detaches
-    the same single-boundary region when the uplink cost grows, so the
-    vectorized oracle must route those repairs through
-    ``_SharedRegion.apply_offset`` and still match the list-backed
-    reference bit for bit.
+    the same single-boundary region when the uplink cost grows, so
+    those repairs must route through ``_SharedRegion.apply_offset`` and
+    still match the heap fallback bit for bit, and a cold rebuild.
     """
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
-    applied = []
-    orig = indexed._SharedRegion.apply_offset
-
-    def counting(self, *args, **kwargs):
-        result = orig(self, *args, **kwargs)
-        applied.append(result)
-        return result
-
-    monkeypatch.setattr(indexed._SharedRegion, "apply_offset", counting)
     edges = [
         ("hub", "s0", 1.0), ("hub", "s1", 1.2), ("hub", "s2", 1.4),
         ("hub", "p0", 1.0), ("p0", "p1", 1.1), ("p1", "p2", 1.2),
         ("p0", "q0", 0.5), ("p1", "q1", 0.5), ("p2", "q2", 0.5),
     ]
     rows = ("hub", "s0", "s1", "s2", "p0", "p1", "q2")
-    vec = FrozenOracle(Graph.from_edges(edges), vectorized=True)
-    plain = FrozenOracle(Graph.from_edges(edges))
-    for oracle in (vec, plain):
+
+    def ops(oracle):
         for node in rows:
             oracle.distances_from(node)
         oracle.patch_edge_costs({("hub", "p0"): 3.0})
-    assert applied and any(applied), "offset solve never engaged"
-    assert _row_states(vec) == _row_states(plain)
-    fresh = FrozenOracle(vec.graph.copy())
+
+    offset, heap, outcomes = _offset_vs_heap(monkeypatch, edges, ops)
+    assert any(outcomes), "offset solve never engaged"
+    assert _row_states(offset) == _row_states(heap)
+    assert_rows_match_cold(offset)
+    fresh = FrozenOracle(offset.graph.copy())
     for node in rows:
-        assert vec.distances_from(node) == fresh.distances_from(node)
+        assert offset.distances_from(node) == fresh.distances_from(node)
 
 
-def test_offset_solve_unreachable_region():
+def test_offset_solve_unreachable_region(monkeypatch):
     """Offset path handles a region whose lone boundary seed is dead.
 
-    After the uplink fails entirely the pod is unreachable from outside
-    rows; a later cost patch inside the pod must keep outside rows at
-    ``inf`` through the offset path's reset-only branch.
+    An early-stopped row from ``s`` (hot ``s`` and ``c``) settles
+    ``s, a, b, c`` and leaves ``d`` (tentative child of ``c``) and ``e``
+    unsettled.  Failing ``a-b`` detaches the region ``{b, c, d}``, whose
+    only boundary edge is ``d-e``; ``e`` is unsettled, so no seed is
+    intact and the region must stay at its INF/-1 reset through the
+    offset path's reset-only branch -- exactly as the heap fallback
+    leaves it -- and then serve ``b`` by recomputing the row.
     """
     edges = [
-        ("hub", "s0", 1.0),
-        ("hub", "p0", 1.0), ("p0", "p1", 1.1), ("p0", "q0", 0.5),
+        ("s", "a", 1.0), ("a", "b", 1.0), ("b", "c", 1.0),
+        ("c", "d", 10.0), ("d", "e", 6.0), ("e", "s", 15.0),
     ]
-    vec = FrozenOracle(Graph.from_edges(edges), vectorized=True)
-    plain = FrozenOracle(Graph.from_edges(edges))
-    for oracle in (vec, plain):
-        for node in ("hub", "s0", "p0"):
-            oracle.distances_from(node)
-        oracle.patch_topology(removed=[("hub", "p0")])
-        oracle.patch_edge_costs({("p0", "p1"): 4.0})
-        assert oracle.distance("hub", "p1") == INF
-    assert _row_states(vec) == _row_states(plain)
+
+    def ops(oracle):
+        oracle.distance("s", "c")
+        oracle.patch_topology(removed=[("a", "b")])
+        row = oracle._rows[oracle.core.index["s"]]
+        assert not row.full
+        assert all(row.dist[oracle.core.index[v]] == INF for v in "bcd")
+
+    offset, heap, outcomes = _offset_vs_heap(
+        monkeypatch, edges, ops, hot=["s", "c"]
+    )
+    assert outcomes == [True], "reset-only branch never engaged"
+    assert _row_states(offset) == _row_states(heap)
+    assert_rows_match_cold(offset)
+    assert offset.distance("s", "b") == 15.0 + 6.0 + 10.0 + 1.0
 
 
-def test_vectorized_rows_store_arrays():
-    """Vectorized oracles actually cache buffer-backed rows (and the
-    reference keeps lists), so the equivalence above covers the intended
-    storage tier rather than two list-backed paths."""
+def test_every_install_path_stores_array_rows(monkeypatch):
+    """Every way a row enters the cache stores label buffers: cold
+    ``_compute``, serial and forked ``prefetch_rows`` (uncontracted and
+    contracted), ``_contracted_row``, the ``distances_from`` upgrade, an
+    in-place repair and a ``rebased`` clone."""
+    monkeypatch.setattr(indexed, "PARALLEL_MIN_BATCH", 2)
     rng = random.Random(7)
     graph = random_graph(rng)
-    vec = FrozenOracle(graph.copy(), vectorized=True)
-    plain = FrozenOracle(graph.copy())
-    vec.distances_from(0)
-    plain.distances_from(0)
-    vrow = next(iter(vec._rows.values()))
-    prow = next(iter(plain._rows.values()))
-    assert isinstance(vrow.dist, array) and vrow.dist.typecode == "d"
-    assert isinstance(vrow.parent, array) and vrow.parent.typecode == "q"
-    assert isinstance(prow.dist, list) and isinstance(prow.parent, list)
-    # Scalar reads stay plain Python numbers on both tiers.
-    assert type(vrow.dist[0]) is float and type(vrow.parent[0]) is int
+    nodes = list(graph.nodes())
+    hot = nodes[:5]
+
+    cold = FrozenOracle(graph.copy(), hot=hot)
+    cold.distance(nodes[0], nodes[9])  # _compute, early-stopped at hot
+    _assert_array_rows(cold)
+    assert not cold._rows[cold.core.index[nodes[0]]].full
+    cold.distances_from(nodes[0])  # full-row upgrade
+    assert cold._rows[cold.core.index[nodes[0]]].full
+    _assert_array_rows(cold)
+    cold.patch_edge_costs({
+        (u, v): cost * 2.0 for u, v, cost in list(graph.edges())[:6]
+    })  # in-place repairs
+    _assert_array_rows(cold)
+    cold.distances_from(nodes[0])  # served, so the clone's patch keeps it
+    edge = next(iter(graph.edges()))
+    clone = cold.rebased(cold.graph.copy(), {edge[:2]: edge[2] * 3.0})
+    _assert_array_rows(clone)
+
+    serial = FrozenOracle(graph.copy(), hot=hot)
+    serial.prefetch_rows(nodes[:6])
+    forked = FrozenOracle(graph.copy(), hot=hot, parallel_rows=2)
+    forked.prefetch_rows(nodes[:6])
+    for oracle in (serial, forked):
+        _assert_array_rows(oracle)
+    assert _row_states(forked) == _row_states(serial)
+
+    monkeypatch.setattr(indexed, "CONTRACT_MIN_INTERIOR", 1)
+    chain = Graph.from_edges([
+        (i, i + 1, 1.0 + 0.01 * i) for i in range(12)
+    ] + [(0, 12, 7.5), (3, 9, 4.25)])
+    contracted = FrozenOracle(chain.copy(), hot=[0, 3, 9, 12])
+    contracted.distance(0, 9)  # _contracted_row
+    assert contracted.contracted is not None
+    _assert_array_rows(contracted)
+    forked = FrozenOracle(chain.copy(), hot=[0, 3, 9, 12], parallel_rows=2)
+    forked.prefetch_rows([0, 3, 9, 12])
+    _assert_array_rows(forked)
 
 
 # ----------------------------------------------------------------------
 # batched query entry points
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_distances_to_matches_scalar(vectorized):
+@pytest.mark.parametrize("patchable", [False, True])
+def test_distances_to_matches_scalar(patchable):
     """``distances_to`` returns scalar-loop values AND scalar-loop side
-    effects (query counters, cached row set) in every cache state."""
+    effects (query counters, cached row set) in every cache state, over
+    early-stopped rows (settled-mask gate) and exhaustive rows alike."""
     for trial in range(3):
         rng = random.Random(610 + trial)
         graph = random_graph(rng)
         nodes = list(graph.nodes())
         hot = rng.sample(nodes, 5)
-        batched = FrozenOracle(graph.copy(), hot=hot, vectorized=vectorized)
-        scalar = FrozenOracle(graph.copy(), hot=hot, vectorized=vectorized)
+        batched = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+        scalar = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
         for _ in range(30):
             source = rng.choice(nodes)
             targets = rng.sample(nodes, rng.randint(1, 10))
@@ -316,8 +386,8 @@ def test_detour_distances_matches_scalar():
         rng = random.Random(910 + trial)
         graph = random_graph(rng)
         nodes = list(graph.nodes())
-        batched = FrozenOracle(graph.copy(), vectorized=True)
-        scalar = FrozenOracle(graph.copy(), vectorized=True)
+        batched = FrozenOracle(graph.copy())
+        scalar = FrozenOracle(graph.copy())
         answered = 0
         for round_index in range(30):
             a, b = rng.sample(nodes, 2)
@@ -383,10 +453,8 @@ def test_parallel_prefetch_matches_serial(contracted, monkeypatch):
         graph = random_graph(rng)
         nodes = list(graph.nodes())
         hot = rng.sample(nodes, 6)
-        parallel = FrozenOracle(
-            graph.copy(), hot=hot, parallel_rows=2, vectorized=True
-        )
-        serial = FrozenOracle(graph.copy(), hot=hot, vectorized=True)
+        parallel = FrozenOracle(graph.copy(), hot=hot, parallel_rows=2)
+        serial = FrozenOracle(graph.copy(), hot=hot)
         if contracted:
             assert parallel.contracted is not None
         for _ in range(6):
@@ -412,13 +480,12 @@ def test_parallel_patch_repairs_match_serial(direction, monkeypatch):
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=6, direction=direction)
         parallel = FrozenOracle(
-            graph.copy(), hot=hot, patchable=True,
-            parallel_rows=2, vectorized=True,
+            graph.copy(), hot=hot, patchable=True, parallel_rows=2,
         )
         serial = FrozenOracle(graph.copy(), hot=hot, patchable=True)
         assert _replay(parallel, ops) == _replay(serial, ops)
         assert parallel._queries == serial._queries
-        _final_check(rng, parallel, serial, graph, hot)
+        _final_check(rng, graph, hot, parallel, serial)
 
 
 @needs_fork
@@ -445,9 +512,7 @@ def test_parallel_shared_regions_match_serial(monkeypatch):
             graph = random_graph(rng)
             hot = rng.sample(list(graph.nodes()), 5)
             ops = _patch_stream(rng, graph, rounds=6, direction=direction)
-            parallel = FrozenOracle(
-                graph.copy(), hot=hot, parallel_rows=2, vectorized=True,
-            )
+            parallel = FrozenOracle(graph.copy(), hot=hot, parallel_rows=2)
             serial = FrozenOracle(graph.copy(), hot=hot)
             for op in ops:
                 decrease = op[0] == "patch" and any(
@@ -477,8 +542,7 @@ def test_parallel_topology_patches_match_serial(monkeypatch):
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _topology_stream(rng, graph, rounds=8)
         parallel = FrozenOracle(
-            graph.copy(), hot=hot, patchable=True,
-            parallel_rows=2, vectorized=True,
+            graph.copy(), hot=hot, patchable=True, parallel_rows=2,
         )
         serial = FrozenOracle(graph.copy(), hot=hot, patchable=True)
         assert _replay(parallel, ops) == _replay(serial, ops)
@@ -496,10 +560,8 @@ def test_no_fork_fallback_warns_once_and_matches(monkeypatch):
     graph = random_graph(rng)
     nodes = list(graph.nodes())
     hot = rng.sample(nodes, 5)
-    parallel = FrozenOracle(
-        graph.copy(), hot=hot, parallel_rows=4, vectorized=True
-    )
-    serial = FrozenOracle(graph.copy(), hot=hot, vectorized=True)
+    parallel = FrozenOracle(graph.copy(), hot=hot, parallel_rows=4)
+    serial = FrozenOracle(graph.copy(), hot=hot)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         parallel.prefetch_rows(nodes[:10])
@@ -519,18 +581,19 @@ def test_no_fork_fallback_warns_once_and_matches(monkeypatch):
 def test_rebased_clone_preserves_kernel_flags():
     rng = random.Random(3)
     graph = random_graph(rng)
-    oracle = FrozenOracle(graph, vectorized=True, parallel_rows=3)
+    oracle = FrozenOracle(graph, parallel_rows=3)
     oracle.distances_from(0)
     clone = oracle.rebased(graph.copy(), {})
-    assert clone.vectorized and clone.parallel_rows == 3
+    assert clone.parallel_rows == 3
     assert _row_states(clone) == _row_states(oracle)
-    # Copied rows keep the buffer storage tier (type-preserving copies).
+    # Copied rows are fresh label buffers, not views of the original's.
+    _assert_array_rows(clone)
     row = next(iter(clone._rows.values()))
-    assert isinstance(row.dist, array) and isinstance(row.parent, array)
+    assert row.dist is not next(iter(oracle._rows.values())).dist
 
 
 def test_simulator_kernel_flags_bit_identical_churn():
-    """An online churn run under the kernel tier embeds every request at
+    """An online churn run with parallel rows embeds every request at
     the exact serial cost with the exact acceptance decisions."""
     from repro.core.sofda import sofda
     from repro.online import RequestGenerator, run_online_comparison
@@ -547,7 +610,7 @@ def test_simulator_kernel_flags_bit_identical_churn():
     )
     kerneled = run_online_comparison(
         lambda: network, embedders, requests, vms_per_datacenter=2,
-        parallel_rows=2, vectorized=True,
+        parallel_rows=2,
     )
     assert plain["SOFDA"].per_request_cost == kerneled["SOFDA"].per_request_cost
     assert plain["SOFDA"].rejected == kerneled["SOFDA"].rejected

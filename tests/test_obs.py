@@ -4,9 +4,10 @@ The load-bearing contract is the last section: a randomized churn +
 link-failure workload replayed with metrics and tracing ON must produce
 **bit-identical** per-request costs, acceptance decisions, availability
 counters, and oracle row state to the metrics-OFF run -- the recorder
-only observes, exactly like the ``vectorized=``/``topology_patch=``
-reference flags.  The trace sections pin the Chrome trace-event JSONL schema and
-the span-total/histogram-sum reconciliation the CLI and CI rely on.
+only observes, exactly like the ``topology_patch=``/``row_budget_bytes=``
+reference flags.  The trace sections pin the Chrome trace-event JSONL
+schema and the span-total/histogram-sum reconciliation the CLI and CI
+rely on.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def _row_states(oracle):
     }
 
 
-def _churn_run(metrics=None, vectorized=False, parallel_rows=0):
+def _churn_run(metrics=None):
     """One seeded churn + failure workload; returns (result, simulator)."""
     from repro.core.sofda import sofda
     from repro.online import RequestGenerator
@@ -281,10 +282,7 @@ def _churn_run(metrics=None, vectorized=False, parallel_rows=0):
         holding=ExponentialHolding(3.0, seed=2),
         failures=failures,
     )
-    simulator = OnlineSimulator(
-        network, metrics=metrics, vectorized=vectorized,
-        parallel_rows=parallel_rows,
-    )
+    simulator = OnlineSimulator(network, metrics=metrics)
     engine = WorkloadEngine(
         simulator, lambda inst: sofda(inst).forest, name="SOFDA"
     )
