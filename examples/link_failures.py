@@ -10,9 +10,10 @@ active tenant crossing it onto surviving paths (releasing the ones that
 cannot be saved), and the oracle absorbs the topology change as an
 incremental ``patch_topology`` repair instead of a full rebuild.
 
-The same trace replays through ``topology_patch=True`` (incremental
-tombstone repair) and the invalidate-and-rebuild reference; both must
-agree on every acceptance, reroute, and disruption decision.
+The same trace replays through the default simulator (incremental
+tombstone repair) and the ``incremental=False`` invalidate-and-rebuild
+reference; both must agree on every acceptance, reroute, and disruption
+decision.
 
 Run with:  python examples/link_failures.py
 """
@@ -64,8 +65,7 @@ def main() -> None:
           f"(MTBF {MTBF:.0f} h, MTTR {MTTR:.1f} h)\n")
 
     embedder = {"SOFDA": lambda inst: sofda(inst).forest}
-    patched = run_churn_comparison(factory, embedder, schedule,
-                                   topology_patch=True)["SOFDA"]
+    patched = run_churn_comparison(factory, embedder, schedule)["SOFDA"]
     rebuilt = run_churn_comparison(factory, embedder, schedule,
                                    incremental=False)["SOFDA"]
 

@@ -20,13 +20,13 @@ run_online_comparison a ``**simulator_kwargs`` forward reaches the
 run_churn_comparison  simulator construction (forwards every flag)
 ====================  =====================================================
 
-Repair-mode flags (``patchable``, ``topology_patch``) are exempt at
-``AuxiliaryOracle``, ``Controller`` and ``DistributedSOFDA``: those
-oracles are built once over graphs that are never patched, so repair
-knobs cannot change what they serve.  A *new* flag is required
-everywhere by default -- if it is genuinely irrelevant at a site, add it
-to :data:`REPAIR_ONLY_FLAGS` (when it is a repair-mode knob) or baseline
-the finding with a justification.
+The repair-mode flag ``patchable`` is exempt at ``AuxiliaryOracle``,
+``Controller`` and ``DistributedSOFDA``: those oracles are built once
+over graphs that are never patched, so a repair knob cannot change what
+they serve.  A *new* flag is required everywhere by default -- if it is
+genuinely irrelevant at a site, add it to :data:`REPAIR_ONLY_FLAGS`
+(when it is a repair-mode knob) or baseline the finding with a
+justification.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _NON_FLAG_PARAMS = ("self", "graph", "hot")
 
 #: Flags that only affect patch/repair behavior: exempt at sites whose
 #: oracles are never patched (one-shot fallback and per-domain oracles).
-REPAIR_ONLY_FLAGS = frozenset({"patchable", "topology_patch"})
+REPAIR_ONLY_FLAGS = frozenset({"patchable"})
 
 #: Sites where only serve-affecting flags must thread.
 _SERVE_ONLY_SITES = frozenset({

@@ -385,9 +385,8 @@ def reroute_congested_link(
         # Only the one link's cost changes, so the new instance's oracle
         # is the old one rebased onto the copy (patched weights + every
         # cached row the change cannot affect) instead of a cold rebuild.
-        # The clone keeps the parent oracle's knobs and classifies this
-        # one-shot patch with a scan pass -- no tree-edge index is ever
-        # built for it.
+        # The clone keeps the parent oracle's knobs and repairs its
+        # copied rows through the oracle's one repair engine.
         new_oracle = instance._oracle.rebased(graph, {(u, v): new_cost})
     else:
         graph.add_edge(u, v, new_cost)

@@ -97,19 +97,14 @@ class Controller:
     def cache_snapshot(self) -> Dict[str, Optional[int]]:
         """The per-domain oracle's counters as a unified snapshot.
 
-        Returns the ``sof-cache-stats/1`` shape documented in
-        :mod:`repro.obs` with ``scope="controller"`` plus a ``domain``
-        key (this controller's id); a coordinator-level residency
-        rebalancer reads these to apportion a global budget across
-        domains.
+        Returns the unified snapshot shape documented in :mod:`repro.obs`
+        with ``scope="controller"`` plus a ``domain`` key (this
+        controller's id); a coordinator-level residency rebalancer reads
+        these to apportion a global budget across domains.
         """
         snapshot = self.oracle.cache_snapshot(scope="controller")
         snapshot["domain"] = self.controller_id
         return snapshot
-
-    def cache_stats(self) -> Dict[str, Optional[int]]:
-        """Alias of :meth:`cache_snapshot` (legacy name)."""
-        return self.cache_snapshot()
 
     def local_distances_from(self, node: Node) -> Dict[Node, float]:
         """Intra-domain shortest-path costs from ``node`` (an oracle row)."""

@@ -44,9 +44,9 @@ rows instead of recomputing them, in Ramalingam--Reps order through one
 engine.  A batch carrying a cost decrease first relaxes every live row
 outward from the decreased edges (:func:`_relax_decreases`).  The
 batch's increases then go through a *planner* -- one shared
-:class:`_PatchPlan` per patch that classifies them (degree-1 leaf edges,
-and the rows that use each changed pair as a tree edge, via a
-lazily-maintained inverted pair->rows index) -- and a *repairer*
+:class:`_PatchPlan` per patch that classifies them (degree-1 leaf edges
+versus general pairs), plus one scan pass over the live rows that finds
+the rows using each changed pair as a tree edge -- and a *repairer*
 (:func:`_repair_row_planned`) that applies the plan to one row.  The
 equivalence reference is the cold rebuild: a fresh oracle over the
 patched graph.
@@ -76,9 +76,9 @@ rows as a decrease-from-infinity through the decrease pass.  In the
 contracted core a failed edge keeps its chain intact and poisons the
 chain's prefix sums and total to ``inf`` instead (infinite candidates
 never win a relaxation, and interior queries expand through per-side
-prefix walks), so no global recontraction ever runs.
-``topology_patch=False`` keeps invalidate-and-rebuild as the
-bit-identical equivalence reference.
+prefix walks), so no global recontraction ever runs.  The tombstone
+repair is the only topology path; its equivalence reference is again
+the cold rebuild.
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ from repro.graph import kernel
 from repro.graph.graph import Graph, canonical_edge
 from repro.graph.rowcache import RowCache
 from repro.graph.shortest_paths import dijkstra as _dict_dijkstra
+from repro.obs import CACHE_SNAPSHOT_SCHEMA
 
 Node = Hashable
 INF = float("inf")
@@ -122,17 +123,6 @@ CONTRACT_MIN_DISTINCT_COSTS = 0.5
 #: the enumeration order) -- plenty to separate drawn-cost graphs from
 #: uniform/integer-cost ones without an O(E) scan per oracle build.
 _DISTINCT_COST_SAMPLE = 2048
-
-#: Patch-planner index policy.  The inverted pair->rows tree-edge index
-#: lets a patch visit only the rows that use a changed edge, but building
-#: it costs O(rows x nodes) and every repair must maintain it, so it only
-#: pays while patches keep touching a small minority of the cached rows.
-#: The planner therefore classifies by scan pass until
-#: :data:`PLANNER_INDEX_BUILD_STREAK` consecutive patches repaired at most
-#: a quarter of at least :data:`PLANNER_INDEX_MIN_ROWS` live rows, and
-#: drops the index again as soon as one patch repairs half of them.
-PLANNER_INDEX_MIN_ROWS = 64
-PLANNER_INDEX_BUILD_STREAK = 3
 
 #: Region-sharing policy for dense patches.  A changed pair whose
 #: detached child is a tree-edge child in at least
@@ -817,10 +807,9 @@ class _PatchPlan:
       VM attachment edges are exactly such leaf edges, and they appear in
       every cached row's tree.
 
-    The remaining per-row facts (is the pair a tree edge *in this row*)
-    are answered either by the oracle's lazily-maintained inverted
-    pair->rows tree-edge index or, on a first/one-shot patch, by a single
-    scan pass -- see :meth:`FrozenOracle._patch_rows`.
+    The remaining per-row fact (is the pair a tree edge *in this row*)
+    is answered by one scan pass over the live rows -- see
+    :meth:`FrozenOracle._patch_rows`.
     """
 
     __slots__ = ("increases", "decreases", "_adjacency", "_classified")
@@ -863,37 +852,6 @@ class _PatchPlan:
         return self._classified
 
 
-def _index_add(
-    index: Dict[Tuple[int, int], set], v: int, p: int, sid: int
-) -> None:
-    """Register tree edge ``{v, p}`` of row ``sid`` in the inverted index.
-
-    The one place that fixes the index's key convention (the id pair in
-    ascending order) -- shared by post-repair maintenance and wholesale
-    row registration, which must stay in lockstep for the
-    over-approximation invariant to hold.
-    """
-    key = (v, p) if v < p else (p, v)
-    bucket = index.get(key)
-    if bucket is None:
-        index[key] = {sid}
-    else:
-        bucket.add(sid)
-
-
-def _index_nodes(
-    index: Dict[Tuple[int, int], set],
-    sid: int,
-    parent: List[int],
-    nodes: Iterable[int],
-) -> None:
-    """Register row ``sid``'s tree edges from ``nodes`` to their parents."""
-    for v in nodes:
-        p = parent[v]
-        if p >= 0:
-            _index_add(index, v, p, sid)
-
-
 def _route_tree_edge(
     row: "_Row",
     sid: int,
@@ -905,12 +863,11 @@ def _route_tree_edge(
 ) -> bool:
     """Route one changed pair of ``row`` to its repair job, if a tree edge.
 
-    The single dispatch both classification modes (index lookup and scan
-    pass) of :meth:`FrozenOracle._patch_rows` share: verify the pair
-    against ``row.parent``, then queue the detached child either as a
-    ``(leaf, anchor)`` fast job (increased degree-1 edge of a full row)
-    or as a general region root.  Returns whether the pair is currently a
-    tree edge of the row.
+    The per-row, per-pair step of :meth:`FrozenOracle._patch_rows`'s
+    scan pass: verify the pair against ``row.parent``, then queue the
+    detached child either as a ``(leaf, anchor)`` fast job (increased
+    degree-1 edge of a full row) or as a general region root.  Returns
+    whether the pair is currently a tree edge of the row.
     """
     parent = row.parent
     if parent[b] == a:
@@ -957,8 +914,8 @@ def _repair_row_planned(
       whose anchor *is* detached was already swept into that region by
       the child walk, and is repaired there.
 
-    Returns the affected (region-repaired) node list, so the caller can
-    refresh the inverted tree-edge index from the new parents.
+    Returns the affected (region-repaired) node list, which the fork
+    pool's payload builder ships back as the written label range.
     """
     dist = row.dist
     parent = row.parent
@@ -1670,7 +1627,6 @@ class FrozenOracle:
         graph: Graph,
         hot: Optional[Iterable[Node]] = None,
         patchable: bool = False,
-        topology_patch: bool = True,
         parallel_rows: int = 0,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
@@ -1683,12 +1639,6 @@ class FrozenOracle:
         #: values are bit-identical either way -- exhaustion only extends
         #: the relaxation sequence beyond the early stop point.
         self._patchable = patchable
-        #: ``topology_patch=True`` (the default) lets
-        #: :meth:`patch_topology` repair cached state through the CSR
-        #: tombstone machinery; ``topology_patch=False`` keeps
-        #: invalidate-and-rebuild as the equivalence reference.  Served
-        #: results are identical either way.
-        self._topology_patch = topology_patch
         #: Kernel tier: ``parallel_rows=N`` farms batches of
         #: independent row builds (:meth:`prefetch_rows`) and per-patch
         #: row repairs to an ``N``-worker fork pool.  Workers inherit the
@@ -1742,30 +1692,6 @@ class FrozenOracle:
         #: each patch), so a budgeted oracle serves the same values and
         #: only residency/recompute work differ.
         self._rows: RowCache = RowCache(row_budget_bytes)
-        self._rows.on_evict = self._deregister_row
-        #: Inverted tree-edge index for the planner: canonical id pair ->
-        #: set of cached-row sources whose parent tree (possibly) uses the
-        #: pair as a tree edge.  Lazily maintained: built only once the
-        #: workload proves sparse (see :data:`PLANNER_INDEX_MIN_ROWS`),
-        #: dropped again when patches start touching most rows, and kept
-        #: as an over-approximation in between -- entries are added
-        #: eagerly when trees gain an edge and pruned opportunistically
-        #: when a changed pair is looked up, so a stale entry costs one
-        #: parent check, while a missing entry would skip a required
-        #: repair and is never allowed.  Superset invariant: while the
-        #: index is live, every tree edge of every cached row has an
-        #: entry.  Three paths uphold it: in-place repairs register the
-        #: affected nodes' new parents, every row-*replacing* recompute
-        #: goes through :meth:`_install_row` (which registers the new
-        #: tree immediately), and :meth:`_reconcile_tree_index` catches
-        #: up wholesale at the start of each indexed patch.
-        self._tree_index: Optional[Dict[Tuple[int, int], set]] = None
-        #: Rows already registered in ``_tree_index``, by identity --
-        #: a replaced ``_Row`` object is re-registered on reconcile.
-        self._indexed: Dict[int, _Row] = {}
-        #: Consecutive planned patches that repaired at most a quarter of
-        #: the live rows -- the build trigger for the tree-edge index.
-        self._index_low_hits = 0
         self._slow_rows: Dict[Node, Tuple[Dict[Node, float], Dict[Node, Node]]] = {}
         #: Per-node query counters.  A ``Counter`` rather than a plain
         #: dict so the batched entry points can bump a whole target list
@@ -1793,67 +1719,24 @@ class FrozenOracle:
         """The attached recorder, or ``None`` when observability is off."""
         return self._metrics
 
-    def _tree_index_bytes(self) -> int:
-        """Estimated residency of the inverted pair->rows tree-edge index."""
-        index = self._tree_index
-        if index is None:
-            return 0
-        return 64 * len(index) \
-            + 8 * sum(len(bucket) for bucket in index.values())
-
     def cache_snapshot(self, scope: str = "oracle") -> Dict[str, Optional[int]]:
-        """Unified cache snapshot (schema ``sof-cache-stats/1``).
+        """Unified cache snapshot, the shape every layer shares.
 
         The :meth:`RowCache.stats` counters (rows resident, accounted
         bytes, peak, hits/misses, evictions by policy, budget
-        overshoots) plus ``tree_index_bytes`` -- the inverted
-        pair->rows tree-edge index, which the oracle owns outside the
-        per-row budget because the adaptive index policy already builds
-        and drops it wholesale by patch density -- tagged with the
-        schema version and the reporting ``scope``.  The documented
-        shape every layer shares: see :mod:`repro.obs` for the full key
-        table.  When a recorder is attached, the same numbers are also
-        folded into the registry as ``<scope>.cache.*`` gauges.
+        overshoots), tagged with the schema version
+        (:data:`~repro.obs.CACHE_SNAPSHOT_SCHEMA`) and the reporting
+        ``scope``; :mod:`repro.obs` documents the full key table.  When
+        a recorder is attached, the same numbers are also folded into
+        the registry as ``<scope>.cache.*`` gauges.
         """
         stats = self._rows.stats()
-        stats["tree_index_bytes"] = self._tree_index_bytes()
         mx = self._metrics
         if mx:
-            self._publish_cache(mx, scope)
-        stats["schema"] = "sof-cache-stats/1"
+            self._rows.publish(mx, prefix=f"{scope}.cache")
+        stats["schema"] = CACHE_SNAPSHOT_SCHEMA
         stats["scope"] = scope
         return stats
-
-    def cache_stats(self) -> Dict[str, Optional[int]]:
-        """Thin alias of :meth:`cache_snapshot` (the pre-PR-10 name)."""
-        return self.cache_snapshot()
-
-    def _publish_cache(self, mx, scope: str = "oracle") -> None:
-        """Fold the cache counters into the registry as gauges."""
-        self._rows.publish(mx, prefix=f"{scope}.cache")
-        mx.gauge(f"{scope}.cache.tree_index_bytes", self._tree_index_bytes())
-
-    def _deregister_row(self, source_id: int, row: _Row) -> None:
-        """Shed an evicted row's tree-edge index registrations.
-
-        The :class:`RowCache` eviction callback, shared by every drop
-        policy: without it, buckets on never-re-patched pairs would
-        accumulate dead sids for the lifetime of the index (long
-        simulators evict thousands of per-request rows).  Entries from
-        pre-repair trees of the row may survive this walk; they are
-        pruned opportunistically at lookup.  No-op while the index is
-        down (the common case).
-        """
-        if self._indexed.pop(source_id, None) is None:
-            return
-        index = self._tree_index
-        if index is None:
-            return
-        for v, p in enumerate(row.parent):
-            if p >= 0:
-                bucket = index.get((v, p) if v < p else (p, v))
-                if bucket is not None:
-                    bucket.discard(source_id)
 
     @staticmethod
     def _freeze_row(dist, parent, settled, full) -> _Row:
@@ -2061,9 +1944,6 @@ class FrozenOracle:
         self._tombstones.clear()
         self._hot_ids = []
         self._rows.clear()
-        self._tree_index = None
-        self._indexed.clear()
-        self._index_low_hits = 0
         self._slow_rows.clear()
         self._queries.clear()
         self._paths.clear()
@@ -2155,7 +2035,7 @@ class FrozenOracle:
             mx.inc("oracle.patch.edges", len(applied))
             mx.span("oracle.patch.costs", t0,
                     trace_args={"edges": len(applied)})
-            self._publish_cache(mx)
+            self._rows.publish(mx)
         return len(applied)
 
     # ------------------------------------------------------------------
@@ -2165,13 +2045,12 @@ class FrozenOracle:
         """Can ``patch_topology(inserted={(u, v): ...})`` apply in place?
 
         True while the oracle is unbuilt (the build reads the mutated
-        graph) or in ``topology_patch=False`` reference mode (inserts
-        invalidate anyway), and otherwise only when the edge holds a
-        tombstoned CSR slot from an earlier removal -- the frozen core
-        cannot grow slots for brand-new edges, so reviving an edge that
-        died *before* the first build needs an :meth:`invalidate`.
+        graph), and otherwise only when the edge holds a tombstoned CSR
+        slot from an earlier removal -- the frozen core cannot grow slots
+        for brand-new edges, so reviving an edge that died *before* the
+        first build needs an :meth:`invalidate`.
         """
-        if not self._built or not self._topology_patch:
+        if not self._built:
             return True
         return canonical_edge(u, v) in self._tombstones
 
@@ -2190,26 +2069,23 @@ class FrozenOracle:
         before anything mutates -- a bad entry leaves graph and oracle
         untouched.
 
-        With ``topology_patch=True`` (the default) the built cores are
-        edited through a *tombstone mask*: a removed edge's CSR slots
-        persist at weight ``inf`` (node ids and row arrays stay stable)
-        while the search-facing adjacency drops the entry, so cached rows
-        repair through the ordinary increase machinery -- the detached
-        region reconnects through surviving edges or legitimately ends
-        *unreachable* (``dist=inf``, parent cleared).  Reinsertion is a
-        decrease-from-infinity over the same slots, and therefore -- on a
-        built oracle -- requires the pair to be a previously removed
-        (tombstoned) edge: the frozen CSR cannot grow new slots.  In the
-        contracted core a failed chain edge poisons its chain's prefix
-        sums and kept candidate to ``inf`` locally; no global
-        recontraction runs.  Removal-driven region repairs bypass the
-        planner's degree-1 leaf fast path (an endpoint's *surviving*
-        degree says nothing about the dead edge), always taking the
-        general boundary re-seeding.
-
-        With ``topology_patch=False`` the graph is mutated and every
-        cache dropped (:meth:`invalidate`) -- the bit-identical
-        equivalence reference.
+        The built cores are edited through a *tombstone mask*: a removed
+        edge's CSR slots persist at weight ``inf`` (node ids and row
+        arrays stay stable) while the search-facing adjacency drops the
+        entry, so cached rows repair through the ordinary increase
+        machinery -- the detached region reconnects through surviving
+        edges or legitimately ends *unreachable* (``dist=inf``, parent
+        cleared).  Reinsertion is a decrease-from-infinity over the same
+        slots, and therefore -- on a built oracle -- requires the pair to
+        be a previously removed (tombstoned) edge: the frozen CSR cannot
+        grow new slots.  In the contracted core a failed chain edge
+        poisons its chain's prefix sums and kept candidate to ``inf``
+        locally; no global recontraction runs.  Removal-driven region
+        repairs bypass the planner's degree-1 leaf fast path (an
+        endpoint's *surviving* degree says nothing about the dead edge),
+        always taking the general boundary re-seeding.  The equivalence
+        reference is the cold rebuild: a fresh oracle over the mutated
+        graph.
 
         Returns the number of applied topology changes.
         """
@@ -2233,7 +2109,6 @@ class FrozenOracle:
         removals: List[Tuple[Node, Node, float]] = []
         for key, (u, v) in dead.items():
             removals.append((u, v, graph.cost(u, v)))  # KeyError if absent
-        patch_live = self._built and self._topology_patch
         for key, (u, v, cost) in born.items():
             if not (cost >= 0.0) or math.isinf(cost):
                 raise ValueError(
@@ -2245,7 +2120,7 @@ class FrozenOracle:
                     f"({u!r}, {v!r}) is already an edge; use "
                     f"patch_edge_costs for cost changes"
                 )
-            if patch_live and key not in self._tombstones:
+            if self._built and key not in self._tombstones:
                 raise ValueError(
                     f"({u!r}, {v!r}) was never removed from this oracle: "
                     f"the frozen CSR core cannot grow new edge slots "
@@ -2260,9 +2135,6 @@ class FrozenOracle:
         count = len(removals) + len(born)
         if not self._built:
             # The eventual ``_build`` reads the mutated graph directly.
-            return count
-        if not self._topology_patch:
-            self.invalidate()
             return count
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
@@ -2306,7 +2178,7 @@ class FrozenOracle:
             mx.span("oracle.patch.topology", t0, trace_args={
                 "removed": len(removals), "inserted": len(born),
             })
-            self._publish_cache(mx)
+            self._rows.publish(mx)
         return count
 
     def _patch_rows(
@@ -2330,12 +2202,9 @@ class FrozenOracle:
         decrease moves parents, so increases can only be classified
         against the relaxed trees.  The increases are classified once
         into the shared :class:`_PatchPlan`, and only rows that actually
-        use an increased edge as a tree edge are repaired.  Those rows are
-        found through the inverted tree-edge index while the workload is
-        sparse (most patches miss most rows) and through one cheap scan
-        pass otherwise -- see :data:`PLANNER_INDEX_MIN_ROWS` for the
-        adaptive policy.  The decrease pass drops the index and re-arms
-        its build streak.
+        use an increased edge as a tree edge are repaired.  One scan pass
+        over the live rows finds them, checking each increased pair
+        against the row's parent array (O(rows x changes)).
 
         Detached roots dense enough to clear
         :data:`PLANNER_SHARE_MIN_ROWS` / :data:`PLANNER_SHARE_DENSITY` get
@@ -2363,64 +2232,24 @@ class FrozenOracle:
         t0 = mx.clock() if mx else 0.0
         rows = self._rows
         if decreases:
-            # The relaxation moves parents without telling the tree-edge
-            # index; drop it and require a fresh sparse streak, or a
-            # workload alternating mixed and pure-increase patches would
-            # pay a wholesale index rebuild on every pure-increase patch.
-            self._tree_index = None
-            self._indexed.clear()
-            self._index_low_hits = 0
             for sid, row in list(rows.items()):
                 if row.used and not _relax_decreases(
                     adjacency, row, decreases
                 ):
                     rows.evict(sid, "repair")
 
-        # Classify the increases once, then repair only the rows the plan
-        # names.  The index engages only after a streak of sparse patches
-        # (see the module constants): one-shot patches (a ``rebased``
-        # clone's) and dense workloads -- e.g. the online simulator's VM
-        # attachment edges, which sit in every row's tree -- classify
-        # with a single scan pass instead, which costs O(rows x changes)
-        # against the index's O(rows x nodes) build.
+        # Classify the increases once, then scan the live rows for the
+        # ones whose tree uses an increased pair.
         general_roots: Dict[int, List[int]] = {}
         leaf_jobs: Dict[int, List[Tuple[int, int]]] = {}
-        index: Optional[Dict[Tuple[int, int], set]] = None
-        if (
-            self._tree_index is not None
-            or self._index_low_hits >= PLANNER_INDEX_BUILD_STREAK
-        ):
-            index = self._reconcile_tree_index()
-            indexed = self._indexed
-            for a, b, leaf in plan.classified:
-                key = (a, b) if a < b else (b, a)
-                candidates = index.get(key)
-                if not candidates:
-                    continue
-                verified = set()
-                for sid in candidates:
-                    row = rows.get(sid)
-                    if row is None or indexed.get(sid) is not row:
-                        continue  # stale entry for an evicted/replaced row
-                    if not row.used:
-                        continue  # evicted below, before any repair
-                    if _route_tree_edge(
-                        row, sid, a, b, leaf, general_roots, leaf_jobs
-                    ):
-                        verified.add(sid)
-                # Write back the verified set: opportunistic pruning keeps
-                # the over-approximation from accumulating dead entries on
-                # the repeatedly-changed (hot) pairs.
-                index[key] = verified
-        else:
-            classified = plan.classified
-            for sid, row in rows.items():
-                if not row.used:
-                    continue
-                for a, b, leaf in classified:
-                    _route_tree_edge(
-                        row, sid, a, b, leaf, general_roots, leaf_jobs
-                    )
+        classified = plan.classified
+        for sid, row in rows.items():
+            if not row.used:
+                continue
+            for a, b, leaf in classified:
+                _route_tree_edge(
+                    row, sid, a, b, leaf, general_roots, leaf_jobs
+                )
 
         live = sum(1 for row in rows.values() if row.used)
 
@@ -2511,7 +2340,7 @@ class FrozenOracle:
             )
             t_merge = mx.clock() if mx else 0.0
             for job, payload in zip(jobs, payloads):
-                sid, row = job[0], job[1]
+                row = job[1]
                 n_affected, ids, dvals, pvals, svals, cutoff = payload
                 dist = row.dist
                 parent = row.parent
@@ -2523,34 +2352,12 @@ class FrozenOracle:
                     for i in range(n_affected):
                         settled[ids[i]] = svals[i]
                 row.cutoff = cutoff
-                if index is not None:
-                    _index_nodes(index, sid, parent, ids[:n_affected])
             if mx:
                 mx.span("oracle.fork.merge", t_merge,
                         trace_args={"jobs": len(jobs)})
         else:
             for job in jobs:
-                affected = _repair(job)
-                if index is not None:
-                    _index_nodes(index, job[0], job[1].parent, affected)
-
-        # Adaptive index policy: keep the index only while patches repair
-        # a minority of the live rows; arm a build only after a streak of
-        # sparse pure-increase patches over a row set worth indexing.
-        repaired = len(jobs)
-        if index is not None:
-            if repaired * 2 >= live:
-                self._tree_index = None
-                self._indexed.clear()
-                self._index_low_hits = 0
-        elif (
-            not decreases
-            and live >= PLANNER_INDEX_MIN_ROWS
-            and repaired * 4 <= live
-        ):
-            self._index_low_hits += 1
-        else:
-            self._index_low_hits = 0
+                _repair(job)
 
         # Budgeted oracles settle residency at the patch boundary: the
         # accounting invariant is "never over budget *between* patches"
@@ -2560,7 +2367,7 @@ class FrozenOracle:
         rows.enforce()
         if mx:
             mx.span("oracle.repair", t0, mode="planned",
-                    trace_args={"live": live, "repaired": repaired})
+                    trace_args={"live": live, "repaired": len(jobs)})
 
     def _resolve_shared(
         self,
@@ -2608,30 +2415,6 @@ class FrozenOracle:
                     walk_roots.append(c)
         return hits, walk_roots
 
-    def _reconcile_tree_index(self) -> Dict[Tuple[int, int], set]:
-        """Bring the inverted tree-edge index up to date with the rows.
-
-        New or replaced ``_Row`` objects (cold misses, stale-row
-        recomputes, ``distances_from`` upgrades) are registered wholesale;
-        registrations of vanished rows are dropped.  Entries of a row that
-        was *repaired* in place stay maintained incrementally by the
-        caller, so reconciliation is O(tree) only per changed row.
-        """
-        index = self._tree_index
-        if index is None:
-            index = self._tree_index = {}
-        indexed = self._indexed
-        rows = self._rows
-        for sid, row in rows.items():
-            if not row.used:
-                continue  # evicted by this patch before any lookup
-            if indexed.get(sid) is not row:
-                _index_nodes(index, sid, row.parent, range(len(row.parent)))
-                indexed[sid] = row
-        for sid in [s for s in indexed if s not in rows]:
-            del indexed[sid]
-        return index
-
     def rebased(
         self, graph: Graph, changed: Mapping[Tuple[Node, Node], float]
     ) -> "FrozenOracle":
@@ -2645,10 +2428,9 @@ class FrozenOracle:
         original instance and its oracle untouched.
 
         The clone inherits every constructor knob (``patchable``,
-        ``topology_patch``, ``parallel_rows``, the row budget and the
-        recorder) and copies each seeded row's label buffers, but not the
-        inverted tree-edge index: its immediate patch classifies with a
-        scan pass, so one-shot clones never pay for an index build.
+        ``parallel_rows``, the row budget and the recorder), the
+        tombstones and the built cores, and copies each seeded row's
+        label buffers; its immediate patch repairs them like any other.
 
         A budgeted oracle's clone inherits ``row_budget_bytes`` and
         seeds through the same policy: rows are copied in retention
@@ -2659,7 +2441,6 @@ class FrozenOracle:
         """
         clone = FrozenOracle(
             graph, hot=self._hot, patchable=self._patchable,
-            topology_patch=self._topology_patch,
             parallel_rows=self._parallel_rows,
             row_budget_bytes=self._rows.budget_bytes,
             metrics=self._metrics,
@@ -2708,24 +2489,15 @@ class FrozenOracle:
         return row
 
     def _install_row(self, source_id: int, row: _Row) -> None:
-        """Cache ``row`` (replacing any previous object) and register it.
+        """Cache ``row``, replacing any previous row of ``source_id``.
 
-        Every row-replacing recompute -- cold misses, stale-row
-        recomputes, full-row upgrades -- must come through here: with the
-        inverted tree-edge index live, the new tree's edges are
-        registered immediately, so the index stays a superset of every
-        cached row's tree edges without waiting for the next patch's
-        reconcile pass.  A replaced row's old registrations linger as
-        prunable over-approximation, exactly like a repaired row's.
+        The one install path of every row-replacing recompute (cold
+        misses, prefetch batches, stale-row recomputes, full-row
+        upgrades).
         """
         self._rows[source_id] = row
-        index = self._tree_index
-        if index is not None:
-            _index_nodes(index, source_id, row.parent, range(len(row.parent)))
-            self._indexed[source_id] = row
         if self._rows.budget_bytes is not None:
-            # Budgeted oracles enforce residency at every install (cold
-            # misses, prefetch batches, stale recomputes, upgrades),
+            # Budgeted oracles enforce residency at every install,
             # protecting the row the caller is about to serve from.
             self._rows.enforce(protect=(source_id,))
 

@@ -33,12 +33,9 @@ per settled byte, plus :data:`ROW_OVERHEAD_BYTES` per row.  Every
 cached row stores its labels in ``array('d')``/``array('q')`` buffers,
 so the 16 bytes/node label term is near-exact for every row -- the
 budget is still a *residency model*, not an RSS cap, and the model is
-chosen so budgeted runs behave identically across platforms.
-Tree-index residency is reported separately by
-:meth:`FrozenOracle.cache_stats` (it is owned by the oracle, sized by
-the workload's patch history, and dropped wholesale under the adaptive
-index policy); per-patch shared-region caches are transient and never
-survive a patch.
+chosen so budgeted runs behave identically across platforms.  The
+rows are the oracle's only persistent repair state: per-patch
+shared-region caches are transient and never survive a patch.
 """
 
 from __future__ import annotations
@@ -78,10 +75,9 @@ class RowCache(dict):
 
     The cache never evicts on its own: the owning oracle calls
     :meth:`enforce` at its consistency boundaries (after a row install,
-    at the end of a patch) and :meth:`evict` for policy drops, passing
-    an ``on_evict`` callback that de-registers the row from the
-    oracle's inverted tree-edge index.  Counters are lifetime values --
-    :meth:`clear` (a full invalidate) resets residency, not history.
+    at the end of a patch) and :meth:`evict` for policy drops.  Counters
+    are lifetime values -- :meth:`clear` (a full invalidate) resets
+    residency, not history.
     """
 
     def __init__(self, budget_bytes: Optional[int] = None) -> None:
@@ -94,9 +90,6 @@ class RowCache(dict):
                 )
         #: Residency ceiling in accounted bytes; ``None`` = unbounded.
         self.budget_bytes = budget_bytes
-        #: Callback ``(source_id, row) -> None`` run by :meth:`evict`
-        #: after the row leaves the store (tree-index de-registration).
-        self.on_evict = None
         self.total_bytes = 0
         self.peak_bytes = 0
         self.hits = 0
@@ -220,7 +213,7 @@ class RowCache(dict):
     # eviction (the one code path for every drop policy)
     # ------------------------------------------------------------------
     def evict(self, source_id: int, reason: str = "budget"):
-        """Drop one row, count it under ``reason``, run ``on_evict``.
+        """Drop one row and count it under ``reason``.
 
         ``reason`` is one of ``"idle"`` (idle across a whole patch
         interval), ``"repair"`` (repair could not be bounded) or
@@ -235,8 +228,6 @@ class RowCache(dict):
             self.repair_evictions += 1
         else:
             self.budget_evictions += 1
-        if self.on_evict is not None:
-            self.on_evict(source_id, row)
         return row
 
     def _evict_key(self, source_id: int) -> Tuple[int, float, int, int]:

@@ -11,20 +11,19 @@ Dependency-free instrumentation for the oracle/simulator/workload stack
   through the ``metrics=`` knob on :class:`~repro.graph.indexed.FrozenOracle`
   and everything above it.  ``None`` (the default) keeps every
   instrumented hot path zero-overhead and bit-identical -- the same
-  flag-gated-reference discipline as ``topology_patch=`` /
+  flag-gated-reference discipline as ``incremental=`` /
   ``row_budget_bytes=``.
 
-Unified cache-snapshot schema (``sof-cache-stats/1``)
+Unified cache-snapshot schema (``sof-cache-stats/2``)
 -----------------------------------------------------
 
 ``FrozenOracle.cache_snapshot()`` / ``OnlineSimulator.cache_snapshot()``
-/ ``Controller.cache_snapshot()`` all return one dict shape (the legacy
-``cache_stats()`` methods are thin aliases of it):
+/ ``Controller.cache_snapshot()`` all return one dict shape:
 
 ====================  ====================================================
 key                   meaning
 ====================  ====================================================
-``schema``            literal ``"sof-cache-stats/1"``
+``schema``            literal ``"sof-cache-stats/2"``
 ``scope``             ``"oracle"`` | ``"simulator"`` | ``"controller"``
 ``rows``              resident row count
 ``budget_bytes``      configured budget (``None`` = unbounded)
@@ -36,13 +35,13 @@ key                   meaning
 ``budget_evictions``  evicted by the cost-aware budget sweep
 ``repair_evictions``  evicted because repair was costlier than rebuild
 ``overshoots``        enforce() passes that could not reach the budget
-``tree_index_bytes``  SPT child-index overhead (oracle-owned, not
-                      budgeted)
 ====================  ====================================================
 
 Controller snapshots additionally carry ``domain`` (the controller id).
 When a recorder is attached, taking a snapshot also folds the same
-numbers into the registry as ``<scope>.cache.*`` gauges.
+numbers into the registry as ``<scope>.cache.*`` gauges.  Version 2
+dropped version 1's tree-edge index size key and gauge, together with
+the index itself.
 """
 
 from repro.obs.metrics import (
@@ -68,7 +67,7 @@ from repro.obs.tracer import (
 )
 
 #: Version tag carried by every unified cache snapshot.
-CACHE_SNAPSHOT_SCHEMA = "sof-cache-stats/1"
+CACHE_SNAPSHOT_SCHEMA = "sof-cache-stats/2"
 
 __all__ = [
     "CACHE_SNAPSHOT_SCHEMA",

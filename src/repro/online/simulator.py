@@ -13,9 +13,9 @@ recording exactly the link/node loads it accounted, and
 :meth:`OnlineSimulator.release` hands them back when the tenant departs.
 Released links re-price downward at the next cost sync, reaching the
 shared oracle as *decrease*-carrying
-:meth:`~repro.graph.indexed.FrozenOracle.patch_edge_costs` batches (the
-per-row reference repair path -- a decrease moves parents mid-repair, so
-the cross-row plan does not apply).
+:meth:`~repro.graph.indexed.FrozenOracle.patch_edge_costs` batches: the
+oracle relaxes the decreases into every live row first, then repairs the
+batch's increases through the same planned path arrivals take.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ class OnlineSimulator:
         vm_capacity: float = 5.0,
         cost_floor: float = 0.01,
         incremental: bool = True,
-        topology_patch: bool = True,
         parallel_rows: int = 0,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
@@ -123,10 +122,8 @@ class OnlineSimulator:
         # (arrivals and background load reach it as cost increases,
         # departures and link recoveries as decreases); dense patches
         # share region repairs across rows by observed density, not by a
-        # knob.  ``topology_patch=False`` keeps incremental cost
-        # patching but routes link failure/recovery through
-        # invalidate-and-rebuild (the topology-change equivalence
-        # reference).
+        # knob.  Link failures and recoveries reach it as tombstone
+        # topology patches.
         # ``parallel_rows`` farms the oracle's cold row builds and patch
         # repairs to a fork pool; the default keeps them in-process, with
         # bit-identical rows either way.
@@ -142,7 +139,6 @@ class OnlineSimulator:
         # knobs above.
         self._metrics = metrics if metrics else None
         self._incremental = incremental
-        self._topology_patch = topology_patch
         #: Canonical keys of currently failed links.
         self._failed: set = set()
         #: Live leases by identity, for failure-impact scans.
@@ -168,7 +164,6 @@ class OnlineSimulator:
         # oracle computes patch-repairable (exhaustive) rows.
         self._oracle = FrozenOracle(
             graph, hot=self._vms, patchable=self._incremental,
-            topology_patch=self._topology_patch,
             parallel_rows=parallel_rows,
             row_budget_bytes=row_budget_bytes, metrics=metrics,
         )
@@ -186,16 +181,12 @@ class OnlineSimulator:
     def cache_snapshot(self) -> Dict[str, Optional[int]]:
         """The shared oracle's cache counters as a unified snapshot.
 
-        Returns the ``sof-cache-stats/1`` shape documented in
-        :mod:`repro.obs`, with ``scope="simulator"``; the workload engine
-        and benches read this to track resident row bytes and eviction
-        counts over a trace.
+        Returns the unified snapshot shape documented in :mod:`repro.obs`,
+        with ``scope="simulator"``; the workload engine and benches read
+        this to track resident row bytes and eviction counts over a
+        trace.
         """
         return self._oracle.cache_snapshot(scope="simulator")
-
-    def cache_stats(self) -> Dict[str, Optional[int]]:
-        """Alias of :meth:`cache_snapshot` (legacy name)."""
-        return self.cache_snapshot()
 
     @property
     def vms(self) -> List[Node]:
@@ -205,13 +196,14 @@ class OnlineSimulator:
     def _sync_costs(self) -> None:
         """Fold tracker load changes into the graph and patch the oracle.
 
-        Only links whose load moved since the last sync are touched.  The
-        topology never changes online -- commits move edge *costs* only --
-        so the default path hands the changed costs to
-        :meth:`FrozenOracle.patch_edge_costs`, which updates the graph and
-        the oracle's weight arrays in place and keeps every cached row the
-        change provably cannot affect.  With ``incremental=False`` the
-        costs are written directly and the whole oracle is rebuilt.
+        Only links whose load moved since the last sync are touched, and
+        failed links are skipped: commits and releases move edge *costs*
+        only, while link failure and recovery change the topology through
+        :meth:`fail_link` / :meth:`recover_link`.  The default path hands
+        the changed costs to :meth:`FrozenOracle.patch_edge_costs`, which
+        updates the graph and the oracle's weight arrays in place and
+        repairs the cached rows.  With ``incremental=False`` the costs
+        are written directly and the whole oracle is rebuilt.
         """
         changed = {}
         for u, v in self._tracker.drain_dirty_links():

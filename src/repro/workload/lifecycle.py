@@ -197,9 +197,10 @@ class ChurnResult:
     #: Per-recovery downtime (recover time minus fail time), in trace
     #: time units, in recovery order.
     recovery_latencies: List[float] = field(default_factory=list)
-    #: Oracle row-cache counters captured at end of run (rows resident,
-    #: bytes, hits/misses, evictions); ``None`` when the simulator does
-    #: not expose :meth:`~repro.online.simulator.OnlineSimulator.cache_stats`.
+    #: The simulator's unified cache snapshot at end of run (rows
+    #: resident, bytes, hits/misses, evictions), from
+    #: :meth:`~repro.online.simulator.OnlineSimulator.cache_snapshot`;
+    #: ``None`` until :meth:`WorkloadEngine.run` finishes.
     cache_stats: Optional[dict] = None
 
     @property
@@ -327,9 +328,7 @@ class WorkloadEngine:
             if mx:
                 mx.span("workload.event", t0, kind=event.kind)
         result.final_active = active
-        stats_fn = getattr(self._simulator, "cache_stats", None)
-        if callable(stats_fn):
-            result.cache_stats = stats_fn()
+        result.cache_stats = self._simulator.cache_snapshot()
         return result
 
     def _arrive(self, event, heap, sequence) -> Optional[float]:

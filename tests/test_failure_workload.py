@@ -235,7 +235,6 @@ def run_engine(network, schedule, **simulator_kwargs):
 
 @pytest.mark.parametrize("reference_kwargs", [
     {"incremental": False},
-    {"topology_patch": False},
 ])
 def test_engine_failures_match_rebuild_reference(reference_kwargs):
     network = inet_network(

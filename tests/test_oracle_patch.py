@@ -237,23 +237,16 @@ def test_patch_before_first_query_counts_real_changes():
 
 
 # ----------------------------------------------------------------------
-# tree-edge index maintenance across row-replacing recomputes
+# row-replacing recomputes between patches
 # ----------------------------------------------------------------------
-def test_row_upgrade_registers_in_tree_index(monkeypatch):
-    """A full-row upgrade registers its new tree edges immediately.
+def test_upgraded_row_repairs_on_later_patch():
+    """A full-row upgrade between patches is repaired by the next one.
 
-    The superset invariant: while the inverted tree-edge index is live,
-    every tree edge of every cached row must have an index entry --
-    a missing entry would make a later patch skip the row's repair and
-    serve a stale distance.  Row-replacing recomputes (the
-    ``distances_from`` upgrade here) bypass the in-place repair
-    bookkeeping, so they must register through ``_install_row`` rather
-    than waiting for the next patch's reconcile pass.
+    The ``distances_from`` upgrade replaces an early-stopped row with a
+    full one whose tree gains edges the old row never reached; a later
+    patch of such an edge must find the new row and repair it, or the
+    oracle would serve a stale distance.
     """
-    from repro.graph import indexed
-
-    monkeypatch.setattr(indexed, "PLANNER_INDEX_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_INDEX_BUILD_STREAK", 0)
     graph = Graph.from_edges([
         ("s", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("x", "y", 1.0),
     ])
@@ -263,18 +256,12 @@ def test_row_upgrade_registers_in_tree_index(monkeypatch):
     core = oracle.core
     sid = core.index["s"]
     assert not oracle._rows[sid].full
-    # A sparse patch builds the index over the partial tree.
+    # A patch outside the partial row's tree leaves it cached as is.
     oracle.patch_edge_costs({("x", "y"): 2.0})
-    assert oracle._tree_index is not None
-    key = tuple(sorted((core.index["b"], core.index["t"])))
-    assert sid not in oracle._tree_index.get(key, set())
-    # Full-row upgrade: the new tree gains b-t, which the index must see
-    # *immediately* -- not only at the next patch's reconcile pass.
+    # Full-row upgrade: the new tree gains b-t.
     assert oracle.distances_from("s")["t"] == 3.0
     assert oracle._rows[sid].full
-    assert sid in oracle._tree_index.get(key, set())
-    assert oracle._indexed[sid] is oracle._rows[sid]
-    # And the repair driven through that registration serves fresh costs.
+    # The next patch of b-t repairs the upgraded row: fresh costs.
     oracle.patch_edge_costs({("b", "t"): 5.0})
     assert oracle.distance("s", "t") == 7.0
     fresh = FrozenOracle(graph.copy(), hot={"s", "a"})
@@ -375,11 +362,10 @@ def test_rebased_leaves_original_untouched():
 
 def test_rebased_inherits_repair_modes():
     graph = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
-    oracle = FrozenOracle(graph, patchable=True, topology_patch=False)
+    oracle = FrozenOracle(graph, patchable=True)
     oracle.distance("a", "c")
     clone = oracle.rebased(graph.copy(), {("a", "b"): 2.0})
     assert clone._patchable is True
-    assert clone._topology_patch is False
     assert clone.distance("a", "c") == 3.0
 
 

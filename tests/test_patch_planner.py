@@ -67,7 +67,7 @@ def _patch_stream(rng, graph, rounds, direction, working=5, queries=10):
         for _ in range(queries):
             ops.append(("distance", rng.choice(nodes), rng.choice(nodes)))
         # A persistent working set: rows that survive many patches in a
-        # row exercise repeated in-place repair (and index maintenance).
+        # row exercise repeated in-place repair.
         for node in hot_rows:
             ops.append(("distance", node, rng.choice(nodes)))
         if rng.random() < 0.3:
@@ -187,21 +187,6 @@ def test_shared_matches_unshared_and_per_row(direction, patchable, monkeypatch):
             assert shared.distances_from(source) == expected
 
 
-def test_shared_matches_with_tree_index(monkeypatch):
-    """Region sharing composes with the inverted tree-edge index."""
-    monkeypatch.setattr(indexed, "PLANNER_INDEX_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_INDEX_BUILD_STREAK", 0)
-    _force_sharing(monkeypatch)
-    for trial in range(4):
-        rng = random.Random(8800 + trial)
-        graph = random_graph(rng)
-        hot = rng.sample(list(graph.nodes()), 5)
-        ops = _patch_stream(rng, graph, rounds=10, direction="up")
-        shared = FrozenOracle(graph.copy(), hot=hot)
-        unshared = FrozenOracle(graph.copy(), hot=hot)
-        assert _replay(shared, ops) == _replay_unshared(unshared, ops)
-
-
 def test_shared_regions_amortize_region_builds(monkeypatch):
     """One dense patch builds each detached region once, not once per row.
 
@@ -243,30 +228,10 @@ def test_shared_regions_amortize_region_builds(monkeypatch):
         assert oracle.distances_from(node) == fresh.distances_from(node)
 
 
-def test_planner_matches_per_row_with_tree_index(monkeypatch):
-    """With the inverted tree-edge index forced on, every row matches a
-    cold rebuild, and row state is bit-identical to scan-pass
-    classification (the index only narrows which rows are visited)."""
-    monkeypatch.setattr(indexed, "PLANNER_INDEX_MIN_ROWS", 1)
-    for trial in range(4):
-        rng = random.Random(7000 + trial)
-        graph = random_graph(rng)
-        hot = rng.sample(list(graph.nodes()), 5)
-        ops = _patch_stream(rng, graph, rounds=10, direction="up")
-        indexed_oracle = FrozenOracle(graph.copy(), hot=hot)
-        scanned = FrozenOracle(graph.copy(), hot=hot)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(indexed, "PLANNER_INDEX_BUILD_STREAK", 0)
-            snaps = _replay(indexed_oracle, ops, check_cold=True)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(indexed, "PLANNER_INDEX_BUILD_STREAK", INF)
-            assert snaps == _replay(scanned, ops)
-
-
-def test_tree_index_engages_and_adapts(monkeypatch):
-    """The inverted index builds on sparse patches and drops on dense ones."""
-    monkeypatch.setattr(indexed, "PLANNER_INDEX_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_INDEX_BUILD_STREAK", 0)
+def test_sparse_then_dense_patches_repair_exactly():
+    """A sparse patch (one row's tree edge), then a dense one (every
+    surviving row's): the scan pass finds each affected row and the
+    repairs serve exact distances."""
     graph = Graph.from_edges([
         ("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0), ("a", "d", 5.0),
         ("x", "y", 1.0),
@@ -278,15 +243,12 @@ def test_tree_index_engages_and_adapts(monkeypatch):
     assert oracle.distances_from("b")["d"] == 2.0
     assert oracle.distances_from("x")["y"] == 1.0
     oracle.patch_edge_costs({("x", "y"): 2.0})
-    # Sparse patch (1 of 3 rows repaired): the index builds and survives.
-    assert oracle._tree_index is not None
+    # Sparse patch (1 of 3 rows repaired).
     assert oracle.distance("x", "y") == 2.0
     assert oracle.distances_from("a")["c"] == 2.0  # untouched row, exact
     oracle.distances_from("b")
     oracle.patch_edge_costs({("b", "c"): 1.5})
-    # Dense patch (b-c is a tree edge of both surviving component rows):
-    # repairs are exact and the adaptive policy drops the index.
-    assert oracle._tree_index is None
+    # Dense patch (b-c is a tree edge of both surviving component rows).
     assert oracle.distance("a", "c") == 2.5
     assert oracle.distance("a", "d") == 3.5
     assert oracle.distance("b", "d") == 2.5

@@ -6,14 +6,17 @@ every evicted row recomputes on demand to identical labels, so a
 budgeted oracle (and a budgeted online simulator) serves exactly the
 same distances, forest costs and acceptance decisions as the unbounded
 reference, while its accounted bytes never exceed the budget between
-patches.
+patches.  A dropped oracle releases its rows by reference counting
+alone: nothing in the oracle forms a reference cycle.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
-from repro import sofda
+from repro import ServiceChain, sofda
 from repro.graph import FrozenOracle, Graph, RowCache
 from repro.graph.rowcache import ROW_OVERHEAD_BYTES, row_nbytes
 from repro.graph.shortest_paths import DistanceOracle
@@ -114,16 +117,13 @@ def test_budget_must_be_positive():
 # ----------------------------------------------------------------------
 # eviction policy
 # ----------------------------------------------------------------------
-def test_evict_reasons_and_callback():
+def test_evict_reasons():
     cache = RowCache()
-    dropped = []
-    cache.on_evict = lambda sid, row: dropped.append(sid)
     for sid in (1, 2, 3):
         cache[sid] = _FakeRow(5)
     cache.evict(1, "idle")
     cache.evict(2, "repair")
     cache.evict(3, "budget")
-    assert dropped == [1, 2, 3]
     assert cache.evictions == 3
     assert (cache.idle_evictions, cache.repair_evictions,
             cache.budget_evictions) == (1, 1, 1)
@@ -223,7 +223,7 @@ def _per_row_bytes(graph):
     """Accounted bytes of one cached row of ``graph`` (probe oracle)."""
     probe = FrozenOracle(graph, patchable=True)
     probe.distances_from(0)
-    stats = probe.cache_stats()
+    stats = probe.cache_snapshot()
     assert stats["rows"] >= 1
     return stats["total_bytes"] // stats["rows"]
 
@@ -248,7 +248,7 @@ def test_budgeted_oracle_matches_unbounded_across_patches(seed):
         # on either oracle.
         for s in rng.sample(nodes, 8):
             assert budgeted.distances_from(s) == reference.distances_from(s)
-        stats = budgeted.cache_stats()
+        stats = budgeted.cache_snapshot()
         assert stats["total_bytes"] <= budget
         # Randomized edge-cost churn, both directions.
         changed = {}
@@ -256,9 +256,9 @@ def test_budgeted_oracle_matches_unbounded_across_patches(seed):
             changed[(u, v)] = cost * rng.uniform(0.3, 2.5)
         budgeted.patch_edge_costs(changed)
         reference.patch_edge_costs(changed)
-        assert budgeted.cache_stats()["total_bytes"] <= budget
+        assert budgeted.cache_snapshot()["total_bytes"] <= budget
 
-    stats = budgeted.cache_stats()
+    stats = budgeted.cache_snapshot()
     assert stats["budget_evictions"] > 0
     assert stats["overshoots"] == 0
     # Evicted rows recompute to identical full rows: cross-check a
@@ -280,10 +280,9 @@ def test_unbounded_default_is_plain_dict_behavior():
     assert oracle.row_budget_bytes is None
     for s in range(10):
         oracle.distances_from(s)
-    stats = oracle.cache_stats()
+    stats = oracle.cache_snapshot()
     assert stats["budget_evictions"] == 0 and stats["overshoots"] == 0
     assert stats["rows"] == len(oracle._rows)
-    assert "tree_index_bytes" in stats
 
 
 def test_rebased_clone_inherits_and_respects_budget():
@@ -298,7 +297,7 @@ def test_rebased_clone_inherits_and_respects_budget():
         changed[(u, v)] = cost * 1.7
     clone = oracle.rebased(graph.copy(), changed)
     assert clone.row_budget_bytes == budget
-    assert clone.cache_stats()["total_bytes"] <= budget
+    assert clone.cache_snapshot()["total_bytes"] <= budget
     # The clone answers over the patched costs, same as a fresh oracle.
     patched = graph.copy()
     for (u, v), cost in changed.items():
@@ -331,7 +330,7 @@ def _simulator_budget(network, rows):
     """A budget of ``rows`` rows of the simulator's (VM-attached) graph."""
     sim = OnlineSimulator(network, vms_per_datacenter=2)
     sim.apply_background_load((), 0.0)  # warm the VM-pool rows
-    stats = sim.cache_stats()
+    stats = sim.cache_snapshot()
     return rows * (stats["total_bytes"] // stats["rows"])
 
 
@@ -399,7 +398,6 @@ def test_budgeted_simulator_stream_is_equivalent(seed, failures):
 # distributed integration: per-domain controllers honour the budget
 # ----------------------------------------------------------------------
 def test_budgeted_controller_matches_unbounded():
-    from repro import ServiceChain
     from repro.distributed import Controller, partition_domains
 
     instance = softlayer_network(seed=2).make_instance(
@@ -416,8 +414,72 @@ def test_budgeted_controller_matches_unbounded():
     tight = Controller.for_domain(0, domain, instance.graph,
                                   row_budget_bytes=budget)
     assert tight.border_matrix() == reference
-    stats = tight.cache_stats()
+    stats = tight.cache_snapshot()
     assert stats["budget_bytes"] == budget
     assert stats["total_bytes"] <= budget
     assert stats["overshoots"] == 0
-    assert plain.cache_stats()["budget_bytes"] is None
+    assert plain.cache_snapshot()["budget_bytes"] is None
+
+
+# ----------------------------------------------------------------------
+# release: a dropped oracle frees its rows without the cycle collector
+# ----------------------------------------------------------------------
+def _patched_budgeted_oracle():
+    """Built rows, a cost patch, a topology patch and a budget eviction."""
+    graph = _random_graph(random.Random(6))
+    oracle = FrozenOracle(graph, patchable=True,
+                          row_budget_bytes=3 * _per_row_bytes(graph))
+    for s in range(6):
+        oracle.distances_from(s)
+    u, v, cost = next(iter(graph.edges()))
+    oracle.patch_edge_costs({(u, v): 2.0 * cost})
+    oracle.patch_topology(removed=[(u, v)])
+    assert oracle.cache_snapshot()["budget_evictions"] > 0
+    return oracle
+
+
+def _simulator_oracle():
+    """The shared oracle of a simulator after two embeds."""
+    network = softlayer_network(seed=3)
+    simulator = OnlineSimulator(network, vms_per_datacenter=2)
+    generator = RequestGenerator(network, seed=5, destinations_range=(3, 4),
+                                 sources_range=(2, 2))
+    for request in generator.take(2):
+        assert simulator.embed(request, SOFDA) is not None
+    return simulator._oracle
+
+
+def _offline_oracle():
+    """An offline instance's oracle after one SOFDA solve."""
+    instance = softlayer_network(seed=2).make_instance(
+        num_sources=3, num_destinations=4, num_vms=8,
+        chain=ServiceChain.of_length(2), seed=5,
+    )
+    sofda(instance)
+    return instance.oracle
+
+
+@pytest.mark.parametrize(
+    "make_oracle", [_patched_budgeted_oracle, _simulator_oracle,
+                    _offline_oracle],
+    ids=["patched", "simulator", "offline"],
+)
+def test_dropped_oracle_is_freed_by_refcount(make_oracle):
+    """No reference cycle keeps a dropped oracle and its rows alive.
+
+    Offline solves drop one oracle per instance, and the online loop
+    drops short-lived oracles per arrival; a cycle through the oracle
+    would hold their row buffers until the next cyclic collection.  With
+    the collector off, the oracle must die with its last reference.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        oracle = make_oracle()
+        alive = weakref.ref(oracle)
+        del oracle
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,11 +2,10 @@
 
 The contract: after failing (tombstoning) or reinserting edges, the
 oracle must answer exactly as a fresh :class:`FrozenOracle` built over
-the mutated graph would -- in both replicated and contracted modes --
-with ``topology_patch=False`` keeping invalidate-and-rebuild as the
-bit-identical equivalence reference.  Removed edges may legitimately
-leave regions *unreachable* (``dist=inf``), which no cost-only patch can
-produce.
+the mutated graph would -- in both replicated and contracted modes.
+That cold rebuild is the only equivalence reference.  Removed edges may
+legitimately leave regions *unreachable* (``dist=inf``), which no
+cost-only patch can produce.
 """
 
 import math
@@ -14,6 +13,7 @@ import random
 
 import pytest
 
+from helpers import assert_rows_match_cold
 from repro.core.problem import ServiceChain
 from repro.graph import FrozenOracle, Graph
 from repro.topology import inet_network
@@ -98,17 +98,16 @@ def test_mixed_removal_and_insert_batch():
 
 
 def test_randomized_fail_recover_cost_stream_matches_reference():
-    """Interleaved fail/recover/cost patches vs the invalidate reference.
+    """Interleaved fail/recover/cost patches vs the cold rebuild.
 
-    ``topology_patch=False`` routes every topology change through
-    invalidate-and-rebuild; per-step row state must stay bit-identical.
+    After every step each cached row must equal a cold rebuild's, and
+    the served rows must equal a fresh oracle's over the mutated graph.
     """
     rng = random.Random(43)
     graph = random_graph(rng, num_nodes=35)
     nodes = list(graph.nodes())
     hot = rng.sample(nodes, 5)
     patched = FrozenOracle(graph, hot=hot)
-    reference = FrozenOracle(graph.copy(), hot=hot, topology_patch=False)
     down = []
     for step in range(15):
         action = rng.random()
@@ -116,22 +115,21 @@ def test_randomized_fail_recover_cost_stream_matches_reference():
             live = [(u, v) for u, v, _ in graph.edges()]
             edge = rng.choice(live)
             patched.patch_topology(removed=[edge])
-            reference.patch_topology(removed=[edge])
             down.append(edge)
         elif action < 0.6 and down:
             edge = down.pop(rng.randrange(len(down)))
             cost = rng.uniform(0.1, 5.0)
             patched.patch_topology(inserted={edge: cost})
-            reference.patch_topology(inserted={edge: cost})
         else:
             live = [(u, v, c) for u, v, c in graph.edges()]
             u, v, c = rng.choice(live)
             changed = {(u, v): c * rng.uniform(0.2, 3.0)}
             patched.patch_edge_costs(changed)
-            reference.patch_edge_costs(dict(changed))
+        assert_rows_match_cold(patched)
+        fresh = FrozenOracle(graph.copy(), hot=hot)
         for source in rng.sample(nodes, 4):
             assert patched.distances_from(source) \
-                == reference.distances_from(source)
+                == fresh.distances_from(source)
 
 
 # ----------------------------------------------------------------------
@@ -348,20 +346,6 @@ def test_rebased_carries_tombstones():
     assert clone.distance(*edge) <= 1.0
     # The original oracle still sees the edge as dead.
     assert not graph.has_edge(*edge)
-
-
-def test_topology_patch_false_reference_mode():
-    rng = random.Random(53)
-    graph = random_graph(rng, num_nodes=25)
-    nodes = list(graph.nodes())
-    oracle = FrozenOracle(graph, topology_patch=False)
-    oracle.distance(nodes[0], nodes[-1])
-    edge = removable_edges(rng, graph, 1)[0]
-    oracle.patch_topology(removed=[edge])
-    assert not graph.has_edge(*edge)
-    fresh = FrozenOracle(graph.copy())
-    for source in rng.sample(nodes, 6):
-        assert oracle.distances_from(source) == fresh.distances_from(source)
 
 
 # ----------------------------------------------------------------------
