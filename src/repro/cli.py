@@ -231,7 +231,15 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     if args.replay:
         # A trace's node identities only make sense on the topology it
         # was recorded against; recorded provenance wins over the flags.
-        meta = read_trace_metadata(args.replay)
+        # A malformed trace (bad header, non-finite demand, unknown event
+        # kind) is bad input, reported before anything is built.
+        try:
+            meta = read_trace_metadata(args.replay)
+            schedule = read_trace(args.replay)
+        except ValueError as exc:
+            print(f"error: cannot replay {args.replay}: {exc}",
+                  file=sys.stderr)
+            return 2
         topology = meta.get("topology", topology)
         topology_seed = meta.get("topology_seed", topology_seed)
         if topology not in _NETWORKS:
@@ -240,7 +248,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                 f"{topology!r}, which this build does not provide "
                 f"(choose from {sorted(_NETWORKS)})"
             )
-        schedule = read_trace(args.replay)
         print(f"replaying {len(schedule)} events from {args.replay} "
               f"(topology {topology}, seed {topology_seed})")
     else:
@@ -330,15 +337,21 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                     f"{result.disrupted:5d} {result.disruption_rate:5.1%} "
                     f"{result.mean_recovery_latency:6.2f}")
         print(row)
-    if args.row_budget_mb is not None:
-        print(f"\nrow-cache residency (budget {args.row_budget_mb:g} MB):")
-        for name, result in results.items():
-            stats = result.cache_stats or {}
-            print(f"{name:8s} rows={stats.get('rows', 0):5d} "
-                  f"bytes={stats.get('total_bytes', 0):>10d} "
-                  f"peak={stats.get('peak_bytes', 0):>10d} "
-                  f"evictions={stats.get('evictions', 0):6d} "
-                  f"overshoots={stats.get('overshoots', 0):3d}")
+    # Evictions split by policy: a climbing ``idle`` count means a
+    # standing working set is being dropped and rebuilt cold.
+    budget = ("unbounded" if args.row_budget_mb is None
+              else f"budget {args.row_budget_mb:g} MB")
+    print(f"\nrow-cache residency ({budget}):")
+    for name, result in results.items():
+        stats = result.cache_stats or {}
+        print(f"{name:8s} rows={stats.get('rows', 0):5d} "
+              f"bytes={stats.get('total_bytes', 0):>10d} "
+              f"peak={stats.get('peak_bytes', 0):>10d} "
+              f"evictions={stats.get('evictions', 0):6d} "
+              f"idle={stats.get('idle_evictions', 0):6d} "
+              f"budget={stats.get('budget_evictions', 0):6d} "
+              f"repair={stats.get('repair_evictions', 0):6d} "
+              f"overshoots={stats.get('overshoots', 0):3d}")
     if recorder:
         _finish_trace(recorder, args.trace_out)
     return 0

@@ -18,6 +18,7 @@ patches of the churn workload.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Tuple
@@ -71,14 +72,18 @@ class LoadTracker:
     _RELEASE_TOLERANCE = 1e-9
 
     def add_link_load(self, u: Node, v: Node, demand: float) -> None:
-        """Add ``demand`` to link ``{u, v}`` (``demand`` must be >= 0).
+        """Add ``demand`` to link ``{u, v}`` (finite and >= 0).
 
-        A negative demand would silently corrupt utilisation and cost;
-        use :meth:`release_link_load` to take load off a link.
+        A negative, NaN or infinite demand would silently corrupt
+        utilisation and cost, so it raises ``ValueError`` before the
+        tracker changes; use :meth:`release_link_load` to take load off
+        a link.
         """
-        if demand < 0:
+        # ``not (demand >= 0)`` catches NaN too: every comparison against
+        # NaN is False, so a ``demand < 0`` guard would let it through.
+        if not (demand >= 0) or math.isinf(demand):
             raise ValueError(
-                f"link demand must be >= 0, got {demand!r} for "
+                f"link demand must be >= 0 and finite, got {demand!r} for "
                 f"({u!r}, {v!r}); use release_link_load to remove load"
             )
         key = canonical_edge(u, v)
@@ -95,10 +100,10 @@ class LoadTracker:
         utilisation.  The link is marked dirty, so the next cost sync
         re-prices it downward (a decrease-carrying oracle patch).
         """
-        if demand < 0:
+        if not (demand >= 0) or math.isinf(demand):
             raise ValueError(
-                f"released demand must be >= 0, got {demand!r} for "
-                f"({u!r}, {v!r})"
+                f"released demand must be >= 0 and finite, got {demand!r} "
+                f"for ({u!r}, {v!r})"
             )
         key = canonical_edge(u, v)
         load = self.link_load.get(key, 0.0)
@@ -118,11 +123,11 @@ class LoadTracker:
         return dirty
 
     def add_node_load(self, node: Node, demand: float = 1.0) -> None:
-        """Add ``demand`` to a VM host (``demand`` must be >= 0)."""
-        if demand < 0:
+        """Add ``demand`` to a VM host (finite and >= 0, as for links)."""
+        if not (demand >= 0) or math.isinf(demand):
             raise ValueError(
-                f"node demand must be >= 0, got {demand!r} for {node!r}; "
-                "use release_node_load to remove load"
+                f"node demand must be >= 0 and finite, got {demand!r} for "
+                f"{node!r}; use release_node_load to remove load"
             )
         self.node_load[node] = self.node_load.get(node, 0.0) + demand
 
@@ -133,9 +138,10 @@ class LoadTracker:
         raises, residue clamps to zero.  Node costs are derived fresh at
         each instance materialisation, so no dirty marking is needed.
         """
-        if demand < 0:
+        if not (demand >= 0) or math.isinf(demand):
             raise ValueError(
-                f"released demand must be >= 0, got {demand!r} for {node!r}"
+                f"released demand must be >= 0 and finite, got {demand!r} "
+                f"for {node!r}"
             )
         load = self.node_load.get(node, 0.0)
         if demand > load + self._RELEASE_TOLERANCE:

@@ -1593,6 +1593,10 @@ class _Row:
         #: Served since the last patch?  Rows idle across a whole patch
         #: interval are dropped rather than repaired -- dead rows (e.g. a
         #: past request's terminals) would otherwise be repaired forever.
+        #: Caller contract: a query-free interval between two patches
+        #: still counts as idle, so a caller with a standing working set
+        #: touches it (:meth:`FrozenOracle.prefetch_rows`) right before
+        #: each patch it issues, not once before a run of patches.
         self.used = True
 
 

@@ -16,10 +16,18 @@ shared oracle as *decrease*-carrying
 :meth:`~repro.graph.indexed.FrozenOracle.patch_edge_costs` batches: the
 oracle relaxes the decreases into every live row first, then repairs the
 batch's increases through the same planned path arrivals take.
+
+The oracle drops, at each patch, every row left unserved since its
+previous patch, and a link failure or recovery patches twice in a row
+(cost sync, then topology) with no query in between.  The simulator
+therefore touches its VM pool -- the rows every request's Procedure-1
+sweep reads -- right before *each* patch it issues, so the pool stays
+resident and is repaired in place instead of rebuilt cold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -158,7 +166,7 @@ class OnlineSimulator:
         # The simulator owns ONE load-bearing graph and ONE shared oracle
         # for its whole lifetime.  Requests see the live graph (embedders
         # must not mutate it); commits update only the edges whose loads
-        # changed and invalidate the oracle only when a cost really moved.
+        # changed and patch the oracle only when a cost really moved.
         self._tracker.apply_to_graph(graph, floor=cost_floor)
         # Incremental simulators expect per-request cost churn, so their
         # oracle computes patch-repairable (exhaustive) rows.
@@ -202,8 +210,11 @@ class OnlineSimulator:
         :meth:`fail_link` / :meth:`recover_link`.  The default path hands
         the changed costs to :meth:`FrozenOracle.patch_edge_costs`, which
         updates the graph and the oracle's weight arrays in place and
-        repairs the cached rows.  With ``incremental=False`` the costs
-        are written directly and the whole oracle is rebuilt.
+        repairs the cached rows.  The VM pool is touched right before
+        the patch, because the previous patch (a fail/recover's, or a
+        background tick's) may have come with no query since (see the
+        module docstring).  With ``incremental=False`` the costs are
+        written directly and the whole oracle is rebuilt.
         """
         changed = {}
         for u, v in self._tracker.drain_dirty_links():
@@ -220,6 +231,7 @@ class OnlineSimulator:
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
         if self._incremental:
+            self._oracle.prefetch_rows(self._vms)
             self._oracle.patch_edge_costs(changed)
         else:
             for (u, v), cost in changed.items():
@@ -238,16 +250,19 @@ class OnlineSimulator:
         embeddings: hot shared links gain load from traffic outside the
         simulated workload (other tenants, background flows), and the
         live graph/oracle must track the new costs before the next
-        request is materialised.  The VM pool's cached rows are touched
-        first -- they are the online mode's standing working set (every
-        request's Procedure-1 sweep reads all of them) -- so with
-        ``incremental=True`` repeated churn exercises the oracle's
-        dense-patch row repair instead of evicting the pool rows as
-        idle.
+        request is materialised.  The VM pool's rows are warmed first,
+        whatever the mode, so a fresh simulator's first tick builds them
+        (``apply_background_load((), 0.0)`` is the pool warm-up).  Their
+        survival across the repricing patch is :meth:`_sync_costs`'s
+        job, which touches the pool right before every cost patch.
+
+        ``demand_mbps`` must be finite and non-negative; a bad value
+        raises ``ValueError`` before the tracker or the graph changes.
         """
-        if demand_mbps < 0:
+        if not (demand_mbps >= 0) or math.isinf(demand_mbps):
             raise ValueError(
-                f"background demand must be >= 0, got {demand_mbps!r}; "
+                f"background demand must be >= 0 and finite, got "
+                f"{demand_mbps!r}; "
                 "departures release load through Lease/release instead"
             )
         mx = self._metrics
@@ -413,13 +428,12 @@ class OnlineSimulator:
             raise ValueError(f"({u!r}, {v!r}) is not a live link")
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        # The VM pool is the online mode's standing working set (every
-        # request's Procedure-1 sweep reads all of it): touch it before
-        # patching, exactly as ``apply_background_load`` does, so the
-        # repair keeps the pool rows instead of evicting them as idle.
-        self._oracle.prefetch_rows(self._vms)
         self._sync_costs()
         if self._incremental:
+            # The cost sync above may itself have patched, so the pool is
+            # touched again right before the removal patch (see
+            # :meth:`_sync_costs`); otherwise it would be dropped as idle.
+            self._oracle.prefetch_rows(self._vms)
             self._oracle.patch_topology(removed=[(u, v)])
         else:
             self._graph.remove_edge(u, v)
@@ -494,11 +508,13 @@ class OnlineSimulator:
             raise ValueError(f"link {key!r} is not a failed link")
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        # Keep the VM-pool working set alive through the reinsert patch
-        # (see :meth:`fail_link`).
-        self._oracle.prefetch_rows(self._vms)
         self._sync_costs()
         cost = max(self._tracker.link_cost(u, v), self._cost_floor)
+        if self._incremental:
+            # Touch the pool right before the reinsert patch (see
+            # :meth:`fail_link`).  The touch may build the oracle, so it
+            # must precede the ``insertable`` check.
+            self._oracle.prefetch_rows(self._vms)
         if self._incremental and self._oracle.insertable(u, v):
             self._oracle.patch_topology(inserted={(u, v): cost})
         else:

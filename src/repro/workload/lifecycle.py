@@ -115,9 +115,10 @@ class BackgroundChurn:
             raise ValueError(f"period must be positive, got {self.period!r}")
         if not self.link_batches:
             raise ValueError("link_batches must contain at least one batch")
-        if self.demand_mbps < 0:
+        if not (self.demand_mbps >= 0) or math.isinf(self.demand_mbps):
             raise ValueError(
-                f"demand_mbps must be >= 0, got {self.demand_mbps!r}"
+                f"demand_mbps must be >= 0 and finite, got "
+                f"{self.demand_mbps!r}"
             )
 
     def events(self, horizon: float) -> List[WorkloadEvent]:

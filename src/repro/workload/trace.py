@@ -87,6 +87,20 @@ def _encode_event(event: WorkloadEvent) -> dict:
     return record
 
 
+def _checked_demand(demand: float, record: dict) -> float:
+    """``demand`` of trace ``record``, rejected unless finite and >= 0.
+
+    Python's JSON reader accepts ``NaN`` and ``Infinity``; either would
+    otherwise reach the load tracker mid-replay and poison link costs.
+    """
+    if not (demand >= 0) or math.isinf(demand):
+        raise ValueError(
+            f"{record['kind']} event at time {record['time']!r} has "
+            f"demand_mbps {demand!r}; it must be >= 0 and finite"
+        )
+    return demand
+
+
 def _decode_event(record: dict) -> WorkloadEvent:
     kind = record["kind"]
     if kind == "arrive":
@@ -98,7 +112,7 @@ def _decode_event(record: dict) -> WorkloadEvent:
                 _decode_node(n) for n in payload["destinations"]
             ),
             chain=ServiceChain(payload["chain"]),
-            demand_mbps=payload["demand_mbps"],
+            demand_mbps=_checked_demand(payload["demand_mbps"], record),
         )
         return WorkloadEvent(
             time=record["time"], kind="arrive", request=request,
@@ -110,7 +124,7 @@ def _decode_event(record: dict) -> WorkloadEvent:
         )
         return WorkloadEvent(
             time=record["time"], kind="background", links=links,
-            demand_mbps=record["demand_mbps"],
+            demand_mbps=_checked_demand(record["demand_mbps"], record),
         )
     if kind in ("fail", "recover"):
         u, v = record["link"]

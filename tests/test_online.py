@@ -207,3 +207,95 @@ def test_rejection_counted(network):
         raise RuntimeError("embedder exploded")
 
     assert sim.embed(request, broken) is None
+
+
+# ----------------------------------------------------------------------
+# VM-pool residency across back-to-back oracle patches
+# ----------------------------------------------------------------------
+EMBED = lambda inst: sofda(inst).forest  # noqa: E731
+
+
+def _pool_simulator():
+    """An 18-VM simulator over a 300-node Inet, its pool rows warmed."""
+    from repro.topology import inet_network
+
+    net = inet_network(num_nodes=300, num_links=600, num_datacenters=6,
+                       seed=0)
+    sim = OnlineSimulator(net, vms_per_datacenter=3)
+    sim.apply_background_load((), 0.0)  # warm the VM-pool rows
+    gen = RequestGenerator(net, seed=0, destinations_range=(2, 3),
+                           sources_range=(2, 2))
+    return sim, gen
+
+
+def _pool_rows(sim):
+    """The oracle's cached row object of every VM (``None`` if absent)."""
+    oracle = sim._oracle
+    contracted = oracle.contracted
+    index = contracted.index if contracted is not None else oracle.core.index
+    return {vm: oracle._rows.get(index[vm]) for vm in sim.vms}
+
+
+def _physical_link(lease):
+    """A link ``lease`` loads between two topology nodes (no VM edge)."""
+    return next(
+        (u, v) for (u, v), _ in lease.link_loads
+        if not any(isinstance(n, tuple) for n in (u, v))
+    )
+
+
+def _fail_while_commit_unsynced(sim, gen):
+    _, lease = sim.embed_leased(gen.next_request(), EMBED)
+    sim.fail_link(*_physical_link(lease))
+
+
+def _fail_embed_recover(sim, gen):
+    link = min(
+        ((u, v) for u, v, _ in sim._network.graph.edges()), key=repr
+    )
+    sim.fail_link(*link)
+    assert sim.embed_leased(gen.next_request(), EMBED)[0] is not None
+    sim.recover_link(*link)
+
+
+def _background_release_embed(sim, gen):
+    _, lease = sim.embed_leased(gen.next_request(), EMBED)
+    sim.apply_background_load([_physical_link(lease)], 3.0)
+    sim.release(lease)
+    assert sim.embed_leased(gen.next_request(), EMBED)[0] is not None
+
+
+@pytest.mark.parametrize("sequence", [
+    _fail_while_commit_unsynced,
+    _fail_embed_recover,
+    _background_release_embed,
+], ids=["fail-unsynced-commit", "fail-embed-recover",
+        "background-release-embed"])
+def test_pool_rows_survive_back_to_back_patches(sequence):
+    """Two oracle patches with no query in between keep the VM pool.
+
+    The oracle drops rows left unserved across a patch interval, and
+    each sequence issues two patches in a row (a cost sync, then a
+    topology patch or another sync).  The simulator touches the pool
+    right before every patch, so each pool row stays resident and is
+    repaired in place -- the very same row object, never a cold
+    rebuild -- and the repaired rows serve what a cold oracle would.
+    """
+    sim, gen = _pool_simulator()
+    before = _pool_rows(sim)
+    assert all(row is not None for row in before.values())
+    idle_before = sim.cache_snapshot()["idle_evictions"]
+    sequence(sim, gen)
+    after = _pool_rows(sim)
+    kept = [vm for vm in sim.vms if after[vm] is before[vm]]
+    assert len(kept) == len(sim.vms), (
+        f"{len(kept)} of {len(sim.vms)} pool rows survived"
+    )
+    idle = sim.cache_snapshot()["idle_evictions"] - idle_before
+    assert idle < len(sim.vms)
+    nodes = list(sim._graph.nodes())
+    fresh = FrozenOracle(sim._graph.copy(), hot=sim.vms)
+    for vm in sim.vms:
+        assert sim._oracle.distances_to(vm, nodes) == pytest.approx(
+            fresh.distances_to(vm, nodes), rel=0, abs=1e-12
+        )

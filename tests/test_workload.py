@@ -1,5 +1,7 @@
 """Tests for the tenant-churn workload engine (arrivals/departures/trace)."""
 
+import re
+
 import pytest
 
 from repro import sofda
@@ -317,6 +319,89 @@ def test_negative_demand_rejected(network):
         simulator.apply_background_load([link], demand_mbps=-2.0)
 
 
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf")], ids=["nan", "inf"]
+)
+
+
+@NON_FINITE
+def test_non_finite_demand_leaves_tracker_unchanged(bad):
+    """NaN slips past a ``< 0`` guard and inf past a ``>= 0`` one; both
+    must raise before the tracker records anything."""
+    tracker = LoadTracker()
+    tracker.add_link_load(0, 1, 2.0)
+    tracker.add_node_load("vm", 1.0)
+    tracker.drain_dirty_links()
+    for call in (tracker.add_link_load, tracker.release_link_load):
+        with pytest.raises(ValueError, match="must be >= 0 and finite"):
+            call(0, 1, bad)
+    for call in (tracker.add_node_load, tracker.release_node_load):
+        with pytest.raises(ValueError, match="must be >= 0 and finite"):
+            call("vm", bad)
+    assert tracker.link_load == {(0, 1): 2.0}
+    assert tracker.node_load == {"vm": 1.0}
+    assert tracker.dirty_links == set()
+
+
+@NON_FINITE
+def test_non_finite_background_load_leaves_simulator_unchanged(network, bad):
+    simulator = OnlineSimulator(network)
+    links = sorted(((u, v) for u, v, _ in network.graph.edges()), key=repr)
+    loads = dict(simulator.tracker.link_load)
+    costs = sorted(simulator._graph.edges(), key=repr)
+    with pytest.raises(ValueError, match="must be >= 0 and finite"):
+        simulator.apply_background_load(links[:3], bad)
+    assert simulator.tracker.link_load == loads
+    assert simulator.tracker.dirty_links == set()
+    assert sorted(simulator._graph.edges(), key=repr) == costs
+    # The simulator still works afterwards.
+    simulator.apply_background_load(links[:3], 2.0)
+    assert sum(simulator.tracker.link_load.values()) == 6.0
+
+
+@NON_FINITE
+def test_non_finite_background_churn_rejected(bad):
+    with pytest.raises(ValueError, match="must be >= 0 and finite"):
+        BackgroundChurn(period=1.0, link_batches=(((0, 1),),),
+                        demand_mbps=bad)
+
+
+def _bad_demand_events(bad):
+    request = Request(
+        index=0, sources=(0,), destinations=(1,),
+        chain=ServiceChain.of_length(2), demand_mbps=bad,
+    )
+    return [
+        WorkloadEvent(time=1.0, kind="arrive", request=request, hold=2.0),
+        WorkloadEvent(time=1.0, kind="background", links=((0, 1),),
+                      demand_mbps=bad),
+    ]
+
+
+@NON_FINITE
+def test_trace_rejects_non_finite_demand(bad):
+    """Python's JSON reader accepts NaN/Infinity, so the decoder checks."""
+    for event in _bad_demand_events(bad):
+        lines = list(dump_trace([event]))
+        with pytest.raises(ValueError, match=f"{event.kind} event at time"):
+            load_trace(lines)
+
+
+@NON_FINITE
+def test_cli_replay_of_non_finite_demand_exits_2(capsys, tmp_path, bad):
+    from repro.cli import main
+
+    path = tmp_path / "bad.jsonl"
+    write_trace(_bad_demand_events(bad), path,
+                meta={"topology": "softlayer", "topology_seed": 1})
+    assert main(["workload", "--replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "must be >= 0 and finite" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_release_node_load_guard():
     tracker = LoadTracker()
     tracker.add_node_load("vm", 1.0)
@@ -449,6 +534,24 @@ def test_cli_workload_record_replay(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "replaying" in out and "SOFDA" in out
     assert "topology softlayer, seed 2" in out
+
+
+def test_cli_workload_prints_eviction_split(capsys):
+    """The row-cache line prints without a budget, and its idle, budget
+    and repair parts add up to the eviction total."""
+    from repro.cli import main
+
+    assert main(["workload", "--rate", "0.5", "--horizon", "8",
+                 "--hold-mean", "3", "--seed", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "row-cache residency (unbounded):" in out
+    line = next(l for l in out.splitlines() if l.startswith("SOFDA ")
+                and "evictions=" in l)
+    fields = {k: int(v) for k, v in re.findall(r"(\w+)=\s*(\d+)", line)}
+    assert fields["evictions"] > 0
+    assert fields["budget"] == 0
+    assert (fields["idle"] + fields["budget"] + fields["repair"]
+            == fields["evictions"])
 
 
 def test_cli_workload_holding_flags_exclusive():
