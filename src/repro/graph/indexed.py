@@ -1595,8 +1595,9 @@ class _Row:
         #: past request's terminals) would otherwise be repaired forever.
         #: Caller contract: a query-free interval between two patches
         #: still counts as idle, so a caller with a standing working set
-        #: touches it (:meth:`FrozenOracle.prefetch_rows`) right before
-        #: each patch it issues, not once before a run of patches.
+        #: touches it (:meth:`FrozenOracle.prefetch_rows`) in every such
+        #: interval -- after a patch no query follows, and between two
+        #: back-to-back patches -- not once before a run of patches.
         self.used = True
 
 

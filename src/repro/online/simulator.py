@@ -18,11 +18,15 @@ oracle relaxes the decreases into every live row first, then repairs the
 batch's increases through the same planned path arrivals take.
 
 The oracle drops, at each patch, every row left unserved since its
-previous patch, and a link failure or recovery patches twice in a row
-(cost sync, then topology) with no query in between.  The simulator
-therefore touches its VM pool -- the rows every request's Procedure-1
-sweep reads -- right before *each* patch it issues, so the pool stays
-resident and is repaired in place instead of rebuilt cold.
+previous patch.  An arrival's sync is followed by the request's own
+queries, but a background tick, a link failure and a link recovery
+patch with no query after them, and a failure or recovery patches twice
+in a row (cost sync, then topology).  The simulator therefore touches
+its VM pool -- the rows every SOFDA request's Procedure-1 sweep reads --
+after each of those patches and between the two patches of a failure
+or recovery, so the pool stays resident and is repaired in place
+instead of rebuilt cold.  Arrival syncs touch nothing: embedders that
+read only part of the pool keep the oracle's idle drop of the rest.
 """
 
 from __future__ import annotations
@@ -210,11 +214,8 @@ class OnlineSimulator:
         :meth:`fail_link` / :meth:`recover_link`.  The default path hands
         the changed costs to :meth:`FrozenOracle.patch_edge_costs`, which
         updates the graph and the oracle's weight arrays in place and
-        repairs the cached rows.  The VM pool is touched right before
-        the patch, because the previous patch (a fail/recover's, or a
-        background tick's) may have come with no query since (see the
-        module docstring).  With ``incremental=False`` the costs are
-        written directly and the whole oracle is rebuilt.
+        repairs the cached rows.  With ``incremental=False`` the costs
+        are written directly and the whole oracle is rebuilt.
         """
         changed = {}
         for u, v in self._tracker.drain_dirty_links():
@@ -231,7 +232,6 @@ class OnlineSimulator:
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
         if self._incremental:
-            self._oracle.prefetch_rows(self._vms)
             self._oracle.patch_edge_costs(changed)
         else:
             for (u, v), cost in changed.items():
@@ -250,11 +250,12 @@ class OnlineSimulator:
         embeddings: hot shared links gain load from traffic outside the
         simulated workload (other tenants, background flows), and the
         live graph/oracle must track the new costs before the next
-        request is materialised.  The VM pool's rows are warmed first,
-        whatever the mode, so a fresh simulator's first tick builds them
-        (``apply_background_load((), 0.0)`` is the pool warm-up).  Their
-        survival across the repricing patch is :meth:`_sync_costs`'s
-        job, which touches the pool right before every cost patch.
+        request is materialised.  The VM pool's rows are touched after
+        the repricing, whatever the mode: no query follows this patch,
+        so without the touch the next one would drop the pool as idle
+        (see the module docstring).  The same touch builds a fresh
+        simulator's pool (``apply_background_load((), 0.0)`` is the
+        pool warm-up).
 
         ``demand_mbps`` must be finite and non-negative; a bad value
         raises ``ValueError`` before the tracker or the graph changes.
@@ -267,10 +268,10 @@ class OnlineSimulator:
             )
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        self._oracle.prefetch_rows(self._vms)
         for u, v in links:
             self._tracker.add_link_load(u, v, demand_mbps)
         self._sync_costs()
+        self._oracle.prefetch_rows(self._vms)
         if mx:
             mx.span("sim.background", t0, trace_args={"links": len(links)})
 
@@ -430,11 +431,12 @@ class OnlineSimulator:
         t0 = mx.clock() if mx else 0.0
         self._sync_costs()
         if self._incremental:
-            # The cost sync above may itself have patched, so the pool is
-            # touched again right before the removal patch (see
-            # :meth:`_sync_costs`); otherwise it would be dropped as idle.
+            # The cost sync above may itself have patched, and no query
+            # follows the removal patch: touch the pool on both sides so
+            # neither patch drops it as idle (see the module docstring).
             self._oracle.prefetch_rows(self._vms)
             self._oracle.patch_topology(removed=[(u, v)])
+            self._oracle.prefetch_rows(self._vms)
         else:
             self._graph.remove_edge(u, v)
             self._oracle.invalidate()
@@ -511,12 +513,13 @@ class OnlineSimulator:
         self._sync_costs()
         cost = max(self._tracker.link_cost(u, v), self._cost_floor)
         if self._incremental:
-            # Touch the pool right before the reinsert patch (see
+            # Touch the pool on both sides of the reinsert patch (see
             # :meth:`fail_link`).  The touch may build the oracle, so it
             # must precede the ``insertable`` check.
             self._oracle.prefetch_rows(self._vms)
         if self._incremental and self._oracle.insertable(u, v):
             self._oracle.patch_topology(inserted={(u, v): cost})
+            self._oracle.prefetch_rows(self._vms)
         else:
             self._graph.add_edge(u, v, cost)
             self._oracle.invalidate()

@@ -265,21 +265,44 @@ def _background_release_embed(sim, gen):
     assert sim.embed_leased(gen.next_request(), EMBED)[0] is not None
 
 
+def _fail_release_embed(sim, gen):
+    _, lease = sim.embed_leased(gen.next_request(), EMBED)
+    sim.fail_link(*_physical_link(lease))
+    if not lease.released:  # the failure may have dropped the tenant
+        sim.release(lease)
+    assert sim.embed_leased(gen.next_request(), EMBED)[0] is not None
+
+
+def _recover_release_embed(sim, gen):
+    link = min(
+        ((u, v) for u, v, _ in sim._network.graph.edges()), key=repr
+    )
+    sim.fail_link(*link)
+    _, lease = sim.embed_leased(gen.next_request(), EMBED)
+    sim.recover_link(*link)
+    sim.release(lease)
+    assert sim.embed_leased(gen.next_request(), EMBED)[0] is not None
+
+
 @pytest.mark.parametrize("sequence", [
     _fail_while_commit_unsynced,
     _fail_embed_recover,
     _background_release_embed,
+    _fail_release_embed,
+    _recover_release_embed,
 ], ids=["fail-unsynced-commit", "fail-embed-recover",
-        "background-release-embed"])
+        "background-release-embed", "fail-release-embed",
+        "recover-release-embed"])
 def test_pool_rows_survive_back_to_back_patches(sequence):
     """Two oracle patches with no query in between keep the VM pool.
 
     The oracle drops rows left unserved across a patch interval, and
     each sequence issues two patches in a row (a cost sync, then a
     topology patch or another sync).  The simulator touches the pool
-    right before every patch, so each pool row stays resident and is
-    repaired in place -- the very same row object, never a cold
-    rebuild -- and the repaired rows serve what a cold oracle would.
+    after every patch no query follows and between back-to-back
+    patches, so each pool row stays resident and is repaired in place
+    -- the very same row object, never a cold rebuild -- and the
+    repaired rows serve what a cold oracle would.
     """
     sim, gen = _pool_simulator()
     before = _pool_rows(sim)
