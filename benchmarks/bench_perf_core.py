@@ -34,15 +34,6 @@ tracks the *repo's own* performance trajectory.  It measures:
   invalidate in the reference), crossing tenants are mass-rerouted or
   released as disrupted, and each recovery is a decrease-from-infinity
   reinsert;
-- ``online_many_rows_kernel_s`` / ``online_dense_patch_kernel_s``: the
-  same two tracked traces replayed with the oracle's fork-pool row
-  builds and repairs (``parallel_rows=cpu_count``).  Every oracle stores
-  its rows in array label buffers, so the serial runs above differ from
-  these only in the fork pool, and the ratio isolates it.  The serial
-  runs are the reference; the parallel runs must match their forest
-  costs exactly (drift 0.0, identical acceptance decisions).  Worker-pool
-  spawn is warmed outside the timed windows (``kernel.warm_fork``), the
-  same way topology generation is excluded;
 - ``online_budget_s`` / ``online_budget_unbounded_s``: a 50k-node Inet
   churn trace replayed with the oracle's row-cache residency budgeted to
   exactly the VM-pool rows (``row_budget_bytes``, the RowCache layer)
@@ -53,7 +44,7 @@ tracks the *repo's own* performance trajectory.  It measures:
   identical acceptance decisions, because evicted rows recompute to
   identical labels;
 - ``online_churn_phases`` / ``online_many_rows_phases``: per-phase
-  attribution (build / repair / query / fork seconds, via the
+  attribution (build / repair / query seconds, via the
   :mod:`repro.obs` registry's ``phase_breakdown``) from one metrics-on
   replay of each tracked trace.  The recorder never rides inside a timed
   window -- the strict anchors stay metrics-off -- and the metered
@@ -62,10 +53,9 @@ tracks the *repo's own* performance trajectory.  It measures:
   must be exactly 0.0 with identical acceptance decisions);
 - ``sweep_slice_s`` / ``sweep_serial_s``: a small ``run_sweep`` slice with
   ``workers=4`` vs serial (speedup needs a multi-core runner; single-core
-  CI only checks the outputs match);
-- ``sweep_algo_s``: the same slice with ``algo_workers=4`` (per-algorithm
-  dispatch inside each cell on the shared fork pool), cross-checked
-  against the serial outputs.
+  CI only checks the outputs match).  Worker-pool spawn is warmed
+  outside the timed window (``kernel.warm_fork``), the same way topology
+  generation is excluded.
 
 Results are appended to ``BENCH_perf_core.json`` under the ``"latest"``
 key; the checked-in ``"seed"`` entry preserves the pre-refactor numbers so
@@ -80,9 +70,7 @@ stay bit-identical (costs *and* acceptance decisions) to the
 full-invalidate reference across its decrease batches, and the failure
 trace's topology patches must stay bit-identical (costs, acceptances,
 reroutes, *and* disruptions) to the same reference, and the
-parallel-rows runs must stay bit-identical (drift exactly 0.0, identical
-acceptance decisions) to their serial references on both tracked
-traces, and the budgeted 50k-node churn trace must stay under its
+budgeted 50k-node churn trace must stay under its
 row-cache byte budget with drift exactly 0.0 and identical acceptance
 decisions versus the unbounded reference.
 """
@@ -164,31 +152,27 @@ def _run_online_trace(incremental: bool):
     return costs, elapsed
 
 
-def _run_many_rows_trace(parallel_rows: int = 0, metrics=None):
+def _run_many_rows_trace(metrics=None):
     """Replay 4 light requests against a 1250-VM pool.
 
     The many-cached-rows case the patch planner exists for: every request
     warms one row per VM (the Procedure-1 sweep), so each patch repairs a
     ~1250-row cache.  Requests are deliberately light (1 source, 2-3
     destinations, 1 service) so the repair engine -- not the embedder --
-    dominates the loop.  Setup -- including the fork pool's one-time
-    spawn -- stays outside the timed window.  Returns
+    dominates the loop.  Setup stays outside the timed window.  Returns
     ``(costs, elapsed_seconds)``.
     """
     network = inet_network(
         num_nodes=5000, num_links=10000, num_datacenters=250, seed=0
     )
     simulator = OnlineSimulator(
-        network, vms_per_datacenter=5, incremental=True,
-        parallel_rows=parallel_rows, metrics=metrics,
+        network, vms_per_datacenter=5, incremental=True, metrics=metrics,
     )
     generator = RequestGenerator(
         network, seed=0, destinations_range=(2, 3), sources_range=(1, 1),
         chain_length=1,
     )
     requests = generator.take(4)
-    if parallel_rows > 1:
-        kernel.warm_fork(parallel_rows)
     gc.collect()  # the timed window should not pay for earlier sections
     start = time.perf_counter()
     costs = [
@@ -198,8 +182,8 @@ def _run_many_rows_trace(parallel_rows: int = 0, metrics=None):
     elapsed = time.perf_counter() - start
     rejected = [i for i, cost in enumerate(costs) if cost is None]
     assert not rejected, (
-        f"many-rows trace requests {rejected} were rejected "
-        f"(parallel_rows={parallel_rows}); the trace must embed all 4"
+        f"many-rows trace requests {rejected} were rejected; "
+        "the trace must embed all 4"
     )
     return costs, elapsed
 
@@ -240,7 +224,7 @@ def _dense_patch_network():
     return CloudNetwork(name="dense-pods", graph=graph, datacenters=dcs)
 
 
-def _run_dense_patch_trace(parallel_rows: int = 0):
+def _run_dense_patch_trace():
     """Replay a churn-heavy online trace over the hub-and-pods topology.
 
     Between embeddings, background (cross-tenant) load keeps re-pricing a
@@ -258,7 +242,6 @@ def _run_dense_patch_trace(parallel_rows: int = 0):
     network = _dense_patch_network()
     simulator = OnlineSimulator(
         network, vms_per_datacenter=5, incremental=True,
-        parallel_rows=parallel_rows,
     )
     rng = random.Random(7)
     pod_internals = sorted(
@@ -278,8 +261,6 @@ def _run_dense_patch_trace(parallel_rows: int = 0):
     requests = generator.take(_DENSE_REQUESTS)
     uplinks = [("hub", ("gw", i)) for i in range(_DENSE_PODS)]
     costs = [simulator.embed(requests[0], lambda inst: sofda(inst).forest)]
-    if parallel_rows > 1:
-        kernel.warm_fork(parallel_rows)
     gc.collect()  # the timed window should not pay for earlier sections
     start = time.perf_counter()
     tick = 0
@@ -295,8 +276,7 @@ def _run_dense_patch_trace(parallel_rows: int = 0):
     elapsed = time.perf_counter() - start
     rejected = [i for i, cost in enumerate(costs) if cost is None]
     assert not rejected, (
-        f"dense-patch trace requests {rejected} were rejected "
-        f"(parallel_rows={parallel_rows}); "
+        f"dense-patch trace requests {rejected} were rejected; "
         f"the trace must embed all {_DENSE_REQUESTS}"
     )
     return costs, elapsed
@@ -558,20 +538,20 @@ def _run_budget_trace(row_budget_bytes):
     return result, elapsed
 
 
-def _run_sweep_slice(network, workers: int, algo_workers: int = 1):
+def _run_sweep_slice(network, workers: int):
     """One tracked sweep slice; returns ``(result, elapsed_seconds)``.
 
     Large enough (12 cells, near-default instance shapes) that per-cell
     work amortizes fork-pool startup on a multi-core runner.
     """
-    if workers > 1 or algo_workers > 1:
-        kernel.warm_fork(max(workers, algo_workers))
+    if workers > 1:
+        kernel.warm_fork(workers)
     start = time.perf_counter()
     result = run_sweep(
         network, "num_vms", [5, 15, 25], seeds=4,
         overrides={"num_sources": 6, "num_destinations": 4,
                    "chain_length": 3},
-        workers=workers, algo_workers=algo_workers,
+        workers=workers,
     )
     return result, time.perf_counter() - start
 
@@ -613,28 +593,18 @@ def run_perf_core() -> dict:
     rebuild_costs, trace_invalidate_s = _run_online_trace(incremental=False)
     patch_costs, trace_patch_s = _run_online_trace(incremental=True)
 
-    # Interleaved best-of-two: a single ~30 s run on a shared machine
-    # can absorb a load spike on either side of the serial-vs-parallel
-    # comparison (the fork pool is the only difference).
-    kernel_rows = os.cpu_count() or 1
-    many_rows_serial_s = many_rows_kernel_s = float("inf")
+    # Best of two: a single ~30 s run on a shared machine can absorb a
+    # load spike.
+    many_rows_serial_s = float("inf")
     for _ in range(2):
         serial_costs, elapsed = _run_many_rows_trace()
         many_rows_serial_s = min(many_rows_serial_s, elapsed)
-        kernel_costs, elapsed = _run_many_rows_trace(
-            parallel_rows=kernel_rows
-        )
-        many_rows_kernel_s = min(many_rows_kernel_s, elapsed)
 
-    # Same interleaved best-of-two for the dense-patch trace.
-    dense_serial_s = dense_kernel_s = float("inf")
+    # Same best-of-two for the dense-patch trace.
+    dense_serial_s = float("inf")
     for _ in range(2):
         dense_costs, elapsed = _run_dense_patch_trace()
         dense_serial_s = min(dense_serial_s, elapsed)
-        dense_kernel_costs, elapsed = _run_dense_patch_trace(
-            parallel_rows=kernel_rows
-        )
-        dense_kernel_s = min(dense_kernel_s, elapsed)
 
     # Interleaved best-of-two again for the churn incremental-vs-
     # invalidate ratio, the workload-engine acceptance metric.
@@ -688,9 +658,6 @@ def run_perf_core() -> dict:
     sweep_network = softlayer_network(seed=1)
     sweep_serial, sweep_serial_s = _run_sweep_slice(sweep_network, workers=1)
     sweep_pooled, sweep_pooled_s = _run_sweep_slice(sweep_network, workers=4)
-    sweep_algo, sweep_algo_s = _run_sweep_slice(
-        sweep_network, workers=1, algo_workers=4
-    )
 
     return {
         "dict_dijkstra_ms": round(dict_ms, 3),
@@ -705,26 +672,9 @@ def run_perf_core() -> dict:
             abs(a - b) for a, b in zip(patch_costs, rebuild_costs)
         ),
         "online_many_rows_s": round(many_rows_serial_s, 4),
-        "online_many_rows_kernel_s": round(many_rows_kernel_s, 4),
         "online_many_rows_cost": sum(serial_costs),
-        "online_many_rows_kernel_drift": max(
-            abs(a - b) for a, b in zip(kernel_costs, serial_costs)
-        ),
-        "online_many_rows_kernel_decisions_match": (
-            [c is None for c in kernel_costs]
-            == [c is None for c in serial_costs]
-        ),
         "online_dense_patch_s": round(dense_serial_s, 4),
-        "online_dense_patch_kernel_s": round(dense_kernel_s, 4),
         "online_dense_patch_cost": sum(dense_costs),
-        "online_dense_patch_kernel_drift": max(
-            abs(a - b) for a, b in zip(dense_kernel_costs, dense_costs)
-        ),
-        "online_dense_patch_kernel_decisions_match": (
-            [c is None for c in dense_kernel_costs]
-            == [c is None for c in dense_costs]
-        ),
-        "kernel_parallel_rows": kernel_rows,
         "online_churn_s": round(churn_patch_s, 4),
         "online_churn_invalidate_s": round(churn_invalidate_s, 4),
         "online_churn_cost": churn_patched.total_cost,
@@ -808,14 +758,9 @@ def run_perf_core() -> dict:
         ),
         "sweep_slice_s": round(sweep_pooled_s, 4),
         "sweep_serial_s": round(sweep_serial_s, 4),
-        "sweep_algo_s": round(sweep_algo_s, 4),
         "sweep_outputs_match": (
             sweep_pooled.mean_cost == sweep_serial.mean_cost
             and sweep_pooled.mean_vms_used == sweep_serial.mean_vms_used
-        ),
-        "sweep_algo_outputs_match": (
-            sweep_algo.mean_cost == sweep_serial.mean_cost
-            and sweep_algo.mean_vms_used == sweep_serial.mean_vms_used
         ),
     }
 
@@ -833,8 +778,7 @@ def test_perf_core(once):
     print("\nPerf core -- seed vs latest")
     for key in ("dict_dijkstra_ms", "oracle_row_ms", "sofda_largest_s",
                 "online_trace_s", "online_many_rows_s",
-                "online_many_rows_kernel_s", "online_dense_patch_s",
-                "online_dense_patch_kernel_s", "online_churn_s",
+                "online_dense_patch_s", "online_churn_s",
                 "online_failures_s", "online_budget_s", "sweep_slice_s"):
         before = seed.get(key)
         after = measured[key]
@@ -844,15 +788,6 @@ def test_perf_core(once):
         f"  online trace: invalidate {measured['online_trace_invalidate_s']}s"
         f" -> patch {measured['online_trace_s']}s"
         f" ({measured['online_trace_invalidate_s'] / measured['online_trace_s']:.2f}x)"
-    )
-    print(
-        f"  parallel rows (parallel_rows={measured['kernel_parallel_rows']}):"
-        f" many-rows {measured['online_many_rows_s']}s"
-        f" -> {measured['online_many_rows_kernel_s']}s"
-        f" ({measured['online_many_rows_s'] / measured['online_many_rows_kernel_s']:.2f}x),"
-        f" dense-patch {measured['online_dense_patch_s']}s"
-        f" -> {measured['online_dense_patch_kernel_s']}s"
-        f" ({measured['online_dense_patch_s'] / measured['online_dense_patch_kernel_s']:.2f}x)"
     )
     print(
         f"  churn trace: invalidate {measured['online_churn_invalidate_s']}s"
@@ -893,11 +828,6 @@ def test_perf_core(once):
         f" ({measured['sweep_serial_s'] / measured['sweep_slice_s']:.2f}x,"
         " needs a multi-core runner)"
     )
-    print(
-        f"  sweep slice: algo_workers=4 {measured['sweep_algo_s']}s"
-        f" ({measured['sweep_serial_s'] / measured['sweep_algo_s']:.2f}x,"
-        " needs a multi-core runner)"
-    )
 
     # Correctness anchors -- hard failures under SOF_PERF_STRICT=1.
     cost_ok = (
@@ -916,16 +846,6 @@ def test_perf_core(once):
         seed.get("online_many_rows_cost") is None
         or abs(measured["online_many_rows_cost"]
                - seed["online_many_rows_cost"]) <= 1e-6
-    )
-    # Fork-pool builds and repairs write back the rows an in-process run
-    # computes, in row order, so both parallel runs must not diverge
-    # from their serial references by even an ulp -- in costs or in
-    # acceptance decisions.
-    kernel_ok = (
-        measured["online_many_rows_kernel_drift"] == 0.0
-        and measured["online_many_rows_kernel_decisions_match"]
-        and measured["online_dense_patch_kernel_drift"] == 0.0
-        and measured["online_dense_patch_kernel_decisions_match"]
     )
     dense_baseline_ok = (
         seed.get("online_dense_patch_cost") is None
@@ -981,9 +901,6 @@ def test_perf_core(once):
         assert many_rows_baseline_ok, (
             "many-rows trace cost drifted from the baseline"
         )
-        assert kernel_ok, (
-            "parallel-rows run diverged from the serial reference"
-        )
         assert dense_baseline_ok, (
             "dense-patch trace cost drifted from the baseline"
         )
@@ -1009,9 +926,6 @@ def test_perf_core(once):
             "reference or exceeded its row-cache byte budget"
         )
         assert measured["sweep_outputs_match"], "pooled sweep != serial sweep"
-        assert measured["sweep_algo_outputs_match"], (
-            "algo-parallel sweep != serial sweep"
-        )
     shape_check("forest cost unchanged on the seeded largest cell", cost_ok)
     shape_check(
         "largest Table-I cell at least 3x faster than seed",
@@ -1029,18 +943,6 @@ def test_perf_core(once):
     )
     shape_check("many-rows trace cost matches committed baseline",
                 many_rows_baseline_ok)
-    shape_check("parallel rows: drift exactly 0.0 and identical acceptance "
-                "decisions on both tracked traces", kernel_ok)
-    shape_check(
-        "many-rows trace at least 1.5x faster with parallel rows",
-        measured["online_many_rows_kernel_s"] * 1.5
-        <= measured["online_many_rows_s"],
-    )
-    shape_check(
-        "dense-patch trace faster with parallel rows",
-        measured["online_dense_patch_kernel_s"]
-        <= measured["online_dense_patch_s"],
-    )
     shape_check("dense-patch trace cost matches committed baseline",
                 dense_baseline_ok)
     shape_check("churn trace: patch == rebuild, costs and acceptance "
@@ -1075,8 +977,6 @@ def test_perf_core(once):
     )
     shape_check("pooled sweep output identical to serial",
                 measured["sweep_outputs_match"])
-    shape_check("algo-parallel sweep output identical to serial",
-                measured["sweep_algo_outputs_match"])
     shape_check(
         "pooled sweep at least 2x faster than serial (multi-core runners)",
         measured["sweep_slice_s"] * 2 <= measured["sweep_serial_s"],

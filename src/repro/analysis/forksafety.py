@@ -1,10 +1,11 @@
-"""Fork-safety rules for the kernel tier's fork-pool pattern.
+"""Fork-safety rules for the fork-pool pattern of :mod:`repro.graph.kernel`.
 
 PR 7's fork-inheritance invariant: a forked worker sees the parent's
-memory exactly as it was at pool creation, so the oracle may only fork
-while its shared structures are consistent -- row prefetches before any
-mutation, patch repairs after the plan and shared regions are fully
-resolved and **before any row label is written back**.
+memory exactly as it was at pool creation, so code may only fork while
+its shared structures are consistent.  The oracle no longer forks (its
+one pool user is ``run_sweep``'s cell pool, which forks between
+independently built cells); the rules keep a fork from being
+reintroduced where it would break that invariant.
 
 - ``fork-mutation-window`` -- a ``fork_map``/``prefetch_rows`` call
   lexically inside a patch mutation window: in a function that builds a
@@ -13,11 +14,11 @@ resolved and **before any row label is written back**.
   ``settled[...]``) is flagged.  Workers forked there would inherit
   half-written rows.
 - ``fork-raw-pool`` -- a ``multiprocessing`` pool created directly
-  outside the two grandfathered modules (``graph/kernel.py``, which owns
-  the pattern, and ``experiments/harness.py``, its origin).  New
-  consumers must go through :func:`repro.graph.kernel.fork_map`, which
-  gets the worker-installation ordering, the daemonic/no-fork fallbacks,
-  and the one-time warning right once.
+  outside ``graph/kernel.py``, which owns the pattern.  Every consumer
+  (the sweep harness included) goes through
+  :func:`repro.graph.kernel.fork_map`, which gets the
+  worker-installation ordering, the daemonic/no-fork fallbacks, and the
+  one-time warning right once.
 - ``fork-worker-order`` -- inside a function that declares a module
   ``global`` and creates a pool, any non-constant assignment to that
   global must come *before* the pool creation: the fork pattern only
@@ -59,7 +60,7 @@ _FORK_CALLS = frozenset({"fork_map", "prefetch_rows"})
 _ROW_LABEL_NAMES = frozenset({"dist", "parent", "settled"})
 
 #: Modules allowed to create pools directly.
-_POOL_OWNERS = ("graph/kernel.py", "experiments/harness.py")
+_POOL_OWNERS = ("graph/kernel.py",)
 
 
 class ForkSafetyChecker(Checker):

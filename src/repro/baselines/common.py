@@ -61,14 +61,16 @@ def greedy_chain(
     for vnf in range(count):
         best_vm = None
         best_score = float("inf")
-        # repro-lint: disable=det-set-iter -- the repr tie-break below
-        # makes the arg-min independent of scan order.
-        for vm in pool:
+        # Scan in repr order: the first strict minimum breaks ties, and
+        # the order in which the scan builds oracle rows -- which decides
+        # the endpoint row that serves later symmetric queries -- does
+        # not depend on the hash seed.
+        for vm in sorted(pool, key=repr):
             d = distance(current, vm)
             if d == float("inf"):
                 continue
             score = d + setup_cost(vm)
-            if score < best_score or (score == best_score and repr(vm) < repr(best_vm)):
+            if score < best_score:
                 best_vm, best_score = vm, score
         if best_vm is None:
             return None

@@ -89,17 +89,15 @@ def _anchored_greedy_chain(
     for vnf in range(num_functions - 1):
         best_vm = None
         best_score = float("inf")
-        # repro-lint: disable=det-set-iter -- the repr tie-break below
-        # makes the arg-min independent of scan order.
-        for vm in pool:
+        # Repr order, as in greedy_chain: hash-seed-free ties and row
+        # build order.
+        for vm in sorted(pool, key=repr):
             d = oracle.distance(current, vm)
             tail = oracle.distance(vm, anchor)
             if d == float("inf") or tail == float("inf"):
                 continue
             score = d + instance.setup_cost(vm) + tail
-            if score < best_score or (
-                score == best_score and repr(vm) < repr(best_vm)
-            ):
+            if score < best_score:
                 best_vm, best_score = vm, score
         if best_vm is None:
             return None

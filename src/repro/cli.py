@@ -111,8 +111,8 @@ def _finish_trace(recorder, trace_out: str) -> None:
           "(repro obs convert -> chrome://tracing)")
     breakdown = phase_breakdown(recorder.snapshot())
     if any(breakdown.values()):
-        print("per-phase time (attribution views; fork time also nests "
-              "inside its dispatching phase):")
+        print("per-phase time (attribution views; a row build inside a "
+              "query counts in both):")
         for phase, seconds in breakdown.items():
             print(f"  {phase:8s} {seconds:10.4f}s")
 
@@ -413,8 +413,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         totals.items(), key=lambda kv: (-kv[1], kv[0])
     ):
         print(f"{name:32s} {seconds:11.4f}s")
-    print("\nper-phase (attribution views; fork time also nests inside "
-          "its dispatching phase):")
+    print("\nper-phase (attribution views; a row build inside a query "
+          "counts in both):")
     for phase, names in PHASE_GROUPS.items():
         seconds = sum(totals.get(n, 0.0) for n in names)
         print(f"  {phase:8s} {seconds:10.4f}s")

@@ -196,10 +196,8 @@ class SOFInstance:
             setup = self.setup_cost
             vms = self.sorted_vms()
             # One row per VM up front: every later distance query that
-            # touches a VM is then served by undirected symmetry.  The
-            # prefetch farms cold rows to the worker pool when the oracle
-            # runs with ``parallel_rows``; per-pair reads then batch into
-            # one gather per row.
+            # touches a VM is then served by undirected symmetry, and the
+            # per-pair reads batch into one gather per row.
             oracle.prefetch_rows(vms)
             setups = [setup(v) for v in vms]
             block: Dict[Node, Dict[Node, float]] = {v: {} for v in vms}

@@ -155,7 +155,6 @@ class AuxiliaryOracle:
             base = self._instance.oracle
             self._fallback = FrozenOracle(
                 self._aux_graph,
-                parallel_rows=base.parallel_rows,
                 row_budget_bytes=base.row_budget_bytes,
                 metrics=base.metrics,
             )

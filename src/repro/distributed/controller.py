@@ -31,9 +31,6 @@ class Controller:
     domain: Set[Node]
     local_graph: Graph
     border_routers: List[Node] = field(default_factory=list)
-    #: Oracle kernel-tier knob (fork-pool row builds and repairs); the
-    #: default keeps every row build in-process.
-    parallel_rows: int = 0
     #: Per-domain row-cache residency budget in bytes (``None`` =
     #: unbounded); inherited from the instance oracle so a budgeted
     #: deployment bounds every controller's memory, not just the
@@ -49,7 +46,6 @@ class Controller:
     @classmethod
     def for_domain(
         cls, controller_id: int, domain: Set[Node], graph: Graph,
-        parallel_rows: int = 0,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> "Controller":
@@ -67,7 +63,6 @@ class Controller:
             domain=set(domain),
             local_graph=local,
             border_routers=borders,
-            parallel_rows=parallel_rows,
             row_budget_bytes=row_budget_bytes,
             metrics=metrics if metrics else None,
         )
@@ -88,7 +83,6 @@ class Controller:
         if self._oracle is None:
             self._oracle = FrozenOracle(
                 self.local_graph, hot=self.border_routers,
-                parallel_rows=self.parallel_rows,
                 row_budget_bytes=self.row_budget_bytes,
                 metrics=self.metrics,
             )

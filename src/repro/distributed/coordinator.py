@@ -68,15 +68,13 @@ class DistributedSOFDA:
             raise ValueError("need at least one domain")
         self.instance = instance
         self.domains = partition_domains(instance.graph, num_domains, seed=seed)
-        # Per-domain oracles inherit the instance oracle's fork-pool
-        # width, row budget and recorder, mirroring AuxiliaryOracle's
-        # fallback.
+        # Per-domain oracles inherit the instance oracle's row budget and
+        # recorder, mirroring AuxiliaryOracle's fallback.
         base = instance.oracle
         self._metrics = base.metrics
         self.controllers = [
             Controller.for_domain(
                 i, domain, instance.graph,
-                parallel_rows=base.parallel_rows,
                 row_budget_bytes=base.row_budget_bytes,
                 metrics=base.metrics,
             )

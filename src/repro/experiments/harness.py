@@ -7,10 +7,11 @@ draws ``seeds`` instances from the topology, runs every algorithm, and
 averages costs.
 
 ``run_sweep(workers=N)`` farms the independent (parameter-value, seed)
-cells to a fork-based process pool: every cell builds its own instance
-from the same seeds, so the per-cell computation is identical to the
-serial path and the ordered merge makes the output deterministic --
-only the measured runtimes reflect the parallel wall clock.
+cells to a fork-based process pool (:func:`repro.graph.kernel.fork_map`):
+every cell builds its own instance from the same seeds, so the per-cell
+computation is identical to the serial path and the ordered merge makes
+the output deterministic -- only the measured runtimes reflect the
+parallel wall clock.
 
 :func:`run_churn_comparison` is the tenant-lifecycle analogue of the
 online comparison: one embedder-independent workload schedule (arrivals
@@ -21,10 +22,8 @@ fresh simulators, reporting acceptance rates alongside costs.
 
 from __future__ import annotations
 
-import multiprocessing
 import statistics
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -111,7 +110,7 @@ def run_churn_comparison(
     between competitors while every one sees the identical
     embedder-independent event sequence (typically a recorded or
     replayed trace -- see :mod:`repro.workload.trace`).
-    ``simulator_kwargs`` (``incremental``, ``parallel_rows``, ...) reach
+    ``simulator_kwargs`` (``incremental``, ``row_budget_bytes``, ...) reach
     every simulator, which keeps A/B configuration comparisons on one
     algorithm equally easy.
     """
@@ -157,67 +156,12 @@ def _sweep_cell(cell: Tuple[Dict[str, int], int]) -> Dict[str, Tuple[float, int,
         vm_capacity=state["vm_capacity"],
     )
     out: Dict[str, Tuple[float, int, float]] = {}
-    names = list(algorithms)
-    algo_workers = state.get("algo_workers", 1)
-    if algo_workers > 1 and len(names) > 1:
-        # Per-algorithm dispatch on the oracle's fork-pool utility: the
-        # workers inherit ``instance`` (and the often-lambda embedders)
-        # by forked memory copy, solve one algorithm each, and only the
-        # compact summary triples cross the pipe; the zip merge keeps
-        # algorithm order.  Forked solvers each start from the pristine
-        # post-build instance, so every algorithm sees the cache state
-        # it would have seen running *first* serially (inside a
-        # ``workers > 1`` pool worker this silently degrades to the
-        # serial loop below -- pool workers are daemonic).
-        def _solve(name: str) -> Tuple[float, int, float]:
-            start = time.perf_counter()
-            forest = algorithms[name](instance)
-            elapsed = time.perf_counter() - start
-            return (forest.total_cost(), len(forest.used_vms()), elapsed)
-
-        payloads = kernel.fork_map(
-            _solve, names, algo_workers, label="run_sweep(algo_workers)"
-        )
-        for name, payload in zip(names, payloads):
-            out[name] = payload
-    else:
-        for name, embedder in algorithms.items():
-            start = time.perf_counter()
-            forest = embedder(instance)
-            elapsed = time.perf_counter() - start
-            out[name] = (forest.total_cost(), len(forest.used_vms()), elapsed)
+    for name, embedder in algorithms.items():
+        start = time.perf_counter()
+        forest = embedder(instance)
+        elapsed = time.perf_counter() - start
+        out[name] = (forest.total_cost(), len(forest.used_vms()), elapsed)
     return out
-
-
-#: Whether the missing-fork serial fallback has already been reported --
-#: the warning fires once per process, not once per sweep.
-_warned_no_fork = False
-
-
-def _map_cells(
-    cells: List[Tuple[Dict[str, int], int]], workers: int
-) -> List[Dict[str, Tuple[float, int, float]]]:
-    """Evaluate cells, optionally on a fork pool; order is preserved."""
-    global _warned_no_fork
-    if workers > 1 and len(cells) > 1:
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with context.Pool(processes=min(workers, len(cells))) as pool:
-                return pool.map(_sweep_cell, cells, chunksize=1)
-        if not _warned_no_fork:
-            # The pool inherits the network and the (often lambda)
-            # embedders by forked memory copy; without fork they cannot
-            # be shipped to workers, so the sweep silently losing its
-            # parallelism deserves one loud notice.
-            _warned_no_fork = True
-            warnings.warn(
-                f"run_sweep(workers={workers}): the 'fork' start method is "
-                "unavailable on this platform; evaluating sweep cells "
-                "serially instead",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return [_sweep_cell(cell) for cell in cells]
 
 
 def run_sweep(
@@ -231,7 +175,6 @@ def run_sweep(
     link_capacity: float = 1.0,
     vm_capacity: float = 1.0,
     workers: int = 1,
-    algo_workers: int = 1,
     metrics=None,
 ) -> SweepResult:
     """Sweep ``parameter`` over ``values`` with everything else at defaults.
@@ -241,22 +184,11 @@ def run_sweep(
     shape-normalised setting discussed in DESIGN.md.
 
     ``workers > 1`` evaluates the (value, seed) cells on a fork-based
-    process pool; the merge runs in cell order, so costs and VM counts are
-    bit-identical to the serial run (only the measured runtimes differ --
-    they report each cell's own wall clock).  Platforms without the fork
-    start method fall back to serial evaluation and say so with a
-    one-time ``RuntimeWarning``.
-
-    ``algo_workers > 1`` additionally dispatches the independent
-    per-algorithm solves *inside* each cell onto the shared fork-pool
-    utility (:func:`repro.graph.kernel.fork_map`), merged in algorithm
-    order.  Each forked solver sees the pristine just-built instance --
-    the state every algorithm would see running first serially -- so
-    costs match the serial run wherever distance values are independent
-    of oracle cache history (continuous random costs: exact ties have
-    measure zero; the perf bench cross-checks this on every run).
-    Combining both knobs is safe: cell workers are daemonic, so the
-    inner dispatch degrades to the serial loop.
+    process pool (:func:`repro.graph.kernel.fork_map`); the merge runs in
+    cell order, so costs and VM counts are bit-identical to the serial
+    run (only the measured runtimes differ -- they report each cell's
+    own wall clock).  Platforms without the fork start method fall back
+    to serial evaluation and say so with a one-time ``RuntimeWarning``.
 
     ``metrics`` (an optional :class:`~repro.obs.recorder.Recorder`)
     folds the per-cell solver timings into the registry *after* the
@@ -293,10 +225,12 @@ def run_sweep(
         setup_cost_multiplier=setup_cost_multiplier,
         link_capacity=link_capacity,
         vm_capacity=vm_capacity,
-        algo_workers=algo_workers,
     )
     try:
-        cell_results = _map_cells(cells, workers)
+        cell_results = kernel.fork_map(
+            _sweep_cell, cells, workers,
+            label=f"run_sweep(workers={workers})", chunksize=1,
+        )
     finally:
         _SWEEP_STATE.clear()
 

@@ -143,13 +143,6 @@ PLANNER_SHARE_DENSITY = 0.5
 #: verification scan into the dominant cost).
 _PLANNER_SHARE_MAX_VARIANTS = 4
 
-#: Kernel-tier fork thresholds.  Below these batch sizes the pool's
-#: per-task pickling and scheduling overhead exceeds the work farmed
-#: out, so ``parallel_rows`` oracles stay serial (bit-identical either
-#: way; the thresholds are pure engagement policy).
-PARALLEL_MIN_BATCH = 4
-PARALLEL_MIN_REPAIRS = 8
-
 
 def _target_ids(index: Dict, targets: Sequence) -> Optional[List[int]]:
     """Resolve ``targets`` against ``index`` in one C-speed gather.
@@ -749,8 +742,9 @@ def _relax_decreases(
 
     :meth:`FrozenOracle._patch_rows` runs this over every live row before
     it classifies the batch's increases, because a decrease moves
-    parents.  It stays a separate function so its label writes remain
-    outside the fork-mutation window the invariant linter checks there.
+    parents.  Its label writes stay in this function, so the
+    ``fork-mutation-window`` lint rule, which guards the patch against
+    a reintroduced fork, sees only the increase write-back there.
     """
     dist = row.dist
     if not row.full:
@@ -888,7 +882,7 @@ def _repair_row_planned(
     row: "_Row",
     roots: Iterable[int],
     leafs: Iterable[Tuple[int, int]],
-) -> List[int]:
+) -> None:
     """Apply one plan's increase repairs to a single cached row.
 
     ``roots`` are the row's detached children of generally-classified
@@ -913,9 +907,6 @@ def _repair_row_planned(
       (``dist[leaf] = dist[anchor] + w``), its parent unchanged.  A leaf
       whose anchor *is* detached was already swept into that region by
       the child walk, and is repaired there.
-
-    Returns the affected (region-repaired) node list, which the fork
-    pool's payload builder ships back as the written label range.
     """
     dist = row.dist
     parent = row.parent
@@ -1015,7 +1006,6 @@ def _repair_row_planned(
             parent[leaf] = -1
         else:
             dist[leaf] = d + adjacency[leaf][0][0]
-    return affected
 
 
 class _SharedRegion:
@@ -1347,7 +1337,7 @@ def _repair_row_shared(
     walk_roots: Iterable[int],
     leafs: Iterable[Tuple[int, int]],
     union_cache: Dict,
-) -> List[int]:
+) -> None:
     """Apply one plan's increase repairs using shared region structures.
 
     Bit-identical to :func:`_repair_row_planned` over ``hits``'s roots
@@ -1358,8 +1348,7 @@ def _repair_row_shared(
     shared seed lists instead of full adjacency scans.  Overlapping
     (nested-subtree) hits may seed a node twice -- idempotent, the
     second pass recomputes the same minimum from the same intact
-    neighbors.  The returned affected list is shared and must be treated
-    as read-only by the caller.
+    neighbors.
 
     Bridge-detached regions -- exactly one boundary node -- repair
     through :meth:`_SharedRegion.apply_offset`: the region is solved once
@@ -1551,13 +1540,6 @@ def _repair_row_shared(
         else:
             dist[leaf] = d + adjacency[leaf][0][0]
 
-    if not walked and len(hits) == 1:
-        return hits[0].nodes  # shared: read-only for the caller
-    out = list(walked)
-    for region in hits:
-        out.extend(region.nodes)
-    return out
-
 
 class _Row:
     """One cached single-source result inside :class:`FrozenOracle`.
@@ -1632,7 +1614,6 @@ class FrozenOracle:
         graph: Graph,
         hot: Optional[Iterable[Node]] = None,
         patchable: bool = False,
-        parallel_rows: int = 0,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> None:
@@ -1644,30 +1625,15 @@ class FrozenOracle:
         #: values are bit-identical either way -- exhaustion only extends
         #: the relaxation sequence beyond the early stop point.
         self._patchable = patchable
-        #: Kernel tier: ``parallel_rows=N`` farms batches of
-        #: independent row builds (:meth:`prefetch_rows`) and per-patch
-        #: row repairs to an ``N``-worker fork pool.  Workers inherit the
-        #: frozen CSR arrays by memory copy and ship back compact label
-        #: payloads, merged in deterministic row order -- bit-identical
-        #: to serial.  Fork-inheritance invariant: the pool is only ever
-        #: created while the oracle is *consistent* (before any install,
-        #: or after a patch's decrease pass, plan and shared regions are
-        #: fully resolved and before any increase repair writes a row), so
-        #: a worker can never observe a mid-patch oracle.
-        #: ``0``/``1`` (the default) keeps everything in-process;
-        #: platforms without fork fall back serially with a one-time
-        #: warning (:func:`repro.graph.kernel.fork_map`).
-        self._parallel_rows = max(int(parallel_rows), 0)
         #: Observability (PR 10): ``metrics=`` carries a
         #: :class:`~repro.obs.recorder.Recorder` that the instrumented
-        #: seams (cold builds, patch repairs, fork batches, cache
-        #: snapshots, batch queries) report into.  ``None`` (the
-        #: default) and the falsy :data:`~repro.obs.recorder.NULL_RECORDER`
-        #: keep every hot path on a single truthiness check --
-        #: zero-overhead and bit-identical, the same flag-gated-reference
-        #: discipline as the other knobs.  Recording never feeds back
-        #: into algorithm state, so served values are identical either
-        #: way.
+        #: seams (cold builds, patch repairs, cache snapshots, batch
+        #: queries) report into.  ``None`` (the default) and the falsy
+        #: :data:`~repro.obs.recorder.NULL_RECORDER` keep every hot
+        #: path on a single truthiness check -- zero-overhead and
+        #: bit-identical, the same flag-gated-reference discipline as
+        #: the other knobs.  Recording never feeds back into algorithm
+        #: state, so served values are identical either way.
         self._metrics = metrics if metrics else None
         if self._metrics is not None and getattr(
             self._metrics, "registry", None
@@ -1710,11 +1676,6 @@ class FrozenOracle:
         return self._graph
 
     @property
-    def parallel_rows(self) -> int:
-        """Worker count of the kernel tier's fork pool (0/1 = serial)."""
-        return self._parallel_rows
-
-    @property
     def row_budget_bytes(self) -> Optional[int]:
         """Row-cache residency budget in bytes (``None`` = unbounded)."""
         return self._rows.budget_bytes
@@ -1752,10 +1713,7 @@ class FrozenOracle:
         ``array('d')``/``array('q')`` buffers (the same 64-bit
         doubles/ints; scalar reads still yield plain floats/ints), so
         every cached row is uniformly typed and the batch queries and
-        repair scans can wrap it in zero-copy numpy views.  Fork-pool
-        payloads arrive already converted (their builders convert
-        worker-side, so the pipe carries compact buffers); copying a
-        buffer into a buffer of the same typecode is one memcpy.
+        repair scans can wrap it in zero-copy numpy views.
         """
         return _Row(
             kernel.dist_buffer(dist), kernel.parent_buffer(parent),
@@ -1809,22 +1767,14 @@ class FrozenOracle:
         self.prefetch_rows(nodes)
 
     def prefetch_rows(self, nodes: Iterable[Node]) -> None:
-        """Precompute rows for ``nodes``, farming cold builds when allowed.
+        """Precompute rows for ``nodes``: touch the cached, build the rest.
 
         Identical contract and resulting cache state as :meth:`warm` --
         cached rows are touched (``used``), missing rows are built and
-        installed in the callers' node order -- but with
-        ``parallel_rows > 1`` a batch of at least
-        :data:`PARALLEL_MIN_BATCH` cold rows is built on the fork pool:
-        each row is an independent Dijkstra over the frozen (inherited)
-        CSR arrays, so worker results are bit-identical to in-process
-        builds and only the deterministic install order matters.  Callers
-        that know their working set up front
+        installed in the callers' node order, each once.  Callers that
+        know their working set up front
         (:meth:`~repro.core.problem.SOFInstance.metric_block`, the online
-        simulator's VM-pool warms) route here so cold batches are
-        discoverable.  Safe by the fork-inheritance invariant: this
-        method only runs between patches, never during one, so workers
-        always inherit a consistent oracle.
+        simulator's VM-pool warms) route here.
         """
         self._build()
         if self._contracted is not None:
@@ -1842,25 +1792,8 @@ class FrozenOracle:
                         missing.append(cid)
                 else:
                     row.used = True
-            if len(missing) >= PARALLEL_MIN_BATCH and self._parallel_rows > 1:
-                mx = self._metrics
-                t0 = mx.clock() if mx else 0.0
-                payloads = kernel.fork_map(
-                    self._cold_contracted_payload, missing,
-                    self._parallel_rows, label="prefetch_rows",
-                    metrics=mx,
-                )
-                for cid, payload in zip(missing, payloads):
-                    row = self._freeze_row(*payload)
-                    self._install_row(cid, row)
-                    row.used = True
-                if mx:
-                    mx.inc("oracle.rows.cold", len(missing))
-                    mx.span("oracle.prefetch", t0, mode="fork",
-                            trace_args={"rows": len(missing)})
-            else:
-                for cid in missing:
-                    self._contracted_row(cid)
+            for cid in missing:
+                self._contracted_row(cid)
             return
         index = self.core.index
         missing = []
@@ -1876,49 +1809,8 @@ class FrozenOracle:
                     missing.append(node_id)
             else:
                 row.used = True
-        if len(missing) >= PARALLEL_MIN_BATCH and self._parallel_rows > 1:
-            mx = self._metrics
-            t0 = mx.clock() if mx else 0.0
-            payloads = kernel.fork_map(
-                self._cold_row_payload, missing,
-                self._parallel_rows, label="prefetch_rows",
-                metrics=mx,
-            )
-            for node_id, payload in zip(missing, payloads):
-                row = self._freeze_row(*payload)
-                self._install_row(node_id, row)
-            if mx:
-                mx.inc("oracle.rows.cold", len(missing))
-                mx.span("oracle.prefetch", t0, mode="fork",
-                        trace_args={"rows": len(missing)})
-        else:
-            for node_id in missing:
-                self._compute(node_id, None)
-
-    def _cold_contracted_payload(self, cid: int):
-        """One contracted cold row as a compact payload (pool worker)."""
-        dist, parent = self._contracted.dijkstra(cid)
-        return (kernel.dist_buffer(dist), kernel.parent_buffer(parent),
-                None, True)
-
-    def _cold_row_payload(self, source_id: int):
-        """One uncontracted cold row as a compact payload (pool worker).
-
-        Mirrors :meth:`_compute` with no target: early-stopped at the hot
-        set on non-patchable oracles, exhaustive otherwise.  Buffers are
-        converted worker-side so the pipe carries compact arrays.
-        """
-        core = self._core
-        if self._hot_ids and not self._patchable:
-            dist, parent, settled, exhausted = core.dijkstra(
-                source_id, self._hot_ids
-            )
-            full = exhausted
-        else:
-            dist, parent, settled, _ = core.dijkstra(source_id)
-            full = True
-        return (kernel.dist_buffer(dist), kernel.parent_buffer(parent),
-                settled, full)
+        for node_id in missing:
+            self._compute(node_id, None)
 
     def extend_hot(self, nodes: Iterable[Node]) -> None:
         """Add nodes to the hot set (affects future row computations).
@@ -2220,13 +2112,7 @@ class FrozenOracle:
 
         The repairs form one job list, built in row order together with
         the idle evictions, the shared-region resolution and the repair
-        counters.  It runs in-process, repairing rows in place, or -- with
-        ``parallel_rows > 1`` and at least :data:`PARALLEL_MIN_REPAIRS`
-        jobs -- on the fork pool, whose label payloads merge back in job
-        order.  The fork thus happens after the decrease pass and the
-        plan/shared-region resolution and before any increase repair
-        writes a row (the fork-inheritance invariant), so both dispatches
-        leave bit-identical rows.
+        counters, and then run in job order, repairing rows in place.
         """
         if plan is None:
             plan = _PatchPlan(adjacency, changes)
@@ -2285,8 +2171,7 @@ class FrozenOracle:
 
         # One job per row to repair, in row order.  Shared regions are
         # resolved here, before any increase repair writes a row: variant
-        # founding is order-dependent, and a fork below must inherit a
-        # consistent oracle.
+        # founding is order-dependent.
         jobs: List[Tuple] = []
         for sid, row in list(rows.items()):
             if not row.used:
@@ -2310,59 +2195,13 @@ class FrozenOracle:
                     mx.inc("oracle.repair.rows",
                            path="shared" if hits else "planned")
 
-        def _repair(job) -> List[int]:
-            _, row, hits, walk_roots, roots, leafs = job
+        for _, row, hits, walk_roots, roots, leafs in jobs:
             if hits:
-                return _repair_row_shared(
+                _repair_row_shared(
                     adjacency, row, hits, walk_roots, leafs, union_cache
                 )
-            return _repair_row_planned(adjacency, row, roots, leafs)
-
-        if self._parallel_rows > 1 and len(jobs) >= PARALLEL_MIN_REPAIRS:
-
-            def _repair_job(j: int):
-                job = jobs[j]
-                row, leafs = job[1], job[5]
-                ids = list(_repair(job))
-                n_affected = len(ids)
-                settled = row.settled
-                svals = (
-                    None if row.full or settled is None
-                    else bytes(settled[v] for v in ids)
-                )
-                # Leaf fast jobs write labels outside the affected region
-                # list; ship them too (idempotent overlap).
-                ids.extend(leaf for leaf, _ in leafs)
-                dist = row.dist
-                parent = row.parent
-                dvals = array("d", (dist[v] for v in ids))
-                pvals = array("q", (parent[v] for v in ids))
-                return n_affected, ids, dvals, pvals, svals, row.cutoff
-
-            payloads = kernel.fork_map(
-                _repair_job, range(len(jobs)), self._parallel_rows,
-                label="patch_rows", metrics=mx,
-            )
-            t_merge = mx.clock() if mx else 0.0
-            for job, payload in zip(jobs, payloads):
-                row = job[1]
-                n_affected, ids, dvals, pvals, svals, cutoff = payload
-                dist = row.dist
-                parent = row.parent
-                for i, v in enumerate(ids):
-                    dist[v] = dvals[i]
-                    parent[v] = pvals[i]
-                if svals is not None:
-                    settled = row.settled
-                    for i in range(n_affected):
-                        settled[ids[i]] = svals[i]
-                row.cutoff = cutoff
-            if mx:
-                mx.span("oracle.fork.merge", t_merge,
-                        trace_args={"jobs": len(jobs)})
-        else:
-            for job in jobs:
-                _repair(job)
+            else:
+                _repair_row_planned(adjacency, row, roots, leafs)
 
         # Budgeted oracles settle residency at the patch boundary: the
         # accounting invariant is "never over budget *between* patches"
@@ -2432,10 +2271,10 @@ class FrozenOracle:
         adjustments use this to reroute on updated costs while leaving the
         original instance and its oracle untouched.
 
-        The clone inherits every constructor knob (``patchable``,
-        ``parallel_rows``, the row budget and the recorder), the
-        tombstones and the built cores, and copies each seeded row's
-        label buffers; its immediate patch repairs them like any other.
+        The clone inherits every constructor knob (``patchable``, the
+        row budget and the recorder), the tombstones and the built
+        cores, and copies each seeded row's label buffers; its immediate
+        patch repairs them like any other.
 
         A budgeted oracle's clone inherits ``row_budget_bytes`` and
         seeds through the same policy: rows are copied in retention
@@ -2446,7 +2285,6 @@ class FrozenOracle:
         """
         clone = FrozenOracle(
             graph, hot=self._hot, patchable=self._patchable,
-            parallel_rows=self._parallel_rows,
             row_budget_bytes=self._rows.budget_bytes,
             metrics=self._metrics,
         )

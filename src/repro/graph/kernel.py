@@ -2,8 +2,8 @@
 
 The oracle's algorithmic layers (CSR core, Ramalingam--Reps repair, the
 patch planner, shared regions, topology tombstones) left pure interpreter
-overhead as the dominant cost of the online traces.  This module holds the
-two primitives the kernel tier is built from:
+overhead as the dominant cost of the online traces.  This module holds
+two primitives:
 
 - **Label buffers** -- every cached oracle row stores ``dist``/``parent``
   as ``array('d')``/``array('q')`` buffers.  Scalar indexing still returns
@@ -12,19 +12,18 @@ two primitives the kernel tier is built from:
   protocol lets batch operations wrap the same memory zero-copy with
   :func:`numpy.frombuffer` (:func:`f8_view`, :func:`i8_view`,
   :func:`u8_view`).  numpy is a hard dependency of the package.
-- **Fork pool** -- :func:`fork_map` generalises the ``run_sweep`` pattern
-  (module-global state populated before a ``fork``-context pool is
-  created, so workers inherit arbitrary unpicklable state by memory copy;
-  ordered results; serial fallback with a one-time ``RuntimeWarning`` on
-  platforms without fork).  Both the oracle's ``prefetch_rows``/patch
-  repairs and the sweep harness's per-algorithm dispatch run on it.
+- **Fork pool** -- :func:`fork_map` (module-global state populated
+  before a ``fork``-context pool is created, so workers inherit arbitrary
+  unpicklable state by memory copy; ordered results; serial fallback
+  with a one-time ``RuntimeWarning`` on platforms without fork).  Its one
+  caller is :func:`repro.experiments.harness.run_sweep`, which farms
+  independent sweep cells; the oracle itself never forks.
 
 Fork-inheritance invariant: a worker sees the parent's memory exactly as
 it was at pool creation, so callers must only fork while their shared
-structures are *consistent* -- the oracle never forks mid-patch (rows are
-farmed either before any mutation, or after a patch's decrease pass has
-finished and its plan and shared regions are fully resolved, and before
-any increase repair writes a row).
+structures are *consistent*.  A sweep cell builds its own instance, so
+the harness forks only between cells; the ``fork-mutation-window`` lint
+rule rejects a fork reintroduced inside an oracle patch.
 """
 
 from __future__ import annotations
@@ -82,12 +81,13 @@ def u8_view(buf: bytearray) -> np.ndarray:
 
 #: The function the pool workers run, installed by :func:`fork_map` right
 #: before the fork so workers inherit it (and everything it closes over)
-#: by memory copy -- closures and bound methods are not picklable, which
-#: is the whole reason the sweep harness pioneered this pattern.
+#: by memory copy -- closures, bound methods and the sweep's often-lambda
+#: embedders are not picklable, which is the whole reason for this
+#: pattern.
 _WORKER_FN: Optional[Callable] = None
 
-#: Whether the missing-fork serial fallback has been reported -- once per
-#: process, matching ``experiments.harness._warned_no_fork``.
+#: Whether the missing-fork serial fallback has been reported -- the
+#: warning fires once per process, not once per call.
 _warned_no_fork = False
 
 
@@ -107,7 +107,6 @@ def fork_map(
     workers: int,
     label: str = "fork_map",
     chunksize: Optional[int] = None,
-    metrics=None,
 ) -> List[R]:
     """Map ``fn`` over ``items`` on a fork pool; results stay in order.
 
@@ -118,32 +117,15 @@ def fork_map(
     cannot have children), or a platform without fork (reported once with
     a ``RuntimeWarning`` naming ``label``) -- run ``fn`` in-process, so
     results are identical either way for pure functions.
-
-    ``metrics`` (an optional :class:`~repro.obs.recorder.Recorder`)
-    records one ``kernel.fork`` span per dispatched batch plus
-    batch/item counters, on the *parent* side only -- anything a worker
-    would record dies with its copy-on-write memory, so workers stay
-    uninstrumented and the pipe payloads unchanged.
     """
     global _WORKER_FN, _warned_no_fork
     items = list(items)
-    mx = metrics if metrics else None
-    t0 = mx.clock() if mx else 0.0
-
-    def _record(mode: str, out: List[R]) -> List[R]:
-        if mx:
-            mx.inc("kernel.fork.batches", pool=label, mode=mode)
-            mx.inc("kernel.fork.items", len(items), pool=label, mode=mode)
-            mx.span("kernel.fork", t0, pool=label, mode=mode,
-                    trace_args={"items": len(items)})
-        return out
-
     if workers <= 1 or len(items) <= 1:
-        return _record("serial", [fn(item) for item in items])
+        return [fn(item) for item in items]
     if multiprocessing.current_process().daemon:
-        # Nested inside another pool's worker: silently serial (expected
-        # composition, e.g. per-algorithm dispatch inside a sweep cell).
-        return _record("serial", [fn(item) for item in items])
+        # Nested inside another pool's worker, which cannot have
+        # children: silently serial.
+        return [fn(item) for item in items]
     if not fork_available():
         if not _warned_no_fork:
             _warned_no_fork = True
@@ -153,16 +135,14 @@ def fork_map(
                 RuntimeWarning,
                 stacklevel=3,
             )
-        return _record("serial", [fn(item) for item in items])
+        return [fn(item) for item in items]
     context = multiprocessing.get_context("fork")
     _WORKER_FN = fn
     try:
         with context.Pool(processes=min(workers, len(items))) as pool:
             if chunksize is None:
                 chunksize = max(1, len(items) // (workers * 4))
-            return _record(
-                "fork", pool.map(_run_worker, items, chunksize=chunksize)
-            )
+            return pool.map(_run_worker, items, chunksize=chunksize)
     finally:
         _WORKER_FN = None
 

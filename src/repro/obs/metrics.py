@@ -140,15 +140,14 @@ class MetricsRegistry:
 # per-phase attribution
 # ----------------------------------------------------------------------
 
-#: Histogram-name prefixes grouped into the four phases the bench
-#: breakdown reports.  ``fork`` time is *also* contained in whichever
-#: build/repair span dispatched the batch (spans nest), so the groups
-#: are attribution views, not a partition of wall time.
+#: Histogram-name prefixes grouped into the three phases the bench
+#: breakdown reports.  Spans nest -- a row build inside a query counts
+#: in both -- so the groups are attribution views, not a partition of
+#: wall time.
 PHASE_GROUPS: Dict[str, Tuple[str, ...]] = {
-    "build": ("oracle.build", "oracle.row_build", "oracle.prefetch"),
+    "build": ("oracle.build", "oracle.row_build"),
     "repair": ("oracle.patch.costs", "oracle.patch.topology"),
     "query": ("oracle.query",),
-    "fork": ("kernel.fork",),
 }
 
 

@@ -118,7 +118,6 @@ class OnlineSimulator:
         vm_capacity: float = 5.0,
         cost_floor: float = 0.01,
         incremental: bool = True,
-        parallel_rows: int = 0,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> None:
@@ -136,9 +135,6 @@ class OnlineSimulator:
         # share region repairs across rows by observed density, not by a
         # knob.  Link failures and recoveries reach it as tombstone
         # topology patches.
-        # ``parallel_rows`` farms the oracle's cold row builds and patch
-        # repairs to a fork pool; the default keeps them in-process, with
-        # bit-identical rows either way.
         # ``row_budget_bytes`` caps the oracle row cache's accounted
         # residency (see :mod:`repro.graph.rowcache`): long-lived
         # simulators over large topologies bound memory by evicting
@@ -176,7 +172,6 @@ class OnlineSimulator:
         # oracle computes patch-repairable (exhaustive) rows.
         self._oracle = FrozenOracle(
             graph, hot=self._vms, patchable=self._incremental,
-            parallel_rows=parallel_rows,
             row_budget_bytes=row_budget_bytes, metrics=metrics,
         )
 
@@ -577,8 +572,8 @@ def run_online_comparison(
 
     Each algorithm gets a fresh simulator over an identical topology, so
     load state never leaks between competitors.  Extra keyword arguments
-    (``parallel_rows``, ``row_budget_bytes``, the equivalence-reference
-    flags) pass straight through to every :class:`OnlineSimulator`.
+    (``row_budget_bytes``, ``metrics``, the equivalence-reference flags)
+    pass straight through to every :class:`OnlineSimulator`.
     """
     results: Dict[str, OnlineResult] = {}
     for name, embedder in embedders.items():

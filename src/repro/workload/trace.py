@@ -4,7 +4,7 @@ A recorded trace pins the *entire* event sequence -- arrival timestamps,
 request contents (the Section VIII-A mix: source/destination sets, the
 service chain, the 5 Mbps demand), pre-drawn holding times, and
 background-load ticks -- so competing embedders and simulator
-configurations (``incremental`` on/off, ``parallel_rows``) replay
+configurations (``incremental`` on/off, ``row_budget_bytes``) replay
 bit-identical workloads from a file instead of re-deriving them from
 seeds.  Replaying a recorded schedule through the same engine and
 embedder yields identical per-request costs and acceptance decisions.

@@ -457,6 +457,20 @@ def test_raw_pool_allowed_in_kernel(tmp_path):
     assert not lint(tmp_path).findings
 
 
+def test_raw_pool_flagged_in_sweep_harness(tmp_path):
+    # The sweep harness farms its cells through kernel.fork_map, so a
+    # raw pool there is no longer grandfathered.
+    write_tree(tmp_path, {"experiments/harness.py": """
+        import multiprocessing
+
+        def _map_cells(cells, workers):
+            context = multiprocessing.get_context("fork")
+            with context.Pool(processes=workers) as pool:
+                return pool.map(_sweep_cell, cells, chunksize=1)
+    """})
+    assert rules_found(lint(tmp_path)) == ["fork-raw-pool"]
+
+
 def test_fork_worker_order(tmp_path):
     write_tree(tmp_path, {"graph/kernel.py": """
         import multiprocessing

@@ -98,3 +98,57 @@ def test_st_is_worst_on_average():
         est_costs.append(est_baseline(instance).total_cost())
         st_costs.append(st_baseline(instance).total_cost())
     assert statistics.mean(st_costs) >= statistics.mean(est_costs)
+
+
+def _scans(calls, skip=None):
+    """Group recorded ``distance(u, v)`` calls into per-hop pool scans."""
+    scans = []
+    for u, v in calls:
+        if v == skip:
+            continue
+        if not scans or scans[-1][0] != u:
+            scans.append((u, []))
+        scans[-1][1].append(v)
+    return [vms for _, vms in scans]
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+def test_greedy_chains_scan_the_pool_in_repr_order(anchored, monkeypatch):
+    """Each greedy hop visits the VM pool in repr order, not set order.
+
+    The scan order decides which oracle rows get built first, and so
+    which endpoint's row serves later symmetric queries.  Scanning the
+    pool as a set made eST's online costs depend on PYTHONHASHSEED.
+    Integer VMs iterate a set in hash-bucket order, which is not repr
+    order, so a set scan fails here under every hash seed.
+    """
+    from repro.baselines.enemp import _anchored_greedy_chain
+
+    instance = random_instance(1, n=30, num_vms=12, num_sources=2,
+                               num_dests=3, chain_len=3)
+    source = min(instance.sources)
+    pool = sorted(instance.vms)
+    anchor = None
+    if anchored:
+        anchor = sorted(pool, key=repr)[-1]
+        pool.remove(anchor)
+    assert list(set(pool)) != sorted(pool, key=repr)
+
+    calls = []
+    real_distance = instance.oracle.distance
+
+    def spy(u, v):
+        calls.append((u, v))
+        return real_distance(u, v)
+
+    monkeypatch.setattr(instance.oracle, "distance", spy)
+    if anchored:
+        chain = _anchored_greedy_chain(instance, source, pool, anchor)
+    else:
+        chain = greedy_chain(instance, source, pool)
+    assert chain is not None
+    scans = _scans(calls, skip=anchor)
+    assert len(scans) == len(instance.chain) - (1 if anchored else 0)
+    assert scans[0] == sorted(pool, key=repr)
+    for scan in scans:
+        assert scan == sorted(scan, key=repr)

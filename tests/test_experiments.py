@@ -81,19 +81,19 @@ def test_run_sweep_warns_once_without_fork(monkeypatch):
     """Platforms without fork fall back to serial -- loudly, once."""
     import warnings
 
-    from repro.experiments import harness
+    from repro.graph import kernel
 
     monkeypatch.setattr(
-        harness.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        kernel.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
     )
-    monkeypatch.setattr(harness, "_warned_no_fork", False)
+    monkeypatch.setattr(kernel, "_warned_no_fork", False)
     network = softlayer_network(seed=1)
     kwargs = dict(
         parameter="num_vms", values=[5, 10], seeds=1,
         overrides={"num_sources": 2, "num_destinations": 2,
                    "chain_length": 2},
     )
-    with pytest.warns(RuntimeWarning, match="fork.*unavailable"):
+    with pytest.warns(RuntimeWarning, match="run_sweep.*fork.*unavailable"):
         fallback = run_sweep(network, workers=4, **kwargs)
     # The fallback still evaluates every cell -- serially and exactly.
     serial = run_sweep(network, **kwargs)

@@ -1,32 +1,26 @@
-"""Kernel-tier equivalence: array label buffers and parallel rows.
+"""Kernel-tier equivalence: array label buffers, batch queries, prefetch.
 
 Every cached oracle row stores its labels in ``array('d')``/``array('q')``
 buffers, and the batch queries and repair scans read them through
 zero-copy numpy views.  The equivalence reference for that store is the
-cold rebuild, as in ``test_patch_planner.py``: randomized cost, decrease
-and topology streams are replayed and every cached row is checked
-against a fresh oracle over the patched graph after every patch.  The
-fork pool (``FrozenOracle(parallel_rows=N)``) must be *bit-identical*
-to in-process builds and repairs, so those tests replay identical
-streams into parallel and serial oracles over copies of the same graph
-and compare full row state after every patch.
+cold rebuild, as in ``test_patch_planner.py``: randomized cost and
+decrease streams are replayed and every cached row is checked against a
+fresh oracle over the patched graph after every patch, and so is every
+row ``prefetch_rows`` installs.
 
 The single-boundary offset solve (summation-stable shared regions) is
-pinned bit for bit against its own heap fallback, the batch query entry
-points against the scalar ``distance`` loop, and the no-fork serial
-fallback is audited explicitly.
+pinned bit for bit against its own heap fallback, and the batch query
+entry points against the scalar ``distance`` loop.
 """
 
-import multiprocessing
 import random
-import warnings
 from array import array
 
 import pytest
 
 from helpers import assert_rows_match_cold
 from repro.graph import FrozenOracle, Graph
-from repro.graph import indexed, kernel
+from repro.graph import indexed
 
 INF = float("inf")
 
@@ -70,34 +64,6 @@ def _patch_stream(rng, graph, rounds, direction, working=5, queries=10):
     return ops
 
 
-def _topology_stream(rng, graph, rounds):
-    """Cost patches interleaved with link failures and recoveries."""
-    nodes = list(graph.nodes())
-    cost_now = {(u, v): cost for u, v, cost in graph.edges()}
-    failed = []
-    ops = []
-    for _ in range(rounds):
-        for _ in range(8):
-            ops.append(("distance", rng.choice(nodes), rng.choice(nodes)))
-        live = [e for e in cost_now if e not in failed]
-        if failed and rng.random() < 0.5:
-            edge = failed.pop(rng.randrange(len(failed)))
-            ops.append(("insert", edge, cost_now[edge]))
-        elif len(live) > 4:
-            edge = live[rng.randrange(len(live))]
-            failed.append(edge)
-            ops.append(("remove", edge))
-        changed = {}
-        for key in rng.sample(live, min(3, len(live))):
-            if key in failed:
-                continue
-            cost_now[key] = cost_now[key] * rng.uniform(1.05, 2.0)
-            changed[key] = cost_now[key]
-        if changed:
-            ops.append(("patch", changed))
-    return ops
-
-
 def _row_states(oracle):
     """Full observable repair state as plain, comparable values."""
     return {
@@ -121,13 +87,9 @@ def _apply(oracle, op) -> bool:
         oracle.distances_from(op[1])
     elif op[0] == "prefetch":
         oracle.prefetch_rows(op[1])
-    elif op[0] == "remove":
-        oracle.patch_topology(removed=[op[1]])
-    elif op[0] == "insert":
-        oracle.patch_topology(inserted={op[1]: op[2]})
     else:
         oracle.patch_edge_costs(op[1])
-    return op[0] in ("remove", "insert", "patch")
+    return op[0] == "patch"
 
 
 def _replay(oracle, ops, check_cold=False):
@@ -300,10 +262,9 @@ def test_offset_solve_unreachable_region(monkeypatch):
 
 def test_every_install_path_stores_array_rows(monkeypatch):
     """Every way a row enters the cache stores label buffers: cold
-    ``_compute``, serial and forked ``prefetch_rows`` (uncontracted and
-    contracted), ``_contracted_row``, the ``distances_from`` upgrade, an
-    in-place repair and a ``rebased`` clone."""
-    monkeypatch.setattr(indexed, "PARALLEL_MIN_BATCH", 2)
+    ``_compute``, ``prefetch_rows`` (uncontracted and contracted),
+    ``_contracted_row``, the ``distances_from`` upgrade, an in-place
+    repair and a ``rebased`` clone."""
     rng = random.Random(7)
     graph = random_graph(rng)
     nodes = list(graph.nodes())
@@ -325,13 +286,9 @@ def test_every_install_path_stores_array_rows(monkeypatch):
     clone = cold.rebased(cold.graph.copy(), {edge[:2]: edge[2] * 3.0})
     _assert_array_rows(clone)
 
-    serial = FrozenOracle(graph.copy(), hot=hot)
-    serial.prefetch_rows(nodes[:6])
-    forked = FrozenOracle(graph.copy(), hot=hot, parallel_rows=2)
-    forked.prefetch_rows(nodes[:6])
-    for oracle in (serial, forked):
-        _assert_array_rows(oracle)
-    assert _row_states(forked) == _row_states(serial)
+    prefetched = FrozenOracle(graph.copy(), hot=hot)
+    prefetched.prefetch_rows(nodes[:6])
+    _assert_array_rows(prefetched)
 
     monkeypatch.setattr(indexed, "CONTRACT_MIN_INTERIOR", 1)
     chain = Graph.from_edges([
@@ -341,9 +298,11 @@ def test_every_install_path_stores_array_rows(monkeypatch):
     contracted.distance(0, 9)  # _contracted_row
     assert contracted.contracted is not None
     _assert_array_rows(contracted)
-    forked = FrozenOracle(chain.copy(), hot=[0, 3, 9, 12], parallel_rows=2)
-    forked.prefetch_rows([0, 3, 9, 12])
-    _assert_array_rows(forked)
+    prefetched = FrozenOracle(chain.copy(), hot=[0, 3, 9, 12])
+    prefetched.prefetch_rows([0, 3, 9, 12])
+    assert prefetched.contracted is not None
+    assert len(prefetched._rows) == 4
+    _assert_array_rows(prefetched)
 
 
 # ----------------------------------------------------------------------
@@ -432,20 +391,14 @@ def test_detour_distances_matches_scalar():
 
 
 # ----------------------------------------------------------------------
-# parallel rows
+# row prefetch and clones
 # ----------------------------------------------------------------------
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="platform has no fork start method",
-)
-
-
-@needs_fork
 @pytest.mark.parametrize("contracted", [False, True])
-def test_parallel_prefetch_matches_serial(contracted, monkeypatch):
-    """Fork-pool cold-row builds are bit-identical to serial builds."""
-    monkeypatch.setattr(indexed, "PARALLEL_MIN_BATCH", 2)
+def test_prefetch_rows_match_cold_rebuild(contracted, monkeypatch):
+    """``prefetch_rows`` over overlapping, repeated batches builds each
+    missing row once and touches cached rows in place; every row equals
+    a cold rebuild and serves a fresh oracle's distances."""
     if contracted:
         monkeypatch.setattr(indexed, "CONTRACT_MIN_INTERIOR", 1)
     for trial in range(2):
@@ -453,164 +406,39 @@ def test_parallel_prefetch_matches_serial(contracted, monkeypatch):
         graph = random_graph(rng)
         nodes = list(graph.nodes())
         hot = rng.sample(nodes, 6)
-        parallel = FrozenOracle(graph.copy(), hot=hot, parallel_rows=2)
-        serial = FrozenOracle(graph.copy(), hot=hot)
-        if contracted:
-            assert parallel.contracted is not None
+        oracle = FrozenOracle(graph.copy(), hot=hot)
+        assert (oracle.contracted is not None) == contracted
+        index = oracle.contracted.index if contracted else oracle.core.index
+        fetched = set()
+        batch = []
         for _ in range(6):
-            batch = rng.sample(nodes, rng.randint(2, 9))
-            parallel.prefetch_rows(batch)
-            serial.prefetch_rows(batch)
-            assert _row_states(parallel) == _row_states(serial)
-        for _ in range(20):
-            u, v = rng.choice(nodes), rng.choice(nodes)
-            assert parallel.distance(u, v) == serial.distance(u, v)
-        assert _row_states(parallel) == _row_states(serial)
+            # Overlap the previous batch and repeat nodes within a batch.
+            batch = batch[:3] + rng.sample(nodes, rng.randint(2, 9))
+            batch += batch[:2]
+            before = dict(oracle._rows)
+            oracle.prefetch_rows(batch)
+            fetched.update(index[n] for n in batch if n in index)
+            assert set(oracle._rows) == fetched
+            for sid, row in before.items():
+                assert oracle._rows[sid] is row  # touched, not rebuilt
+            assert_rows_match_cold(oracle)
+        _assert_array_rows(oracle)
+        fresh = FrozenOracle(graph.copy(), hot=hot)
+        for node in nodes:
+            if index.get(node) in fetched:
+                assert oracle.distances_from(node) == fresh.distances_from(node)
 
-
-@needs_fork
-@pytest.mark.parametrize("direction", ["up", "mixed"])
-def test_parallel_patch_repairs_match_serial(direction, monkeypatch):
-    """Fork-pool patch repairs are bit-identical after every patch."""
-    monkeypatch.setattr(indexed, "PARALLEL_MIN_BATCH", 2)
-    monkeypatch.setattr(indexed, "PARALLEL_MIN_REPAIRS", 2)
-    for trial in range(2):
-        rng = random.Random(8400 * (trial + 1) + (direction == "up"))
-        graph = random_graph(rng)
-        hot = rng.sample(list(graph.nodes()), 5)
-        ops = _patch_stream(rng, graph, rounds=6, direction=direction)
-        parallel = FrozenOracle(
-            graph.copy(), hot=hot, patchable=True, parallel_rows=2,
-        )
-        serial = FrozenOracle(graph.copy(), hot=hot, patchable=True)
-        assert _replay(parallel, ops) == _replay(serial, ops)
-        assert parallel._queries == serial._queries
-        _final_check(rng, graph, hot, parallel, serial)
-
-
-@needs_fork
-def test_parallel_shared_regions_match_serial(monkeypatch):
-    """Parallel repairs compose with forced region sharing + offsets, on
-    pure-increase and mixed streams alike: decrease-carrying batches
-    fork too (after their decrease pass), and every patch leaves rows
-    identical to the in-process repair and to a cold rebuild."""
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
-    monkeypatch.setattr(indexed, "PARALLEL_MIN_REPAIRS", 2)
-    forks = []
-    real_fork_map = kernel.fork_map
-
-    def spy(*args, **kwargs):
-        forks.append(kwargs.get("label"))
-        return real_fork_map(*args, **kwargs)
-
-    monkeypatch.setattr(kernel, "fork_map", spy)
-    decrease_forks = 0
-    for direction in ("up", "mixed"):
-        for trial in range(2):
-            rng = random.Random(9500 + trial + 10 * (direction == "mixed"))
-            graph = random_graph(rng)
-            hot = rng.sample(list(graph.nodes()), 5)
-            ops = _patch_stream(rng, graph, rounds=6, direction=direction)
-            parallel = FrozenOracle(graph.copy(), hot=hot, parallel_rows=2)
-            serial = FrozenOracle(graph.copy(), hot=hot)
-            for op in ops:
-                decrease = op[0] == "patch" and any(
-                    cost < parallel.graph.cost(u, v)
-                    for (u, v), cost in op[1].items()
-                )
-                before = len(forks)
-                _apply(serial, op)
-                if _apply(parallel, op):
-                    assert _row_states(parallel) == _row_states(serial)
-                    assert_rows_match_cold(parallel)
-                    decrease_forks += (
-                        decrease and "patch_rows" in forks[before:]
-                    )
-    assert decrease_forks, "no decrease-carrying batch forked its repairs"
-
-
-@needs_fork
-def test_parallel_topology_patches_match_serial(monkeypatch):
-    """Link failure/recovery streams stay bit-identical under the
-    kernel tier (tombstone removes, decrease-from-infinity inserts)."""
-    monkeypatch.setattr(indexed, "PARALLEL_MIN_BATCH", 2)
-    monkeypatch.setattr(indexed, "PARALLEL_MIN_REPAIRS", 2)
-    for trial in range(2):
-        rng = random.Random(1600 + trial)
-        graph = random_graph(rng)
-        hot = rng.sample(list(graph.nodes()), 5)
-        ops = _topology_stream(rng, graph, rounds=8)
-        parallel = FrozenOracle(
-            graph.copy(), hot=hot, patchable=True, parallel_rows=2,
-        )
-        serial = FrozenOracle(graph.copy(), hot=hot, patchable=True)
-        assert _replay(parallel, ops) == _replay(serial, ops)
-
-
-def test_no_fork_fallback_warns_once_and_matches(monkeypatch):
-    """Without fork the kernel tier runs serially -- identical results,
-    one ``RuntimeWarning`` naming the call site, never a crash."""
-    monkeypatch.setattr(indexed, "PARALLEL_MIN_BATCH", 2)
-    monkeypatch.setattr(
-        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-    )
-    monkeypatch.setattr(kernel, "_warned_no_fork", False)
-    rng = random.Random(42)
-    graph = random_graph(rng)
-    nodes = list(graph.nodes())
-    hot = rng.sample(nodes, 5)
-    parallel = FrozenOracle(graph.copy(), hot=hot, parallel_rows=4)
-    serial = FrozenOracle(graph.copy(), hot=hot)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        parallel.prefetch_rows(nodes[:10])
-        parallel.prefetch_rows(nodes[10:20])
-    serial.prefetch_rows(nodes[:10])
-    serial.prefetch_rows(nodes[10:20])
-    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert len(runtime) == 1  # once per process, not once per call
-    assert "fork" in str(runtime[0].message)
-    assert _row_states(parallel) == _row_states(serial)
-
-
-# ----------------------------------------------------------------------
-# cross-layer: simulator churn and clones
-# ----------------------------------------------------------------------
 
 def test_rebased_clone_preserves_kernel_flags():
     rng = random.Random(3)
     graph = random_graph(rng)
-    oracle = FrozenOracle(graph, parallel_rows=3)
+    oracle = FrozenOracle(graph, patchable=True, row_budget_bytes=1 << 30)
     oracle.distances_from(0)
     clone = oracle.rebased(graph.copy(), {})
-    assert clone.parallel_rows == 3
+    assert clone._patchable
+    assert clone.row_budget_bytes == 1 << 30
     assert _row_states(clone) == _row_states(oracle)
     # Copied rows are fresh label buffers, not views of the original's.
     _assert_array_rows(clone)
     row = next(iter(clone._rows.values()))
     assert row.dist is not next(iter(oracle._rows.values())).dist
-
-
-def test_simulator_kernel_flags_bit_identical_churn():
-    """An online churn run with parallel rows embeds every request at
-    the exact serial cost with the exact acceptance decisions."""
-    from repro.core.sofda import sofda
-    from repro.online import RequestGenerator, run_online_comparison
-    from repro.topology import softlayer_network
-
-    network = softlayer_network(seed=3)
-    requests = RequestGenerator(
-        network, seed=5, destinations_range=(3, 4), sources_range=(2, 2),
-        chain_length=2,
-    ).take(4)
-    embedders = {"SOFDA": lambda inst: sofda(inst).forest}
-    plain = run_online_comparison(
-        lambda: network, embedders, requests, vms_per_datacenter=2
-    )
-    kerneled = run_online_comparison(
-        lambda: network, embedders, requests, vms_per_datacenter=2,
-        parallel_rows=2,
-    )
-    assert plain["SOFDA"].per_request_cost == kerneled["SOFDA"].per_request_cost
-    assert plain["SOFDA"].rejected == kerneled["SOFDA"].rejected

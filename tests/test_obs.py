@@ -109,13 +109,11 @@ def test_phase_breakdown_groups_label_series():
     reg.observe("oracle.build", 1.0, kind="core")
     reg.observe("oracle.row_build", 0.5, kind="cold")
     reg.observe("oracle.patch.costs", 0.25)
-    reg.observe("kernel.fork", 0.125, pool="x", mode="serial")
     out = phase_breakdown(reg.snapshot())
     assert set(out) == set(PHASE_GROUPS)
     assert out["build"] == pytest.approx(1.5)
     assert out["repair"] == pytest.approx(0.25)
     assert out["query"] == 0.0
-    assert out["fork"] == pytest.approx(0.125)
 
 
 # ----------------------------------------------------------------------
