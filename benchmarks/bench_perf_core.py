@@ -572,7 +572,7 @@ def run_perf_core() -> dict:
     )
     oracle.distance(sources[0], sources[1])  # force the core build
     start = time.perf_counter()
-    oracle.warm(sorted(instance.vms, key=repr)[:8])
+    oracle.prefetch_rows(sorted(instance.vms, key=repr)[:8])
     row_ms = (time.perf_counter() - start) / 8 * 1000.0
 
     # Best of three: single-run wall clock on a shared machine is noisy,

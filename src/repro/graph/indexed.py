@@ -41,15 +41,16 @@ invariant documented in ROADMAP.md.
 
 Edge-*cost* patches (:meth:`FrozenOracle.patch_edge_costs`) repair cached
 rows instead of recomputing them, in Ramalingam--Reps order through one
-engine.  A batch carrying a cost decrease first relaxes every live row
-outward from the decreased edges (:func:`_relax_decreases`).  The
-batch's increases then go through a *planner* -- one shared
-:class:`_PatchPlan` per patch that classifies them (degree-1 leaf edges
-versus general pairs), plus one scan pass over the live rows that finds
-the rows using each changed pair as a tree edge -- and a *repairer*
-(:func:`_repair_row_planned`) that applies the plan to one row.  The
-equivalence reference is the cold rebuild: a fresh oracle over the
-patched graph.
+engine.  Only exhaustive rows are repaired: a patch evicts every live
+early-stopped row first.  A batch carrying a cost decrease then relaxes
+every live row outward from the decreased edges
+(:func:`_relax_decreases`).  The batch's increases go through a
+*planner* -- one shared :class:`_PatchPlan` per patch that classifies
+them (degree-1 leaf edges versus general pairs), plus one scan pass over
+the live rows that finds the rows using each changed pair as a tree
+edge -- and one *repairer* (:func:`_repair_row`) that applies the plan
+to one row.  The equivalence reference is the cold rebuild: a fresh
+oracle over the patched graph.
 
 *Dense* patches -- a changed edge sitting in most rows' shortest-path
 trees, the online workload's hot shared links -- additionally share the
@@ -60,8 +61,9 @@ behind one :class:`_SharedRegion`, whose node list, membership mask,
 boundary seed lists and region-internal adjacency are computed once per
 group and reused by every member row's re-dijkstra.  Observed row
 density alone engages it (see :data:`PLANNER_SHARE_MIN_ROWS` /
-:data:`PLANNER_SHARE_DENSITY`); shared repairs are bit-identical to the
-per-row region walk.
+:data:`PLANNER_SHARE_DENSITY`); the repairer walks any root without a
+shared region per row, and shared repairs are bit-identical to that
+walk.
 
 Edge-*topology* patches (:meth:`FrozenOracle.patch_topology`) extend the
 same repair engine to link failure and recovery.  A removed edge is a
@@ -729,16 +731,13 @@ def _relax_decreases(
     adjacency: List[Tuple[Tuple[float, int], ...]],
     row: "_Row",
     decreases: List[Tuple[int, int, float]],
-) -> bool:
-    """Propagate one batch's cost decreases through a cached row in place.
+) -> None:
+    """Propagate one batch's cost decreases through a full row in place.
 
     The decrease half of Ramalingam--Reps.  ``adjacency`` must already
-    carry the *new* weights.  On a full row, every decreased edge that
-    now shortens a path seeds a label-correcting sweep outward from its
-    improved endpoint.  An early-stopped row survives only when no
-    decrease can improve any label (both endpoints settled, no slack):
-    its unsettled labels are mere upper bounds, so an improvement could
-    not be bounded.  Returns ``False`` when the row must be evicted.
+    carry the *new* weights.  Every decreased edge that now shortens a
+    path seeds a label-correcting sweep outward from its improved
+    endpoint.
 
     :meth:`FrozenOracle._patch_rows` runs this over every live row before
     it classifies the batch's increases, because a decrease moves
@@ -747,14 +746,6 @@ def _relax_decreases(
     a reintroduced fork, sees only the increase write-back there.
     """
     dist = row.dist
-    if not row.full:
-        settled = row.settled
-        for a, b, w in decreases:
-            if not (settled[a] and settled[b]):
-                return False
-            if dist[a] + w < dist[b] or dist[b] + w < dist[a]:
-                return False
-        return True
     parent = row.parent
     heap: List[Tuple[float, int]] = []
     push = heapq.heappush
@@ -778,7 +769,6 @@ def _relax_decreases(
                 dist[u] = nd
                 parent[u] = v
                 push(heap, (nd, u))
-    return True
 
 
 class _PatchPlan:
@@ -790,8 +780,8 @@ class _PatchPlan:
     depend on the row at all.  The plan hoists it:
 
     - ``increases`` / ``decreases``: the direction partition of the batch
-      (the decreases feed :func:`_relax_decreases`, the increases the
-      planned repair).
+      (the decreases feed :func:`_relax_decreases`, the increases
+      :func:`_repair_row`).
     - ``classified`` (lazy): per increased pair ``(a, b, leaf)`` where
       ``leaf`` is the degree-1 endpoint id, or ``-1`` for a general pair.
       A degree-1 node can only ever be the *child* of its single edge (no
@@ -854,14 +844,13 @@ def _route_tree_edge(
     leaf: int,
     general_roots: Dict[int, List[int]],
     leaf_jobs: Dict[int, List[Tuple[int, int]]],
-) -> bool:
+) -> None:
     """Route one changed pair of ``row`` to its repair job, if a tree edge.
 
     The per-row, per-pair step of :meth:`FrozenOracle._patch_rows`'s
     scan pass: verify the pair against ``row.parent``, then queue the
     detached child either as a ``(leaf, anchor)`` fast job (increased
-    degree-1 edge of a full row) or as a general region root.  Returns
-    whether the pair is currently a tree edge of the row.
+    degree-1 edge) or as a general region root.
     """
     parent = row.parent
     if parent[b] == a:
@@ -869,143 +858,11 @@ def _route_tree_edge(
     elif parent[a] == b:
         child = a
     else:
-        return False
-    if child == leaf and row.full:
+        return
+    if child == leaf:
         leaf_jobs.setdefault(sid, []).append((child, a if child == b else b))
     else:
         general_roots.setdefault(sid, []).append(child)
-    return True
-
-
-def _repair_row_planned(
-    adjacency: List[Tuple[Tuple[float, int], ...]],
-    row: "_Row",
-    roots: Iterable[int],
-    leafs: Iterable[Tuple[int, int]],
-) -> None:
-    """Apply one plan's increase repairs to a single cached row.
-
-    ``roots`` are the row's detached children of generally-classified
-    increased pairs (already verified against ``row.parent``); ``leafs``
-    holds ``(leaf, anchor)`` jobs for increased degree-1 edges of full
-    rows.  This is the increase half of Ramalingam--Reps: only
-    descendants of a detached tree edge can change, so exactly that
-    region is recomputed from its boundary of intact nodes.  On
-    early-stopped rows, a repaired node whose new distance exceeds the
-    original settle cutoff is demoted to unsettled (its true distance
-    could route through never-settled territory, whose labels are mere
-    upper bounds); conversely a repaired node back under the cutoff is
-    provably exact, since every path through never-settled territory
-    costs at least the cutoff.  Two profiled shortcuts:
-
-    - The affected region is discovered by scanning ``adjacency`` for
-      ``parent[u] == v`` children, so no per-row children lists are
-      built or maintained (the planner skips rows a patch cannot touch,
-      so such lists would mostly be built for nothing).
-    - Leaf jobs whose anchor is outside every detached region bypass the
-      region machinery entirely: the leaf's one edge is relaxed in place
-      (``dist[leaf] = dist[anchor] + w``), its parent unchanged.  A leaf
-      whose anchor *is* detached was already swept into that region by
-      the child walk, and is repaired there.
-    """
-    dist = row.dist
-    parent = row.parent
-    settled = row.settled
-    full = row.full
-    n = len(dist)
-    if not full and row.cutoff is None:
-        # The original run's settle frontier: every never-settled node's
-        # true distance is at least this (Dijkstra settles in
-        # nondecreasing order, and a decrease only survives on an edge
-        # between settled nodes -- see :func:`_relax_decreases`).
-        row.cutoff = max(
-            (dist[v] for v in range(n) if settled[v]), default=0.0
-        )
-    affect = bytearray(n)
-    affected: List[int] = []
-    if roots:
-        stack = []
-        for r in roots:
-            if not affect[r]:
-                affect[r] = 1
-                stack.append(r)
-        while stack:
-            v = stack.pop()
-            affected.append(v)
-            for w, u in adjacency[v]:
-                if parent[u] == v and not affect[u]:
-                    affect[u] = 1
-                    stack.append(u)
-    fast: List[Tuple[int, int]] = []
-    for leaf, anchor in leafs:
-        if not affect[leaf]:
-            fast.append((leaf, anchor))
-    if affected:
-        for v in affected:
-            dist[v] = INF
-            parent[v] = -1
-        heap: List[Tuple[float, int]] = []
-        push = heapq.heappush
-        pop = heapq.heappop
-        if full:
-            for v in affected:
-                best = INF
-                best_parent = -1
-                for w, u in adjacency[v]:
-                    if not affect[u]:
-                        nd = dist[u] + w
-                        if nd < best:
-                            best = nd
-                            best_parent = u
-                if best_parent >= 0:
-                    dist[v] = best
-                    parent[v] = best_parent
-                    push(heap, (best, v))
-        else:
-            for v in affected:
-                best = INF
-                best_parent = -1
-                for w, u in adjacency[v]:
-                    if not affect[u] and settled[u]:
-                        nd = dist[u] + w
-                        if nd < best:
-                            best = nd
-                            best_parent = u
-                if best_parent >= 0:
-                    dist[v] = best
-                    parent[v] = best_parent
-                    push(heap, (best, v))
-        while heap:
-            d, v = pop(heap)
-            if d > dist[v]:
-                continue
-            for w, u in adjacency[v]:
-                if affect[u]:
-                    nd = d + w
-                    if nd < dist[u]:
-                        dist[u] = nd
-                        parent[u] = v
-                        push(heap, (nd, u))
-        if not full:
-            cutoff = row.cutoff
-            for v in affected:
-                # Demotion contract: a repaired label strictly above the
-                # original settle frontier may route through never-settled
-                # territory, so it is demoted; a label exactly *on* the
-                # cutoff is still provably exact (any path through
-                # never-settled territory costs at least the cutoff) and
-                # stays settled.  Must match :func:`_repair_row_shared`.
-                settled[v] = 1 if dist[v] <= cutoff else 0
-    for leaf, anchor in fast:
-        d = dist[anchor]
-        if d == INF:
-            # The anchor itself is unreachable; mirror the region
-            # seeding, which finds no boundary parent and leaves the leaf
-            # detached.
-            dist[leaf] = INF
-            parent[leaf] = -1
-        else:
-            dist[leaf] = d + adjacency[leaf][0][0]
 
 
 class _SharedRegion:
@@ -1229,20 +1086,22 @@ class _SharedRegion:
             solo = self._solo = (order, margin, maxd, max_depth)
         return None if solo[0] is None else solo
 
-    def apply_offset(self, dist, parent, settled, full) -> bool:
+    def apply_offset(self, dist, parent) -> bool:
         """Repair one row's copy of this region by per-row offsets.
 
         The row-side half of the single-boundary shared solve: scan the
         lone boundary node's seed candidates exactly as the heap path
-        would (first strict minimum over intact, settled-or-full
-        neighbors), then -- if the solo margin survives the drift bound
-        at this base -- replay the solo tree's additions ``dist[child] =
-        dist[parent] + w`` in topological order, which is literally the
-        same float expression sequence the per-row re-dijkstra evaluates.
-        Returns ``False`` when the caller must fall back to heap seeding
-        for this region (margin too small for this row's base, or no
-        cached solo); the region's labels are untouched in that case
-        (still at the caller's INF/-1 reset).
+        would (first strict minimum over the intact neighbors), then --
+        if the solo margin survives the drift bound at this base --
+        replay the solo tree's additions ``dist[child] = dist[parent] +
+        w`` in topological order, which is literally the same float
+        expression sequence the per-row re-dijkstra evaluates.  Returns
+        ``False`` when the caller must fall back to heap seeding for
+        this region (margin too small for this row's base, or no cached
+        solo); the region's labels are untouched in that case (still at
+        the caller's INF/-1 reset).  On a full row the boundary node
+        always has a reachable neighbor; without one, ``best`` and the
+        drift bound would be ``inf`` and send the region to the heap path.
         """
         solo = self.solo_solve()
         if solo is None:
@@ -1252,15 +1111,10 @@ class _SharedRegion:
         best = INF
         best_parent = -1
         for w, u in seed:
-            if full or settled[u]:
-                nd = dist[u] + w
-                if nd < best:
-                    best = nd
-                    best_parent = u
-        if best_parent < 0:
-            # No intact boundary neighbor: the heap path would push
-            # nothing and the whole region stays at the INF/-1 reset.
-            return True
+            nd = dist[u] + w
+            if nd < best:
+                best = nd
+                best_parent = u
         drift = (
             (best + maxd) * _EPS * (_OFFSET_ULPS_PER_LEVEL * (depth + 1)
                                     + _OFFSET_ULPS_BASE)
@@ -1330,54 +1184,61 @@ def _combine_regions(
     return member, inner
 
 
-def _repair_row_shared(
+def _repair_row(
     adjacency: List[Tuple[Tuple[float, int], ...]],
     row: "_Row",
-    hits: List[_SharedRegion],
-    walk_roots: Iterable[int],
+    hits: Sequence[_SharedRegion],
+    walk_roots: Sequence[int],
     leafs: Iterable[Tuple[int, int]],
-    union_cache: Dict,
+    union_cache: Optional[Dict],
 ) -> None:
-    """Apply one plan's increase repairs using shared region structures.
+    """Apply one plan's increase repairs to a single full cached row.
 
-    Bit-identical to :func:`_repair_row_planned` over ``hits``'s roots
-    plus ``walk_roots``: the affected set is the union of the shared
-    regions (verified to equal this row's subtrees) and the per-row walk
-    of any unshared roots; seeding and the re-dijkstra perform the same
-    value-ordered relaxations, reading boundary candidates from the
-    shared seed lists instead of full adjacency scans.  Overlapping
-    (nested-subtree) hits may seed a node twice -- idempotent, the
-    second pass recomputes the same minimum from the same intact
-    neighbors.
+    The increase half of Ramalingam--Reps: only descendants of a
+    detached tree edge can change, so exactly that region is recomputed
+    from its boundary of intact nodes.  ``hits`` are the row's shared
+    regions (verified to equal its subtrees by
+    :meth:`FrozenOracle._resolve_shared`), ``walk_roots`` the detached
+    children without one, and ``leafs`` ``(leaf, anchor)`` jobs for
+    increased degree-1 edges.
 
-    Bridge-detached regions -- exactly one boundary node -- repair
-    through :meth:`_SharedRegion.apply_offset`: the region is solved once
-    and each row replays the solve's additions from its own boundary seed
-    distance, skipping the per-row heap.  Only engaged when ``inner`` is
-    shared (regions are independent islands, so removing one from the
-    merged heap cannot perturb another), and only when the region's
-    separation margin provably survives the re-based rounding -- every
-    other case falls back to the heap path, so results stay
-    bit-identical.  The region reset and settle scans run as whole-array
-    numpy ops over the row's label buffers, and so does the boundary-seed
-    scan when ``inner`` is shared (same values: the scans are pure
-    gathers/constant stores and the seed scan keeps the
-    first-strict-minimum selection rule); non-mergeable region unions
-    keep the scalar seed scan, which must skip affected neighbors.
+    - ``walk_roots`` regions are discovered per row by scanning
+      ``adjacency`` for ``parent[u] == v`` children, so no per-row
+      children lists are built or maintained.
+    - Shared regions supply the affected set, the boundary seed lists
+      and the region-internal adjacency instead; seeding and the
+      re-dijkstra perform the same value-ordered relaxations as the
+      walk, so shared and walked repairs are bit-identical.  Overlapping
+      (nested-subtree) hits may seed a node twice -- idempotent, the
+      second pass recomputes the same minimum from the same intact
+      neighbors.
+    - Bridge-detached regions -- exactly one boundary node -- repair
+      through :meth:`_SharedRegion.apply_offset`: the region is solved
+      once and each row replays the solve's additions from its own
+      boundary seed distance, skipping the per-row heap.  Only engaged
+      when ``inner`` is shared (regions are independent islands, so
+      removing one from the merged heap cannot perturb another), and
+      only when the region's separation margin provably survives the
+      re-based rounding; every other case takes the heap path.  The
+      shared regions' reset scan runs as a whole-array numpy op over the
+      row's label buffers, and so does their boundary-seed scan when
+      ``inner`` is shared (same values: pure gathers/constant stores,
+      and the seed scan keeps the first-strict-minimum selection rule);
+      non-mergeable region unions keep the scalar seed scan, which must
+      skip affected neighbors.
+    - Leaf jobs whose anchor is outside every detached region bypass the
+      region machinery: the leaf's one edge is relaxed in place
+      (``dist[leaf] = dist[anchor] + w``), its parent unchanged.  A leaf
+      whose anchor *is* detached was already swept into that region, and
+      is repaired there.
     """
     dist = row.dist
     parent = row.parent
-    settled = row.settled
-    full = row.full
     n = len(dist)
-    if not full and row.cutoff is None:
-        row.cutoff = max(
-            (dist[v] for v in range(n) if settled[v]), default=0.0
-        )
 
     inner = None
     walked: List[int] = []
-    if not walk_roots:
+    if hits and not walk_roots:
         if len(hits) == 1:
             region = hits[0]
             affect = region.member  # read-only
@@ -1392,10 +1253,13 @@ def _repair_row_shared(
                 union_cache[key] = cached
             affect, inner = cached  # read-only
     else:
-        mask = 0
-        for region in hits:
-            mask |= region.mask
-        affect = bytearray(mask.to_bytes(n, "little"))
+        if hits:
+            mask = 0
+            for region in hits:
+                mask |= region.mask
+            affect = bytearray(mask.to_bytes(n, "little"))
+        else:
+            affect = bytearray(n)
         stack = []
         for r in walk_roots:
             if not affect[r]:
@@ -1409,12 +1273,13 @@ def _repair_row_shared(
                     affect[u] = 1
                     stack.append(u)
 
-    dview = kernel.f8_view(dist)
-    pview = kernel.i8_view(parent)
-    for region in hits:
-        nodes_np = region.arrays()[4]
-        dview[nodes_np] = INF
-        pview[nodes_np] = -1
+    if hits:
+        dview = kernel.f8_view(dist)
+        pview = kernel.i8_view(parent)
+        for region in hits:
+            nodes_np = region.arrays()[4]
+            dview[nodes_np] = INF
+            pview[nodes_np] = -1
     for v in walked:
         dist[v] = INF
         parent[v] = -1
@@ -1433,16 +1298,15 @@ def _repair_row_shared(
         heap_hits = []
         for region in hits:
             if len(region.seed_items) == 1 and region.apply_offset(
-                dist, parent, settled, full
+                dist, parent
             ):
                 continue
             heap_hits.append(region)
         # Whole-array boundary seeding.  ``inner is not None`` guarantees
         # every seed target lies outside all regions (``not affect[u]``
-        # is vacuously true), so the scan reduces to a masked gather plus
-        # a first-strict-minimum per boundary segment -- exactly the
+        # is vacuously true), so the scan reduces to a gather plus a
+        # first-strict-minimum per boundary segment -- exactly the
         # selection the scalar loop makes.
-        sview = None if full else kernel.u8_view(settled)
         for region in heap_hits:
             arrays = region.arrays()
             seed_u, seed_v, seed_w, starts, lens = (
@@ -1451,8 +1315,6 @@ def _repair_row_shared(
             if not seed_v:
                 continue
             vals = dview[seed_u] + seed_w
-            if sview is not None:
-                vals = np.where(sview[seed_u] != 0, vals, INF)
             mins = np.minimum.reduceat(vals, starts)
             size = vals.size
             firsts = np.minimum.reduceat(
@@ -1474,7 +1336,7 @@ def _repair_row_shared(
                 best = INF
                 best_parent = -1
                 for w, u in seed:
-                    if not affect[u] and (full or settled[u]):
+                    if not affect[u]:
                         nd = dist[u] + w
                         if nd < best:
                             best = nd
@@ -1487,7 +1349,7 @@ def _repair_row_shared(
         best = INF
         best_parent = -1
         for w, u in adjacency[v]:
-            if not affect[u] and (full or settled[u]):
+            if not affect[u]:
                 nd = dist[u] + w
                 if nd < best:
                     best = nd
@@ -1521,20 +1383,14 @@ def _repair_row_shared(
                         parent[u] = v
                         push(heap, (nd, u))
 
-    if not full:
-        cutoff = row.cutoff
-        sview = kernel.u8_view(settled)
-        for region in hits:
-            nodes_np = region.arrays()[4]
-            sview[nodes_np] = dview[nodes_np] <= cutoff
-        for v in walked:
-            settled[v] = 1 if dist[v] <= cutoff else 0
-
     for leaf, anchor in leafs:
         if affect[leaf]:
             continue  # swept into a region; repaired there
         d = dist[anchor]
         if d == INF:
+            # The anchor itself is unreachable; mirror the region
+            # seeding, which finds no boundary parent and leaves the leaf
+            # detached.
             dist[leaf] = INF
             parent[leaf] = -1
         else:
@@ -1544,18 +1400,15 @@ def _repair_row_shared(
 class _Row:
     """One cached single-source result inside :class:`FrozenOracle`.
 
-    ``stale`` marks a row that survived (was repaired by) an edge-cost
-    patch.  Its distances are exact and its parent tree is a valid
-    shortest-path tree under the *current* costs -- repair rebuilds every
-    region a change can reach -- so both distance and path queries serve
-    from it directly; only equal-cost tie-breaks may differ from what a
-    cold rebuild would pick.  A stale row that no longer covers a queried
-    target (a repair demoted it below the settle cutoff) is recomputed
-    like a cold miss instead of being upgraded to a full row.
+    ``full`` rows ran to exhaustion and are exact for every node;
+    early-stopped rows are exact on their ``settled`` nodes only.  A
+    patch repairs full rows in place -- their distances stay exact and
+    their parent tree stays a valid shortest-path tree under the new
+    costs, with equal-cost tie-breaks possibly differing from a cold
+    rebuild's -- and evicts every early-stopped row.
     """
 
-    __slots__ = ("dist", "parent", "settled", "full", "stale", "cutoff",
-                 "used")
+    __slots__ = ("dist", "parent", "settled", "full", "used")
 
     def __init__(
         self,
@@ -1568,10 +1421,6 @@ class _Row:
         self.parent = parent
         self.settled = settled
         self.full = full
-        self.stale = False
-        #: Original settle frontier (early-stopped rows), filled lazily by
-        #: the first repair.
-        self.cutoff = None
         #: Served since the last patch?  Rows idle across a whole patch
         #: interval are dropped rather than repaired -- dead rows (e.g. a
         #: past request's terminals) would otherwise be repaired forever.
@@ -1620,10 +1469,11 @@ class FrozenOracle:
         self._graph = graph
         self._hot: set = set(hot) if hot is not None else set()
         #: Patchable oracles expect edge-cost churn: rows run to exhaustion
-        #: instead of early-stopping at the hot set, so repairs never meet
-        #: the settle frontier (no demotions, no cold re-misses).  Served
-        #: values are bit-identical either way -- exhaustion only extends
-        #: the relaxation sequence beyond the early stop point.
+        #: instead of early-stopping at the hot set, so they survive
+        #: patches (a patch repairs only exhaustive rows and evicts the
+        #: early-stopped ones).  Served values are bit-identical either
+        #: way -- exhaustion only extends the relaxation sequence beyond
+        #: the early stop point.
         self._patchable = patchable
         #: Observability (PR 10): ``metrics=`` carries a
         #: :class:`~repro.obs.recorder.Recorder` that the instrumented
@@ -1757,22 +1607,15 @@ class FrozenOracle:
         self._build()
         return self._contracted
 
-    def warm(self, nodes: Iterable[Node]) -> None:
-        """Precompute rows for ``nodes`` (one Dijkstra each, cached).
-
-        Sweeps that will query *from or to* every node of a set should
-        warm it first: afterwards any ``distance`` query touching the set
-        is served from an existing row by undirected symmetry.
-        """
-        self.prefetch_rows(nodes)
-
     def prefetch_rows(self, nodes: Iterable[Node]) -> None:
         """Precompute rows for ``nodes``: touch the cached, build the rest.
 
-        Identical contract and resulting cache state as :meth:`warm` --
-        cached rows are touched (``used``), missing rows are built and
-        installed in the callers' node order, each once.  Callers that
-        know their working set up front
+        Cached rows are touched (``used``), missing rows are built and
+        installed in the callers' node order, each once.  Sweeps that
+        will query *from or to* every node of a set prefetch it first:
+        afterwards any ``distance`` query touching the set is served from
+        an existing row by undirected symmetry.  Callers that know their
+        working set up front
         (:meth:`~repro.core.problem.SOFInstance.metric_block`, the online
         simulator's VM-pool warms) route here.
         """
@@ -1863,15 +1706,14 @@ class FrozenOracle:
         already be an edge: topology changes still require
         :meth:`invalidate`.  New costs are written into the underlying
         graph, the CSR weight arrays and contracted chain weights are
-        patched in place, and cached rows are *repaired*
+        patched in place, and cached full rows are *repaired*
         (Ramalingam--Reps style: only the region below a changed tree
         edge or reachable from a decreased edge is recomputed) instead
-        of recomputed from scratch; a row is evicted only when its repair
-        cannot be bounded (an improving decrease against an early-stopped
-        row).  The changed batch is partitioned once per patch into a
-        shared :class:`_PatchPlan`: its decreases are relaxed into every
-        live row first, then its increases drive the planned region
-        repairs (see :meth:`_patch_rows`).
+        of recomputed from scratch; early-stopped rows are evicted.  The
+        changed batch is partitioned once per patch into a shared
+        :class:`_PatchPlan`: its decreases are relaxed into every live
+        row first, then its increases drive the region repairs (see
+        :meth:`_patch_rows`).
 
         Returns the number of (deduplicated) edges whose cost actually
         changed.
@@ -2088,27 +1930,29 @@ class FrozenOracle:
 
         ``changes`` holds ``(a, b, old_w, new_w)`` in the active core's id
         space; ``adjacency`` is that core's already-patched per-node rows.
-        Rows whose repair cannot be bounded are dropped; every survivor is
-        marked :attr:`_Row.stale`: its distances and tree are exact under
-        the new costs, with tie-breaks possibly differing from a cold
-        rebuild's.
+        Only exhaustive rows are repaired: every live early-stopped row
+        is evicted first (reason ``"repair"``), since its unsettled
+        labels are mere upper bounds that no repair could bound, and
+        rows idle since the previous patch are evicted as ``"idle"``.
+        Every survivor keeps exact distances and a valid shortest-path
+        tree under the new costs, with tie-breaks possibly differing
+        from a cold rebuild's.
 
         One engine serves every batch, in Ramalingam--Reps order.  A batch
         carrying a decrease first runs :func:`_relax_decreases` over every
-        live row, evicting the early-stopped rows it could improve: a
-        decrease moves parents, so increases can only be classified
-        against the relaxed trees.  The increases are classified once
-        into the shared :class:`_PatchPlan`, and only rows that actually
-        use an increased edge as a tree edge are repaired.  One scan pass
-        over the live rows finds them, checking each increased pair
-        against the row's parent array (O(rows x changes)).
+        live row: a decrease moves parents, so increases can only be
+        classified against the relaxed trees.  The increases are
+        classified once into the shared :class:`_PatchPlan`, and only
+        rows that actually use an increased edge as a tree edge are
+        repaired.  One scan pass over the live rows finds them, checking
+        each increased pair against the row's parent array (O(rows x
+        changes)).
 
         Detached roots dense enough to clear
         :data:`PLANNER_SHARE_MIN_ROWS` / :data:`PLANNER_SHARE_DENSITY` get
         per-patch shared-region groups: member rows verify against
-        (instead of rediscovering) the detached region and repair through
-        :func:`_repair_row_shared`, bit-identically to the per-row
-        :func:`_repair_row_planned` walk.
+        (instead of rediscovering) the detached region.  Every other
+        root is walked per row by the same repairer, :func:`_repair_row`.
 
         The repairs form one job list, built in row order together with
         the idle evictions, the shared-region resolution and the repair
@@ -2122,12 +1966,13 @@ class FrozenOracle:
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
         rows = self._rows
+        for sid, row in list(rows.items()):
+            if row.used and not row.full:
+                rows.evict(sid, "repair")
         if decreases:
-            for sid, row in list(rows.items()):
-                if row.used and not _relax_decreases(
-                    adjacency, row, decreases
-                ):
-                    rows.evict(sid, "repair")
+            for row in rows.values():
+                if row.used:
+                    _relax_decreases(adjacency, row, decreases)
 
         # Classify the increases once, then scan the live rows for the
         # ones whose tree uses an increased pair.
@@ -2179,29 +2024,23 @@ class FrozenOracle:
                 # (exactly the rebuild path) instead of repairing forever.
                 rows.evict(sid, "idle")
                 continue
-            row.stale = True
             row.used = False
             roots = general_roots.get(sid, ())
             leafs = leaf_jobs.get(sid, ())
             if roots or leafs:
-                hits: List[_SharedRegion] = []
-                walk_roots: List[int] = []
                 if share_groups is not None and roots:
                     hits, walk_roots = self._resolve_shared(
                         adjacency, row, roots, share_groups
                     )
-                jobs.append((sid, row, hits, walk_roots, roots, leafs))
+                else:
+                    hits, walk_roots = (), roots
+                jobs.append((row, hits, walk_roots, leafs))
                 if mx:
                     mx.inc("oracle.repair.rows",
                            path="shared" if hits else "planned")
 
-        for _, row, hits, walk_roots, roots, leafs in jobs:
-            if hits:
-                _repair_row_shared(
-                    adjacency, row, hits, walk_roots, leafs, union_cache
-                )
-            else:
-                _repair_row_planned(adjacency, row, roots, leafs)
+        for row, hits, walk_roots, leafs in jobs:
+            _repair_row(adjacency, row, hits, walk_roots, leafs, union_cache)
 
         # Budgeted oracles settle residency at the patch boundary: the
         # accounting invariant is "never over budget *between* patches"
@@ -2313,8 +2152,6 @@ class FrozenOracle:
                     None if row.settled is None else bytearray(row.settled),
                     row.full,
                 )
-                dup.stale = row.stale
-                dup.cutoff = row.cutoff
                 dup.used = row.used
                 clone._rows[source_id] = dup
         clone.patch_edge_costs(changed)
@@ -2335,8 +2172,7 @@ class FrozenOracle:
         """Cache ``row``, replacing any previous row of ``source_id``.
 
         The one install path of every row-replacing recompute (cold
-        misses, prefetch batches, stale-row recomputes, full-row
-        upgrades).
+        misses, prefetch batches, full-row upgrades).
         """
         self._rows[source_id] = row
         if self._rows.budget_bytes is not None:
@@ -2362,51 +2198,54 @@ class FrozenOracle:
     # ------------------------------------------------------------------
     # uncontracted-core machinery
     # ------------------------------------------------------------------
-    def _compute(self, source_id: int, target_id: Optional[int]) -> _Row:
-        """Compute and cache a row, early-stopped at the hot set if any."""
-        core = self.core
+    def _build_row(
+        self,
+        source_id: int,
+        kind: str,
+        targets: Optional[List[int]] = None,
+    ) -> _Row:
+        """Run, install and record one uncontracted row build.
+
+        ``targets`` early-stops the search once they are all settled;
+        ``None`` runs it to exhaustion.  ``kind`` labels the
+        ``oracle.row_build`` span: ``"cold"`` where no row was cached
+        (also counted in ``oracle.rows.cold``), ``"upgrade"`` for a full
+        row replacing a cached early-stopped one.
+        """
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
+        dist, parent, settled, exhausted = self.core.dijkstra(
+            source_id, targets
+        )
+        row = self._freeze_row(dist, parent, settled, exhausted)
+        self._install_row(source_id, row)
+        if mx:
+            if kind == "cold":
+                mx.inc("oracle.rows.cold")
+            mx.span("oracle.row_build", t0, kind=kind)
+        return row
+
+    def _compute(self, source_id: int, target_id: Optional[int]) -> _Row:
+        """Compute and cache a cold row, early-stopped at the hot set if any."""
+        targets = None
         if self._hot_ids and not self._patchable:
             targets = (
                 self._hot_ids if target_id is None
                 else self._hot_ids + [target_id]
             )
-            dist, parent, settled, exhausted = core.dijkstra(source_id, targets)
-            row = self._freeze_row(dist, parent, settled, exhausted)
-        else:
-            dist, parent, settled, _ = core.dijkstra(source_id)
-            row = self._freeze_row(dist, parent, settled, True)
-        self._install_row(source_id, row)
-        if mx:
-            mx.inc("oracle.rows.cold")
-            mx.span("oracle.row_build", t0, kind="cold")
-        return row
+        return self._build_row(source_id, "cold", targets)
 
     def _row_serving(self, source_id: int, target_id: int) -> _Row:
         """A row from ``source_id`` whose entry for ``target_id`` is final."""
         row = self._rows.get(source_id)
-        if row is not None and (row.full or row.settled[target_id]):
+        if row is None:
+            return self._compute(source_id, target_id)
+        if row.full or row.settled[target_id]:
             row.used = True
             return row
-        if row is not None:
-            if row.stale:
-                # A patch demoted the target below the settle cutoff:
-                # recompute exactly as a cold miss would (early-stopped at
-                # the hot set), which keeps the row bit-compatible with
-                # the full-rebuild path.
-                return self._compute(source_id, target_id)
-            # Cached but early-stopped short of the target: upgrade in full
-            # so repeated cold queries never re-run the search.
-            mx = self._metrics
-            t0 = mx.clock() if mx else 0.0
-            dist, parent, settled, _ = self.core.dijkstra(source_id)
-            row = self._freeze_row(dist, parent, settled, True)
-            self._install_row(source_id, row)
-            if mx:
-                mx.span("oracle.row_build", t0, kind="upgrade")
-            return row
-        return self._compute(source_id, target_id)
+        # Cached but early-stopped short of the target: upgrade in full so
+        # repeated cold queries never re-run the search.
+        return self._build_row(source_id, "upgrade")
 
     # ------------------------------------------------------------------
     def distance(self, source: Node, target: Node) -> float:
@@ -2820,10 +2659,10 @@ class FrozenOracle:
         core = self.core
         source_id = core.index[source]
         row = self._rows.get(source_id)
-        if row is None or not row.full:
-            dist, parent, settled, _ = core.dijkstra(source_id)
-            row = self._freeze_row(dist, parent, settled, True)
-            self._install_row(source_id, row)
+        if row is None:
+            row = self._build_row(source_id, "cold")
+        elif not row.full:
+            row = self._build_row(source_id, "upgrade")
         row.used = True
         nodes = core.nodes
         return {

@@ -100,8 +100,8 @@ class RowCache(dict):
         self.idle_evictions = 0
         #: ... of which: budget-pressure drops (:meth:`enforce`).
         self.budget_evictions = 0
-        #: ... of which: unbounded-repair drops (a decrease against an
-        #: early-stopped row cannot be repaired in place).
+        #: ... of which: early-stopped rows live at a patch (the oracle
+        #: repairs only exhaustive rows in place).
         self.repair_evictions = 0
         #: Enforcement passes that could not reach the budget because
         #: every remaining row was protected (mid-install working set
@@ -216,8 +216,9 @@ class RowCache(dict):
         """Drop one row and count it under ``reason``.
 
         ``reason`` is one of ``"idle"`` (idle across a whole patch
-        interval), ``"repair"`` (repair could not be bounded) or
-        ``"budget"`` (residency pressure).  Returns the evicted row.
+        interval), ``"repair"`` (an early-stopped row live at a patch,
+        which only exhaustive rows survive) or ``"budget"`` (residency
+        pressure).  Returns the evicted row.
         """
         row = dict.__getitem__(self, source_id)
         del self[source_id]

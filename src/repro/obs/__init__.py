@@ -33,7 +33,7 @@ key                   meaning
 ``evictions``         total evictions (= idle + budget + repair)
 ``idle_evictions``    evicted as idle during repair triage
 ``budget_evictions``  evicted by the cost-aware budget sweep
-``repair_evictions``  evicted because repair was costlier than rebuild
+``repair_evictions``  early-stopped rows evicted at a patch, not repaired
 ``overshoots``        enforce() passes that could not reach the budget
 ====================  ====================================================
 

@@ -72,8 +72,6 @@ def _row_states(oracle):
             list(row.parent),
             None if row.settled is None else bytes(row.settled),
             row.full,
-            row.stale,
-            row.cutoff,
         )
         for sid, row in oracle._rows.items()
     }
@@ -116,7 +114,7 @@ def _final_check(rng, graph, hot, *oracles):
             assert oracle.distances_from(source) == expected
 
 
-def _heap_fallback(self, dist, parent, settled, full):
+def _heap_fallback(self, dist, parent):
     """``_SharedRegion.apply_offset`` refusing every region, so each one
     repairs through the per-row heap (the documented fallback)."""
     return False
@@ -140,8 +138,8 @@ def _assert_array_rows(oracle):
 @pytest.mark.parametrize("direction", ["up", "mixed"])
 def test_array_rows_match_cold_rebuild(direction, patchable):
     """Randomized streams: every cached row equals a cold rebuild after
-    every patch (full rows bit for bit, early-stopped rows on every
-    settled label)."""
+    every patch, bit for bit.  ``patchable=False`` streams build
+    early-stopped rows, which every patch evicts."""
     for trial in range(3):
         rng = random.Random(4100 * trial + (direction == "up") + 2 * patchable)
         graph = random_graph(rng)
@@ -175,7 +173,7 @@ def test_shared_regions_match_cold_rebuild(direction, monkeypatch):
         _final_check(rng, graph, hot, shared, unshared)
 
 
-def _offset_vs_heap(monkeypatch, edges, ops, hot=None):
+def _offset_vs_heap(monkeypatch, edges, ops):
     """Run ``ops`` on an oracle with the offset solve and on a twin whose
     every region takes the heap fallback; returns ``(offset, heap,
     outcomes)`` with the offset oracle's ``apply_offset`` results."""
@@ -189,8 +187,8 @@ def _offset_vs_heap(monkeypatch, edges, ops, hot=None):
         outcomes.append(result)
         return result
 
-    offset = FrozenOracle(Graph.from_edges(edges), hot=hot)
-    heap = FrozenOracle(Graph.from_edges(edges), hot=hot)
+    offset = FrozenOracle(Graph.from_edges(edges))
+    heap = FrozenOracle(Graph.from_edges(edges))
     for oracle, apply_offset in ((offset, counting), (heap, _heap_fallback)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(indexed._SharedRegion, "apply_offset", apply_offset)
@@ -226,38 +224,6 @@ def test_offset_solve_single_boundary_pod(monkeypatch):
     fresh = FrozenOracle(offset.graph.copy())
     for node in rows:
         assert offset.distances_from(node) == fresh.distances_from(node)
-
-
-def test_offset_solve_unreachable_region(monkeypatch):
-    """Offset path handles a region whose lone boundary seed is dead.
-
-    An early-stopped row from ``s`` (hot ``s`` and ``c``) settles
-    ``s, a, b, c`` and leaves ``d`` (tentative child of ``c``) and ``e``
-    unsettled.  Failing ``a-b`` detaches the region ``{b, c, d}``, whose
-    only boundary edge is ``d-e``; ``e`` is unsettled, so no seed is
-    intact and the region must stay at its INF/-1 reset through the
-    offset path's reset-only branch -- exactly as the heap fallback
-    leaves it -- and then serve ``b`` by recomputing the row.
-    """
-    edges = [
-        ("s", "a", 1.0), ("a", "b", 1.0), ("b", "c", 1.0),
-        ("c", "d", 10.0), ("d", "e", 6.0), ("e", "s", 15.0),
-    ]
-
-    def ops(oracle):
-        oracle.distance("s", "c")
-        oracle.patch_topology(removed=[("a", "b")])
-        row = oracle._rows[oracle.core.index["s"]]
-        assert not row.full
-        assert all(row.dist[oracle.core.index[v]] == INF for v in "bcd")
-
-    offset, heap, outcomes = _offset_vs_heap(
-        monkeypatch, edges, ops, hot=["s", "c"]
-    )
-    assert outcomes == [True], "reset-only branch never engaged"
-    assert _row_states(offset) == _row_states(heap)
-    assert_rows_match_cold(offset)
-    assert offset.distance("s", "b") == 15.0 + 6.0 + 10.0 + 1.0
 
 
 def test_every_install_path_stores_array_rows(monkeypatch):
@@ -333,7 +299,7 @@ def test_distances_to_matches_scalar(patchable):
             if rng.random() < 0.3:
                 node = rng.choice(nodes)
                 batched.prefetch_rows([node])
-                scalar.warm([node])
+                scalar.prefetch_rows([node])
         assert batched._queries == scalar._queries
         assert _row_states(batched) == _row_states(scalar)
 

@@ -246,8 +246,6 @@ def _row_states(oracle):
             list(row.parent),
             None if row.settled is None else bytes(row.settled),
             row.full,
-            row.stale,
-            row.cutoff,
         )
         for sid, row in oracle._rows.items()
     }
@@ -357,6 +355,36 @@ def test_metrics_flag_threads_to_clones_and_fallback():
     assert oracle.metrics is recorder
     clone = oracle.rebased(graph.copy(), {(0, 1): 2.0})
     assert clone.metrics is recorder
+
+
+def test_distances_from_records_row_builds():
+    """Uncontracted ``distances_from`` records its row builds as
+    ``distance`` does: ``kind=cold`` plus ``oracle.rows.cold`` for a new
+    row, ``kind=upgrade`` for a full row replacing an early-stopped one."""
+    from repro.graph import FrozenOracle, Graph
+
+    graph = Graph.from_edges([
+        ("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0),
+    ])
+    recorder = Recorder(registry=MetricsRegistry())
+    oracle = FrozenOracle(graph, hot={"a", "b"}, metrics=recorder)
+    assert oracle.contracted is None
+    oracle.distances_from("d")  # cold, full
+    oracle.distance("a", "b")  # cold, early-stopped at the hot set
+    aid = oracle.core.index["a"]
+    assert not oracle._rows[aid].full
+    oracle.distances_from("a")  # upgrade
+    assert oracle._rows[aid].full
+    snap = recorder.snapshot()
+    assert snap["counters"]["oracle.rows.cold"] == 2
+    builds = {
+        key: hist["count"] for key, hist in snap["histograms"].items()
+        if key.startswith("oracle.row_build")
+    }
+    assert builds == {
+        "oracle.row_build{kind=cold}": 2,
+        "oracle.row_build{kind=upgrade}": 1,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -140,7 +140,8 @@ def test_patch_duplicate_orientation_last_write_wins(patchable):
     weights and inflated the returned count; when the two new costs
     straddled the old one it even classified a phantom decrease whose
     cost existed in neither the graph nor the batch's outcome.  Checked
-    on exhaustive (patchable) and early-stopped rows alike.
+    on exhaustive (patchable) rows and on early-stopped ones, which the
+    first patch evicts.
     """
     graph = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
     oracle = FrozenOracle(graph, hot={"a", "b"}, patchable=patchable)
@@ -245,7 +246,8 @@ def test_upgraded_row_repairs_on_later_patch():
     The ``distances_from`` upgrade replaces an early-stopped row with a
     full one whose tree gains edges the old row never reached; a later
     patch of such an edge must find the new row and repair it, or the
-    oracle would serve a stale distance.
+    oracle would serve a stale distance.  A patch evicts the
+    early-stopped row itself, so it is rebuilt before the upgrade.
     """
     graph = Graph.from_edges([
         ("s", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("x", "y", 1.0),
@@ -256,8 +258,12 @@ def test_upgraded_row_repairs_on_later_patch():
     core = oracle.core
     sid = core.index["s"]
     assert not oracle._rows[sid].full
-    # A patch outside the partial row's tree leaves it cached as is.
+    # Even a patch outside its tree evicts the early-stopped row, and the
+    # next query rebuilds it early-stopped.
     oracle.patch_edge_costs({("x", "y"): 2.0})
+    assert sid not in oracle._rows
+    assert oracle.distance("s", "a") == 1.0
+    assert not oracle._rows[sid].full
     # Full-row upgrade: the new tree gains b-t.
     assert oracle.distances_from("s")["t"] == 3.0
     assert oracle._rows[sid].full
@@ -289,7 +295,7 @@ def test_patched_contracted_matches_fresh(contracted_instance):
     oracle = FrozenOracle(graph, hot=hot)
     assert oracle.contracted is not None
     special = sorted(hot, key=repr)
-    oracle.warm(special)
+    oracle.prefetch_rows(special)
     rng = random.Random(7)
     for _ in range(4):
         changed = perturb(rng, graph, 12)

@@ -1,15 +1,16 @@
 """Cold-rebuild equivalence for the patch repair engine.
 
-Every cost patch repairs cached rows through one engine: a batch's
-decreases are relaxed into every live row first, then its increases go
-through the cross-row patch planner (:class:`_PatchPlan`) and the
-planned or region-shared repairers.  The equivalence reference is the
-cold rebuild -- a fresh oracle over the patched graph.  These tests
-replay randomized query+patch streams and, after every patch, check each
-cached row against it: full rows must equal the rebuilt labels and
-parent tree exactly (shortest paths are unique on these continuous-cost
-graphs), early-stopped rows must equal it on every settled label, and
-contracted cores must agree within 1e-9.
+Every cost patch repairs cached rows through one engine: live
+early-stopped rows are evicted, a batch's decreases are relaxed into
+every remaining live row, then its increases go through the cross-row
+patch planner (:class:`_PatchPlan`) and the one repairer, which walks
+detached regions per row or reuses shared ones.  The equivalence
+reference is the cold rebuild -- a fresh oracle over the patched graph.
+These tests replay randomized query+patch streams and, after every
+patch, check each cached row against it: full rows must equal the
+rebuilt labels and parent tree exactly (shortest paths are unique on
+these continuous-cost graphs), and contracted cores must agree within
+1e-9.
 
 Dense-patch region sharing is selected by observed row density
 (:data:`PLANNER_SHARE_MIN_ROWS` / :data:`PLANNER_SHARE_DENSITY`).  With
@@ -17,12 +18,6 @@ the thresholds forced to zero every detached root repairs through a
 shared :class:`_SharedRegion` group, and with the minimum forced to
 infinity none does; the two runs must leave bit-identical row state
 after every patch.
-
-The settle-cutoff demotion boundary is audited here too: a repaired
-label landing *exactly* on ``row.cutoff`` is provably exact and must
-stay settled, while one strictly above may route through never-settled
-territory and must be demoted (the test includes a case where serving
-the unsettled label would be wrong).
 """
 
 import random
@@ -92,8 +87,6 @@ def _row_states(oracle):
             row.parent,
             None if row.settled is None else bytes(row.settled),
             row.full,
-            row.stale,
-            row.cutoff,
         )
         for sid, row in oracle._rows.items()
     }
@@ -138,11 +131,12 @@ def test_planner_matches_per_row_repair(direction, patchable):
     """Randomized patch streams: every row matches a cold rebuild after
     every patch.
 
-    ``up`` streams repair through the planned path alone; ``mixed``
-    streams run the decrease pass before it.  ``patchable=True`` is the
-    online simulator's configuration (exhaustive rows, no demotions);
-    ``patchable=False`` exercises early-stopped rows with settle-cutoff
-    demotions, decrease evictions and stale-row recomputes.
+    ``up`` streams repair through the increase repairer alone;
+    ``mixed`` streams run the decrease pass before it.
+    ``patchable=True`` is the online simulator's configuration
+    (exhaustive rows); ``patchable=False`` builds early-stopped rows,
+    which every patch evicts, and serves the next queries from cold
+    rebuilds of them.
     """
     for trial in range(4):
         rng = random.Random(100 * trial + (direction == "up") + 2 * patchable)
@@ -169,7 +163,8 @@ def test_shared_matches_unshared_and_per_row(direction, patchable, monkeypatch):
     region verification, variant founding, union repairs (rows with
     several detached roots) and the walk fallback for rows whose regions
     fragment -- all of which must leave row state identical to the
-    unshared planned path after every patch.
+    per-row walk after every patch.  ``patchable=False`` streams
+    exercise patch-time eviction of early-stopped rows on both sides.
     """
     _force_sharing(monkeypatch)
     for trial in range(4):
@@ -254,41 +249,38 @@ def test_sparse_then_dense_patches_repair_exactly():
     assert oracle.distance("b", "d") == 2.5
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_settle_cutoff_boundary_exact_landing(shared, monkeypatch):
-    """A repaired label exactly *on* the cutoff stays settled; one above
-    is demoted -- and the demotion is load-bearing, not conservative.
+@pytest.mark.parametrize("patch", ["costs", "topology"])
+def test_patch_evicts_early_stopped_rows(patch):
+    """A patch evicts every live early-stopped row and repairs full ones.
 
-    After the patch, x's repaired distance is exactly ``row.cutoff`` and
-    provably exact (any path through never-settled territory costs at
-    least the cutoff), so it must keep serving without a recompute.  h's
-    repaired label (3.0) is only an upper bound: the true distance routes
-    through the never-settled node y (2.6), so serving the label without
-    demotion would be *wrong*, not merely stale.  Both repairers (the
-    shared-region one and the per-row planned walk) must demote alike.
+    The early-stopped row from s settles h at 2.0 and never settles y.
+    After s-x grows (or fails), the true distance to h routes through
+    that never-settled y (2.6), which no in-place repair of the row
+    could see.  The patch must therefore drop the row, counted as a
+    repair eviction, and the next query must rebuild it cold.  The full
+    row from x stays cached and is repaired in place.
     """
-    if shared:
-        _force_sharing(monkeypatch)
     graph = Graph.from_edges([
         ("s", "x", 1.0), ("x", "h", 1.0), ("s", "y", 2.5), ("y", "h", 0.1),
     ])
     oracle = FrozenOracle(graph, hot={"s", "h"})
     assert oracle.distance("s", "h") == 2.0  # early-stops once h settles
     core = oracle.core
-    sid, xid, hid = core.index["s"], core.index["x"], core.index["h"]
-    row = oracle._rows[sid]
-    assert not row.full  # the search stopped before exhausting y
+    sid, xid = core.index["s"], core.index["x"]
+    assert not oracle._rows[sid].full
+    oracle.distances_from("x")
+    xrow = oracle._rows[xid]
+    assert xrow.full
+    evictions = oracle.cache_snapshot()["repair_evictions"]
 
-    oracle.patch_edge_costs({("s", "x"): 2.0})
-    assert row.cutoff == 2.0  # the original settle frontier (h's label)
-    assert row.dist[xid] == row.cutoff  # repaired to exactly the boundary
-    assert row.settled[xid] == 1  # on-the-cutoff stays settled
-    assert row.settled[hid] == 0  # strictly above: demoted
-    # x serves from the surviving row, no recompute.
-    assert oracle.distance("s", "x") == 2.0
-    assert oracle._rows[sid] is row
-    # h recomputes as a cold miss and finds the y-route the repaired
-    # label could not see.
+    if patch == "costs":
+        oracle.patch_edge_costs({("s", "x"): 2.0})
+    else:
+        oracle.patch_topology(removed=[("s", "x")])
+    assert sid not in oracle._rows
+    assert oracle.cache_snapshot()["repair_evictions"] == evictions + 1
+    assert oracle._rows[xid] is xrow
+    assert_rows_match_cold(oracle)
     assert oracle.distance("s", "h") == pytest.approx(2.6, rel=0, abs=1e-12)
     fresh = FrozenOracle(graph.copy(), hot={"s", "h"})
     assert oracle.distance("s", "h") == fresh.distance("s", "h")
@@ -320,7 +312,7 @@ def test_planner_matches_per_row_contracted(contracted_instance, monkeypatch):
     )
     for oracle in (shared, planned):
         assert oracle.contracted is not None
-        oracle.warm(special)
+        oracle.prefetch_rows(special)
     rng = random.Random(13)
     cost_now = {(u, v): c for u, v, c in planned.graph.edges()}
     edges = list(cost_now)

@@ -50,8 +50,6 @@ class _FakeRow:
             self.settled = None
         self.full = full
         self.used = used
-        self.stale = False
-        self.cutoff = 0.0
 
 
 # ----------------------------------------------------------------------

@@ -207,7 +207,7 @@ def contracted_oracle():
     rng = random.Random(3)
     oracle = FrozenOracle(graph, hot=hot)
     assert oracle.contracted is not None
-    oracle.warm(sorted(hot, key=repr))
+    oracle.prefetch_rows(sorted(hot, key=repr))
     return graph, oracle, hot, rng
 
 
