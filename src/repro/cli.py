@@ -174,6 +174,10 @@ def _cmd_fig11(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig12(args: argparse.Namespace) -> int:
+    if args.requests < 1:
+        print(f"error: --requests must be at least 1, got {args.requests}",
+              file=sys.stderr)
+        return 2
     recorder = _make_recorder(args.trace_out)
     series = fig12_online(
         topology=args.topology, num_requests=args.requests, metrics=recorder,
@@ -195,6 +199,31 @@ def _workload_input_error(args: argparse.Namespace) -> Optional[str]:
     if not args.replay:
         if not args.rate > 0:
             return f"--rate must be positive, got {args.rate:g}"
+        if not (math.isfinite(args.horizon) and args.horizon > 0):
+            return (f"--horizon must be a finite positive time, "
+                    f"got {args.horizon:g}")
+        if args.process == "diurnal":
+            if not 0 <= args.amplitude <= 1:
+                return (f"--amplitude must be in [0, 1], "
+                        f"got {args.amplitude:g}")
+            if not args.period > 0:
+                return f"--period must be positive, got {args.period:g}"
+        if args.process == "flash":
+            if not args.burst_factor >= 1:
+                return (f"--burst-factor must be at least 1, "
+                        f"got {args.burst_factor:g}")
+            if not args.burst_duration >= 0:
+                return (f"--burst-duration must be non-negative, "
+                        f"got {args.burst_duration:g}")
+        if args.hold_fixed is not None:
+            if not args.hold_fixed > 0:
+                return (f"--hold-fixed must be positive, "
+                        f"got {args.hold_fixed:g}")
+        elif not args.no_departures and not args.hold_mean > 0:
+            return f"--hold-mean must be positive, got {args.hold_mean:g}"
+        if args.fail_links < 0:
+            return (f"--fail-links must be non-negative, "
+                    f"got {args.fail_links}")
         if args.fail_links > 0:
             for flag, value in (("--mtbf", args.mtbf), ("--mttr", args.mttr)):
                 if not value > 0:

@@ -1,0 +1,156 @@
+/*
+ * The oracle's one shortest-path settle loop, compiled.
+ *
+ * repro.graph.kernel compiles this file with the system C compiler when
+ * it is imported and calls settle() through ctypes; kernel.settle_python
+ * is the line-for-line Python twin it must match bit for bit.
+ *
+ * settle() is a seeded label-setting loop over a CSR adjacency.  The
+ * caller has already written the seeds' labels into dist/parent; the
+ * loop pushes every seed, then pops heap entries in (dist, key) order
+ * and relaxes the popped node's out-edges in CSR order, writing
+ * improved labels straight into the row's dist/parent buffers.  Keys
+ * are unique -- a push counter (counter_ties != 0) or the node id --
+ * so the pop sequence is the one Python's heapq would produce for
+ * (dist, key, node) tuples, and labels and parents come out identical.
+ * Only IEEE double additions and comparisons touch the labels.
+ *
+ * - mask: when non-NULL, only edges into nodes with mask[u] != 0 are
+ *   relaxed (a repair's affected region).
+ * - settled: when non-NULL, each node is settled at most once and
+ *   flagged there; with targets non-NULL the loop stops right after the
+ *   node that brings `remaining` (the unsettled target count) to zero.
+ *
+ * An infinite edge weight (a tombstoned slot) never relaxes anything.
+ * Returns 1 when the heap ran dry, 0 after a target early stop and -1
+ * when the heap could not grow.
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+
+typedef struct {
+    double dist;
+    int64_t key;
+    int64_t node;
+} entry;
+
+typedef struct {
+    entry *items;
+    int64_t size;
+    int64_t cap;
+} heap;
+
+static int before(const entry *a, const entry *b)
+{
+    return a->dist < b->dist || (a->dist == b->dist && a->key < b->key);
+}
+
+static int push(heap *h, double dist, int64_t key, int64_t node)
+{
+    entry e = {dist, key, node};
+    int64_t i;
+    if (h->size == h->cap) {
+        int64_t cap = h->cap ? 2 * h->cap : 64;
+        entry *items = realloc(h->items, (size_t)cap * sizeof(entry));
+        if (items == NULL)
+            return -1;
+        h->items = items;
+        h->cap = cap;
+    }
+    i = h->size++;
+    while (i > 0) {
+        int64_t up = (i - 1) / 2;
+        if (!before(&e, &h->items[up]))
+            break;
+        h->items[i] = h->items[up];
+        i = up;
+    }
+    h->items[i] = e;
+    return 0;
+}
+
+static entry pop(heap *h)
+{
+    entry top = h->items[0];
+    entry last = h->items[--h->size];
+    int64_t n = h->size;
+    int64_t i = 0;
+    if (n == 0)
+        return top;
+    for (;;) {
+        int64_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && before(&h->items[child + 1], &h->items[child]))
+            child++;
+        if (!before(&h->items[child], &last))
+            break;
+        h->items[i] = h->items[child];
+        i = child;
+    }
+    h->items[i] = last;
+    return top;
+}
+
+int64_t settle(
+    const int64_t *indptr, const int64_t *indices, const double *weights,
+    double *dist, int64_t *parent,
+    const int64_t *seeds, int64_t nseeds,
+    const uint8_t *mask, uint8_t *settled,
+    const uint8_t *targets, int64_t remaining,
+    int64_t counter_ties)
+{
+    heap h = {NULL, 0, 0};
+    int64_t counter = 0;
+    int64_t result = 1;
+    int64_t i;
+    for (i = 0; i < nseeds; i++) {
+        int64_t v = seeds[i];
+        if (push(&h, dist[v], counter_ties ? counter++ : v, v) < 0) {
+            result = -1;
+            goto done;
+        }
+    }
+    while (h.size > 0) {
+        entry e = pop(&h);
+        double d = e.dist;
+        int64_t v = e.node;
+        int64_t pos;
+        int64_t end;
+        if (d > dist[v])
+            continue;
+        if (settled != NULL) {
+            if (settled[v])
+                continue;
+            settled[v] = 1;
+            if (targets != NULL) {
+                if (targets[v])
+                    remaining--;
+                if (remaining <= 0) {
+                    result = 0;
+                    goto done;
+                }
+            }
+        }
+        end = indptr[v + 1];
+        for (pos = indptr[v]; pos < end; pos++) {
+            int64_t u = indices[pos];
+            double nd;
+            if (mask != NULL && !mask[u])
+                continue;
+            nd = d + weights[pos];
+            if (nd < dist[u]) {
+                dist[u] = nd;
+                parent[u] = v;
+                if (push(&h, nd, counter_ties ? counter++ : u, u) < 0) {
+                    result = -1;
+                    goto done;
+                }
+            }
+        }
+    }
+done:
+    free(h.items);
+    return result;
+}

@@ -8,20 +8,26 @@ single-source searches per SOFDA call, so this module provides a compact
 core the hot paths share:
 
 - :class:`IndexedGraph` -- interns nodes into dense int ids and stores the
-  adjacency as CSR-style flat arrays (``indptr``/``indices``/``weights``)
-  plus per-node ``(weight, neighbor_id)`` rows for the Dijkstra inner loop.
-- :meth:`IndexedGraph.dijkstra` -- array-based Dijkstra whose ``dist`` and
-  ``parent`` are flat lists indexed by int id and whose heap entries are
-  ``(float, int, int)`` tuples, so no node ``repr`` tie-breaking ever runs.
-  The relaxation order (including the push-counter tie-break) replicates
-  :func:`repro.graph.shortest_paths.dijkstra` exactly, so the two return
-  identical distances *and* identical shortest-path trees.
+  adjacency as CSR ``array('q')``/``array('d')`` buffers
+  (``indptr``/``indices``/``weights``) plus per-node ``(weight,
+  neighbor_id)`` rows for the repair walks.
+- :meth:`IndexedGraph.dijkstra` -- array Dijkstra whose ``dist`` and
+  ``parent`` are ``array('d')``/``array('q')`` buffers indexed by int id,
+  so no node ``repr`` tie-breaking ever runs.  Its push-counter
+  tie-break replicates :func:`repro.graph.shortest_paths.dijkstra`'s
+  relaxation order exactly, so the two return identical distances *and*
+  identical shortest-path trees.
 - :class:`FrozenOracle` -- a drop-in replacement for
   :class:`~repro.graph.shortest_paths.DistanceOracle` over a graph that is
   not mutated while cached.  Rows are computed lazily and cached as
   ``array('d')``/``array('q')`` label buffers, which batch queries and
   repair scans read through zero-copy numpy views; a ``hot`` node set
   names the nodes the workload queries repeatedly.
+
+Every search in this module except the single-boundary shared-region
+solve runs one settle loop, :func:`repro.graph.kernel.settle` (compiled
+C, with a bit-identical Python twin): cold row builds over both cores,
+the decrease sweep and the region repair's boundary-seeded re-search.
 
 On large instances the oracle additionally *contracts* the search graph:
 ISP-style topologies (Euclidean MST plus shortest extra links, Inet
@@ -57,9 +63,9 @@ trees, the online workload's hot shared links -- additionally share the
 repair bookkeeping across rows: rows detaching the same region (same
 detached child, same detached-side node set; the region is the child's
 subtree regardless of which changed pair detached it) are grouped
-behind one :class:`_SharedRegion`, whose node list, membership mask,
-boundary seed lists and region-internal adjacency are computed once per
-group and reused by every member row's re-dijkstra.  Observed row
+behind one :class:`_SharedRegion`, whose node list, membership mask
+and boundary seed lists are computed once per group and reused by every
+member row's re-search.  Observed row
 density alone engages it (see :data:`PLANNER_SHARE_MIN_ROWS` /
 :data:`PLANNER_SHARE_DENSITY`); the repairer walks any root without a
 shared region per row, and shared repairs are bit-identical to that
@@ -191,9 +197,11 @@ class IndexedGraph:
     Attributes:
         nodes: intern table; ``nodes[i]`` is the original node of id ``i``.
         index: reverse mapping ``node -> id``.
-        indptr, indices, weights: CSR adjacency -- the neighbors of node
-            ``i`` are ``indices[indptr[i]:indptr[i+1]]`` with edge costs in
-            the matching slice of ``weights``.
+        indptr, indices, weights: CSR adjacency as ``array('q')``,
+            ``array('q')`` and ``array('d')`` buffers -- the neighbors of
+            node ``i`` are ``indices[indptr[i]:indptr[i+1]]`` with edge
+            costs in the matching slice of ``weights``; a tombstoned
+            (removed) edge keeps its slots at weight ``inf``.
     """
 
     __slots__ = ("nodes", "index", "indptr", "indices", "weights", "_rows")
@@ -201,18 +209,18 @@ class IndexedGraph:
     def __init__(
         self,
         nodes: List[Node],
-        indptr: List[int],
-        indices: List[int],
-        weights: List[float],
+        indptr: Sequence[int],
+        indices: Sequence[int],
+        weights: Sequence[float],
     ) -> None:
         self.nodes = nodes
         self.index = {node: i for i, node in enumerate(nodes)}
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        # Per-node (weight, neighbor) tuples: the CSR slices pre-zipped for
-        # the Dijkstra inner loop, where tuple unpacking beats two indexed
-        # loads per edge in CPython.
+        self.indptr = array("q", indptr)
+        self.indices = array("q", indices)
+        self.weights = array("d", weights)
+        # Per-node (weight, neighbor) tuples of the live edges: the CSR
+        # slices pre-zipped for the repair walks, where tuple unpacking
+        # beats two indexed loads per edge in CPython.
         self._rows: List[Tuple[Tuple[float, int], ...]] = [
             tuple(zip(weights[indptr[i]:indptr[i + 1]],
                       indices[indptr[i]:indptr[i + 1]]))
@@ -233,6 +241,11 @@ class IndexedGraph:
                 weights.append(cost)
             indptr.append(len(indices))
         return cls(nodes, indptr, indices, weights)
+
+    @property
+    def csr(self) -> Tuple[array, array, array]:
+        """``(indptr, indices, weights)``, the :func:`kernel.settle` input."""
+        return self.indptr, self.indices, self.weights
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -348,7 +361,7 @@ class IndexedGraph:
         dup.index = self.index
         dup.indptr = self.indptr
         dup.indices = self.indices
-        dup.weights = list(self.weights)
+        dup.weights = self.weights[:]
         dup._rows = list(self._rows)
         return dup
 
@@ -357,26 +370,30 @@ class IndexedGraph:
         self,
         source: int,
         targets: Optional[Iterable[int]] = None,
-    ) -> Tuple[List[float], List[int], bytearray, bool]:
+    ) -> Tuple[array, array, bytearray, bool]:
         """Single-source Dijkstra over int ids.
+
+        Push-counter ties (:func:`kernel.settle`) replicate the dict
+        Dijkstra's relaxation order, so labels *and* parents equal
+        :func:`repro.graph.shortest_paths.dijkstra`'s.
 
         Args:
             source: start node id.
             targets: optional ids; the search stops once all are settled.
 
         Returns:
-            ``(dist, parent, settled, exhausted)`` -- flat lists indexed by
-            node id (``parent[i] == -1`` for the source and unreached
-            nodes), the settled flags, and whether the search ran to
-            exhaustion (i.e. the row is valid for *every* node, not just
-            the settled ones).
+            ``(dist, parent, settled, exhausted)`` -- ``array('d')``/
+            ``array('q')`` label buffers indexed by node id (``parent[i]
+            == -1`` for the source and unreached nodes), the settled
+            flags, and whether the search ran to exhaustion (i.e. the row
+            is valid for *every* node, not just the settled ones).  An
+            early stop leaves the last settled node's out-edges
+            unrelaxed, so the row is then exact on the settled set only.
         """
         n = len(self.nodes)
-        dist = [INF] * n
-        parent = [-1] * n
+        dist, parent = kernel.new_labels(n)
         settled = bytearray(n)
         dist[source] = 0.0
-
         is_target = None
         remaining = 0
         if targets is not None:
@@ -385,34 +402,10 @@ class IndexedGraph:
                 if t != source and not is_target[t]:
                     is_target[t] = 1
                     remaining += 1
-
-        rows = self._rows
-        heap: List[Tuple[float, int, int]] = [(0.0, 0, source)]
-        counter = 1
-        push = heapq.heappush
-        pop = heapq.heappop
-        exhausted = True
-        while heap:
-            d, _, u = pop(heap)
-            if settled[u]:
-                continue
-            settled[u] = 1
-            if is_target is not None:
-                if is_target[u]:
-                    remaining -= 1
-                if remaining <= 0:
-                    # Stopped early: the last settled node's out-edges were
-                    # never relaxed, so the row is NOT valid beyond the
-                    # settled set even if the heap happens to be empty.
-                    exhausted = False
-                    break
-            for w, v in rows[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    push(heap, (nd, counter, v))
-                    counter += 1
+        exhausted = kernel.settle(
+            self.csr, dist, parent, (source,), settled=settled,
+            targets=is_target, remaining=remaining, counter=True,
+        )
         return dist, parent, settled, exhausted
 
 
@@ -425,6 +418,8 @@ class _ContractedCore:
         rows: per-core-node ``(weight, neighbor_cid)`` adjacency; parallel
             candidates (an original edge and/or several spliced chains
             between the same core pair) are reduced to the cheapest one.
+        indptr, indices, weights: the CSR mirror of ``rows`` (same
+            per-node order) that :func:`kernel.settle` searches.
         meta: ``(a_cid, b_cid) -> interior node tuple`` for every kept
             spliced edge, in a->b order (both orientations stored), used to
             re-expand reconstructed paths.
@@ -452,6 +447,7 @@ class _ContractedCore:
     __slots__ = (
         "nodes", "index", "rows", "meta", "chains", "interior",
         "chain_weights", "pair_direct", "chain_by_pair", "edge_loc",
+        "indptr", "indices", "weights",
     )
 
     def __init__(self, graph: Graph, protected: set) -> None:
@@ -552,35 +548,33 @@ class _ContractedCore:
         self.rows: List[Tuple[Tuple[float, int], ...]] = [
             tuple(row) for row in adjacency
         ]
+        self.indptr = array("q", [0])
+        self.indices = array("q")
+        self.weights = array("d")
+        for row in self.rows:
+            for w, nb in row:
+                self.weights.append(w)
+                self.indices.append(nb)
+            self.indptr.append(len(self.indices))
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def dijkstra(self, source: int) -> Tuple[List[float], List[int]]:
+    @property
+    def csr(self) -> Tuple[array, array, array]:
+        """``(indptr, indices, weights)``, the :func:`kernel.settle` input."""
+        return self.indptr, self.indices, self.weights
+
+    def dijkstra(self, source: int) -> Tuple[array, array]:
         """Full single-source Dijkstra over the contracted core.
 
-        Heap entries are plain ``(dist, id)`` pairs: the contracted core
-        only engages on continuous-cost instances, where exact distance
-        ties are measure-zero, so no insertion-counter tie-break is kept.
+        Ties break on the node id, not an insertion counter: the
+        contracted core only engages on continuous-cost instances, where
+        exact distance ties are measure-zero.
         """
-        n = len(self.nodes)
-        dist = [INF] * n
-        parent = [-1] * n
+        dist, parent = kernel.new_labels(len(self.nodes))
         dist[source] = 0.0
-        rows = self.rows
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        push = heapq.heappush
-        pop = heapq.heappop
-        while heap:
-            d, u = pop(heap)
-            if d > dist[u]:  # stale entry: u was settled at a lower cost
-                continue
-            for w, v in rows[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    push(heap, (nd, v))
+        kernel.settle(self.csr, dist, parent, (source,))
         return dist, parent
 
     def expand(self, core_path: List[int]) -> List[Node]:
@@ -649,9 +643,13 @@ class _ContractedCore:
         return best, best_interiors
 
     def _set_row_weight(self, a: int, b: int, weight: float) -> None:
-        self.rows[a] = tuple(
-            (weight, nb) if nb == b else (w, nb) for w, nb in self.rows[a]
-        )
+        """Set the kept ``a -> b`` weight in ``rows`` and its CSR slot."""
+        row = self.rows[a]
+        for k, (_, nb) in enumerate(row):
+            if nb == b:
+                self.rows[a] = row[:k] + ((weight, b),) + row[k + 1:]
+                self.weights[self.indptr[a] + k] = weight
+                return
 
     def patch_edges(
         self, changes: Iterable[Tuple[Node, Node, float]]
@@ -718,6 +716,9 @@ class _ContractedCore:
         dup.index = self.index
         dup.interior = self.interior
         dup.rows = list(self.rows)
+        dup.indptr = self.indptr
+        dup.indices = self.indices
+        dup.weights = self.weights[:]
         dup.meta = dict(self.meta)
         dup.chains = list(self.chains)
         dup.chain_weights = [list(w) for w in self.chain_weights]
@@ -728,16 +729,16 @@ class _ContractedCore:
 
 
 def _relax_decreases(
-    adjacency: List[Tuple[Tuple[float, int], ...]],
+    csr: Tuple[array, array, array],
     row: "_Row",
     decreases: List[Tuple[int, int, float]],
 ) -> None:
     """Propagate one batch's cost decreases through a full row in place.
 
-    The decrease half of Ramalingam--Reps.  ``adjacency`` must already
-    carry the *new* weights.  Every decreased edge that now shortens a
-    path seeds a label-correcting sweep outward from its improved
-    endpoint.
+    The decrease half of Ramalingam--Reps.  ``csr`` must already carry
+    the *new* weights.  Every decreased edge that now shortens a path
+    seeds one label-correcting sweep (:func:`kernel.settle`) outward
+    from its improved endpoint.
 
     :meth:`FrozenOracle._patch_rows` runs this over every live row before
     it classifies the batch's increases, because a decrease moves
@@ -747,28 +748,18 @@ def _relax_decreases(
     """
     dist = row.dist
     parent = row.parent
-    heap: List[Tuple[float, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
+    seeds: List[int] = []
     for a, b, w in decreases:
         if dist[a] + w < dist[b]:
             dist[b] = dist[a] + w
             parent[b] = a
-            push(heap, (dist[b], b))
+            seeds.append(b)
         elif dist[b] + w < dist[a]:
             dist[a] = dist[b] + w
             parent[a] = b
-            push(heap, (dist[a], a))
-    while heap:
-        d, v = pop(heap)
-        if d > dist[v]:
-            continue
-        for w, u in adjacency[v]:
-            nd = d + w
-            if nd < dist[u]:
-                dist[u] = nd
-                parent[u] = v
-                push(heap, (nd, u))
+            seeds.append(a)
+    if seeds:
+        kernel.settle(csr, dist, parent, seeds)
 
 
 class _PatchPlan:
@@ -879,12 +870,12 @@ class _SharedRegion:
     - ``nodes``: the region's node list (walk order; order is
       outcome-irrelevant, every consumer is value-ordered or idempotent);
     - ``seed_items``: the boundary nodes with their ``(weight,
-      neighbor)`` pairs in adjacency order -- the re-dijkstra seed scan
+      neighbor)`` pairs in adjacency order -- the repair's seed scan
       touches only these instead of every region node's full adjacency
       (a node with no boundary edge can never be seeded);
     - ``inner``: per region node, its region-internal ``(weight,
-      neighbor)`` pairs, so the re-dijkstra inner loop skips the
-      membership test per edge.
+      neighbor)`` pairs, which the single-boundary solve
+      (:meth:`solo_solve`) searches.
 
     A row's region equals this one iff every non-root member's parent is
     a member, the root's parent is not, and no boundary edge points
@@ -964,9 +955,9 @@ class _SharedRegion:
 
         ``(tail_np, member_view, seed_u, seed_v_rep, nodes_np, seed_v,
         seed_w, seed_starts, seed_lens)`` -- the membership/boundary data
-        re-expressed as flat arrays so :meth:`matches` and the
-        re-dijkstra's reset/seed/settle scans run as whole-array ops on
-        the rows' label buffers.
+        re-expressed as flat arrays so :meth:`matches` and the repair's
+        reset and seed scans run as whole-array ops on the rows' label
+        buffers.
         """
         arrays = self._arrays
         if arrays is None:
@@ -1149,43 +1140,33 @@ class _SharedRegion:
 
 def _combine_regions(
     regions: List[_SharedRegion], n: int
-) -> Tuple[bytearray, Optional[List]]:
+) -> Tuple[bytearray, bool]:
     """Merge several shared regions into one read-only repair context.
 
-    Returns ``(member, inner)``: the union membership bytearray (valid
-    for any region combination, including nested subtrees) and, when the
-    regions are pairwise disjoint *and* non-adjacent -- so no repair path
-    can cross between them directly -- the merged region-internal
-    adjacency; ``inner`` is ``None`` otherwise and the caller's
-    re-dijkstra falls back to membership-tested full-adjacency scans.
-    The adjacency test is one-sided on purpose: an edge between two
-    regions appears in both boundaries, so accumulating ``reach_mask``
-    and testing each next region's ``mask`` against it sees every
-    offending pair.
+    Returns ``(member, mergeable)``: the union membership bytearray
+    (valid for any region combination, including nested subtrees) and
+    whether the regions are pairwise disjoint *and* non-adjacent -- so
+    no repair path can cross between them directly, and each one may be
+    seeded and solved as an island.  The adjacency test is one-sided on
+    purpose: an edge between two regions appears in both boundaries, so
+    accumulating ``reach_mask`` and testing each next region's ``mask``
+    against it sees every offending pair.
     """
     union = 0
     for region in regions:
         union |= region.mask
     member = bytearray(union.to_bytes(n, "little"))
     acc = 0
-    mergeable = True
     for region in regions:
         if acc & region.mask:
-            mergeable = False
-            break
+            return member, False
         acc |= region.reach_mask
-    inner = None
-    if mergeable:
-        inner = [None] * n
-        for region in regions:
-            region_inner = region.inner
-            for v in region.nodes:
-                inner[v] = region_inner[v]
-    return member, inner
+    return member, True
 
 
 def _repair_row(
     adjacency: List[Tuple[Tuple[float, int], ...]],
+    csr: Tuple[array, array, array],
     row: "_Row",
     hits: Sequence[_SharedRegion],
     walk_roots: Sequence[int],
@@ -1200,29 +1181,29 @@ def _repair_row(
     regions (verified to equal its subtrees by
     :meth:`FrozenOracle._resolve_shared`), ``walk_roots`` the detached
     children without one, and ``leafs`` ``(leaf, anchor)`` jobs for
-    increased degree-1 edges.
+    increased degree-1 edges.  The seeded boundary nodes then run one
+    :func:`kernel.settle` over ``csr``, masked to the affected region.
 
     - ``walk_roots`` regions are discovered per row by scanning
       ``adjacency`` for ``parent[u] == v`` children, so no per-row
       children lists are built or maintained.
-    - Shared regions supply the affected set, the boundary seed lists
-      and the region-internal adjacency instead; seeding and the
-      re-dijkstra perform the same value-ordered relaxations as the
-      walk, so shared and walked repairs are bit-identical.  Overlapping
-      (nested-subtree) hits may seed a node twice -- idempotent, the
-      second pass recomputes the same minimum from the same intact
-      neighbors.
+    - Shared regions supply the affected set and the boundary seed lists
+      instead; seeding and the settle loop perform the same
+      value-ordered relaxations as the walk, so shared and walked
+      repairs are bit-identical.  Overlapping (nested-subtree) hits may
+      seed a node twice -- idempotent, the second pass recomputes the
+      same minimum from the same intact neighbors.
     - Bridge-detached regions -- exactly one boundary node -- repair
       through :meth:`_SharedRegion.apply_offset`: the region is solved
       once and each row replays the solve's additions from its own
-      boundary seed distance, skipping the per-row heap.  Only engaged
-      when ``inner`` is shared (regions are independent islands, so
-      removing one from the merged heap cannot perturb another), and
-      only when the region's separation margin provably survives the
-      re-based rounding; every other case takes the heap path.  The
-      shared regions' reset scan runs as a whole-array numpy op over the
-      row's label buffers, and so does their boundary-seed scan when
-      ``inner`` is shared (same values: pure gathers/constant stores,
+      boundary seed distance, skipping the per-row settle.  Only engaged
+      when the regions are mergeable (independent islands, so removing
+      one from the merged settle cannot perturb another), and only when
+      the region's separation margin provably survives the re-based
+      rounding; every other case takes the settle path.  The shared
+      regions' reset scan runs as a whole-array numpy op over the row's
+      label buffers, and so does their boundary-seed scan when the
+      regions are mergeable (same values: pure gathers/constant stores,
       and the seed scan keeps the first-strict-minimum selection rule);
       non-mergeable region unions keep the scalar seed scan, which must
       skip affected neighbors.
@@ -1236,13 +1217,12 @@ def _repair_row(
     parent = row.parent
     n = len(dist)
 
-    inner = None
+    mergeable = False
     walked: List[int] = []
     if hits and not walk_roots:
         if len(hits) == 1:
-            region = hits[0]
-            affect = region.member  # read-only
-            inner = region.inner
+            affect = hits[0].member  # read-only
+            mergeable = True
         else:
             # Hits follow the plan's classification order, which is the
             # same for every row, so a plain tuple key hits the cache.
@@ -1251,7 +1231,7 @@ def _repair_row(
             if cached is None:
                 cached = _combine_regions(hits, n)
                 union_cache[key] = cached
-            affect, inner = cached  # read-only
+            affect, mergeable = cached  # read-only
     else:
         if hits:
             mask = 0
@@ -1284,30 +1264,27 @@ def _repair_row(
         dist[v] = INF
         parent[v] = -1
 
-    heap: List[Tuple[float, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    if inner is not None:
+    seeds: List[int] = []
+    if mergeable:
         # Bridge-detached regions solve once and replay per row; a region
         # whose margin check fails stays at the INF/-1 reset and falls
-        # back to the ordinary heap seeding below.  Island independence
-        # (``inner is not None`` means pairwise disjoint, non-adjacent
-        # regions) makes the partition exact: the merged heap's
-        # relaxations never cross regions, so removing one region's
-        # entries cannot change any other's repair.
-        heap_hits = []
+        # back to the ordinary seeding below.  Island independence
+        # (pairwise disjoint, non-adjacent regions) makes the partition
+        # exact: the merged settle's relaxations never cross regions, so
+        # removing one region's seeds cannot change any other's repair.
+        settle_hits = []
         for region in hits:
             if len(region.seed_items) == 1 and region.apply_offset(
                 dist, parent
             ):
                 continue
-            heap_hits.append(region)
-        # Whole-array boundary seeding.  ``inner is not None`` guarantees
+            settle_hits.append(region)
+        # Whole-array boundary seeding.  Mergeable regions guarantee
         # every seed target lies outside all regions (``not affect[u]``
         # is vacuously true), so the scan reduces to a gather plus a
         # first-strict-minimum per boundary segment -- exactly the
         # selection the scalar loop makes.
-        for region in heap_hits:
+        for region in settle_hits:
             arrays = region.arrays()
             seed_u, seed_v, seed_w, starts, lens = (
                 arrays[2], arrays[5], arrays[6], arrays[7], arrays[8]
@@ -1326,10 +1303,9 @@ def _repair_row(
             for k, v in enumerate(seed_v):
                 best = mins[k]
                 if best < INF:
-                    best = float(best)
-                    dist[v] = best
+                    dist[v] = float(best)
                     parent[v] = int(seed_u[firsts[k]])
-                    push(heap, (best, v))
+                    seeds.append(v)
     else:
         for region in hits:
             for v, seed in region.seed_items:
@@ -1344,7 +1320,7 @@ def _repair_row(
                 if best_parent >= 0:
                     dist[v] = best
                     parent[v] = best_parent
-                    push(heap, (best, v))
+                    seeds.append(v)
     for v in walked:
         best = INF
         best_parent = -1
@@ -1357,31 +1333,9 @@ def _repair_row(
         if best_parent >= 0:
             dist[v] = best
             parent[v] = best_parent
-            push(heap, (best, v))
-
-    if inner is not None:
-        while heap:
-            d, v = pop(heap)
-            if d > dist[v]:
-                continue
-            for w, u in inner[v]:
-                nd = d + w
-                if nd < dist[u]:
-                    dist[u] = nd
-                    parent[u] = v
-                    push(heap, (nd, u))
-    else:
-        while heap:
-            d, v = pop(heap)
-            if d > dist[v]:
-                continue
-            for w, u in adjacency[v]:
-                if affect[u]:
-                    nd = d + w
-                    if nd < dist[u]:
-                        dist[u] = nd
-                        parent[u] = v
-                        push(heap, (nd, u))
+            seeds.append(v)
+    if seeds:
+        kernel.settle(csr, dist, parent, seeds, mask=affect)
 
     for leaf, anchor in leafs:
         if affect[leaf]:
@@ -1553,22 +1507,6 @@ class FrozenOracle:
         stats["schema"] = CACHE_SNAPSHOT_SCHEMA
         stats["scope"] = scope
         return stats
-
-    @staticmethod
-    def _freeze_row(dist, parent, settled, full) -> _Row:
-        """Wrap freshly-computed labels in a row with array label buffers.
-
-        The single chokepoint between the Dijkstra cores (which produce
-        plain lists) and the cache: labels are copied into
-        ``array('d')``/``array('q')`` buffers (the same 64-bit
-        doubles/ints; scalar reads still yield plain floats/ints), so
-        every cached row is uniformly typed and the batch queries and
-        repair scans can wrap it in zero-copy numpy views.
-        """
-        return _Row(
-            kernel.dist_buffer(dist), kernel.parent_buffer(parent),
-            settled, full,
-        )
 
     def _build(self) -> None:
         if self._built:
@@ -1760,16 +1698,14 @@ class FrozenOracle:
                 (index[u], index[v], cost) for u, v, _, cost in applied
             )
         if self._contracted is not None:
-            adjacency = self._contracted.rows
             changes = self._contracted.patch_edges(
                 (u, v, cost) for u, v, _, cost in applied
             )
         else:
-            adjacency = self._core._rows
             changes = [
                 (index[u], index[v], old, cost) for u, v, old, cost in applied
             ]
-        self._patch_rows(adjacency, changes)
+        self._patch_rows(changes)
         if mx:
             mx.inc("oracle.patch.edges", len(applied))
             mx.span("oracle.patch.costs", t0,
@@ -1893,25 +1829,23 @@ class FrozenOracle:
                 (index[u], index[v], cost) for u, v, cost in born.values()
             )
         if self._contracted is not None:
-            adjacency = self._contracted.rows
             changes = self._contracted.patch_edges(
                 [(u, v, INF) for u, v, _ in removals]
                 + [(u, v, cost) for u, v, cost in born.values()]
             )
         else:
-            adjacency = self._core._rows
             changes = [
                 (index[u], index[v], old, INF) for u, v, old in removals
             ] + [
                 (index[u], index[v], INF, cost)
                 for u, v, cost in born.values()
             ]
-        plan = _PatchPlan(adjacency, changes)
+        plan = _PatchPlan(self._search_graph()[0], changes)
         # Force the general region repair: the leaf classification reads
         # *surviving* degrees, which misattribute a removed pair's repair
         # to the wrong (still-live) edge.
         plan._classified = [(a, b, -1) for a, b in plan.increases]
-        self._patch_rows(adjacency, changes, plan=plan)
+        self._patch_rows(changes, plan=plan)
         if mx:
             mx.inc("oracle.patch.topology_changes", count)
             mx.span("oracle.patch.topology", t0, trace_args={
@@ -1920,16 +1854,21 @@ class FrozenOracle:
             self._rows.publish(mx)
         return count
 
+    def _search_graph(self) -> Tuple[List, Tuple[array, array, array]]:
+        """The active core's per-node ``(weight, neighbor)`` rows and CSR."""
+        if self._contracted is not None:
+            return self._contracted.rows, self._contracted.csr
+        return self._core._rows, self._core.csr
+
     def _patch_rows(
         self,
-        adjacency: List[Tuple[Tuple[float, int], ...]],
         changes: Iterable[Tuple[int, int, float, float]],
         plan: Optional[_PatchPlan] = None,
     ) -> None:
         """Repair (or evict) every cached row after a weight-change batch.
 
         ``changes`` holds ``(a, b, old_w, new_w)`` in the active core's id
-        space; ``adjacency`` is that core's already-patched per-node rows.
+        space, whose adjacency and CSR weights are already patched.
         Only exhaustive rows are repaired: every live early-stopped row
         is evicted first (reason ``"repair"``), since its unsettled
         labels are mere upper bounds that no repair could bound, and
@@ -1958,6 +1897,7 @@ class FrozenOracle:
         the idle evictions, the shared-region resolution and the repair
         counters, and then run in job order, repairing rows in place.
         """
+        adjacency, csr = self._search_graph()
         if plan is None:
             plan = _PatchPlan(adjacency, changes)
         decreases = plan.decreases
@@ -1972,7 +1912,7 @@ class FrozenOracle:
         if decreases:
             for row in rows.values():
                 if row.used:
-                    _relax_decreases(adjacency, row, decreases)
+                    _relax_decreases(csr, row, decreases)
 
         # Classify the increases once, then scan the live rows for the
         # ones whose tree uses an increased pair.
@@ -2040,7 +1980,9 @@ class FrozenOracle:
                            path="shared" if hits else "planned")
 
         for row, hits, walk_roots, leafs in jobs:
-            _repair_row(adjacency, row, hits, walk_roots, leafs, union_cache)
+            _repair_row(
+                adjacency, csr, row, hits, walk_roots, leafs, union_cache
+            )
 
         # Budgeted oracles settle residency at the patch boundary: the
         # accounting invariant is "never over budget *between* patches"
@@ -2186,7 +2128,7 @@ class FrozenOracle:
             mx = self._metrics
             t0 = mx.clock() if mx else 0.0
             dist, parent = self._contracted.dijkstra(cid)
-            row = self._freeze_row(dist, parent, None, True)
+            row = _Row(dist, parent, None, True)
             self._install_row(cid, row)
             if mx:
                 mx.inc("oracle.rows.cold")
@@ -2217,7 +2159,7 @@ class FrozenOracle:
         dist, parent, settled, exhausted = self.core.dijkstra(
             source_id, targets
         )
-        row = self._freeze_row(dist, parent, settled, exhausted)
+        row = _Row(dist, parent, settled, exhausted)
         self._install_row(source_id, row)
         if mx:
             if kind == "cold":

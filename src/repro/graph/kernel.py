@@ -1,14 +1,28 @@
-"""Raw-speed kernel utilities: array label buffers and a fork worker pool.
+"""Raw-speed kernel: the compiled settle loop, label buffers, a fork pool.
 
 The oracle's algorithmic layers (CSR core, Ramalingam--Reps repair, the
-patch planner, shared regions, topology tombstones) left pure interpreter
-overhead as the dominant cost of the online traces.  This module holds
-two primitives:
+patch planner, shared regions, topology tombstones) left the per-label
+settle loop and pure interpreter overhead as the dominant costs.  This
+module holds three primitives:
 
+- **Settle loop** -- :func:`settle`, the single seeded label-setting
+  loop every oracle row build and repair runs (contract in
+  :func:`settle_python`).  It is written once in C (``_settle.c``,
+  compiled with the system ``cc`` when this module is imported, so no
+  timed window pays for it, and loaded through :mod:`ctypes` from a
+  cache file whose name hashes the source, the flags and
+  ``EXT_SUFFIX``; the file is written atomically into this package's
+  ``__pycache__/``, or ``~/.cache/repro/`` when that is read-only) and
+  once in Python (:func:`settle_python`), which runs only when no
+  compiler or compiled object is usable -- announced by one
+  ``RuntimeWarning`` naming the reason -- and is the tests' reference.
+  :data:`NATIVE` says which one :func:`settle` is, and
+  :data:`NATIVE_REASON` why the compiled loop is not in use.
 - **Label buffers** -- every cached oracle row stores ``dist``/``parent``
-  as ``array('d')``/``array('q')`` buffers.  Scalar indexing still returns
-  plain Python floats/ints (unlike raw numpy arrays, whose scalar reads
-  box ``np.float64`` -- slower *and* repr-visible), while the buffer
+  as ``array('d')``/``array('q')`` buffers (:func:`new_labels`), which
+  the settle loop writes in place.  Scalar indexing still returns plain
+  Python floats/ints (unlike raw numpy arrays, whose scalar reads box
+  ``np.float64`` -- slower *and* repr-visible), while the buffer
   protocol lets batch operations wrap the same memory zero-copy with
   :func:`numpy.frombuffer` (:func:`f8_view`, :func:`i8_view`,
   :func:`u8_view`).  numpy is a hard dependency of the package.
@@ -28,32 +42,36 @@ rule rejects a fork reintroduced inside an oracle patch.
 
 from __future__ import annotations
 
+import ctypes
+import heapq
 import multiprocessing
+import os
+import sysconfig
 import warnings
+import zlib
 from array import array
-from typing import Callable, List, Optional, Sequence, TypeVar
+from pathlib import Path
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Storage typecodes of the row label buffers.  ``'d'`` is the C
-#: double every distance already is; ``'q'`` is a signed 64-bit int --
-#: platform-independent, and exactly what ``numpy.frombuffer`` maps to
-#: ``int64`` so parent gathers need no casting.
+INF = float("inf")
+
+#: Storage typecodes of the row label buffers and the CSR arrays.
+#: ``'d'`` is the C double every distance already is; ``'q'`` is a
+#: signed 64-bit int -- platform-independent, and exactly what
+#: ``numpy.frombuffer`` maps to ``int64`` so parent gathers need no
+#: casting.
 DIST_TYPECODE = "d"
 PARENT_TYPECODE = "q"
 
 
-def dist_buffer(values) -> array:
-    """Distance labels as an ``array('d')`` buffer (copies ``values``)."""
-    return array(DIST_TYPECODE, values)
-
-
-def parent_buffer(values) -> array:
-    """Parent labels as an ``array('q')`` buffer (copies ``values``)."""
-    return array(PARENT_TYPECODE, values)
+def new_labels(n: int) -> Tuple[array, array]:
+    """Fresh ``(dist, parent)`` buffers of ``n`` nodes: ``inf`` and ``-1``."""
+    return array(DIST_TYPECODE, (INF,)) * n, array(PARENT_TYPECODE, (-1,)) * n
 
 
 def f8_view(buf: array) -> np.ndarray:
@@ -73,6 +91,255 @@ def i8_view(buf: array) -> np.ndarray:
 def u8_view(buf: bytearray) -> np.ndarray:
     """Zero-copy ``uint8`` numpy view of a bytearray mask."""
     return np.frombuffer(buf, dtype=np.uint8)
+
+
+# ----------------------------------------------------------------------
+# the settle loop
+# ----------------------------------------------------------------------
+
+def settle_python(
+    csr: Tuple[array, array, array],
+    dist: array,
+    parent: array,
+    seeds: Sequence[int],
+    mask: Optional[bytearray] = None,
+    settled: Optional[bytearray] = None,
+    targets: Optional[bytearray] = None,
+    remaining: int = 0,
+    counter: bool = False,
+) -> bool:
+    """Run the seeded label-setting loop over ``csr`` in place.
+
+    ``csr`` is ``(indptr, indices, weights)`` as ``array('q')``,
+    ``array('q')`` and ``array('d')``; ``dist``/``parent`` are the row's
+    ``array('d')``/``array('q')`` label buffers, in which the caller has
+    already written every seed's label.  Each seed is pushed once per
+    occurrence; popped entries older than their node's label are
+    skipped, and the popped node's out-edges are relaxed in CSR order
+    (``inf`` weights, tombstones, never relax).  Heap keys are ``(dist,
+    tie)`` with ``tie`` the push counter when ``counter`` is set (the
+    dict Dijkstra's replicated order) and the node id otherwise --
+    unique either way, so the pop order is heapq's and labels and
+    parents are bit-identical whichever loop runs.
+
+    ``mask`` restricts relaxations to nodes flagged in it (a repair's
+    affected region).  ``settled`` settles each node at most once and
+    flags it; with ``targets`` (per-node flags, ``remaining`` of them
+    unsettled) the loop stops right after the node that settles the
+    last one.  Returns ``False`` after such an early stop, ``True`` when
+    the heap ran dry.
+
+    This is the Python twin of the loop in ``_settle.c``, statement for
+    statement: the fallback when no compiled object is usable, and the
+    tests' reference.
+    """
+    indptr, indices, weights = csr
+    if counter:
+        heap = [(dist[v], key, v) for key, v in enumerate(seeds)]
+    else:
+        heap = [(dist[v], v, v) for v in seeds]
+    count = len(heap)
+    heapq.heapify(heap)
+    push = heapq.heappush
+    pop = heapq.heappop
+    while heap:
+        d, _, v = pop(heap)
+        if d > dist[v]:
+            continue
+        if settled is not None:
+            if settled[v]:
+                continue
+            settled[v] = 1
+            if targets is not None:
+                if targets[v]:
+                    remaining -= 1
+                if remaining <= 0:
+                    return False
+        for pos in range(indptr[v], indptr[v + 1]):
+            u = indices[pos]
+            if mask is not None and not mask[u]:
+                continue
+            nd = d + weights[pos]
+            if nd < dist[u]:
+                dist[u] = nd
+                parent[u] = v
+                if counter:
+                    push(heap, (nd, count, u))
+                    count += 1
+                else:
+                    push(heap, (nd, u, u))
+    return True
+
+
+_SOURCE = Path(__file__).with_name("_settle.c")
+
+#: Compiler flags of the settle object.  Plain ``-O2``: no fast-math or
+#: FMA contraction may reorder the label additions.
+_CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared")
+
+
+def cache_name(source: bytes) -> str:
+    """File name of the compiled object for C source ``source``.
+
+    Hashes the source, the compiler flags and the interpreter's
+    ``EXT_SUFFIX``, so an edited source, changed flags or another ABI
+    never load a stale object.  CRC-32 plus Adler-32 (64 bits) from
+    :mod:`zlib`, which is loaded anyway: :mod:`hashlib` would map
+    OpenSSL into every process, about 3.5 MB of resident memory.
+    """
+    key = b"\0".join((
+        source, " ".join(_CFLAGS).encode(),
+        str(sysconfig.get_config_var("EXT_SUFFIX")).encode(),
+    ))
+    return f"_settle-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+
+
+def _cache_dirs() -> Tuple[Path, Path]:
+    """The module's ``__pycache__/``, then the user cache directory."""
+    return (Path(__file__).parent / "__pycache__",
+            Path.home() / ".cache" / "repro")
+
+
+def _compile(compiler: str, source: bytes, path: Path) -> Optional[str]:
+    """Compile ``source`` into ``path`` atomically; the error, if any."""
+    # Imported here: only a cache miss compiles, and subprocess costs
+    # every process that imports the package resident memory.
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp",
+                               dir=path.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [compiler, *_CFLAGS, "-x", "c", "-o", tmp, "-"],
+            input=source, capture_output=True, timeout=120,
+        )
+        if proc.returncode != 0:
+            lines = proc.stderr.decode(errors="replace").strip().splitlines()
+            return f"{compiler} failed: {lines[0] if lines else proc.returncode}"
+        os.replace(tmp, path)
+        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"{compiler} failed: {exc}"
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_native() -> Tuple[Optional[Callable], Optional[Path], str]:
+    """``(fn, path, reason)``: the compiled ``settle`` or why there is none.
+
+    A cached object is loaded from the first cache directory holding it;
+    otherwise the source is compiled into the first writable one.
+    """
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError as exc:
+        return None, None, f"cannot read {_SOURCE.name}: {exc}"
+    name = cache_name(source)
+    dirs = _cache_dirs()
+    path = next((d / name for d in dirs if (d / name).is_file()), None)
+    if path is None:
+        import shutil
+
+        compiler = shutil.which("cc")
+        if compiler is None:
+            return None, None, "no C compiler ('cc') on PATH"
+        for directory in dirs:
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+            except OSError:
+                continue
+            if os.access(directory, os.W_OK):
+                path = directory / name
+                break
+        else:
+            return None, None, "no writable cache directory for the object"
+        error = _compile(compiler, source, path)
+        if error is not None:
+            return None, None, error
+    try:
+        fn = ctypes.CDLL(str(path)).settle
+    except (OSError, AttributeError) as exc:
+        return None, None, f"cannot load {path}: {exc}"
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    fn.restype = i64
+    # (indptr, indices, weights, dist, parent, seeds, nseeds, mask,
+    #  settled, targets, remaining, counter_ties), as in _settle.c.
+    fn.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, i64, i64)
+    return fn, path, ""
+
+
+def _address(flags: Optional[bytearray]) -> Optional[int]:
+    """Address of a flag buffer's first byte (``None`` for ``None``)."""
+    if flags is None:
+        return None
+    return ctypes.addressof(ctypes.c_char.from_buffer(flags))
+
+
+def settle_native(
+    csr: Tuple[array, array, array],
+    dist: array,
+    parent: array,
+    seeds: Sequence[int],
+    mask: Optional[bytearray] = None,
+    settled: Optional[bytearray] = None,
+    targets: Optional[bytearray] = None,
+    remaining: int = 0,
+    counter: bool = False,
+) -> bool:
+    """The compiled settle loop; same contract as :func:`settle_python`.
+
+    The C loop trusts its pointers, so buffer types and sizes are checked
+    here first (node ids inside ``indices`` are trusted: every CSR comes
+    from this package's own cores).
+    """
+    if not seeds:
+        return True
+    indptr, indices, weights = csr
+    n = len(indptr) - 1
+    if not (
+        indptr.typecode == indices.typecode == parent.typecode == "q"
+        and weights.typecode == dist.typecode == "d"
+        and len(dist) == len(parent) == n
+        and len(indices) == len(weights) == indptr[-1]
+        and all(flags is None or len(flags) == n
+                for flags in (mask, settled, targets))
+        and 0 <= min(seeds) and max(seeds) < n
+    ):
+        raise ValueError("settle: inconsistent CSR, label or flag buffers")
+    seeds = array(PARENT_TYPECODE, seeds)
+    result = _NATIVE_FN(
+        indptr.buffer_info()[0], indices.buffer_info()[0],
+        weights.buffer_info()[0], dist.buffer_info()[0],
+        parent.buffer_info()[0], seeds.buffer_info()[0], len(seeds),
+        _address(mask), _address(settled), _address(targets),
+        remaining, 1 if counter else 0,
+    )
+    if result < 0:
+        raise MemoryError("settle: the heap could not grow")
+    return bool(result)
+
+
+_NATIVE_FN, NATIVE_PATH, NATIVE_REASON = _load_native()
+
+#: Whether :func:`settle` is the compiled loop.
+NATIVE = _NATIVE_FN is not None
+
+#: The settle loop every oracle row build and repair runs:
+#: :func:`settle_native` when the compiled object loaded, else
+#: :func:`settle_python` (same contract, same output bit for bit).
+settle = settle_native if NATIVE else settle_python
+
+if not NATIVE:
+    warnings.warn(
+        f"repro.graph.kernel: the compiled settle loop is unavailable "
+        f"({NATIVE_REASON}); shortest-path searches run the pure-Python "
+        f"loop instead",
+        RuntimeWarning,
+        stacklevel=2,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -74,8 +74,8 @@ def assert_rows_match_cold(oracle: FrozenOracle) -> None:
             continue
         dist, parent, _, _ = fresh.core.dijkstra(sid)
         if row.full:
-            assert list(row.dist) == dist, f"row {sid} labels differ"
-            assert list(row.parent) == parent, f"row {sid} tree differs"
+            assert list(row.dist) == list(dist), f"row {sid} labels differ"
+            assert list(row.parent) == list(parent), f"row {sid} tree differs"
         else:
             for v, flag in enumerate(row.settled):
                 if flag:

@@ -56,8 +56,19 @@ def test_solve_rejects_inconsistent_sizes(capsys, flags, message):
     (["--row-budget-mb", "0"], "--row-budget-mb must be"),
     (["--row-budget-mb", "-2"], "--row-budget-mb must be"),
     (["--row-budget-mb", "1e-9"], "--row-budget-mb must be"),
+    (["--hold-mean", "-3"], "--hold-mean must be positive"),
+    (["--hold-fixed", "0"], "--hold-fixed must be positive"),
+    (["--process", "diurnal", "--amplitude", "2"], "--amplitude must be in"),
+    (["--process", "diurnal", "--period", "0"], "--period must be positive"),
+    (["--process", "flash", "--burst-factor", "0"],
+     "--burst-factor must be at least 1"),
+    (["--horizon", "-5"], "--horizon must be a finite positive"),
+    (["--fail-links", "-2"], "--fail-links must be non-negative"),
 ], ids=["rate-zero", "rate-negative", "mtbf-zero", "mttr-negative",
-        "budget-zero", "budget-negative", "budget-under-one-byte"])
+        "budget-zero", "budget-negative", "budget-under-one-byte",
+        "hold-mean-negative", "hold-fixed-zero", "amplitude-above-one",
+        "period-zero", "burst-factor-zero", "horizon-negative",
+        "fail-links-negative"])
 def test_workload_rejects_bad_inputs(capsys, tmp_path, flags, message):
     """Bad workload flags end in one ``error:`` line and exit status 2
     before anything is built -- ``--record`` writes no trace."""
@@ -71,6 +82,17 @@ def test_workload_rejects_bad_inputs(capsys, tmp_path, flags, message):
     assert message in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert not trace.exists()
+
+
+def test_fig12_rejects_no_requests(capsys):
+    """``--requests`` below 1 ends in one ``error:`` line and exit
+    status 2 instead of printing empty rows."""
+    assert main(["fig12", "--requests", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--requests must be at least 1" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_fig7(capsys):
