@@ -95,6 +95,7 @@ import heapq
 import math
 from array import array
 from collections import Counter
+from itertools import accumulate
 from operator import itemgetter
 from typing import (
     Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence,
@@ -548,14 +549,10 @@ class _ContractedCore:
         self.rows: List[Tuple[Tuple[float, int], ...]] = [
             tuple(row) for row in adjacency
         ]
-        self.indptr = array("q", [0])
-        self.indices = array("q")
-        self.weights = array("d")
-        for row in self.rows:
-            for w, nb in row:
-                self.weights.append(w)
-                self.indices.append(nb)
-            self.indptr.append(len(self.indices))
+        rows = self.rows
+        self.indptr = array("q", accumulate(map(len, rows), initial=0))
+        self.indices = array("q", [nb for row in rows for _, nb in row])
+        self.weights = array("d", [w for row in rows for w, _ in row])
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -872,10 +869,10 @@ class _SharedRegion:
     - ``seed_items``: the boundary nodes with their ``(weight,
       neighbor)`` pairs in adjacency order -- the repair's seed scan
       touches only these instead of every region node's full adjacency
-      (a node with no boundary edge can never be seeded);
-    - ``inner``: per region node, its region-internal ``(weight,
-      neighbor)`` pairs, which the single-boundary solve
-      (:meth:`solo_solve`) searches.
+      (a node with no boundary edge can never be seeded).
+
+    :meth:`solo_solve` searches the region-internal edges of the patch's
+    ``adjacency``, which the region keeps a reference to.
 
     A row's region equals this one iff every non-root member's parent is
     a member, the root's parent is not, and no boundary edge points
@@ -886,7 +883,7 @@ class _SharedRegion:
     boundary edge).
     """
 
-    __slots__ = ("root", "member", "nodes", "seed_items", "inner",
+    __slots__ = ("root", "member", "nodes", "seed_items", "adjacency",
                  "_mask", "_reach_mask", "_arrays", "_solo")
 
     def __init__(
@@ -908,23 +905,17 @@ class _SharedRegion:
                     nodes.append(u)
                     stack.append(u)
         seed_items: List[Tuple[int, Tuple[Tuple[float, int], ...]]] = []
-        inner: List[Optional[Tuple[Tuple[float, int], ...]]] = [None] * n
         for v in nodes:
-            out_row = []
-            in_row = []
-            for pair in adjacency[v]:
-                if member[pair[1]]:
-                    in_row.append(pair)
-                else:
-                    out_row.append(pair)
+            out_row = tuple(
+                pair for pair in adjacency[v] if not member[pair[1]]
+            )
             if out_row:
-                seed_items.append((v, tuple(out_row)))
-            inner[v] = tuple(in_row)
+                seed_items.append((v, out_row))
         self.root = root
         self.member = member
         self.nodes = nodes
         self.seed_items = seed_items
-        self.inner = inner
+        self.adjacency = adjacency
         self._mask = None
         self._reach_mask = None
         self._arrays = None
@@ -994,14 +985,14 @@ class _SharedRegion:
         """The region solved once from its single boundary node (cached).
 
         Only meaningful for bridge-detached regions (exactly one boundary
-        node ``v0``): a Dijkstra over :attr:`inner` from ``dist[v0] = 0``
-        whose acceptance order, final tree and *separation margin* let
-        :meth:`apply_offset` replay the identical float additions per
-        member row from the row's own seed distance.  Returns ``(order,
-        margin, maxd, depth)`` where ``order`` lists ``(node, parent,
-        edge_weight)`` in a topological order of the final tree, or
-        ``None`` when the region is not offset-eligible (several
-        boundary nodes, or an exact tie makes the margin zero).
+        node ``v0``): a Dijkstra over the region-internal edges from
+        ``dist[v0] = 0`` whose acceptance order, final tree and
+        *separation margin* let :meth:`apply_offset` replay the identical
+        float additions per member row from the row's own seed distance.
+        Returns ``(order, margin, maxd, depth)`` where ``order`` lists
+        ``(node, parent, edge_weight)`` in a topological order of the
+        final tree, or ``None`` when the region is not offset-eligible
+        (several boundary nodes, or an exact tie makes the margin zero).
 
         The margin is the smallest nonzero gap between any two candidate
         labels the solve ever computed: every comparison the per-row
@@ -1020,7 +1011,8 @@ class _SharedRegion:
                 solo = self._solo = (None,)
                 return None
             v0 = self.seed_items[0][0]
-            inner = self.inner
+            adjacency = self.adjacency
+            member = self.member
             dist: Dict[int, float] = {v0: 0.0}
             parent: Dict[int, int] = {}
             depth: Dict[int, int] = {v0: 0}
@@ -1033,7 +1025,9 @@ class _SharedRegion:
                 d, v = pop(heap)
                 if d > dist[v]:
                     continue
-                for w, u in inner[v]:
+                for w, u in adjacency[v]:
+                    if not member[u]:
+                        continue
                     nd = d + w
                     labels.append(nd)
                     known = dist.get(u)
@@ -1065,7 +1059,7 @@ class _SharedRegion:
             )
             for d, u in ordered:
                 p = parent[u]
-                for w, x in inner[u]:
+                for w, x in adjacency[u]:
                     if x == p and dist[p] + w == d:
                         order.append((u, p, w))
                         break

@@ -51,7 +51,9 @@ import warnings
 import zlib
 from array import array
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -194,10 +196,18 @@ def cache_name(source: bytes) -> str:
     return f"_settle-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
 
 
-def _cache_dirs() -> Tuple[Path, Path]:
-    """The module's ``__pycache__/``, then the user cache directory."""
-    return (Path(__file__).parent / "__pycache__",
-            Path.home() / ".cache" / "repro")
+def _cache_dirs() -> Iterator[Path]:
+    """The module's ``__pycache__/``, then the user cache directory.
+
+    Lazy, so a hit in the first never looks up the home directory, and
+    the second is skipped when no home directory can be determined.
+    """
+    yield Path(__file__).parent / "__pycache__"
+    try:
+        home = Path.home()
+    except (RuntimeError, OSError):
+        return
+    yield home / ".cache" / "repro"
 
 
 def _compile(compiler: str, source: bytes, path: Path) -> Optional[str]:
@@ -207,10 +217,11 @@ def _compile(compiler: str, source: bytes, path: Path) -> Optional[str]:
     import subprocess
     import tempfile
 
-    fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp",
-                               dir=path.parent)
-    os.close(fd)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp",
+                                   dir=path.parent)
+        os.close(fd)
         proc = subprocess.run(
             [compiler, *_CFLAGS, "-x", "c", "-o", tmp, "-"],
             input=source, capture_output=True, timeout=120,
@@ -221,10 +232,13 @@ def _compile(compiler: str, source: bytes, path: Path) -> Optional[str]:
         os.replace(tmp, path)
         return None
     except (OSError, subprocess.SubprocessError) as exc:
-        return f"{compiler} failed: {exc}"
+        return f"cannot compile {path.name}: {exc}"
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        if tmp is not None:
+            try:
+                os.unlink(tmp)  # gone already after the replace
+            except OSError:
+                pass
 
 
 def _load_native() -> Tuple[Optional[Callable], Optional[Path], str]:
@@ -238,15 +252,16 @@ def _load_native() -> Tuple[Optional[Callable], Optional[Path], str]:
     except OSError as exc:
         return None, None, f"cannot read {_SOURCE.name}: {exc}"
     name = cache_name(source)
-    dirs = _cache_dirs()
-    path = next((d / name for d in dirs if (d / name).is_file()), None)
+    path = next(
+        (d / name for d in _cache_dirs() if os.path.isfile(d / name)), None
+    )
     if path is None:
         import shutil
 
         compiler = shutil.which("cc")
         if compiler is None:
             return None, None, "no C compiler ('cc') on PATH"
-        for directory in dirs:
+        for directory in _cache_dirs():
             try:
                 directory.mkdir(parents=True, exist_ok=True)
             except OSError:

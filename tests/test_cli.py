@@ -62,13 +62,15 @@ def test_solve_rejects_inconsistent_sizes(capsys, flags, message):
     (["--process", "diurnal", "--period", "0"], "--period must be positive"),
     (["--process", "flash", "--burst-factor", "0"],
      "--burst-factor must be at least 1"),
+    (["--process", "flash", "--burst-duration", "-1"],
+     "--burst-duration must be non-negative"),
     (["--horizon", "-5"], "--horizon must be a finite positive"),
     (["--fail-links", "-2"], "--fail-links must be non-negative"),
 ], ids=["rate-zero", "rate-negative", "mtbf-zero", "mttr-negative",
         "budget-zero", "budget-negative", "budget-under-one-byte",
         "hold-mean-negative", "hold-fixed-zero", "amplitude-above-one",
-        "period-zero", "burst-factor-zero", "horizon-negative",
-        "fail-links-negative"])
+        "period-zero", "burst-factor-zero", "burst-duration-negative",
+        "horizon-negative", "fail-links-negative"])
 def test_workload_rejects_bad_inputs(capsys, tmp_path, flags, message):
     """Bad workload flags end in one ``error:`` line and exit status 2
     before anything is built -- ``--record`` writes no trace."""

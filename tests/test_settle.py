@@ -9,16 +9,21 @@ online simulator's floor-cost VM edges), continuous costs, and graphs
 with tombstoned ``inf`` slots -- in the four ways the oracle calls the
 loop, and require the ``dist``/``parent``/``settled`` buffers and the
 exhausted flag to match bit for bit.  They also pin how the compiled
-object is cached and what happens when no compiler is available.
+object is cached, and that a missing compiler, home directory or disk
+space leaves the import working.
 """
 
 from __future__ import annotations
 
 import ctypes
+import errno
 import importlib.util
+import os
 import random
 import shutil
+import tempfile
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -259,18 +264,27 @@ def test_counter_ties_replicate_the_dict_dijkstra_on_equal_costs():
 # compiling and loading
 # ----------------------------------------------------------------------
 
-def _load_copy(tmp_path, monkeypatch, source: bytes, name: str):
+def _load_copy(tmp_path, monkeypatch, source: bytes, name: str,
+               home: bool = True):
     """Import a fresh copy of the kernel module next to ``source``.
 
     The copy caches its object in its own ``__pycache__/`` and, with
     ``HOME`` pointed into ``tmp_path``, never sees the user cache of the
-    installed kernel.
+    installed kernel.  With ``home`` off there is no home directory to
+    find: ``HOME`` is unset and ``~`` expands to itself, as for a uid
+    with no passwd entry.
     """
     pkg = tmp_path / "pkg"
     pkg.mkdir(exist_ok=True)
     shutil.copyfile(kernel.__file__, pkg / "kernel.py")
     (pkg / "_settle.c").write_bytes(source)
-    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    if home:
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    else:
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+        with pytest.raises(RuntimeError):
+            Path.home()
     spec = importlib.util.spec_from_file_location(name, pkg / "kernel.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -289,21 +303,14 @@ def test_edited_source_never_loads_a_stale_object(tmp_path, monkeypatch):
     assert second.NATIVE_PATH.name == kernel.cache_name(edited)
     assert second.NATIVE_PATH != first.NATIVE_PATH
     assert ctypes.CDLL(str(second.NATIVE_PATH)).settle_marker() == 7
-    cached = sorted(p.name for p in first.NATIVE_PATH.parent.iterdir())
+    # Only the objects: the copy's own bytecode may sit beside them.
+    cached = sorted(p.name for p in first.NATIVE_PATH.parent.glob("*.so"))
     assert cached == sorted([first.NATIVE_PATH.name,
                              second.NATIVE_PATH.name])
 
 
-def test_missing_compiler_runs_the_twin_with_one_warning(
-    tmp_path, monkeypatch
-):
-    monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
-    with pytest.warns(RuntimeWarning, match=r"no C compiler") as caught:
-        module = _load_copy(
-            tmp_path, monkeypatch, kernel._SOURCE.read_bytes(),
-            "kernel_no_cc",
-        )
-    assert len(caught) == 1
+def _assert_twin_runs(module):
+    """``module`` fell back to the Python loop, which still works."""
     assert not module.NATIVE
     assert module.NATIVE_PATH is None
     assert module.settle is module.settle_python
@@ -311,5 +318,49 @@ def test_missing_compiler_runs_the_twin_with_one_warning(
     dist, parent = module.new_labels(12)
     dist[0] = 0.0
     assert module.settle(csr, dist, parent, (0,))
-    expected = _full_row(csr, 0)
-    assert (dist, parent) == expected
+    assert (dist, parent) == _full_row(csr, 0)
+
+
+@pytest.mark.parametrize("home", [True, False], ids=["home", "no-home"])
+def test_missing_compiler_runs_the_twin_with_one_warning(
+    tmp_path, monkeypatch, home
+):
+    monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
+    with pytest.warns(RuntimeWarning, match=r"no C compiler") as caught:
+        module = _load_copy(
+            tmp_path, monkeypatch, kernel._SOURCE.read_bytes(),
+            "kernel_no_cc", home=home,
+        )
+    assert len(caught) == 1
+    _assert_twin_runs(module)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_unknown_home_directory_skips_the_user_cache(tmp_path, monkeypatch):
+    """No home directory: the object still compiles into the package's
+    ``__pycache__/``, and the import never fails."""
+    source = kernel._SOURCE.read_bytes()
+    module = _load_copy(tmp_path, monkeypatch, source, "kernel_no_home",
+                        home=False)
+    assert module.NATIVE, module.NATIVE_REASON
+    assert module.NATIVE_PATH == (
+        tmp_path / "pkg" / "__pycache__" / kernel.cache_name(source)
+    )
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_full_disk_runs_the_twin_with_one_warning(tmp_path, monkeypatch):
+    """A failed object write fails the compile, not the import."""
+    reason = os.strerror(errno.ENOSPC)
+
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, reason)
+
+    monkeypatch.setattr(tempfile, "mkstemp", full_disk)
+    with pytest.warns(RuntimeWarning, match=reason) as caught:
+        module = _load_copy(
+            tmp_path, monkeypatch, kernel._SOURCE.read_bytes(),
+            "kernel_full_disk",
+        )
+    assert len(caught) == 1
+    _assert_twin_runs(module)
