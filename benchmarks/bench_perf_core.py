@@ -19,7 +19,7 @@ tracks the *repo's own* performance trajectory.  It measures:
 - ``online_dense_patch_s``: a dense-patch online trace (hub-and-pods
   topology whose hot uplinks sit in *every* cached row's shortest-path
   tree; background churn re-prices a few uplinks between embeddings) --
-  the case cross-row region sharing exists for;
+  every patch repairs every cached row;
 - ``online_churn_s`` / ``online_churn_invalidate_s``: a tenant-churn
   workload (Poisson arrivals, exponential holding-time departures,
   periodic background ticks -- the :mod:`repro.workload` engine) replayed
@@ -190,9 +190,9 @@ def _run_many_rows_trace(metrics=None):
 
 #: Dense-patch trace shape: pods (layered, chord-dense aggregation
 #: subtrees) hang off one hub by a single uplink each, so every churned
-#: uplink is a tree edge in *every* cached row -- the dense-patch case
-#: region sharing exists for.  Pod nodes keep degree >= 3 so degree-2
-#: chain contraction stays out of the picture.
+#: uplink is a tree edge in *every* cached row -- the dense-patch case,
+#: where every patch repairs the whole cache.  Pod nodes keep degree >= 3
+#: so degree-2 chain contraction stays out of the picture.
 _DENSE_PODS = 40
 _DENSE_POD_WIDTH = 4
 _DENSE_POD_LEVELS = 3
@@ -231,13 +231,11 @@ def _run_dense_patch_trace():
     rotating handful of pod uplinks -- hot shared links that are tree
     edges in every one of the ~600 cached VM-pool rows, so every patch
     repairs the whole cache and the repair engine dominates the loop.
-    Region sharing engages by density here: each detached pod region is
-    discovered and seeded once per patch instead of once per row.  Pod
+    Each row repairs its detached pod regions in one compiled call.  Pod
     internals carry distinct standing loads (heterogeneous steady-state
-    utilisation), so shortest-path trees are unique and region sharing
-    is exercised on stable signatures.  Setup, the standing-load
-    assignment and the first (cache-warming) request stay outside the
-    timed window.  Returns ``(costs, elapsed_seconds)``.
+    utilisation), so shortest-path trees are unique.  Setup, the
+    standing-load assignment and the first (cache-warming) request stay
+    outside the timed window.  Returns ``(costs, elapsed_seconds)``.
     """
     network = _dense_patch_network()
     simulator = OnlineSimulator(

@@ -10,9 +10,11 @@ reintroduced where it would break that invariant.
 - ``fork-mutation-window`` -- a ``fork_map``/``prefetch_rows`` call
   lexically inside a patch mutation window: in a function that builds a
   ``_PatchPlan``, any fork call at or after the first row-label
-  write-back (an assignment into ``dist[...]``/``parent[...]``/
-  ``settled[...]``) is flagged.  Workers forked there would inherit
-  half-written rows.
+  write-back is flagged.  A write-back is an assignment into
+  ``dist[...]``/``parent[...]``/``settled[...]``, or a call to one of
+  the entry points that write row labels in place (``_relax_decreases``,
+  ``kernel.settle``, ``kernel.repair``).  Workers forked there would
+  inherit half-written rows.
 - ``fork-raw-pool`` -- a ``multiprocessing`` pool created directly
   outside ``graph/kernel.py``, which owns the pattern.  Every consumer
   (the sweep harness included) goes through
@@ -59,6 +61,10 @@ _FORK_CALLS = frozenset({"fork_map", "prefetch_rows"})
 #: Names whose subscript assignment is a row-label write-back.
 _ROW_LABEL_NAMES = frozenset({"dist", "parent", "settled"})
 
+#: Callables that write row labels in place: a call to one is a
+#: write-back too.  The patch itself assigns no label.
+_ROW_LABEL_WRITERS = frozenset({"_relax_decreases", "settle", "repair"})
+
 #: Modules allowed to create pools directly.
 _POOL_OWNERS = ("graph/kernel.py",)
 
@@ -101,6 +107,8 @@ class ForkSafetyChecker(Checker):
                         plan_line = node.lineno
                 elif name in _FORK_CALLS:
                     fork_calls.append(node)
+                elif name in _ROW_LABEL_WRITERS:
+                    write_lines.append(node.lineno)
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (
                     node.targets if isinstance(node, ast.Assign)
@@ -124,8 +132,7 @@ class ForkSafetyChecker(Checker):
                     f"{call_name(call)}() at or after the first row-label "
                     f"write-back (line {window_start}) of a _PatchPlan "
                     "repair; forked workers would inherit half-written "
-                    "rows -- fork before any row is written, after the "
-                    "plan and shared regions are resolved",
+                    "rows -- fork before any row is written",
                 )
 
     def _check_worker_order(

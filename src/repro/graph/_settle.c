@@ -1,9 +1,10 @@
 /*
- * The oracle's one shortest-path settle loop, compiled.
+ * The oracle's shortest-path loops, compiled.
  *
  * repro.graph.kernel compiles this file with the system C compiler when
- * it is imported and calls settle() through ctypes; kernel.settle_python
- * is the line-for-line Python twin it must match bit for bit.
+ * it is imported and calls settle() and repair() through ctypes;
+ * kernel.settle_python and kernel.repair_python are the line-for-line
+ * Python twins they must match bit for bit.
  *
  * settle() is a seeded label-setting loop over a CSR adjacency.  The
  * caller has already written the seeds' labels into dist/parent; the
@@ -24,8 +25,19 @@
  * An infinite edge weight (a tombstoned slot) never relaxes anything.
  * Returns 1 when the heap ran dry, 0 after a target early stop and -1
  * when the heap could not grow.
+ *
+ * repair() is the increase half of Ramalingam--Reps on one row whose
+ * tree edges above `roots` got dearer: it marks the union of the
+ * parent-tree subtrees below the roots (children of v are the u with
+ * parent[u] == v over v's live CSR slots), resets those nodes to
+ * inf/-1, seeds each from its first strictly cheapest unmarked
+ * neighbour in CSR order, and runs settle() masked to the marked set
+ * with node-id ties.  A marked node with no reachable unmarked
+ * neighbour and no marked path to one stays unreachable.  Returns 0,
+ * or -1 when a buffer could not be allocated.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -152,5 +164,98 @@ int64_t settle(
     }
 done:
     free(h.items);
+    return result;
+}
+
+/* A growable list of node ids. */
+typedef struct {
+    int64_t *items;
+    int64_t size;
+    int64_t cap;
+} list;
+
+static int append(list *l, int64_t v)
+{
+    if (l->size == l->cap) {
+        int64_t cap = l->cap ? 2 * l->cap : 64;
+        int64_t *items = realloc(l->items, (size_t)cap * sizeof(int64_t));
+        if (items == NULL)
+            return -1;
+        l->items = items;
+        l->cap = cap;
+    }
+    l->items[l->size++] = v;
+    return 0;
+}
+
+int64_t repair(
+    const int64_t *indptr, const int64_t *indices, const double *weights,
+    double *dist, int64_t *parent, int64_t n,
+    const int64_t *roots, int64_t nroots)
+{
+    uint8_t *mask = calloc((size_t)n, 1);
+    list region = {NULL, 0, 0};
+    list seeds = {NULL, 0, 0};
+    int64_t result = -1;
+    int64_t i;
+    if (mask == NULL)
+        goto done;
+    for (i = 0; i < nroots; i++) {
+        int64_t v = roots[i];
+        if (!mask[v]) {
+            mask[v] = 1;
+            if (append(&region, v) < 0)
+                goto done;
+        }
+    }
+    for (i = 0; i < region.size; i++) {
+        int64_t v = region.items[i];
+        int64_t end = indptr[v + 1];
+        int64_t pos;
+        for (pos = indptr[v]; pos < end; pos++) {
+            int64_t u = indices[pos];
+            if (parent[u] == v && !mask[u] && weights[pos] != INFINITY) {
+                mask[u] = 1;
+                if (append(&region, u) < 0)
+                    goto done;
+            }
+        }
+    }
+    for (i = 0; i < region.size; i++) {
+        dist[region.items[i]] = INFINITY;
+        parent[region.items[i]] = -1;
+    }
+    for (i = 0; i < region.size; i++) {
+        int64_t v = region.items[i];
+        double best = INFINITY;
+        int64_t best_parent = -1;
+        int64_t end = indptr[v + 1];
+        int64_t pos;
+        for (pos = indptr[v]; pos < end; pos++) {
+            int64_t u = indices[pos];
+            if (!mask[u]) {
+                double nd = dist[u] + weights[pos];
+                if (nd < best) {
+                    best = nd;
+                    best_parent = u;
+                }
+            }
+        }
+        if (best_parent >= 0) {
+            dist[v] = best;
+            parent[v] = best_parent;
+            if (append(&seeds, v) < 0)
+                goto done;
+        }
+    }
+    result = 0;
+    if (seeds.size > 0
+            && settle(indptr, indices, weights, dist, parent, seeds.items,
+                      seeds.size, mask, NULL, NULL, 0, 0) < 0)
+        result = -1;
+done:
+    free(mask);
+    free(region.items);
+    free(seeds.items);
     return result;
 }

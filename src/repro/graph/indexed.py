@@ -9,8 +9,7 @@ core the hot paths share:
 
 - :class:`IndexedGraph` -- interns nodes into dense int ids and stores the
   adjacency as CSR ``array('q')``/``array('d')`` buffers
-  (``indptr``/``indices``/``weights``) plus per-node ``(weight,
-  neighbor_id)`` rows for the repair walks.
+  (``indptr``/``indices``/``weights``).
 - :meth:`IndexedGraph.dijkstra` -- array Dijkstra whose ``dist`` and
   ``parent`` are ``array('d')``/``array('q')`` buffers indexed by int id,
   so no node ``repr`` tie-breaking ever runs.  Its push-counter
@@ -20,14 +19,15 @@ core the hot paths share:
 - :class:`FrozenOracle` -- a drop-in replacement for
   :class:`~repro.graph.shortest_paths.DistanceOracle` over a graph that is
   not mutated while cached.  Rows are computed lazily and cached as
-  ``array('d')``/``array('q')`` label buffers, which batch queries and
-  repair scans read through zero-copy numpy views; a ``hot`` node set
-  names the nodes the workload queries repeatedly.
+  ``array('d')``/``array('q')`` label buffers, which batch queries read
+  through zero-copy numpy views; a ``hot`` node set names the nodes the
+  workload queries repeatedly.
 
-Every search in this module except the single-boundary shared-region
-solve runs one settle loop, :func:`repro.graph.kernel.settle` (compiled
-C, with a bit-identical Python twin): cold row builds over both cores,
-the decrease sweep and the region repair's boundary-seeded re-search.
+Every search in this module runs one settle loop,
+:func:`repro.graph.kernel.settle` (compiled C, with a bit-identical
+Python twin): cold row builds over both cores, the decrease sweep, and
+the boundary-seeded re-search that ends every region repair
+(:func:`repro.graph.kernel.repair`, compiled the same way).
 
 On large instances the oracle additionally *contracts* the search graph:
 ISP-style topologies (Euclidean MST plus shortest extra links, Inet
@@ -46,30 +46,16 @@ closures, the baselines and the online simulator) -- the single-oracle
 invariant documented in ROADMAP.md.
 
 Edge-*cost* patches (:meth:`FrozenOracle.patch_edge_costs`) repair cached
-rows instead of recomputing them, in Ramalingam--Reps order through one
-engine.  Only exhaustive rows are repaired: a patch evicts every live
-early-stopped row first.  A batch carrying a cost decrease then relaxes
-every live row outward from the decreased edges
-(:func:`_relax_decreases`).  The batch's increases go through a
-*planner* -- one shared :class:`_PatchPlan` per patch that classifies
-them (degree-1 leaf edges versus general pairs), plus one scan pass over
-the live rows that finds the rows using each changed pair as a tree
-edge -- and one *repairer* (:func:`_repair_row`) that applies the plan
-to one row.  The equivalence reference is the cold rebuild: a fresh
-oracle over the patched graph.
-
-*Dense* patches -- a changed edge sitting in most rows' shortest-path
-trees, the online workload's hot shared links -- additionally share the
-repair bookkeeping across rows: rows detaching the same region (same
-detached child, same detached-side node set; the region is the child's
-subtree regardless of which changed pair detached it) are grouped
-behind one :class:`_SharedRegion`, whose node list, membership mask
-and boundary seed lists are computed once per group and reused by every
-member row's re-search.  Observed row
-density alone engages it (see :data:`PLANNER_SHARE_MIN_ROWS` /
-:data:`PLANNER_SHARE_DENSITY`); the repairer walks any root without a
-shared region per row, and shared repairs are bit-identical to that
-walk.
+rows instead of recomputing them, in Ramalingam--Reps order, in one pass
+over the rows (:meth:`FrozenOracle._patch_rows`).  Only exhaustive rows
+are repaired: a patch evicts every live early-stopped row.  Each
+repaired row first relaxes the batch's decreases outward from the
+decreased edges (:func:`_relax_decreases`); then every increased pair
+that is one of its tree edges roots a region, and one
+:func:`repro.graph.kernel.repair` call marks the union of the roots'
+subtrees, reseeds it from its intact boundary and re-searches it.  The
+equivalence reference is the cold rebuild: a fresh oracle over the
+patched graph.
 
 Edge-*topology* patches (:meth:`FrozenOracle.patch_topology`) extend the
 same repair engine to link failure and recovery.  A removed edge is a
@@ -91,7 +77,6 @@ the cold rebuild.
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from collections import Counter
@@ -133,25 +118,6 @@ CONTRACT_MIN_DISTINCT_COSTS = 0.5
 #: uniform/integer-cost ones without an O(E) scan per oracle build.
 _DISTINCT_COST_SAMPLE = 2048
 
-#: Region-sharing policy for dense patches.  A changed pair whose
-#: detached child is a tree-edge child in at least
-#: :data:`PLANNER_SHARE_MIN_ROWS` rows *and* at least
-#: :data:`PLANNER_SHARE_DENSITY` of the live rows gets a shared-region
-#: group: the detached region's node set, boundary seed lists and
-#: internal adjacency are computed once per (pair, region signature) and
-#: reused by every member row instead of being rediscovered per row.
-#: Below the thresholds the per-patch group bookkeeping would cost more
-#: than the per-row walks it replaces.
-PLANNER_SHARE_MIN_ROWS = 24
-PLANNER_SHARE_DENSITY = 0.5
-
-#: How many distinct region variants one dense root may accumulate per
-#: patch before later non-matching rows fall back to the per-row walk
-#: (equal-cost ties or mid-stream repairs can fragment the region
-#: signature across rows; unbounded variants would turn the
-#: verification scan into the dominant cost).
-_PLANNER_SHARE_MAX_VARIANTS = 4
-
 
 def _target_ids(index: Dict, targets: Sequence) -> Optional[List[int]]:
     """Resolve ``targets`` against ``index`` in one C-speed gather.
@@ -168,16 +134,6 @@ def _target_ids(index: Dict, targets: Sequence) -> Optional[List[int]]:
         return list(itemgetter(*targets)(index))
     except KeyError:
         return None
-
-#: Relative slack (in units of one ulp) granted per tree level when the
-#: single-boundary offset solve checks whether a shared region's
-#: separation margin survives re-running the same float additions from a
-#: per-row base distance: each accumulated label carries at most one
-#: rounding per tree level, both compared labels drift, plus slack for
-#: the base seed add itself.  See :meth:`_SharedRegion.apply_offset`.
-_OFFSET_ULPS_PER_LEVEL = 2
-_OFFSET_ULPS_BASE = 4
-_EPS = 2.0 ** -52
 
 
 def _costs_mostly_distinct(graph: Graph) -> bool:
@@ -205,7 +161,7 @@ class IndexedGraph:
             (removed) edge keeps its slots at weight ``inf``.
     """
 
-    __slots__ = ("nodes", "index", "indptr", "indices", "weights", "_rows")
+    __slots__ = ("nodes", "index", "indptr", "indices", "weights")
 
     def __init__(
         self,
@@ -219,14 +175,6 @@ class IndexedGraph:
         self.indptr = array("q", indptr)
         self.indices = array("q", indices)
         self.weights = array("d", weights)
-        # Per-node (weight, neighbor) tuples of the live edges: the CSR
-        # slices pre-zipped for the repair walks, where tuple unpacking
-        # beats two indexed loads per edge in CPython.
-        self._rows: List[Tuple[Tuple[float, int], ...]] = [
-            tuple(zip(weights[indptr[i]:indptr[i + 1]],
-                      indices[indptr[i]:indptr[i + 1]]))
-            for i in range(len(nodes))
-        ]
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "IndexedGraph":
@@ -267,19 +215,13 @@ class IndexedGraph:
         """Original node of int id ``node_id``."""
         return self.nodes[node_id]
 
-    def neighbor_items(self, node_id: int) -> Tuple[Tuple[float, int], ...]:
-        """``(edge_cost, neighbor_id)`` pairs of ``node_id``."""
-        return self._rows[node_id]
-
     def patch_edges(self, updates: Iterable[Tuple[int, int, float]]) -> None:
         """Overwrite edge *costs* in place; the topology must not change.
 
         ``updates`` holds ``(u_id, v_id, new_cost)`` triples for existing
-        edges.  Both CSR directions and the pre-zipped Dijkstra rows of the
-        touched endpoints are refreshed.
+        edges; both CSR directions are written.
         """
         indptr, indices, weights = self.indptr, self.indices, self.weights
-        touched = set()
         for u, v, cost in updates:
             for a, b in ((u, v), (v, u)):
                 for pos in range(indptr[a], indptr[a + 1]):
@@ -288,32 +230,16 @@ class IndexedGraph:
                         break
                 else:
                     raise KeyError(f"no edge between ids {u} and {v}")
-            touched.add(u)
-            touched.add(v)
-        self._rebuild_live_rows(touched)
-
-    def _rebuild_live_rows(self, touched: Iterable[int]) -> None:
-        """Refresh the pre-zipped rows of ``touched``, skipping tombstones."""
-        indptr, indices, weights = self.indptr, self.indices, self.weights
-        for node in touched:
-            self._rows[node] = tuple(
-                (w, nb)
-                for w, nb in zip(weights[indptr[node]:indptr[node + 1]],
-                                 indices[indptr[node]:indptr[node + 1]])
-                if w != INF
-            )
 
     def remove_edges(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Tombstone edges in place: weight becomes ``inf``, slots persist.
 
-        The CSR slots keep their positions (so node ids and every cached
-        row array stay stable) but the pre-zipped Dijkstra rows of the
-        touched endpoints drop the dead entries entirely -- an absent edge
-        must cost the search nothing.  Raises ``KeyError`` for a missing
-        or already-removed edge.
+        The CSR slots keep their positions, so node ids and every cached
+        row array stay stable; an ``inf`` slot never relaxes anything, so
+        the absent edge costs every search and repair nothing.  Raises
+        ``KeyError`` for a missing or already-removed edge.
         """
         indptr, indices, weights = self.indptr, self.indices, self.weights
-        touched = set()
         for u, v in pairs:
             for a, b in ((u, v), (v, u)):
                 for pos in range(indptr[a], indptr[a + 1]):
@@ -322,9 +248,6 @@ class IndexedGraph:
                         break
                 else:
                     raise KeyError(f"no live edge between ids {u} and {v}")
-            touched.add(u)
-            touched.add(v)
-        self._rebuild_live_rows(touched)
 
     def restore_edges(self, updates: Iterable[Tuple[int, int, float]]) -> None:
         """Un-tombstone edges: write a finite cost back into dead slots.
@@ -334,7 +257,6 @@ class IndexedGraph:
         when no tombstoned slot exists for a pair.
         """
         indptr, indices, weights = self.indptr, self.indices, self.weights
-        touched = set()
         for u, v, cost in updates:
             for a, b in ((u, v), (v, u)):
                 for pos in range(indptr[a], indptr[a + 1]):
@@ -345,17 +267,14 @@ class IndexedGraph:
                     raise KeyError(
                         f"no tombstoned edge between ids {u} and {v}"
                     )
-            touched.add(u)
-            touched.add(v)
-        self._rebuild_live_rows(touched)
 
     def clone(self) -> "IndexedGraph":
         """A patchable copy sharing the frozen topology arrays.
 
         The intern table and CSR structure (``nodes``/``index``/``indptr``/
         ``indices``) are shared -- they only depend on the topology -- while
-        ``weights`` and the per-node rows are copied so :meth:`patch_edges`
-        on the clone leaves the original untouched.
+        ``weights`` is copied so :meth:`patch_edges` on the clone leaves
+        the original untouched.
         """
         dup = object.__new__(IndexedGraph)
         dup.nodes = self.nodes
@@ -363,7 +282,6 @@ class IndexedGraph:
         dup.indptr = self.indptr
         dup.indices = self.indices
         dup.weights = self.weights[:]
-        dup._rows = list(self._rows)
         return dup
 
     # ------------------------------------------------------------------
@@ -416,11 +334,10 @@ class _ContractedCore:
     Attributes:
         nodes / index: intern table over the *core* nodes (hot nodes and
             every node of degree != 2).
-        rows: per-core-node ``(weight, neighbor_cid)`` adjacency; parallel
-            candidates (an original edge and/or several spliced chains
-            between the same core pair) are reduced to the cheapest one.
-        indptr, indices, weights: the CSR mirror of ``rows`` (same
-            per-node order) that :func:`kernel.settle` searches.
+        indptr, indices, weights: the core adjacency as CSR buffers, the
+            :func:`kernel.settle` input; parallel candidates (an original
+            edge and/or several spliced chains between the same core
+            pair) are reduced to the cheapest one.
         meta: ``(a_cid, b_cid) -> interior node tuple`` for every kept
             spliced edge, in a->b order (both orientations stored), used to
             re-expand reconstructed paths.
@@ -446,7 +363,7 @@ class _ContractedCore:
     """
 
     __slots__ = (
-        "nodes", "index", "rows", "meta", "chains", "interior",
+        "nodes", "index", "meta", "chains", "interior",
         "chain_weights", "pair_direct", "chain_by_pair", "edge_loc",
         "indptr", "indices", "weights",
     )
@@ -546,13 +463,9 @@ class _ContractedCore:
             if interiors:
                 self.meta[(a, b)] = interiors
                 self.meta[(b, a)] = tuple(reversed(interiors))
-        self.rows: List[Tuple[Tuple[float, int], ...]] = [
-            tuple(row) for row in adjacency
-        ]
-        rows = self.rows
-        self.indptr = array("q", accumulate(map(len, rows), initial=0))
-        self.indices = array("q", [nb for row in rows for _, nb in row])
-        self.weights = array("d", [w for row in rows for w, _ in row])
+        self.indptr = array("q", accumulate(map(len, adjacency), initial=0))
+        self.indices = array("q", [nb for row in adjacency for _, nb in row])
+        self.weights = array("d", [w for row in adjacency for w, _ in row])
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -611,13 +524,13 @@ class _ContractedCore:
             self.edge_loc = loc
         return self.edge_loc
 
-    def _kept_weight(self, key: Tuple[int, int]) -> float:
-        """The currently kept core-edge weight of a candidate pair."""
-        a, b = key
-        for w, nb in self.rows[a]:
-            if nb == b:
-                return w
-        raise KeyError(f"core pair {key} has no kept edge")
+    def _slot(self, a: int, b: int) -> int:
+        """CSR position of the kept ``a -> b`` core edge."""
+        indices = self.indices
+        for pos in range(self.indptr[a], self.indptr[a + 1]):
+            if indices[pos] == b:
+                return pos
+        raise KeyError(f"core pair {(a, b)} has no kept edge")
 
     def _recompute_kept(
         self, key: Tuple[int, int]
@@ -639,15 +552,6 @@ class _ContractedCore:
                 )
         return best, best_interiors
 
-    def _set_row_weight(self, a: int, b: int, weight: float) -> None:
-        """Set the kept ``a -> b`` weight in ``rows`` and its CSR slot."""
-        row = self.rows[a]
-        for k, (_, nb) in enumerate(row):
-            if nb == b:
-                self.rows[a] = row[:k] + ((weight, b),) + row[k + 1:]
-                self.weights[self.indptr[a] + k] = weight
-                return
-
     def patch_edges(
         self, changes: Iterable[Tuple[Node, Node, float]]
     ) -> List[Tuple[int, int, float, float]]:
@@ -668,7 +572,7 @@ class _ContractedCore:
             if loc[0] == "d":
                 key = loc[1]
                 if key not in affected:
-                    affected[key] = self._kept_weight(key)
+                    affected[key] = self.weights[self._slot(*key)]
                 self.pair_direct[key] = cost
             else:
                 chain_index, pos = loc[1], loc[2]
@@ -686,14 +590,14 @@ class _ContractedCore:
                 if a_cid != b_cid:
                     key = (a_cid, b_cid) if a_cid <= b_cid else (b_cid, a_cid)
                     if key not in affected:
-                        affected[key] = self._kept_weight(key)
+                        affected[key] = self.weights[self._slot(*key)]
         out: List[Tuple[int, int, float, float]] = []
         for key, old_weight in affected.items():
             a, b = key
             new_weight, interiors = self._recompute_kept(key)
             if new_weight != old_weight:
-                self._set_row_weight(a, b, new_weight)
-                self._set_row_weight(b, a, new_weight)
+                self.weights[self._slot(a, b)] = new_weight
+                self.weights[self._slot(b, a)] = new_weight
             # The winning candidate may switch even on equal weight (the
             # direct edge wins ties); refresh the expansion map either way.
             if interiors:
@@ -712,7 +616,6 @@ class _ContractedCore:
         dup.nodes = self.nodes
         dup.index = self.index
         dup.interior = self.interior
-        dup.rows = list(self.rows)
         dup.indptr = self.indptr
         dup.indices = self.indices
         dup.weights = self.weights[:]
@@ -737,11 +640,11 @@ def _relax_decreases(
     seeds one label-correcting sweep (:func:`kernel.settle`) outward
     from its improved endpoint.
 
-    :meth:`FrozenOracle._patch_rows` runs this over every live row before
-    it classifies the batch's increases, because a decrease moves
-    parents.  Its label writes stay in this function, so the
-    ``fork-mutation-window`` lint rule, which guards the patch against
-    a reintroduced fork, sees only the increase write-back there.
+    :meth:`FrozenOracle._patch_rows` runs this on every repaired row
+    before it looks for the batch's increased tree edges, because a
+    decrease moves parents.  The ``fork-mutation-window`` lint rule
+    counts a call to it (like one to :func:`kernel.repair`) as a row
+    write-back.
     """
     dist = row.dist
     parent = row.parent
@@ -760,589 +663,28 @@ def _relax_decreases(
 
 
 class _PatchPlan:
-    """Row-independent classification of one edge-cost change batch.
+    """The direction split of one edge-weight change batch.
 
-    The online workload (edge-cost churn) repairs every cached row per
-    patch, and most of the *classification* work -- which changed pairs
-    can be tree edges, and with which endpoint as the child -- does not
-    depend on the row at all.  The plan hoists it:
-
-    - ``increases`` / ``decreases``: the direction partition of the batch
-      (the decreases feed :func:`_relax_decreases`, the increases
-      :func:`_repair_row`).
-    - ``classified`` (lazy): per increased pair ``(a, b, leaf)`` where
-      ``leaf`` is the degree-1 endpoint id, or ``-1`` for a general pair.
-      A degree-1 node can only ever be the *child* of its single edge (no
-      shortest path routes through it), and its detached "region" is the
-      node itself, so every row repairs it with one relaxation instead of
-      the full region machinery.  In the online simulator the per-request
-      VM attachment edges are exactly such leaf edges, and they appear in
-      every cached row's tree.
-
-    The remaining per-row fact (is the pair a tree edge *in this row*)
-    is answered by one scan pass over the live rows -- see
-    :meth:`FrozenOracle._patch_rows`.
+    - ``increases``: the ``(a, b)`` pairs whose weight grew (a removal
+      grows it to ``inf``).  In each repaired row, every one that is a
+      tree edge roots a :func:`kernel.repair` region at its child end.
+    - ``decreases``: ``(a, b, new_w)`` for the pairs whose weight fell
+      (a reinsertion falls from ``inf``), which :func:`_relax_decreases`
+      relaxes into each repaired row first.
     """
 
-    __slots__ = ("increases", "decreases", "_adjacency", "_classified")
+    __slots__ = ("increases", "decreases")
 
     def __init__(
-        self,
-        adjacency: List[Tuple[Tuple[float, int], ...]],
-        changes: Iterable[Tuple[int, int, float, float]],
+        self, changes: Iterable[Tuple[int, int, float, float]]
     ) -> None:
         self.increases: List[Tuple[int, int]] = []
         self.decreases: List[Tuple[int, int, float]] = []
-        self._adjacency = adjacency
-        self._classified: Optional[List[Tuple[int, int, int]]] = None
         for a, b, old, new in changes:
             if new > old:
                 self.increases.append((a, b))
             elif new < old:
                 self.decreases.append((a, b, new))
-
-    @property
-    def classified(self) -> List[Tuple[int, int, int]]:
-        """Leaf-classified increases, built on first use.
-
-        Deferred so topology patches, which preset every removal to the
-        general region repair (see :meth:`FrozenOracle.patch_topology`),
-        skip the degree lookups.
-        """
-        if self._classified is None:
-            adjacency = self._adjacency
-            out = []
-            for a, b in self.increases:
-                if len(adjacency[b]) == 1:
-                    leaf = b
-                elif len(adjacency[a]) == 1:
-                    leaf = a
-                else:
-                    leaf = -1
-                out.append((a, b, leaf))
-            self._classified = out
-        return self._classified
-
-
-def _route_tree_edge(
-    row: "_Row",
-    sid: int,
-    a: int,
-    b: int,
-    leaf: int,
-    general_roots: Dict[int, List[int]],
-    leaf_jobs: Dict[int, List[Tuple[int, int]]],
-) -> None:
-    """Route one changed pair of ``row`` to its repair job, if a tree edge.
-
-    The per-row, per-pair step of :meth:`FrozenOracle._patch_rows`'s
-    scan pass: verify the pair against ``row.parent``, then queue the
-    detached child either as a ``(leaf, anchor)`` fast job (increased
-    degree-1 edge) or as a general region root.
-    """
-    parent = row.parent
-    if parent[b] == a:
-        child = b
-    elif parent[a] == b:
-        child = a
-    else:
-        return
-    if child == leaf:
-        leaf_jobs.setdefault(sid, []).append((child, a if child == b else b))
-    else:
-        general_roots.setdefault(sid, []).append(child)
-
-
-class _SharedRegion:
-    """One detached region -- a dense root's subtree -- shared across rows.
-
-    Scoped to a single patch (the stored boundary/internal weights are
-    only valid until the next weight change).  Built from the first
-    member row's child walk; every later row *verifies* membership in
-    O(region + boundary) -- strictly less than rediscovering the region
-    from the adjacency -- and then reuses:
-
-    - ``member``: node-membership bytearray, served read-only as the
-      row's ``affect`` set when the row repairs nothing else;
-    - ``nodes``: the region's node list (walk order; order is
-      outcome-irrelevant, every consumer is value-ordered or idempotent);
-    - ``seed_items``: the boundary nodes with their ``(weight,
-      neighbor)`` pairs in adjacency order -- the repair's seed scan
-      touches only these instead of every region node's full adjacency
-      (a node with no boundary edge can never be seeded).
-
-    :meth:`solo_solve` searches the region-internal edges of the patch's
-    ``adjacency``, which the region keeps a reference to.
-
-    A row's region equals this one iff every non-root member's parent is
-    a member, the root's parent is not, and no boundary edge points
-    *into* the region (``parent[outside] == inside``): the first two make
-    the member set a subset of the root's subtree (parent chains cannot
-    leave it except through the root), the last makes it a superset
-    (a subtree node outside the member set would have to enter through a
-    boundary edge).
-    """
-
-    __slots__ = ("root", "member", "nodes", "seed_items", "adjacency",
-                 "_mask", "_reach_mask", "_arrays", "_solo")
-
-    def __init__(
-        self,
-        adjacency: List[Tuple[Tuple[float, int], ...]],
-        parent: List[int],
-        root: int,
-        n: int,
-    ) -> None:
-        member = bytearray(n)
-        nodes: List[int] = [root]
-        member[root] = 1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, u in adjacency[v]:
-                if parent[u] == v and not member[u]:
-                    member[u] = 1
-                    nodes.append(u)
-                    stack.append(u)
-        seed_items: List[Tuple[int, Tuple[Tuple[float, int], ...]]] = []
-        for v in nodes:
-            out_row = tuple(
-                pair for pair in adjacency[v] if not member[pair[1]]
-            )
-            if out_row:
-                seed_items.append((v, out_row))
-        self.root = root
-        self.member = member
-        self.nodes = nodes
-        self.seed_items = seed_items
-        self.adjacency = adjacency
-        self._mask = None
-        self._reach_mask = None
-        self._arrays = None
-        self._solo = None
-
-    def matches(self, parent: array) -> bool:
-        """Whether ``parent``'s subtree below ``root`` is exactly this region.
-
-        Whole-array ops over the row's parent buffer.  A ``-1`` parent
-        wraps to the last member byte under numpy fancy indexing, but its
-        conjunct is already False, so the wrapped read can never flip the
-        outcome.
-        """
-        p = parent[self.root]
-        if p >= 0 and self.member[p]:
-            return False
-        tail_np, member_view, seed_u, seed_v_rep = self.arrays()[:4]
-        pview = kernel.i8_view(parent)
-        tp = pview[tail_np]
-        if not ((tp >= 0) & (member_view[tp] == 1)).all():
-            return False
-        if seed_u.size and (pview[seed_u] == seed_v_rep).any():
-            return False
-        return True
-
-    def arrays(self):
-        """Numpy companions of the region structures (lazy, per patch).
-
-        ``(tail_np, member_view, seed_u, seed_v_rep, nodes_np, seed_v,
-        seed_w, seed_starts, seed_lens)`` -- the membership/boundary data
-        re-expressed as flat arrays so :meth:`matches` and the repair's
-        reset and seed scans run as whole-array ops on the rows' label
-        buffers.
-        """
-        arrays = self._arrays
-        if arrays is None:
-            nodes_np = np.fromiter(self.nodes, np.int64, len(self.nodes))
-            tail_np = nodes_np[1:]
-            member_view = kernel.u8_view(self.member)
-            seed_v = [v for v, _ in self.seed_items]
-            lens = np.fromiter(
-                (len(seed) for _, seed in self.seed_items),
-                np.int64, len(seed_v),
-            )
-            flat_u: List[int] = []
-            flat_w: List[float] = []
-            for _, seed in self.seed_items:
-                for w, u in seed:
-                    flat_u.append(u)
-                    flat_w.append(w)
-            seed_u = np.fromiter(flat_u, np.int64, len(flat_u))
-            seed_w = np.fromiter(flat_w, np.float64, len(flat_w))
-            starts = np.zeros(len(seed_v), dtype=np.int64)
-            if len(seed_v) > 1:
-                np.cumsum(lens[:-1], out=starts[1:])
-            seed_v_rep = (
-                np.repeat(np.fromiter(seed_v, np.int64, len(seed_v)), lens)
-                if len(seed_v) else seed_u
-            )
-            arrays = self._arrays = (
-                tail_np, member_view, seed_u, seed_v_rep, nodes_np,
-                seed_v, seed_w, starts, lens,
-            )
-        return arrays
-
-    def solo_solve(self):
-        """The region solved once from its single boundary node (cached).
-
-        Only meaningful for bridge-detached regions (exactly one boundary
-        node ``v0``): a Dijkstra over the region-internal edges from
-        ``dist[v0] = 0`` whose acceptance order, final tree and
-        *separation margin* let :meth:`apply_offset` replay the identical
-        float additions per member row from the row's own seed distance.
-        Returns ``(order, margin, maxd, depth)`` where ``order`` lists
-        ``(node, parent, edge_weight)`` in a topological order of the
-        final tree, or ``None`` when the region is not offset-eligible
-        (several boundary nodes, or an exact tie makes the margin zero).
-
-        The margin is the smallest nonzero gap between any two candidate
-        labels the solve ever computed: every comparison the per-row
-        re-dijkstra makes is between two such labels, so a margin wider
-        than the accumulated-rounding drift bound guarantees no
-        comparison outcome can flip when the whole solve is re-run from a
-        nonzero base -- float addition is monotone, so strict orders can
-        only collapse, never invert, and the margin rules collapses out.
-        A zero margin (an exact tie between distinct labels) disables the
-        offset: two different summation paths that tie at base zero may
-        round apart at a nonzero base.
-        """
-        solo = self._solo
-        if solo is None:
-            if len(self.seed_items) != 1:
-                solo = self._solo = (None,)
-                return None
-            v0 = self.seed_items[0][0]
-            adjacency = self.adjacency
-            member = self.member
-            dist: Dict[int, float] = {v0: 0.0}
-            parent: Dict[int, int] = {}
-            depth: Dict[int, int] = {v0: 0}
-            labels: List[float] = [0.0]
-            heap: List[Tuple[float, int]] = [(0.0, v0)]
-            push = heapq.heappush
-            pop = heapq.heappop
-            order: List[Tuple[int, int, float]] = []
-            while heap:
-                d, v = pop(heap)
-                if d > dist[v]:
-                    continue
-                for w, u in adjacency[v]:
-                    if not member[u]:
-                        continue
-                    nd = d + w
-                    labels.append(nd)
-                    known = dist.get(u)
-                    if known is None or nd < known:
-                        dist[u] = nd
-                        parent[u] = v
-                        depth[u] = depth[v] + 1
-                        push(heap, (nd, u))
-            labels.sort()
-            margin = INF
-            for a, b in zip(labels, labels[1:]):
-                gap = b - a
-                if gap < margin:
-                    margin = gap
-                    if margin == 0.0:
-                        break
-            if margin == 0.0:
-                # An exact tie between two independently-summed labels:
-                # they may round apart once re-based, so no margin bound
-                # can clear the offset replay.
-                solo = self._solo = (None,)
-                return None
-            # Topological application order: sort members by final label
-            # (parents settle strictly before children -- weights with a
-            # zero-weight inner edge would tie, but a tie already zeroed
-            # the margin above), tie-impossible hence deterministic.
-            ordered = sorted(
-                ((d, u) for u, d in dist.items() if u != v0)
-            )
-            for d, u in ordered:
-                p = parent[u]
-                for w, x in adjacency[u]:
-                    if x == p and dist[p] + w == d:
-                        order.append((u, p, w))
-                        break
-                else:  # pragma: no cover - tree edge always present
-                    solo = self._solo = (None,)
-                    return None
-            maxd = max(dist.values())
-            max_depth = max(depth.values())
-            solo = self._solo = (order, margin, maxd, max_depth)
-        return None if solo[0] is None else solo
-
-    def apply_offset(self, dist, parent) -> bool:
-        """Repair one row's copy of this region by per-row offsets.
-
-        The row-side half of the single-boundary shared solve: scan the
-        lone boundary node's seed candidates exactly as the heap path
-        would (first strict minimum over the intact neighbors), then --
-        if the solo margin survives the drift bound at this base --
-        replay the solo tree's additions ``dist[child] = dist[parent] +
-        w`` in topological order, which is literally the same float
-        expression sequence the per-row re-dijkstra evaluates.  Returns
-        ``False`` when the caller must fall back to heap seeding for
-        this region (margin too small for this row's base, or no cached
-        solo); the region's labels are untouched in that case (still at
-        the caller's INF/-1 reset).  On a full row the boundary node
-        always has a reachable neighbor; without one, ``best`` and the
-        drift bound would be ``inf`` and send the region to the heap path.
-        """
-        solo = self.solo_solve()
-        if solo is None:
-            return False
-        order, margin, maxd, depth = solo
-        v0, seed = self.seed_items[0]
-        best = INF
-        best_parent = -1
-        for w, u in seed:
-            nd = dist[u] + w
-            if nd < best:
-                best = nd
-                best_parent = u
-        drift = (
-            (best + maxd) * _EPS * (_OFFSET_ULPS_PER_LEVEL * (depth + 1)
-                                    + _OFFSET_ULPS_BASE)
-        )
-        if margin <= drift:
-            return False
-        dist[v0] = best
-        parent[v0] = best_parent
-        for u, p, w in order:
-            dist[u] = dist[p] + w
-            parent[u] = p
-        return True
-
-    @property
-    def mask(self) -> int:
-        """The member set as a big int (one byte per node, 0/1 values)."""
-        if self._mask is None:
-            self._mask = int.from_bytes(self.member, "little")
-        return self._mask
-
-    @property
-    def reach_mask(self) -> int:
-        """``mask`` extended by the boundary targets (adjacency closure)."""
-        if self._reach_mask is None:
-            reach = bytearray(self.member)
-            for _, seed in self.seed_items:
-                for _, u in seed:
-                    reach[u] = 1
-            self._reach_mask = int.from_bytes(reach, "little")
-        return self._reach_mask
-
-
-def _combine_regions(
-    regions: List[_SharedRegion], n: int
-) -> Tuple[bytearray, bool]:
-    """Merge several shared regions into one read-only repair context.
-
-    Returns ``(member, mergeable)``: the union membership bytearray
-    (valid for any region combination, including nested subtrees) and
-    whether the regions are pairwise disjoint *and* non-adjacent -- so
-    no repair path can cross between them directly, and each one may be
-    seeded and solved as an island.  The adjacency test is one-sided on
-    purpose: an edge between two regions appears in both boundaries, so
-    accumulating ``reach_mask`` and testing each next region's ``mask``
-    against it sees every offending pair.
-    """
-    union = 0
-    for region in regions:
-        union |= region.mask
-    member = bytearray(union.to_bytes(n, "little"))
-    acc = 0
-    for region in regions:
-        if acc & region.mask:
-            return member, False
-        acc |= region.reach_mask
-    return member, True
-
-
-def _repair_row(
-    adjacency: List[Tuple[Tuple[float, int], ...]],
-    csr: Tuple[array, array, array],
-    row: "_Row",
-    hits: Sequence[_SharedRegion],
-    walk_roots: Sequence[int],
-    leafs: Iterable[Tuple[int, int]],
-    union_cache: Optional[Dict],
-) -> None:
-    """Apply one plan's increase repairs to a single full cached row.
-
-    The increase half of Ramalingam--Reps: only descendants of a
-    detached tree edge can change, so exactly that region is recomputed
-    from its boundary of intact nodes.  ``hits`` are the row's shared
-    regions (verified to equal its subtrees by
-    :meth:`FrozenOracle._resolve_shared`), ``walk_roots`` the detached
-    children without one, and ``leafs`` ``(leaf, anchor)`` jobs for
-    increased degree-1 edges.  The seeded boundary nodes then run one
-    :func:`kernel.settle` over ``csr``, masked to the affected region.
-
-    - ``walk_roots`` regions are discovered per row by scanning
-      ``adjacency`` for ``parent[u] == v`` children, so no per-row
-      children lists are built or maintained.
-    - Shared regions supply the affected set and the boundary seed lists
-      instead; seeding and the settle loop perform the same
-      value-ordered relaxations as the walk, so shared and walked
-      repairs are bit-identical.  Overlapping (nested-subtree) hits may
-      seed a node twice -- idempotent, the second pass recomputes the
-      same minimum from the same intact neighbors.
-    - Bridge-detached regions -- exactly one boundary node -- repair
-      through :meth:`_SharedRegion.apply_offset`: the region is solved
-      once and each row replays the solve's additions from its own
-      boundary seed distance, skipping the per-row settle.  Only engaged
-      when the regions are mergeable (independent islands, so removing
-      one from the merged settle cannot perturb another), and only when
-      the region's separation margin provably survives the re-based
-      rounding; every other case takes the settle path.  The shared
-      regions' reset scan runs as a whole-array numpy op over the row's
-      label buffers, and so does their boundary-seed scan when the
-      regions are mergeable (same values: pure gathers/constant stores,
-      and the seed scan keeps the first-strict-minimum selection rule);
-      non-mergeable region unions keep the scalar seed scan, which must
-      skip affected neighbors.
-    - Leaf jobs whose anchor is outside every detached region bypass the
-      region machinery: the leaf's one edge is relaxed in place
-      (``dist[leaf] = dist[anchor] + w``), its parent unchanged.  A leaf
-      whose anchor *is* detached was already swept into that region, and
-      is repaired there.
-    """
-    dist = row.dist
-    parent = row.parent
-    n = len(dist)
-
-    mergeable = False
-    walked: List[int] = []
-    if hits and not walk_roots:
-        if len(hits) == 1:
-            affect = hits[0].member  # read-only
-            mergeable = True
-        else:
-            # Hits follow the plan's classification order, which is the
-            # same for every row, so a plain tuple key hits the cache.
-            key = tuple(map(id, hits))
-            cached = union_cache.get(key)
-            if cached is None:
-                cached = _combine_regions(hits, n)
-                union_cache[key] = cached
-            affect, mergeable = cached  # read-only
-    else:
-        if hits:
-            mask = 0
-            for region in hits:
-                mask |= region.mask
-            affect = bytearray(mask.to_bytes(n, "little"))
-        else:
-            affect = bytearray(n)
-        stack = []
-        for r in walk_roots:
-            if not affect[r]:
-                affect[r] = 1
-                stack.append(r)
-        while stack:
-            v = stack.pop()
-            walked.append(v)
-            for w, u in adjacency[v]:
-                if parent[u] == v and not affect[u]:
-                    affect[u] = 1
-                    stack.append(u)
-
-    if hits:
-        dview = kernel.f8_view(dist)
-        pview = kernel.i8_view(parent)
-        for region in hits:
-            nodes_np = region.arrays()[4]
-            dview[nodes_np] = INF
-            pview[nodes_np] = -1
-    for v in walked:
-        dist[v] = INF
-        parent[v] = -1
-
-    seeds: List[int] = []
-    if mergeable:
-        # Bridge-detached regions solve once and replay per row; a region
-        # whose margin check fails stays at the INF/-1 reset and falls
-        # back to the ordinary seeding below.  Island independence
-        # (pairwise disjoint, non-adjacent regions) makes the partition
-        # exact: the merged settle's relaxations never cross regions, so
-        # removing one region's seeds cannot change any other's repair.
-        settle_hits = []
-        for region in hits:
-            if len(region.seed_items) == 1 and region.apply_offset(
-                dist, parent
-            ):
-                continue
-            settle_hits.append(region)
-        # Whole-array boundary seeding.  Mergeable regions guarantee
-        # every seed target lies outside all regions (``not affect[u]``
-        # is vacuously true), so the scan reduces to a gather plus a
-        # first-strict-minimum per boundary segment -- exactly the
-        # selection the scalar loop makes.
-        for region in settle_hits:
-            arrays = region.arrays()
-            seed_u, seed_v, seed_w, starts, lens = (
-                arrays[2], arrays[5], arrays[6], arrays[7], arrays[8]
-            )
-            if not seed_v:
-                continue
-            vals = dview[seed_u] + seed_w
-            mins = np.minimum.reduceat(vals, starts)
-            size = vals.size
-            firsts = np.minimum.reduceat(
-                np.where(
-                    vals == np.repeat(mins, lens), np.arange(size), size
-                ),
-                starts,
-            )
-            for k, v in enumerate(seed_v):
-                best = mins[k]
-                if best < INF:
-                    dist[v] = float(best)
-                    parent[v] = int(seed_u[firsts[k]])
-                    seeds.append(v)
-    else:
-        for region in hits:
-            for v, seed in region.seed_items:
-                best = INF
-                best_parent = -1
-                for w, u in seed:
-                    if not affect[u]:
-                        nd = dist[u] + w
-                        if nd < best:
-                            best = nd
-                            best_parent = u
-                if best_parent >= 0:
-                    dist[v] = best
-                    parent[v] = best_parent
-                    seeds.append(v)
-    for v in walked:
-        best = INF
-        best_parent = -1
-        for w, u in adjacency[v]:
-            if not affect[u]:
-                nd = dist[u] + w
-                if nd < best:
-                    best = nd
-                    best_parent = u
-        if best_parent >= 0:
-            dist[v] = best
-            parent[v] = best_parent
-            seeds.append(v)
-    if seeds:
-        kernel.settle(csr, dist, parent, seeds, mask=affect)
-
-    for leaf, anchor in leafs:
-        if affect[leaf]:
-            continue  # swept into a region; repaired there
-        d = dist[anchor]
-        if d == INF:
-            # The anchor itself is unreachable; mirror the region
-            # seeding, which finds no boundary parent and leaves the leaf
-            # detached.
-            dist[leaf] = INF
-            parent[leaf] = -1
-        else:
-            dist[leaf] = d + adjacency[leaf][0][0]
 
 
 class _Row:
@@ -1433,15 +775,6 @@ class FrozenOracle:
         #: the other knobs.  Recording never feeds back into algorithm
         #: state, so served values are identical either way.
         self._metrics = metrics if metrics else None
-        if self._metrics is not None and getattr(
-            self._metrics, "registry", None
-        ) is not None:
-            # Region-share group sizes are row counts, not durations;
-            # give their histogram size-flavoured buckets.
-            self._metrics.registry.declare_histogram(
-                "oracle.repair.share_group_rows",
-                (1, 4, 16, 64, 256, 1024, 4096),
-            )
         #: Canonical node pairs currently tombstoned in the built cores.
         #: A removed edge's CSR slots persist at weight ``inf``, so an
         #: edge may only be (re)inserted while its slots still exist --
@@ -1641,11 +974,9 @@ class FrozenOracle:
         patched in place, and cached full rows are *repaired*
         (Ramalingam--Reps style: only the region below a changed tree
         edge or reachable from a decreased edge is recomputed) instead
-        of recomputed from scratch; early-stopped rows are evicted.  The
-        changed batch is partitioned once per patch into a shared
-        :class:`_PatchPlan`: its decreases are relaxed into every live
-        row first, then its increases drive the region repairs (see
-        :meth:`_patch_rows`).
+        of recomputed from scratch; early-stopped rows are evicted.  Each
+        repaired row takes the batch's decreases first, then its
+        increases (see :meth:`_patch_rows`).
 
         Returns the number of (deduplicated) edges whose cost actually
         changed.
@@ -1740,19 +1071,16 @@ class FrozenOracle:
 
         The built cores are edited through a *tombstone mask*: a removed
         edge's CSR slots persist at weight ``inf`` (node ids and row
-        arrays stay stable) while the search-facing adjacency drops the
-        entry, so cached rows repair through the ordinary increase
-        machinery -- the detached region reconnects through surviving
+        arrays stay stable, and an ``inf`` slot never relaxes), so
+        cached rows repair through the ordinary increase machinery --
+        the detached region reconnects through surviving
         edges or legitimately ends *unreachable* (``dist=inf``, parent
         cleared).  Reinsertion is a decrease-from-infinity over the same
         slots, and therefore -- on a built oracle -- requires the pair to
         be a previously removed (tombstoned) edge: the frozen CSR cannot
         grow new slots.  In the contracted core a failed chain edge
         poisons its chain's prefix sums and kept candidate to ``inf``
-        locally; no global recontraction runs.  Removal-driven region
-        repairs bypass the planner's degree-1 leaf fast path (an
-        endpoint's *surviving* degree says nothing about the dead edge),
-        always taking the general boundary re-seeding.  The equivalence
+        locally; no global recontraction runs.  The equivalence
         reference is the cold rebuild: a fresh oracle over the mutated
         graph.
 
@@ -1834,12 +1162,7 @@ class FrozenOracle:
                 (index[u], index[v], INF, cost)
                 for u, v, cost in born.values()
             ]
-        plan = _PatchPlan(self._search_graph()[0], changes)
-        # Force the general region repair: the leaf classification reads
-        # *surviving* degrees, which misattribute a removed pair's repair
-        # to the wrong (still-live) edge.
-        plan._classified = [(a, b, -1) for a, b in plan.increases]
-        self._patch_rows(changes, plan=plan)
+        self._patch_rows(changes)
         if mx:
             mx.inc("oracle.patch.topology_changes", count)
             mx.span("oracle.patch.topology", t0, trace_args={
@@ -1848,135 +1171,67 @@ class FrozenOracle:
             self._rows.publish(mx)
         return count
 
-    def _search_graph(self) -> Tuple[List, Tuple[array, array, array]]:
-        """The active core's per-node ``(weight, neighbor)`` rows and CSR."""
-        if self._contracted is not None:
-            return self._contracted.rows, self._contracted.csr
-        return self._core._rows, self._core.csr
-
     def _patch_rows(
-        self,
-        changes: Iterable[Tuple[int, int, float, float]],
-        plan: Optional[_PatchPlan] = None,
+        self, changes: Iterable[Tuple[int, int, float, float]]
     ) -> None:
         """Repair (or evict) every cached row after a weight-change batch.
 
         ``changes`` holds ``(a, b, old_w, new_w)`` in the active core's id
-        space, whose adjacency and CSR weights are already patched.
-        Only exhaustive rows are repaired: every live early-stopped row
-        is evicted first (reason ``"repair"``), since its unsettled
-        labels are mere upper bounds that no repair could bound, and
-        rows idle since the previous patch are evicted as ``"idle"``.
-        Every survivor keeps exact distances and a valid shortest-path
-        tree under the new costs, with tie-breaks possibly differing
-        from a cold rebuild's.
+        space, whose CSR weights are already patched.  One pass over the
+        cached rows, in row order:
 
-        One engine serves every batch, in Ramalingam--Reps order.  A batch
-        carrying a decrease first runs :func:`_relax_decreases` over every
-        live row: a decrease moves parents, so increases can only be
-        classified against the relaxed trees.  The increases are
-        classified once into the shared :class:`_PatchPlan`, and only
-        rows that actually use an increased edge as a tree edge are
-        repaired.  One scan pass over the live rows finds them, checking
-        each increased pair against the row's parent array (O(rows x
-        changes)).
+        - a row idle since the previous patch is evicted (reason
+          ``"idle"``) and recomputed on demand, exactly the rebuild
+          path, instead of being repaired forever;
+        - a live early-stopped row is evicted (reason ``"repair"``): its
+          unsettled labels are mere upper bounds that no repair could
+          bound;
+        - every other row is repaired in place, in Ramalingam--Reps
+          order.  The batch's decreases are relaxed into it first
+          (:func:`_relax_decreases`), because a decrease moves parents.
+          Then every increased pair that is a tree edge of the relaxed
+          row contributes its child end as a root -- a degree-1 leaf
+          edge's root is the leaf itself -- and one :func:`kernel.repair`
+          call recomputes the union of the roots' subtrees from its
+          boundary.  Finding the roots costs O(changes) per row.
 
-        Detached roots dense enough to clear
-        :data:`PLANNER_SHARE_MIN_ROWS` / :data:`PLANNER_SHARE_DENSITY` get
-        per-patch shared-region groups: member rows verify against
-        (instead of rediscovering) the detached region.  Every other
-        root is walked per row by the same repairer, :func:`_repair_row`.
-
-        The repairs form one job list, built in row order together with
-        the idle evictions, the shared-region resolution and the repair
-        counters, and then run in job order, repairing rows in place.
+        Every repaired row keeps exact distances and a valid
+        shortest-path tree under the new costs, with equal-cost
+        tie-breaks possibly differing from a cold rebuild's.
         """
-        adjacency, csr = self._search_graph()
-        if plan is None:
-            plan = _PatchPlan(adjacency, changes)
-        decreases = plan.decreases
-        if not plan.increases and not decreases:
+        plan = _PatchPlan(changes)
+        increases, decreases = plan.increases, plan.decreases
+        if not increases and not decreases:
             return
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
+        core = self._contracted if self._contracted is not None else self._core
+        csr = core.csr
         rows = self._rows
-        for sid, row in list(rows.items()):
-            if row.used and not row.full:
-                rows.evict(sid, "repair")
-        if decreases:
-            for row in rows.values():
-                if row.used:
-                    _relax_decreases(csr, row, decreases)
-
-        # Classify the increases once, then scan the live rows for the
-        # ones whose tree uses an increased pair.
-        general_roots: Dict[int, List[int]] = {}
-        leaf_jobs: Dict[int, List[Tuple[int, int]]] = {}
-        classified = plan.classified
-        for sid, row in rows.items():
-            if not row.used:
-                continue
-            for a, b, leaf in classified:
-                _route_tree_edge(
-                    row, sid, a, b, leaf, general_roots, leaf_jobs
-                )
-
-        live = sum(1 for row in rows.values() if row.used)
-
-        # Dense-patch region sharing: a root detaching the same region in
-        # many rows gets a per-patch group whose structures every member
-        # row reuses.  Groups are scoped to this patch -- their cached
-        # boundary/internal weights go stale at the next weight change.
-        share_groups: Optional[Dict[int, List[_SharedRegion]]] = None
-        union_cache: Optional[Dict] = None
-        if general_roots:
-            counts: Dict[int, int] = {}
-            for roots in general_roots.values():
-                # dict.fromkeys dedups a row's roots in first-appearance
-                # order (set order would be hash-bucket order).
-                for c in dict.fromkeys(roots):
-                    counts[c] = counts.get(c, 0) + 1
-            threshold = max(
-                PLANNER_SHARE_MIN_ROWS, PLANNER_SHARE_DENSITY * live
-            )
-            dense = [c for c, k in counts.items() if k >= threshold]
-            if dense:
-                share_groups = {c: [] for c in dense}
-                union_cache = {}
-                if mx:
-                    # Region-share group sizes: rows per dense root.
-                    for c in dense:
-                        mx.observe("oracle.repair.share_group_rows", counts[c])
-
-        # One job per row to repair, in row order.  Shared regions are
-        # resolved here, before any increase repair writes a row: variant
-        # founding is order-dependent.
-        jobs: List[Tuple] = []
+        live = repaired = 0
         for sid, row in list(rows.items()):
             if not row.used:
-                # Idle for a whole patch interval: recompute on demand
-                # (exactly the rebuild path) instead of repairing forever.
                 rows.evict(sid, "idle")
                 continue
+            if not row.full:
+                rows.evict(sid, "repair")
+                continue
+            live += 1
             row.used = False
-            roots = general_roots.get(sid, ())
-            leafs = leaf_jobs.get(sid, ())
-            if roots or leafs:
-                if share_groups is not None and roots:
-                    hits, walk_roots = self._resolve_shared(
-                        adjacency, row, roots, share_groups
-                    )
-                else:
-                    hits, walk_roots = (), roots
-                jobs.append((row, hits, walk_roots, leafs))
+            if decreases:
+                _relax_decreases(csr, row, decreases)
+            parent = row.parent
+            roots: List[int] = []
+            for a, b in increases:
+                if parent[b] == a:
+                    roots.append(b)
+                elif parent[a] == b:
+                    roots.append(a)
+            if roots:
+                kernel.repair(csr, row.dist, parent, roots)
+                repaired += 1
                 if mx:
-                    mx.inc("oracle.repair.rows",
-                           path="shared" if hits else "planned")
-
-        for row, hits, walk_roots, leafs in jobs:
-            _repair_row(
-                adjacency, csr, row, hits, walk_roots, leafs, union_cache
-            )
+                    mx.inc("oracle.repair.rows", path="planned")
 
         # Budgeted oracles settle residency at the patch boundary: the
         # accounting invariant is "never over budget *between* patches"
@@ -1986,53 +1241,7 @@ class FrozenOracle:
         rows.enforce()
         if mx:
             mx.span("oracle.repair", t0, mode="planned",
-                    trace_args={"live": live, "repaired": len(jobs)})
-
-    def _resolve_shared(
-        self,
-        adjacency: List[Tuple[Tuple[float, int], ...]],
-        row: _Row,
-        roots: List[int],
-        groups: Dict[int, List[_SharedRegion]],
-    ) -> Tuple[List[_SharedRegion], List[int]]:
-        """Split a row's detached roots into shared-region hits and walks.
-
-        A dense root joins the first group variant whose region matches
-        the row's subtree; a non-matching row founds a new variant from
-        its own walk (the "region signature" grouping: same detached
-        child, same detached node set) until
-        :data:`_PLANNER_SHARE_MAX_VARIANTS`, after which it falls back
-        to the per-row walk.  Non-dense roots always walk.  Groups are
-        keyed by the detached child alone -- a child's region is its
-        subtree regardless of which changed pair detached it, so two
-        changed pairs sharing a child pool their rows (and their density
-        count) into one group.
-        """
-        hits: List[_SharedRegion] = []
-        walk_roots: List[int] = []
-        seen: set = set()
-        parent = row.parent
-        n = len(adjacency)
-        for c in roots:
-            if c in seen:
-                continue  # duplicate root: one region either way
-            seen.add(c)
-            variants = groups.get(c)
-            if variants is None:
-                walk_roots.append(c)
-                continue
-            for region in variants:
-                if region.matches(parent):
-                    hits.append(region)
-                    break
-            else:
-                if len(variants) < _PLANNER_SHARE_MAX_VARIANTS:
-                    region = _SharedRegion(adjacency, parent, c, n)
-                    variants.append(region)
-                    hits.append(region)
-                else:
-                    walk_roots.append(c)
-        return hits, walk_roots
+                    trace_args={"live": live, "repaired": repaired})
 
     def rebased(
         self, graph: Graph, changed: Mapping[Tuple[Node, Node], float]

@@ -1,31 +1,34 @@
-"""Raw-speed kernel: the compiled settle loop, label buffers, a fork pool.
+"""Raw-speed kernel: the compiled search loops, label buffers, a fork pool.
 
-The oracle's algorithmic layers (CSR core, Ramalingam--Reps repair, the
-patch planner, shared regions, topology tombstones) left the per-label
-settle loop and pure interpreter overhead as the dominant costs.  This
-module holds three primitives:
+The oracle's algorithmic layers (CSR core, Ramalingam--Reps repair,
+topology tombstones) left the per-label search loops and pure
+interpreter overhead as the dominant costs.  This module holds three
+primitives:
 
-- **Settle loop** -- :func:`settle`, the single seeded label-setting
+- **Search loops** -- :func:`settle`, the single seeded label-setting
   loop every oracle row build and repair runs (contract in
-  :func:`settle_python`).  It is written once in C (``_settle.c``,
-  compiled with the system ``cc`` when this module is imported, so no
-  timed window pays for it, and loaded through :mod:`ctypes` from a
-  cache file whose name hashes the source, the flags and
-  ``EXT_SUFFIX``; the file is written atomically into this package's
-  ``__pycache__/``, or ``~/.cache/repro/`` when that is read-only) and
-  once in Python (:func:`settle_python`), which runs only when no
-  compiler or compiled object is usable -- announced by one
-  ``RuntimeWarning`` naming the reason -- and is the tests' reference.
-  :data:`NATIVE` says which one :func:`settle` is, and
-  :data:`NATIVE_REASON` why the compiled loop is not in use.
+  :func:`settle_python`), and :func:`repair`, the increase half of
+  Ramalingam--Reps on one row in one call (contract in
+  :func:`repair_python`), which ends in that loop.  Both are written
+  once in C (``_settle.c``, compiled with the system ``cc`` when this
+  module is imported, so no timed window pays for it, and loaded
+  through :mod:`ctypes` from a cache file whose name hashes the source,
+  the flags and ``EXT_SUFFIX``; the file is written atomically into
+  this package's ``__pycache__/``, or ``~/.cache/repro/`` when that is
+  read-only) and once in Python (:func:`settle_python`,
+  :func:`repair_python`), which runs only when no compiler or compiled
+  object is usable -- announced by one ``RuntimeWarning`` naming the
+  reason -- and is the tests' reference.  :data:`NATIVE` says which
+  pair :func:`settle` and :func:`repair` are, and :data:`NATIVE_REASON`
+  why the compiled loops are not in use.
 - **Label buffers** -- every cached oracle row stores ``dist``/``parent``
   as ``array('d')``/``array('q')`` buffers (:func:`new_labels`), which
-  the settle loop writes in place.  Scalar indexing still returns plain
+  the loops write in place.  Scalar indexing still returns plain
   Python floats/ints (unlike raw numpy arrays, whose scalar reads box
   ``np.float64`` -- slower *and* repr-visible), while the buffer
-  protocol lets batch operations wrap the same memory zero-copy with
-  :func:`numpy.frombuffer` (:func:`f8_view`, :func:`i8_view`,
-  :func:`u8_view`).  numpy is a hard dependency of the package.
+  protocol lets batch queries wrap the same memory zero-copy with
+  :func:`numpy.frombuffer` (:func:`f8_view`, :func:`u8_view`).  numpy
+  is a hard dependency of the package.
 - **Fork pool** -- :func:`fork_map` (module-global state populated
   before a ``fork``-context pool is created, so workers inherit arbitrary
   unpicklable state by memory copy; ordered results; serial fallback
@@ -83,11 +86,6 @@ def f8_view(buf: array) -> np.ndarray:
     never resized, so views stay valid for the row's lifetime).
     """
     return np.frombuffer(buf, dtype=np.float64)
-
-
-def i8_view(buf: array) -> np.ndarray:
-    """Zero-copy ``int64`` numpy view of a ``parent`` buffer."""
-    return np.frombuffer(buf, dtype=np.int64)
 
 
 def u8_view(buf: bytearray) -> np.ndarray:
@@ -173,6 +171,77 @@ def settle_python(
     return True
 
 
+def repair_python(
+    csr: Tuple[array, array, array],
+    dist: array,
+    parent: array,
+    roots: Sequence[int],
+) -> None:
+    """Repair one full row whose tree edges above ``roots`` got dearer.
+
+    The increase half of Ramalingam--Reps, in place.  ``csr`` already
+    carries the new weights, and each root is the child end of a tree
+    edge (``parent[root]``--``root``) whose weight grew, or which was
+    tombstoned.  Only the roots' subtrees can change, so:
+
+    1. the union of the parent-tree subtrees below ``roots`` is marked
+       (the children of ``v`` are the ``u`` with ``parent[u] == v``
+       over ``v``'s CSR slots, skipping ``inf`` ones; duplicate and
+       nested roots mark each node once);
+    2. every marked node is reset to ``inf``/``-1``;
+    3. every marked node is seeded from its first strictly cheapest
+       unmarked neighbour in CSR order, if it has a reachable one;
+    4. the seeds run :func:`settle_python` with relaxations masked to
+       the marked set and node-id ties.
+
+    A degree-1 root (a leaf) is its own region, so its seed is
+    ``dist[anchor] + w`` through its one edge.  Marked nodes left
+    unlabelled are unreachable.  The settle loop's ``(dist, node id)``
+    keys are unique, so neither the order of ``roots`` nor the marking
+    order reaches the labels.
+
+    This is the Python twin of ``repair`` in ``_settle.c``, statement
+    for statement: the fallback when no compiled object is usable, and
+    the tests' reference.
+    """
+    indptr, indices, weights = csr
+    mask = bytearray(len(dist))
+    region: List[int] = []
+    for v in roots:
+        if not mask[v]:
+            mask[v] = 1
+            region.append(v)
+    i = 0
+    while i < len(region):
+        v = region[i]
+        i += 1
+        for pos in range(indptr[v], indptr[v + 1]):
+            u = indices[pos]
+            if parent[u] == v and not mask[u] and weights[pos] != INF:
+                mask[u] = 1
+                region.append(u)
+    for v in region:
+        dist[v] = INF
+        parent[v] = -1
+    seeds: List[int] = []
+    for v in region:
+        best = INF
+        best_parent = -1
+        for pos in range(indptr[v], indptr[v + 1]):
+            u = indices[pos]
+            if not mask[u]:
+                nd = dist[u] + weights[pos]
+                if nd < best:
+                    best = nd
+                    best_parent = u
+        if best_parent >= 0:
+            dist[v] = best
+            parent[v] = best_parent
+            seeds.append(v)
+    if seeds:
+        settle_python(csr, dist, parent, seeds, mask=mask)
+
+
 _SOURCE = Path(__file__).with_name("_settle.c")
 
 #: Compiler flags of the settle object.  Plain ``-O2``: no fast-math or
@@ -241,8 +310,8 @@ def _compile(compiler: str, source: bytes, path: Path) -> Optional[str]:
                 pass
 
 
-def _load_native() -> Tuple[Optional[Callable], Optional[Path], str]:
-    """``(fn, path, reason)``: the compiled ``settle`` or why there is none.
+def _load_native() -> Tuple[Optional[ctypes.CDLL], Optional[Path], str]:
+    """``(lib, path, reason)``: the compiled object or why there is none.
 
     A cached object is loaded from the first cache directory holding it;
     otherwise the source is compiled into the first writable one.
@@ -275,15 +344,46 @@ def _load_native() -> Tuple[Optional[Callable], Optional[Path], str]:
         if error is not None:
             return None, None, error
     try:
-        fn = ctypes.CDLL(str(path)).settle
+        lib = ctypes.CDLL(str(path))
+        settle_fn, repair_fn = lib.settle, lib.repair
     except (OSError, AttributeError) as exc:
         return None, None, f"cannot load {path}: {exc}"
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    fn.restype = i64
+    settle_fn.restype = repair_fn.restype = i64
     # (indptr, indices, weights, dist, parent, seeds, nseeds, mask,
     #  settled, targets, remaining, counter_ties), as in _settle.c.
-    fn.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, i64, i64)
-    return fn, path, ""
+    settle_fn.argtypes = (
+        ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, i64, i64,
+    )
+    # (indptr, indices, weights, dist, parent, n, roots, nroots).
+    repair_fn.argtypes = (ptr, ptr, ptr, ptr, ptr, i64, ptr, i64)
+    return lib, path, ""
+
+
+def _trusted(
+    csr: Tuple[array, array, array],
+    dist: array,
+    parent: array,
+    nodes: Sequence[int],
+    flags: Sequence[Optional[bytearray]] = (),
+) -> bool:
+    """Whether the C loops may trust these buffers.
+
+    Typecodes and sizes of the CSR, label and flag buffers, and every
+    id in ``nodes`` (the seeds or roots) a node of ``csr``.  Node ids
+    inside ``indices`` are trusted: every CSR comes from this package's
+    own cores.
+    """
+    indptr, indices, weights = csr
+    n = len(indptr) - 1
+    return (
+        indptr.typecode == indices.typecode == parent.typecode == "q"
+        and weights.typecode == dist.typecode == "d"
+        and len(dist) == len(parent) == n
+        and len(indices) == len(weights) == indptr[-1]
+        and all(f is None or len(f) == n for f in flags)
+        and 0 <= min(nodes) and max(nodes) < n
+    )
 
 
 def _address(flags: Optional[bytearray]) -> Optional[int]:
@@ -307,25 +407,15 @@ def settle_native(
     """The compiled settle loop; same contract as :func:`settle_python`.
 
     The C loop trusts its pointers, so buffer types and sizes are checked
-    here first (node ids inside ``indices`` are trusted: every CSR comes
-    from this package's own cores).
+    here first (:func:`_trusted`).
     """
     if not seeds:
         return True
     indptr, indices, weights = csr
-    n = len(indptr) - 1
-    if not (
-        indptr.typecode == indices.typecode == parent.typecode == "q"
-        and weights.typecode == dist.typecode == "d"
-        and len(dist) == len(parent) == n
-        and len(indices) == len(weights) == indptr[-1]
-        and all(flags is None or len(flags) == n
-                for flags in (mask, settled, targets))
-        and 0 <= min(seeds) and max(seeds) < n
-    ):
+    if not _trusted(csr, dist, parent, seeds, (mask, settled, targets)):
         raise ValueError("settle: inconsistent CSR, label or flag buffers")
     seeds = array(PARENT_TYPECODE, seeds)
-    result = _NATIVE_FN(
+    result = _NATIVE.settle(
         indptr.buffer_info()[0], indices.buffer_info()[0],
         weights.buffer_info()[0], dist.buffer_info()[0],
         parent.buffer_info()[0], seeds.buffer_info()[0], len(seeds),
@@ -337,15 +427,48 @@ def settle_native(
     return bool(result)
 
 
-_NATIVE_FN, NATIVE_PATH, NATIVE_REASON = _load_native()
+def repair_native(
+    csr: Tuple[array, array, array],
+    dist: array,
+    parent: array,
+    roots: Sequence[int],
+) -> None:
+    """The compiled row repair; same contract as :func:`repair_python`.
 
-#: Whether :func:`settle` is the compiled loop.
-NATIVE = _NATIVE_FN is not None
+    Buffer types and sizes and the root range are checked here first
+    (:func:`_trusted`), as for :func:`settle_native`.
+    """
+    if not roots:
+        return
+    indptr, indices, weights = csr
+    if not _trusted(csr, dist, parent, roots):
+        raise ValueError("repair: inconsistent CSR or label buffers, "
+                         "or a root out of range")
+    roots = array(PARENT_TYPECODE, roots)
+    result = _NATIVE.repair(
+        indptr.buffer_info()[0], indices.buffer_info()[0],
+        weights.buffer_info()[0], dist.buffer_info()[0],
+        parent.buffer_info()[0], len(dist), roots.buffer_info()[0],
+        len(roots),
+    )
+    if result < 0:
+        raise MemoryError("repair: a buffer could not be allocated")
+
+
+_NATIVE, NATIVE_PATH, NATIVE_REASON = _load_native()
+
+#: Whether :func:`settle` and :func:`repair` are the compiled loops.
+NATIVE = _NATIVE is not None
 
 #: The settle loop every oracle row build and repair runs:
 #: :func:`settle_native` when the compiled object loaded, else
 #: :func:`settle_python` (same contract, same output bit for bit).
 settle = settle_native if NATIVE else settle_python
+
+#: The one-call row repair every increase-carrying patch runs, from the
+#: same object as :func:`settle` (:func:`repair_native`), else
+#: :func:`repair_python`.
+repair = repair_native if NATIVE else repair_python
 
 if not NATIVE:
     warnings.warn(

@@ -34,8 +34,8 @@ cached row stores its labels in ``array('d')``/``array('q')`` buffers,
 so the 16 bytes/node label term is near-exact for every row -- the
 budget is still a *residency model*, not an RSS cap, and the model is
 chosen so budgeted runs behave identically across platforms.  The
-rows are the oracle's only persistent repair state: per-patch
-shared-region caches are transient and never survive a patch.
+rows are the oracle's only persistent repair state: a repair's region
+mask lives only for its one :func:`repro.graph.kernel.repair` call.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from repro.core.forest import ServiceOverlayForest
 from repro.core.problem import SOFInstance
 from repro.costmodel import LoadTracker
 from repro.graph import FrozenOracle
-from repro.graph.graph import canonical_edge
+from repro.graph.graph import canonical_edge, edge_sort_key
 from repro.online.requests import Request
 from repro.topology.network import CloudNetwork
 
@@ -131,10 +131,8 @@ class OnlineSimulator:
         # and equivalence-test reference.  Incremental simulators repair
         # the oracle's cached rows in place through its one repair engine
         # (arrivals and background load reach it as cost increases,
-        # departures and link recoveries as decreases); dense patches
-        # share region repairs across rows by observed density, not by a
-        # knob.  Link failures and recoveries reach it as tombstone
-        # topology patches.
+        # departures and link recoveries as decreases).  Link failures
+        # and recoveries reach it as tombstone topology patches.
         # ``row_budget_bytes`` caps the oracle row cache's accounted
         # residency (see :mod:`repro.graph.rowcache`): long-lived
         # simulators over large topologies bound memory by evicting
@@ -211,9 +209,17 @@ class OnlineSimulator:
         updates the graph and the oracle's weight arrays in place and
         repairs the cached rows.  With ``incremental=False`` the costs
         are written directly and the whole oracle is rebuilt.
+
+        The batch is built in canonical edge order
+        (:func:`~repro.graph.graph.edge_sort_key`), not in the dirty
+        set's hash order: the VM attachment edges are keyed by tuples
+        holding a ``str``, whose hash is salted per process, and the
+        batch order decides which parent a repaired row keeps on an
+        equal-cost tie.
         """
         changed = {}
-        for u, v in self._tracker.drain_dirty_links():
+        dirty = sorted(self._tracker.drain_dirty_links(), key=edge_sort_key)
+        for u, v in dirty:
             if canonical_edge(u, v) in self._failed:
                 # A dead link has no cost to sync; its tracker load still
                 # updates (crossing leases release through it) and is

@@ -431,6 +431,41 @@ def test_fork_before_write_back_is_clean(tmp_path):
     assert not lint(tmp_path).findings
 
 
+def test_fork_after_label_writing_call(tmp_path):
+    # The patch assigns no label itself: the row labels are written in
+    # callees, so a call to one of them opens the window.
+    write_tree(tmp_path, {"graph/mod.py": """
+        from repro.graph import kernel
+
+        def repair(rows, csr, changes, job):
+            plan = _PatchPlan(changes)
+            for row in rows:
+                kernel.repair(csr, row.dist, row.parent, plan.increases)
+            return kernel.fork_map(job, rows)
+    """})
+    assert rules_found(lint(tmp_path)) == ["fork-mutation-window"]
+
+
+def test_fork_before_label_writing_call_is_clean(tmp_path):
+    write_tree(tmp_path, {"graph/mod.py": """
+        from repro.graph import kernel
+
+        def repair(rows, csr, changes, job):
+            plan = _PatchPlan(changes)
+            jobs = kernel.fork_map(job, rows)
+            for row in rows:
+                _relax_decreases(csr, row, plan.decreases)
+                kernel.settle(csr, row.dist, row.parent, (0,))
+            return jobs
+
+        def build(self, csr, dist, parent):
+            # No patch plan: a cold build may fork after it settles.
+            kernel.settle(csr, dist, parent, (0,))
+            self.prefetch_rows(())
+    """})
+    assert not lint(tmp_path).findings
+
+
 def test_fork_raw_pool(tmp_path):
     write_tree(tmp_path, {"core/mod.py": """
         import multiprocessing
@@ -794,6 +829,33 @@ def test_fake_flag_is_reported_at_every_threading_site(tmp_path):
     # The comparison runners forward **simulator_kwargs and stay clean.
     assert not any("run_online_comparison" in f.message for f in findings)
     assert not any("run_churn_comparison" in f.message for f in findings)
+
+
+_REPAIR_TAIL = "        rows.enforce()\n"
+
+
+def test_fork_after_the_live_repair_loop_is_reported(tmp_path):
+    """A fork placed after ``_patch_rows``'s repair loop is flagged.
+
+    ``_patch_rows`` writes row labels only through ``_relax_decreases``
+    and ``kernel.repair``, so the rule must count those calls as
+    write-backs to see a window in the real oracle at all.
+    """
+    indexed = tmp_path / "graph" / "indexed.py"
+    indexed.parent.mkdir(parents=True)
+    text = (SRC / "repro" / "graph" / "indexed.py").read_text(
+        encoding="utf-8"
+    )
+    assert text.count(_REPAIR_TAIL) == 1, "_patch_rows moved"
+    indexed.write_text(text.replace(
+        _REPAIR_TAIL,
+        _REPAIR_TAIL
+        + "        kernel.fork_map(len, ())\n"
+        + "        self.prefetch_rows(())\n",
+    ), encoding="utf-8")
+    result = lint(tmp_path)
+    assert rules_found(result) == ["fork-mutation-window"] * 2
+    assert all(f.symbol.endswith("_patch_rows") for f in result.findings)
 
 
 def test_unpatched_copy_of_site_files_is_clean(tmp_path):

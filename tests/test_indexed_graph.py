@@ -70,7 +70,9 @@ def test_indexed_graph_roundtrip():
     assert core.num_edges() == graph.num_edges()
     for node in graph.nodes():
         assert node in core
-        row = core.neighbor_items(core.id_of(node))
+        i = core.id_of(node)
+        row = zip(core.weights[core.indptr[i]:core.indptr[i + 1]],
+                  core.indices[core.indptr[i]:core.indptr[i + 1]])
         assert sorted((w, core.node_of(v)) for w, v in row) == sorted(
             (w, v) for v, w in graph.neighbor_items(node)
         )

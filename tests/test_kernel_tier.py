@@ -1,16 +1,13 @@
 """Kernel-tier equivalence: array label buffers, batch queries, prefetch.
 
 Every cached oracle row stores its labels in ``array('d')``/``array('q')``
-buffers, and the batch queries and repair scans read them through
-zero-copy numpy views.  The equivalence reference for that store is the
-cold rebuild, as in ``test_patch_planner.py``: randomized cost and
-decrease streams are replayed and every cached row is checked against a
-fresh oracle over the patched graph after every patch, and so is every
-row ``prefetch_rows`` installs.
-
-The single-boundary offset solve (summation-stable shared regions) is
-pinned bit for bit against its own heap fallback, and the batch query
-entry points against the scalar ``distance`` loop.
+buffers, which the compiled loops write in place and the batch queries
+read through zero-copy numpy views.  The equivalence reference for that
+store is the cold rebuild, as in ``test_patch_planner.py``: randomized
+cost and decrease streams are replayed and every cached row is checked
+against a fresh oracle over the patched graph after every patch, and so
+is every row ``prefetch_rows`` installs.  The batch query entry points
+are pinned against the scalar ``distance`` loop.
 """
 
 import random
@@ -22,7 +19,6 @@ from helpers import assert_rows_match_cold
 from repro.graph import FrozenOracle, Graph
 from repro.graph import indexed
 
-INF = float("inf")
 
 
 def random_graph(rng, num_nodes=36, edge_probability=0.15):
@@ -114,12 +110,6 @@ def _final_check(rng, graph, hot, *oracles):
             assert oracle.distances_from(source) == expected
 
 
-def _heap_fallback(self, dist, parent):
-    """``_SharedRegion.apply_offset`` refusing every region, so each one
-    repairs through the per-row heap (the documented fallback)."""
-    return False
-
-
 def _assert_array_rows(oracle):
     """Every cached row holds ``array('d')``/``array('q')`` label buffers
     whose scalar reads are plain Python floats/ints."""
@@ -152,78 +142,17 @@ def test_array_rows_match_cold_rebuild(direction, patchable):
 
 
 @pytest.mark.parametrize("direction", ["up", "mixed"])
-def test_shared_regions_match_cold_rebuild(direction, monkeypatch):
-    """Forced region sharing: the whole-array seed/reset/settle scans and
-    the single-boundary offset solve match a cold rebuild after every
-    patch, and leave row state bit-identical to an oracle that never
-    shares (``PLANNER_SHARE_MIN_ROWS`` at infinity)."""
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
+def test_shared_regions_match_cold_rebuild(direction):
+    """More randomized streams with prefetch batches: every row matches a
+    cold rebuild after every patch, and served values end exact."""
     for trial in range(3):
         rng = random.Random(5200 * trial + (direction == "up"))
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=8, direction=direction)
-        shared = FrozenOracle(graph.copy(), hot=hot)
-        unshared = FrozenOracle(graph.copy(), hot=hot)
-        shared_snaps = _replay(shared, ops, check_cold=True)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", INF)
-            assert shared_snaps == _replay(unshared, ops)
-        _final_check(rng, graph, hot, shared, unshared)
-
-
-def _offset_vs_heap(monkeypatch, edges, ops):
-    """Run ``ops`` on an oracle with the offset solve and on a twin whose
-    every region takes the heap fallback; returns ``(offset, heap,
-    outcomes)`` with the offset oracle's ``apply_offset`` results."""
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
-    outcomes = []
-    orig = indexed._SharedRegion.apply_offset
-
-    def counting(self, *args, **kwargs):
-        result = orig(self, *args, **kwargs)
-        outcomes.append(result)
-        return result
-
-    offset = FrozenOracle(Graph.from_edges(edges))
-    heap = FrozenOracle(Graph.from_edges(edges))
-    for oracle, apply_offset in ((offset, counting), (heap, _heap_fallback)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(indexed._SharedRegion, "apply_offset", apply_offset)
-            ops(oracle)
-    return offset, heap, outcomes
-
-
-def test_offset_solve_single_boundary_pod(monkeypatch):
-    """A bridge-detached pod region repairs through the offset solve.
-
-    Star-of-trees behind a single uplink (the ``test_patch_planner``
-    amortisation topology): every row rooted outside the pod detaches
-    the same single-boundary region when the uplink cost grows, so
-    those repairs must route through ``_SharedRegion.apply_offset`` and
-    still match the heap fallback bit for bit, and a cold rebuild.
-    """
-    edges = [
-        ("hub", "s0", 1.0), ("hub", "s1", 1.2), ("hub", "s2", 1.4),
-        ("hub", "p0", 1.0), ("p0", "p1", 1.1), ("p1", "p2", 1.2),
-        ("p0", "q0", 0.5), ("p1", "q1", 0.5), ("p2", "q2", 0.5),
-    ]
-    rows = ("hub", "s0", "s1", "s2", "p0", "p1", "q2")
-
-    def ops(oracle):
-        for node in rows:
-            oracle.distances_from(node)
-        oracle.patch_edge_costs({("hub", "p0"): 3.0})
-
-    offset, heap, outcomes = _offset_vs_heap(monkeypatch, edges, ops)
-    assert any(outcomes), "offset solve never engaged"
-    assert _row_states(offset) == _row_states(heap)
-    assert_rows_match_cold(offset)
-    fresh = FrozenOracle(offset.graph.copy())
-    for node in rows:
-        assert offset.distances_from(node) == fresh.distances_from(node)
+        oracle = FrozenOracle(graph.copy(), hot=hot)
+        _replay(oracle, ops, check_cold=True)
+        _final_check(rng, graph, hot, oracle)
 
 
 def test_every_install_path_stores_array_rows(monkeypatch):

@@ -1,10 +1,13 @@
 """Tests for the online deployment simulator."""
 
+import random
+
 import pytest
 
 from repro import sofda
 from repro.baselines import est_baseline
 from repro.graph import FrozenOracle
+from repro.graph.graph import edge_sort_key
 from repro.online import OnlineSimulator, RequestGenerator, run_online_comparison
 from repro.topology import softlayer_network
 
@@ -122,21 +125,12 @@ def test_incremental_patch_matches_full_rebuild(network):
     assert trace(True) == trace(False)
 
 
-def test_region_sharing_matches_unshared_trace(monkeypatch):
-    """Dense-patch region sharing must replay a trace bit-identically.
-
-    Sharing is selected by observed row density, so the two runs force
-    the thresholds: zero (every detached root shares) versus an infinite
-    minimum (none does).
-    """
-    from repro.graph import indexed
-
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
-
-    def trace(min_rows):
-        monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", min_rows)
+def test_region_sharing_matches_unshared_trace():
+    """The in-place repair replays a trace bit-identically to the
+    invalidate-per-change reference."""
+    def trace(incremental):
         net = softlayer_network(seed=3)
-        sim = OnlineSimulator(net)
+        sim = OnlineSimulator(net, incremental=incremental)
         gen = RequestGenerator(net, seed=7, destinations_range=(4, 5),
                                sources_range=(2, 3))
         return [
@@ -144,7 +138,40 @@ def test_region_sharing_matches_unshared_trace(monkeypatch):
             for request in gen.take(6)
         ]
 
-    assert trace(1) == trace(float("inf"))
+    assert trace(True) == trace(False)
+
+
+def test_cost_sync_batches_in_canonical_edge_order(monkeypatch):
+    """Every cost-sync batch reaches the oracle in ``edge_sort_key``
+    order, so repaired tie-breaks cannot depend on the hash seed.
+
+    The dirty-link set holds VM attachment edges keyed by ``('vm', dc,
+    k)`` tuples, whose ``str`` hash is salted per process; iterating the
+    set would order each batch by hash bucket instead.
+    """
+    batches = []
+    patch = FrozenOracle.patch_edge_costs
+
+    def spy(self, changed):
+        batches.append(list(changed))
+        return patch(self, changed)
+
+    monkeypatch.setattr(FrozenOracle, "patch_edge_costs", spy)
+    net = softlayer_network(seed=3)
+    sim = OnlineSimulator(net)
+    gen = RequestGenerator(net, seed=5, destinations_range=(3, 4),
+                           sources_range=(2, 2))
+    rng = random.Random(23)
+    active = []
+    for request in gen.take(6):
+        instance = sim.current_instance(request)
+        active.append(sim.commit(sofda(instance).forest, request))
+        while active and rng.random() < 0.45:
+            sim.release(active.pop(rng.randrange(len(active))))
+    sim.current_instance(gen.next_request())  # sync the last releases
+    assert sum(len(batch) > 1 for batch in batches) >= 3
+    for batch in batches:
+        assert batch == sorted(batch, key=edge_sort_key)
 
 
 def test_apply_background_load_reprices_and_repairs(network):

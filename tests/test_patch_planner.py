@@ -1,23 +1,16 @@
 """Cold-rebuild equivalence for the patch repair engine.
 
-Every cost patch repairs cached rows through one engine: live
-early-stopped rows are evicted, a batch's decreases are relaxed into
-every remaining live row, then its increases go through the cross-row
-patch planner (:class:`_PatchPlan`) and the one repairer, which walks
-detached regions per row or reuses shared ones.  The equivalence
-reference is the cold rebuild -- a fresh oracle over the patched graph.
-These tests replay randomized query+patch streams and, after every
-patch, check each cached row against it: full rows must equal the
-rebuilt labels and parent tree exactly (shortest paths are unique on
-these continuous-cost graphs), and contracted cores must agree within
-1e-9.
-
-Dense-patch region sharing is selected by observed row density
-(:data:`PLANNER_SHARE_MIN_ROWS` / :data:`PLANNER_SHARE_DENSITY`).  With
-the thresholds forced to zero every detached root repairs through a
-shared :class:`_SharedRegion` group, and with the minimum forced to
-infinity none does; the two runs must leave bit-identical row state
-after every patch.
+Every cost patch repairs cached rows in one pass: live early-stopped
+rows are evicted, and each remaining live row first takes the batch's
+decreases and then one :func:`kernel.repair` call over the regions its
+increased tree edges detach.  The equivalence reference is the cold
+rebuild -- a fresh oracle over the patched graph.  These tests replay
+randomized query+patch streams and, after every patch, check each
+cached row against it: full rows must equal the rebuilt labels and
+parent tree exactly (shortest paths are unique on these
+continuous-cost graphs), and contracted cores must agree within 1e-9.
+The online streams are checked against the invalidate-per-change
+reference instead.
 """
 
 import random
@@ -27,7 +20,6 @@ import pytest
 from helpers import assert_rows_match_cold
 from repro.core.problem import ServiceChain
 from repro.graph import FrozenOracle, Graph
-from repro.graph import indexed
 from repro.graph.graph import canonical_edge
 from repro.obs import MetricsRegistry, Recorder
 from repro.topology import inet_network
@@ -112,19 +104,6 @@ def _replay(oracle, ops, check_cold=False):
     return snapshots
 
 
-def _force_sharing(monkeypatch):
-    """Make every detached root dense enough for a shared-region group."""
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
-
-
-def _replay_unshared(oracle, ops, **kwargs):
-    """:func:`_replay` with region sharing disengaged (no root is dense)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", INF)
-        return _replay(oracle, ops, **kwargs)
-
-
 @pytest.mark.parametrize("patchable", [False, True])
 @pytest.mark.parametrize("direction", ["up", "mixed"])
 def test_planner_matches_per_row_repair(direction, patchable):
@@ -154,73 +133,55 @@ def test_planner_matches_per_row_repair(direction, patchable):
 
 @pytest.mark.parametrize("patchable", [False, True])
 @pytest.mark.parametrize("direction", ["up", "mixed"])
-def test_shared_matches_unshared_and_per_row(direction, patchable, monkeypatch):
-    """Forced region sharing: bit-identical to the unshared walk, and
-    every row matches a cold rebuild.
-
-    With the sharing thresholds forced to zero every detached root goes
-    through a shared-region group, so the randomized streams exercise
-    region verification, variant founding, union repairs (rows with
-    several detached roots) and the walk fallback for rows whose regions
-    fragment -- all of which must leave row state identical to the
-    per-row walk after every patch.  ``patchable=False`` streams
-    exercise patch-time eviction of early-stopped rows on both sides.
+def test_shared_matches_unshared_and_per_row(direction, patchable):
+    """More randomized streams: every row matches a cold rebuild after
+    every patch, and served values end exact.  ``patchable=False``
+    streams exercise patch-time eviction of early-stopped rows.
     """
-    _force_sharing(monkeypatch)
     for trial in range(4):
         rng = random.Random(300 * trial + (direction == "up") + 2 * patchable)
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=8, direction=direction)
-        shared = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
-        unshared = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
-        shared_snaps = _replay(shared, ops, check_cold=True)
-        assert shared_snaps == _replay_unshared(unshared, ops)
-        fresh = FrozenOracle(shared.graph.copy(), hot=hot)
+        oracle = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+        _replay(oracle, ops, check_cold=True)
+        fresh = FrozenOracle(oracle.graph.copy(), hot=hot)
         for source in rng.sample(list(graph.nodes()), 6):
             expected = fresh.distances_from(source)
-            assert shared.distances_from(source) == expected
+            assert oracle.distances_from(source) == expected
 
 
-def test_shared_regions_amortize_region_builds(monkeypatch):
-    """One dense patch builds each detached region once, not once per row.
+@pytest.mark.parametrize("uplink", [3.0, INF])
+def test_pod_uplink_patch_matches_cold_rebuild(uplink):
+    """A pod behind a single uplink: one patch detaches the whole pod
+    from every outside row, and the complement from every pod row.
 
-    A pod topology: every row rooted outside the pod detaches the same
-    region when the pod's uplink cost grows, and the pod's own rows all
-    detach the complement.  The patch must therefore build at most two
-    shared regions (one per signature group) while repairing every row,
-    and the repaired distances must match a cold oracle.
+    Star-of-trees: "hub" with three leaf spokes and a pod (chain of 3
+    with a leaf each) behind the uplink hub-p0.  Growing the uplink
+    repairs all seven rows, each region a bridge-detached subtree, and
+    leaves every row equal to a cold rebuild.  Failing the uplink
+    leaves each row's far side unreachable.
     """
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_DENSITY", 0.0)
-    builds = []
-    real_region = indexed._SharedRegion
-
-    class CountingRegion(real_region):
-        def __init__(self, *args, **kwargs):
-            builds.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(indexed, "_SharedRegion", CountingRegion)
-    # Star-of-trees: "hub" with three leaf spokes and a pod (chain of 3
-    # with a leaf each) behind the single uplink hub-p0.  Trees have
-    # unique shortest-path forests, so region signatures cannot
-    # fragment across rows.
     graph = Graph.from_edges([
         ("hub", "s0", 1.0), ("hub", "s1", 1.2), ("hub", "s2", 1.4),
         ("hub", "p0", 1.0), ("p0", "p1", 1.1), ("p1", "p2", 1.2),
         ("p0", "q0", 0.5), ("p1", "q1", 0.5), ("p2", "q2", 0.5),
     ])
+    sources = ("hub", "s0", "s1", "s2", "p0", "p1", "q2")
     oracle = FrozenOracle(graph)
-    for node in ("hub", "s0", "s1", "s2", "p0", "p1", "q2"):
+    for node in sources:
         oracle.distances_from(node)
-    oracle.patch_edge_costs({("hub", "p0"): 3.0})
-    # 4 outside rows share the pod region, 3 pod rows share the
-    # complement: two groups, two builds, seven repairs.
-    assert len(builds) == 2
-    fresh = FrozenOracle(graph.copy())
-    for node in ("hub", "s0", "s1", "s2", "p0", "p1", "q2"):
+    if uplink == INF:
+        oracle.patch_topology(removed=[("hub", "p0")])
+    else:
+        oracle.patch_edge_costs({("hub", "p0"): uplink})
+    assert len(oracle._rows) == len(sources)
+    assert_rows_match_cold(oracle)
+    fresh = FrozenOracle(oracle.graph.copy())
+    for node in sources:
         assert oracle.distances_from(node) == fresh.distances_from(node)
+    if uplink == INF:
+        assert oracle.distance("s0", "q2") == INF
 
 
 def test_sparse_then_dense_patches_repair_exactly():
@@ -300,36 +261,32 @@ def contracted_instance():
     )
 
 
-def test_planner_matches_per_row_contracted(contracted_instance, monkeypatch):
-    """Contracted cores: shared == unshared bit for bit on mixed batches,
-    and every row stays within 1e-9 of a cold rebuild."""
-    _force_sharing(monkeypatch)
+def test_planner_matches_per_row_contracted(contracted_instance):
+    """Contracted cores: mixed batches keep every row within 1e-9 of a
+    cold rebuild, and served distances within 1e-9 of a fresh
+    oracle's."""
     instance = contracted_instance
     hot = instance.vms | instance.sources | instance.destinations
     special = sorted(hot, key=repr)
-    shared, planned = (
-        FrozenOracle(instance.graph.copy(), hot=hot) for _ in range(2)
-    )
-    for oracle in (shared, planned):
-        assert oracle.contracted is not None
-        oracle.prefetch_rows(special)
+    oracle = FrozenOracle(instance.graph.copy(), hot=hot)
+    assert oracle.contracted is not None
+    oracle.prefetch_rows(special)
     rng = random.Random(13)
-    cost_now = {(u, v): c for u, v, c in planned.graph.edges()}
+    cost_now = {(u, v): c for u, v, c in oracle.graph.edges()}
     edges = list(cost_now)
     for _ in range(4):
         changed = {}
         for key in rng.sample(edges, 10):
             cost_now[key] = cost_now[key] * rng.uniform(0.4, 2.5)
             changed[key] = cost_now[key]
-        shared.patch_edge_costs(dict(changed))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", INF)
-            planned.patch_edge_costs(dict(changed))
-        assert _row_states(shared) == _row_states(planned)
-        assert_rows_match_cold(shared)
+        oracle.patch_edge_costs(dict(changed))
+        assert_rows_match_cold(oracle)
+        fresh = FrozenOracle(oracle.graph.copy(), hot=hot)
         for source in special[:4]:
-            assert shared.distances_from(source) == \
-                planned.distances_from(source)
+            got = oracle.distances_from(source)
+            want = fresh.distances_from(source)
+            assert got.keys() == want.keys()
+            assert all(abs(got[v] - want[v]) <= 1e-9 for v in want)
 
 
 # ----------------------------------------------------------------------
@@ -337,8 +294,8 @@ def test_planner_matches_per_row_contracted(contracted_instance, monkeypatch):
 # ----------------------------------------------------------------------
 def test_mixed_batch_repairs_on_planned_path():
     """A batch mixing an increase and a decrease repairs its rows on the
-    planned path -- the recorder counts ``path=planned``/``shared``
-    repairs and never a ``path=reference`` one -- and stays exact."""
+    one path -- the recorder counts ``path=planned`` repairs only --
+    and stays exact."""
     recorder = Recorder(registry=MetricsRegistry())
     rng = random.Random(61)
     graph = random_graph(rng)
@@ -364,9 +321,7 @@ def test_mixed_batch_repairs_on_planned_path():
         if key.startswith("oracle.repair.rows")
     }
     assert repairs, "the increased tree edge must repair at least one row"
-    assert all(
-        "path=planned" in key or "path=shared" in key for key in repairs
-    ), repairs
+    assert all("path=planned" in key for key in repairs), repairs
     assert_rows_match_cold(oracle)
 
 
@@ -399,15 +354,7 @@ def _churn_costs(seed=23, requests=9, **simulator_kwargs):
     return costs
 
 
-def test_churn_planner_modes_bit_identical(monkeypatch):
-    """Arrive/depart streams must not depend on whether region sharing
-    engages, and must equal the invalidate-per-change cold rebuild."""
-    rebuilt = _churn_costs(incremental=False)
-    # Force region sharing to engage on the shared run even at this
-    # small scale, and disengage it on the unshared one.
-    _force_sharing(monkeypatch)
-    shared = _churn_costs()
-    monkeypatch.setattr(indexed, "PLANNER_SHARE_MIN_ROWS", INF)
-    unshared = _churn_costs()
-    assert shared == unshared
-    assert shared == rebuilt
+def test_churn_planner_modes_bit_identical():
+    """Arrive/depart streams through the in-place repair must equal the
+    invalidate-per-change cold rebuild, cost for cost."""
+    assert _churn_costs() == _churn_costs(incremental=False)

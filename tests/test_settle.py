@@ -1,16 +1,19 @@
-"""The compiled settle loop against its Python twin.
+"""The compiled search loops against their Python twins.
 
 :func:`repro.graph.kernel.settle` is the one search loop behind every
-oracle row build and repair.  It is compiled from ``_settle.c`` when
-the kernel is imported, and :func:`~repro.graph.kernel.settle_python`
-is its statement-for-statement twin.  These tests run both on the same
-seeded random graphs -- all-equal costs (every distance a tie, like the
-online simulator's floor-cost VM edges), continuous costs, and graphs
-with tombstoned ``inf`` slots -- in the four ways the oracle calls the
-loop, and require the ``dist``/``parent``/``settled`` buffers and the
-exhausted flag to match bit for bit.  They also pin how the compiled
-object is cached, and that a missing compiler, home directory or disk
-space leaves the import working.
+oracle row build and repair, and :func:`repro.graph.kernel.repair` the
+one-call increase repair of a row that ends in it.  Both are compiled
+from ``_settle.c`` when the kernel is imported, and
+:func:`~repro.graph.kernel.settle_python` and
+:func:`~repro.graph.kernel.repair_python` are their
+statement-for-statement twins.  These tests run both on the same seeded
+random graphs -- all-equal costs (every distance a tie, like the online
+simulator's floor-cost VM edges), continuous costs, and graphs with
+tombstoned ``inf`` slots -- in the ways the oracle calls them, and
+require the ``dist``/``parent``/``settled`` buffers and the exhausted
+flag to match bit for bit.  They also pin the native wrappers' buffer
+checks, how the compiled object is cached, and that a missing compiler,
+home directory or disk space leaves the import working.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ native = pytest.mark.skipif(
 
 def _random_csr(rng: random.Random, kind: str, n: int = 60):
     """A random undirected CSR graph: a spanning tree plus chords."""
+    return _to_csr(_random_adjacency(rng, kind, n))
+
+
+def _random_adjacency(rng: random.Random, kind: str, n: int):
+    """Per-node ``(neighbour, weight)`` lists of :func:`_random_csr`."""
     edges = {}
     for v in range(1, n):
         edges[(rng.randrange(v), v)] = None
@@ -61,6 +69,10 @@ def _random_csr(rng: random.Random, kind: str, n: int = 60):
         adjacency[v].append((u, w))
     for row in adjacency:
         rng.shuffle(row)
+    return adjacency
+
+
+def _to_csr(adjacency):
     indptr, indices, weights = [0], [], []
     for row in adjacency:
         for v, w in row:
@@ -137,50 +149,122 @@ def test_node_ties_to_exhaustion(kind):
         assert exhausted
 
 
+def _repair_both(csr, dist, parent, roots):
+    """Run the compiled repair and the twin on copies; assert identical."""
+    outcomes = []
+    for fn in (kernel.repair_native, kernel.repair_python):
+        d, p = dist[:], parent[:]
+        assert fn(csr, d, p, roots) is None
+        outcomes.append((d.tobytes(), p.tobytes()))
+    assert outcomes[0] == outcomes[1]
+    return d, p
+
+
+def _set_weight(csr, a, b, w):
+    """Write ``w`` into both CSR slots of edge ``a``--``b``."""
+    indptr, indices, weights = csr
+    for x, y in ((a, b), (b, a)):
+        for pos in range(indptr[x], indptr[x + 1]):
+            if indices[pos] == y:
+                weights[pos] = w
+
+
+def _subtree(parent, root):
+    """``root`` and its parent-tree descendants."""
+    out = {root}
+    grew = True
+    while grew:
+        grew = False
+        for v, p in enumerate(parent):
+            if p in out and v not in out:
+                out.add(v)
+                grew = True
+    return out
+
+
+def _repair_cases(kind):
+    """Random graphs with a pendant leaf and a pendant two-node chain.
+
+    Yields ``(rng, csr, source, leaf, chain_head, chain_tail)``; the
+    pendants hang off random nodes of a :func:`_random_adjacency`
+    graph, so a detached region can be a lone leaf or end unreachable.
+    """
+    rng = random.Random(f"repair-{kind}")
+    for _ in range(GRAPHS_PER_KIND):
+        n = 60
+        adjacency = _random_adjacency(rng, kind, n) + [[], [], []]
+        leaf, head, tail = n, n + 1, n + 2
+        for a, b in ((rng.randrange(n), leaf), (rng.randrange(n), head),
+                     (head, tail)):
+            w = 1.0 if kind == "repeated" else rng.uniform(0.1, 10.0)
+            adjacency[a].append((b, w))
+            adjacency[b].append((a, w))
+        yield rng, _to_csr(adjacency), rng.randrange(n), leaf, head, tail
+
+
 @native
 @pytest.mark.parametrize("kind", KINDS)
 def test_masked_region_repair(kind):
-    """The increase repair: a detached subtree is reset, seeded from its
-    intact boundary and re-searched with relaxations masked to it."""
-    for rng, csr, source in _cases(kind):
-        indptr, indices, weights = csr
-        n = len(indptr) - 1
+    """The increase repair (:func:`kernel.repair`): a detached region is
+    marked, reset, seeded from its intact boundary and re-searched with
+    relaxations masked to it -- C and twin bit for bit, and every label
+    equal to a cold rebuild's over the new weights.
+
+    Roots: one root; nested and duplicate roots (one region, marked
+    once); a degree-1 leaf, whose repair is ``dist[anchor] + w``; and a
+    tombstoned pendant chain beside an ordinary root, which leaves that
+    part of the region unreachable.
+    """
+    def dearer(csr, v, parent):
+        grown = (csr[0], csr[1], csr[2][:])
+        a = parent[v]
+        for pos in range(grown[0][v], grown[0][v + 1]):
+            if grown[1][pos] == a:
+                _set_weight(grown, a, v, grown[2][pos] * 3.0)
+        return grown
+
+    unreachable = 0
+    for rng, csr, source, leaf, head, tail in _repair_cases(kind):
+        n = len(csr[0]) - 1
         dist, parent = _full_row(csr, source)
         tree = [v for v in range(n) if parent[v] >= 0]
-        if not tree:
-            continue
         root = rng.choice(tree)
-        for pos in range(indptr[root], indptr[root + 1]):
-            if indices[pos] == parent[root]:
-                weights[pos] *= 3.0  # the root's tree edge got dearer
-        affect = bytearray(n)
-        affect[root] = 1
-        stack = [root]
-        region = []
-        while stack:
-            v = stack.pop()
-            region.append(v)
-            for pos in range(indptr[v], indptr[v + 1]):
-                u = indices[pos]
-                if parent[u] == v and not affect[u]:
-                    affect[u] = 1
-                    stack.append(u)
-        for v in region:
-            dist[v] = INF
-            parent[v] = -1
-        seeds = []
-        for v in region:
-            best, best_parent = INF, -1
-            for pos in range(indptr[v], indptr[v + 1]):
-                u = indices[pos]
-                if not affect[u] and dist[u] + weights[pos] < best:
-                    best, best_parent = dist[u] + weights[pos], u
-            if best_parent >= 0:
-                dist[v], parent[v] = best, best_parent
-                seeds.append(v)
-        _both(csr, dist, parent, seeds, mask=affect)
-        # A mask that actually binds: unmasked, these seeds would label
-        # every reachable node.
+        below = sorted(_subtree(parent, root) - {root})
+        nested = rng.choice(below) if below else root
+        cases = [
+            (dearer(csr, root, parent), [root]),
+            (dearer(dearer(csr, root, parent), nested, parent),
+             [nested, root, root, nested]),
+        ]
+        if parent[leaf] >= 0:
+            cases.append((dearer(csr, leaf, parent), [leaf]))
+        if parent[head] >= 0:
+            cut = dearer(csr, root, parent)
+            _set_weight(cut, parent[head], head, INF)
+            cases.append((cut, [head, root]))
+        for grown, roots in cases:
+            d, p = _repair_both(grown, dist, parent, roots)
+            cold_dist, cold_parent = _full_row(grown, source)
+            assert d.tobytes() == cold_dist.tobytes()
+            if kind != "repeated":  # continuous costs: unique trees
+                assert p.tobytes() == cold_parent.tobytes()
+            for v in range(n):
+                assert (p[v] == -1) == (d[v] == INF or v == source)
+            if head in roots:
+                assert d[head] == d[tail] == INF
+                assert p[head] == p[tail] == -1
+                unreachable += 1
+            if roots == [leaf]:
+                anchor = parent[leaf]
+                w = next(grown[2][pos]
+                         for pos in range(grown[0][leaf], grown[0][leaf + 1])
+                         if grown[1][pos] == anchor)
+                assert (d[leaf], p[leaf]) == (dist[anchor] + w, anchor)
+    assert unreachable
+    # A mask that actually binds: unmasked, these seeds would label
+    # every reachable node.
+    for rng, csr, _ in _cases(kind):
+        n = len(csr[0]) - 1
         mask = bytearray(rng.random() < 0.5 for _ in range(n))
         dist, parent = kernel.new_labels(n)
         seeds = rng.sample(range(n), 3)
@@ -236,6 +320,30 @@ def test_native_rejects_inconsistent_buffers():
     for args in bad:
         with pytest.raises(ValueError, match="inconsistent"):
             kernel.settle_native(*args[:4], **args[4])
+
+
+@native
+def test_native_repair_rejects_inconsistent_buffers():
+    """The compiled repair checks buffers and the root range first, and
+    leaves the labels untouched when it refuses."""
+    csr = _random_csr(random.Random(3), "continuous", n=10)
+    dist, parent = _full_row(csr, 0)
+    before = (dist.tobytes(), parent.tobytes())
+    bad = [
+        (csr, dist[:9], parent, [1]),
+        (csr, dist, array("d", parent), [1]),
+        (csr, array("f", dist), parent, [1]),
+        (csr, dist, parent, [10]),
+        (csr, dist, parent, [1, -1]),
+        (csr[:2] + (csr[2][:-1],), dist, parent, [1]),
+        ((csr[0][:-1],) + csr[1:], dist, parent, [1]),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError, match="inconsistent"):
+            kernel.repair_native(*args)
+    assert (dist.tobytes(), parent.tobytes()) == before
+    kernel.repair_native(csr, dist, parent, [])  # no roots: no-op
+    assert (dist.tobytes(), parent.tobytes()) == before
 
 
 def test_counter_ties_replicate_the_dict_dijkstra_on_equal_costs():
@@ -314,10 +422,13 @@ def _assert_twin_runs(module):
     assert not module.NATIVE
     assert module.NATIVE_PATH is None
     assert module.settle is module.settle_python
+    assert module.repair is module.repair_python
     csr = _random_csr(random.Random(1), "continuous", n=12)
     dist, parent = module.new_labels(12)
     dist[0] = 0.0
     assert module.settle(csr, dist, parent, (0,))
+    assert (dist, parent) == _full_row(csr, 0)
+    module.repair(csr, dist, parent, [v for v in range(12) if parent[v] >= 0])
     assert (dist, parent) == _full_row(csr, 0)
 
 
