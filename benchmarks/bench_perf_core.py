@@ -3,8 +3,11 @@
 Unlike the figure/table benches (which reproduce the paper), this one
 tracks the *repo's own* performance trajectory.  It measures:
 
-- ``dict_dijkstra_ms``: the reference dict-based Dijkstra on the largest
-  Table-I instance graph (|V| = 5000, 2|V| links, VMs attached);
+- ``dict_dijkstra_ms`` / ``dict_dijkstra_end_ms``: the reference
+  dict-based Dijkstra on the largest Table-I instance graph (|V| = 5000,
+  2|V| links, VMs attached), the control every ratio is read against:
+  one untimed warm-up pass of 8 searches, then the median of 5 timed
+  passes, measured before the traces and again after them;
 - ``oracle_row_ms``: one shared-oracle row on the same graph (contracted
   core + array heap);
 - ``sofda_largest_s``: a full SOFDA run on the Table-I (5000, 26) cell --
@@ -81,6 +84,7 @@ import gc
 import json
 import os
 import random
+import statistics
 import time
 from pathlib import Path
 
@@ -554,16 +558,31 @@ def _run_sweep_slice(network, workers: int):
     return result, time.perf_counter() - start
 
 
+def _dict_dijkstra_ms(instance) -> float:
+    """The control: ms per dict Dijkstra on ``instance``'s graph.
+
+    One untimed warm-up pass over 8 sources, then the median of 5 timed
+    passes, so neither a cold start nor one noisy pass sets it.
+    """
+    graph = instance.graph
+    sources = sorted(instance.sources, key=repr)[:8]
+    for s in sources:
+        dijkstra(graph, s)
+    passes = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for s in sources:
+            dijkstra(graph, s)
+        passes.append((time.perf_counter() - start) / len(sources) * 1000.0)
+    return statistics.median(passes)
+
+
 def run_perf_core() -> dict:
     """Measure the tracked core timings; returns a plain dict."""
     instance = _largest_table1_instance()
     graph = instance.graph
     sources = sorted(instance.sources, key=repr)[:8]
-
-    start = time.perf_counter()
-    for s in sources:
-        dijkstra(graph, s)
-    dict_ms = (time.perf_counter() - start) / len(sources) * 1000.0
+    dict_ms = _dict_dijkstra_ms(instance)
 
     oracle = FrozenOracle(
         graph, hot=instance.vms | instance.sources | instance.destinations
@@ -657,8 +676,13 @@ def run_perf_core() -> dict:
     sweep_serial, sweep_serial_s = _run_sweep_slice(sweep_network, workers=1)
     sweep_pooled, sweep_pooled_s = _run_sweep_slice(sweep_network, workers=4)
 
+    # The control again, after the traces: how far the machine drifted
+    # during the run.
+    dict_end_ms = _dict_dijkstra_ms(_largest_table1_instance())
+
     return {
         "dict_dijkstra_ms": round(dict_ms, 3),
+        "dict_dijkstra_end_ms": round(dict_end_ms, 3),
         "oracle_row_ms": round(row_ms, 3),
         "sofda_largest_s": round(sofda_s, 4),
         "sofda_largest_cost": sofda_cost,
@@ -782,6 +806,8 @@ def test_perf_core(once):
         after = measured[key]
         ratio = f"  ({before / after:.2f}x)" if before else ""
         print(f"  {key:>18}: {before} -> {after}{ratio}")
+        if key == "dict_dijkstra_ms":
+            print(f"  {'(end of run)':>18}: {measured['dict_dijkstra_end_ms']}")
     print(
         f"  online trace: invalidate {measured['online_trace_invalidate_s']}s"
         f" -> patch {measured['online_trace_s']}s"

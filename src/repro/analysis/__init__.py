@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Sequence
 
-from repro.analysis.determinism import DeterminismChecker
+from repro.analysis.determinism import DeterminismChecker, SetIterationChecker
 from repro.analysis.flags import FlagThreadingChecker
 from repro.analysis.forksafety import ForkSafetyChecker
 from repro.analysis.framework import (
@@ -65,7 +65,7 @@ def default_checkers() -> List[Checker]:
 
 
 def default_project_checkers() -> List[ProjectChecker]:
-    return [FlagThreadingChecker()]
+    return [SetIterationChecker(), FlagThreadingChecker()]
 
 
 def all_rules() -> List[Rule]:

@@ -15,7 +15,11 @@ byte-stable bench anchors.
   iteration order is salted by PYTHONHASHSEED, so any order-sensitive
   consumer drifts across processes.  Building another ``set`` from a set
   (a set comprehension, ``set(...)``/``frozenset(...)``, unions) is
-  order-insensitive and exempt.
+  order-insensitive and exempt.  A call counts as set-typed when every
+  function or method of its name in the linted tree is annotated to
+  return ``set``, ``Set[...]``, ``frozenset`` or ``FrozenSet[...]``, so
+  this rule runs over the whole tree at once
+  (:class:`SetIterationChecker`).
 - ``det-unseeded-rng`` -- module-level ``random.*`` calls (shared global
   state, order-dependent across call sites) and ``random.Random()``
   constructed without a seed.  Every RNG in the pipeline must be a
@@ -35,11 +39,13 @@ byte-stable bench anchors.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet, Dict, Iterator, List, Optional, Sequence, Set,
+)
 
 from repro.analysis.framework import (
-    Checker, Finding, Rule, SourceFile, call_name, dotted_base,
-    module_aliases,
+    Checker, Finding, ProjectChecker, Rule, SourceFile, call_name,
+    dotted_base, module_aliases,
 )
 
 SET_ITER = Rule(
@@ -77,6 +83,9 @@ _SET_METHODS = frozenset({
     "union", "intersection", "difference", "symmetric_difference", "copy",
 })
 
+#: Return annotations (bare or subscripted) that make a call set-typed.
+_SET_TYPES = frozenset({"set", "Set", "frozenset", "FrozenSet"})
+
 _WALLCLOCK_TIME = frozenset({"time", "time_ns"})
 _WALLCLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
 
@@ -91,15 +100,13 @@ _GLOBAL_RNG_FNS = frozenset({
 
 
 class DeterminismChecker(Checker):
-    rules = (SET_ITER, UNSEEDED_RNG, WALLCLOCK, AMBIENT_SORT_KEY)
+    rules = (UNSEEDED_RNG, WALLCLOCK, AMBIENT_SORT_KEY)
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         roles = source.roles
         if "tests" in roles:
             return
-        solver = "solver" in roles
-        timed = solver or "experiments" in roles
-        if not timed:
+        if "solver" not in roles and "experiments" not in roles:
             return
         tree = source.tree
         assert tree is not None
@@ -117,9 +124,6 @@ class DeterminismChecker(Checker):
                 source, node, time_mods, time_members, dt_mods, dt_members
             )
             yield from self._check_sort_key(source, node)
-
-        if solver:
-            yield from self._check_set_iteration(source, tree)
 
     # ------------------------------------------------------------------
     def _check_rng(
@@ -220,29 +224,54 @@ class DeterminismChecker(Checker):
                     "(e.g. node_sort_key/edge_sort_key) instead",
                 )
 
-    # ------------------------------------------------------------------
-    # set-iteration analysis
-    # ------------------------------------------------------------------
-    def _check_set_iteration(
-        self, source: SourceFile, tree: ast.AST
+
+# ----------------------------------------------------------------------
+# set-iteration analysis
+# ----------------------------------------------------------------------
+
+class SetIterationChecker(ProjectChecker):
+    """``det-set-iter`` over every solver module of the linted tree.
+
+    Whole-tree, because a set can come from a call into another module:
+    the functions and methods annotated to return a set type are
+    collected from every linted file first (:func:`_set_functions`).
+    """
+
+    rules = (SET_ITER,)
+
+    def check_project(
+        self, sources: Sequence[SourceFile]
+    ) -> Iterator[Finding]:
+        parsed = [s for s in sources if s.tree is not None]
+        set_calls = _set_functions(parsed)
+        for source in parsed:
+            if "solver" in source.roles and "tests" not in source.roles:
+                yield from self._check_source(source, set_calls)
+
+    def _check_source(
+        self, source: SourceFile, set_calls: AbstractSet[str]
     ) -> Iterator[Finding]:
         # Scopes are module + each function; a name counts as set-typed
         # only when *every* assignment to it in its scope is a provably
         # set-typed expression (conservative against false positives).
+        tree = source.tree
         scopes: List[ast.AST] = [tree] + [
             n for n in ast.walk(tree)
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         for scope in scopes:
-            set_names = _infer_set_names(scope)
+            set_names = _infer_set_names(scope, set_calls)
             for node in _scope_walk(scope):
-                yield from self._check_iter_node(source, node, set_names)
+                yield from self._check_iter_node(
+                    source, node, set_names, set_calls
+                )
 
     def _check_iter_node(
-        self, source: SourceFile, node: ast.AST, set_names: Set[str]
+        self, source: SourceFile, node: ast.AST, set_names: Set[str],
+        set_calls: AbstractSet[str],
     ) -> Iterator[Finding]:
         def flag(iter_node: ast.expr, context: str) -> Iterator[Finding]:
-            if _is_set_expr(iter_node, set_names):
+            if _is_set_expr(iter_node, set_names, set_calls):
                 yield source.finding(
                     SET_ITER.rule_id, iter_node,
                     f"{context} iterates a set in PYTHONHASHSEED-salted "
@@ -302,7 +331,46 @@ def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _infer_set_names(scope: ast.AST) -> Set[str]:
+def _set_functions(sources: Sequence[SourceFile]) -> AbstractSet[str]:
+    """Names whose every definition in ``sources`` returns a set type.
+
+    A call is matched by its trailing name (``obj.drain()`` ->
+    ``drain``), so a name that any definition does not annotate as a
+    set (or annotates otherwise) never counts: no false positive from a
+    same-named method of another class.
+    """
+    typed: Set[str] = set()
+    other: Set[str] = set()
+    for source in sources:
+        for node in ast.walk(source.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if _returns_set(node.returns):
+                    typed.add(node.name)
+                else:
+                    other.add(node.name)
+    return frozenset(typed - other)
+
+
+def _returns_set(annotation: Optional[ast.expr]) -> bool:
+    """Whether a return annotation names ``set``/``Set[...]``/``frozenset``/
+    ``FrozenSet[...]`` (bare, dotted as ``typing.Set``, or quoted)."""
+    if isinstance(annotation, ast.Constant) and isinstance(
+        annotation.value, str
+    ):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return False
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    if isinstance(annotation, ast.Attribute):
+        return annotation.attr in _SET_TYPES
+    return isinstance(annotation, ast.Name) and annotation.id in _SET_TYPES
+
+
+def _infer_set_names(
+    scope: ast.AST, set_calls: AbstractSet[str]
+) -> Set[str]:
     assigned_set: Set[str] = set()
     assigned_other: Set[str] = set()
     seen: Set[str] = set()
@@ -311,7 +379,9 @@ def _infer_set_names(scope: ast.AST) -> Set[str]:
         if not isinstance(target, ast.Name):
             return
         seen.add(target.id)
-        if value is not None and _is_set_expr(value, assigned_set):
+        if value is not None and _is_set_expr(
+            value, assigned_set, set_calls
+        ):
             assigned_set.add(target.id)
         else:
             assigned_other.add(target.id)
@@ -336,7 +406,9 @@ def _infer_set_names(scope: ast.AST) -> Set[str]:
     return assigned_set - assigned_other
 
 
-def _is_set_expr(node: ast.expr, set_names: Set[str]) -> bool:
+def _is_set_expr(
+    node: ast.expr, set_names: Set[str], set_calls: AbstractSet[str]
+) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Name):
@@ -345,18 +417,18 @@ def _is_set_expr(node: ast.expr, set_names: Set[str]) -> bool:
         name = call_name(node)
         if isinstance(node.func, ast.Name) and name in ("set", "frozenset"):
             return True
-        if (
+        if name in set_calls:
+            return True
+        return (
             isinstance(node.func, ast.Attribute)
             and name in _SET_METHODS
-            and _is_set_expr(node.func.value, set_names)
-        ):
-            return True
-        return False
+            and _is_set_expr(node.func.value, set_names, set_calls)
+        )
     if isinstance(node, ast.BinOp) and isinstance(
         node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
     ):
         return (
-            _is_set_expr(node.left, set_names)
-            or _is_set_expr(node.right, set_names)
+            _is_set_expr(node.left, set_names, set_calls)
+            or _is_set_expr(node.right, set_names, set_calls)
         )
     return False

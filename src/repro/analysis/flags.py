@@ -12,21 +12,15 @@ site                  satisfied when
 ====================  =====================================================
 FrozenOracle.rebased  the clone construction passes the flag by keyword
 AuxiliaryOracle       its fallback-oracle construction passes the flag
-OnlineSimulator       its oracle construction passes the flag (possibly
-                      derived, e.g. ``patchable=self._incremental``)
+OnlineSimulator       its oracle construction passes the flag
 Controller            its per-domain oracle construction passes the flag
 DistributedSOFDA      its ``Controller.for_domain`` calls pass the flag
 run_online_comparison a ``**simulator_kwargs`` forward reaches the
 run_churn_comparison  simulator construction (forwards every flag)
 ====================  =====================================================
 
-The repair-mode flag ``patchable`` is exempt at ``AuxiliaryOracle``,
-``Controller`` and ``DistributedSOFDA``: those oracles are built once
-over graphs that are never patched, so a repair knob cannot change what
-they serve.  A *new* flag is required everywhere by default -- if it is
-genuinely irrelevant at a site, add it to :data:`REPAIR_ONLY_FLAGS`
-(when it is a repair-mode knob) or baseline the finding with a
-justification.
+Every flag is required at every site; a flag that is genuinely
+irrelevant at a site needs a baselined finding with a justification.
 """
 
 from __future__ import annotations
@@ -46,15 +40,6 @@ FLAG_THREADING = Rule(
 
 #: ``FrozenOracle.__init__`` parameters that are not behavior flags.
 _NON_FLAG_PARAMS = ("self", "graph", "hot")
-
-#: Flags that only affect patch/repair behavior: exempt at sites whose
-#: oracles are never patched (one-shot fallback and per-domain oracles).
-REPAIR_ONLY_FLAGS = frozenset({"patchable"})
-
-#: Sites where only serve-affecting flags must thread.
-_SERVE_ONLY_SITES = frozenset({
-    "AuxiliaryOracle", "Controller", "DistributedSOFDA",
-})
 
 #: (site name, kind) -- classes are searched as ClassDef, functions as
 #: top-level FunctionDef; ``FrozenOracle.rebased`` is the method inside
@@ -88,14 +73,8 @@ class FlagThreadingChecker(ProjectChecker):
             if located is None:
                 continue
             site_source, site_node = located
-            required = [
-                f for f in flags
-                if not (
-                    site_name in _SERVE_ONLY_SITES and f in REPAIR_ONLY_FLAGS
-                )
-            ]
             threaded = _threaded_flags(site_node)
-            for flag in required:
+            for flag in flags:
                 if flag in threaded:
                     continue
                 yield Finding(

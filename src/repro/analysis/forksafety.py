@@ -11,7 +11,7 @@ reintroduced where it would break that invariant.
   lexically inside a patch mutation window: in a function that builds a
   ``_PatchPlan``, any fork call at or after the first row-label
   write-back is flagged.  A write-back is an assignment into
-  ``dist[...]``/``parent[...]``/``settled[...]``, or a call to one of
+  ``dist[...]``/``parent[...]``, or a call to one of
   the entry points that write row labels in place (``_relax_decreases``,
   ``kernel.settle``, ``kernel.repair``).  Workers forked there would
   inherit half-written rows.
@@ -59,7 +59,7 @@ WORKER_ORDER = Rule(
 _FORK_CALLS = frozenset({"fork_map", "prefetch_rows"})
 
 #: Names whose subscript assignment is a row-label write-back.
-_ROW_LABEL_NAMES = frozenset({"dist", "parent", "settled"})
+_ROW_LABEL_NAMES = frozenset({"dist", "parent"})
 
 #: Callables that write row labels in place: a call to one is a
 #: write-back too.  The patch itself assigns no label.

@@ -21,7 +21,7 @@ the shared rows already paid for.
 - ``oracle-invalidate-rebuild`` -- an ``.invalidate()`` call in a module
   that must *patch* (``online``/``workload``/``distributed``), outside a
   branch guarded by one of the reference-mode flags (``incremental``,
-  ``patchable``, ``insertable``).  The invalidate-and-rebuild path is
+  ``insertable``).  The invalidate-and-rebuild path is
   legal only as the explicit equivalence and benchmark reference; PR 2
   exists because an unguarded invalidate in the online loop silently
   cost a full rebuild per cost change.
@@ -63,7 +63,7 @@ ALLOWED_FACTORY_QUALNAMES = frozenset({
 
 #: Identifier fragments that mark an ``if`` test as a reference-mode
 #: guard (``if self._incremental: ... else: oracle.invalidate()``).
-_GUARD_TOKENS = ("incremental", "patchable", "insertable")
+_GUARD_TOKENS = ("incremental", "insertable")
 
 #: Module segments where cost/topology changes must go through
 #: ``patch_edge_costs``/``patch_topology``, not invalidate-and-rebuild.

@@ -117,7 +117,23 @@ def _finish_trace(recorder, trace_out: str) -> None:
             print(f"  {phase:8s} {seconds:10.4f}s")
 
 
+def _below(flag: str, value: int, low: int = 1) -> bool:
+    """Whether ``value < low``, reported as one ``error:`` line if so.
+
+    Counts are checked before anything is built or solved, so a bad
+    size ends with exit status 2 instead of a traceback from inside an
+    experiment.
+    """
+    if value < low:
+        print(f"error: {flag} must be at least {low}, got {value}",
+              file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_fig7(args: argparse.Namespace) -> int:
+    if _below("--samples", args.samples, 2):
+        return 2
     for load, cost in fig7_cost_function(samples=args.samples):
         print(f"{load:8.4f} {cost:12.4f}")
     return 0
@@ -130,6 +146,8 @@ def _print_panels(panels) -> None:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
+    if _below("--seeds", args.seeds):
+        return 2
     recorder = _make_recorder(args.trace_out)
     _print_panels(fig8_softlayer(
         seeds=args.seeds, include_ilp=args.ilp, metrics=recorder,
@@ -140,6 +158,8 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig9(args: argparse.Namespace) -> int:
+    if _below("--seeds", args.seeds):
+        return 2
     recorder = _make_recorder(args.trace_out)
     _print_panels(fig9_cogent(seeds=args.seeds, metrics=recorder))
     if recorder:
@@ -148,18 +168,29 @@ def _cmd_fig9(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig10(args: argparse.Namespace) -> int:
+    if _below("--seeds", args.seeds):
+        return 2
     recorder = _make_recorder(args.trace_out)
-    _print_panels(fig10_inet(
-        seeds=args.seeds, num_nodes=args.nodes,
-        num_links=2 * args.nodes, num_datacenters=args.nodes // 3,
-        metrics=recorder,
-    ))
+    try:
+        panels = fig10_inet(
+            seeds=args.seeds, num_nodes=args.nodes,
+            num_links=2 * args.nodes, num_datacenters=args.nodes // 3,
+            metrics=recorder,
+        )
+    except ValueError as exc:
+        # Only the topology and instance builders can judge --nodes;
+        # the sweep checks every cell's sizes before its first solve.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    _print_panels(panels)
     if recorder:
         _finish_trace(recorder, args.trace_out)
     return 0
 
 
 def _cmd_fig11(args: argparse.Namespace) -> int:
+    if _below("--seeds", args.seeds):
+        return 2
     recorder = _make_recorder(args.trace_out)
     data = fig11_setup_cost(seeds=args.seeds, metrics=recorder)
     print("cost (rows: |C|, cols: multiples 1,3,5,7,9)")
@@ -174,9 +205,7 @@ def _cmd_fig11(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig12(args: argparse.Namespace) -> int:
-    if args.requests < 1:
-        print(f"error: --requests must be at least 1, got {args.requests}",
-              file=sys.stderr)
+    if _below("--requests", args.requests):
         return 2
     recorder = _make_recorder(args.trace_out)
     series = fig12_online(
@@ -379,7 +408,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
               f"evictions={stats.get('evictions', 0):6d} "
               f"idle={stats.get('idle_evictions', 0):6d} "
               f"budget={stats.get('budget_evictions', 0):6d} "
-              f"repair={stats.get('repair_evictions', 0):6d} "
               f"overshoots={stats.get('overshoots', 0):3d}")
     if recorder:
         _finish_trace(recorder, args.trace_out)
@@ -387,9 +415,17 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    results = table1_runtime(
-        node_counts=tuple(args.nodes), source_counts=tuple(args.sources)
-    )
+    if any(_below("--sources", s) for s in args.sources):
+        return 2
+    try:
+        results = table1_runtime(
+            node_counts=tuple(args.nodes), source_counts=tuple(args.sources)
+        )
+    except ValueError as exc:
+        # Only the topology builder can judge --nodes; every topology is
+        # built and every cell's sizes checked before the first solve.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     header = "|V|      " + "  ".join(f"|S|={s:>3d}" for s in args.sources)
     print(header)
     for n in args.nodes:
@@ -400,6 +436,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    if _below("--trials", args.trials):
+        return 2
     rows = table2_qoe(trials=args.trials)
     print(f"{'algo':8s} {'startup(s)':>11s} {'rebuffer(s)':>12s}")
     for name, row in rows.items():
@@ -577,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--row-budget-mb", type=float, default=None,
                           metavar="MB",
                           help="bound oracle row-cache residency to MB "
-                               "megabytes (cost-aware eviction; default "
-                               "unbounded)")
+                               "megabytes (evicts unused, then least "
+                               "recently served rows; default unbounded)")
     _add_trace_out(workload)
     workload.set_defaults(func=_cmd_workload)
 

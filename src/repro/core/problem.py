@@ -130,8 +130,8 @@ class SOFInstance:
 
         One oracle serves the whole pipeline (Procedure 1 sweeps, conflict
         repairs, Steiner closures, baselines).  The hot set -- sources, VMs
-        and destinations -- lets it early-terminate each single-source
-        search once every node the sweeps can query is settled.
+        and destinations -- keeps every node the sweeps can query out of
+        contraction and decides which endpoint's row a cold query builds.
         """
         if self._oracle is None:
             self._oracle = FrozenOracle(

@@ -220,9 +220,9 @@ def build_auxiliary_graph(
     """Procedure 3: construct the auxiliary Steiner-tree instance ``Ĝ``.
 
     The |S| x |M| candidate-chain sweep runs on the instance's shared
-    oracle: each source and VM costs one (early-terminated) Dijkstra in
-    total, and the VM-pair block of every Procedure-1 instance is reused
-    across all pairs (:meth:`SOFInstance.metric_block`).
+    oracle: each source and VM costs one Dijkstra in total, and the
+    VM-pair block of every Procedure-1 instance is reused across all
+    pairs (:meth:`SOFInstance.metric_block`).
     """
     if instance.oracle.contracted is not None:
         # Continuous-cost instance: shortest-path ties are measure-zero,

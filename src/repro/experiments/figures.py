@@ -12,7 +12,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.sofda import sofda
 from repro.baselines import enemp_baseline, est_baseline, st_baseline
 from repro.costmodel import fortz_thorup_curve
-from repro.experiments.harness import SWEEPS, SweepResult, default_algorithms, run_sweep
+from repro.experiments.harness import (
+    SWEEPS, SweepResult, default_algorithms, run_sweep, sweep_configs,
+)
 from repro.online import RequestGenerator, run_online_comparison
 from repro.topology import cogent_network, inet_network, softlayer_network
 
@@ -36,6 +38,9 @@ def _four_panel(
         include_ilp=include_ilp, ilp_time_limit=ilp_time_limit
     )
     sweeps = sweeps or SWEEPS
+    for parameter, values in sweeps.items():
+        # Every panel's sizes, before the first panel solves anything.
+        sweep_configs(network, parameter, values, overrides)
     return {
         parameter: run_sweep(
             network, parameter, values,

@@ -164,6 +164,38 @@ def _sweep_cell(cell: Tuple[Dict[str, int], int]) -> Dict[str, Tuple[float, int,
     return out
 
 
+def sweep_configs(
+    network: CloudNetwork,
+    parameter: str,
+    values: Sequence[float],
+    overrides: Optional[Dict[str, int]] = None,
+) -> List[Dict[str, int]]:
+    """The instance sizes of one sweep, one config per value.
+
+    ``overrides`` adjusts the non-swept defaults.  Every config is
+    checked against ``network`` (:meth:`CloudNetwork.check_instance_sizes`),
+    so a grid the network cannot draw raises ``ValueError`` before
+    anything is solved.
+    """
+    if parameter not in DEFAULTS:
+        raise ValueError(
+            f"unknown parameter {parameter!r}; choose from {sorted(DEFAULTS)}"
+        )
+    base = dict(DEFAULTS)
+    if overrides:
+        base.update(overrides)
+    configs: List[Dict[str, int]] = []
+    for value in values:
+        config = dict(base)
+        config[parameter] = int(value)
+        network.check_instance_sizes(
+            config["num_sources"], config["num_destinations"],
+            config["num_vms"], config["chain_length"],
+        )
+        configs.append(config)
+    return configs
+
+
 def run_sweep(
     network: CloudNetwork,
     parameter: str,
@@ -198,10 +230,7 @@ def run_sweep(
     copy-on-write memory, so this parent-side merge is the only place
     sweep timings reach a registry.
     """
-    if parameter not in DEFAULTS:
-        raise ValueError(
-            f"unknown parameter {parameter!r}; choose from {sorted(DEFAULTS)}"
-        )
+    configs = sweep_configs(network, parameter, values, overrides)
     algorithms = algorithms or default_algorithms()
     result = SweepResult(parameter=parameter, values=list(values))
     for name in algorithms:
@@ -209,15 +238,9 @@ def run_sweep(
         result.mean_vms_used[name] = []
         result.mean_runtime_s[name] = []
 
-    base = dict(DEFAULTS)
-    if overrides:
-        base.update(overrides)
-    cells: List[Tuple[Dict[str, int], int]] = []
-    for value in values:
-        config = dict(base)
-        config[parameter] = int(value)
-        for seed in range(seeds):
-            cells.append((config, seed))
+    cells: List[Tuple[Dict[str, int], int]] = [
+        (config, seed) for config in configs for seed in range(seeds)
+    ]
 
     _SWEEP_STATE.update(
         network=network,

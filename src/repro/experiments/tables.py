@@ -25,9 +25,10 @@ def table1_runtime(
     The paper's grid is 1000..5000 nodes x 2..26 sources on the Inet
     synthetic topology; links and data centers scale with the node count
     (2 links and 0.4 DCs per node, the paper's 10000/5000 and 2000/5000
-    ratios).
+    ratios).  Every topology is built, and every cell's sizes checked,
+    before the first solve.
     """
-    results: Dict[Tuple[int, int], float] = {}
+    networks = []
     for n in node_counts:
         network = inet_network(
             num_nodes=n,
@@ -35,6 +36,13 @@ def table1_runtime(
             num_datacenters=max(1, int(0.4 * n)),
             seed=seed,
         )
+        for s in source_counts:
+            network.check_instance_sizes(
+                s, num_destinations, num_vms, chain_length
+            )
+        networks.append((n, network))
+    results: Dict[Tuple[int, int], float] = {}
+    for n, network in networks:
         for s in source_counts:
             instance = network.make_instance(
                 num_sources=s,

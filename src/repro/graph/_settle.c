@@ -16,15 +16,10 @@
  * (dist, key, node) tuples, and labels and parents come out identical.
  * Only IEEE double additions and comparisons touch the labels.
  *
- * - mask: when non-NULL, only edges into nodes with mask[u] != 0 are
- *   relaxed (a repair's affected region).
- * - settled: when non-NULL, each node is settled at most once and
- *   flagged there; with targets non-NULL the loop stops right after the
- *   node that brings `remaining` (the unsettled target count) to zero.
- *
- * An infinite edge weight (a tombstoned slot) never relaxes anything.
- * Returns 1 when the heap ran dry, 0 after a target early stop and -1
- * when the heap could not grow.
+ * When mask is non-NULL, only edges into nodes with mask[u] != 0 are
+ * relaxed (a repair's affected region).  An infinite edge weight (a
+ * tombstoned slot) never relaxes anything.  The loop runs until the
+ * heap is dry; it returns 0, or -1 when the heap could not grow.
  *
  * repair() is the increase half of Ramalingam--Reps on one row whose
  * tree edges above `roots` got dearer: it marks the union of the
@@ -109,13 +104,11 @@ int64_t settle(
     const int64_t *indptr, const int64_t *indices, const double *weights,
     double *dist, int64_t *parent,
     const int64_t *seeds, int64_t nseeds,
-    const uint8_t *mask, uint8_t *settled,
-    const uint8_t *targets, int64_t remaining,
-    int64_t counter_ties)
+    const uint8_t *mask, int64_t counter_ties)
 {
     heap h = {NULL, 0, 0};
     int64_t counter = 0;
-    int64_t result = 1;
+    int64_t result = 0;
     int64_t i;
     for (i = 0; i < nseeds; i++) {
         int64_t v = seeds[i];
@@ -132,19 +125,6 @@ int64_t settle(
         int64_t end;
         if (d > dist[v])
             continue;
-        if (settled != NULL) {
-            if (settled[v])
-                continue;
-            settled[v] = 1;
-            if (targets != NULL) {
-                if (targets[v])
-                    remaining--;
-                if (remaining <= 0) {
-                    result = 0;
-                    goto done;
-                }
-            }
-        }
         end = indptr[v + 1];
         for (pos = indptr[v]; pos < end; pos++) {
             int64_t u = indices[pos];
@@ -251,7 +231,7 @@ int64_t repair(
     result = 0;
     if (seeds.size > 0
             && settle(indptr, indices, weights, dist, parent, seeds.items,
-                      seeds.size, mask, NULL, NULL, 0, 0) < 0)
+                      seeds.size, mask, 0) < 0)
         result = -1;
 done:
     free(mask);

@@ -47,8 +47,8 @@ invariant documented in ROADMAP.md.
 
 Edge-*cost* patches (:meth:`FrozenOracle.patch_edge_costs`) repair cached
 rows instead of recomputing them, in Ramalingam--Reps order, in one pass
-over the rows (:meth:`FrozenOracle._patch_rows`).  Only exhaustive rows
-are repaired: a patch evicts every live early-stopped row.  Each
+over the rows (:meth:`FrozenOracle._patch_rows`).  Every cached row ran
+to exhaustion, so every live row is repaired in place.  Each
 repaired row first relaxes the batch's decreases outward from the
 decreased edges (:func:`_relax_decreases`); then every increased pair
 that is one of its tree edges roots a region, and one
@@ -285,47 +285,19 @@ class IndexedGraph:
         return dup
 
     # ------------------------------------------------------------------
-    def dijkstra(
-        self,
-        source: int,
-        targets: Optional[Iterable[int]] = None,
-    ) -> Tuple[array, array, bytearray, bool]:
-        """Single-source Dijkstra over int ids.
+    def dijkstra(self, source: int) -> Tuple[array, array]:
+        """Full single-source Dijkstra over int ids.
 
         Push-counter ties (:func:`kernel.settle`) replicate the dict
         Dijkstra's relaxation order, so labels *and* parents equal
-        :func:`repro.graph.shortest_paths.dijkstra`'s.
-
-        Args:
-            source: start node id.
-            targets: optional ids; the search stops once all are settled.
-
-        Returns:
-            ``(dist, parent, settled, exhausted)`` -- ``array('d')``/
-            ``array('q')`` label buffers indexed by node id (``parent[i]
-            == -1`` for the source and unreached nodes), the settled
-            flags, and whether the search ran to exhaustion (i.e. the row
-            is valid for *every* node, not just the settled ones).  An
-            early stop leaves the last settled node's out-edges
-            unrelaxed, so the row is then exact on the settled set only.
+        :func:`repro.graph.shortest_paths.dijkstra`'s.  Returns the
+        ``array('d')``/``array('q')`` label buffers indexed by node id
+        (``parent[i] == -1`` for the source and unreached nodes).
         """
-        n = len(self.nodes)
-        dist, parent = kernel.new_labels(n)
-        settled = bytearray(n)
+        dist, parent = kernel.new_labels(len(self.nodes))
         dist[source] = 0.0
-        is_target = None
-        remaining = 0
-        if targets is not None:
-            is_target = bytearray(n)
-            for t in targets:
-                if t != source and not is_target[t]:
-                    is_target[t] = 1
-                    remaining += 1
-        exhausted = kernel.settle(
-            self.csr, dist, parent, (source,), settled=settled,
-            targets=is_target, remaining=remaining, counter=True,
-        )
-        return dist, parent, settled, exhausted
+        kernel.settle(self.csr, dist, parent, (source,), counter=True)
+        return dist, parent
 
 
 class _ContractedCore:
@@ -690,27 +662,17 @@ class _PatchPlan:
 class _Row:
     """One cached single-source result inside :class:`FrozenOracle`.
 
-    ``full`` rows ran to exhaustion and are exact for every node;
-    early-stopped rows are exact on their ``settled`` nodes only.  A
-    patch repairs full rows in place -- their distances stay exact and
-    their parent tree stays a valid shortest-path tree under the new
-    costs, with equal-cost tie-breaks possibly differing from a cold
-    rebuild's -- and evicts every early-stopped row.
+    Every row ran to exhaustion and is exact for every node.  A patch
+    repairs it in place -- its distances stay exact and its parent tree
+    stays a valid shortest-path tree under the new costs, with equal-cost
+    tie-breaks possibly differing from a cold rebuild's.
     """
 
-    __slots__ = ("dist", "parent", "settled", "full", "used")
+    __slots__ = ("dist", "parent", "used")
 
-    def __init__(
-        self,
-        dist: array,
-        parent: array,
-        settled: Optional[bytearray],
-        full: bool,
-    ) -> None:
+    def __init__(self, dist: array, parent: array) -> None:
         self.dist = dist
         self.parent = parent
-        self.settled = settled
-        self.full = full
         #: Served since the last patch?  Rows idle across a whole patch
         #: interval are dropped rather than repaired -- dead rows (e.g. a
         #: past request's terminals) would otherwise be repaired forever.
@@ -736,8 +698,8 @@ class FrozenOracle:
 
     The ``hot`` set names the nodes a workload will query repeatedly (for a
     SOF instance: sources, VMs and destinations).  Hot nodes are never
-    contracted away, and uncontracted rows are computed with early
-    termination once every hot node is settled.
+    contracted away, and a query with no cached endpoint row builds the
+    row of its hot endpoint.  Every row runs to exhaustion.
 
     Undirected symmetry contract: ``distance(u, v) == distance(v, u)``, and
     the oracle is free to answer either direction from whichever row is
@@ -752,19 +714,11 @@ class FrozenOracle:
         self,
         graph: Graph,
         hot: Optional[Iterable[Node]] = None,
-        patchable: bool = False,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> None:
         self._graph = graph
         self._hot: set = set(hot) if hot is not None else set()
-        #: Patchable oracles expect edge-cost churn: rows run to exhaustion
-        #: instead of early-stopping at the hot set, so they survive
-        #: patches (a patch repairs only exhaustive rows and evicts the
-        #: early-stopped ones).  Served values are bit-identical either
-        #: way -- exhaustion only extends the relaxation sequence beyond
-        #: the early stop point.
-        self._patchable = patchable
         #: Observability (PR 10): ``metrics=`` carries a
         #: :class:`~repro.obs.recorder.Recorder` that the instrumented
         #: seams (cold builds, patch repairs, cache snapshots, batch
@@ -783,16 +737,15 @@ class FrozenOracle:
         self._core: Optional[IndexedGraph] = None
         self._contracted: Optional[_ContractedCore] = None
         self._built = False
-        self._hot_ids: List[int] = []
         #: The row store (:class:`~repro.graph.rowcache.RowCache`): owns
         #: per-row byte accounting and every eviction policy -- the
-        #: idle-at-patch drop, unbounded-repair drops and cost-aware
-        #: budget eviction under ``row_budget_bytes``.  ``None`` (the
-        #: default) keeps today's unbounded behavior bit-identically;
-        #: with a budget, residency is enforced at the oracle's
-        #: consistency boundaries (after each row install, at the end of
-        #: each patch), so a budgeted oracle serves the same values and
-        #: only residency/recompute work differ.
+        #: idle-at-patch drop and the budget eviction under
+        #: ``row_budget_bytes``.  ``None`` (the default) keeps today's
+        #: unbounded behavior bit-identically; with a budget, residency
+        #: is enforced at the oracle's consistency boundaries (after each
+        #: row install, at the end of each patch), so a budgeted oracle
+        #: serves the same values and only residency/recompute work
+        #: differ.
         self._rows: RowCache = RowCache(row_budget_bytes)
         self._slow_rows: Dict[Node, Tuple[Dict[Node, float], Dict[Node, Node]]] = {}
         #: Per-node query counters.  A ``Counter`` rather than a plain
@@ -846,8 +799,6 @@ class FrozenOracle:
                 self._contracted = contracted
         if self._contracted is None:
             self._core = IndexedGraph.from_graph(self._graph)
-            index = self._core.index
-            self._hot_ids = [index[n] for n in self._hot if n in index]
         self._built = True
         if mx:
             mx.span(
@@ -860,9 +811,6 @@ class FrozenOracle:
         """The uncontracted interned core (built on demand)."""
         if self._core is None:
             self._core = IndexedGraph.from_graph(self._graph)
-            if self._contracted is None:
-                index = self._core.index
-                self._hot_ids = [index[n] for n in self._hot if n in index]
             self._built = True
         return self._core
 
@@ -901,7 +849,7 @@ class FrozenOracle:
                 else:
                     row.used = True
             for cid in missing:
-                self._contracted_row(cid)
+                self._row(cid)
             return
         index = self.core.index
         missing = []
@@ -918,7 +866,7 @@ class FrozenOracle:
             else:
                 row.used = True
         for node_id in missing:
-            self._compute(node_id, None)
+            self._build_row(node_id)
 
     def extend_hot(self, nodes: Iterable[Node]) -> None:
         """Add nodes to the hot set (affects future row computations).
@@ -927,19 +875,10 @@ class FrozenOracle:
         the node becomes a first-class anchor again.
         """
         fresh = set(nodes) - self._hot
-        if not fresh:
-            return
         self._hot |= fresh
-        if not self._built:
-            return
-        if self._contracted is not None:
-            if any(n in self._contracted.interior for n in fresh):
-                self.invalidate()
-            return
-        index = self._core.index
-        # Sorted so the target list is hash-seed-independent; dijkstra
-        # flattens targets into per-id flags, so order never reaches rows.
-        self._hot_ids.extend(sorted(index[n] for n in fresh if n in index))
+        contracted = self._contracted
+        if contracted is not None and not fresh.isdisjoint(contracted.interior):
+            self.invalidate()
 
     def invalidate(self) -> None:
         """Drop all cached state (call after mutating the graph)."""
@@ -947,7 +886,6 @@ class FrozenOracle:
         self._contracted = None
         self._built = False
         self._tombstones.clear()
-        self._hot_ids = []
         self._rows.clear()
         self._slow_rows.clear()
         self._queries.clear()
@@ -971,12 +909,11 @@ class FrozenOracle:
         already be an edge: topology changes still require
         :meth:`invalidate`.  New costs are written into the underlying
         graph, the CSR weight arrays and contracted chain weights are
-        patched in place, and cached full rows are *repaired*
+        patched in place, and cached rows are *repaired*
         (Ramalingam--Reps style: only the region below a changed tree
         edge or reachable from a decreased edge is recomputed) instead
-        of recomputed from scratch; early-stopped rows are evicted.  Each
-        repaired row takes the batch's decreases first, then its
-        increases (see :meth:`_patch_rows`).
+        of recomputed from scratch.  Each repaired row takes the batch's
+        decreases first, then its increases (see :meth:`_patch_rows`).
 
         Returns the number of (deduplicated) edges whose cost actually
         changed.
@@ -1183,9 +1120,6 @@ class FrozenOracle:
         - a row idle since the previous patch is evicted (reason
           ``"idle"``) and recomputed on demand, exactly the rebuild
           path, instead of being repaired forever;
-        - a live early-stopped row is evicted (reason ``"repair"``): its
-          unsettled labels are mere upper bounds that no repair could
-          bound;
         - every other row is repaired in place, in Ramalingam--Reps
           order.  The batch's decreases are relaxed into it first
           (:func:`_relax_decreases`), because a decrease moves parents.
@@ -1212,9 +1146,6 @@ class FrozenOracle:
         for sid, row in list(rows.items()):
             if not row.used:
                 rows.evict(sid, "idle")
-                continue
-            if not row.full:
-                rows.evict(sid, "repair")
                 continue
             live += 1
             row.used = False
@@ -1255,10 +1186,9 @@ class FrozenOracle:
         adjustments use this to reroute on updated costs while leaving the
         original instance and its oracle untouched.
 
-        The clone inherits every constructor knob (``patchable``, the
-        row budget and the recorder), the tombstones and the built
-        cores, and copies each seeded row's label buffers; its immediate
-        patch repairs them like any other.
+        The clone inherits the hot set, the row budget, the recorder,
+        the tombstones and the built cores, and copies each seeded row's
+        label buffers; its immediate patch repairs them like any other.
 
         A budgeted oracle's clone inherits ``row_budget_bytes`` and
         seeds through the same policy: rows are copied in retention
@@ -1268,14 +1198,12 @@ class FrozenOracle:
         insertion order, exactly as before.
         """
         clone = FrozenOracle(
-            graph, hot=self._hot, patchable=self._patchable,
-            row_budget_bytes=self._rows.budget_bytes,
+            graph, hot=self._hot, row_budget_bytes=self._rows.budget_bytes,
             metrics=self._metrics,
         )
         if self._built:
             clone._built = True
             clone._tombstones = set(self._tombstones)
-            clone._hot_ids = list(self._hot_ids)
             if self._core is not None:
                 clone._core = self._core.clone()
             if self._contracted is not None:
@@ -1291,12 +1219,7 @@ class FrozenOracle:
                 # Deep copies: patching repairs row buffers in place, and
                 # the original oracle must keep serving its own graph.
                 # Slicing an array buffer copies it as a buffer.
-                dup = _Row(
-                    row.dist[:],
-                    row.parent[:],
-                    None if row.settled is None else bytearray(row.settled),
-                    row.full,
-                )
+                dup = _Row(row.dist[:], row.parent[:])
                 dup.used = row.used
                 clone._rows[source_id] = dup
         clone.patch_edge_costs(changed)
@@ -1313,84 +1236,33 @@ class FrozenOracle:
             self._slow_rows[source] = row
         return row
 
-    def _install_row(self, source_id: int, row: _Row) -> None:
-        """Cache ``row``, replacing any previous row of ``source_id``.
+    def _build_row(self, sid: int) -> _Row:
+        """Build, cache and record the cold row of ``sid`` on the active core.
 
-        The one install path of every row-replacing recompute (cold
-        misses, prefetch batches, full-row upgrades).
-        """
-        self._rows[source_id] = row
-        if self._rows.budget_bytes is not None:
-            # Budgeted oracles enforce residency at every install,
-            # protecting the row the caller is about to serve from.
-            self._rows.enforce(protect=(source_id,))
-
-    def _contracted_row(self, cid: int) -> _Row:
-        row = self._rows.get(cid)
-        if row is None:
-            mx = self._metrics
-            t0 = mx.clock() if mx else 0.0
-            dist, parent = self._contracted.dijkstra(cid)
-            row = _Row(dist, parent, None, True)
-            self._install_row(cid, row)
-            if mx:
-                mx.inc("oracle.rows.cold")
-                mx.span("oracle.row_build", t0, kind="cold")
-        row.used = True
-        return row
-
-
-    # ------------------------------------------------------------------
-    # uncontracted-core machinery
-    # ------------------------------------------------------------------
-    def _build_row(
-        self,
-        source_id: int,
-        kind: str,
-        targets: Optional[List[int]] = None,
-    ) -> _Row:
-        """Run, install and record one uncontracted row build.
-
-        ``targets`` early-stops the search once they are all settled;
-        ``None`` runs it to exhaustion.  ``kind`` labels the
-        ``oracle.row_build`` span: ``"cold"`` where no row was cached
-        (also counted in ``oracle.rows.cold``), ``"upgrade"`` for a full
-        row replacing a cached early-stopped one.
+        The one install path of every row: it replaces any previous row
+        of ``sid``, and a budgeted oracle enforces residency right here,
+        protecting the row the caller is about to serve from.
         """
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        dist, parent, settled, exhausted = self.core.dijkstra(
-            source_id, targets
-        )
-        row = _Row(dist, parent, settled, exhausted)
-        self._install_row(source_id, row)
+        core = self._contracted if self._contracted is not None else self._core
+        row = _Row(*core.dijkstra(sid))
+        rows = self._rows
+        rows[sid] = row
+        if rows.budget_bytes is not None:
+            rows.enforce(protect=(sid,))
         if mx:
-            if kind == "cold":
-                mx.inc("oracle.rows.cold")
-            mx.span("oracle.row_build", t0, kind=kind)
+            mx.inc("oracle.rows.cold")
+            mx.span("oracle.row_build", t0, kind="cold")
         return row
 
-    def _compute(self, source_id: int, target_id: Optional[int]) -> _Row:
-        """Compute and cache a cold row, early-stopped at the hot set if any."""
-        targets = None
-        if self._hot_ids and not self._patchable:
-            targets = (
-                self._hot_ids if target_id is None
-                else self._hot_ids + [target_id]
-            )
-        return self._build_row(source_id, "cold", targets)
-
-    def _row_serving(self, source_id: int, target_id: int) -> _Row:
-        """A row from ``source_id`` whose entry for ``target_id`` is final."""
-        row = self._rows.get(source_id)
+    def _row(self, sid: int) -> _Row:
+        """The cached row of ``sid`` (built cold on a miss), marked used."""
+        row = self._rows.get(sid)
         if row is None:
-            return self._compute(source_id, target_id)
-        if row.full or row.settled[target_id]:
-            row.used = True
-            return row
-        # Cached but early-stopped short of the target: upgrade in full so
-        # repeated cold queries never re-run the search.
-        return self._build_row(source_id, "upgrade")
+            row = self._build_row(sid)
+        row.used = True
+        return row
 
     # ------------------------------------------------------------------
     def distance(self, source: Node, target: Node) -> float:
@@ -1423,7 +1295,7 @@ class FrozenOracle:
                 if row is not None:
                     row.used = True
                     return row.dist[source_id]
-                row = self._contracted_row(source_id)
+                row = self._row(source_id)
             row.used = True
             return row.dist[tid]
 
@@ -1438,14 +1310,11 @@ class FrozenOracle:
         queries[tid] = queries.get(tid, 0) + 1
         rows = self._rows
         row = rows.get(source_id)
-        if row is not None and (row.full or row.settled[tid]):
-            row.used = True
-            return row.dist[tid]
-        rev = rows.get(tid)
-        if rev is not None and (rev.full or rev.settled[source_id]):
-            rev.used = True
-            return rev.dist[source_id]
-        if row is None and rev is None:
+        if row is None:
+            row = rows.get(tid)
+            if row is not None:
+                row.used = True
+                return row.dist[source_id]
             # Pick the root more likely to serve future queries.
             hot = self._hot
             su, sv = source in hot, target in hot
@@ -1453,16 +1322,17 @@ class FrozenOracle:
                 source_id, tid = tid, source_id
             elif su == sv and queries.get(tid, 0) > queries.get(source_id, 0):
                 source_id, tid = tid, source_id
-            return self._compute(source_id, tid).dist[tid]
-        return self._row_serving(source_id, tid).dist[tid]
+            return self._build_row(source_id).dist[tid]
+        row.used = True
+        return row.dist[tid]
 
     def distances_to(self, source: Node, targets: Sequence[Node]) -> List[float]:
         """Shortest-path costs from ``source`` to each of ``targets``.
 
         Semantically ``[self.distance(source, t) for t in targets]``.
-        When the cached ``source`` row already serves every target (full,
-        or early-stopped with all targets settled) the answer is one
-        zero-copy numpy gather over the row's ``dist`` buffer instead of
+        When ``source`` has a cached row, which the scalar loop would
+        serve every target from, the answer is one zero-copy numpy
+        gather over the row's ``dist`` buffer instead of
         ``len(targets)`` dict/attribute walks, replicating the per-query
         side effects exactly: the same query counters, the same ``used``
         mark, ``inf`` (and no counters) for targets absent from the
@@ -1516,10 +1386,6 @@ class FrozenOracle:
         if not present:
             return [INF] * len(targets)
         tid_arr = np.fromiter(present, np.int64, len(present))
-        if not row.full:
-            sview = kernel.u8_view(row.settled)
-            if not (sview[tid_arr] != 0).all():
-                return [self.distance(source, t) for t in targets]
         queries = self._queries
         queries[source_id] = queries.get(source_id, 0) + len(present)
         queries.update(present)
@@ -1546,14 +1412,13 @@ class FrozenOracle:
         scores every candidate VM against both corridor endpoints.
         Returns ``(da, db)`` aligned with ``targets`` -- two zero-copy
         numpy gathers over the endpoint rows' ``dist`` buffers -- when
-        the two cached endpoint rows can serve every target as-is,
-        replicating exactly
+        both endpoints have cached rows, replicating exactly
         the side effects ``2 * len(targets)`` scalar ``distance`` calls
         would have (counters: +1 per endpoint per served target, +2 per
         target; ``used`` marks; ``inf`` and no counters for targets
         absent from the graph).  Returns ``None`` -- with **no** side
-        effects -- whenever any scalar call would have computed, upgraded
-        or rev-served a row, so callers fall back to the legacy loop and
+        effects -- whenever any scalar call would have computed or
+        rev-served a row, so callers fall back to the legacy loop and
         the oracle's cache evolves identically either way.
         """
         mx = self._metrics
@@ -1609,15 +1474,6 @@ class FrozenOracle:
         else:
             present = tids
         tid_arr = np.fromiter(present, np.int64, len(present))
-        if present:
-            if not arow.full:
-                sview = kernel.u8_view(arow.settled)
-                if not (sview[tid_arr] != 0).all():
-                    return None
-            if not brow.full:
-                sview = kernel.u8_view(brow.settled)
-                if not (sview[tid_arr] != 0).all():
-                    return None
         queries = self._queries
         npres = len(present)
         queries[aid] = queries.get(aid, 0) + npres
@@ -1682,7 +1538,7 @@ class FrozenOracle:
                     chain.reverse()
                     out = contracted.expand(chain)
                 else:
-                    row = self._contracted_row(source_id)
+                    row = self._row(source_id)
                     if row.dist[tid] == INF:
                         raise ValueError(
                             f"no path from {source!r} to {target!r}"
@@ -1701,7 +1557,7 @@ class FrozenOracle:
             raise ValueError(f"no path from {source!r} to {target!r}")
         if tid == source_id:
             return [source]
-        row = self._row_serving(source_id, tid)
+        row = self._row(source_id)
         if row.dist[tid] == INF:
             raise ValueError(f"no path from {source!r} to {target!r}")
         nodes = core.nodes
@@ -1760,7 +1616,7 @@ class FrozenOracle:
                     raise KeyError(f"source {source!r} not in graph")
                 dist, _ = self._slow_row(source)
                 return dict(dist)
-            row = self._contracted_row(source_id)
+            row = self._row(source_id)
             dist = row.dist
             out = {
                 node: d
@@ -1802,13 +1658,7 @@ class FrozenOracle:
             return out
 
         core = self.core
-        source_id = core.index[source]
-        row = self._rows.get(source_id)
-        if row is None:
-            row = self._build_row(source_id, "cold")
-        elif not row.full:
-            row = self._build_row(source_id, "upgrade")
-        row.used = True
+        row = self._row(core.index[source])
         nodes = core.nodes
         return {
             nodes[i]: d for i, d in enumerate(row.dist) if d != INF

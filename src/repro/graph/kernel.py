@@ -27,8 +27,8 @@ primitives:
   Python floats/ints (unlike raw numpy arrays, whose scalar reads box
   ``np.float64`` -- slower *and* repr-visible), while the buffer
   protocol lets batch queries wrap the same memory zero-copy with
-  :func:`numpy.frombuffer` (:func:`f8_view`, :func:`u8_view`).  numpy
-  is a hard dependency of the package.
+  :func:`numpy.frombuffer` (:func:`f8_view`).  numpy is a hard
+  dependency of the package.
 - **Fork pool** -- :func:`fork_map` (module-global state populated
   before a ``fork``-context pool is created, so workers inherit arbitrary
   unpicklable state by memory copy; ordered results; serial fallback
@@ -88,11 +88,6 @@ def f8_view(buf: array) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64)
 
 
-def u8_view(buf: bytearray) -> np.ndarray:
-    """Zero-copy ``uint8`` numpy view of a bytearray mask."""
-    return np.frombuffer(buf, dtype=np.uint8)
-
-
 # ----------------------------------------------------------------------
 # the settle loop
 # ----------------------------------------------------------------------
@@ -103,11 +98,8 @@ def settle_python(
     parent: array,
     seeds: Sequence[int],
     mask: Optional[bytearray] = None,
-    settled: Optional[bytearray] = None,
-    targets: Optional[bytearray] = None,
-    remaining: int = 0,
     counter: bool = False,
-) -> bool:
+) -> None:
     """Run the seeded label-setting loop over ``csr`` in place.
 
     ``csr`` is ``(indptr, indices, weights)`` as ``array('q')``,
@@ -123,11 +115,7 @@ def settle_python(
     parents are bit-identical whichever loop runs.
 
     ``mask`` restricts relaxations to nodes flagged in it (a repair's
-    affected region).  ``settled`` settles each node at most once and
-    flags it; with ``targets`` (per-node flags, ``remaining`` of them
-    unsettled) the loop stops right after the node that settles the
-    last one.  Returns ``False`` after such an early stop, ``True`` when
-    the heap ran dry.
+    affected region).  The loop runs until the heap is dry.
 
     This is the Python twin of the loop in ``_settle.c``, statement for
     statement: the fallback when no compiled object is usable, and the
@@ -146,15 +134,6 @@ def settle_python(
         d, _, v = pop(heap)
         if d > dist[v]:
             continue
-        if settled is not None:
-            if settled[v]:
-                continue
-            settled[v] = 1
-            if targets is not None:
-                if targets[v]:
-                    remaining -= 1
-                if remaining <= 0:
-                    return False
         for pos in range(indptr[v], indptr[v + 1]):
             u = indices[pos]
             if mask is not None and not mask[u]:
@@ -168,7 +147,6 @@ def settle_python(
                     count += 1
                 else:
                     push(heap, (nd, u, u))
-    return True
 
 
 def repair_python(
@@ -351,10 +329,8 @@ def _load_native() -> Tuple[Optional[ctypes.CDLL], Optional[Path], str]:
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     settle_fn.restype = repair_fn.restype = i64
     # (indptr, indices, weights, dist, parent, seeds, nseeds, mask,
-    #  settled, targets, remaining, counter_ties), as in _settle.c.
-    settle_fn.argtypes = (
-        ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, i64, i64,
-    )
+    #  counter_ties), as in _settle.c.
+    settle_fn.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64)
     # (indptr, indices, weights, dist, parent, n, roots, nroots).
     repair_fn.argtypes = (ptr, ptr, ptr, ptr, ptr, i64, ptr, i64)
     return lib, path, ""
@@ -365,11 +341,11 @@ def _trusted(
     dist: array,
     parent: array,
     nodes: Sequence[int],
-    flags: Sequence[Optional[bytearray]] = (),
+    mask: Optional[bytearray] = None,
 ) -> bool:
     """Whether the C loops may trust these buffers.
 
-    Typecodes and sizes of the CSR, label and flag buffers, and every
+    Typecodes and sizes of the CSR, label and mask buffers, and every
     id in ``nodes`` (the seeds or roots) a node of ``csr``.  Node ids
     inside ``indices`` are trusted: every CSR comes from this package's
     own cores.
@@ -381,16 +357,9 @@ def _trusted(
         and weights.typecode == dist.typecode == "d"
         and len(dist) == len(parent) == n
         and len(indices) == len(weights) == indptr[-1]
-        and all(f is None or len(f) == n for f in flags)
+        and (mask is None or len(mask) == n)
         and 0 <= min(nodes) and max(nodes) < n
     )
-
-
-def _address(flags: Optional[bytearray]) -> Optional[int]:
-    """Address of a flag buffer's first byte (``None`` for ``None``)."""
-    if flags is None:
-        return None
-    return ctypes.addressof(ctypes.c_char.from_buffer(flags))
 
 
 def settle_native(
@@ -399,32 +368,31 @@ def settle_native(
     parent: array,
     seeds: Sequence[int],
     mask: Optional[bytearray] = None,
-    settled: Optional[bytearray] = None,
-    targets: Optional[bytearray] = None,
-    remaining: int = 0,
     counter: bool = False,
-) -> bool:
+) -> None:
     """The compiled settle loop; same contract as :func:`settle_python`.
 
     The C loop trusts its pointers, so buffer types and sizes are checked
     here first (:func:`_trusted`).
     """
     if not seeds:
-        return True
+        return
     indptr, indices, weights = csr
-    if not _trusted(csr, dist, parent, seeds, (mask, settled, targets)):
-        raise ValueError("settle: inconsistent CSR, label or flag buffers")
+    if not _trusted(csr, dist, parent, seeds, mask):
+        raise ValueError("settle: inconsistent CSR, label or mask buffers")
     seeds = array(PARENT_TYPECODE, seeds)
+    mask_address = (
+        None if mask is None
+        else ctypes.addressof(ctypes.c_char.from_buffer(mask))
+    )
     result = _NATIVE.settle(
         indptr.buffer_info()[0], indices.buffer_info()[0],
         weights.buffer_info()[0], dist.buffer_info()[0],
         parent.buffer_info()[0], seeds.buffer_info()[0], len(seeds),
-        _address(mask), _address(settled), _address(targets),
-        remaining, 1 if counter else 0,
+        mask_address, 1 if counter else 0,
     )
     if result < 0:
         raise MemoryError("settle: the heap could not grow")
-    return bool(result)
 
 
 def repair_native(

@@ -9,13 +9,13 @@ oracle's lookup paths and iteration order are unchanged), and it owns
 - **byte accounting** per resident row (label buffers plus a fixed
   per-row overhead -- see :func:`row_nbytes`),
 - **eviction** as a single code path with one counter set (idle-at-patch
-  drops, unbounded-repair drops and budget-pressure evictions all route
-  through :meth:`evict`), and
-- a **cost-aware budget policy** under ``budget_bytes``: when residency
-  exceeds the budget, :meth:`enforce` evicts rows in ascending retention
-  value -- unserved-since-last-patch rows first, then cheapest to
-  recompute per resident byte, least-recently-served as the tiebreak --
-  until the cache fits.
+  drops and budget-pressure evictions both route through :meth:`evict`),
+  and
+- a **budget policy** under ``budget_bytes``: when residency exceeds the
+  budget, :meth:`enforce` evicts rows in ascending retention value --
+  unserved-since-last-patch rows first, then least-recently-served --
+  until the cache fits.  Every row of one oracle is exhaustive over the
+  same core, so rows never differ in recompute cost or size.
 
 ``budget_bytes=None`` (the default) preserves the historical unbounded
 behavior bit-identically: lookups, insertion order and the idle-at-patch
@@ -28,10 +28,10 @@ budget -- only residency and recompute work do.
 Byte model
 ----------
 Sizes are **deterministic and platform-independent** (no
-``sys.getsizeof``): 8 bytes per distance entry, 8 per parent entry, 1
-per settled byte, plus :data:`ROW_OVERHEAD_BYTES` per row.  Every
-cached row stores its labels in ``array('d')``/``array('q')`` buffers,
-so the 16 bytes/node label term is near-exact for every row -- the
+``sys.getsizeof``): 8 bytes per distance entry and 8 per parent entry,
+plus :data:`ROW_OVERHEAD_BYTES` per row.  Every cached row stores its
+labels in ``array('d')``/``array('q')`` buffers, and nothing else per
+node, so the 16 bytes/node label term is near-exact for every row -- the
 budget is still a *residency model*, not an RSS cap, and the model is
 chosen so budgeted runs behave identically across platforms.  The
 rows are the oracle's only persistent repair state: a repair's region
@@ -50,18 +50,16 @@ __all__ = ["RowCache", "ROW_OVERHEAD_BYTES", "row_nbytes"]
 ROW_OVERHEAD_BYTES = 96
 
 
-def row_nbytes(num_nodes: int, settled: bool = True) -> int:
+def row_nbytes(num_nodes: int) -> int:
     """Accounted bytes of one resident row over ``num_nodes`` core nodes.
 
     The same arithmetic :class:`RowCache` applies to live ``_Row``
     objects, exposed so benchmarks and tests can size budgets in *rows*
     ("hold the VM pool plus one request's working set") without
-    duplicating the model: 8 bytes per distance, 8 per parent, 1 per
-    settled flag when the row carries a settle mask, plus the fixed
-    per-row overhead.
+    duplicating the model: 8 bytes per distance, 8 per parent, plus the
+    fixed per-row overhead.
     """
-    n = int(num_nodes)
-    return 16 * n + (n if settled else 0) + ROW_OVERHEAD_BYTES
+    return 16 * int(num_nodes) + ROW_OVERHEAD_BYTES
 
 
 class RowCache(dict):
@@ -100,53 +98,24 @@ class RowCache(dict):
         self.idle_evictions = 0
         #: ... of which: budget-pressure drops (:meth:`enforce`).
         self.budget_evictions = 0
-        #: ... of which: early-stopped rows live at a patch (the oracle
-        #: repairs only exhaustive rows in place).
-        self.repair_evictions = 0
         #: Enforcement passes that could not reach the budget because
         #: every remaining row was protected (mid-install working set
         #: larger than the budget).  Strict benches assert this is 0.
         self.overshoots = 0
-        #: Per-sid ``(nbytes, recompute_cost)``, maintained on mutation.
-        self._meta: Dict[int, Tuple[int, int]] = {}
+        #: Per-sid accounted bytes, maintained on mutation.
+        self._nbytes: Dict[int, int] = {}
         #: Monotonic serve clock and per-sid last-served tick, tracked
         #: only under a budget (the unbounded tier pays nothing for it).
         self._tick = 0
         self._served: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # accounting model
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _row_nbytes(row) -> int:
-        """Accounted bytes of ``row`` (see :func:`row_nbytes`)."""
-        n = len(row.dist)
-        settled = row.settled
-        return 16 * n + (len(settled) if settled is not None else 0) \
-            + ROW_OVERHEAD_BYTES
-
-    @staticmethod
-    def _recompute_cost(row) -> int:
-        """Estimated relaxations to rebuild ``row`` from cold.
-
-        Full rows re-run an exhaustive Dijkstra (cost ~ n); an
-        early-stopped row re-settles only its frontier (cost ~ settled
-        count).  The estimate prices *retention*: an expensive-to-
-        rebuild row earns more bytes of residency.
-        """
-        if row.full or row.settled is None:
-            return len(row.dist)
-        return sum(row.settled)
-
-    # ------------------------------------------------------------------
     # store mutation (every path keeps total_bytes exact)
     # ------------------------------------------------------------------
     def __setitem__(self, source_id: int, row) -> None:
-        old = self._meta.get(source_id)
-        if old is not None:
-            self.total_bytes -= old[0]
-        nbytes = self._row_nbytes(row)
-        self._meta[source_id] = (nbytes, self._recompute_cost(row))
+        self.total_bytes -= self._nbytes.get(source_id, 0)
+        nbytes = row_nbytes(len(row.dist))
+        self._nbytes[source_id] = nbytes
         self.total_bytes += nbytes
         if self.total_bytes > self.peak_bytes:
             self.peak_bytes = self.total_bytes
@@ -154,7 +123,7 @@ class RowCache(dict):
 
     def __delitem__(self, source_id: int) -> None:
         super().__delitem__(source_id)
-        self.total_bytes -= self._meta.pop(source_id)[0]
+        self.total_bytes -= self._nbytes.pop(source_id)
         self._served.pop(source_id, None)
 
     def pop(self, source_id: int, *default):
@@ -183,7 +152,7 @@ class RowCache(dict):
     def clear(self) -> None:
         """Drop every row (a full invalidate -- not counted as eviction)."""
         super().clear()
-        self._meta.clear()
+        self._nbytes.clear()
         self._served.clear()
         self.total_bytes = 0
 
@@ -215,34 +184,27 @@ class RowCache(dict):
     def evict(self, source_id: int, reason: str = "budget"):
         """Drop one row and count it under ``reason``.
 
-        ``reason`` is one of ``"idle"`` (idle across a whole patch
-        interval), ``"repair"`` (an early-stopped row live at a patch,
-        which only exhaustive rows survive) or ``"budget"`` (residency
-        pressure).  Returns the evicted row.
+        ``reason`` is ``"idle"`` (idle across a whole patch interval) or
+        ``"budget"`` (residency pressure).  Returns the evicted row.
         """
         row = dict.__getitem__(self, source_id)
         del self[source_id]
         self.evictions += 1
         if reason == "idle":
             self.idle_evictions += 1
-        elif reason == "repair":
-            self.repair_evictions += 1
         else:
             self.budget_evictions += 1
         return row
 
-    def _evict_key(self, source_id: int) -> Tuple[int, float, int, int]:
+    def _evict_key(self, source_id: int) -> Tuple[int, int, int]:
         """Ascending retention value: the eviction (min-first) sort key.
 
         Unserved-since-last-patch rows go first (they are the idle
-        policy's candidates anyway), then the cheapest recompute per
-        resident byte, then least-recently-served, then the stable id.
+        policy's candidates anyway), then least-recently-served, then
+        the stable id.
         """
-        row = dict.__getitem__(self, source_id)
-        nbytes, cost = self._meta[source_id]
         return (
-            1 if row.used else 0,
-            cost / nbytes,
+            1 if dict.__getitem__(self, source_id).used else 0,
             self._served.get(source_id, 0),
             source_id,
         )
@@ -279,7 +241,7 @@ class RowCache(dict):
         """Whether ``row`` can be added without crossing the budget."""
         if self.budget_bytes is None:
             return True
-        return self.total_bytes + self._row_nbytes(row) <= self.budget_bytes
+        return self.total_bytes + row_nbytes(len(row.dist)) <= self.budget_bytes
 
     def retention_order(self) -> List[int]:
         """Resident ids, most retention-worthy first.
@@ -303,7 +265,6 @@ class RowCache(dict):
             "evictions": self.evictions,
             "idle_evictions": self.idle_evictions,
             "budget_evictions": self.budget_evictions,
-            "repair_evictions": self.repair_evictions,
             "overshoots": self.overshoots,
         }
 

@@ -51,8 +51,8 @@ def metric_closure(
     oracle: Optional[DistanceOracle] = None,
 ) -> Graph:
     """Complete graph over ``nodes`` with shortest-path distances as costs."""
-    # A terminal-hot FrozenOracle early-terminates each row at the last
-    # settled terminal and returns bit-identical distances/paths.
+    # A terminal-hot FrozenOracle builds rows from terminals and returns
+    # bit-identical distances/paths.
     oracle = oracle or FrozenOracle(graph, hot=nodes)
     closure = Graph()
     node_list = list(nodes)
@@ -224,7 +224,7 @@ def dreyfus_wagner_steiner_tree(
         return SteinerResult(tree, 0.0, frozenset(terminal_list))
     if k > 14:
         raise ValueError(f"Dreyfus-Wagner is impractical for {k} terminals")
-    # The DP probes all node pairs, so full (non-early-stopped) rows win.
+    # The DP probes all node pairs: one full row per node serves them.
     oracle = oracle or FrozenOracle(graph)
     nodes = list(graph.nodes())
     node_index = {n: i for i, n in enumerate(nodes)}

@@ -14,7 +14,7 @@ Dependency-free instrumentation for the oracle/simulator/workload stack
   flag-gated-reference discipline as ``incremental=`` /
   ``row_budget_bytes=``.
 
-Unified cache-snapshot schema (``sof-cache-stats/2``)
+Unified cache-snapshot schema (``sof-cache-stats/3``)
 -----------------------------------------------------
 
 ``FrozenOracle.cache_snapshot()`` / ``OnlineSimulator.cache_snapshot()``
@@ -23,17 +23,16 @@ Unified cache-snapshot schema (``sof-cache-stats/2``)
 ====================  ====================================================
 key                   meaning
 ====================  ====================================================
-``schema``            literal ``"sof-cache-stats/2"``
+``schema``            literal ``"sof-cache-stats/3"``
 ``scope``             ``"oracle"`` | ``"simulator"`` | ``"controller"``
 ``rows``              resident row count
 ``budget_bytes``      configured budget (``None`` = unbounded)
 ``total_bytes``       current estimated payload residency
 ``peak_bytes``        high-water residency mark
 ``hits``/``misses``   row-cache lookup outcomes
-``evictions``         total evictions (= idle + budget + repair)
+``evictions``         total evictions (= idle + budget)
 ``idle_evictions``    evicted as idle during repair triage
-``budget_evictions``  evicted by the cost-aware budget sweep
-``repair_evictions``  early-stopped rows evicted at a patch, not repaired
+``budget_evictions``  evicted by the budget sweep
 ``overshoots``        enforce() passes that could not reach the budget
 ====================  ====================================================
 
@@ -41,7 +40,9 @@ Controller snapshots additionally carry ``domain`` (the controller id).
 When a recorder is attached, taking a snapshot also folds the same
 numbers into the registry as ``<scope>.cache.*`` gauges.  Version 2
 dropped version 1's tree-edge index size key and gauge, together with
-the index itself.
+the index itself.  Version 3 dropped ``repair_evictions`` and its gauge:
+every cached row runs to exhaustion, so a patch repairs every live row
+and evicts none for its kind.
 """
 
 from repro.obs.metrics import (
@@ -67,7 +68,7 @@ from repro.obs.tracer import (
 )
 
 #: Version tag carried by every unified cache snapshot.
-CACHE_SNAPSHOT_SCHEMA = "sof-cache-stats/2"
+CACHE_SNAPSHOT_SCHEMA = "sof-cache-stats/3"
 
 __all__ = [
     "CACHE_SNAPSHOT_SCHEMA",

@@ -166,11 +166,9 @@ class OnlineSimulator:
         # must not mutate it); commits update only the edges whose loads
         # changed and patch the oracle only when a cost really moved.
         self._tracker.apply_to_graph(graph, floor=cost_floor)
-        # Incremental simulators expect per-request cost churn, so their
-        # oracle computes patch-repairable (exhaustive) rows.
         self._oracle = FrozenOracle(
-            graph, hot=self._vms, patchable=self._incremental,
-            row_budget_bytes=row_budget_bytes, metrics=metrics,
+            graph, hot=self._vms, row_budget_bytes=row_budget_bytes,
+            metrics=metrics,
         )
 
     @property

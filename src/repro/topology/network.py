@@ -53,6 +53,34 @@ class CloudNetwork:
         """All access nodes, in deterministic order."""
         return sorted(self.graph.nodes(), key=repr)
 
+    def check_instance_sizes(
+        self,
+        num_sources: int,
+        num_destinations: int,
+        num_vms: int,
+        chain_length: int,
+    ) -> None:
+        """Raise ``ValueError`` unless :meth:`make_instance` can draw these.
+
+        Builds nothing, so a sweep can reject a bad grid before its
+        first solve.
+        """
+        if num_sources < 1:
+            raise ValueError("at least one source is required")
+        if num_destinations < 1:
+            raise ValueError("at least one destination is required")
+        if chain_length < 1:
+            raise ValueError("chain length must be >= 1")
+        if max(num_sources, num_destinations) > self.num_nodes:
+            raise ValueError(
+                f"{self.name}: cannot draw {num_sources} sources and "
+                f"{num_destinations} destinations from {self.num_nodes} nodes"
+            )
+        if num_vms < chain_length:
+            raise ValueError(
+                f"{num_vms} VMs cannot host a chain of length {chain_length}"
+            )
+
     # ------------------------------------------------------------------
     def make_instance(
         self,
@@ -84,15 +112,9 @@ class CloudNetwork:
         Returns:
             A fully-populated :class:`SOFInstance`.
         """
-        if max(num_sources, num_destinations) > self.num_nodes:
-            raise ValueError(
-                f"{self.name}: cannot draw {num_sources} sources and "
-                f"{num_destinations} destinations from {self.num_nodes} nodes"
-            )
-        if num_vms < len(chain):
-            raise ValueError(
-                f"{num_vms} VMs cannot host a chain of length {len(chain)}"
-            )
+        self.check_instance_sizes(
+            num_sources, num_destinations, num_vms, len(chain)
+        )
         # Independent RNG streams so that sweeping one dimension (say the
         # VM count) does not perturb the others (link costs, S/D draw) --
         # the standard variance-reduction for parameter sweeps.

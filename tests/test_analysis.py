@@ -123,6 +123,66 @@ def test_det_set_iter_set_comprehension_exempt(tmp_path):
     assert not lint(tmp_path).findings
 
 
+SET_RETURNING_MODULE = """
+    from typing import Set
+
+    class Tracker:
+        def drain(self) -> Set[str]:
+            out, self.dirty = self.dirty, set()
+            return out
+"""
+
+
+def test_det_set_iter_sees_a_set_returned_by_a_call(tmp_path):
+    # The set comes from a method annotated in another module.
+    write_tree(tmp_path, {
+        "costmodel/loads.py": SET_RETURNING_MODULE,
+        "online/sim.py": """
+            def sync(tracker, out):
+                for link in tracker.drain():
+                    out.append(link)
+        """,
+    })
+    result = lint(tmp_path)
+    assert rules_found(result) == ["det-set-iter"]
+    (finding,) = result.findings
+    assert finding.path.endswith("sim.py")
+    assert (finding.symbol, finding.line) == ("sync", 3)
+
+
+def test_det_set_iter_sorted_call_result_is_clean(tmp_path):
+    write_tree(tmp_path, {
+        "costmodel/loads.py": SET_RETURNING_MODULE,
+        "online/sim.py": """
+            def sync(tracker, out):
+                for link in sorted(tracker.drain()):
+                    out.append(link)
+        """,
+    })
+    assert not lint(tmp_path).findings
+
+
+def test_det_set_iter_ambiguous_call_name_is_clean(tmp_path):
+    # Another definition of the same name returns a list: the call is
+    # not provably a set.
+    write_tree(tmp_path, {
+        "costmodel/loads.py": SET_RETURNING_MODULE,
+        "graph/queue.py": """
+            from typing import List
+
+            class Queue:
+                def drain(self) -> List[str]:
+                    return list(self.items)
+        """,
+        "online/sim.py": """
+            def sync(tracker, out):
+                for link in tracker.drain():
+                    out.append(link)
+        """,
+    })
+    assert not lint(tmp_path).findings
+
+
 def test_det_unseeded_rng(tmp_path):
     write_tree(tmp_path, {"core/mod.py": """
         import random
@@ -319,16 +379,13 @@ def test_oracle_invalidate_outside_patching_modules_is_clean(tmp_path):
 FLAG_FIXTURE = {
     "graph/indexed.py": """
         class FrozenOracle:
-            def __init__(self, graph, hot=None, alpha=False, beta=0,
-                         patchable=False):
+            def __init__(self, graph, hot=None, alpha=False, beta=0):
                 self._alpha = alpha
                 self._beta = beta
-                self._patchable = patchable
 
             def rebased(self, graph):
                 return FrozenOracle(
                     graph, alpha=self._alpha, beta=self._beta,
-                    patchable=self._patchable,
                 )
     """,
     "online/simulator.py": """
@@ -358,35 +415,16 @@ def test_flag_threading_reports_missing_flags(tmp_path):
     write_tree(tmp_path, FLAG_FIXTURE)
     result = lint(tmp_path)
     findings = [f for f in result.findings if f.rule == "thread-oracle-flag"]
-    # OnlineSimulator threads alpha but not beta/patchable.
+    # OnlineSimulator threads alpha but not beta.
     missing = {
         (f.symbol, flag)
         for f in findings
-        for flag in ("alpha", "beta", "patchable")
+        for flag in ("alpha", "beta")
         if f"'{flag}'" in f.message
     }
-    assert missing == {
-        ("OnlineSimulator", "beta"), ("OnlineSimulator", "patchable"),
-    }
+    assert missing == {("OnlineSimulator", "beta")}
     # Nothing else slipped in (constructions are at factory sites).
     assert len(result.findings) == len(findings)
-
-
-def test_flag_threading_repair_flags_exempt_at_serve_only_sites(tmp_path):
-    # Controller omits `patchable` (repair-only) but threads the rest:
-    # clean, because per-domain oracles are never patched.
-    fixture = dict(FLAG_FIXTURE)
-    fixture["online/simulator.py"] = """
-        from repro.graph.indexed import FrozenOracle
-
-        class OnlineSimulator:
-            def __init__(self, graph):
-                self._oracle = FrozenOracle(
-                    graph, alpha=True, beta=1, patchable=True,
-                )
-    """
-    write_tree(tmp_path, fixture)
-    assert not lint(tmp_path).findings
 
 
 def test_flag_threading_kwargs_forward_satisfies_all(tmp_path):

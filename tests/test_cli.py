@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -94,6 +96,35 @@ def test_fig12_rejects_no_requests(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "--requests must be at least 1" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig8", "--seeds", "0"], "--seeds must be at least 1, got 0"),
+    (["fig11", "--seeds", "-1"], "--seeds must be at least 1, got -1"),
+    (["table2", "--trials", "0"], "--trials must be at least 1, got 0"),
+    (["fig7", "--samples", "0"], "--samples must be at least 2, got 0"),
+    (["fig10", "--nodes", "5", "--seeds", "1"],
+     "cannot draw 2 sources and 6 destinations from 5 nodes"),
+    (["table1", "--nodes", "0"], "inet topology needs at least 3 nodes"),
+    (["table1", "--nodes", "100", "--sources", "0"],
+     "--sources must be at least 1, got 0"),
+], ids=["fig8-seeds", "fig11-seeds", "table2-trials", "fig7-samples",
+        "fig10-nodes", "table1-nodes", "table1-sources"])
+def test_experiments_reject_bad_sizes(capsys, monkeypatch, argv, message):
+    """Bad counts and sizes end in one ``error:`` line and exit status 2
+    before any solve, not in a traceback from inside an experiment."""
+    sofda_module = importlib.import_module("repro.core.sofda")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the size check")
+
+    monkeypatch.setattr(sofda_module, "build_auxiliary_graph", no_solve)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
     assert len(captured.err.strip().splitlines()) == 1
 
 

@@ -63,12 +63,7 @@ def _patch_stream(rng, graph, rounds, direction, working=5, queries=10):
 def _row_states(oracle):
     """Full observable repair state as plain, comparable values."""
     return {
-        sid: (
-            list(row.dist),
-            list(row.parent),
-            None if row.settled is None else bytes(row.settled),
-            row.full,
-        )
+        sid: (list(row.dist), list(row.parent))
         for sid, row in oracle._rows.items()
     }
 
@@ -124,18 +119,18 @@ def _assert_array_rows(oracle):
 # array label buffers
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("patchable", [False, True])
+@pytest.mark.parametrize("reseed", [False, True])
 @pytest.mark.parametrize("direction", ["up", "mixed"])
-def test_array_rows_match_cold_rebuild(direction, patchable):
+def test_array_rows_match_cold_rebuild(direction, reseed):
     """Randomized streams: every cached row equals a cold rebuild after
-    every patch, bit for bit.  ``patchable=False`` streams build
-    early-stopped rows, which every patch evicts."""
+    every patch, bit for bit.  ``reseed`` picks one of two seeded
+    streams per direction."""
     for trial in range(3):
-        rng = random.Random(4100 * trial + (direction == "up") + 2 * patchable)
+        rng = random.Random(4100 * trial + (direction == "up") + 2 * reseed)
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=8, direction=direction)
-        oracle = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+        oracle = FrozenOracle(graph.copy(), hot=hot)
         _replay(oracle, ops, check_cold=True)
         _assert_array_rows(oracle)
         _final_check(rng, graph, hot, oracle)
@@ -156,9 +151,9 @@ def test_shared_regions_match_cold_rebuild(direction):
 
 
 def test_every_install_path_stores_array_rows(monkeypatch):
-    """Every way a row enters the cache stores label buffers: cold
-    ``_compute``, ``prefetch_rows`` (uncontracted and contracted),
-    ``_contracted_row``, the ``distances_from`` upgrade, an in-place
+    """Every way a row enters the cache stores label buffers: a cold
+    ``distance`` or ``distances_from`` build, ``prefetch_rows``
+    (uncontracted and contracted), a contracted cold build, an in-place
     repair and a ``rebased`` clone."""
     rng = random.Random(7)
     graph = random_graph(rng)
@@ -166,11 +161,10 @@ def test_every_install_path_stores_array_rows(monkeypatch):
     hot = nodes[:5]
 
     cold = FrozenOracle(graph.copy(), hot=hot)
-    cold.distance(nodes[0], nodes[9])  # _compute, early-stopped at hot
+    cold.distance(nodes[0], nodes[9])  # cold build from the hot endpoint
     _assert_array_rows(cold)
-    assert not cold._rows[cold.core.index[nodes[0]]].full
-    cold.distances_from(nodes[0])  # full-row upgrade
-    assert cold._rows[cold.core.index[nodes[0]]].full
+    cold.distances_from(nodes[9])  # cold build from a cold node
+    assert cold.core.index[nodes[9]] in cold._rows
     _assert_array_rows(cold)
     cold.patch_edge_costs({
         (u, v): cost * 2.0 for u, v, cost in list(graph.edges())[:6]
@@ -190,7 +184,7 @@ def test_every_install_path_stores_array_rows(monkeypatch):
         (i, i + 1, 1.0 + 0.01 * i) for i in range(12)
     ] + [(0, 12, 7.5), (3, 9, 4.25)])
     contracted = FrozenOracle(chain.copy(), hot=[0, 3, 9, 12])
-    contracted.distance(0, 9)  # _contracted_row
+    contracted.distance(0, 9)  # contracted cold build
     assert contracted.contracted is not None
     _assert_array_rows(contracted)
     prefetched = FrozenOracle(chain.copy(), hot=[0, 3, 9, 12])
@@ -204,18 +198,16 @@ def test_every_install_path_stores_array_rows(monkeypatch):
 # batched query entry points
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("patchable", [False, True])
-def test_distances_to_matches_scalar(patchable):
+def test_distances_to_matches_scalar():
     """``distances_to`` returns scalar-loop values AND scalar-loop side
-    effects (query counters, cached row set) in every cache state, over
-    early-stopped rows (settled-mask gate) and exhaustive rows alike."""
+    effects (query counters, cached row set) in every cache state."""
     for trial in range(3):
         rng = random.Random(610 + trial)
         graph = random_graph(rng)
         nodes = list(graph.nodes())
         hot = rng.sample(nodes, 5)
-        batched = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
-        scalar = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+        batched = FrozenOracle(graph.copy(), hot=hot)
+        scalar = FrozenOracle(graph.copy(), hot=hot)
         for _ in range(30):
             source = rng.choice(nodes)
             targets = rng.sample(nodes, rng.randint(1, 10))
@@ -327,10 +319,9 @@ def test_prefetch_rows_match_cold_rebuild(contracted, monkeypatch):
 def test_rebased_clone_preserves_kernel_flags():
     rng = random.Random(3)
     graph = random_graph(rng)
-    oracle = FrozenOracle(graph, patchable=True, row_budget_bytes=1 << 30)
+    oracle = FrozenOracle(graph, row_budget_bytes=1 << 30)
     oracle.distances_from(0)
     clone = oracle.rebased(graph.copy(), {})
-    assert clone._patchable
     assert clone.row_budget_bytes == 1 << 30
     assert _row_states(clone) == _row_states(oracle)
     # Copied rows are fresh label buffers, not views of the original's.

@@ -241,12 +241,7 @@ def test_to_chrome_json_and_span_totals():
 def _row_states(oracle):
     """Observable repair state, normalised across buffer storage."""
     return {
-        sid: (
-            list(row.dist),
-            list(row.parent),
-            None if row.settled is None else bytes(row.settled),
-            row.full,
-        )
+        sid: (list(row.dist), list(row.parent))
         for sid, row in oracle._rows.items()
     }
 
@@ -351,7 +346,7 @@ def test_metrics_flag_threads_to_clones_and_fallback():
     for i in range(5):
         graph.add_edge(i, i + 1, 1.0)
     recorder = Recorder(registry=MetricsRegistry())
-    oracle = FrozenOracle(graph, patchable=True, metrics=recorder)
+    oracle = FrozenOracle(graph, metrics=recorder)
     assert oracle.metrics is recorder
     clone = oracle.rebased(graph.copy(), {(0, 1): 2.0})
     assert clone.metrics is recorder
@@ -360,7 +355,7 @@ def test_metrics_flag_threads_to_clones_and_fallback():
 def test_distances_from_records_row_builds():
     """Uncontracted ``distances_from`` records its row builds as
     ``distance`` does: ``kind=cold`` plus ``oracle.rows.cold`` for a new
-    row, ``kind=upgrade`` for a full row replacing an early-stopped one."""
+    row, and nothing for a row already cached."""
     from repro.graph import FrozenOracle, Graph
 
     graph = Graph.from_edges([
@@ -369,22 +364,17 @@ def test_distances_from_records_row_builds():
     recorder = Recorder(registry=MetricsRegistry())
     oracle = FrozenOracle(graph, hot={"a", "b"}, metrics=recorder)
     assert oracle.contracted is None
-    oracle.distances_from("d")  # cold, full
-    oracle.distance("a", "b")  # cold, early-stopped at the hot set
-    aid = oracle.core.index["a"]
-    assert not oracle._rows[aid].full
-    oracle.distances_from("a")  # upgrade
-    assert oracle._rows[aid].full
+    oracle.distances_from("d")  # cold
+    oracle.distance("a", "c")  # cold, from the hot endpoint
+    assert oracle.core.index["a"] in oracle._rows
+    assert oracle.distances_from("a")["d"] == 3.0  # cached
     snap = recorder.snapshot()
     assert snap["counters"]["oracle.rows.cold"] == 2
     builds = {
         key: hist["count"] for key, hist in snap["histograms"].items()
         if key.startswith("oracle.row_build")
     }
-    assert builds == {
-        "oracle.row_build{kind=cold}": 2,
-        "oracle.row_build{kind=upgrade}": 1,
-    }
+    assert builds == {"oracle.row_build{kind=cold}": 2}
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +384,7 @@ def test_distances_from_records_row_builds():
 _SNAPSHOT_KEYS = {
     "schema", "scope", "rows", "budget_bytes", "total_bytes", "peak_bytes",
     "hits", "misses", "evictions", "idle_evictions", "budget_evictions",
-    "repair_evictions", "overshoots",
+    "overshoots",
 }
 
 

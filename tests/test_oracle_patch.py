@@ -131,20 +131,17 @@ def test_patch_rejects_unknown_edges_atomically():
 # ----------------------------------------------------------------------
 # batch canonicalisation (duplicate orientations)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("patchable", [True, False])
-def test_patch_duplicate_orientation_last_write_wins(patchable):
+def test_patch_duplicate_orientation_last_write_wins():
     """A batch naming one edge in both orientations applies only the last.
 
     The regression: the uncanonicalised batch produced two ``applied``
     entries with the same pre-patch ``old`` cost, double-patched the CSR
     weights and inflated the returned count; when the two new costs
     straddled the old one it even classified a phantom decrease whose
-    cost existed in neither the graph nor the batch's outcome.  Checked
-    on exhaustive (patchable) rows and on early-stopped ones, which the
-    first patch evicts.
+    cost existed in neither the graph nor the batch's outcome.
     """
     graph = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
-    oracle = FrozenOracle(graph, hot={"a", "b"}, patchable=patchable)
+    oracle = FrozenOracle(graph, hot={"a", "b"})
     assert oracle.distance("a", "c") == 2.0
     # Same edge, both orientations: one logical change, last write wins.
     assert oracle.patch_edge_costs({("a", "b"): 5.0, ("b", "a"): 3.0}) == 1
@@ -191,8 +188,7 @@ def test_patch_duplicate_orientation_matches_sequential_patches():
 # ----------------------------------------------------------------------
 # patching an unbuilt oracle (before the first query)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("patchable", [False, True])
-def test_patch_before_first_query(patchable):
+def test_patch_before_first_query():
     """Patches on an unbuilt oracle land in the graph; ``_build`` sees them.
 
     ``patch_edge_costs`` writes the new costs into the graph before the
@@ -204,14 +200,14 @@ def test_patch_before_first_query(patchable):
     graph = random_graph(rng)
     nodes = list(graph.nodes())
     hot = rng.sample(nodes, 4)
-    oracle = FrozenOracle(graph, hot=hot, patchable=patchable)
+    oracle = FrozenOracle(graph, hot=hot)
     changed = perturb(rng, graph, 6)
     # Every drawn change is real (factors never equal 1.0 here).
     assert oracle.patch_edge_costs(dict(changed)) == len(changed)
     for (u, v), cost in changed.items():
         assert graph.cost(u, v) == float(cost)
     assert not oracle._built
-    fresh = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+    fresh = FrozenOracle(graph.copy(), hot=hot)
     for source in rng.sample(nodes, 8):
         assert oracle.distances_from(source) == fresh.distances_from(source)
 
@@ -235,43 +231,6 @@ def test_patch_before_first_query_counts_real_changes():
     assert graph.cost("a", "b") == 4.0
     assert graph.cost("b", "c") == 1.0
     assert oracle.distance("a", "c") == 5.0
-
-
-# ----------------------------------------------------------------------
-# row-replacing recomputes between patches
-# ----------------------------------------------------------------------
-def test_upgraded_row_repairs_on_later_patch():
-    """A full-row upgrade between patches is repaired by the next one.
-
-    The ``distances_from`` upgrade replaces an early-stopped row with a
-    full one whose tree gains edges the old row never reached; a later
-    patch of such an edge must find the new row and repair it, or the
-    oracle would serve a stale distance.  A patch evicts the
-    early-stopped row itself, so it is rebuilt before the upgrade.
-    """
-    graph = Graph.from_edges([
-        ("s", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("x", "y", 1.0),
-    ])
-    oracle = FrozenOracle(graph, hot={"s", "a"})
-    # Early-stopped row from s (settles once the hot set is done).
-    assert oracle.distance("s", "a") == 1.0
-    core = oracle.core
-    sid = core.index["s"]
-    assert not oracle._rows[sid].full
-    # Even a patch outside its tree evicts the early-stopped row, and the
-    # next query rebuilds it early-stopped.
-    oracle.patch_edge_costs({("x", "y"): 2.0})
-    assert sid not in oracle._rows
-    assert oracle.distance("s", "a") == 1.0
-    assert not oracle._rows[sid].full
-    # Full-row upgrade: the new tree gains b-t.
-    assert oracle.distances_from("s")["t"] == 3.0
-    assert oracle._rows[sid].full
-    # The next patch of b-t repairs the upgraded row: fresh costs.
-    oracle.patch_edge_costs({("b", "t"): 5.0})
-    assert oracle.distance("s", "t") == 7.0
-    fresh = FrozenOracle(graph.copy(), hot={"s", "a"})
-    assert oracle.distance("s", "t") == fresh.distance("s", "t")
 
 
 # ----------------------------------------------------------------------
@@ -368,10 +327,11 @@ def test_rebased_leaves_original_untouched():
 
 def test_rebased_inherits_repair_modes():
     graph = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
-    oracle = FrozenOracle(graph, patchable=True)
+    oracle = FrozenOracle(graph, hot={"c"}, row_budget_bytes=1 << 20)
     oracle.distance("a", "c")
     clone = oracle.rebased(graph.copy(), {("a", "b"): 2.0})
-    assert clone._patchable is True
+    assert clone._hot == {"c"}
+    assert clone.row_budget_bytes == 1 << 20
     assert clone.distance("a", "c") == 3.0
 
 

@@ -1,12 +1,12 @@
 """Cold-rebuild equivalence for the patch repair engine.
 
-Every cost patch repairs cached rows in one pass: live early-stopped
-rows are evicted, and each remaining live row first takes the batch's
-decreases and then one :func:`kernel.repair` call over the regions its
-increased tree edges detach.  The equivalence reference is the cold
+Every cost patch repairs cached rows in one pass: idle rows are
+evicted, and each live row first takes the batch's decreases and then
+one :func:`kernel.repair` call over the regions its increased tree
+edges detach.  The equivalence reference is the cold
 rebuild -- a fresh oracle over the patched graph.  These tests replay
 randomized query+patch streams and, after every patch, check each
-cached row against it: full rows must equal the rebuilt labels and
+cached row against it: rows must equal the rebuilt labels and
 parent tree exactly (shortest paths are unique on these
 continuous-cost graphs), and contracted cores must agree within 1e-9.
 The online streams are checked against the invalidate-per-change
@@ -74,13 +74,7 @@ def _patch_stream(rng, graph, rounds, direction, working=5, queries=10):
 def _row_states(oracle):
     """Full observable repair state of every cached row."""
     return {
-        sid: (
-            row.dist,
-            row.parent,
-            None if row.settled is None else bytes(row.settled),
-            row.full,
-        )
-        for sid, row in oracle._rows.items()
+        sid: (row.dist, row.parent) for sid, row in oracle._rows.items()
     }
 
 
@@ -104,25 +98,22 @@ def _replay(oracle, ops, check_cold=False):
     return snapshots
 
 
-@pytest.mark.parametrize("patchable", [False, True])
+@pytest.mark.parametrize("reseed", [False, True])
 @pytest.mark.parametrize("direction", ["up", "mixed"])
-def test_planner_matches_per_row_repair(direction, patchable):
+def test_planner_matches_per_row_repair(direction, reseed):
     """Randomized patch streams: every row matches a cold rebuild after
     every patch.
 
     ``up`` streams repair through the increase repairer alone;
-    ``mixed`` streams run the decrease pass before it.
-    ``patchable=True`` is the online simulator's configuration
-    (exhaustive rows); ``patchable=False`` builds early-stopped rows,
-    which every patch evicts, and serves the next queries from cold
-    rebuilds of them.
+    ``mixed`` streams run the decrease pass before it.  ``reseed``
+    picks one of two seeded streams per direction.
     """
     for trial in range(4):
-        rng = random.Random(100 * trial + (direction == "up") + 2 * patchable)
+        rng = random.Random(100 * trial + (direction == "up") + 2 * reseed)
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=8, direction=direction)
-        planned = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+        planned = FrozenOracle(graph.copy(), hot=hot)
         _replay(planned, ops, check_cold=True)
         # Served values end exact too: spot-check a cold oracle.
         fresh = FrozenOracle(planned.graph.copy(), hot=hot)
@@ -131,19 +122,19 @@ def test_planner_matches_per_row_repair(direction, patchable):
             assert planned.distances_from(source) == expected
 
 
-@pytest.mark.parametrize("patchable", [False, True])
+@pytest.mark.parametrize("reseed", [False, True])
 @pytest.mark.parametrize("direction", ["up", "mixed"])
-def test_shared_matches_unshared_and_per_row(direction, patchable):
+def test_shared_matches_unshared_and_per_row(direction, reseed):
     """More randomized streams: every row matches a cold rebuild after
-    every patch, and served values end exact.  ``patchable=False``
-    streams exercise patch-time eviction of early-stopped rows.
+    every patch, and served values end exact.  ``reseed`` picks one of
+    two seeded streams per direction.
     """
     for trial in range(4):
-        rng = random.Random(300 * trial + (direction == "up") + 2 * patchable)
+        rng = random.Random(300 * trial + (direction == "up") + 2 * reseed)
         graph = random_graph(rng)
         hot = rng.sample(list(graph.nodes()), 5)
         ops = _patch_stream(rng, graph, rounds=8, direction=direction)
-        oracle = FrozenOracle(graph.copy(), hot=hot, patchable=patchable)
+        oracle = FrozenOracle(graph.copy(), hot=hot)
         _replay(oracle, ops, check_cold=True)
         fresh = FrozenOracle(oracle.graph.copy(), hot=hot)
         for source in rng.sample(list(graph.nodes()), 6):
@@ -210,43 +201,6 @@ def test_sparse_then_dense_patches_repair_exactly():
     assert oracle.distance("b", "d") == 2.5
 
 
-@pytest.mark.parametrize("patch", ["costs", "topology"])
-def test_patch_evicts_early_stopped_rows(patch):
-    """A patch evicts every live early-stopped row and repairs full ones.
-
-    The early-stopped row from s settles h at 2.0 and never settles y.
-    After s-x grows (or fails), the true distance to h routes through
-    that never-settled y (2.6), which no in-place repair of the row
-    could see.  The patch must therefore drop the row, counted as a
-    repair eviction, and the next query must rebuild it cold.  The full
-    row from x stays cached and is repaired in place.
-    """
-    graph = Graph.from_edges([
-        ("s", "x", 1.0), ("x", "h", 1.0), ("s", "y", 2.5), ("y", "h", 0.1),
-    ])
-    oracle = FrozenOracle(graph, hot={"s", "h"})
-    assert oracle.distance("s", "h") == 2.0  # early-stops once h settles
-    core = oracle.core
-    sid, xid = core.index["s"], core.index["x"]
-    assert not oracle._rows[sid].full
-    oracle.distances_from("x")
-    xrow = oracle._rows[xid]
-    assert xrow.full
-    evictions = oracle.cache_snapshot()["repair_evictions"]
-
-    if patch == "costs":
-        oracle.patch_edge_costs({("s", "x"): 2.0})
-    else:
-        oracle.patch_topology(removed=[("s", "x")])
-    assert sid not in oracle._rows
-    assert oracle.cache_snapshot()["repair_evictions"] == evictions + 1
-    assert oracle._rows[xid] is xrow
-    assert_rows_match_cold(oracle)
-    assert oracle.distance("s", "h") == pytest.approx(2.6, rel=0, abs=1e-12)
-    fresh = FrozenOracle(graph.copy(), hot={"s", "h"})
-    assert oracle.distance("s", "h") == fresh.distance("s", "h")
-
-
 # ----------------------------------------------------------------------
 # contracted mode
 # ----------------------------------------------------------------------
@@ -299,7 +253,7 @@ def test_mixed_batch_repairs_on_planned_path():
     recorder = Recorder(registry=MetricsRegistry())
     rng = random.Random(61)
     graph = random_graph(rng)
-    oracle = FrozenOracle(graph, patchable=True, metrics=recorder)
+    oracle = FrozenOracle(graph, metrics=recorder)
     for node in list(graph.nodes())[:12]:
         oracle.distances_from(node)
     source = next(iter(oracle._rows))

@@ -37,18 +37,9 @@ SOFDA = lambda inst: sofda(inst).forest  # noqa: E731
 class _FakeRow:
     """Minimal stand-in carrying the _Row attributes RowCache reads."""
 
-    def __init__(self, n, settled=True, full=True, used=False,
-                 settled_count=None):
+    def __init__(self, n, used=False):
         self.dist = [0.0] * n
         self.parent = [-1] * n
-        if settled:
-            mask = bytearray(n)
-            for i in range(settled_count if settled_count is not None else n):
-                mask[i] = 1
-            self.settled = mask
-        else:
-            self.settled = None
-        self.full = full
         self.used = used
 
 
@@ -56,23 +47,22 @@ class _FakeRow:
 # byte accounting
 # ----------------------------------------------------------------------
 def test_row_nbytes_model():
-    assert row_nbytes(10) == 16 * 10 + 10 + ROW_OVERHEAD_BYTES
-    assert row_nbytes(10, settled=False) == 16 * 10 + ROW_OVERHEAD_BYTES
+    assert row_nbytes(10) == 16 * 10 + ROW_OVERHEAD_BYTES
 
 
 def test_accounting_tracks_mutations_exactly():
     cache = RowCache()
-    cache[1] = _FakeRow(10)
-    cache[2] = _FakeRow(10, settled=False)
-    assert cache.total_bytes == row_nbytes(10) + row_nbytes(10, settled=False)
+    cache[1] = _FakeRow(12)
+    cache[2] = _FakeRow(10)
+    assert cache.total_bytes == row_nbytes(12) + row_nbytes(10)
     assert cache.peak_bytes == cache.total_bytes
     # Replacing a row swaps its bytes, not adds them.
-    cache[1] = _FakeRow(10, settled=False)
-    assert cache.total_bytes == 2 * row_nbytes(10, settled=False)
+    cache[1] = _FakeRow(10)
+    assert cache.total_bytes == 2 * row_nbytes(10)
     peak = cache.peak_bytes
     del cache[1]
-    assert cache.total_bytes == row_nbytes(10, settled=False)
-    assert cache.pop(2).settled is None
+    assert cache.total_bytes == row_nbytes(10)
+    assert len(cache.pop(2).dist) == 10
     assert cache.total_bytes == 0
     assert cache.pop(2, None) is None
     with pytest.raises(KeyError):
@@ -117,18 +107,16 @@ def test_budget_must_be_positive():
 # ----------------------------------------------------------------------
 def test_evict_reasons():
     cache = RowCache()
-    for sid in (1, 2, 3):
+    for sid in (1, 2):
         cache[sid] = _FakeRow(5)
     cache.evict(1, "idle")
-    cache.evict(2, "repair")
-    cache.evict(3, "budget")
-    assert cache.evictions == 3
-    assert (cache.idle_evictions, cache.repair_evictions,
-            cache.budget_evictions) == (1, 1, 1)
+    cache.evict(2, "budget")
+    assert cache.evictions == 2
+    assert (cache.idle_evictions, cache.budget_evictions) == (1, 1)
     assert cache.total_bytes == 0
 
 
-def test_enforce_prefers_unused_then_cheap_then_lru():
+def test_enforce_prefers_unused_then_lru():
     n = 100
     cache = RowCache(budget_bytes=row_nbytes(n))
     # Three rows, one slot: the unused row must go first...
@@ -138,24 +126,19 @@ def test_enforce_prefers_unused_then_cheap_then_lru():
     assert sorted(cache) == [1, 2, 3]
     cache.enforce()
     assert 2 not in cache and cache.total_bytes <= cache.budget_bytes
-    # ... then, among used rows, the cheapest recompute per byte
-    # (early-stopped rows re-settle only their frontier)...
-    cache.clear()
-    cache[1] = _FakeRow(n, used=True, settled_count=5)   # cheap rebuild
-    cache[3] = _FakeRow(n, used=True, full=False, settled_count=5)
-    cache[3].full = False
-    cache[1].full = False
-    cache[4] = _FakeRow(n, used=True)                    # full: costly
-    cache[4].full = True
-    cache.enforce()
-    assert 4 in cache
-    # ... and least-recently-served breaks exact ties.
+    # ... then the least recently served, whatever the row sizes...
     cache.clear()
     cache[5] = _FakeRow(n, used=True)
-    cache[6] = _FakeRow(n, used=True)
-    cache.get(5)  # 6 is now the least recently served
+    cache[6] = _FakeRow(n // 2, used=True)
+    cache.get(6)  # 5 is now the least recently served
     cache.enforce()
-    assert 5 in cache and 6 not in cache
+    assert 6 in cache and 5 not in cache
+    # ... and the stable id breaks exact ties.
+    cache.clear()
+    cache[8] = _FakeRow(n, used=True)
+    cache[7] = _FakeRow(n, used=True)
+    cache.enforce()
+    assert 8 in cache and 7 not in cache
 
 
 def test_enforce_respects_protection_and_counts_overshoot():
@@ -198,7 +181,7 @@ def test_stats_shape():
     stats = cache.stats()
     for key in ("rows", "budget_bytes", "total_bytes", "peak_bytes",
                 "hits", "misses", "evictions", "idle_evictions",
-                "budget_evictions", "repair_evictions", "overshoots"):
+                "budget_evictions", "overshoots"):
         assert key in stats
     assert stats["budget_bytes"] == 12345
 
@@ -219,7 +202,7 @@ def _random_graph(rng, num_nodes=40, edge_probability=0.15):
 
 def _per_row_bytes(graph):
     """Accounted bytes of one cached row of ``graph`` (probe oracle)."""
-    probe = FrozenOracle(graph, patchable=True)
+    probe = FrozenOracle(graph)
     probe.distances_from(0)
     stats = probe.cache_snapshot()
     assert stats["rows"] >= 1
@@ -232,8 +215,8 @@ def test_budgeted_oracle_matches_unbounded_across_patches(seed):
     graph = _random_graph(rng)
     nodes = sorted(graph.nodes())
     budget = 4 * _per_row_bytes(graph)
-    reference = FrozenOracle(graph.copy(), patchable=True)
-    budgeted = FrozenOracle(graph, patchable=True, row_budget_bytes=budget)
+    reference = FrozenOracle(graph.copy())
+    budgeted = FrozenOracle(graph, row_budget_bytes=budget)
     assert budgeted.row_budget_bytes == budget
 
     for _ in range(6):
@@ -274,7 +257,7 @@ def test_budgeted_oracle_matches_unbounded_across_patches(seed):
 def test_unbounded_default_is_plain_dict_behavior():
     rng = random.Random(3)
     graph = _random_graph(rng)
-    oracle = FrozenOracle(graph, patchable=True)
+    oracle = FrozenOracle(graph)
     assert oracle.row_budget_bytes is None
     for s in range(10):
         oracle.distances_from(s)
@@ -287,7 +270,7 @@ def test_rebased_clone_inherits_and_respects_budget():
     rng = random.Random(4)
     graph = _random_graph(rng)
     budget = 3 * _per_row_bytes(graph)
-    oracle = FrozenOracle(graph, patchable=True, row_budget_bytes=budget)
+    oracle = FrozenOracle(graph, row_budget_bytes=budget)
     for s in range(8):
         oracle.distances_from(s)
     changed = {}
@@ -313,7 +296,7 @@ def test_rebased_clone_inherits_and_respects_budget():
 def test_rebased_unbounded_still_copies_every_row():
     rng = random.Random(5)
     graph = _random_graph(rng)
-    oracle = FrozenOracle(graph, patchable=True)
+    oracle = FrozenOracle(graph)
     for s in range(6):
         oracle.distances_from(s)
     before = len(oracle._rows)
@@ -408,7 +391,7 @@ def test_budgeted_controller_matches_unbounded():
     reference = plain.border_matrix()
     # Room for two rows: the border matrix needs one row per border
     # router, so the budget forces evictions mid-build.
-    budget = 2 * row_nbytes(len(domain), settled=True)
+    budget = 2 * row_nbytes(len(domain))
     tight = Controller.for_domain(0, domain, instance.graph,
                                   row_budget_bytes=budget)
     assert tight.border_matrix() == reference
@@ -425,8 +408,7 @@ def test_budgeted_controller_matches_unbounded():
 def _patched_budgeted_oracle():
     """Built rows, a cost patch, a topology patch and a budget eviction."""
     graph = _random_graph(random.Random(6))
-    oracle = FrozenOracle(graph, patchable=True,
-                          row_budget_bytes=3 * _per_row_bytes(graph))
+    oracle = FrozenOracle(graph, row_budget_bytes=3 * _per_row_bytes(graph))
     for s in range(6):
         oracle.distances_from(s)
     u, v, cost = next(iter(graph.edges()))

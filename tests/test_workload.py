@@ -537,8 +537,8 @@ def test_cli_workload_record_replay(tmp_path, capsys):
 
 
 def test_cli_workload_prints_eviction_split(capsys):
-    """The row-cache line prints without a budget, and its idle, budget
-    and repair parts add up to the eviction total."""
+    """The row-cache line prints without a budget, and its idle and
+    budget parts add up to the eviction total."""
     from repro.cli import main
 
     assert main(["workload", "--rate", "0.5", "--horizon", "8",
@@ -550,8 +550,7 @@ def test_cli_workload_prints_eviction_split(capsys):
     fields = {k: int(v) for k, v in re.findall(r"(\w+)=\s*(\d+)", line)}
     assert fields["evictions"] > 0
     assert fields["budget"] == 0
-    assert (fields["idle"] + fields["budget"] + fields["repair"]
-            == fields["evictions"])
+    assert fields["idle"] + fields["budget"] == fields["evictions"]
 
 
 def test_cli_workload_holding_flags_exclusive():
