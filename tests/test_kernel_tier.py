@@ -198,13 +198,17 @@ def test_every_install_path_stores_array_rows(monkeypatch):
 # batched query entry points
 # ----------------------------------------------------------------------
 
-def test_distances_to_matches_scalar():
+@pytest.mark.parametrize("patched", [False, True])
+def test_distances_to_matches_scalar(patched):
     """``distances_to`` returns scalar-loop values AND scalar-loop side
-    effects (query counters, cached row set) in every cache state."""
+    effects (query counters, cached row set) in every cache state.
+    ``patched`` interleaves cost patches, so the batch also reads rows
+    the repairer rewrote in place and the row sets the idle drop left."""
     for trial in range(3):
         rng = random.Random(610 + trial)
         graph = random_graph(rng)
         nodes = list(graph.nodes())
+        edges = [(u, v) for u, v, _ in graph.edges()]
         hot = rng.sample(nodes, 5)
         batched = FrozenOracle(graph.copy(), hot=hot)
         scalar = FrozenOracle(graph.copy(), hot=hot)
@@ -221,8 +225,24 @@ def test_distances_to_matches_scalar():
                 node = rng.choice(nodes)
                 batched.prefetch_rows([node])
                 scalar.prefetch_rows([node])
+            if patched and rng.random() < 0.3:
+                changed = {
+                    (u, v): batched.graph.cost(u, v) * rng.uniform(0.3, 2.5)
+                    for u, v in rng.sample(edges, rng.randint(1, 4))
+                }
+                batched.patch_edge_costs(changed)
+                scalar.patch_edge_costs(changed)
         assert batched._queries == scalar._queries
         assert _row_states(batched) == _row_states(scalar)
+        # The source's own row, gathered, equals a cold rebuild's row bit
+        # for bit (``distance`` may serve from a target's row instead).
+        fresh = FrozenOracle(batched.graph.copy(), hot=hot)
+        for source in rng.sample(nodes, 4):
+            batched.prefetch_rows([source])
+            expected = fresh.distances_from(source)
+            assert batched.distances_to(source, nodes) == [
+                expected[t] for t in nodes
+            ]
 
 
 def test_detour_distances_matches_scalar():

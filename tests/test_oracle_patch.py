@@ -131,21 +131,26 @@ def test_patch_rejects_unknown_edges_atomically():
 # ----------------------------------------------------------------------
 # batch canonicalisation (duplicate orientations)
 # ----------------------------------------------------------------------
-def test_patch_duplicate_orientation_last_write_wins():
+@pytest.mark.parametrize("queried", [True, False])
+def test_patch_duplicate_orientation_last_write_wins(queried):
     """A batch naming one edge in both orientations applies only the last.
 
     The regression: the uncanonicalised batch produced two ``applied``
     entries with the same pre-patch ``old`` cost, double-patched the CSR
     weights and inflated the returned count; when the two new costs
     straddled the old one it even classified a phantom decrease whose
-    cost existed in neither the graph nor the batch's outcome.
+    cost existed in neither the graph nor the batch's outcome.  Without
+    ``queried`` the first batch reaches an unbuilt oracle, which takes
+    the write-through path that never builds a core.
     """
     graph = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
     oracle = FrozenOracle(graph, hot={"a", "b"})
-    assert oracle.distance("a", "c") == 2.0
+    if queried:
+        assert oracle.distance("a", "c") == 2.0
     # Same edge, both orientations: one logical change, last write wins.
     assert oracle.patch_edge_costs({("a", "b"): 5.0, ("b", "a"): 3.0}) == 1
     assert graph.cost("a", "b") == 3.0
+    assert oracle._built == queried
     fresh = FrozenOracle(graph.copy())
     for u in ("a", "b", "c"):
         assert oracle.distances_from(u) == fresh.distances_from(u)
@@ -188,13 +193,15 @@ def test_patch_duplicate_orientation_matches_sequential_patches():
 # ----------------------------------------------------------------------
 # patching an unbuilt oracle (before the first query)
 # ----------------------------------------------------------------------
-def test_patch_before_first_query():
+@pytest.mark.parametrize("batched", [False, True])
+def test_patch_before_first_query(batched):
     """Patches on an unbuilt oracle land in the graph; ``_build`` sees them.
 
     ``patch_edge_costs`` writes the new costs into the graph before the
     ``not self._built`` early-return, so an oracle patched before its
     first query must build over the patched costs and answer exactly
-    like a fresh oracle on the updated graph.
+    like a fresh oracle on the updated graph -- whether the changes come
+    in one ``batched`` patch or one patch each, which must accumulate.
     """
     rng = random.Random(19)
     graph = random_graph(rng)
@@ -203,7 +210,11 @@ def test_patch_before_first_query():
     oracle = FrozenOracle(graph, hot=hot)
     changed = perturb(rng, graph, 6)
     # Every drawn change is real (factors never equal 1.0 here).
-    assert oracle.patch_edge_costs(dict(changed)) == len(changed)
+    if batched:
+        assert oracle.patch_edge_costs(dict(changed)) == len(changed)
+    else:
+        for key, cost in changed.items():
+            assert oracle.patch_edge_costs({key: cost}) == 1
     for (u, v), cost in changed.items():
         assert graph.cost(u, v) == float(cost)
     assert not oracle._built
