@@ -41,7 +41,7 @@ from repro.core.conflict import (
 )
 from repro.core.forest import ServiceOverlayForest
 from repro.core.problem import SOFInstance
-from repro.core.transform import ChainWalk, chain_walk
+from repro.core.transform import ChainWalk, PoolCap, chain_walk
 from repro.core.validation import check_forest
 
 Node = Hashable
@@ -222,7 +222,10 @@ def build_auxiliary_graph(
     The |S| x |M| candidate-chain sweep runs on the instance's shared
     oracle: each source and VM costs one Dijkstra in total, and the
     VM-pair block of every Procedure-1 instance is reused across all
-    pairs (:meth:`SOFInstance.metric_block`).
+    pairs (:meth:`SOFInstance.metric_block`).  One :class:`PoolCap` per
+    source caps the VM pools of all its pairs, so the pool-cap scores
+    of a source's last VMs come from one numpy block; each pair's
+    ``chain_walk`` receives its capped pool as ``candidate_vms``.
     """
     if instance.oracle.contracted is not None:
         # Continuous-cost instance: shortest-path ties are measure-zero,
@@ -245,11 +248,15 @@ def build_auxiliary_graph(
         aux.add_edge(_VSRC, _src_dup(v), 0.0)
     for u in sorted(instance.vms, key=repr):
         aux.add_edge(u, _vm_dup(u), 0.0)
+    vms = instance.sorted_vms()
     for v in sorted(instance.sources, key=repr):
-        for u in sorted(instance.vms, key=repr):
-            if u == v:
-                continue
-            cw = chain_walk(instance, v, u, kstroll_method=kstroll_method)
+        last_vms = [u for u in vms if u != v]
+        caps = PoolCap(instance, v, last_vms)
+        for u in last_vms:
+            cw = chain_walk(
+                instance, v, u, candidate_vms=caps.select(u),
+                kstroll_method=kstroll_method,
+            )
             if cw is None:
                 continue
             key = (_src_dup(v), _vm_dup(u))

@@ -19,7 +19,7 @@ The Appendix-D variant (nonzero source setup cost) is supported through the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -180,6 +180,109 @@ class ChainWalk:
 POOL_CAP = 24
 
 
+class PoolCap:
+    """Procedure 2's pool cap for one source across a run of last VMs.
+
+    A pair ``(source, u)`` whose VM pool holds more than ``pool_cap``
+    candidates keeps only the ``pool_cap`` with the lowest corridor
+    detour ``(d(s, m) + setup(m)) + d(u, m)``, ties in pool order: the
+    repr order of the candidates (``instance.sorted_vms()`` when
+    ``candidate_vms`` is ``None``), without ``s`` and ``u``.
+
+    :meth:`select` caps one pair.  Its distances come through the
+    oracle's row-serving gate (:meth:`FrozenOracle.detour_distances`):
+    when the gate refuses, the pair runs the scalar ``distance`` loop;
+    otherwise its scores are one row of a block covering the run's
+    remaining last VMs -- the source row plus the setup vector,
+    broadcast against the last VMs' rows -- and one stable argsort of
+    that row ranks them, so a pair's own interpreter work is bounded by
+    ``pool_cap``, not by the pool.  The stable argsort of a whole row,
+    with ``u`` dropped afterwards, orders the pool exactly as sorting
+    the pair's own list would, ``inf`` scores of unreachable VMs tying
+    in pool order.
+    """
+
+    def __init__(
+        self,
+        instance: SOFInstance,
+        source: Node,
+        last_vms: Sequence[Node],
+        candidate_vms: Optional[Iterable[Node]] = None,
+        setup_costs: Optional[Dict[Node, float]] = None,
+        pool_cap: int = POOL_CAP,
+    ) -> None:
+        if candidate_vms is None:
+            pool = [m for m in instance.sorted_vms() if m != source]
+        else:
+            wanted = set(candidate_vms)
+            wanted.discard(source)
+            # Deterministic sweep order: a set's hash-salted iteration
+            # order would leak PYTHONHASHSEED into oracle query order
+            # (hence row-install order and equal-score tie-breaks).
+            pool = sorted(wanted, key=repr)
+        self._instance = instance
+        self._source = source
+        self._last_vms = list(last_vms)
+        self._position = {u: i for i, u in enumerate(self._last_vms)}
+        self._pool = pool
+        self._column = {m: k for k, m in enumerate(pool)}
+        self._cap = pool_cap
+        # ``setup_cost`` is exactly ``node_costs.get(node, 0.0)``.
+        node_cost = instance.node_costs.get
+        self._setups = [
+            setup_costs.get(m, node_cost(m, 0.0)) if setup_costs is not None
+            else node_cost(m, 0.0)
+            for m in pool
+        ]
+        self._block = None
+        self._db: Optional[np.ndarray] = None
+        self._scores: Optional[np.ndarray] = None
+
+    def select(self, last_vm: Node) -> Optional[Set[Node]]:
+        """The capped pool of ``(source, last_vm)``, ``last_vm`` one of
+        the run's last VMs; ``None`` when the pool fits the cap."""
+        cap = self._cap
+        column = self._column.get(last_vm)
+        if not (cap and len(self._pool) - (column is not None) > cap):
+            return None
+        block = self._block
+        if block is None:
+            block = self._block = self._instance.oracle.detour_distances(
+                self._source, self._last_vms, self._pool
+            )
+        served = block.serve(self._position[last_vm])
+        if served is None:
+            return self._select_scalar(last_vm)
+        da, db, j = served
+        if db is not self._db:
+            # Elementwise IEEE doubles in the scalar loop's association,
+            # ``(d1 + setup) + d2``, so scores are bit-identical.
+            self._db = db
+            self._scores = (da + np.asarray(self._setups)) + db
+        order = np.argsort(self._scores[j], kind="stable")[:cap + 1].tolist()
+        kept = [k for k in order if k != column][:cap]
+        pool = self._pool
+        return {pool[k] for k in kept}
+
+    def _select_scalar(self, last_vm: Node) -> Set[Node]:
+        """The cap through per-candidate ``distance`` calls."""
+        distance = self._instance.oracle.distance
+        source = self._source
+
+        def detour(item: Tuple[Node, float]) -> float:
+            """Corridor detour score of a candidate intermediate VM."""
+            m, setup = item
+            # Query from the endpoints so only two Dijkstras are cached.
+            return distance(source, m) + setup + distance(last_vm, m)
+
+        ranked = sorted(
+            (item for item in zip(self._pool, self._setups)
+             if item[0] != last_vm),
+            key=detour,
+        )
+        return {m for m, _ in ranked[:self._cap]}
+
+
 def chain_walk(
     instance: SOFInstance,
     source: Node,
@@ -200,7 +303,10 @@ def chain_walk(
     with the lowest detour ``d(s, m) + setup(m) + d(m, u)`` are kept: a
     cheap walk never strays far from the source--last-VM corridor, so the
     restriction is empirically lossless while bounding the k-stroll cost
-    independently of ``|M|``.
+    independently of ``|M|``.  The cap runs through a one-pair
+    :class:`PoolCap`; Procedure 3's sweep caps all the pairs of a source
+    through one :class:`PoolCap` instead and hands each pair its capped
+    pool as ``candidate_vms``.
     """
     chain_len = num_vms if num_vms is not None else len(instance.chain)
     if chain_len < 1:
@@ -211,47 +317,11 @@ def chain_walk(
     pool.discard(source)
     pool.discard(last_vm)
     if pool_cap and len(pool) > pool_cap:
-        oracle = instance.oracle
-        # Deterministic sweep order: a bare ``list(pool)`` follows the
-        # set's hash-salted iteration order, which leaks PYTHONHASHSEED
-        # into oracle query order (hence row-install order and equal-score
-        # tie-breaks) and makes runs irreproducible across processes.
-        pool_list = sorted(pool, key=repr)
-        # One gather per endpoint row instead of 2|pool| scalar reads.
-        # ``detour_distances`` only answers when both rows are cached and
-        # already serve every candidate (returning None -- side-effect
-        # free -- otherwise), so cache evolution and scores are identical
-        # to the scalar loop below.
-        batch = oracle.detour_distances(source, last_vm, pool_list)
-        if batch is not None:
-            da, db = batch
-            # ``setup_cost`` is exactly ``node_costs.get(node, 0.0)``;
-            # binding the dict lookup keeps the per-candidate method-call
-            # overhead out of this |pool|-sized comprehension.
-            ncg = instance.node_costs.get
-            setups = (
-                [setup_costs.get(m, ncg(m, 0.0)) for m in pool_list]
-                if setup_costs is not None
-                else [ncg(m, 0.0) for m in pool_list]
-            )
-            # Elementwise IEEE doubles in the scalar loop's association,
-            # ``(d1 + setup) + d2``, so scores are bit-identical; the
-            # stable argsort reproduces ``sorted``'s tie-breaks (list
-            # order) exactly.
-            scores = (np.asarray(da) + np.asarray(setups)) + np.asarray(db)
-            keep = np.argsort(scores, kind="stable")[:pool_cap]
-            pool = {pool_list[i] for i in keep}
-        else:
-            def detour(m: Node) -> float:
-                """Corridor detour score of a candidate intermediate VM."""
-                setup = (
-                    setup_costs.get(m, instance.setup_cost(m))
-                    if setup_costs is not None else instance.setup_cost(m)
-                )
-                # Query from the endpoints so only two Dijkstras are cached.
-                return oracle.distance(source, m) + setup + oracle.distance(last_vm, m)
-
-            pool = set(sorted(pool_list, key=detour)[:pool_cap])
+        pool = PoolCap(
+            instance, source, [last_vm],
+            candidate_vms=None if candidate_vms is None else pool,
+            setup_costs=setup_costs, pool_cap=pool_cap,
+        ).select(last_vm)
     kinst = build_kstroll_instance(
         instance,
         source,

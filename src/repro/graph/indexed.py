@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
 from itertools import accumulate
 from operator import itemgetter
 from typing import (
@@ -748,10 +747,11 @@ class FrozenOracle:
         #: differ.
         self._rows: RowCache = RowCache(row_budget_bytes)
         self._slow_rows: Dict[Node, Tuple[Dict[Node, float], Dict[Node, Node]]] = {}
-        #: Per-node query counters.  A ``Counter`` rather than a plain
-        #: dict so the batched entry points can bump a whole target list
-        #: with one C-speed ``update`` -- reads stay dict-compatible.
-        self._queries: Counter = Counter()
+        #: Per-node query counters of the uncontracted core, indexed by
+        #: node id (see :meth:`_reset_queries`).  An ``array('q')`` so
+        #: the batched entry points bump a whole target list through one
+        #: numpy view; the contracted core counts nothing.
+        self._queries = array("q")
         self._paths: Dict[Tuple[Node, Node], List[Node]] = {}
 
     @property
@@ -799,6 +799,7 @@ class FrozenOracle:
                 self._contracted = contracted
         if self._contracted is None:
             self._core = IndexedGraph.from_graph(self._graph)
+            self._reset_queries()
         self._built = True
         if mx:
             mx.span(
@@ -811,8 +812,18 @@ class FrozenOracle:
         """The uncontracted interned core (built on demand)."""
         if self._core is None:
             self._core = IndexedGraph.from_graph(self._graph)
+            self._reset_queries()
             self._built = True
         return self._core
+
+    def _reset_queries(self) -> None:
+        """Zero the query counters: one per node of the uncontracted core.
+
+        Called wherever the core is (re)built and wherever a rebuild
+        would start counting afresh (every patch).
+        """
+        size = len(self._core) if self._core is not None else 0
+        self._queries = array("q", bytes(8 * size))
 
     @property
     def contracted(self) -> Optional[_ContractedCore]:
@@ -849,7 +860,7 @@ class FrozenOracle:
                 else:
                     row.used = True
             for cid in missing:
-                self._row(cid)
+                self._build_row(cid)
             return
         index = self.core.index
         missing = []
@@ -888,7 +899,7 @@ class FrozenOracle:
         self._tombstones.clear()
         self._rows.clear()
         self._slow_rows.clear()
-        self._queries.clear()
+        self._reset_queries()
         self._paths.clear()
 
     # ------------------------------------------------------------------
@@ -953,7 +964,7 @@ class FrozenOracle:
         t0 = mx.clock() if mx else 0.0
         self._slow_rows.clear()
         self._paths.clear()
-        self._queries.clear()
+        self._reset_queries()
         if self._core is not None:
             index = self._core.index
             self._core.patch_edges(
@@ -1078,7 +1089,7 @@ class FrozenOracle:
             self._tombstones.discard(key)
         self._slow_rows.clear()
         self._paths.clear()
-        self._queries.clear()
+        self._reset_queries()
         if self._core is not None:
             index = self._core.index
             self._core.remove_edges(
@@ -1206,6 +1217,7 @@ class FrozenOracle:
             clone._tombstones = set(self._tombstones)
             if self._core is not None:
                 clone._core = self._core.clone()
+                clone._reset_queries()
             if self._contracted is not None:
                 clone._contracted = self._contracted.clone()
             if self._rows.budget_bytes is None:
@@ -1295,7 +1307,7 @@ class FrozenOracle:
                 if row is not None:
                     row.used = True
                     return row.dist[source_id]
-                row = self._row(source_id)
+                row = self._build_row(source_id)
             row.used = True
             return row.dist[tid]
 
@@ -1306,8 +1318,8 @@ class FrozenOracle:
         if tid is None:
             return INF
         queries = self._queries
-        queries[source_id] = queries.get(source_id, 0) + 1
-        queries[tid] = queries.get(tid, 0) + 1
+        queries[source_id] += 1
+        queries[tid] += 1
         rows = self._rows
         row = rows.get(source_id)
         if row is None:
@@ -1320,7 +1332,7 @@ class FrozenOracle:
             su, sv = source in hot, target in hot
             if sv and not su:
                 source_id, tid = tid, source_id
-            elif su == sv and queries.get(tid, 0) > queries.get(source_id, 0):
+            elif su == sv and queries[tid] > queries[source_id]:
                 source_id, tid = tid, source_id
             return self._build_row(source_id).dist[tid]
         row.used = True
@@ -1357,16 +1369,24 @@ class FrozenOracle:
             return []
         self._build()
         contracted = self._contracted
+        mx = self._metrics
         if contracted is not None:
             index = contracted.index
             source_id = index.get(source)
             row = self._rows.get(source_id) if source_id is not None else None
             if row is None:
+                if mx:
+                    mx.inc("oracle.fallback", site="distances_to",
+                           reason="endpoint_missing" if source_id is None
+                           else "row_not_cached")
                 return [self.distance(source, t) for t in targets]
             tids = _target_ids(index, targets)
             if tids is None:
                 # A contracted-away target takes the exact slow path;
                 # keep the whole batch on per-query serving.
+                if mx:
+                    mx.inc("oracle.fallback", site="distances_to",
+                           reason="target_missing")
                 return [self.distance(source, t) for t in targets]
             row.used = True
             tid_arr = np.fromiter(tids, np.int64, len(tids))
@@ -1376,6 +1396,9 @@ class FrozenOracle:
         source_id = index[source]
         row = self._rows.get(source_id)
         if row is None:
+            if mx:
+                mx.inc("oracle.fallback", site="distances_to",
+                       reason="row_not_cached")
             return [self.distance(source, t) for t in targets]
         tids = _target_ids(index, targets)
         if tids is None:
@@ -1386,9 +1409,8 @@ class FrozenOracle:
         if not present:
             return [INF] * len(targets)
         tid_arr = np.fromiter(present, np.int64, len(present))
-        queries = self._queries
-        queries[source_id] = queries.get(source_id, 0) + len(present)
-        queries.update(present)
+        self._queries[source_id] += len(present)
+        np.add.at(np.frombuffer(self._queries, np.int64), tid_arr, 1)
         row.used = True
         vals = kernel.f8_view(row.dist)[tid_arr].tolist()
         if len(present) == len(tids):
@@ -1404,100 +1426,20 @@ class FrozenOracle:
         return out
 
     def detour_distances(
-        self, a: Node, b: Node, targets: Sequence[Node]
-    ) -> Optional[Tuple[List[float], List[float]]]:
-        """Batched ``d(a, m)`` and ``d(b, m)`` for corridor-detour scans.
+        self, source: Node, last_vms: Sequence[Node], targets: Sequence[Node]
+    ) -> "DetourBlock":
+        """Batched ``d(source, t)`` and ``d(u, t)`` for corridor-detour scans.
 
-        The batch entry point for Procedure 2's pool-cap filter, which
-        scores every candidate VM against both corridor endpoints.
-        Returns ``(da, db)`` aligned with ``targets`` -- two zero-copy
-        numpy gathers over the endpoint rows' ``dist`` buffers -- when
-        both endpoints have cached rows, replicating exactly
-        the side effects ``2 * len(targets)`` scalar ``distance`` calls
-        would have (counters: +1 per endpoint per served target, +2 per
-        target; ``used`` marks; ``inf`` and no counters for targets
-        absent from the graph).  Returns ``None`` -- with **no** side
-        effects -- whenever any scalar call would have computed or
-        rev-served a row, so callers fall back to the legacy loop and
-        the oracle's cache evolves identically either way.
+        The batch entry point of Procedure 2's pool cap, which scores
+        every candidate VM ``t`` in ``targets`` (distinct) against both
+        corridor endpoints: ``source`` and, pair by pair, each last VM
+        ``u`` of ``last_vms``.  The returned :class:`DetourBlock` gates
+        and serves the pairs one at a time, in the caller's order,
+        exactly as the scalar ``distance`` loop of each pair would be
+        served and counted; the distances of a whole run of pairs come
+        from one gather.
         """
-        mx = self._metrics
-        if not mx:
-            return self._detour_distances_impl(a, b, targets)
-        t0 = mx.clock()
-        out = self._detour_distances_impl(a, b, targets)
-        if out is not None:
-            mx.span("oracle.query", t0, op="detour_distances",
-                    trace_args={"targets": len(out[0])})
-        return out
-
-    def _detour_distances_impl(
-        self, a: Node, b: Node, targets: Sequence[Node]
-    ) -> Optional[Tuple[List[float], List[float]]]:
-        targets = list(targets)
-        if not targets:
-            return [], []
-        self._build()
-        contracted = self._contracted
-        if contracted is not None:
-            index = contracted.index
-            aid = index.get(a)
-            bid = index.get(b)
-            if aid is None or bid is None:
-                return None
-            arow = self._rows.get(aid)
-            brow = self._rows.get(bid)
-            if arow is None or brow is None:
-                return None
-            tids = _target_ids(index, targets)
-            if tids is None:
-                return None
-            arow.used = True
-            brow.used = True
-            tid_arr = np.fromiter(tids, np.int64, len(tids))
-            return (kernel.f8_view(arow.dist)[tid_arr].tolist(),
-                    kernel.f8_view(brow.dist)[tid_arr].tolist())
-        core = self.core
-        index = core.index
-        if a not in index or b not in index:
-            return None
-        aid = index[a]
-        bid = index[b]
-        arow = self._rows.get(aid)
-        brow = self._rows.get(bid)
-        if arow is None or brow is None:
-            return None
-        tids = _target_ids(index, targets)
-        if tids is None:
-            tids = [index.get(t) for t in targets]
-            present = [tid for tid in tids if tid is not None]
-        else:
-            present = tids
-        tid_arr = np.fromiter(present, np.int64, len(present))
-        queries = self._queries
-        npres = len(present)
-        queries[aid] = queries.get(aid, 0) + npres
-        queries[bid] = queries.get(bid, 0) + npres
-        queries.update(present)
-        queries.update(present)
-        arow.used = True
-        brow.used = True
-        da = kernel.f8_view(arow.dist)[tid_arr].tolist()
-        db = kernel.f8_view(brow.dist)[tid_arr].tolist()
-        if npres != len(tids):
-            fa: List[float] = []
-            fb: List[float] = []
-            k = 0
-            for tid in tids:
-                if tid is None:
-                    fa.append(INF)
-                    fb.append(INF)
-                else:
-                    fa.append(da[k])
-                    fb.append(db[k])
-                    k += 1
-            da, db = fa, fb
-        return da, db
+        return DetourBlock(self, source, last_vms, targets)
 
     def path(self, source: Node, target: Node) -> List[Node]:
         """A shortest path as a node list; raises if unreachable."""
@@ -1538,7 +1480,7 @@ class FrozenOracle:
                     chain.reverse()
                     out = contracted.expand(chain)
                 else:
-                    row = self._row(source_id)
+                    row = self._build_row(source_id)
                     if row.dist[tid] == INF:
                         raise ValueError(
                             f"no path from {source!r} to {target!r}"
@@ -1663,3 +1605,141 @@ class FrozenOracle:
         return {
             nodes[i]: d for i, d in enumerate(row.dist) if d != INF
         }
+
+
+class DetourBlock:
+    """Pool-cap distances of one source against a run of last VMs.
+
+    Made by :meth:`FrozenOracle.detour_distances`.  Pair ``i`` stands
+    for the scalar loop of Procedure 2's pool cap: ``distance(source,
+    t)`` and ``distance(last_vms[i], t)`` for every target ``t`` other
+    than ``last_vms[i]``.  :meth:`serve` is the pair's row-serving
+    gate.  It answers only when both endpoint rows are cached -- the
+    rows that loop would serve every target from -- and every target
+    is in the core, and then leaves exactly the loop's side effects:
+    the two counted row-store lookups, both ``used`` marks and the
+    query counters (+1 per endpoint per target, +2 per target).
+    Otherwise it returns ``None`` after the lookups alone, and the
+    caller runs the loop.
+
+    The distances come from a gather that counts nothing: at the first
+    pair whose gate passes, ``d(source, t)`` and ``d(u, t)`` for that
+    pair and every later last VM ``u`` with a cached row are read into
+    one block.  A pair is served from the block only when its gate
+    returns the very rows the block read; otherwise (a row not cached
+    when the block was read, or evicted and rebuilt since under a
+    budget) the block is regathered from that pair on.
+    """
+
+    __slots__ = (
+        "_oracle", "_source_id", "_last_ids", "_tids", "_present",
+        "_source_row", "_gathered", "_slots", "_da", "_db",
+    )
+
+    def __init__(
+        self,
+        oracle: FrozenOracle,
+        source: Node,
+        last_vms: Sequence[Node],
+        targets: Sequence[Node],
+    ) -> None:
+        oracle._build()
+        contracted = oracle._contracted
+        index = contracted.index if contracted is not None else oracle.core.index
+        targets = list(targets)
+        self._oracle = oracle
+        self._source_id = index.get(source)
+        self._last_ids = [index.get(u) for u in last_vms]
+        tids = _target_ids(index, targets) if targets else []
+        #: ``None`` when a target is not in the core (contracted away,
+        #: or not in the graph): the scalar loop serves it on its exact
+        #: per-target path, so every gate fails.
+        self._tids = (
+            None if tids is None else np.fromiter(tids, np.int64, len(tids))
+        )
+        #: The target ids, whose query counters a served pair bumps;
+        #: ``None`` on the contracted core, which counts no queries.
+        self._present = (
+            set(tids) if tids is not None and contracted is None else None
+        )
+        self._source_row: Optional[_Row] = None
+        self._gathered: List[_Row] = []
+        self._slots: Dict[int, int] = {}
+        self._da: Optional[np.ndarray] = None
+        self._db: Optional[np.ndarray] = None
+
+    def serve(self, i: int) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+        """Gate pair ``i``: its distances, or ``None`` to fall back.
+
+        Returns ``(da, db, j)``, where ``da[k]`` is ``d(source,
+        targets[k])`` and ``db[j, k]`` is ``d(last_vms[i], targets[k])``.
+        Every pair served from one gather gets the same ``da`` and ``db``
+        arrays.
+        """
+        oracle = self._oracle
+        mx = oracle._metrics
+        t0 = mx.clock() if mx else 0.0
+        source_id = self._source_id
+        last_id = self._last_ids[i]
+        if source_id is None or last_id is None:
+            if mx:
+                mx.inc("oracle.fallback", site="detour_distances",
+                       reason="endpoint_missing")
+            return None
+        rows = oracle._rows
+        source_row = rows.get(source_id)
+        last_row = rows.get(last_id)
+        if source_row is None or last_row is None:
+            if mx:
+                mx.inc("oracle.fallback", site="detour_distances",
+                       reason="row_not_cached")
+            return None
+        tids = self._tids
+        if tids is None:
+            if mx:
+                mx.inc("oracle.fallback", site="detour_distances",
+                       reason="target_missing")
+            return None
+        source_row.used = True
+        last_row.used = True
+        present = self._present
+        if present is not None:
+            own = last_id in present
+            served = len(tids) - own
+            queries = oracle._queries
+            np.frombuffer(queries, np.int64)[tids] += 2
+            queries[source_id] += served
+            queries[last_id] += served - 2 * own
+        j = self._slots.get(i)
+        if (
+            j is None or source_row is not self._source_row
+            or self._gathered[j] is not last_row
+        ):
+            self._gather(i, source_row)
+            j = self._slots[i]
+        if mx:
+            mx.span("oracle.query", t0, op="detour_distances",
+                    trace_args={"targets": len(tids)})
+        return self._da, self._db, j
+
+    def _gather(self, first: int, source_row: _Row) -> None:
+        """Read the source row and every cached row from pair ``first`` on."""
+        peek = self._oracle._rows.peek
+        last_ids = self._last_ids
+        gathered: List[_Row] = []
+        slots: Dict[int, int] = {}
+        for i in range(first, len(last_ids)):
+            row = peek(last_ids[i])
+            if row is not None:
+                slots[i] = len(gathered)
+                gathered.append(row)
+        tids = self._tids
+        da = kernel.f8_view(source_row.dist)[tids]
+        db = np.empty((len(gathered), len(tids)))
+        for j, row in enumerate(gathered):
+            db[j] = kernel.f8_view(row.dist)[tids]
+        self._source_row = source_row
+        self._gathered = gathered
+        self._slots = slots
+        self._da = da
+        self._db = db

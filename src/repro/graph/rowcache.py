@@ -178,6 +178,14 @@ class RowCache(dict):
                 self._served[source_id] = self._tick
         return row
 
+    def peek(self, source_id):
+        """Dict ``get`` that counts nothing: no hit, miss or recency tick.
+
+        For batch gathers that read rows a counted :meth:`get` has
+        already looked up, or will look up when the row is served.
+        """
+        return dict.get(self, source_id)
+
     # ------------------------------------------------------------------
     # eviction (the one code path for every drop policy)
     # ------------------------------------------------------------------

@@ -43,6 +43,23 @@ dropped version 1's tree-edge index size key and gauge, together with
 the index itself.  Version 3 dropped ``repair_evictions`` and its gauge:
 every cached row runs to exhaustion, so a patch repairs every live row
 and evicts none for its kind.
+
+Batch-query fallbacks (``oracle.fallback``)
+-------------------------------------------
+
+``FrozenOracle``'s batch queries answer through a row-serving gate and
+otherwise run the scalar ``distance`` loop.  Each refusal counts once
+as ``oracle.fallback{site,reason}``:
+
+==========  ==============================================================
+label       values
+==========  ==============================================================
+``site``    ``"distances_to"`` | ``"detour_distances"`` (the pool-cap gate,
+            one count per refused ``(source, last VM)`` pair)
+``reason``  ``"row_not_cached"`` (a row the batch reads is not cached),
+            ``"target_missing"`` (a target is not in the core),
+            ``"endpoint_missing"`` (an endpoint is not in the core)
+==========  ==============================================================
 """
 
 from repro.obs.metrics import (

@@ -245,56 +245,98 @@ def test_distances_to_matches_scalar(patched):
             ]
 
 
+def _detour_scalar(oracle, a, u, targets):
+    """Pair ``(a, u)``'s scalar loop: both distances per target but ``u``."""
+    da, du = [], []
+    for m in targets:
+        if m != u:
+            da.append(oracle.distance(a, m))
+            du.append(oracle.distance(u, m))
+    return da, du
+
+
+def _lookups(oracle):
+    return oracle._rows.hits + oracle._rows.misses
+
+
+def _used(oracle):
+    return {sid: row.used for sid, row in oracle._rows.items()}
+
+
 def test_detour_distances_matches_scalar():
-    """``detour_distances`` either answers with scalar values + scalar
-    side effects, or returns ``None`` leaving the oracle untouched."""
+    """Each pair of a ``detour_distances`` block either answers with the
+    scalar loop's values and side effects (query counters, cached rows,
+    ``used`` marks) plus exactly two row-store lookups, or returns
+    ``None`` after those two lookups and nothing else.  Blocks run one
+    source against one or several last VMs, some of which are targets
+    too; cost patches between pairs clear the ``used`` marks."""
     for trial in range(3):
         rng = random.Random(910 + trial)
         graph = random_graph(rng)
         nodes = list(graph.nodes())
+        edges = [(u, v) for u, v, _ in graph.edges()]
         batched = FrozenOracle(graph.copy())
         scalar = FrozenOracle(graph.copy())
         answered = 0
         for round_index in range(30):
-            a, b = rng.sample(nodes, 2)
-            targets = rng.sample(nodes, rng.randint(1, 8))
+            a, *lasts = rng.sample(nodes, rng.randint(2, 5))
+            targets = rng.sample([n for n in nodes if n != a],
+                                 rng.randint(2, 8))
             if rng.random() < 0.2:
                 targets.append(("ghost", rng.randint(0, 5)))
                 rng.shuffle(targets)
-            before_queries = dict(batched._queries)
-            before_rows = _row_states(batched)
-            got = batched.detour_distances(a, b, targets)
-            if got is None:
-                # Refusal must be side-effect free.
-                assert batched._queries == before_queries
-                assert _row_states(batched) == before_rows
-                for m in targets:  # keep both caches in lockstep
-                    batched.distance(a, m)
-                    batched.distance(b, m)
-            else:
-                answered += 1
-                da, db = got
-                assert da == [scalar.distance(a, m) for m in targets]
-                assert db == [scalar.distance(b, m) for m in targets]
-                continue  # scalar side already queried below
-            for m in targets:
-                scalar.distance(a, m)
-                scalar.distance(b, m)
-            if rng.random() < 0.4:
-                pair = rng.sample(nodes, 2)
-                batched.prefetch_rows(pair)
-                scalar.prefetch_rows(pair)
+            block = batched.detour_distances(a, lasts, targets)
+            for i, u in enumerate(lasts):
+                before_queries = array("q", batched._queries)
+                before_rows = _row_states(batched)
+                before_lookups = _lookups(batched)
+                got = block.serve(i)
+                assert _lookups(batched) == before_lookups + 2
+                want = _detour_scalar(scalar, a, u, targets)
+                if got is None:
+                    # Refusal leaves nothing but the two lookups.
+                    assert batched._queries == before_queries
+                    assert _row_states(batched) == before_rows
+                    _detour_scalar(batched, a, u, targets)  # lockstep
+                else:
+                    answered += 1
+                    da, db, j = got
+                    keep = [k for k, t in enumerate(targets) if t != u]
+                    assert da[keep].tolist() == want[0]
+                    assert db[j, keep].tolist() == want[1]
+                assert batched._queries == scalar._queries
+                assert _used(batched) == _used(scalar)
+                if rng.random() < 0.3:
+                    pair = rng.sample(nodes, 2)
+                    batched.prefetch_rows(pair)
+                    scalar.prefetch_rows(pair)
+                if rng.random() < 0.2:
+                    changed = {
+                        (u, v): batched.graph.cost(u, v) * rng.uniform(0.5, 2)
+                        for u, v in rng.sample(edges, 2)
+                    }
+                    batched.patch_edge_costs(changed)
+                    scalar.patch_edge_costs(changed)
+        assert answered
+        # Warm the source and every last VM: every pair must engage,
+        # and all of them are served from one gather.
+        a, *lasts = rng.sample(nodes, 6)
+        batched.prefetch_rows([a] + lasts)
+        scalar.prefetch_rows([a] + lasts)
+        targets = [n for n in nodes if n != a]
+        block = batched.detour_distances(a, lasts, targets)
+        blocks = set()
+        for i, u in enumerate(lasts):
+            got = block.serve(i)
+            assert got is not None
+            da, db, j = got
+            blocks.add(id(db))
+            want = _detour_scalar(scalar, a, u, targets)
+            keep = [k for k, t in enumerate(targets) if t != u]
+            assert da[keep].tolist() == want[0]
+            assert db[j, keep].tolist() == want[1]
             assert batched._queries == scalar._queries
-        # Warm both endpoint rows explicitly: the fast path must engage.
-        a, b = rng.sample(nodes, 2)
-        batched.prefetch_rows([a, b])
-        scalar.prefetch_rows([a, b])
-        got = batched.detour_distances(a, b, nodes)
-        assert got is not None
-        da, db = got
-        assert da == [scalar.distance(a, m) for m in nodes]
-        assert db == [scalar.distance(b, m) for m in nodes]
-        assert batched._queries == scalar._queries
+        assert len(blocks) == 1
 
 
 # ----------------------------------------------------------------------

@@ -310,6 +310,53 @@ def test_churn_bit_identical_with_metrics_on():
     )
 
 
+def test_churn_counts_batch_query_fallbacks(monkeypatch):
+    """A metered churn run counts every scalar fallback of the batch
+    query gates as ``oracle.fallback{site,reason}``, and the replay stays
+    bit-identical to the metrics-off run.  The pool-cap gate's count
+    equals the refusals a spy on ``DetourBlock.serve`` sees (the first
+    pair of every swept source: its row is not cached yet)."""
+    from repro.graph.indexed import DetourBlock
+
+    serve = DetourBlock.serve
+    refused = []
+
+    def spy(self, i):
+        out = serve(self, i)
+        if out is None:
+            refused.append(i)
+        return out
+
+    monkeypatch.setattr(DetourBlock, "serve", spy)
+    plain, plain_sim = _churn_run(metrics=None)
+    plain_refused = len(refused)
+    recorder = Recorder(registry=MetricsRegistry())
+    metered, metered_sim = _churn_run(metrics=recorder)
+    assert len(refused) == 2 * plain_refused > 0
+
+    assert metered.per_request_cost == plain.per_request_cost
+    assert metered.accepted == plain.accepted
+    assert metered.rerouted == plain.rerouted
+    assert _row_states(metered_sim._oracle) == _row_states(plain_sim._oracle)
+    assert metered_sim._oracle._queries == plain_sim._oracle._queries
+    assert metered_sim.cache_snapshot() == plain_sim.cache_snapshot()
+
+    counters = recorder.snapshot()["counters"]
+    fallbacks = {
+        key: value for key, value in counters.items()
+        if key.startswith("oracle.fallback")
+    }
+    assert fallbacks["oracle.fallback{reason=row_not_cached,"
+                     "site=detour_distances}"] == plain_refused
+    assert fallbacks["oracle.fallback{reason=row_not_cached,"
+                     "site=distances_to}"] > 0
+    assert set(fallbacks) <= {
+        f"oracle.fallback{{reason={reason},site={site}}}"
+        for reason in ("row_not_cached", "target_missing", "endpoint_missing")
+        for site in ("detour_distances", "distances_to")
+    }
+
+
 def test_churn_span_totals_reconcile_with_histograms(tmp_path):
     recorder = Recorder(registry=MetricsRegistry(), tracer=SpanTracer())
     _churn_run(metrics=recorder)

@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from repro import ServiceChain, sofda
-from repro.graph import FrozenOracle, Graph, RowCache
+from repro.graph import FrozenOracle, Graph, RowCache, indexed
 from repro.graph.rowcache import ROW_OVERHEAD_BYTES, row_nbytes
 from repro.graph.shortest_paths import DistanceOracle
 from repro.online import OnlineSimulator, RequestGenerator
@@ -93,6 +93,41 @@ def test_get_counts_hits_and_misses():
     budgeted[1] = _FakeRow(5)
     budgeted.get(1)
     assert budgeted._served[1] == 1
+
+
+def test_peek_counts_nothing():
+    cache = RowCache(budget_bytes=10 ** 6)
+    row = _FakeRow(5)
+    cache[1] = row
+    assert cache.peek(1) is row
+    assert cache.peek(9) is None
+    assert cache.hits == 0 and cache.misses == 0
+    assert not cache._served
+
+
+def test_contracted_cold_queries_miss_once_per_lookup(monkeypatch):
+    """On the contracted core a cold ``distance`` or ``path`` counts the
+    misses of its two endpoint lookups and builds the row without a
+    third lookup; ``prefetch_rows`` counts one miss per missing row."""
+    monkeypatch.setattr(indexed, "CONTRACT_MIN_INTERIOR", 1)
+    graph = Graph()
+    for i in range(20):  # a path of relays with a few chords
+        graph.add_edge(i, i + 1, 1.0 + 0.01 * i)
+    for a, b in ((0, 7), (4, 13), (9, 18)):
+        graph.add_edge(a, b, 3.0 + 0.1 * a)
+    hot = [0, 5, 10, 15, 20]
+    oracle = FrozenOracle(graph, hot=hot)
+    assert oracle.contracted is not None
+    rows = oracle._rows
+    for query, misses in (
+        (lambda: oracle.distance(0, 10), 2),
+        (lambda: oracle.path(5, 15), 2),
+        (lambda: oracle.prefetch_rows([20]), 1),
+    ):
+        before, built = rows.misses, len(rows)
+        query()
+        assert rows.misses - before == misses
+        assert len(rows) == built + 1
 
 
 def test_budget_must_be_positive():
