@@ -382,11 +382,10 @@ def reroute_congested_link(
         raise DynamicError(f"({u!r}, {v!r}) is not a link")
     graph = instance.graph.copy()
     if instance._oracle is not None:
-        # Only the one link's cost changes, so the new instance's oracle
-        # is the old one rebased onto the copy (patched weights + every
-        # cached row the change cannot affect) instead of a cold rebuild.
-        # The clone keeps the parent oracle's knobs and repairs its
-        # copied rows through the oracle's one repair engine.
+        # The new instance's oracle is the old one rebased onto the copy:
+        # an unbuilt clone that keeps the parent oracle's hot set, row
+        # budget and recorder, and builds its rows on demand from the
+        # patched costs.  The original oracle is left untouched.
         new_oracle = instance._oracle.rebased(graph, {(u, v): new_cost})
     else:
         graph.add_edge(u, v, new_cost)

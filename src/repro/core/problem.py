@@ -15,6 +15,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.graph import FrozenOracle, Graph
+from repro.graph.graph import INF, cost_error
 
 Node = Hashable
 
@@ -114,9 +115,11 @@ class SOFInstance:
             raise ValueError("at least one source is required")
         if not self.destinations:
             raise ValueError("at least one destination is required")
-        for node, cost in self.node_costs.items():
-            if cost < 0:
-                raise ValueError(f"negative setup cost on {node!r}")
+        for kind, costs in (("setup", self.node_costs),
+                            ("source", self.source_costs)):
+            for node, cost in costs.items():
+                if not 0.0 <= cost < INF:
+                    raise cost_error(kind, cost, f"node {node!r}")
         if len(self.vms) < len(self.chain):
             raise ValueError(
                 f"chain of length {len(self.chain)} cannot be embedded with "

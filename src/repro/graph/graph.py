@@ -12,6 +12,22 @@ from typing import Dict, Hashable, Iterable, Iterator, Tuple
 
 Node = Hashable
 Edge = Tuple[Node, Node]
+INF = float("inf")
+
+
+def cost_error(kind: str, cost: float, where: str) -> ValueError:
+    """The one error for a cost that is not finite and non-negative.
+
+    Edge, setup and source costs are all checked with the chained
+    comparison ``0.0 <= cost < INF``, which is False for negatives,
+    ``inf`` and NaN alike; this builds the message of a failed check.
+    ``kind`` names the cost (``edge``, ``setup``, ``source``) and
+    ``where`` the edge or node carrying it.
+    """
+    return ValueError(
+        f"{kind} cost must be finite and non-negative, got {cost!r} "
+        f"for {where}"
+    )
 
 
 def canonical_edge(u: Node, v: Node) -> Edge:
@@ -52,7 +68,7 @@ def edge_sort_key(edge: Edge) -> Tuple:
 
 
 class Graph:
-    """Undirected graph with nonnegative edge costs.
+    """Undirected graph with finite, nonnegative edge costs.
 
     Parallel edges are not supported: adding an existing edge overwrites its
     cost.  Self-loops are rejected because they never help a minimum-cost
@@ -78,11 +94,11 @@ class Graph:
         self._adj.setdefault(node, {})
 
     def add_edge(self, u: Node, v: Node, cost: float) -> None:
-        """Add the undirected edge ``{u, v}`` with the given nonnegative cost."""
+        """Add the undirected edge ``{u, v}`` with a finite, nonnegative cost."""
         if u == v:
             raise ValueError(f"self-loop on node {u!r} is not allowed")
-        if cost < 0:
-            raise ValueError(f"edge ({u!r}, {v!r}) has negative cost {cost}")
+        if not 0.0 <= cost < INF:
+            raise cost_error("edge", cost, f"edge ({u!r}, {v!r})")
         self._adj.setdefault(u, {})[v] = float(cost)
         self._adj.setdefault(v, {})[u] = float(cost)
 

@@ -45,9 +45,10 @@ the whole SOFDA pipeline (Procedure 1 sweeps, conflict repairs, Steiner
 closures, the baselines and the online simulator) -- the single-oracle
 invariant documented in ROADMAP.md.
 
-Edge-*cost* patches (:meth:`FrozenOracle.patch_edge_costs`) repair cached
-rows instead of recomputing them, in Ramalingam--Reps order, in one pass
-over the rows (:meth:`FrozenOracle._patch_rows`).  Every cached row ran
+Edge-*cost* patches (:meth:`FrozenOracle.patch_edge_costs`) of the
+uncontracted core repair cached rows instead of recomputing them, in
+Ramalingam--Reps order, in one pass over the rows
+(:meth:`FrozenOracle._patch_rows`).  Every cached row ran
 to exhaustion, so every live row is repaired in place.  Each
 repaired row first relaxes the batch's decreases outward from the
 decreased edges (:func:`_relax_decreases`); then every increased pair
@@ -66,30 +67,32 @@ removal reaches cached rows as an increase-to-infinity, whose detached
 region repairs from its boundary and may legitimately end *unreachable*
 (``dist=inf``, parent cleared -- the one outcome a pure cost patch can
 never produce).  A reinserted edge un-tombstones its slots and reaches
-rows as a decrease-from-infinity through the decrease pass.  In the
-contracted core a failed edge keeps its chain intact and poisons the
-chain's prefix sums and total to ``inf`` instead (infinite candidates
-never win a relaxation, and interior queries expand through per-side
-prefix walks), so no global recontraction ever runs.  The tombstone
-repair is the only topology path; its equivalence reference is again
-the cold rebuild.
+rows as a decrease-from-infinity through the decrease pass.  The
+tombstone repair is the only in-place topology path; its equivalence
+reference is again the cold rebuild.
+
+Only the uncontracted core repairs in place.  A cost or topology patch
+of a built *contracted* oracle writes the graph and then calls
+:meth:`FrozenOracle.invalidate`, so the next query contracts the
+patched graph afresh and serves exactly what a fresh oracle would.  No
+workload pays for that rebuild: offline solves contract but never
+patch, and the online simulator patches floor-cost graphs, which never
+contract.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from itertools import accumulate
 from operator import itemgetter
 from typing import (
-    Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence,
-    Tuple,
+    Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
 from repro.graph import kernel
-from repro.graph.graph import Graph, canonical_edge
+from repro.graph.graph import Graph, canonical_edge, cost_error
 from repro.graph.rowcache import RowCache
 from repro.graph.shortest_paths import dijkstra as _dict_dijkstra
 from repro.obs import CACHE_SNAPSHOT_SCHEMA
@@ -267,22 +270,6 @@ class IndexedGraph:
                         f"no tombstoned edge between ids {u} and {v}"
                     )
 
-    def clone(self) -> "IndexedGraph":
-        """A patchable copy sharing the frozen topology arrays.
-
-        The intern table and CSR structure (``nodes``/``index``/``indptr``/
-        ``indices``) are shared -- they only depend on the topology -- while
-        ``weights`` is copied so :meth:`patch_edges` on the clone leaves
-        the original untouched.
-        """
-        dup = object.__new__(IndexedGraph)
-        dup.nodes = self.nodes
-        dup.index = self.index
-        dup.indptr = self.indptr
-        dup.indices = self.indices
-        dup.weights = self.weights[:]
-        return dup
-
     # ------------------------------------------------------------------
     def dijkstra(self, source: int) -> Tuple[array, array]:
         """Full single-source Dijkstra over int ids.
@@ -302,6 +289,10 @@ class IndexedGraph:
 class _ContractedCore:
     """The degree-2-contracted search graph behind a :class:`FrozenOracle`.
 
+    Built once from the graph and never patched: a patch of the graph
+    drops the core (:meth:`FrozenOracle.invalidate`) and the next query
+    contracts the patched graph afresh.
+
     Attributes:
         nodes / index: intern table over the *core* nodes (hot nodes and
             every node of degree != 2).
@@ -317,25 +308,13 @@ class _ContractedCore:
             ``prefix[i]`` is the along-chain distance from ``a`` to
             ``interiors[i]`` -- enough to serve ``distances_from`` for the
             contracted interiors exactly.
-        chain_weights: the original per-edge weights of every chain, in
-            walk order -- ``prefix``/``total`` are recomputed from these
-            when an interior edge cost is patched.
-        pair_direct: ``pairkey -> cost`` of the original core-core edges.
-        chain_by_pair: ``pairkey -> chain indices`` connecting that pair,
-            in discovery order -- together with ``pair_direct`` the full
-            candidate set per pair, so the kept minimum can be re-decided
-            after a cost patch.
-        edge_loc: original edge (as a node frozenset) -> where it lives in
-            the core: ``("d", pairkey)`` for direct core-core edges,
-            ``("c", chain_index, position)`` for chain edges.  Edges on
-            isolated relay cycles are absent (they never touch the core).
-            Purely topological and only needed by patching, so it is built
-            lazily on first use (``None`` until then).
+        interior: every node outside the core (chain interiors and nodes
+            of isolated relay cycles), which queries serve on the slow
+            path.
     """
 
     __slots__ = (
         "nodes", "index", "meta", "chains", "interior",
-        "chain_weights", "pair_direct", "chain_by_pair", "edge_loc",
         "indptr", "indices", "weights",
     )
 
@@ -365,12 +344,6 @@ class _ContractedCore:
                     weight, interiors if key == (a, b) else tuple(reversed(interiors))
                 )
 
-        self.pair_direct: Dict[Tuple[int, int], float] = {}
-        self.chain_by_pair: Dict[Tuple[int, int], List[int]] = {}
-        # Edge -> core-location map; pure topology, so built lazily by the
-        # first patch (one-shot pipelines never pay for it).
-        self.edge_loc: Optional[Dict[FrozenSet[Node], Tuple]] = None
-
         index = self.index
         for u in self.nodes:
             ui = index[u]
@@ -378,12 +351,10 @@ class _ContractedCore:
                 vi = index.get(v)
                 if vi is not None and ui < vi:
                     offer(ui, vi, cost, ())
-                    self.pair_direct[(ui, vi)] = cost
 
         self.chains: List[
             Tuple[int, int, Tuple[Node, ...], Tuple[float, ...], float]
         ] = []
-        self.chain_weights: List[List[float]] = []
         visited: set = set()
         for a in self.nodes:
             for first, w0 in adj[a].items():
@@ -410,16 +381,12 @@ class _ContractedCore:
                     prefix.append(acc)
                 total = acc + weights[-1]
                 a_cid, b_cid = index[a], index[b]
-                chain_index = len(self.chains)
                 self.chains.append(
                     (a_cid, b_cid, tuple(interiors), tuple(prefix), total)
                 )
-                self.chain_weights.append(weights)
                 self.interior.update(interiors)
                 if a_cid != b_cid:  # self-loop chains never shorten paths
                     offer(a_cid, b_cid, total, tuple(interiors))
-                    key = (a_cid, b_cid) if a_cid <= b_cid else (b_cid, a_cid)
-                    self.chain_by_pair.setdefault(key, []).append(chain_index)
         # Interior cycles with no core anchor stay out of the core; slow
         # queries about them fall back to the dict Dijkstra.
         for node in adj:
@@ -469,134 +436,6 @@ class _ContractedCore:
                 out.extend(interiors)
             out.append(nodes[b])
         return out
-
-    # ------------------------------------------------------------------
-    # incremental cost patching
-    # ------------------------------------------------------------------
-    def _ensure_edge_loc(self) -> Dict[FrozenSet[Node], Tuple]:
-        """Build (once) the original-edge -> core-location map.
-
-        ``("d", pairkey)`` for direct core-core edges, ``("c",
-        chain_index, position)`` for chain edges; isolated relay-cycle
-        edges stay absent.  Purely topological, so it is derived from the
-        candidate bookkeeping on first use and shared by clones.
-        """
-        if self.edge_loc is None:
-            nodes = self.nodes
-            loc: Dict[FrozenSet[Node], Tuple] = {}
-            for key in self.pair_direct:
-                loc[frozenset((nodes[key[0]], nodes[key[1]]))] = ("d", key)
-            for chain_index, (a_cid, b_cid, interiors, _, _) in enumerate(
-                self.chains
-            ):
-                walk = [nodes[a_cid], *interiors, nodes[b_cid]]
-                for pos, (x, y) in enumerate(zip(walk, walk[1:])):
-                    loc[frozenset((x, y))] = ("c", chain_index, pos)
-            self.edge_loc = loc
-        return self.edge_loc
-
-    def _slot(self, a: int, b: int) -> int:
-        """CSR position of the kept ``a -> b`` core edge."""
-        indices = self.indices
-        for pos in range(self.indptr[a], self.indptr[a + 1]):
-            if indices[pos] == b:
-                return pos
-        raise KeyError(f"core pair {(a, b)} has no kept edge")
-
-    def _recompute_kept(
-        self, key: Tuple[int, int]
-    ) -> Tuple[float, Tuple[Node, ...]]:
-        """Re-decide the kept candidate of a pair after a cost change.
-
-        Candidates are evaluated in construction order (the direct edge,
-        then chains in discovery order) with a strict minimum, replicating
-        the constructor's first-encountered-wins tie-break.
-        """
-        best = self.pair_direct.get(key, INF)
-        best_interiors: Tuple[Node, ...] = ()
-        for chain_index in self.chain_by_pair.get(key, ()):
-            a_cid, _, interiors, _, total = self.chains[chain_index]
-            if total < best:
-                best = total
-                best_interiors = (
-                    interiors if a_cid == key[0] else tuple(reversed(interiors))
-                )
-        return best, best_interiors
-
-    def patch_edges(
-        self, changes: Iterable[Tuple[Node, Node, float]]
-    ) -> List[Tuple[int, int, float, float]]:
-        """Apply original-edge cost updates to the contracted structures.
-
-        Chain prefix sums and totals are recomputed from the stored
-        per-edge weights, and for every core pair one of the changed edges
-        participates in, the kept candidate is re-decided in construction
-        order.  Returns ``(a_cid, b_cid, old_kept, new_kept)`` per affected
-        pair, for the caller's row-cache eviction.
-        """
-        edge_loc = self._ensure_edge_loc()
-        affected: Dict[Tuple[int, int], float] = {}
-        for u, v, cost in changes:
-            loc = edge_loc.get(frozenset((u, v)))
-            if loc is None:
-                continue  # an isolated relay-cycle edge: slow path only
-            if loc[0] == "d":
-                key = loc[1]
-                if key not in affected:
-                    affected[key] = self.weights[self._slot(*key)]
-                self.pair_direct[key] = cost
-            else:
-                chain_index, pos = loc[1], loc[2]
-                weights = self.chain_weights[chain_index]
-                weights[pos] = cost
-                a_cid, b_cid, interiors, _, _ = self.chains[chain_index]
-                prefix: List[float] = []
-                acc = 0.0
-                for w in weights[:-1]:
-                    acc += w
-                    prefix.append(acc)
-                self.chains[chain_index] = (
-                    a_cid, b_cid, interiors, tuple(prefix), acc + weights[-1]
-                )
-                if a_cid != b_cid:
-                    key = (a_cid, b_cid) if a_cid <= b_cid else (b_cid, a_cid)
-                    if key not in affected:
-                        affected[key] = self.weights[self._slot(*key)]
-        out: List[Tuple[int, int, float, float]] = []
-        for key, old_weight in affected.items():
-            a, b = key
-            new_weight, interiors = self._recompute_kept(key)
-            if new_weight != old_weight:
-                self.weights[self._slot(a, b)] = new_weight
-                self.weights[self._slot(b, a)] = new_weight
-            # The winning candidate may switch even on equal weight (the
-            # direct edge wins ties); refresh the expansion map either way.
-            if interiors:
-                self.meta[(a, b)] = interiors
-                self.meta[(b, a)] = tuple(reversed(interiors))
-            else:
-                self.meta.pop((a, b), None)
-                self.meta.pop((b, a), None)
-            out.append((a, b, old_weight, new_weight))
-        return out
-
-    def clone(self) -> "_ContractedCore":
-        """A patchable copy sharing every topology-only structure."""
-        self._ensure_edge_loc()  # build once here, share with every clone
-        dup = object.__new__(_ContractedCore)
-        dup.nodes = self.nodes
-        dup.index = self.index
-        dup.interior = self.interior
-        dup.indptr = self.indptr
-        dup.indices = self.indices
-        dup.weights = self.weights[:]
-        dup.meta = dict(self.meta)
-        dup.chains = list(self.chains)
-        dup.chain_weights = [list(w) for w in self.chain_weights]
-        dup.pair_direct = dict(self.pair_direct)
-        dup.chain_by_pair = self.chain_by_pair
-        dup.edge_loc = self.edge_loc
-        return dup
 
 
 def _relax_decreases(
@@ -661,10 +500,11 @@ class _PatchPlan:
 class _Row:
     """One cached single-source result inside :class:`FrozenOracle`.
 
-    Every row ran to exhaustion and is exact for every node.  A patch
-    repairs it in place -- its distances stay exact and its parent tree
-    stays a valid shortest-path tree under the new costs, with equal-cost
-    tie-breaks possibly differing from a cold rebuild's.
+    Every row ran to exhaustion and is exact for every node.  On the
+    uncontracted core a patch repairs it in place -- its distances stay
+    exact and its parent tree stays a valid shortest-path tree under the
+    new costs, with equal-cost tie-breaks possibly differing from a cold
+    rebuild's.  A patch of a contracted oracle drops every row.
     """
 
     __slots__ = ("dist", "parent", "used")
@@ -704,9 +544,14 @@ class FrozenOracle:
     the oracle is free to answer either direction from whichever row is
     cheapest to obtain.
 
-    Cost and topology patches repair cached rows in place through one
-    engine (:meth:`_patch_rows`), whose equivalence reference is the cold
-    rebuild: a fresh oracle over the patched graph.
+    Cost and topology patches of the uncontracted core repair cached
+    rows in place through one engine (:meth:`_patch_rows`), whose
+    equivalence reference is the cold rebuild: a fresh oracle over the
+    patched graph.  A patch of a built contracted oracle *is* the cold
+    rebuild: it writes the graph and calls :meth:`invalidate`, and the
+    next query contracts the patched graph afresh.  Offline solves
+    contract but never patch, and the online simulator's floor-cost
+    graphs never contract, so no workload takes that path.
     """
 
     def __init__(
@@ -728,10 +573,11 @@ class FrozenOracle:
         #: the other knobs.  Recording never feeds back into algorithm
         #: state, so served values are identical either way.
         self._metrics = metrics if metrics else None
-        #: Canonical node pairs currently tombstoned in the built cores.
-        #: A removed edge's CSR slots persist at weight ``inf``, so an
-        #: edge may only be (re)inserted while its slots still exist --
-        #: i.e. while its pair is recorded here.
+        #: Canonical node pairs currently tombstoned in the built
+        #: uncontracted core.  A removed edge's CSR slots persist at
+        #: weight ``inf``, so an edge may only be (re)inserted in place
+        #: while its slots still exist -- i.e. while its pair is recorded
+        #: here.  A contracted oracle keeps none: its patches rebuild.
         self._tombstones: set = set()
         self._core: Optional[IndexedGraph] = None
         self._contracted: Optional[_ContractedCore] = None
@@ -917,14 +763,21 @@ class FrozenOracle:
         caller looping ``graph.add_edge`` would get -- so the batch can
         never double-patch CSR weights or hand the repair plan two
         contradictory ``old`` costs for one edge.  Every pair must
-        already be an edge: topology changes still require
-        :meth:`invalidate`.  New costs are written into the underlying
-        graph, the CSR weight arrays and contracted chain weights are
-        patched in place, and cached rows are *repaired*
-        (Ramalingam--Reps style: only the region below a changed tree
-        edge or reachable from a decreased edge is recomputed) instead
-        of recomputed from scratch.  Each repaired row takes the batch's
-        decreases first, then its increases (see :meth:`_patch_rows`).
+        already be an edge (:meth:`patch_topology` adds and removes
+        edges), and the whole batch is validated before anything is
+        written.  New costs are written into the underlying graph.
+
+        On a built uncontracted core the CSR weights are then patched in
+        place and cached rows are *repaired* (Ramalingam--Reps style:
+        only the region below a changed tree edge or reachable from a
+        decreased edge is recomputed) instead of recomputed from
+        scratch; each repaired row takes the batch's decreases first,
+        then its increases (see :meth:`_patch_rows`).  A built
+        contracted oracle calls :meth:`invalidate` instead, and the next
+        query contracts the patched graph afresh.  A metered patch
+        records ``oracle.patch.edges`` and an ``oracle.patch.costs``
+        span either way; only a repair records an ``oracle.repair``
+        span.
 
         Returns the number of (deduplicated) edges whose cost actually
         changed.
@@ -935,16 +788,12 @@ class FrozenOracle:
             merged[canonical_edge(u, v)] = (u, v, float(cost))
         # Validate the whole batch before writing anything: a missing edge
         # or an invalid cost must not leave the graph half-mutated with
-        # the oracle unpatched.  ``not (cost >= 0.0)`` catches NaN too --
-        # every comparison against NaN is False, so it would otherwise
-        # slip through the ``cost != old`` gate and poison CSR weights.
+        # the oracle unpatched.  The comparison is False for NaN too,
+        # which would otherwise slip through the ``cost != old`` gate.
         applied: List[Tuple[Node, Node, float, float]] = []
         for u, v, cost in merged.values():
-            if not (cost >= 0.0) or math.isinf(cost):
-                raise ValueError(
-                    f"edge cost must be finite and non-negative, got "
-                    f"{cost!r} for edge ({u!r}, {v!r})"
-                )
+            if not 0.0 <= cost < INF:
+                raise cost_error("edge", cost, f"edge ({u!r}, {v!r})")
             old = graph.cost(u, v)
             if cost != old:
                 applied.append((u, v, old, cost))
@@ -957,28 +806,22 @@ class FrozenOracle:
             # them from there, exactly as if the oracle had been
             # constructed over the patched graph.
             return len(applied)
-        # Exact-but-uncached side caches cannot be patched selectively, and
-        # the row-root heuristic counts are reset exactly as a rebuild
-        # would, so both paths grow the same row set afterwards.
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        self._slow_rows.clear()
-        self._paths.clear()
-        self._reset_queries()
-        if self._core is not None:
-            index = self._core.index
-            self._core.patch_edges(
+        if self._contracted is not None:
+            self.invalidate()
+        else:
+            # The row-root heuristic counts are reset exactly as a rebuild
+            # would, so both paths grow the same row set afterwards.
+            self._reset_queries()
+            core = self._core
+            index = core.index
+            core.patch_edges(
                 (index[u], index[v], cost) for u, v, _, cost in applied
             )
-        if self._contracted is not None:
-            changes = self._contracted.patch_edges(
-                (u, v, cost) for u, v, _, cost in applied
-            )
-        else:
-            changes = [
+            self._patch_rows([
                 (index[u], index[v], old, cost) for u, v, old, cost in applied
-            ]
-        self._patch_rows(changes)
+            ])
         if mx:
             mx.inc("oracle.patch.edges", len(applied))
             mx.span("oracle.patch.costs", t0,
@@ -990,15 +833,17 @@ class FrozenOracle:
     # incremental edge-topology patching (link failure / recovery)
     # ------------------------------------------------------------------
     def insertable(self, u: Node, v: Node) -> bool:
-        """Can ``patch_topology(inserted={(u, v): ...})`` apply in place?
+        """Can ``patch_topology(inserted={(u, v): ...})`` apply?
 
-        True while the oracle is unbuilt (the build reads the mutated
-        graph), and otherwise only when the edge holds a tombstoned CSR
-        slot from an earlier removal -- the frozen core cannot grow slots
-        for brand-new edges, so reviving an edge that died *before* the
-        first build needs an :meth:`invalidate`.
+        True while the oracle is unbuilt and on a built contracted
+        oracle: both read the mutated graph at their next build.  A
+        built uncontracted core repairs in place, so there it is True
+        only when the edge holds a tombstoned CSR slot from an earlier
+        removal -- the frozen core cannot grow slots for brand-new
+        edges, so reviving an edge that died *before* the first build
+        needs an :meth:`invalidate`.
         """
-        if not self._built:
+        if not self._built or self._contracted is not None:
             return True
         return canonical_edge(u, v) in self._tombstones
 
@@ -1017,27 +862,28 @@ class FrozenOracle:
         before anything mutates -- a bad entry leaves graph and oracle
         untouched.
 
-        The built cores are edited through a *tombstone mask*: a removed
-        edge's CSR slots persist at weight ``inf`` (node ids and row
-        arrays stay stable, and an ``inf`` slot never relaxes), so
-        cached rows repair through the ordinary increase machinery --
-        the detached region reconnects through surviving
-        edges or legitimately ends *unreachable* (``dist=inf``, parent
-        cleared).  Reinsertion is a decrease-from-infinity over the same
-        slots, and therefore -- on a built oracle -- requires the pair to
-        be a previously removed (tombstoned) edge: the frozen CSR cannot
-        grow new slots.  In the contracted core a failed chain edge
-        poisons its chain's prefix sums and kept candidate to ``inf``
-        locally; no global recontraction runs.  The equivalence
-        reference is the cold rebuild: a fresh oracle over the mutated
-        graph.
+        A built uncontracted core is edited through a *tombstone mask*:
+        a removed edge's CSR slots persist at weight ``inf`` (node ids
+        and row arrays stay stable, and an ``inf`` slot never relaxes),
+        so cached rows repair through the ordinary increase machinery --
+        the detached region reconnects through surviving edges or
+        legitimately ends *unreachable* (``dist=inf``, parent cleared).
+        Reinsertion is a decrease-from-infinity over the same slots, and
+        therefore requires the pair to be a previously removed
+        (tombstoned) edge: the frozen CSR cannot grow new slots
+        (:meth:`insertable`).  The equivalence reference is the cold
+        rebuild: a fresh oracle over the mutated graph.
+
+        A built contracted oracle writes the graph and calls
+        :meth:`invalidate` instead, so it needs no tombstones and takes
+        any insert.  A metered patch records
+        ``oracle.patch.topology_changes`` and an
+        ``oracle.patch.topology`` span either way; only a repair records
+        an ``oracle.repair`` span.
 
         Returns the number of applied topology changes.
         """
         graph = self._graph
-        # (``insertable`` answers whether an insert can apply without a
-        # rebuild -- callers that may revive edges removed before the
-        # first build should check it and fall back to invalidate.)
         dead: Dict[Tuple[Node, Node], Tuple[Node, Node]] = {}
         for u, v in removed:
             dead.setdefault(canonical_edge(u, v), (u, v))
@@ -1054,18 +900,15 @@ class FrozenOracle:
         removals: List[Tuple[Node, Node, float]] = []
         for key, (u, v) in dead.items():
             removals.append((u, v, graph.cost(u, v)))  # KeyError if absent
-        for key, (u, v, cost) in born.items():
-            if not (cost >= 0.0) or math.isinf(cost):
-                raise ValueError(
-                    f"edge cost must be finite and non-negative, got "
-                    f"{cost!r} for edge ({u!r}, {v!r})"
-                )
+        for u, v, cost in born.values():
+            if not 0.0 <= cost < INF:
+                raise cost_error("edge", cost, f"edge ({u!r}, {v!r})")
             if graph.has_edge(u, v):
                 raise ValueError(
                     f"({u!r}, {v!r}) is already an edge; use "
                     f"patch_edge_costs for cost changes"
                 )
-            if self._built and key not in self._tombstones:
+            if not self.insertable(u, v):
                 raise ValueError(
                     f"({u!r}, {v!r}) was never removed from this oracle: "
                     f"the frozen CSR core cannot grow new edge slots "
@@ -1083,34 +926,24 @@ class FrozenOracle:
             return count
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        for key in dead:
-            self._tombstones.add(key)
-        for key in born:
-            self._tombstones.discard(key)
-        self._slow_rows.clear()
-        self._paths.clear()
-        self._reset_queries()
-        if self._core is not None:
-            index = self._core.index
-            self._core.remove_edges(
-                (index[u], index[v]) for u, v, _ in removals
-            )
-            self._core.restore_edges(
+        if self._contracted is not None:
+            self.invalidate()
+        else:
+            self._tombstones.update(dead)
+            self._tombstones.difference_update(born)
+            self._reset_queries()
+            core = self._core
+            index = core.index
+            core.remove_edges((index[u], index[v]) for u, v, _ in removals)
+            core.restore_edges(
                 (index[u], index[v], cost) for u, v, cost in born.values()
             )
-        if self._contracted is not None:
-            changes = self._contracted.patch_edges(
-                [(u, v, INF) for u, v, _ in removals]
-                + [(u, v, cost) for u, v, cost in born.values()]
-            )
-        else:
-            changes = [
+            self._patch_rows([
                 (index[u], index[v], old, INF) for u, v, old in removals
             ] + [
                 (index[u], index[v], INF, cost)
                 for u, v, cost in born.values()
-            ]
-        self._patch_rows(changes)
+            ])
         if mx:
             mx.inc("oracle.patch.topology_changes", count)
             mx.span("oracle.patch.topology", t0, trace_args={
@@ -1124,9 +957,10 @@ class FrozenOracle:
     ) -> None:
         """Repair (or evict) every cached row after a weight-change batch.
 
-        ``changes`` holds ``(a, b, old_w, new_w)`` in the active core's id
-        space, whose CSR weights are already patched.  One pass over the
-        cached rows, in row order:
+        ``changes`` holds ``(a, b, old_w, new_w)`` in the id space of the
+        uncontracted core, the only one that repairs, whose CSR weights
+        are already patched.  One pass over the cached rows, in row
+        order:
 
         - a row idle since the previous patch is evicted (reason
           ``"idle"``) and recomputed on demand, exactly the rebuild
@@ -1150,8 +984,7 @@ class FrozenOracle:
             return
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        core = self._contracted if self._contracted is not None else self._core
-        csr = core.csr
+        csr = self._core.csr
         rows = self._rows
         live = repaired = 0
         for sid, row in list(rows.items()):
@@ -1188,7 +1021,7 @@ class FrozenOracle:
     def rebased(
         self, graph: Graph, changed: Mapping[Tuple[Node, Node], float]
     ) -> "FrozenOracle":
-        """A new oracle over ``graph``, seeded from this oracle's caches.
+        """A new, unbuilt oracle over ``graph`` with ``changed`` applied.
 
         ``graph`` must be a copy of this oracle's graph -- identical nodes
         in the same enumeration order and identical edges, still carrying
@@ -1197,43 +1030,14 @@ class FrozenOracle:
         adjustments use this to reroute on updated costs while leaving the
         original instance and its oracle untouched.
 
-        The clone inherits the hot set, the row budget, the recorder,
-        the tombstones and the built cores, and copies each seeded row's
-        label buffers; its immediate patch repairs them like any other.
-
-        A budgeted oracle's clone inherits ``row_budget_bytes`` and
-        seeds through the same policy: rows are copied in retention
-        order (the reverse of the eviction order) and only while they
-        fit the clone's budget, so a dynamic-adjustment clone can never
-        double peak residency.  Unbounded oracles copy every row in
-        insertion order, exactly as before.
+        The clone keeps this oracle's hot set, row budget and recorder,
+        and nothing of its caches: it builds its core and rows on demand
+        from the patched graph, exactly as a fresh oracle would.
         """
         clone = FrozenOracle(
             graph, hot=self._hot, row_budget_bytes=self._rows.budget_bytes,
             metrics=self._metrics,
         )
-        if self._built:
-            clone._built = True
-            clone._tombstones = set(self._tombstones)
-            if self._core is not None:
-                clone._core = self._core.clone()
-                clone._reset_queries()
-            if self._contracted is not None:
-                clone._contracted = self._contracted.clone()
-            if self._rows.budget_bytes is None:
-                seed_ids = list(self._rows)
-            else:
-                seed_ids = self._rows.retention_order()
-            for source_id in seed_ids:
-                row = self._rows[source_id]
-                if not clone._rows.would_fit(row):
-                    continue  # seed only what fits the clone's budget
-                # Deep copies: patching repairs row buffers in place, and
-                # the original oracle must keep serving its own graph.
-                # Slicing an array buffer copies it as a buffer.
-                dup = _Row(row.dist[:], row.parent[:])
-                dup.used = row.used
-                clone._rows[source_id] = dup
         clone.patch_edge_costs(changed)
         return clone
 
@@ -1567,30 +1371,8 @@ class FrozenOracle:
             }
             # Expand the chain interiors: an interior is reached through
             # whichever chain endpoint is closer along the chain.
-            for ci, (a, b, interiors, prefix, total) in enumerate(
-                contracted.chains
-            ):
+            for a, b, interiors, prefix, total in contracted.chains:
                 da, db = dist[a], dist[b]
-                if total == INF:
-                    # A tombstoned (failed) edge sits on this chain:
-                    # ``total - pref`` would be ``inf - inf = nan`` for
-                    # interiors beyond it, silently dropping nodes still
-                    # reachable from the ``b`` side.  Walk explicit
-                    # suffix sums instead; ``inf`` weights propagate so
-                    # each side sees exactly its reachable stretch.
-                    weights = contracted.chain_weights[ci]
-                    acc = 0.0
-                    suffix = [0.0] * len(interiors)
-                    for i in range(len(interiors) - 1, -1, -1):
-                        acc += weights[i + 1]
-                        suffix[i] = acc
-                    for node, pref, suf in zip(interiors, prefix, suffix):
-                        d = min(da + pref, db + suf)
-                        if d != INF:
-                            known = out.get(node)
-                            if known is None or d < known:
-                                out[node] = d
-                    continue
                 for node, pref in zip(interiors, prefix):
                     d = min(da + pref, db + (total - pref))
                     if d != INF:

@@ -40,7 +40,7 @@ mask lives only for its one :func:`repro.graph.kernel.repair` call.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 __all__ = ["RowCache", "ROW_OVERHEAD_BYTES", "row_nbytes"]
 
@@ -244,21 +244,6 @@ class RowCache(dict):
         if self.total_bytes > budget:
             self.overshoots += 1
         return count
-
-    def would_fit(self, row) -> bool:
-        """Whether ``row`` can be added without crossing the budget."""
-        if self.budget_bytes is None:
-            return True
-        return self.total_bytes + row_nbytes(len(row.dist)) <= self.budget_bytes
-
-    def retention_order(self) -> List[int]:
-        """Resident ids, most retention-worthy first.
-
-        The exact reverse of the eviction order; ``rebased`` clones seed
-        through this so a budgeted clone keeps the rows the policy would
-        have kept.
-        """
-        return sorted(self, key=self._evict_key, reverse=True)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Optional[int]]:

@@ -50,27 +50,22 @@ def random_instance(seed: int, n: int = 14, num_vms: int = 6,
 
 
 def assert_rows_match_cold(oracle: FrozenOracle) -> None:
-    """Every cached row of ``oracle`` agrees with a cold rebuild.
+    """Every cached row of ``oracle`` equals a cold rebuild's.
 
     The cold rebuild is an exhaustive Dijkstra over a fresh oracle for
     the same (patched) graph and hot set; row ids line up because both
-    intern the graph in its node order.  Shortest paths are unique on
-    continuous-cost graphs, so a repaired row must equal it exactly
-    (labels and parent tree).  Contracted cores agree within 1e-9: a fresh
-    contraction sums chain weights in its own order.  Reads rows
-    directly, so the check never marks a row as used.
+    intern (or contract) the graph in its node order.  Shortest paths
+    are unique on continuous-cost graphs, so a repaired row must equal
+    it exactly (labels and parent tree).  A patched contracted oracle
+    is rebuilt, not repaired, so its rows are a fresh contraction's, bit
+    for bit.  Reads rows directly, so the check never marks a row as
+    used.
     """
     fresh = FrozenOracle(oracle.graph.copy(), hot=oracle._hot)
     contracted = fresh.contracted
     assert (contracted is None) == (oracle.contracted is None)
+    core = contracted if contracted is not None else fresh.core
     for sid, row in oracle._rows.items():
-        if contracted is not None:
-            dist = contracted.dijkstra(sid)[0]
-            assert len(row.dist) == len(dist)
-            assert all(
-                a == b or abs(a - b) <= 1e-9 for a, b in zip(row.dist, dist)
-            ), f"row {sid} drifted from the cold rebuild"
-            continue
-        dist, parent = fresh.core.dijkstra(sid)
+        dist, parent = core.dijkstra(sid)
         assert list(row.dist) == list(dist), f"row {sid} labels differ"
         assert list(row.parent) == list(parent), f"row {sid} tree differs"

@@ -34,6 +34,18 @@ def test_negative_cost_rejected():
         g.add_edge(1, 2, -0.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_cost_rejected(bad):
+    """NaN and ``inf`` fail like a negative cost, naming the edge, and
+    leave the graph unchanged."""
+    g = Graph.from_edges([(0, 1, 1.0)])
+    with pytest.raises(ValueError, match=r"finite and non-negative.*\(1, 2\)"):
+        g.add_edge(1, 2, bad)
+    assert not g.has_edge(1, 2)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        Graph.from_edges([(0, 1, 1.0), (1, 2, bad)])
+
+
 def test_isolated_node():
     g = Graph()
     g.add_node("lonely")

@@ -125,7 +125,7 @@ def test_incremental_patch_matches_full_rebuild(network):
     assert trace(True) == trace(False)
 
 
-def test_region_sharing_matches_unshared_trace():
+def test_incremental_trace_matches_invalidate_reference():
     """The in-place repair replays a trace bit-identically to the
     invalidate-per-change reference."""
     def trace(incremental):

@@ -63,6 +63,20 @@ def test_instance_rejects_negative_setup_cost():
         )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("field", ["node_costs", "source_costs"])
+def test_instance_rejects_non_finite_or_negative_costs(field, bad):
+    """Setup and source costs must be finite and non-negative: a NaN
+    once reached Procedure 3 as "no candidate service chain", and a
+    negative source cost made ``sofda`` return a negative-cost forest."""
+    node = 1 if field == "node_costs" else 0
+    with pytest.raises(ValueError, match=f"finite and non-negative.*node {node}"):
+        SOFInstance(
+            graph=_tiny_graph(), vms={1}, sources={0}, destinations={3},
+            chain=ServiceChain.of_length(1), **{field: {node: bad}},
+        )
+
+
 def test_instance_rejects_chain_longer_than_vm_pool():
     with pytest.raises(ValueError):
         SOFInstance(

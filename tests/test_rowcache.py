@@ -188,29 +188,6 @@ def test_enforce_respects_protection_and_counts_overshoot():
     assert cache.overshoots == 1
 
 
-def test_retention_order_reverses_eviction_order():
-    n = 30
-    cache = RowCache(budget_bytes=10 ** 9)
-    cache[1] = _FakeRow(n, used=False)
-    cache[2] = _FakeRow(n, used=True)
-    cache[3] = _FakeRow(n, used=True)
-    cache.get(3)
-    order = cache.retention_order()
-    assert order == [3, 2, 1]  # recently served first, unused last
-    assert order == sorted(cache, key=cache._evict_key, reverse=True)
-
-
-def test_would_fit():
-    n = 20
-    cache = RowCache(budget_bytes=2 * row_nbytes(n))
-    row = _FakeRow(n)
-    assert cache.would_fit(row)
-    cache[1] = _FakeRow(n)
-    cache[2] = _FakeRow(n)
-    assert not cache.would_fit(row)
-    assert RowCache().would_fit(row)  # unbounded always fits
-
-
 def test_stats_shape():
     cache = RowCache(budget_bytes=12345)
     stats = cache.stats()
@@ -326,17 +303,6 @@ def test_rebased_clone_inherits_and_respects_budget():
             row.get(t, float("inf")) == expect.get(t, float("inf"))
             for t in sorted(graph.nodes())
         )
-
-
-def test_rebased_unbounded_still_copies_every_row():
-    rng = random.Random(5)
-    graph = _random_graph(rng)
-    oracle = FrozenOracle(graph)
-    for s in range(6):
-        oracle.distances_from(s)
-    before = len(oracle._rows)
-    clone = oracle.rebased(graph.copy(), {})
-    assert len(clone._rows) == before
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from helpers import assert_rows_match_cold
 from repro.core.problem import ServiceChain
 from repro.graph import FrozenOracle, Graph
+from repro.obs import MetricsRegistry, Recorder
 from repro.topology import inet_network
 
 INF = float("inf")
@@ -178,19 +179,13 @@ def test_unreachable_resettles_after_recovery():
 # ----------------------------------------------------------------------
 # contracted mode
 #
-# A topology change alters the degree-2 chain structure, so a fresh
-# rebuild re-contracts and sums chain hops in a different order than the
-# repaired oracle's kept prefix arrays (``da + (w1 + w2)`` versus
-# ``(da + w1) + w2``).  Both are exact shortest-path sums; they differ
-# only in the last ulp, so contracted cross-structure comparisons use
-# the repo's 1e-9 tolerance while uncontracted comparisons stay
-# bit-exact.
+# A topology change alters the degree-2 chain structure, and a patch of
+# a built contracted oracle rebuilds it: the next query contracts the
+# mutated graph afresh, summing chain hops in the same order a fresh
+# oracle does.  So contracted comparisons are bit-exact too.
 # ----------------------------------------------------------------------
-def assert_rows_close(oracle, fresh, source):
-    ours, theirs = oracle.distances_from(source), fresh.distances_from(source)
-    assert ours.keys() == theirs.keys()
-    for node, d in ours.items():
-        assert d == pytest.approx(theirs[node], rel=0, abs=1e-9)
+def assert_rows_equal(oracle, fresh, source):
+    assert oracle.distances_from(source) == fresh.distances_from(source)
 
 
 @pytest.fixture
@@ -222,7 +217,7 @@ def test_contracted_removal_matches_fresh(contracted_oracle):
     fresh = FrozenOracle(reference, hot=hot)
     assert fresh.contracted is not None
     for source in probes:
-        assert_rows_close(oracle, fresh, source)
+        assert_rows_equal(oracle, fresh, source)
 
 
 def test_contracted_chain_edge_failure_and_recovery(contracted_oracle):
@@ -242,12 +237,66 @@ def test_contracted_chain_edge_failure_and_recovery(contracted_oracle):
     oracle.patch_topology(removed=[target])
     fresh = FrozenOracle(reference, hot=hot)
     for source in probes:
-        assert_rows_close(oracle, fresh, source)
+        assert_rows_equal(oracle, fresh, source)
     cost = rng.uniform(0.1, 5.0)
     oracle.patch_topology(inserted={target: cost})
     fresh_after = FrozenOracle(graph.copy(), hot=hot)
     for source in probes:
-        assert_rows_close(oracle, fresh_after, source)
+        assert_rows_equal(oracle, fresh_after, source)
+
+
+def test_contracted_insert_needs_no_tombstone(contracted_oracle):
+    """A built contracted oracle takes any insert, because its patches
+    rebuild from the graph: an edge that was never removed is
+    insertable, and inserting it -- or removing an edge, querying, and
+    reinserting it -- leaves every row equal to a fresh oracle's.  A
+    metered patch records ``oracle.patch.*`` and no ``oracle.repair``
+    span."""
+    graph, _, hot, rng = contracted_oracle
+    graph = graph.copy()
+    recorder = Recorder(registry=MetricsRegistry())
+    oracle = FrozenOracle(graph, hot=hot, metrics=recorder)
+    probes = sorted(hot, key=repr)
+    oracle.prefetch_rows(probes)
+    interior = sorted(oracle.contracted.interior, key=repr)
+    new_edge = next(
+        (a, b) for a in interior for b in interior
+        if a != b and not graph.has_edge(a, b)
+    )
+
+    def check():
+        oracle.prefetch_rows(probes)
+        for source in probes[:4]:
+            oracle.distances_from(source)
+        assert oracle.contracted is not None
+        assert_rows_match_cold(oracle)
+        fresh = FrozenOracle(graph.copy(), hot=hot)
+        for source in probes[:4]:
+            assert_rows_equal(oracle, fresh, source)
+
+    assert oracle.insertable(*new_edge)  # never removed
+    oracle.patch_topology(inserted={new_edge: rng.uniform(0.1, 5.0)})
+    check()
+    removed = removable_edges(rng, graph, 1)[0]
+    cost = graph.cost(*removed)
+    oracle.patch_topology(removed=[removed])
+    for _ in range(20):
+        oracle.distance(rng.choice(probes), rng.choice(probes))
+    check()
+    assert oracle.insertable(*removed)
+    oracle.patch_topology(inserted={removed: cost})
+    check()
+    oracle.patch_edge_costs({removed: cost * 2.0})
+    check()
+    snap = recorder.snapshot()
+    assert snap["counters"]["oracle.patch.topology_changes"] == 3
+    assert snap["counters"]["oracle.patch.edges"] == 1
+    spans = snap["histograms"]
+    assert any(k.startswith("oracle.patch.topology") for k in spans)
+    assert any(k.startswith("oracle.patch.costs") for k in spans)
+    assert not [
+        k for k in (*snap["counters"], *spans) if k.startswith("oracle.repair")
+    ]
 
 
 # ----------------------------------------------------------------------
