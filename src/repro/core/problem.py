@@ -98,6 +98,7 @@ class SOFInstance:
         self.source_costs = dict(source_costs or {})
         self._oracle = None
         self._metric_block = None
+        self._metric_rows = None
         self._source_vm_rows = {}
         self._procedure1_rows = {}
         self._sorted_vms = None
@@ -146,6 +147,7 @@ class SOFInstance:
         """Drop cached shortest paths (after graph/cost mutation)."""
         self._oracle = None
         self._metric_block = None
+        self._metric_rows = None
         self._source_vm_rows = {}
         self._procedure1_rows = {}
 
@@ -156,17 +158,30 @@ class SOFInstance:
         return self._sorted_vms
 
     def procedure1_rows(self, source: Node) -> Dict[Node, Dict[Node, float]]:
-        """Mutable per-source copies of :meth:`metric_block` rows.
+        """Mutable per-source copies of :meth:`metric_block`'s dict rows.
 
-        ``build_kstroll_instance`` stamps the Procedure-1 source column
-        into these rows in place, one ``last_vm`` at a time -- the sweep
-        consumes each instance before requesting the next, so a single
-        copy per source replaces one copy per (source, last_vm) pair.
+        ``rows[v1][v2]`` is ``metric_block()[i1, i2]`` for every VM pair
+        but ``source``'s own row.  ``build_kstroll_instance`` stamps the
+        Procedure-1 source column into these rows in place, one
+        ``last_vm`` at a time -- its callers consume each instance before
+        requesting the next, so a single copy per source replaces one
+        copy per (source, last_vm) pair.  Only the scalar Procedure-2 path
+        asks for them, so the dict rows are derived from the array at the
+        first such request; Procedure 3's block path reads the array.
         """
         rows = self._procedure1_rows.get(source)
         if rows is None:
             block = self.metric_block()
-            rows = {v: dict(r) for v, r in block.items() if v != source}
+            if self._metric_rows is None:
+                vms = self.sorted_vms()
+                self._metric_rows = {
+                    v: {w: cost for w, cost in zip(vms, values) if w != v}
+                    for v, values in zip(vms, block.tolist())
+                }
+            rows = {
+                v: dict(r) for v, r in self._metric_rows.items()
+                if v != source
+            }
             self._procedure1_rows[source] = rows
         return rows
 
@@ -184,50 +199,36 @@ class SOFInstance:
             self._source_vm_rows[source] = row
         return row
 
-    def metric_block(self) -> Dict[Node, Dict[Node, float]]:
+    def metric_block(self) -> np.ndarray:
         """The source-independent Procedure-1 cost block over the VM set.
 
-        ``block[v1][v2]`` is ``d(v1, v2) + (setup(v1) + setup(v2)) / 2`` --
-        the Procedure-1 edge cost of every VM pair that involves neither
-        the chain's source nor a setup-cost override.  Those entries do not
-        depend on the ``(source, last_vm)`` pair, so one block is shared by
-        the entire |S| x |M| auxiliary-graph sweep instead of being
-        re-derived per pair.  Invalidated together with the oracle.
+        A float64 ``|M| x |M|`` array in :meth:`sorted_vms` order whose
+        entry ``[i, j]`` is ``d(v_i, v_j) + (setup(v_i) + setup(v_j)) / 2``
+        (``inf`` when ``v_j`` is unreachable) -- the Procedure-1 edge cost
+        of every VM pair that involves neither the chain's source nor a
+        setup-cost override; the diagonal is ``0``.  Those entries do not
+        depend on the ``(source, last_vm)`` pair, so one block serves the
+        entire |S| x |M| auxiliary-graph sweep.  Entry ``[i, j]`` with
+        ``i < j`` comes from row ``v_i`` (the oracle's symmetry contract)
+        and is mirrored to ``[j, i]``.  Invalidated together with the
+        oracle.
         """
         if self._metric_block is None:
             oracle = self.oracle
-            setup = self.setup_cost
             vms = self.sorted_vms()
             # One row per VM up front: every later distance query that
             # touches a VM is then served by undirected symmetry, and the
             # per-pair reads batch into one gather per row.
             oracle.prefetch_rows(vms)
-            setups = [setup(v) for v in vms]
-            block: Dict[Node, Dict[Node, float]] = {v: {} for v in vms}
+            setups = np.array([self.setup_cost(v) for v in vms])
+            block = np.zeros((len(vms), len(vms)))
             for i, v1 in enumerate(vms):
-                row1 = block[v1]
-                s1 = setup(v1)
-                rest = vms[i + 1:]
-                ds = oracle.distances_to(v1, rest)
-                if len(rest) > 16:
-                    # Elementwise IEEE doubles in the scalar branch's
-                    # association, ``base + ((s1 + s2) / 2.0)``, with
-                    # ``inf`` rows passed through verbatim -- the costs
-                    # are bit-identical to the loop below.
-                    base = np.asarray(ds)
-                    costs = np.where(
-                        np.isinf(base), base,
-                        base + (s1 + np.asarray(setups[i + 1:])) / 2.0,
-                    ).tolist()
-                else:
-                    costs = [
-                        base if base == float("inf")
-                        else base + (s1 + setup(v2)) / 2.0
-                        for v2, base in zip(rest, ds)
-                    ]
-                for v2, cost in zip(rest, costs):
-                    row1[v2] = cost
-                    block[v2][v1] = cost
+                ds = oracle.distances_to(v1, vms[i + 1:])
+                # Elementwise IEEE doubles in the scalar association,
+                # ``base + ((s1 + s2) / 2.0)``; ``inf`` stays ``inf``.
+                costs = np.asarray(ds) + (setups[i] + setups[i + 1:]) / 2.0
+                block[i, i + 1:] = costs
+                block[i + 1:, i] = costs
             self._metric_block = block
         return self._metric_block
 
@@ -289,6 +290,7 @@ class SOFInstance:
         )
         clone._oracle = self._oracle  # shortest paths do not depend on the chain
         clone._metric_block = self._metric_block
+        clone._metric_rows = self._metric_rows
         clone._source_vm_rows = self._source_vm_rows
         clone._procedure1_rows = self._procedure1_rows
         return clone
@@ -306,6 +308,7 @@ class SOFInstance:
         )
         clone._oracle = self._oracle
         clone._metric_block = self._metric_block
+        clone._metric_rows = self._metric_rows
         clone._source_vm_rows = self._source_vm_rows
         clone._procedure1_rows = self._procedure1_rows
         return clone

@@ -19,7 +19,11 @@ edges that serve no destination are dropped -- a pure improvement).
 
 Performance: the whole pipeline shares the instance's single
 :class:`~repro.graph.indexed.FrozenOracle`.  Procedure 3 batches the
-|S| x |M| sweep through the instance-wide Procedure-1 metric block, and the
+|S| x |M| sweep per source: one :class:`~repro.core.transform.PoolCap`
+caps the VM pools of the source's pairs from one score block and solves
+their k-strolls in numpy blocks over the instance-wide Procedure-1 metric
+block, leaving each pair only its walk expansion; pairs the block does not
+cover (uncapped pools among them) run the scalar ``chain_walk``.  The
 Steiner step never runs Dijkstra on ``Ĝ`` itself -- an
 :class:`AuxiliaryOracle` answers terminal distance/path queries on ``Ĝ``
 from base-graph oracle rows over a condensed graph of the virtual part
@@ -41,7 +45,7 @@ from repro.core.conflict import (
 )
 from repro.core.forest import ServiceOverlayForest
 from repro.core.problem import SOFInstance
-from repro.core.transform import ChainWalk, PoolCap, chain_walk
+from repro.core.transform import ChainWalk, PoolCap, chain_walk, expand_stroll
 from repro.core.validation import check_forest
 
 Node = Hashable
@@ -220,13 +224,27 @@ def build_auxiliary_graph(
     """Procedure 3: construct the auxiliary Steiner-tree instance ``Ĝ``.
 
     The |S| x |M| candidate-chain sweep runs on the instance's shared
-    oracle: each source and VM costs one Dijkstra in total, and the
-    VM-pair block of every Procedure-1 instance is reused across all
-    pairs (:meth:`SOFInstance.metric_block`).  One :class:`PoolCap` per
-    source caps the VM pools of all its pairs, so the pool-cap scores
-    of a source's last VMs come from one numpy block; each pair's
-    ``chain_walk`` receives its capped pool as ``candidate_vms``.
+    oracle: each source and VM costs one Dijkstra in total, and every
+    Procedure-1 instance reads the same VM-pair cost block
+    (:meth:`SOFInstance.metric_block`).  One :class:`PoolCap` per source
+    caps the VM pools of all its pairs and, for the pairs its gather
+    covers, solves their k-strolls in one numpy block
+    (:meth:`PoolCap.stroll`); each stroll is expanded into its walk in
+    sweep order (:func:`expand_stroll`).  A pair the block does not
+    cover runs the scalar ``chain_walk`` with its capped pool: an
+    uncapped pool, a ``kstroll_method`` other than ``auto``, a source
+    with an Appendix-D setup cost, or an insertion that finds no finite
+    delta.  With a recorder on the instance oracle, each pair counts as
+    ``sofda.procedure2{path=block}`` or
+    ``sofda.procedure2{path=scalar,reason=...}``.
+
+    ``Ĝ``'s copy of ``G`` is made before the sweep: its mode depends on
+    whether the oracle contracts, so on a cold instance this first read
+    builds the oracle.  (Copying after the sweep made CPython run more
+    full collections per offline solve, about 5% of its time.)  The
+    virtual edges are added after the sweep, in sweep order.
     """
+    vms = instance.sorted_vms()
     if instance.oracle.contracted is not None:
         # Continuous-cost instance: shortest-path ties are measure-zero,
         # so the bulk copy's different adjacency order cannot change any
@@ -241,31 +259,46 @@ def build_auxiliary_graph(
             aux.add_edge(u, v, cost)
         for node in instance.graph.nodes():
             aux.add_node(node)
-
     aux.add_node(_VSRC)
-    walks: Dict[Tuple[Node, Node], ChainWalk] = {}
     for v in sorted(instance.sources, key=repr):
         aux.add_edge(_VSRC, _src_dup(v), 0.0)
-    for u in sorted(instance.vms, key=repr):
+    for u in vms:
         aux.add_edge(u, _vm_dup(u), 0.0)
-    vms = instance.sorted_vms()
+    mx = instance.oracle.metrics
+    k = len(instance.chain) + 1
+    walks: Dict[Tuple[Node, Node], ChainWalk] = {}
     for v in sorted(instance.sources, key=repr):
         last_vms = [u for u in vms if u != v]
         caps = PoolCap(instance, v, last_vms)
+        refusal = caps.block_refusal(kstroll_method)
         for u in last_vms:
-            cw = chain_walk(
-                instance, v, u, candidate_vms=caps.select(u),
-                kstroll_method=kstroll_method,
-            )
-            if cw is None:
-                continue
-            key = (_src_dup(v), _vm_dup(u))
-            existing = walks.get((v, u))
-            if existing is None or cw.total_cost < existing.total_cost:
+            if not caps.capped(u):
+                reason, pool = "uncapped_pool", None
+            elif refusal is None:
+                stroll, pool = caps.stroll(u, k)
+                reason = None if pool is None else "no_finite_insertion"
+            else:
+                reason, pool = refusal, caps.select(u)
+            if mx:
+                if reason is None:
+                    mx.inc("sofda.procedure2", path="block")
+                else:
+                    mx.inc("sofda.procedure2", path="scalar", reason=reason)
+            if reason is not None:
+                cw = chain_walk(
+                    instance, v, u, candidate_vms=pool,
+                    kstroll_method=kstroll_method,
+                )
+            elif stroll is not None:
+                cw = expand_stroll(instance, stroll)
+            else:
+                cw = None
+            if cw is not None:
                 walks[(v, u)] = cw
-                aux.add_edge(key[0], key[1], cw.total_cost)
     if not walks:
         raise RuntimeError("no candidate service chain exists for any (source, VM) pair")
+    for (v, u), cw in walks.items():
+        aux.add_edge(_src_dup(v), _vm_dup(u), cw.total_cost)
     terminals = [_VSRC] + sorted(instance.destinations, key=repr)
     oracle = AuxiliaryOracle(instance, aux, _VSRC, terminals)
     return AuxiliaryGraph(

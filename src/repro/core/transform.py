@@ -10,7 +10,9 @@ instance is metric, which the k-stroll heuristics rely on.
 Procedure 2 solves k-stroll on that instance (``k = |C|+1``) and expands the
 resulting node sequence back into a walk in ``G`` by concatenating shortest
 paths, yielding a candidate service chain from ``s`` to the designated last
-VM ``u``.
+VM ``u``.  :func:`chain_walk` does both for one pair; Procedure 3's sweep
+solves the capped pairs of a source in numpy blocks (:meth:`PoolCap.stroll`)
+and expands each stroll through the same :func:`expand_stroll`.
 
 The Appendix-D variant (nonzero source setup cost) is supported through the
 ``source_cost`` argument.
@@ -24,6 +26,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from repro.graph import KStrollInstance, solve_kstroll
+from repro.graph.kstroll import EXACT_DP_NODE_LIMIT, solve_kstroll_block
 from repro.core.forest import DeployedChain
 from repro.core.problem import SOFInstance
 
@@ -55,11 +58,14 @@ def build_kstroll_instance(
         The complete metric instance over the candidate pool plus ``s``.
 
     Lifetime contract: when no per-call overrides are given, the returned
-    instance's cost matrix references per-source rows cached on
-    ``instance`` (one copy per source instead of one per ``(source,
-    last_vm)`` pair), and a later call with the same ``source`` re-stamps
-    the source column in place.  Consume each instance before requesting
-    the next one for that source -- every in-repo caller does.
+    instance's cost matrix references the per-source dict rows cached on
+    ``instance`` (:meth:`SOFInstance.procedure1_rows`, one copy per source
+    instead of one per ``(source, last_vm)`` pair, derived from the
+    metric-block array at the source's first call), and a later call
+    with the same ``source`` re-stamps the source column in place.
+    Consume each instance before requesting the next one for that source
+    -- every in-repo caller does.  Procedure 3's block path builds no
+    such instance: :meth:`PoolCap.stroll` reads the array directly.
     """
     oracle = instance.oracle
     pool = set(candidate_vms) if candidate_vms is not None else set(instance.vms)
@@ -179,6 +185,15 @@ class ChainWalk:
 #: Above this pool size, chain_walk keeps only the lowest-detour VMs.
 POOL_CAP = 24
 
+#: :meth:`PoolCap.stroll`'s result: ``(stroll, None)`` or ``(None, pool)``.
+_Stroll = Tuple[Optional[List[Node]], Optional[Set[Node]]]
+
+#: Pairs :meth:`PoolCap.stroll` solves in the first block of a gather.
+#: Each later block of the same gather is twice the one before, so a
+#: regather discards at most one block, and stroll work stays linear in
+#: the pairs however often a row budget forces regathers.
+STROLL_BLOCK = 32
+
 
 class PoolCap:
     """Procedure 2's pool cap for one source across a run of last VMs.
@@ -200,6 +215,15 @@ class PoolCap:
     with ``u`` dropped afterwards, orders the pool exactly as sorting
     the pair's own list would, ``inf`` scores of unreachable VMs tying
     in pool order.
+
+    :meth:`stroll` also solves the capped pair's k-stroll (Procedures 1
+    and 2) for Procedure 3's sweep: the pools of the pairs a gather
+    covers come from one row-wise stable argsort of the score block,
+    whose sorted column indices are each pool's repr order, and their
+    strolls from one :func:`~repro.graph.kstroll.solve_kstroll_block`
+    call over Procedure 1's costs -- the source column against
+    :meth:`SOFInstance.metric_block`.  A pair whose gate refuses solves
+    its scalar-selected pool as a one-pair block.
     """
 
     def __init__(
@@ -227,6 +251,7 @@ class PoolCap:
         self._pool = pool
         self._column = {m: k for k, m in enumerate(pool)}
         self._cap = pool_cap
+        self._overrides = setup_costs is not None
         # ``setup_cost`` is exactly ``node_costs.get(node, 0.0)``.
         node_cost = instance.node_costs.get
         self._setups = [
@@ -237,14 +262,105 @@ class PoolCap:
         self._block = None
         self._db: Optional[np.ndarray] = None
         self._scores: Optional[np.ndarray] = None
+        # :meth:`stroll` state: Procedure 1's costs over the pool, read
+        # at the first stroll, and the solved block of the current gather
+        # (its results for slots ``_solved_first`` on).
+        self._procedure1: Optional[Tuple[np.ndarray, ...]] = None
+        self._solved_db: Optional[np.ndarray] = None
+        self._solved_first = 0
+        self._solved: List[_Stroll] = []
+
+    def capped(self, last_vm: Node) -> bool:
+        """Whether the pool of ``(source, last_vm)`` exceeds the cap."""
+        cap = self._cap
+        column = self._column.get(last_vm)
+        return bool(cap) and len(self._pool) - (column is not None) > cap
 
     def select(self, last_vm: Node) -> Optional[Set[Node]]:
         """The capped pool of ``(source, last_vm)``, ``last_vm`` one of
         the run's last VMs; ``None`` when the pool fits the cap."""
+        if not self.capped(last_vm):
+            return None
+        j = self._serve(last_vm)
+        if j is None:
+            return self._select_scalar(last_vm)
         cap = self._cap
         column = self._column.get(last_vm)
-        if not (cap and len(self._pool) - (column is not None) > cap):
-            return None
+        order = np.argsort(self._scores[j], kind="stable")[:cap + 1].tolist()
+        kept = [k for k in order if k != column][:cap]
+        pool = self._pool
+        return {pool[k] for k in kept}
+
+    def block_refusal(self, kstroll_method: str) -> Optional[str]:
+        """Why :meth:`stroll` cannot serve this source's pairs, or ``None``.
+
+        The block runs the ``auto`` dispatcher's heuristics (a capped
+        pool of ``pool_cap + 2`` nodes too small for them takes the exact
+        DP instead) on Procedure 1's main-body costs, which hold without
+        Appendix-D source costs and setup overrides.
+        """
+        if kstroll_method != "auto" or self._cap + 2 <= EXACT_DP_NODE_LIMIT:
+            return "kstroll_method"
+        if self._instance.source_setup_cost(self._source):
+            return "source_cost"
+        if self._overrides:
+            return "setup_override"
+        return None
+
+    def stroll(self, last_vm: Node, k: int) -> _Stroll:
+        """Procedure 2's k-stroll of the capped pair ``(source, last_vm)``.
+
+        For a source :meth:`block_refusal` clears and a pool of VMs.  The
+        pair passes its gate exactly as in :meth:`select`, and the first
+        call reads :meth:`SOFInstance.metric_block` and the source's
+        :meth:`SOFInstance.source_vm_distances` after it, where the scalar
+        path's ``build_kstroll_instance`` reads them, so every oracle
+        side effect happens in the scalar path's order.
+
+        Returns ``(stroll, None)`` when the block solves the pair: the
+        stroll node list ``chain_walk`` would expand, or ``None`` when
+        ``chain_walk`` would return ``None``.  Returns ``(None, pool)``
+        when the pair's insertion finds no finite delta: ``pool`` is the
+        capped pool :meth:`select` would return, for the scalar path.
+        """
+        j = self._serve(last_vm)
+        if j is None:
+            pool = self._select_scalar(last_vm)
+            pool.add(last_vm)
+            columns = sorted(self._column[m] for m in pool)
+            self._procedure1_costs()
+            return self._solve(
+                np.array([columns]), np.array([self._column[last_vm]]), k
+            )[0]
+        self._procedure1_costs()
+        if self._db is not self._solved_db:
+            self._solved_db = self._db
+            self._solved_first = j
+            self._solved = []
+        offset = j - self._solved_first
+        if not 0 <= offset < len(self._solved):
+            # Solve lazily, from this pair on, doubling the block.
+            size = max(STROLL_BLOCK, 2 * len(self._solved))
+            stop = min(len(self._db), j + size)
+            pairs = self._block.pairs[j:stop]
+            last_columns = np.array(
+                [self._column[self._last_vms[i]] for i in pairs]
+            )
+            cap = self._cap
+            order = np.argsort(self._scores[j:stop], axis=1, kind="stable")
+            order = order[:, :cap + 1]
+            # The pool is the cap + 1 best with ``u``, or the cap best
+            # and ``u``: its sorted columns are its repr order.
+            missing = ~(order == last_columns[:, None]).any(axis=1)
+            order[missing, cap] = last_columns[missing]
+            order.sort(axis=1)
+            self._solved_first = j
+            self._solved = self._solve(order, last_columns, k)
+            offset = 0
+        return self._solved[offset]
+
+    def _serve(self, last_vm: Node) -> Optional[int]:
+        """Pass the pair's gate: its score row, or ``None`` on refusal."""
         block = self._block
         if block is None:
             block = self._block = self._instance.oracle.detour_distances(
@@ -252,17 +368,14 @@ class PoolCap:
             )
         served = block.serve(self._position[last_vm])
         if served is None:
-            return self._select_scalar(last_vm)
+            return None
         da, db, j = served
         if db is not self._db:
             # Elementwise IEEE doubles in the scalar loop's association,
             # ``(d1 + setup) + d2``, so scores are bit-identical.
             self._db = db
             self._scores = (da + np.asarray(self._setups)) + db
-        order = np.argsort(self._scores[j], kind="stable")[:cap + 1].tolist()
-        kept = [k for k in order if k != column][:cap]
-        pool = self._pool
-        return {pool[k] for k in kept}
+        return j
 
     def _select_scalar(self, last_vm: Node) -> Set[Node]:
         """The cap through per-candidate ``distance`` calls."""
@@ -281,6 +394,98 @@ class PoolCap:
             key=detour,
         )
         return {m for m, _ in ranked[:self._cap]}
+
+    def _procedure1_costs(self) -> None:
+        """Read Procedure 1's source-independent costs over the pool."""
+        if self._procedure1 is not None:
+            return
+        instance = self._instance
+        block = instance.metric_block()
+        distances = instance.source_vm_distances(self._source)
+        position = {m: i for i, m in enumerate(instance.sorted_vms())}
+        self._procedure1 = (
+            block,
+            np.array([position[m] for m in self._pool]),
+            np.array([distances[m] for m in self._pool]),
+        )
+
+    def _solve(
+        self, columns: np.ndarray, last_columns: np.ndarray, k: int
+    ) -> List[_Stroll]:
+        """:meth:`stroll`'s results for pools given as sorted columns."""
+        count, size = columns.shape
+        if k > size + 1:
+            return [(None, None)] * count
+        block, index, base = self._procedure1
+        setups = np.asarray(self._setups)
+        vms = index[columns]
+        # Node 0 is the source, node ``c + 1`` the pool's ``c``-th VM.
+        cost = np.empty((count, size + 1, size + 1))
+        cost[:, 1:, 1:] = block[vms[:, :, None], vms[:, None, :]]
+        # ``build_kstroll_instance``'s source column for last VM ``u``:
+        # ``d(s, m) + (setup(u) + setup(m)) / 2``, ``inf`` kept.
+        source = base[columns] + (
+            setups[last_columns][:, None] + setups[columns]
+        ) / 2.0
+        cost[:, 0, 0] = 0.0
+        cost[:, 0, 1:] = source
+        cost[:, 1:, 0] = source
+        target = (columns == last_columns[:, None]).argmax(axis=1) + 1
+        paths, costs, solved = solve_kstroll_block(cost, target, k)
+        direct = cost[np.arange(count), 0, target] < INF
+        pool = self._pool
+        out: List[_Stroll] = []
+        for p in range(count):
+            if not direct[p] or (solved[p] and costs[p] == INF):
+                out.append((None, None))
+            elif not solved[p]:
+                out.append((None, {
+                    pool[c] for c in columns[p].tolist()
+                    if c != last_columns[p]
+                }))
+            else:
+                stroll = [self._source]
+                steps = columns[p, paths[p, 1:] - 1].tolist()
+                stroll.extend(pool[c] for c in steps)
+                out.append((stroll, None))
+        return out
+
+
+def expand_stroll(
+    instance: SOFInstance,
+    stroll: Sequence[Node],
+    setup_costs: Optional[Dict[Node, float]] = None,
+) -> ChainWalk:
+    """Procedure 2's walk behind a stroll ``(s, m1, ..., m|C|)``.
+
+    Concatenates one ``oracle.path`` per hop, then sums the walk's edge
+    costs and the setup costs of the stroll's VMs (``setup_costs``
+    overriding), each left to right.
+    """
+    oracle = instance.oracle
+    walk: List[Node] = [stroll[0]]
+    positions: List[int] = [0]
+    for a, b in zip(stroll, stroll[1:]):
+        segment = oracle.path(a, b)
+        walk.extend(segment[1:])
+        positions.append(len(walk) - 1)
+    connection = sum(
+        instance.graph.cost(u, v) for u, v in zip(walk, walk[1:])
+    )
+    if setup_costs is not None:
+        setup = sum(
+            setup_costs.get(node, instance.setup_cost(node))
+            for node in stroll[1:]
+        )
+    else:
+        setup = sum(instance.setup_cost(node) for node in stroll[1:])
+    return ChainWalk(
+        walk=walk,
+        stroll=list(stroll),
+        positions=positions,
+        connection_cost=connection,
+        setup_cost=setup,
+    )
 
 
 def chain_walk(
@@ -304,9 +509,11 @@ def chain_walk(
     cheap walk never strays far from the source--last-VM corridor, so the
     restriction is empirically lossless while bounding the k-stroll cost
     independently of ``|M|``.  The cap runs through a one-pair
-    :class:`PoolCap`; Procedure 3's sweep caps all the pairs of a source
-    through one :class:`PoolCap` instead and hands each pair its capped
-    pool as ``candidate_vms``.
+    :class:`PoolCap`.  Procedure 3's sweep caps all the pairs of a source
+    through one :class:`PoolCap` instead and solves the strolls of their
+    capped pools there (:meth:`PoolCap.stroll`); it calls this function,
+    with the capped pool as ``candidate_vms``, only for the pairs that
+    block does not cover.
     """
     chain_len = num_vms if num_vms is not None else len(instance.chain)
     if chain_len < 1:
@@ -342,27 +549,4 @@ def chain_walk(
     if stroll_cost == INF:
         return None
 
-    oracle = instance.oracle
-    walk: List[Node] = [source]
-    positions: List[int] = [0]
-    for a, b in zip(stroll, stroll[1:]):
-        segment = oracle.path(a, b)
-        walk.extend(segment[1:])
-        positions.append(len(walk) - 1)
-    connection = sum(
-        instance.graph.cost(u, v) for u, v in zip(walk, walk[1:])
-    )
-    if setup_costs is not None:
-        setup = sum(
-            setup_costs.get(node, instance.setup_cost(node))
-            for node in stroll[1:]
-        )
-    else:
-        setup = sum(instance.setup_cost(node) for node in stroll[1:])
-    return ChainWalk(
-        walk=walk,
-        stroll=list(stroll),
-        positions=positions,
-        connection_cost=connection,
-        setup_cost=setup,
-    )
+    return expand_stroll(instance, stroll, setup_costs)

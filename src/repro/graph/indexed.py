@@ -1415,7 +1415,7 @@ class DetourBlock:
 
     __slots__ = (
         "_oracle", "_source_id", "_last_ids", "_tids", "_present",
-        "_source_row", "_gathered", "_slots", "_da", "_db",
+        "_source_row", "_gathered", "_slots", "_da", "_db", "pairs",
     )
 
     def __init__(
@@ -1447,6 +1447,8 @@ class DetourBlock:
         self._source_row: Optional[_Row] = None
         self._gathered: List[_Row] = []
         self._slots: Dict[int, int] = {}
+        #: The pair behind each row of the current gather's ``db``.
+        self.pairs: List[int] = []
         self._da: Optional[np.ndarray] = None
         self._db: Optional[np.ndarray] = None
 
@@ -1510,11 +1512,13 @@ class DetourBlock:
         last_ids = self._last_ids
         gathered: List[_Row] = []
         slots: Dict[int, int] = {}
+        pairs: List[int] = []
         for i in range(first, len(last_ids)):
             row = peek(last_ids[i])
             if row is not None:
                 slots[i] = len(gathered)
                 gathered.append(row)
+                pairs.append(i)
         tids = self._tids
         da = kernel.f8_view(source_row.dist)[tids]
         db = np.empty((len(gathered), len(tids)))
@@ -1523,5 +1527,6 @@ class DetourBlock:
         self._source_row = source_row
         self._gathered = gathered
         self._slots = slots
+        self.pairs = pairs
         self._da = da
         self._db = db

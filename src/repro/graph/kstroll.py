@@ -16,6 +16,8 @@ The paper cites the Chaudhuri--Godfrey--Rao--Talwar (FOCS'03)
   classic metric path-TSP relaxation).
 - :func:`solve_kstroll_greedy` -- nearest-extension heuristic, used as a
   second candidate; the dispatcher keeps the better of the two heuristics.
+- :func:`solve_kstroll_block` -- the ``auto`` dispatcher's two heuristics
+  over a stack of instances at once, in numpy, bit for bit.
 
 All solvers return a simple path ``s = v1, v2, ..., vk = u`` over distinct
 nodes; by the triangle inequality its cost lower-bounds any longer walk that
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 Node = Hashable
 INF = float("inf")
@@ -251,3 +255,122 @@ def solve_kstroll(
     insertion = solve_kstroll_insertion(instance, k)
     greedy = solve_kstroll_greedy(instance, k)
     return insertion if insertion[1] <= greedy[1] else greedy
+
+
+def solve_kstroll_block(
+    cost: np.ndarray, target: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``auto`` dispatcher's heuristic branch over a stack of instances.
+
+    ``cost[p]`` is instance ``p``'s ``n x n`` cost matrix (``cost[p, a,
+    b]`` the edge from node ``a`` to node ``b``; entries non-negative or
+    ``inf``), node ``0`` its source and node ``target[p]`` its target.
+    Every other node is a candidate, in index order: the order in which
+    :func:`solve_kstroll_insertion` and :func:`solve_kstroll_greedy`
+    meet them, and so break ties.  Both heuristics run on every instance
+    at once with the scalar solvers' IEEE association (``(a + b) - hop``
+    deltas, path costs summed left to right from ``0``), first-minimum
+    tie-breaks (candidate-major, then position) and the dispatcher's
+    rule (insertion when its cost is ``<=`` greedy's), so a solved
+    instance's stroll and cost equal ``solve_kstroll(instance, k)`` on an
+    instance of more than :data:`EXACT_DP_NODE_LIMIT` nodes bit for bit.
+
+    Returns ``(paths, costs, solved)``: ``paths[p]`` holds the ``k`` node
+    indices of instance ``p``'s stroll and ``costs[p]`` its cost where
+    ``solved[p]``.  ``solved[p]`` is ``False`` where the direct edge
+    ``cost[p, 0, target[p]]`` is ``inf`` (the scalar caller rejects the
+    pair before solving) or an insertion round finds no finite delta
+    (the scalar insertion fails its assertion); those rows of ``paths``
+    and ``costs`` mean nothing.
+    """
+    count, n, _ = cost.shape
+    if not 2 <= k <= n:
+        raise ValueError(f"cannot visit {k} distinct nodes out of {n}")
+    inserted, solved = _insertion_block(cost, target, k)
+    greedy = _greedy_block(cost, target, k)
+    inserted_cost = _path_costs(cost, inserted)
+    greedy_cost = _path_costs(cost, greedy)
+    keep = inserted_cost <= greedy_cost
+    paths = np.where(keep[:, None], inserted, greedy)
+    return paths, np.where(keep, inserted_cost, greedy_cost), solved
+
+
+def _insertion_block(
+    cost: np.ndarray, target: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`solve_kstroll_insertion` on every instance of the stack.
+
+    Returns ``(paths, solved)``.  An instance leaves the working set as
+    soon as it is unsolved, so every hop cost the rounds subtract stays
+    finite and no ``inf - inf`` is ever formed.
+    """
+    count, n, _ = cost.shape
+    paths = np.zeros((count, k), np.int64)
+    paths[:, 1] = target
+    solved = np.isfinite(cost[np.arange(count), 0, target])
+    live = np.flatnonzero(solved)
+    c = cost[live]
+    ct = c.transpose(0, 2, 1)
+    path = paths[live]
+    free = np.ones((len(live), n), bool)
+    free[:, 0] = False
+    free[np.arange(len(live)), target[live]] = False
+    for length in range(2, k):
+        rows = np.arange(len(live))[:, None]
+        heads, tails = path[:, :length - 1], path[:, 1:length]
+        hop = c[rows, heads, tails]
+        # delta[p, pos, node]: ``(c(head, node) + c(node, tail)) - hop``.
+        delta = (c[rows, heads] + ct[rows, tails]) - hop[:, :, None]
+        delta = np.where(free[:, None, :], delta, INF)
+        # Candidate-major, then position: the scalar loop's nesting.
+        flat = delta.transpose(0, 2, 1).reshape(len(live), n * (length - 1))
+        best = flat.argmin(axis=1)
+        ok = flat[rows[:, 0], best] < INF
+        if not ok.all():
+            solved[live[~ok]] = False
+            live, c, ct = live[ok], c[ok], ct[ok]
+            path, free, best = path[ok], free[ok], best[ok]
+            rows = rows[:len(live)]
+        node, pos = np.divmod(best, length - 1)
+        # Shift everything after ``pos`` one slot right, then drop the
+        # node into the gap.
+        cols = np.arange(length + 1)
+        grown = np.take_along_axis(
+            path, cols - (cols > pos[:, None] + 1), axis=1
+        )
+        grown[rows[:, 0], pos + 1] = node
+        path[:, :length + 1] = grown
+        free[rows[:, 0], node] = False
+    paths[live] = path
+    return paths, solved
+
+
+def _greedy_block(cost: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
+    """:func:`solve_kstroll_greedy` on every instance of the stack."""
+    count, n, _ = cost.shape
+    rows = np.arange(count)
+    path = np.zeros((count, k), np.int64)
+    path[:, k - 1] = target
+    free = np.ones((count, n), bool)
+    free[:, 0] = False
+    free[rows, target] = False
+    current = path[:, 0]
+    for step in range(1, k - 1):
+        step_cost = np.where(free, cost[rows, current], INF)
+        nxt = step_cost.argmin(axis=1)
+        # ``min`` over an all-``inf`` pool keeps its first candidate.
+        stuck = step_cost[rows, nxt] == INF
+        nxt[stuck] = free[stuck].argmax(axis=1)
+        path[:, step] = nxt
+        free[rows, nxt] = False
+        current = nxt
+    return path
+
+
+def _path_costs(cost: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """:meth:`KStrollInstance.path_cost` of each row: ``sum`` from ``0``."""
+    rows = np.arange(len(paths))
+    total = np.zeros(len(paths))
+    for i in range(paths.shape[1] - 1):
+        total = total + cost[rows, paths[:, i], paths[:, i + 1]]
+    return total

@@ -536,16 +536,20 @@ class OnlineSimulator:
         is the one place the rejection policy and the evaluate-cost-
         before-commit ordering live; :meth:`embed` and the workload
         engine's arrival path both delegate here, so online-comparison
-        and churn runs can never diverge in acceptance semantics.
+        and churn runs can never diverge in acceptance semantics.  Any
+        exception rejects, so a recorder counts each rejection under the
+        exception's type name (``sim.embeds{outcome=rejected,reason=...}``):
+        an embedder bug shows there, not only as a lower acceptance rate.
         """
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
         instance = self.current_instance(request)
         try:
             forest = embedder(instance)
-        except Exception:
+        except Exception as exc:
             if mx:
-                mx.inc("sim.embeds", outcome="rejected")
+                mx.inc("sim.embeds", outcome="rejected",
+                       reason=type(exc).__name__)
                 mx.span("sim.embed", t0,
                         trace_args={"request": request.index,
                                     "outcome": "rejected"})

@@ -3,14 +3,19 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.graph import KStrollInstance, solve_kstroll
 from repro.graph.kstroll import (
+    EXACT_DP_NODE_LIMIT,
+    solve_kstroll_block,
     solve_kstroll_exact,
     solve_kstroll_greedy,
     solve_kstroll_insertion,
 )
+
+INF = float("inf")
 
 
 def _metric_instance(seed: int, n: int) -> KStrollInstance:
@@ -120,3 +125,68 @@ def test_callable_cost_form():
 def test_endpoints_must_be_in_nodes():
     with pytest.raises(ValueError):
         KStrollInstance(nodes=[1, 2], source=0, target=2, cost=lambda u, v: 1.0)
+
+
+# ----------------------------------------------------------------------
+# block heuristics against the scalar dispatcher
+# ----------------------------------------------------------------------
+
+def _random_stack(rng, count, n, symmetric):
+    """Integer costs 0..4 (many ties), with ``inf`` entries; some rows
+    sparse enough that greedy meets an all-``inf`` pool."""
+    cost = np.zeros((count, n, n))
+    target = np.array([rng.randrange(1, n) for _ in range(count)])
+    for p in range(count):
+        gap = 0.2 if p % 3 else 0.7
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                if symmetric and b < a:
+                    cost[p, a, b] = cost[p, b, a]
+                else:
+                    cost[p, a, b] = INF if rng.random() < gap else rng.randrange(5)
+    # Row 0: every candidate unreachable, so a k >= 3 insertion finds no
+    # finite delta; row 1: no direct edge, which the scalar caller rejects.
+    cost[0, 1:, :] = cost[0, :, 1:] = INF
+    cost[0, 0, target[0]] = cost[0, target[0], 0] = 3.0
+    cost[1, 0, target[1]] = cost[1, target[1], 0] = INF
+    return cost, target
+
+
+def _dict_instance(cost, target):
+    n = len(cost)
+    matrix = {a: {b: float(cost[a, b]) for b in range(n) if b != a} for a in range(n)}
+    return KStrollInstance(nodes=list(range(n)), source=0, target=int(target), cost=matrix)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_block_heuristics_match_scalar_dispatch(k, symmetric):
+    """Stroll and cost bit for bit, instance by instance; an instance
+    whose insertion finds no finite delta comes back unsolved, where the
+    scalar insertion fails its assertion."""
+    rng = random.Random(31 * k + symmetric)
+    n = EXACT_DP_NODE_LIMIT + 3  # ``auto`` runs the heuristics
+    cost, target = _random_stack(rng, 40, n, symmetric)
+    paths, costs, solved = solve_kstroll_block(cost, target, k)
+    unsolved = 0
+    for p in range(len(cost)):
+        if cost[p, 0, target[p]] == INF:
+            assert not solved[p]
+            continue
+        try:
+            path, value = solve_kstroll(_dict_instance(cost[p], target[p]), k)
+        except AssertionError:
+            assert not solved[p]
+            unsolved += 1
+            continue
+        assert solved[p]
+        assert paths[p].tolist() == path
+        assert costs[p] == value
+    assert unsolved > 0 or k == 2
+
+
+def test_block_rejects_k_beyond_the_nodes():
+    with pytest.raises(ValueError):
+        solve_kstroll_block(np.zeros((1, 4, 4)), np.array([3]), 5)

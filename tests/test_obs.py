@@ -357,6 +357,37 @@ def test_churn_counts_batch_query_fallbacks(monkeypatch):
     }
 
 
+def test_rejections_are_counted_by_exception_type():
+    """Any embedder exception rejects the request; the recorder names
+    the exception, so a fast-path bug is not only a lower accept rate."""
+    from repro.core.sofda import sofda
+    from repro.online import RequestGenerator
+    from repro.online.simulator import OnlineSimulator
+    from repro.topology import softlayer_network
+
+    network = softlayer_network(seed=1)
+    recorder = Recorder(registry=MetricsRegistry())
+    simulator = OnlineSimulator(network, metrics=recorder)
+    first, second = RequestGenerator(network, seed=0).take(2)
+
+    def broken(instance):
+        raise AssertionError("embedder bug")
+
+    assert simulator.embed_leased(first, broken) == (None, None)
+    cost, lease = simulator.embed_leased(
+        second, lambda instance: sofda(instance).forest
+    )
+    assert lease is not None
+    embeds = {
+        key: value for key, value in recorder.snapshot()["counters"].items()
+        if key.startswith("sim.embeds")
+    }
+    assert embeds == {
+        "sim.embeds{outcome=accepted}": 1,
+        "sim.embeds{outcome=rejected,reason=AssertionError}": 1,
+    }
+
+
 def test_churn_span_totals_reconcile_with_histograms(tmp_path):
     recorder = Recorder(registry=MetricsRegistry(), tracer=SpanTracer())
     _churn_run(metrics=recorder)

@@ -9,7 +9,11 @@ on its twin, and require the same walks and the same oracle state:
 query counters, ``used`` marks, cache counters and resident rows.  The
 scalar-reference tests pin every pair's capped pool to the first
 ``POOL_CAP`` of the pool stably sorted by scalar ``distance`` scores.
+The last tests pin the ``sofda.procedure2`` count of each swept pair's
+path (block or scalar, with its reason) against spies.
 """
+
+import importlib
 
 import pytest
 
@@ -18,8 +22,12 @@ from repro.core.sofda import build_auxiliary_graph
 from repro.core.transform import POOL_CAP, PoolCap, chain_walk
 from repro.graph.indexed import DetourBlock
 from repro.graph.rowcache import row_nbytes
+from repro.obs import MetricsRegistry, Recorder
 from repro.online import OnlineSimulator, RequestGenerator
 from repro.topology import inet_network, softlayer_network
+
+# ``repro.core`` re-exports the function ``sofda`` under the module's name.
+sofda_module = importlib.import_module("repro.core.sofda")
 
 
 def _simulator(row_budget_bytes=None):
@@ -211,3 +219,103 @@ def test_pool_that_fits_is_not_capped():
     assert rows.hits + rows.misses == lookups
     assert len(caps.select(vms[-1])) == POOL_CAP  # POOL_CAP + 1 candidates
     assert rows.hits + rows.misses == lookups + 2
+
+
+# ----------------------------------------------------------------------
+# Procedure 2's path per swept pair
+# ----------------------------------------------------------------------
+
+def _metered(vms_per_datacenter=2):
+    """``_simulator()``'s request on a simulator carrying a recorder."""
+    network = softlayer_network(seed=1)
+    recorder = Recorder(registry=MetricsRegistry())
+    simulator = OnlineSimulator(
+        network, vms_per_datacenter=vms_per_datacenter, metrics=recorder,
+    )
+    request = RequestGenerator(
+        network, seed=3, destinations_range=(3, 4), sources_range=(2, 2),
+    ).next_request()
+    return recorder, simulator, simulator.current_instance(request)
+
+
+def _spied_sweep(monkeypatch, instance, **kwargs):
+    """Run the sweep; returns (pairs the block solved, scalar walks)."""
+    solved, scalar = [], []
+    stroll = PoolCap.stroll
+
+    def spy_stroll(self, last_vm, k):
+        out = stroll(self, last_vm, k)
+        if out[1] is None:
+            solved.append(last_vm)
+        return out
+
+    def spy_walk(*args, **kw):
+        scalar.append(args[2])
+        return chain_walk(*args, **kw)
+
+    monkeypatch.setattr(PoolCap, "stroll", spy_stroll)
+    monkeypatch.setattr(sofda_module, "chain_walk", spy_walk)
+    build_auxiliary_graph(instance, **kwargs)
+    return solved, scalar
+
+
+def _procedure2_counts(recorder):
+    return {
+        key: value for key, value in recorder.snapshot()["counters"].items()
+        if key.startswith("sofda.procedure2")
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "block", "kstroll_method", "source_cost", "uncapped_pool",
+])
+def test_procedure2_paths_are_counted(monkeypatch, case):
+    """Each swept pair counts once, as served from the block or as
+    scalar with its reason, matching what a spy sees run."""
+    recorder, simulator, instance = _metered(
+        vms_per_datacenter=1 if case == "uncapped_pool" else 2
+    )
+    kwargs = {"kstroll_method": "insertion"} if case == "kstroll_method" else {}
+    first, second = sorted(instance.sources, key=repr)
+    if case == "source_cost":
+        priced = SOFInstance(
+            graph=instance.graph, vms=instance.vms, sources=instance.sources,
+            destinations=instance.destinations, chain=instance.chain,
+            node_costs=instance.node_costs, source_costs={first: 1.0},
+        )
+        priced._oracle = instance.oracle
+        instance = priced
+    pairs = len(simulator.vms)
+    assert (pairs > POOL_CAP + 1) == (case != "uncapped_pool")
+    solved, scalar = _spied_sweep(monkeypatch, instance, **kwargs)
+    scalar_key = f"sofda.procedure2{{path=scalar,reason={case}}}"
+    expected = {
+        "block": {"sofda.procedure2{path=block}": 2 * pairs},
+        "source_cost": {"sofda.procedure2{path=block}": pairs,
+                        scalar_key: pairs},
+    }.get(case, {scalar_key: 2 * pairs})
+    assert _procedure2_counts(recorder) == expected
+    assert len(solved) == expected.get("sofda.procedure2{path=block}", 0)
+    assert len(scalar) == expected.get(scalar_key, 0)
+
+
+def test_procedure2_counts_a_pair_with_no_finite_insertion(monkeypatch):
+    """A VM source in a cut-off datacenter reaches one other VM: the
+    pair to it has no finite insertion, so the block leaves it to the
+    scalar path, which fails as it always has."""
+    recorder, simulator, instance = _metered()
+    network = softlayer_network(seed=1)
+    cut = network.datacenters[0]  # hosts the VMs ("vm", 0, k)
+    for neighbor in sorted(network.graph.neighbors(cut), key=repr):
+        simulator.fail_link(cut, neighbor)
+    inside = SOFInstance(
+        graph=instance.graph, vms=instance.vms, sources=[("vm", 0, 0)],
+        destinations=instance.destinations, chain=ServiceChain.of_length(3),
+        node_costs=instance.node_costs,
+    )
+    inside._oracle = instance.oracle
+    with pytest.raises(AssertionError):
+        _spied_sweep(monkeypatch, inside)
+    assert _procedure2_counts(recorder) == {
+        "sofda.procedure2{path=scalar,reason=no_finite_insertion}": 1,
+    }

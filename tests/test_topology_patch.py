@@ -379,22 +379,43 @@ def test_invalidate_clears_tombstones():
         oracle.patch_topology(inserted={(0, 1): 1.0})
 
 
-def test_rebased_carries_tombstones():
+def _rebased_after_removal():
+    """An oracle built by one query whose core then tombstoned one edge,
+    the query, and an unbuilt ``rebased`` clone over a copy of the
+    patched graph."""
     rng = random.Random(47)
     graph = random_graph(rng, num_nodes=25)
     nodes = list(graph.nodes())
     oracle = FrozenOracle(graph, hot=rng.sample(nodes, 4))
-    oracle.distance(nodes[0], nodes[-1])
+    query = (nodes[0], nodes[-1])
+    oracle.distance(*query)
     edge = removable_edges(rng, graph, 1)[0]
     oracle.patch_topology(removed=[edge])
     base = graph.copy()
-    clone = oracle.rebased(base, {})
-    # The clone may revive the tombstoned edge exactly like the original.
+    return graph, oracle, edge, query, base, oracle.rebased(base, {})
+
+
+def test_unbuilt_rebased_clone_takes_the_insert_alone():
+    graph, oracle, edge, _, base, clone = _rebased_after_removal()
+    # An unbuilt oracle takes any insert: it reads the graph at its build.
     clone.patch_topology(inserted={edge: 1.0})
     assert base.cost(*edge) == 1.0
     assert clone.distance(*edge) <= 1.0
-    # The original oracle still sees the edge as dead.
+    # The original graph and oracle still see the edge as dead.
     assert not graph.has_edge(*edge)
+    assert oracle.insertable(*edge)
+
+
+def test_built_rebased_clone_refuses_an_edge_removed_before_its_build():
+    _, oracle, edge, query, base, clone = _rebased_after_removal()
+    # The parent's query builds the clone, whose core never held the
+    # edge: there is no tombstone to revive.
+    clone.distance(*query)
+    assert oracle.insertable(*edge)
+    assert not clone.insertable(*edge)
+    with pytest.raises(ValueError, match="never removed"):
+        clone.patch_topology(inserted={edge: 1.0})
+    assert not base.has_edge(*edge)
 
 
 # ----------------------------------------------------------------------
