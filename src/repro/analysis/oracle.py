@@ -10,7 +10,7 @@ the shared rows already paid for.
 
 - ``oracle-second-build`` -- a ``FrozenOracle``/``DistanceOracle``
   construction outside the whitelisted factory sites.  Allowed are the
-  known factories (``FrozenOracle.rebased``,
+  known factories (``FrozenOracle.rebased``, ``FrozenOracle.extended``,
   ``AuxiliaryOracle._ensure_fallback``, ``OnlineSimulator.__init__``,
   ``Controller.oracle``, ``SOFInstance.oracle``,
   ``DistributedSOFDA.verify_abstraction`` -- each owns a *different*
@@ -54,6 +54,9 @@ ORACLE_CLASS_NAMES = frozenset({"FrozenOracle", "DistanceOracle"})
 #: builds over a graph no other oracle serves.
 ALLOWED_FACTORY_QUALNAMES = frozenset({
     "FrozenOracle.rebased",
+    # SOFDA's KMB oracle over the auxiliary graph Ĝ (the instance graph
+    # plus its virtual part), which no other oracle serves.
+    "FrozenOracle.extended",
     "AuxiliaryOracle._ensure_fallback",
     "OnlineSimulator.__init__",
     "Controller.oracle",

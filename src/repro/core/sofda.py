@@ -23,19 +23,28 @@ Performance: the whole pipeline shares the instance's single
 caps the VM pools of the source's pairs from one score block and solves
 their k-strolls in numpy blocks over the instance-wide Procedure-1 metric
 block, leaving each pair only its walk expansion; pairs the block does not
-cover (uncapped pools among them) run the scalar ``chain_walk``.  The
-Steiner step never runs Dijkstra on ``Ĝ`` itself -- an
-:class:`AuxiliaryOracle` answers terminal distance/path queries on ``Ĝ``
-from base-graph oracle rows over a condensed graph of the virtual part
-(see "Performance architecture" in ROADMAP.md).
+cover (uncapped pools among them) run the scalar ``chain_walk``.  ``Ĝ``
+is never copied from ``G``: an :class:`AuxiliaryView` reads ``G`` live
+and records only the virtual part.  KMB's Steiner step searches it
+without interning ``Ĝ`` either -- on a contracted instance an
+:class:`AuxiliaryOracle` answers terminal distance/path queries from
+base-graph oracle rows over a condensed graph of the virtual part, and
+on an uncontracted one an oracle whose core is assembled from the
+instance oracle's CSR (:meth:`~repro.graph.indexed.FrozenOracle.extended`)
+serves exactly what a fresh oracle over a copy of ``Ĝ`` would.  Only
+other Steiner methods, and ``Ĝ``s whose fresh oracle might contract,
+materialize ``Ĝ`` as a :class:`Graph` (see "Performance architecture"
+in ROADMAP.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 from repro.graph import FrozenOracle, Graph, steiner_tree
+from repro.graph.graph import cost_error
 from repro.graph.shortest_paths import dijkstra, reconstruct_path
 from repro.graph.steiner import resolve_steiner_method
 from repro.core.conflict import (
@@ -62,6 +71,124 @@ def _vm_dup(u: Node) -> Tuple[str, Node]:
     return ("vm^", u)
 
 
+class AuxiliaryView:
+    """``Ĝ`` as a read-only view: the instance graph ``G`` plus its
+    virtual part, without a copy of ``G``.
+
+    The virtual part -- ``ŝ``, the source and VM duplicates and every
+    edge touching them -- is recorded in insertion order.  Reads answer
+    as the materialized ``Ĝ`` does (``cost``, ``has_edge``, ``in``,
+    ``len``, ``neighbor_items``), except that a real node lists its
+    ``G`` neighbours in ``G``'s order and then its virtual ones.  ``G``
+    is read live, so the view must not outlive a mutation of ``G``.
+
+    :meth:`materialize` builds ``Ĝ`` as the :class:`Graph` SOFDA used to
+    copy on every solve, in its per-mode order; :meth:`search_oracle`
+    builds the KMB oracle over ``Ĝ`` from the instance oracle's core.
+    """
+
+    def __init__(self, instance: SOFInstance) -> None:
+        self._base = instance.graph
+        self._oracle = instance.oracle
+        #: Adjacency of the virtual edges, keyed by both endpoints.
+        self._adj: Dict[Node, Dict[Node, float]] = {}
+        #: Nodes not in ``G``, in order of first appearance.
+        self._nodes: List[Node] = []
+        self._heads: List[Node] = []
+        self._tails: List[Node] = []
+        self._costs: List[float] = []
+        self._graph: Optional[Graph] = None
+
+    def _neighbors(self, node: Node) -> Dict[Node, float]:
+        nbrs = self._adj.get(node)
+        if nbrs is None:
+            nbrs = self._adj[node] = {}
+            if node not in self._base:
+                self._nodes.append(node)
+        return nbrs
+
+    def add_edge(self, u: Node, v: Node, cost: float) -> None:
+        """Add a virtual edge; at least one endpoint must be new to ``G``."""
+        if not 0.0 <= cost < INF:
+            raise cost_error("edge", cost, f"edge ({u!r}, {v!r})")
+        cost = float(cost)
+        self._neighbors(u)[v] = cost
+        self._neighbors(v)[u] = cost
+        self._heads.append(u)
+        self._tails.append(v)
+        self._costs.append(cost)
+        self._graph = None
+
+    # ------------------------------------------------------------------
+    def __contains__(self, node: Node) -> bool:
+        return node in self._adj or node in self._base
+
+    def __len__(self) -> int:
+        return len(self._base) + len(self._nodes)
+
+    def has_edge(self, u: Node, v: Node) -> bool:
+        """Whether the undirected edge ``{u, v}`` is in ``Ĝ``."""
+        return v in self._adj.get(u, ()) or self._base.has_edge(u, v)
+
+    def cost(self, u: Node, v: Node) -> float:
+        """Cost of edge ``{u, v}`` of ``Ĝ``; raises ``KeyError`` if absent."""
+        nbrs = self._adj.get(u)
+        if nbrs is not None and v in nbrs:
+            return nbrs[v]
+        return self._base.cost(u, v)
+
+    def neighbor_items(self, node: Node) -> Iterator[Tuple[Node, float]]:
+        """Iterate over ``(neighbor, edge_cost)`` pairs of ``node`` in ``Ĝ``."""
+        extra = self._adj.get(node)
+        if node in self._base:
+            items = self._base.neighbor_items(node)
+            return items if extra is None else chain(items, extra.items())
+        if extra is None:
+            raise KeyError(node)
+        return iter(extra.items())
+
+    # ------------------------------------------------------------------
+    def materialize(self) -> Graph:
+        """``Ĝ`` as a :class:`Graph`, built on the first call.
+
+        ``G`` is copied as the instance oracle's mode asks: in bulk on a
+        contracted (continuous-cost) instance, whose ties are
+        measure-zero, and otherwise edge by edge, so the copy's
+        enumeration order -- and every equal-cost tie-break a search of
+        it makes -- is the historical one.  The virtual part follows in
+        insertion order.
+        """
+        if self._graph is None:
+            base = self._base
+            if self._oracle.contracted is not None:
+                graph = base.copy()
+            else:
+                graph = Graph()
+                for u, v, cost in base.edges():
+                    graph.add_edge(u, v, cost)
+                for node in base.nodes():
+                    graph.add_node(node)
+            for node in self._nodes:
+                graph.add_node(node)
+            for u, v, cost in zip(self._heads, self._tails, self._costs):
+                graph.add_edge(u, v, cost)
+            self._graph = graph
+        return self._graph
+
+    def search_oracle(self, terminals: List[Node]) -> Optional[FrozenOracle]:
+        """KMB's oracle over ``Ĝ``, assembled from the instance oracle.
+
+        It serves bit for bit what ``FrozenOracle(materialize(),
+        hot=terminals)`` would (see :meth:`FrozenOracle.extended`), and
+        is ``None`` when that oracle might contract: on a contracted
+        instance, or when ``Ĝ`` holds too many distinct edge costs.
+        """
+        return self._oracle.extended(
+            self, self._nodes, (self._heads, self._tails, self._costs),
+            hot=terminals,
+        )
+
+
 class AuxiliaryOracle:
     """Distance/path oracle for ``Ĝ`` served from base-graph oracle rows.
 
@@ -73,15 +200,17 @@ class AuxiliaryOracle:
     therefore has *exactly* the ``Ĝ`` distances, and a Dijkstra on it costs
     microseconds instead of a full sweep of the 5000-node auxiliary graph.
 
-    Queries whose endpoints are not registered terminals (e.g. the exact
+    The virtual part is read from the :class:`AuxiliaryView`.  Queries
+    whose endpoints are not registered terminals (e.g. the exact
     Dreyfus--Wagner solver probing interior nodes) fall back to a
-    :class:`FrozenOracle` over ``Ĝ`` itself, which is always exact.
+    :class:`FrozenOracle` over the materialized ``Ĝ``, which is always
+    exact.
     """
 
     def __init__(
         self,
         instance: SOFInstance,
-        aux_graph: Graph,
+        aux_graph: AuxiliaryView,
         virtual_source: Node,
         terminals: List[Node],
     ) -> None:
@@ -96,7 +225,7 @@ class AuxiliaryOracle:
     @property
     def graph(self) -> Graph:
         """The auxiliary graph this oracle answers queries about."""
-        return self._aux_graph
+        return self._aux_graph.materialize()
 
     # ------------------------------------------------------------------
     def _build_condensed(self) -> Graph:
@@ -158,7 +287,7 @@ class AuxiliaryOracle:
         if self._fallback is None:
             base = self._instance.oracle
             self._fallback = FrozenOracle(
-                self._aux_graph,
+                self._aux_graph.materialize(),
                 row_budget_bytes=base.row_budget_bytes,
                 metrics=base.metrics,
             )
@@ -204,13 +333,25 @@ class AuxiliaryOracle:
 
 @dataclass
 class AuxiliaryGraph:
-    """Procedure 3 output: the Steiner instance plus the walk behind each
-    virtual edge and the condensed oracle that answers ``Ĝ`` queries."""
+    """Procedure 3 output: the Steiner instance ``Ĝ`` as a view, the walk
+    behind each virtual edge and the condensed oracle that answers ``Ĝ``
+    queries on a contracted instance.
 
-    graph: Graph
+    ``view`` is what the Steiner step reads; :attr:`graph` materializes
+    ``Ĝ`` as a :class:`Graph` on first read, for the readers that need
+    one (Steiner methods other than KMB, the condensed oracle's
+    non-terminal fallback).
+    """
+
+    view: AuxiliaryView
     virtual_source: Node
     walks: Dict[Tuple[Node, Node], ChainWalk] = field(default_factory=dict)
     oracle: Optional[AuxiliaryOracle] = None
+
+    @property
+    def graph(self) -> Graph:
+        """``Ĝ`` as a :class:`Graph` (:meth:`AuxiliaryView.materialize`)."""
+        return self.view.materialize()
 
     def walk_for(self, source: Node, last_vm: Node) -> ChainWalk:
         """The candidate chain represented by virtual edge ``(v̂, û)``."""
@@ -238,28 +379,14 @@ def build_auxiliary_graph(
     ``sofda.procedure2{path=block}`` or
     ``sofda.procedure2{path=scalar,reason=...}``.
 
-    ``Ĝ``'s copy of ``G`` is made before the sweep: its mode depends on
-    whether the oracle contracts, so on a cold instance this first read
-    builds the oracle.  (Copying after the sweep made CPython run more
-    full collections per offline solve, about 5% of its time.)  The
-    virtual edges are added after the sweep, in sweep order.
+    ``Ĝ`` is not a copy of ``G``: it is an :class:`AuxiliaryView` of
+    ``G`` plus its virtual part -- ``ŝ``, the source and VM duplicates
+    and their edges, the virtual edges added after the sweep in sweep
+    order.  Nothing here reads the oracle before the sweep, so a cold
+    instance oracle is built by the sweep's first query.
     """
     vms = instance.sorted_vms()
-    if instance.oracle.contracted is not None:
-        # Continuous-cost instance: shortest-path ties are measure-zero,
-        # so the bulk copy's different adjacency order cannot change any
-        # downstream tie-break.
-        aux = instance.graph.copy()
-    else:
-        # Tie-heavy instance: rebuild edge by edge so the auxiliary
-        # graph's enumeration order -- and with it every equal-cost
-        # tie-break downstream -- matches the historical construction.
-        aux = Graph()
-        for u, v, cost in instance.graph.edges():
-            aux.add_edge(u, v, cost)
-        for node in instance.graph.nodes():
-            aux.add_node(node)
-    aux.add_node(_VSRC)
+    aux = AuxiliaryView(instance)
     for v in sorted(instance.sources, key=repr):
         aux.add_edge(_VSRC, _src_dup(v), 0.0)
     for u in vms:
@@ -302,7 +429,7 @@ def build_auxiliary_graph(
     terminals = [_VSRC] + sorted(instance.destinations, key=repr)
     oracle = AuxiliaryOracle(instance, aux, _VSRC, terminals)
     return AuxiliaryGraph(
-        graph=aux, virtual_source=_VSRC, walks=walks, oracle=oracle
+        view=aux, virtual_source=_VSRC, walks=walks, oracle=oracle
     )
 
 
@@ -319,6 +446,51 @@ def _selected_virtual_edges(
             ):
                 pairs.append((x[1], y[1]))
     return sorted(pairs, key=repr)
+
+
+def _steiner_search(
+    instance: SOFInstance,
+    aux: AuxiliaryGraph,
+    terminals: List[Node],
+    steiner_method: str,
+) -> Tuple[Union[AuxiliaryView, Graph],
+           Optional[Union[AuxiliaryOracle, FrozenOracle]]]:
+    """The graph and oracle the Steiner step searches ``Ĝ`` through.
+
+    KMB asks only terminal distances and paths.  On a contracted
+    instance the condensed :class:`AuxiliaryOracle` answers them
+    (``path=condensed``); it may pick a different, equally short path
+    when shortest paths tie, so it engages only there, where ties are
+    measure-zero.  On an uncontracted instance the view's assembled
+    oracle answers them bit for bit as a fresh oracle over the
+    materialized ``Ĝ`` would (``path=assembled``), whenever that oracle
+    provably could not contract.  Any other solve materializes ``Ĝ``
+    and lets the solver build its own oracle (``path=materialized``,
+    ``reason`` ``steiner_method`` or ``distinct_costs``).  With a
+    recorder on the instance oracle the choice counts as
+    ``sofda.steiner_oracle{path,reason}``.
+    """
+    base = instance.oracle
+    path, reason, oracle = "materialized", None, None
+    if resolve_steiner_method(aux.view, terminals, steiner_method) != "kmb":
+        reason = "steiner_method"
+    elif base.contracted is not None:
+        path, oracle = "condensed", aux.oracle
+    else:
+        oracle = aux.view.search_oracle(terminals)
+        if oracle is None:
+            reason = "distinct_costs"
+        else:
+            path = "assembled"
+    mx = base.metrics
+    if mx:
+        if reason is None:
+            mx.inc("sofda.steiner_oracle", path=path)
+        else:
+            mx.inc("sofda.steiner_oracle", path=path, reason=reason)
+    if oracle is None:
+        return aux.graph, None
+    return aux.view, oracle
 
 
 @dataclass
@@ -356,19 +528,9 @@ def sofda(
     """
     aux = build_auxiliary_graph(instance, kstroll_method=kstroll_method)
     terminals = [aux.virtual_source] + sorted(instance.destinations, key=repr)
-    # The condensed oracle serves KMB's terminal-only queries; the exact DP
-    # probes interior nodes pair-by-pair, where per-solver caching wins.
-    # It may pick a different (equally short) Ĝ path when shortest paths
-    # tie, so it engages only alongside the contracted instance oracle --
-    # i.e. on large continuous-cost graphs where ties are measure-zero.
-    resolved = resolve_steiner_method(aux.graph, terminals, steiner_method)
-    aux_oracle = (
-        aux.oracle
-        if resolved == "kmb" and instance.oracle.contracted is not None
-        else None
-    )
+    graph, oracle = _steiner_search(instance, aux, terminals, steiner_method)
     tree = steiner_tree(
-        aux.graph, terminals, method=steiner_method, oracle=aux_oracle
+        graph, terminals, method=steiner_method, oracle=oracle
     ).tree
 
     forest = ServiceOverlayForest(instance=instance)

@@ -193,6 +193,74 @@ class IndexedGraph:
             indptr.append(len(indices))
         return cls(nodes, indptr, indices, weights)
 
+    def extended(
+        self,
+        nodes: Sequence[Node],
+        edges: Tuple[Sequence[Node], Sequence[Node], np.ndarray],
+        last: Sequence[int] = (),
+    ) -> "IndexedGraph":
+        """This graph plus new ``nodes`` and ``edges``, assembled in numpy.
+
+        The result interns, up to node ids, what :meth:`from_graph`
+        interns from this graph rebuilt edge by edge (``Graph.edges()``
+        order) and then extended: each node lists its lower-id
+        neighbours ascending, then its higher-id ones in slot order,
+        then its new edges in insertion order.  ``last`` names slots
+        (each at its lower-id end) that go after the other higher-id
+        ones, in the given order: edges a graph re-appended after this
+        CSR was interned.  ``edges`` holds three parallel sequences --
+        heads, tails and a float64 cost array -- and every edge has a
+        node of ``nodes`` as an endpoint.  Tombstoned slots are dropped.
+        The new nodes take ids from ``len(self)`` on, in their order.
+        """
+        heads, tails, costs = edges
+        n, k, r = len(self.nodes), len(costs), len(last)
+        indptr = np.frombuffer(self.indptr, np.int64)
+        indices = np.frombuffer(self.indices, np.int64)
+        weights = np.frombuffer(self.weights, np.float64)
+        m = len(indices)
+        span = n + m + r + k
+        index = dict(self.index)
+        index.update(zip(nodes, range(n, n + len(nodes))))
+        head_ids = np.array(_target_ids(index, heads) if k else [], np.int64)
+        tail_ids = np.array(_target_ids(index, tails) if k else [], np.int64)
+        # One sort key per slot, owner-major.  Inside an owner's list: a
+        # lower-id neighbour's id, else n + slot; then the ``last``
+        # slots, then the new edges in insertion order.  Keys are unique
+        # within an owner, so any sort gives one order.
+        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        key = np.where(indices < owner, indices, np.arange(n, n + m))
+        if r:
+            key[np.asarray(last, np.int64)] = np.arange(n + m, n + m + r)
+        key += owner * span
+        live = weights != INF
+        new_key = np.arange(n + m + r, span)
+        order = np.argsort(np.concatenate((
+            key[live], head_ids * span + new_key, tail_ids * span + new_key,
+        )))
+        size = n + len(nodes)
+        counts = np.bincount(owner[live], minlength=size)
+        counts += np.bincount(head_ids, minlength=size)
+        counts += np.bincount(tail_ids, minlength=size)
+        del owner, key  # freed before the gathers below copy the slots
+        # Built field by field: ``__init__`` would re-intern every node.
+        out = IndexedGraph.__new__(IndexedGraph)
+        out.nodes = self.nodes + list(nodes)
+        out.index = index
+        out.indptr = array("q", [0])
+        out.indptr.frombytes(np.cumsum(counts, dtype=np.int64).view(np.uint8))
+        out.indices = array("q")
+        out.indices.frombytes(
+            np.concatenate((indices[live], tail_ids, head_ids))[order]
+            .view(np.uint8)
+        )
+        out.weights = array("d")
+        out.weights.frombytes(
+            np.concatenate((weights[live], costs, costs))[order]
+            .view(np.uint8)
+        )
+        return out
+
     @property
     def csr(self) -> Tuple[array, array, array]:
         """``(indptr, indices, weights)``, the :func:`kernel.settle` input."""
@@ -579,6 +647,13 @@ class FrozenOracle:
         #: while its slots still exist -- i.e. while its pair is recorded
         #: here.  A contracted oracle keeps none: its patches rebuild.
         self._tombstones: set = set()
+        #: Canonical pairs revived in place, in the order of their latest
+        #: revival (a dict used as an ordered set; a pair that failed
+        #: again stays, and its ``inf`` slots are dropped where read).
+        #: The graph re-appends a revived edge to both endpoints'
+        #: adjacency while the CSR keeps its old slot; :meth:`extended`
+        #: reads the order here.
+        self._revivals: Dict[Tuple[Node, Node], None] = {}
         self._core: Optional[IndexedGraph] = None
         self._contracted: Optional[_ContractedCore] = None
         self._built = False
@@ -743,6 +818,7 @@ class FrozenOracle:
         self._contracted = None
         self._built = False
         self._tombstones.clear()
+        self._revivals.clear()
         self._rows.clear()
         self._slow_rows.clear()
         self._reset_queries()
@@ -931,6 +1007,9 @@ class FrozenOracle:
         else:
             self._tombstones.update(dead)
             self._tombstones.difference_update(born)
+            for key in born:
+                self._revivals.pop(key, None)
+                self._revivals[key] = None
             self._reset_queries()
             core = self._core
             index = core.index
@@ -1040,6 +1119,68 @@ class FrozenOracle:
         )
         clone.patch_edge_costs(changed)
         return clone
+
+    def extended(
+        self,
+        graph: Graph,
+        nodes: Sequence[Node],
+        edges: Tuple[Sequence[Node], Sequence[Node], Sequence[float]],
+        hot: Iterable[Node],
+    ) -> Optional["FrozenOracle"]:
+        """An oracle over this oracle's graph plus ``nodes`` and ``edges``.
+
+        ``graph`` is the extended graph the new oracle reports as its
+        own; ``nodes`` are the new nodes and ``edges`` the new edges as
+        three parallel sequences (heads, tails, costs), both in
+        insertion order, and every edge touches a new node.  The oracle
+        serves bit for bit what ``FrozenOracle(copy, hot=hot)`` serves,
+        where ``copy`` is this oracle's graph rebuilt edge by edge
+        (``Graph.edges()`` order, then every node) and extended by the
+        new nodes and edges: its core is this oracle's live CSR
+        reordered and extended in numpy (:meth:`IndexedGraph.extended`),
+        with each edge revived in place re-appended as the graph did, so
+        push-counter labels and parents match the copy's.  It has no row
+        budget and no recorder.
+
+        Returns ``None`` unless a fresh oracle over the copy provably
+        could not contract either: this oracle must be uncontracted, and
+        the extended graph's distinct edge costs must number fewer than
+        :data:`CONTRACT_MIN_DISTINCT_COSTS` times the continuity probe's
+        sample (:data:`_DISTINCT_COST_SAMPLE` edges, or every edge of a
+        smaller graph) -- no sample can hold more distinct costs than
+        the whole graph.
+        """
+        hot = set(hot)
+        if self.contracted is not None:
+            return None
+        core = self._core
+        heads, tails, costs = edges
+        costs = np.asarray(costs, np.float64)
+        weights = np.frombuffer(core.weights, np.float64)
+        live = weights[weights != INF]
+        count = len(live) // 2 + len(costs)
+        if hot and count:
+            # Sorted, a value is new where it differs from its predecessor
+            # (``np.unique`` would import ``numpy.ma`` on first use).
+            values = np.sort(np.concatenate((live, costs)))
+            distinct = 1 + np.count_nonzero(values[1:] != values[:-1])
+            if distinct >= CONTRACT_MIN_DISTINCT_COSTS * min(
+                _DISTINCT_COST_SAMPLE, count
+            ):
+                return None
+        index, indptr, indices = core.index, core.indptr, core.indices
+        last: List[int] = []
+        for u, v in self._revivals:
+            a, b = sorted((index[u], index[v]))
+            pos = indptr[a]
+            while indices[pos] != b:
+                pos += 1
+            last.append(pos)
+        oracle = FrozenOracle(graph, hot=hot)
+        oracle._core = core.extended(nodes, (heads, tails, costs), last)
+        oracle._reset_queries()
+        oracle._built = True
+        return oracle
 
     # ------------------------------------------------------------------
     # contracted-core machinery

@@ -50,9 +50,17 @@ def metric_closure(
     nodes: Sequence[Node],
     oracle: Optional[DistanceOracle] = None,
 ) -> Graph:
-    """Complete graph over ``nodes`` with shortest-path distances as costs."""
-    # A terminal-hot FrozenOracle builds rows from terminals and returns
-    # bit-identical distances/paths.
+    """Complete graph over ``nodes`` with shortest-path distances as costs.
+
+    Distances come from ``oracle``, or, when none is given, from a fresh
+    :class:`FrozenOracle` over ``graph`` that is hot at ``nodes`` (it
+    builds rows from them and serves bit-identical distances).  SOFDA's
+    KMB step never lets that default intern its auxiliary graph ``Ĝ``:
+    it passes the condensed auxiliary oracle on a contracted instance and
+    otherwise one assembled from the instance oracle's core
+    (:meth:`FrozenOracle.extended`), and materializes ``Ĝ`` for a fresh
+    oracle only when that one might contract.
+    """
     oracle = oracle or FrozenOracle(graph, hot=nodes)
     closure = Graph()
     node_list = list(nodes)

@@ -55,10 +55,14 @@ as ``oracle.fallback{site,reason}``:
 label       values
 ==========  ==============================================================
 ``site``    ``"distances_to"`` | ``"detour_distances"`` (the pool-cap gate,
-            one count per refused ``(source, last VM)`` pair)
+            one count per refused ``(source, last VM)`` pair) |
+            ``"insertable"`` (a link recovery the oracle cannot revive in
+            place, counted by an incremental ``OnlineSimulator``)
 ``reason``  ``"row_not_cached"`` (a row the batch reads is not cached),
             ``"target_missing"`` (a target is not in the core),
-            ``"endpoint_missing"`` (an endpoint is not in the core)
+            ``"endpoint_missing"`` (an endpoint is not in the core),
+            ``"not_tombstoned"`` (site ``insertable``: the link failed
+            before the core was built, so it has no slot to revive)
 ==========  ==============================================================
 
 Procedure 2's path (``sofda.procedure2``) and rejections (``sim.embeds``)
@@ -71,6 +75,23 @@ Procedure 3's sweep counts every ``(source, last VM)`` pair once as
 ``"setup_override"`` and ``"no_finite_insertion"``.  A rejected embed
 counts as ``sim.embeds{outcome=rejected,reason}``, ``reason`` the type
 name of the exception the embedder raised.
+
+The Steiner step's path (``sofda.steiner_oracle``)
+--------------------------------------------------
+
+Every SOFDA solve counts how its Steiner step searched ``Ĝ``:
+
+==========  ==============================================================
+label       values
+==========  ==============================================================
+``path``    ``"condensed"`` (contracted instance: the condensed
+            ``AuxiliaryOracle``), ``"assembled"`` (uncontracted instance:
+            an oracle assembled from the instance oracle's CSR),
+            ``"materialized"`` (``Ĝ`` copied into a ``Graph``)
+``reason``  only with ``"materialized"``: ``"steiner_method"`` (a method
+            other than KMB) or ``"distinct_costs"`` (a fresh oracle over
+            ``Ĝ`` might contract, so none is assembled)
+==========  ==============================================================
 """
 
 from repro.obs.metrics import (

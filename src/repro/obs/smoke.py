@@ -14,8 +14,11 @@ an :class:`~repro.online.simulator.OnlineSimulator` carrying a live
 The recorder uses a :class:`~repro.obs.recorder.FakeClock`, so the
 snapshot -- durations included -- must be **byte-identical** across
 ``PYTHONHASHSEED`` values; CI runs this module twice under different
-seeds and compares the outputs with ``cmp``.  Diagnostics go to stderr
-so stdout is exactly the snapshot.
+seeds and compares the outputs with ``cmp``, and compares the seed-0
+output with the committed ``smoke_expected.json`` next to this module
+(regenerate it with ``PYTHONHASHSEED=0 python -m repro.obs.smoke >
+src/repro/obs/smoke_expected.json`` when a change moves the snapshot on
+purpose).  Diagnostics go to stderr so stdout is exactly the snapshot.
 """
 
 from __future__ import annotations

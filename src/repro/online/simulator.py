@@ -502,7 +502,9 @@ class OnlineSimulator:
 
         A link that died *before* the oracle's first build has no
         tombstoned CSR slot to revive (:meth:`FrozenOracle.insertable`),
-        so that rare case falls back to invalidate-and-rebuild.
+        so that rare case falls back to invalidate-and-rebuild, counted
+        as ``oracle.fallback{site=insertable,reason=not_tombstoned}``
+        (the reference mode, which always rebuilds, counts nothing).
         """
         key = canonical_edge(u, v)
         if key not in self._failed:
@@ -520,6 +522,9 @@ class OnlineSimulator:
             self._oracle.patch_topology(inserted={(u, v): cost})
             self._oracle.prefetch_rows(self._vms)
         else:
+            if mx and self._incremental:
+                mx.inc("oracle.fallback", site="insertable",
+                       reason="not_tombstoned")
             self._graph.add_edge(u, v, cost)
             self._oracle.invalidate()
         self._failed.discard(key)

@@ -1,0 +1,354 @@
+"""Procedure 3's auxiliary graph ``Ĝ`` as a view over the instance graph.
+
+SOFDA does not copy ``G`` into ``Ĝ``: :class:`AuxiliaryView` reads ``G``
+live and records only the virtual part, and on an uncontracted instance
+KMB searches ``Ĝ`` through an oracle assembled from the instance
+oracle's CSR (:meth:`FrozenOracle.extended`).  The differential tests
+compare that oracle's core with a fresh ``IndexedGraph`` of the
+materialized ``Ĝ`` -- the copy SOFDA used to make -- node by node
+(neighbour and weight lists) and row by row, on a floor-cost simulator
+driven through commits, departures, background load and interleaved
+link failures and recoveries; the view's reads against the materialized
+graph's; and SOFDA's forests against the forests of the materialized
+path.  The last tests pin each Steiner search's path
+(``sofda.steiner_oracle``) against spies, and the simulator's count of a
+link recovery that cannot revive in place.
+"""
+
+import importlib
+import random
+
+import pytest
+
+from helpers import random_instance
+from repro.core.problem import ServiceChain
+from repro.core.sofda import (
+    AuxiliaryOracle, AuxiliaryView, build_auxiliary_graph,
+)
+from repro.graph import FrozenOracle, Graph, IndexedGraph
+from repro.obs import MetricsRegistry, Recorder
+from repro.online import OnlineSimulator, RequestGenerator
+from repro.topology import inet_network, softlayer_network
+
+# ``repro.core`` re-exports the function ``sofda`` under the module's name.
+sofda_module = importlib.import_module("repro.core.sofda")
+
+INF = float("inf")
+
+
+def _network():
+    return inet_network(num_nodes=300, num_links=600, num_datacenters=20,
+                        seed=4)
+
+
+def _requests(network, seed=3):
+    return RequestGenerator(network, seed=seed, destinations_range=(3, 5),
+                            sources_range=(2, 3))
+
+
+def _embed(instance):
+    return sofda_module.sofda(instance).forest
+
+
+def _replay(simulator, network, check, steps=12):
+    """Commits, departures, background load and interleaved fail/recover.
+
+    ``check(request)`` runs after every step on a fresh request.  Three
+    links fail per step and the three oldest failed links recover, so
+    revived links are re-appended to their endpoints' adjacency while
+    others are still down.
+    """
+    rng = random.Random(5)
+    links = sorted(((u, v) for u, v, _ in network.graph.edges()), key=repr)
+    requests = _requests(network)
+    leases, failed, costs = [], [], []
+    for step in range(steps):
+        cost, lease = simulator.embed_leased(requests.next_request(), _embed)
+        costs.append(cost)
+        if lease is not None:
+            leases.append(lease)
+        if step % 3 == 2 and leases:
+            lease = leases.pop(0)
+            if not lease.released:
+                simulator.release(lease)
+        simulator.apply_background_load(rng.sample(links, 4), 2.0)
+        for link in rng.sample(links, 3):
+            if link not in failed:
+                simulator.fail_link(*link)
+                failed.append(link)
+        while len(failed) > 3:
+            simulator.recover_link(*failed.pop(0))
+        check(requests.next_request())
+    return costs
+
+
+def _adjacency(core):
+    """Per-node ``(neighbour, weight)`` lists, tombstones dropped."""
+    nodes, indptr = core.nodes, core.indptr
+    return {
+        nodes[i]: [
+            (nodes[core.indices[p]], core.weights[p])
+            for p in range(indptr[i], indptr[i + 1])
+            if core.weights[p] != INF
+        ]
+        for i in range(len(core))
+    }
+
+
+def _row(core, source):
+    """``node -> (dist, parent node)`` of ``source``'s cold row."""
+    dist, parent = core.dijkstra(core.index[source])
+    return {
+        node: (dist[i], core.nodes[parent[i]] if parent[i] >= 0 else None)
+        for i, node in enumerate(core.nodes)
+    }
+
+
+def _assert_view_reads_like(view, graph, base):
+    assert len(view) == len(graph)
+    for node in graph.nodes():
+        assert node in view
+        items = list(graph.neighbor_items(node))
+        if node in base:
+            # A real node lists G's neighbours in G's order, then its
+            # virtual ones; the edge-by-edge copy may order them apart.
+            assert dict(view.neighbor_items(node)) == dict(items)
+        else:
+            assert list(view.neighbor_items(node)) == items
+        for nbr, cost in items:
+            assert view.has_edge(node, nbr) and view.has_edge(nbr, node)
+            assert view.cost(node, nbr) == cost == view.cost(nbr, node)
+    absent = ("vm^", "absent")
+    assert absent not in view
+    with pytest.raises(KeyError):
+        view.neighbor_items(absent)
+    vsrc = "__sof_virtual_source__"
+    some_real = next(iter(base.nodes()))
+    assert not view.has_edge(vsrc, some_real)
+    with pytest.raises(KeyError):
+        view.cost(vsrc, some_real)
+
+
+def test_assembled_core_matches_the_materialized_copy():
+    network = _network()
+    simulator = OnlineSimulator(network, vms_per_datacenter=2)
+    reordered = set()
+
+    def check(request):
+        instance = simulator.current_instance(request)
+        aux = build_auxiliary_graph(instance)
+        terminals = [aux.virtual_source] + sorted(instance.destinations,
+                                                  key=repr)
+        assembled = aux.view.search_oracle(terminals)
+        assert assembled is not None
+        assert assembled.graph is aux.view
+        materialized = aux.graph
+        reference = IndexedGraph.from_graph(materialized)
+        core = assembled.core
+        assert _adjacency(core) == _adjacency(reference)
+        for terminal in terminals:
+            assert _row(core, terminal) == _row(reference, terminal)
+        _assert_view_reads_like(aux.view, materialized, instance.graph)
+        # A revived link moves in its lower-id end's list unless it was
+        # that node's last higher-id slot already.
+        base = instance.oracle.core
+        for u, v in instance.oracle._revivals:
+            lo, hi = sorted((base.index[u], base.index[v]))
+            later = [
+                p for p in range(base.indptr[lo], base.indptr[lo + 1])
+                if base.indices[p] > hi and base.weights[p] != INF
+            ]
+            if later:
+                reordered.add((u, v))
+
+    _replay(simulator, network, check)
+    # The walk above revived links whose slots the assembly must move.
+    assert len(reordered) >= 3
+
+
+def test_sofda_forests_match_the_materialized_path(monkeypatch):
+    """The same replay with the assembled oracle refused: every forest
+    and cost equals the materialized path's."""
+
+    def run():
+        network = _network()
+        simulator = OnlineSimulator(network, vms_per_datacenter=2)
+        forests = []
+
+        def check(request):
+            instance = simulator.current_instance(request)
+            forest = _embed(instance)
+            forests.append((
+                [(tuple(c.walk), sorted(c.placements.items()))
+                 for c in forest.chains],
+                sorted(forest.tree_edges, key=repr),
+                forest.total_cost(),
+            ))
+
+        costs = _replay(simulator, network, check, steps=6)
+        return costs, forests
+
+    assembled = run()
+    refused = []
+
+    def refuse(self, terminals):
+        refused.append(terminals)
+        return None
+
+    monkeypatch.setattr(AuxiliaryView, "search_oracle", refuse)
+    materialized = run()
+    assert refused  # the forced path ran
+    assert materialized == assembled
+
+
+# ----------------------------------------------------------------------
+# sofda.steiner_oracle: which path each Steiner search took
+# ----------------------------------------------------------------------
+
+def _spied_solve(monkeypatch, instance, **kwargs):
+    """Solve; returns what ``steiner_tree`` received and the log of
+    ``Ĝ`` materializations and ``IndexedGraph.from_graph`` calls on any
+    graph but ``G`` (whose own oracle may build during the sweep)."""
+    seen, built = [], []
+    materialize = AuxiliaryView.materialize
+    from_graph = IndexedGraph.from_graph.__func__
+    steiner_tree = sofda_module.steiner_tree
+
+    def spy_tree(graph, terminals, method="kmb", oracle=None):
+        seen.append((graph, oracle))
+        return steiner_tree(graph, terminals, method=method, oracle=oracle)
+
+    def spy_materialize(self):
+        built.append("materialize")
+        return materialize(self)
+
+    def spy_from_graph(cls, graph):
+        if graph is not instance.graph:
+            built.append("from_graph")
+        return from_graph(cls, graph)
+
+    monkeypatch.setattr(sofda_module, "steiner_tree", spy_tree)
+    monkeypatch.setattr(AuxiliaryView, "materialize", spy_materialize)
+    monkeypatch.setattr(IndexedGraph, "from_graph",
+                        classmethod(spy_from_graph))
+    sofda_module.sofda(instance, **kwargs)
+    (graph, oracle), = seen
+    return graph, oracle, built
+
+
+def _steiner_counts(recorder):
+    return {
+        key: value for key, value in recorder.snapshot()["counters"].items()
+        if key.startswith("sofda.steiner_oracle")
+    }
+
+
+def _metered_instance(make):
+    recorder = Recorder(registry=MetricsRegistry())
+    instance = make()
+    instance._oracle = FrozenOracle(
+        instance.graph,
+        hot=instance.vms | instance.sources | instance.destinations,
+        metrics=recorder,
+    )
+    return recorder, instance
+
+
+def _simulator_instance(recorder):
+    network = softlayer_network(seed=1)
+    simulator = OnlineSimulator(network, vms_per_datacenter=2,
+                                metrics=recorder)
+    request = _requests(network).next_request()
+    return simulator.current_instance(request)
+
+
+def test_assembled_path_is_counted(monkeypatch):
+    recorder = Recorder(registry=MetricsRegistry())
+    instance = _simulator_instance(recorder)
+    graph, oracle, built = _spied_solve(monkeypatch, instance)
+    assert isinstance(graph, AuxiliaryView)
+    assert isinstance(oracle, FrozenOracle) and oracle.graph is graph
+    assert oracle is not instance.oracle
+    # Ĝ is neither copied nor re-interned.
+    assert built == []
+    assert _steiner_counts(recorder) == {
+        "sofda.steiner_oracle{path=assembled}": 1,
+    }
+
+
+def test_condensed_path_is_counted(monkeypatch):
+    def make():
+        network = inet_network(num_nodes=400, num_links=800,
+                               num_datacenters=60, seed=3)
+        return network.make_instance(
+            num_sources=2, num_destinations=4, num_vms=12,
+            chain=ServiceChain.of_length(3), seed=5,
+        )
+
+    recorder, instance = _metered_instance(make)
+    graph, oracle, built = _spied_solve(monkeypatch, instance)
+    assert instance.oracle.contracted is not None
+    assert isinstance(graph, AuxiliaryView)
+    assert isinstance(oracle, AuxiliaryOracle)
+    assert built == []
+    assert _steiner_counts(recorder) == {
+        "sofda.steiner_oracle{path=condensed}": 1,
+    }
+
+
+@pytest.mark.parametrize("method", ["mehlhorn", "exact"])
+def test_materialized_path_for_another_steiner_method(monkeypatch, method):
+    recorder = Recorder(registry=MetricsRegistry())
+    instance = _simulator_instance(recorder)
+    graph, oracle, built = _spied_solve(monkeypatch, instance,
+                                        steiner_method=method)
+    assert type(graph) is Graph and oracle is None
+    assert built[0] == "materialize"
+    assert _steiner_counts(recorder) == {
+        "sofda.steiner_oracle{path=materialized,reason=steiner_method}": 1,
+    }
+
+
+def test_materialized_path_for_distinct_costs(monkeypatch):
+    """A small continuous-cost instance never contracts its own oracle,
+    but a fresh oracle over its ``Ĝ`` might: the solve materializes."""
+    recorder, instance = _metered_instance(
+        lambda: random_instance(3, n=40, num_vms=8, num_sources=2,
+                                num_dests=3, chain_len=2)
+    )
+    graph, oracle, built = _spied_solve(monkeypatch, instance)
+    assert instance.oracle.contracted is None
+    assert type(graph) is Graph and oracle is None
+    assert built == ["materialize", "from_graph"]
+    assert _steiner_counts(recorder) == {
+        "sofda.steiner_oracle{path=materialized,reason=distinct_costs}": 1,
+    }
+
+
+# ----------------------------------------------------------------------
+# recover_link: a link with no tombstone to revive
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("incremental", [True, False])
+def test_recovery_without_a_tombstone_is_counted(incremental):
+    """A link that failed before the oracle's (re)build has no tombstoned
+    slot, so the incremental simulator recovers it by rebuilding and
+    counts that; the reference mode always rebuilds and counts nothing."""
+    network = softlayer_network(seed=1)
+    recorder = Recorder(registry=MetricsRegistry())
+    simulator = OnlineSimulator(network, vms_per_datacenter=2,
+                                incremental=incremental, metrics=recorder)
+    oracle = simulator._oracle
+    revived, stale = sorted(
+        ((u, v) for u, v, _ in network.graph.edges()), key=repr
+    )[:2]
+    simulator.fail_link(*revived)
+    simulator.fail_link(*stale)
+    simulator.recover_link(*revived)
+    oracle.invalidate()  # the next build interns G without ``stale``
+    simulator.recover_link(*stale)
+    counters = recorder.snapshot()["counters"]
+    key = "oracle.fallback{reason=not_tombstoned,site=insertable}"
+    assert counters.get(key, 0) == (1 if incremental else 0)
+    assert simulator._graph.has_edge(*stale)
+    assert oracle.distance(*stale) <= simulator._graph.cost(*stale)
