@@ -135,7 +135,8 @@ class SOFInstance:
         One oracle serves the whole pipeline (Procedure 1 sweeps, conflict
         repairs, Steiner closures, baselines).  The hot set -- sources, VMs
         and destinations -- keeps every node the sweeps can query out of
-        contraction and decides which endpoint's row a cold query builds.
+        contraction, so none of their queries takes the oracle's slow
+        path.
         """
         if self._oracle is None:
             self._oracle = FrozenOracle(

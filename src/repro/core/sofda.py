@@ -373,10 +373,9 @@ def build_auxiliary_graph(
     (:meth:`PoolCap.stroll`); each stroll is expanded into its walk in
     sweep order (:func:`expand_stroll`).  A pair the block does not
     cover runs the scalar ``chain_walk`` with its capped pool: an
-    uncapped pool, a ``kstroll_method`` other than ``auto``, a source
-    with an Appendix-D setup cost, or an insertion that finds no finite
-    delta.  With a recorder on the instance oracle, each pair counts as
-    ``sofda.procedure2{path=block}`` or
+    uncapped pool, a ``kstroll_method`` other than ``auto``, or a source
+    with an Appendix-D setup cost.  With a recorder on the instance
+    oracle, each pair counts as ``sofda.procedure2{path=block}`` or
     ``sofda.procedure2{path=scalar,reason=...}``.
 
     ``Ĝ`` is not a copy of ``G``: it is an :class:`AuxiliaryView` of
@@ -402,8 +401,7 @@ def build_auxiliary_graph(
             if not caps.capped(u):
                 reason, pool = "uncapped_pool", None
             elif refusal is None:
-                stroll, pool = caps.stroll(u, k)
-                reason = None if pool is None else "no_finite_insertion"
+                reason, stroll = None, caps.stroll(u, k)
             else:
                 reason, pool = refusal, caps.select(u)
             if mx:

@@ -185,9 +185,6 @@ class ChainWalk:
 #: Above this pool size, chain_walk keeps only the lowest-detour VMs.
 POOL_CAP = 24
 
-#: :meth:`PoolCap.stroll`'s result: ``(stroll, None)`` or ``(None, pool)``.
-_Stroll = Tuple[Optional[List[Node]], Optional[Set[Node]]]
-
 #: Pairs :meth:`PoolCap.stroll` solves in the first block of a gather.
 #: Each later block of the same gather is twice the one before, so a
 #: regather discards at most one block, and stroll work stays linear in
@@ -268,7 +265,7 @@ class PoolCap:
         self._procedure1: Optional[Tuple[np.ndarray, ...]] = None
         self._solved_db: Optional[np.ndarray] = None
         self._solved_first = 0
-        self._solved: List[_Stroll] = []
+        self._solved: List[Optional[List[Node]]] = []
 
     def capped(self, last_vm: Node) -> bool:
         """Whether the pool of ``(source, last_vm)`` exceeds the cap."""
@@ -307,7 +304,7 @@ class PoolCap:
             return "setup_override"
         return None
 
-    def stroll(self, last_vm: Node, k: int) -> _Stroll:
+    def stroll(self, last_vm: Node, k: int) -> Optional[List[Node]]:
         """Procedure 2's k-stroll of the capped pair ``(source, last_vm)``.
 
         For a source :meth:`block_refusal` clears and a pool of VMs.  The
@@ -317,11 +314,9 @@ class PoolCap:
         path's ``build_kstroll_instance`` reads them, so every oracle
         side effect happens in the scalar path's order.
 
-        Returns ``(stroll, None)`` when the block solves the pair: the
-        stroll node list ``chain_walk`` would expand, or ``None`` when
-        ``chain_walk`` would return ``None``.  Returns ``(None, pool)``
-        when the pair's insertion finds no finite delta: ``pool`` is the
-        capped pool :meth:`select` would return, for the scalar path.
+        Returns the stroll node list ``chain_walk`` would expand, or
+        ``None`` when ``chain_walk`` would return ``None`` -- an
+        unreachable last VM, or no feasible k-stroll in the capped pool.
         """
         j = self._serve(last_vm)
         if j is None:
@@ -411,11 +406,11 @@ class PoolCap:
 
     def _solve(
         self, columns: np.ndarray, last_columns: np.ndarray, k: int
-    ) -> List[_Stroll]:
+    ) -> List[Optional[List[Node]]]:
         """:meth:`stroll`'s results for pools given as sorted columns."""
         count, size = columns.shape
         if k > size + 1:
-            return [(None, None)] * count
+            return [None] * count
         block, index, base = self._procedure1
         setups = np.asarray(self._setups)
         vms = index[columns]
@@ -434,20 +429,15 @@ class PoolCap:
         paths, costs, solved = solve_kstroll_block(cost, target, k)
         direct = cost[np.arange(count), 0, target] < INF
         pool = self._pool
-        out: List[_Stroll] = []
+        out: List[Optional[List[Node]]] = []
         for p in range(count):
-            if not direct[p] or (solved[p] and costs[p] == INF):
-                out.append((None, None))
-            elif not solved[p]:
-                out.append((None, {
-                    pool[c] for c in columns[p].tolist()
-                    if c != last_columns[p]
-                }))
+            if not direct[p] or not solved[p] or costs[p] == INF:
+                out.append(None)
             else:
                 stroll = [self._source]
                 steps = columns[p, paths[p, 1:] - 1].tolist()
                 stroll.extend(pool[c] for c in steps)
-                out.append((stroll, None))
+                out.append(stroll)
         return out
 
 

@@ -21,7 +21,7 @@ core the hot paths share:
   not mutated while cached.  Rows are computed lazily and cached as
   ``array('d')``/``array('q')`` label buffers, which batch queries read
   through zero-copy numpy views; a ``hot`` node set names the nodes the
-  workload queries repeatedly.
+  workload queries repeatedly, which contraction keeps in the core.
 
 Every search in this module runs one settle loop,
 :func:`repro.graph.kernel.settle` (compiled C, with a bit-identical
@@ -86,7 +86,7 @@ from array import array
 from itertools import accumulate
 from operator import itemgetter
 from typing import (
-    Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -596,21 +596,27 @@ class FrozenOracle:
 
     API-compatible with :class:`~repro.graph.shortest_paths.DistanceOracle`
     (``graph``, ``distance``, ``path``, ``distances_from``, ``invalidate``).
-    On small graphs it returns bit-identical distances *and* paths, because
-    the underlying array Dijkstra replicates the dict implementation's
-    relaxation order; on large graphs (>= :data:`CONTRACT_MIN_INTERIOR`
-    contractible relay nodes) it switches to the degree-2-contracted core,
-    which keeps distances exact but may pick a different -- equally short
-    -- path when several shortest paths tie.
+    On small graphs every row equals the dict Dijkstra's row of the same
+    source bit for bit, labels and parents, because the underlying array
+    Dijkstra replicates the dict implementation's relaxation order: so
+    ``path`` and ``distances_from``, which read the source's own row,
+    return what the dict oracle returns, and ``distance`` agrees with it
+    up to the symmetry contract below (the two oracles may serve a pair
+    from different endpoints' rows).  On large graphs (>=
+    :data:`CONTRACT_MIN_INTERIOR` contractible relay nodes) it switches
+    to the degree-2-contracted core, which keeps distances exact but may
+    pick a different -- equally short -- path when several shortest paths
+    tie.
 
     The ``hot`` set names the nodes a workload will query repeatedly (for a
-    SOF instance: sources, VMs and destinations).  Hot nodes are never
-    contracted away, and a query with no cached endpoint row builds the
-    row of its hot endpoint.  Every row runs to exhaustion.
+    SOF instance: sources, VMs and destinations); hot nodes are never
+    contracted away.  On either core a ``distance`` query is served from
+    its source's cached row, else its target's, else a newly built row of
+    its source.  Every row runs to exhaustion.
 
     Undirected symmetry contract: ``distance(u, v) == distance(v, u)``, and
-    the oracle is free to answer either direction from whichever row is
-    cheapest to obtain.
+    the oracle is free to answer either direction from either endpoint's
+    row.
 
     Cost and topology patches of the uncontracted core repair cached
     rows in place through one engine (:meth:`_patch_rows`), whose
@@ -668,11 +674,6 @@ class FrozenOracle:
         #: differ.
         self._rows: RowCache = RowCache(row_budget_bytes)
         self._slow_rows: Dict[Node, Tuple[Dict[Node, float], Dict[Node, Node]]] = {}
-        #: Per-node query counters of the uncontracted core, indexed by
-        #: node id (see :meth:`_reset_queries`).  An ``array('q')`` so
-        #: the batched entry points bump a whole target list through one
-        #: numpy view; the contracted core counts nothing.
-        self._queries = array("q")
         self._paths: Dict[Tuple[Node, Node], List[Node]] = {}
 
     @property
@@ -720,7 +721,6 @@ class FrozenOracle:
                 self._contracted = contracted
         if self._contracted is None:
             self._core = IndexedGraph.from_graph(self._graph)
-            self._reset_queries()
         self._built = True
         if mx:
             mx.span(
@@ -733,24 +733,21 @@ class FrozenOracle:
         """The uncontracted interned core (built on demand)."""
         if self._core is None:
             self._core = IndexedGraph.from_graph(self._graph)
-            self._reset_queries()
             self._built = True
         return self._core
-
-    def _reset_queries(self) -> None:
-        """Zero the query counters: one per node of the uncontracted core.
-
-        Called wherever the core is (re)built and wherever a rebuild
-        would start counting afresh (every patch).
-        """
-        size = len(self._core) if self._core is not None else 0
-        self._queries = array("q", bytes(8 * size))
 
     @property
     def contracted(self) -> Optional[_ContractedCore]:
         """The contracted core, or ``None`` when contraction is inactive."""
         self._build()
         return self._contracted
+
+    def _search_core(self) -> Union[IndexedGraph, _ContractedCore]:
+        """The core rows are built over, built on demand: the contracted
+        core when contraction engaged, else the uncontracted one."""
+        self._build()
+        contracted = self._contracted
+        return contracted if contracted is not None else self._core
 
     def prefetch_rows(self, nodes: Iterable[Node]) -> None:
         """Precompute rows for ``nodes``: touch the cached, build the rest.
@@ -764,44 +761,25 @@ class FrozenOracle:
         (:meth:`~repro.core.problem.SOFInstance.metric_block`, the online
         simulator's VM-pool warms) route here.
         """
-        self._build()
-        if self._contracted is not None:
-            index = self._contracted.index
-            missing: List[int] = []
-            seen: set = set()
-            for node in nodes:
-                cid = index.get(node)
-                if cid is None:
-                    continue
-                row = self._rows.get(cid)
-                if row is None:
-                    if cid not in seen:
-                        seen.add(cid)
-                        missing.append(cid)
-                else:
-                    row.used = True
-            for cid in missing:
-                self._build_row(cid)
-            return
-        index = self.core.index
-        missing = []
-        seen = set()
+        index = self._search_core().index
+        missing: List[int] = []
+        seen: set = set()
         for node in nodes:
-            node_id = index.get(node)
-            if node_id is None:
+            sid = index.get(node)
+            if sid is None:
                 continue
-            row = self._rows.get(node_id)
+            row = self._rows.get(sid)
             if row is None:
-                if node_id not in seen:
-                    seen.add(node_id)
-                    missing.append(node_id)
+                if sid not in seen:
+                    seen.add(sid)
+                    missing.append(sid)
             else:
                 row.used = True
-        for node_id in missing:
-            self._build_row(node_id)
+        for sid in missing:
+            self._build_row(sid)
 
     def extend_hot(self, nodes: Iterable[Node]) -> None:
-        """Add nodes to the hot set (affects future row computations).
+        """Add nodes to the hot set, which future contractions keep.
 
         If a newly hot node was contracted away, the core is rebuilt so
         the node becomes a first-class anchor again.
@@ -821,7 +799,6 @@ class FrozenOracle:
         self._revivals.clear()
         self._rows.clear()
         self._slow_rows.clear()
-        self._reset_queries()
         self._paths.clear()
 
     # ------------------------------------------------------------------
@@ -887,9 +864,6 @@ class FrozenOracle:
         if self._contracted is not None:
             self.invalidate()
         else:
-            # The row-root heuristic counts are reset exactly as a rebuild
-            # would, so both paths grow the same row set afterwards.
-            self._reset_queries()
             core = self._core
             index = core.index
             core.patch_edges(
@@ -1010,7 +984,6 @@ class FrozenOracle:
             for key in born:
                 self._revivals.pop(key, None)
                 self._revivals[key] = None
-            self._reset_queries()
             core = self._core
             index = core.index
             core.remove_edges((index[u], index[v]) for u, v, _ in removals)
@@ -1178,7 +1151,6 @@ class FrozenOracle:
             last.append(pos)
         oracle = FrozenOracle(graph, hot=hot)
         oracle._core = core.extended(nodes, (heads, tails, costs), last)
-        oracle._reset_queries()
         oracle._built = True
         return oracle
 
@@ -1202,8 +1174,7 @@ class FrozenOracle:
         """
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        core = self._contracted if self._contracted is not None else self._core
-        row = _Row(*core.dijkstra(sid))
+        row = _Row(*self._search_core().dijkstra(sid))
         rows = self._rows
         rows[sid] = row
         if rows.budget_bytes is not None:
@@ -1226,45 +1197,23 @@ class FrozenOracle:
         """Shortest-path cost; ``inf`` if unreachable.
 
         The graph is undirected, so ``distance(u, v) == distance(v, u)``
-        and the answer may be served from a row rooted at either endpoint;
-        when neither endpoint has a cached row, the row is computed from
-        the endpoint more likely to be reused (hot beats cold, then the
-        historically more-queried endpoint).
+        and the answer may be served from a row rooted at either endpoint:
+        the source's cached row, else the target's, else a newly built
+        row of the source.  An endpoint outside the core (contracted
+        away, or on an isolated relay cycle) takes an exact slow path
+        over the graph.  Raises ``KeyError`` when ``source`` is not in
+        the graph.
         """
-        self._build()
-        contracted = self._contracted
-        if contracted is not None:
-            index = contracted.index
-            source_id = index.get(source)
-            tid = index.get(target)
-            if source_id is None or tid is None:
-                if source not in self._graph:
-                    raise KeyError(f"source {source!r} not in graph")
-                if target not in self._graph:
-                    return INF
-                # An endpoint was contracted away (or sits on an isolated
-                # relay cycle): exact but uncached-core slow path.
-                dist, _ = self._slow_row(source)
-                return dist.get(target, INF)
-            row = self._rows.get(source_id)
-            if row is None:
-                row = self._rows.get(tid)
-                if row is not None:
-                    row.used = True
-                    return row.dist[source_id]
-                row = self._build_row(source_id)
-            row.used = True
-            return row.dist[tid]
-
-        core = self.core
-        index = core.index
-        source_id = index[source]
+        index = self._search_core().index
+        source_id = index.get(source)
         tid = index.get(target)
-        if tid is None:
-            return INF
-        queries = self._queries
-        queries[source_id] += 1
-        queries[tid] += 1
+        if source_id is None or tid is None:
+            if source not in self._graph:
+                raise KeyError(f"source {source!r} not in graph")
+            if target not in self._graph:
+                return INF
+            dist, _ = self._slow_row(source)
+            return dist.get(target, INF)
         rows = self._rows
         row = rows.get(source_id)
         if row is None:
@@ -1272,14 +1221,7 @@ class FrozenOracle:
             if row is not None:
                 row.used = True
                 return row.dist[source_id]
-            # Pick the root more likely to serve future queries.
-            hot = self._hot
-            su, sv = source in hot, target in hot
-            if sv and not su:
-                source_id, tid = tid, source_id
-            elif su == sv and queries[tid] > queries[source_id]:
-                source_id, tid = tid, source_id
-            return self._build_row(source_id).dist[tid]
+            row = self._build_row(source_id)
         row.used = True
         return row.dist[tid]
 
@@ -1288,14 +1230,15 @@ class FrozenOracle:
 
         Semantically ``[self.distance(source, t) for t in targets]``.
         When ``source`` has a cached row, which the scalar loop would
-        serve every target from, the answer is one zero-copy numpy
-        gather over the row's ``dist`` buffer instead of
-        ``len(targets)`` dict/attribute walks, replicating the per-query
-        side effects exactly: the same query counters, the same ``used``
-        mark, ``inf`` (and no counters) for targets absent from the
-        graph.  Any other cache state falls back to the per-query loop,
-        so no code path ever computes or serves a row the scalar calls
-        would not have (the row-serving identity).
+        serve every target from, and every target is in the core, the
+        answer is one zero-copy numpy gather over the row's ``dist``
+        buffer instead of ``len(targets)`` dict/attribute walks.  It
+        replays the loop's lasting side effects on that row: a counted
+        lookup (one per batch, not one per target) and the ``used``
+        mark.  Any other case -- no cached source row, or a target
+        contracted away or not in the graph -- falls back to the
+        per-query loop, so no code path ever computes or serves a row
+        the scalar calls would not have (the row-serving identity).
         """
         mx = self._metrics
         if not mx:
@@ -1312,63 +1255,25 @@ class FrozenOracle:
         targets = list(targets)
         if not targets:
             return []
-        self._build()
-        contracted = self._contracted
+        index = self._search_core().index
         mx = self._metrics
-        if contracted is not None:
-            index = contracted.index
-            source_id = index.get(source)
-            row = self._rows.get(source_id) if source_id is not None else None
-            if row is None:
-                if mx:
-                    mx.inc("oracle.fallback", site="distances_to",
-                           reason="endpoint_missing" if source_id is None
-                           else "row_not_cached")
-                return [self.distance(source, t) for t in targets]
-            tids = _target_ids(index, targets)
-            if tids is None:
-                # A contracted-away target takes the exact slow path;
-                # keep the whole batch on per-query serving.
-                if mx:
-                    mx.inc("oracle.fallback", site="distances_to",
-                           reason="target_missing")
-                return [self.distance(source, t) for t in targets]
-            row.used = True
-            tid_arr = np.fromiter(tids, np.int64, len(tids))
-            return kernel.f8_view(row.dist)[tid_arr].tolist()
-        core = self.core
-        index = core.index
-        source_id = index[source]
-        row = self._rows.get(source_id)
+        source_id = index.get(source)
+        row = self._rows.get(source_id) if source_id is not None else None
         if row is None:
             if mx:
                 mx.inc("oracle.fallback", site="distances_to",
-                       reason="row_not_cached")
+                       reason="endpoint_missing" if source_id is None
+                       else "row_not_cached")
             return [self.distance(source, t) for t in targets]
         tids = _target_ids(index, targets)
         if tids is None:
-            tids = [index.get(t) for t in targets]
-            present = [tid for tid in tids if tid is not None]
-        else:
-            present = tids
-        if not present:
-            return [INF] * len(targets)
-        tid_arr = np.fromiter(present, np.int64, len(present))
-        self._queries[source_id] += len(present)
-        np.add.at(np.frombuffer(self._queries, np.int64), tid_arr, 1)
+            if mx:
+                mx.inc("oracle.fallback", site="distances_to",
+                       reason="target_missing")
+            return [self.distance(source, t) for t in targets]
         row.used = True
-        vals = kernel.f8_view(row.dist)[tid_arr].tolist()
-        if len(present) == len(tids):
-            return vals
-        out: List[float] = []
-        k = 0
-        for tid in tids:
-            if tid is None:
-                out.append(INF)
-            else:
-                out.append(vals[k])
-                k += 1
-        return out
+        tid_arr = np.fromiter(tids, np.int64, len(tids))
+        return kernel.f8_view(row.dist)[tid_arr].tolist()
 
     def detour_distances(
         self, source: Node, last_vms: Sequence[Node], targets: Sequence[Node]
@@ -1379,10 +1284,10 @@ class FrozenOracle:
         every candidate VM ``t`` in ``targets`` (distinct) against both
         corridor endpoints: ``source`` and, pair by pair, each last VM
         ``u`` of ``last_vms``.  The returned :class:`DetourBlock` gates
-        and serves the pairs one at a time, in the caller's order,
-        exactly as the scalar ``distance`` loop of each pair would be
-        served and counted; the distances of a whole run of pairs come
-        from one gather.
+        and serves the pairs one at a time, in the caller's order, from
+        the rows the scalar ``distance`` loop of each pair would serve
+        them from; the distances of a whole run of pairs come from one
+        gather.
         """
         return DetourBlock(self, source, last_vms, targets)
 
@@ -1539,11 +1444,10 @@ class DetourBlock:
     than ``last_vms[i]``.  :meth:`serve` is the pair's row-serving
     gate.  It answers only when both endpoint rows are cached -- the
     rows that loop would serve every target from -- and every target
-    is in the core, and then leaves exactly the loop's side effects:
-    the two counted row-store lookups, both ``used`` marks and the
-    query counters (+1 per endpoint per target, +2 per target).
-    Otherwise it returns ``None`` after the lookups alone, and the
-    caller runs the loop.
+    is in the core, and then replays the loop's lasting side effects on
+    those rows: one counted row-store lookup each and both ``used``
+    marks.  Otherwise it returns ``None`` after the lookups alone, and
+    the caller runs the loop.
 
     The distances come from a gather that counts nothing: at the first
     pair whose gate passes, ``d(source, t)`` and ``d(u, t)`` for that
@@ -1555,8 +1459,8 @@ class DetourBlock:
     """
 
     __slots__ = (
-        "_oracle", "_source_id", "_last_ids", "_tids", "_present",
-        "_source_row", "_gathered", "_slots", "_da", "_db", "pairs",
+        "_oracle", "_source_id", "_last_ids", "_tids", "_source_row",
+        "_gathered", "_slots", "_da", "_db", "pairs",
     )
 
     def __init__(
@@ -1566,9 +1470,7 @@ class DetourBlock:
         last_vms: Sequence[Node],
         targets: Sequence[Node],
     ) -> None:
-        oracle._build()
-        contracted = oracle._contracted
-        index = contracted.index if contracted is not None else oracle.core.index
+        index = oracle._search_core().index
         targets = list(targets)
         self._oracle = oracle
         self._source_id = index.get(source)
@@ -1579,11 +1481,6 @@ class DetourBlock:
         #: per-target path, so every gate fails.
         self._tids = (
             None if tids is None else np.fromiter(tids, np.int64, len(tids))
-        )
-        #: The target ids, whose query counters a served pair bumps;
-        #: ``None`` on the contracted core, which counts no queries.
-        self._present = (
-            set(tids) if tids is not None and contracted is None else None
         )
         self._source_row: Optional[_Row] = None
         self._gathered: List[_Row] = []
@@ -1627,14 +1524,6 @@ class DetourBlock:
             return None
         source_row.used = True
         last_row.used = True
-        present = self._present
-        if present is not None:
-            own = last_id in present
-            served = len(tids) - own
-            queries = oracle._queries
-            np.frombuffer(queries, np.int64)[tids] += 2
-            queries[source_id] += served
-            queries[last_id] += served - 2 * own
         j = self._slots.get(i)
         if (
             j is None or source_row is not self._source_row

@@ -159,7 +159,9 @@ def solve_kstroll_insertion(instance: KStrollInstance, k: int) -> Tuple[List[Nod
     candidate node whose best insertion position increases the path cost
     least, until ``k`` distinct nodes are on the path.  This is the standard
     metric path-TSP construction; on triangle-inequality instances it is the
-    practical stand-in for the cited 2-approximation.
+    practical stand-in for the cited 2-approximation.  Raises
+    ``ValueError`` when a round finds no candidate with a finite
+    insertion delta (too few candidates reachable to visit ``k`` nodes).
     """
     pool = _validate_k(instance, k)
     s, t = instance.source, instance.target
@@ -192,7 +194,8 @@ def solve_kstroll_insertion(instance: KStrollInstance, k: int) -> Tuple[List[Nod
                     delta = edge(path[pos], node) + edge(node, path[pos + 1]) - hop[pos]
                     if delta < best_delta:
                         best_delta, best_node, best_pos = delta, node, pos
-        assert best_node is not None
+        if best_node is None:
+            raise ValueError("no feasible k-stroll found")
         path.insert(best_pos + 1, best_node)
         remaining.remove(best_node)
     return path, instance.path_cost(path)
@@ -280,7 +283,7 @@ def solve_kstroll_block(
     ``solved[p]``.  ``solved[p]`` is ``False`` where the direct edge
     ``cost[p, 0, target[p]]`` is ``inf`` (the scalar caller rejects the
     pair before solving) or an insertion round finds no finite delta
-    (the scalar insertion fails its assertion); those rows of ``paths``
+    (the scalar insertion raises ``ValueError``); those rows of ``paths``
     and ``costs`` mean nothing.
     """
     count, n, _ = cost.shape

@@ -53,8 +53,9 @@ def metric_closure(
     """Complete graph over ``nodes`` with shortest-path distances as costs.
 
     Distances come from ``oracle``, or, when none is given, from a fresh
-    :class:`FrozenOracle` over ``graph`` that is hot at ``nodes`` (it
-    builds rows from them and serves bit-identical distances).  SOFDA's
+    :class:`FrozenOracle` over ``graph`` that is hot at ``nodes``, so
+    contraction keeps them; it serves each pair from the row of the
+    pair's earlier node in ``nodes``, built on first use.  SOFDA's
     KMB step never lets that default intern its auxiliary graph ``Ĝ``:
     it passes the condensed auxiliary oracle on a contracted instance and
     otherwise one assembled from the instance oracle's core

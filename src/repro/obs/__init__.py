@@ -71,8 +71,8 @@ Procedure 2's path (``sofda.procedure2``) and rejections (``sim.embeds``)
 Procedure 3's sweep counts every ``(source, last VM)`` pair once as
 ``sofda.procedure2{path=block}`` or
 ``sofda.procedure2{path=scalar,reason}``, ``reason`` one of
-``"uncapped_pool"``, ``"kstroll_method"``, ``"source_cost"``,
-``"setup_override"`` and ``"no_finite_insertion"``.  A rejected embed
+``"uncapped_pool"``, ``"kstroll_method"``, ``"source_cost"`` and
+``"setup_override"``.  A rejected embed
 counts as ``sim.embeds{outcome=rejected,reason}``, ``reason`` the type
 name of the exception the embedder raised.
 

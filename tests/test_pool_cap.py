@@ -5,8 +5,8 @@ Procedure 3 caps the VM pools of all the pairs of one source through one
 block; ``chain_walk`` on its own caps its single pair through the same
 class.  The differential tests run ``build_auxiliary_graph`` on one
 simulator or instance and a local loop of per-pair ``chain_walk`` calls
-on its twin, and require the same walks and the same oracle state:
-query counters, ``used`` marks, cache counters and resident rows.  The
+on its twin, and require the same walks and the same oracle state: row
+labels and trees, ``used`` marks, cache counters and resident rows.  The
 scalar-reference tests pin every pair's capped pool to the first
 ``POOL_CAP`` of the pool stably sorted by scalar ``distance`` scores.
 The last tests pin the ``sofda.procedure2`` count of each swept pair's
@@ -17,9 +17,11 @@ import importlib
 
 import pytest
 
+from helpers import row_states
 from repro.core.problem import ServiceChain, SOFInstance
 from repro.core.sofda import build_auxiliary_graph
 from repro.core.transform import POOL_CAP, PoolCap, chain_walk
+from repro.core.validation import check_forest
 from repro.graph.indexed import DetourBlock
 from repro.graph.rowcache import row_nbytes
 from repro.obs import MetricsRegistry, Recorder
@@ -40,6 +42,26 @@ def _simulator(row_budget_bytes=None):
         network, seed=3, destinations_range=(3, 4), sources_range=(2, 2),
     ).next_request()
     return simulator, simulator.current_instance(request)
+
+
+def _cut_first_datacenter(simulator):
+    """Fail every link of the datacenter hosting the VMs ``("vm", 0, k)``."""
+    network = softlayer_network(seed=1)
+    cut = network.datacenters[0]
+    for neighbor in sorted(network.graph.neighbors(cut), key=repr):
+        simulator.fail_link(cut, neighbor)
+
+
+def _with_sources(instance, sources):
+    """``instance``'s request from ``sources`` with a 3-VNF chain, on the
+    instance's oracle."""
+    out = SOFInstance(
+        graph=instance.graph, vms=instance.vms, sources=sources,
+        destinations=instance.destinations, chain=ServiceChain.of_length(3),
+        node_costs=instance.node_costs,
+    )
+    out._oracle = instance.oracle
+    return out
 
 
 def _inet_instance():
@@ -66,7 +88,7 @@ def _per_pair_walks(instance):
 
 def _oracle_state(oracle):
     return {
-        "queries": oracle._queries.tolist(),
+        "rows": row_states(oracle),
         "used": {sid: row.used for sid, row in oracle._rows.items()},
         "resident": list(oracle._rows),
         "cache": oracle.cache_snapshot(),
@@ -89,7 +111,6 @@ def test_sweep_matches_per_pair_walks_uncontracted():
     instance = _assert_sweep_matches_per_pair(make)
     assert instance.oracle.contracted is None
     assert len(instance.vms) - 2 > POOL_CAP
-    assert any(instance.oracle._queries)
 
 
 def test_sweep_matches_per_pair_walks_contracted():
@@ -166,10 +187,7 @@ def test_caps_match_scalar_reference_with_unreachable_vms():
     """A datacenter cut off by link failures leaves VMs at ``inf``:
     their scores tie and keep pool order, in and out of the cap."""
     simulator, instance = _simulator()
-    network = softlayer_network(seed=1)
-    cut = network.datacenters[0]  # hosts the VMs ("vm", 0, k)
-    for neighbor in sorted(network.graph.neighbors(cut), key=repr):
-        simulator.fail_link(cut, neighbor)
+    _cut_first_datacenter(simulator)
     oracle = instance.oracle
     source = sorted(instance.sources, key=repr)[0]
     unreachable = [
@@ -244,10 +262,8 @@ def _spied_sweep(monkeypatch, instance, **kwargs):
     stroll = PoolCap.stroll
 
     def spy_stroll(self, last_vm, k):
-        out = stroll(self, last_vm, k)
-        if out[1] is None:
-            solved.append(last_vm)
-        return out
+        solved.append(last_vm)
+        return stroll(self, last_vm, k)
 
     def spy_walk(*args, **kw):
         scalar.append(args[2])
@@ -301,21 +317,29 @@ def test_procedure2_paths_are_counted(monkeypatch, case):
 
 def test_procedure2_counts_a_pair_with_no_finite_insertion(monkeypatch):
     """A VM source in a cut-off datacenter reaches one other VM: the
-    pair to it has no finite insertion, so the block leaves it to the
-    scalar path, which fails as it always has."""
+    pair to it has no finite insertion, so its capped pool has no
+    feasible k-stroll.  The block finds no stroll for it, as
+    ``chain_walk`` does, and counts it as ``block`` like every other
+    pair; with no other source, no candidate chain is left."""
     recorder, simulator, instance = _metered()
-    network = softlayer_network(seed=1)
-    cut = network.datacenters[0]  # hosts the VMs ("vm", 0, k)
-    for neighbor in sorted(network.graph.neighbors(cut), key=repr):
-        simulator.fail_link(cut, neighbor)
-    inside = SOFInstance(
-        graph=instance.graph, vms=instance.vms, sources=[("vm", 0, 0)],
-        destinations=instance.destinations, chain=ServiceChain.of_length(3),
-        node_costs=instance.node_costs,
-    )
-    inside._oracle = instance.oracle
-    with pytest.raises(AssertionError):
+    _cut_first_datacenter(simulator)
+    inside = _with_sources(instance, [("vm", 0, 0)])
+    with pytest.raises(RuntimeError, match="no candidate service chain"):
         _spied_sweep(monkeypatch, inside)
     assert _procedure2_counts(recorder) == {
-        "sofda.procedure2{path=scalar,reason=no_finite_insertion}": 1,
+        "sofda.procedure2{path=block}": len(inside.vms) - 1,
     }
+    assert chain_walk(inside, ("vm", 0, 0), ("vm", 0, 1)) is None
+
+
+def test_a_source_with_no_feasible_stroll_leaves_the_others_serving():
+    """A request with one source inside a cut-off datacenter and one
+    healthy source is served from the healthy one: the cut-off source's
+    pairs find no k-stroll instead of aborting the solve."""
+    simulator, instance = _simulator()
+    _cut_first_datacenter(simulator)
+    healthy = sorted(instance.sources, key=repr)[0]
+    request = _with_sources(instance, [("vm", 0, 0), healthy])
+    forest = sofda_module.sofda(request).forest
+    check_forest(request, forest)
+    assert forest.used_sources() == {healthy}

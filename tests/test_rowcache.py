@@ -105,11 +105,19 @@ def test_peek_counts_nothing():
     assert not cache._served
 
 
-def test_contracted_cold_queries_miss_once_per_lookup(monkeypatch):
-    """On the contracted core a cold ``distance`` or ``path`` counts the
-    misses of its two endpoint lookups and builds the row without a
-    third lookup; ``prefetch_rows`` counts one miss per missing row."""
-    monkeypatch.setattr(indexed, "CONTRACT_MIN_INTERIOR", 1)
+@pytest.mark.parametrize("contracted", [False, True])
+def test_cold_queries_build_the_source_row_and_miss_once_per_lookup(
+    monkeypatch, contracted
+):
+    """On either core a cold ``distance`` counts the misses of its two
+    endpoint lookups and builds its source's row without a third lookup
+    -- also for a non-hot source and a hot target that was queried more
+    often.  A cold ``path`` builds its source's row too, after looking
+    up both endpoint rows on the contracted core and only the source's
+    on the uncontracted one, which never serves a path from the
+    target's row.  ``prefetch_rows`` counts one miss per missing row."""
+    if contracted:
+        monkeypatch.setattr(indexed, "CONTRACT_MIN_INTERIOR", 1)
     graph = Graph()
     for i in range(20):  # a path of relays with a few chords
         graph.add_edge(i, i + 1, 1.0 + 0.01 * i)
@@ -117,17 +125,19 @@ def test_contracted_cold_queries_miss_once_per_lookup(monkeypatch):
         graph.add_edge(a, b, 3.0 + 0.1 * a)
     hot = [0, 5, 10, 15, 20]
     oracle = FrozenOracle(graph, hot=hot)
-    assert oracle.contracted is not None
+    assert (oracle.contracted is not None) == contracted
+    index = oracle.contracted.index if contracted else oracle.core.index
     rows = oracle._rows
-    for query, misses in (
-        (lambda: oracle.distance(0, 10), 2),
-        (lambda: oracle.path(5, 15), 2),
-        (lambda: oracle.prefetch_rows([20]), 1),
+    for query, misses, source in (
+        (lambda: oracle.distance(0, 10), 2, 0),
+        (lambda: oracle.distance(7, 10), 2, 7),  # 7: degree 3, not hot
+        (lambda: oracle.path(5, 15), 2 if contracted else 1, 5),
+        (lambda: oracle.prefetch_rows([20]), 1, 20),
     ):
-        before, built = rows.misses, len(rows)
+        before, resident = rows.misses, set(rows)
         query()
         assert rows.misses - before == misses
-        assert len(rows) == built + 1
+        assert set(rows) - resident == {index[source]}
 
 
 def test_budget_must_be_positive():
