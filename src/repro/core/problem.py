@@ -210,9 +210,10 @@ class SOFInstance:
         setup-cost override; the diagonal is ``0``.  Those entries do not
         depend on the ``(source, last_vm)`` pair, so one block serves the
         entire |S| x |M| auxiliary-graph sweep.  Entry ``[i, j]`` with
-        ``i < j`` comes from row ``v_i`` (the oracle's symmetry contract)
-        and is mirrored to ``[j, i]``.  Invalidated together with the
-        oracle.
+        ``i < j`` comes from row ``v_i`` (the oracle's symmetry contract),
+        gathered straight into the block
+        (:meth:`FrozenOracle.pairwise_distances`, one gather per row), and
+        is mirrored to ``[j, i]``.  Invalidated together with the oracle.
         """
         if self._metric_block is None:
             oracle = self.oracle
@@ -223,12 +224,12 @@ class SOFInstance:
             oracle.prefetch_rows(vms)
             setups = np.array([self.setup_cost(v) for v in vms])
             block = np.zeros((len(vms), len(vms)))
-            for i, v1 in enumerate(vms):
-                ds = oracle.distances_to(v1, vms[i + 1:])
+            oracle.pairwise_distances(vms, block)
+            for i in range(len(vms) - 1):
+                costs = block[i, i + 1:]
                 # Elementwise IEEE doubles in the scalar association,
                 # ``base + ((s1 + s2) / 2.0)``; ``inf`` stays ``inf``.
-                costs = np.asarray(ds) + (setups[i] + setups[i + 1:]) / 2.0
-                block[i, i + 1:] = costs
+                costs += (setups[i] + setups[i + 1:]) / 2.0
                 block[i + 1:, i] = costs
             self._metric_block = block
         return self._metric_block

@@ -22,10 +22,15 @@ Performance: the whole pipeline shares the instance's single
 |S| x |M| sweep per source: one :class:`~repro.core.transform.PoolCap`
 caps the VM pools of the source's pairs from one score block and solves
 their k-strolls in numpy blocks over the instance-wide Procedure-1 metric
-block, leaving each pair only its walk expansion; pairs the block does not
-cover (uncapped pools among them) run the scalar ``chain_walk``.  ``Ĝ``
-is never copied from ``G``: an :class:`AuxiliaryView` reads ``G`` live
-and records only the virtual part.  KMB's Steiner step searches it
+block (one gather per VM row); pairs the block does not cover (uncapped
+pools among them) run the scalar ``chain_walk``.  ``Ĝ`` needs every
+candidate chain's cost but step 3 needs only the walks ``T`` selects, so
+on an uncontracted oracle the block pairs' walks are priced from the
+oracle rows in one compiled call after the sweep
+(:class:`~repro.graph.indexed.WalkBatch`) and only the selected ones
+are built, from the same rows.  ``Ĝ`` is never copied from ``G``: an
+:class:`AuxiliaryView` reads ``G`` live and records only the virtual
+part.  KMB's Steiner step searches it
 without interning ``Ĝ`` either -- on a contracted instance an
 :class:`AuxiliaryOracle` answers terminal distance/path queries from
 base-graph oracle rows over a condensed graph of the virtual part, and
@@ -45,6 +50,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 from repro.graph import FrozenOracle, Graph, steiner_tree
 from repro.graph.graph import cost_error
+from repro.graph.indexed import WalkBatch
 from repro.graph.shortest_paths import dijkstra, reconstruct_path
 from repro.graph.steiner import resolve_steiner_method
 from repro.core.conflict import (
@@ -333,20 +339,40 @@ class AuxiliaryOracle:
 
 @dataclass
 class AuxiliaryGraph:
-    """Procedure 3 output: the Steiner instance ``Ĝ`` as a view, the walk
-    behind each virtual edge and the condensed oracle that answers ``Ĝ``
-    queries on a contracted instance.
+    """Procedure 3 output: the Steiner instance ``Ĝ`` as a view, the cost
+    and walk behind each virtual edge, and the condensed oracle that
+    answers ``Ĝ`` queries on a contracted instance.
 
     ``view`` is what the Steiner step reads; :attr:`graph` materializes
     ``Ĝ`` as a :class:`Graph` on first read, for the readers that need
     one (Steiner methods other than KMB, the condensed oracle's
     non-terminal fallback).
+
+    ``costs`` holds every ``(source, last_vm)`` pair's virtual-edge cost
+    in sweep order, and ``walks`` the walks expanded so far: every pair
+    the sweep expanded eagerly, and each priced pair once
+    :meth:`walk_for` has expanded it.  A priced pair's walk comes from
+    the oracle rows its price was read from, which the instance oracle's
+    next patch repairs in place, so expand the pairs you need before
+    then (:func:`build_auxiliary_graph`'s lifetime contract).
     """
 
     view: AuxiliaryView
     virtual_source: Node
+    costs: Dict[Tuple[Node, Node], float] = field(default_factory=dict)
     walks: Dict[Tuple[Node, Node], ChainWalk] = field(default_factory=dict)
     oracle: Optional[AuxiliaryOracle] = None
+    #: The priced pairs not expanded yet: each one's stroll and its walk
+    #: in :attr:`_batch`.
+    _priced: Dict[Tuple[Node, Node], Tuple[List[Node], int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _batch: Optional[WalkBatch] = field(
+        default=None, repr=False, compare=False
+    )
+    _instance: Optional[SOFInstance] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def graph(self) -> Graph:
@@ -354,8 +380,20 @@ class AuxiliaryGraph:
         return self.view.materialize()
 
     def walk_for(self, source: Node, last_vm: Node) -> ChainWalk:
-        """The candidate chain represented by virtual edge ``(v̂, û)``."""
-        return self.walks[(source, last_vm)]
+        """The candidate chain represented by virtual edge ``(v̂, û)``.
+
+        A priced pair is expanded on its first call, from the rows its
+        price was read from, into the walk ``expand_stroll`` would have
+        built at its place in the sweep; no oracle lookup is made.
+        """
+        pair = (source, last_vm)
+        walk = self.walks.get(pair)
+        if walk is None:
+            stroll, index = self._priced.pop(pair)
+            walk = self.walks[pair] = expand_stroll(
+                self._instance, stroll, paths=self._batch.paths(index)
+            )
+        return walk
 
 
 def build_auxiliary_graph(
@@ -370,19 +408,36 @@ def build_auxiliary_graph(
     (:meth:`SOFInstance.metric_block`).  One :class:`PoolCap` per source
     caps the VM pools of all its pairs and, for the pairs its gather
     covers, solves their k-strolls in one numpy block
-    (:meth:`PoolCap.stroll`); each stroll is expanded into its walk in
-    sweep order (:func:`expand_stroll`).  A pair the block does not
-    cover runs the scalar ``chain_walk`` with its capped pool: an
+    (:meth:`PoolCap.stroll`).  On an uncontracted instance oracle such a
+    pair's walk is not built: at the pair's place in the sweep a
+    :class:`~repro.graph.indexed.WalkBatch` replays the row lookups its
+    ``expand_stroll`` would make and keeps the rows, and after the sweep
+    one compiled call prices every kept walk -- its edges' live weights
+    folded left to right, plus its setup costs -- bit for bit
+    ``expand_stroll(...).total_cost``.  On a contracted one each stroll
+    is expanded at once (:func:`expand_stroll`).  A pair the block does
+    not cover runs the scalar ``chain_walk`` with its capped pool: an
     uncapped pool, a ``kstroll_method`` other than ``auto``, or a source
     with an Appendix-D setup cost.  With a recorder on the instance
     oracle, each pair counts as ``sofda.procedure2{path=block}`` or
-    ``sofda.procedure2{path=scalar,reason=...}``.
+    ``sofda.procedure2{path=scalar,reason=...}``, and each block pair's
+    walk as ``sofda.walk{path=priced}`` or
+    ``sofda.walk{path=expanded,reason=contracted}``.
 
     ``Ĝ`` is not a copy of ``G``: it is an :class:`AuxiliaryView` of
     ``G`` plus its virtual part -- ``ŝ``, the source and VM duplicates
     and their edges, the virtual edges added after the sweep in sweep
     order.  Nothing here reads the oracle before the sweep, so a cold
     instance oracle is built by the sweep's first query.
+
+    Lifetime contract: a priced pair's walk is expanded on demand
+    (:meth:`AuxiliaryGraph.walk_for`) from the kept rows' parent
+    buffers, which are the instance oracle's live ones, and a patch of
+    that oracle repairs them in place.  So the returned graph's
+    unexpanded walks are valid until the oracle's next patch: expand
+    every walk you need before it -- :func:`sofda` expands the pairs its
+    Steiner tree selects right after the Steiner step.  Every pair's
+    cost in :attr:`AuxiliaryGraph.costs` stays valid.
     """
     vms = instance.sorted_vms()
     aux = AuxiliaryView(instance)
@@ -390,9 +445,14 @@ def build_auxiliary_graph(
         aux.add_edge(_VSRC, _src_dup(v), 0.0)
     for u in vms:
         aux.add_edge(u, _vm_dup(u), 0.0)
-    mx = instance.oracle.metrics
+    oracle = instance.oracle
+    mx = oracle.metrics
     k = len(instance.chain) + 1
+    setup_of = instance.setup_cost
+    costs: Dict[Tuple[Node, Node], float] = {}
     walks: Dict[Tuple[Node, Node], ChainWalk] = {}
+    priced: Dict[Tuple[Node, Node], Tuple[List[Node], int]] = {}
+    batch: Optional[WalkBatch] = None
     for v in sorted(instance.sources, key=repr):
         last_vms = [u for u in vms if u != v]
         caps = PoolCap(instance, v, last_vms)
@@ -402,32 +462,51 @@ def build_auxiliary_graph(
                 reason, pool = "uncapped_pool", None
             elif refusal is None:
                 reason, stroll = None, caps.stroll(u, k)
+                if stroll is not None and batch is None:
+                    # The stroll's gate has built the oracle by now.
+                    batch = oracle.walk_batch(k - 1)
             else:
                 reason, pool = refusal, caps.select(u)
             if mx:
-                if reason is None:
-                    mx.inc("sofda.procedure2", path="block")
-                else:
+                if reason is not None:
                     mx.inc("sofda.procedure2", path="scalar", reason=reason)
+                else:
+                    mx.inc("sofda.procedure2", path="block")
+                    if stroll is not None and batch is not None:
+                        mx.inc("sofda.walk", path="priced")
+                    elif stroll is not None:
+                        mx.inc("sofda.walk", path="expanded",
+                               reason="contracted")
             if reason is not None:
                 cw = chain_walk(
                     instance, v, u, candidate_vms=pool,
                     kstroll_method=kstroll_method,
                 )
-            elif stroll is not None:
-                cw = expand_stroll(instance, stroll)
-            else:
+            elif stroll is None:
                 cw = None
+            elif batch is not None:
+                setups = [setup_of(m) for m in stroll[1:]]
+                priced[(v, u)] = (stroll, batch.add(stroll, setups))
+                costs[(v, u)] = INF  # priced after the sweep
+                continue
+            else:
+                cw = expand_stroll(instance, stroll)
             if cw is not None:
                 walks[(v, u)] = cw
-    if not walks:
+                costs[(v, u)] = cw.total_cost
+    if not costs:
         raise RuntimeError("no candidate service chain exists for any (source, VM) pair")
-    for (v, u), cw in walks.items():
-        aux.add_edge(_src_dup(v), _vm_dup(u), cw.total_cost)
+    if batch is not None:
+        prices = batch.costs()
+        for pair, (_, index) in priced.items():
+            costs[pair] = prices[index]
+    for (v, u), cost in costs.items():
+        aux.add_edge(_src_dup(v), _vm_dup(u), cost)
     terminals = [_VSRC] + sorted(instance.destinations, key=repr)
-    oracle = AuxiliaryOracle(instance, aux, _VSRC, terminals)
     return AuxiliaryGraph(
-        view=aux, virtual_source=_VSRC, walks=walks, oracle=oracle
+        view=aux, virtual_source=_VSRC, costs=costs, walks=walks,
+        oracle=AuxiliaryOracle(instance, aux, _VSRC, terminals),
+        _priced=priced, _batch=batch, _instance=instance,
     )
 
 
@@ -531,15 +610,19 @@ def sofda(
         graph, terminals, method=steiner_method, oracle=oracle
     ).tree
 
+    # Expand the walks behind the selected virtual edges now, while the
+    # rows their prices were read from are as the sweep left them.
+    pairs = _selected_virtual_edges(tree, instance)
+    walks = {pair: aux.walk_for(*pair) for pair in pairs}
+
     forest = ServiceOverlayForest(instance=instance)
     stats = ResolutionStats()
 
     # Deploy the chain behind every selected virtual edge.  Cheaper chains
     # first: they seed the forest that later chains attach to.
-    pairs = _selected_virtual_edges(tree, instance)
-    pairs.sort(key=lambda p: aux.walks[p].total_cost)
+    pairs.sort(key=lambda p: walks[p].total_cost)
     for v, u in pairs:
-        candidate = aux.walks[(v, u)]
+        candidate = walks[(v, u)]
         if resolve_conflicts:
             resolve_and_add_chain(forest, candidate, stats)
         else:

@@ -2,9 +2,10 @@
  * The oracle's shortest-path loops, compiled.
  *
  * repro.graph.kernel compiles this file with the system C compiler when
- * it is imported and calls settle() and repair() through ctypes;
- * kernel.settle_python and kernel.repair_python are the line-for-line
- * Python twins they must match bit for bit.
+ * it is imported and calls settle(), repair() and walk_costs() through
+ * ctypes; kernel.settle_python, kernel.repair_python and
+ * kernel.walk_costs_python are the line-for-line Python twins they must
+ * match bit for bit.
  *
  * settle() is a seeded label-setting loop over a CSR adjacency.  The
  * caller has already written the seeds' labels into dist/parent; the
@@ -30,6 +31,21 @@
  * with node-id ties.  A marked node with no reachable unmarked
  * neighbour and no marked path to one stays unreachable.  Returns 0,
  * or -1 when a buffer could not be allocated.
+ *
+ * walk_costs() prices walks along rows' parent trees without building
+ * them.  Each walk is per_walk consecutive hops; hop h is the triple
+ * hops[3h..3h+2] = (row, head, tail): the tree path of parents[row]
+ * from head down to tail, whose edges are read by walking up from tail
+ * (each child's first live CSR slot to its parent gives the weight).
+ * A walk's connection cost folds those weights left to right along the
+ * walk, hop after hop, from 0; its setup cost folds setups[h] of its
+ * hops the same way, and out[w] is the connection plus the setup cost.
+ * A hop whose head is its tail has no edges and reads no row.  Returns
+ * 0, -1 when a buffer could not be allocated, or -2 when the hops do
+ * not split into walks, a hop names a node or row out of range, or a
+ * parent chain leaves the tree (reaches -1 or an id out of range, runs
+ * longer than n edges, or crosses an edge with no live slot) before its
+ * head; nothing past the buffers is read either way.
  */
 
 #include <math.h>
@@ -237,5 +253,65 @@ done:
     free(mask);
     free(region.items);
     free(seeds.items);
+    return result;
+}
+
+int64_t walk_costs(
+    const int64_t *indptr, const int64_t *indices, const double *weights,
+    int64_t n, const int64_t *const *parents, int64_t nparents,
+    const int64_t *hops, const double *setups, int64_t nhops,
+    int64_t per_walk, double *out)
+{
+    double *chain;
+    int64_t result = 0;
+    int64_t start;
+    if (per_walk <= 0 || nhops < 0 || nhops % per_walk != 0)
+        return -2;
+    chain = malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
+    if (chain == NULL)
+        return -1;
+    for (start = 0; start < nhops; start += per_walk) {
+        double connection = 0.0;
+        double setup = 0.0;
+        int64_t h;
+        for (h = start; h < start + per_walk; h++) {
+            int64_t row = hops[3 * h];
+            int64_t head = hops[3 * h + 1];
+            int64_t v = hops[3 * h + 2];
+            int64_t count = 0;
+            if (head < 0 || head >= n || v < 0 || v >= n) {
+                result = -2;
+                goto done;
+            }
+            if (v != head && (row < 0 || row >= nparents)) {
+                result = -2;
+                goto done;
+            }
+            while (v != head) {
+                int64_t p = parents[row][v];
+                int64_t stop = indptr[v + 1];
+                int64_t pos;
+                if (p < 0 || p >= n || count == n) {
+                    result = -2;
+                    goto done;
+                }
+                for (pos = indptr[v]; pos < stop; pos++)
+                    if (indices[pos] == p && weights[pos] != INFINITY)
+                        break;
+                if (pos == stop) {
+                    result = -2;
+                    goto done;
+                }
+                chain[count++] = weights[pos];
+                v = p;
+            }
+            while (count > 0)
+                connection += chain[--count];
+            setup += setups[h];
+        }
+        out[start / per_walk] = connection + setup;
+    }
+done:
+    free(chain);
     return result;
 }

@@ -1256,24 +1256,85 @@ class FrozenOracle:
         if not targets:
             return []
         index = self._search_core().index
-        mx = self._metrics
-        source_id = index.get(source)
-        row = self._rows.get(source_id) if source_id is not None else None
-        if row is None:
-            if mx:
-                mx.inc("oracle.fallback", site="distances_to",
-                       reason="endpoint_missing" if source_id is None
-                       else "row_not_cached")
-            return [self.distance(source, t) for t in targets]
         tids = _target_ids(index, targets)
-        if tids is None:
-            if mx:
-                mx.inc("oracle.fallback", site="distances_to",
-                       reason="target_missing")
+        row = self._batch_row(index.get(source), tids is not None,
+                              "distances_to")
+        if row is None:
             return [self.distance(source, t) for t in targets]
-        row.used = True
         tid_arr = np.fromiter(tids, np.int64, len(tids))
         return kernel.f8_view(row.dist)[tid_arr].tolist()
+
+    def _batch_row(
+        self, source_id: Optional[int], targets_in_core: bool, site: str
+    ) -> Optional[_Row]:
+        """The row-serving gate of one batch query from ``source_id``.
+
+        The source's cached row, after one counted lookup, marked used,
+        when it can serve every target; otherwise ``None`` -- the caller
+        runs the scalar ``distance`` loop -- with the refusal counted as
+        ``oracle.fallback{site,reason}``.  A source outside the core is
+        not looked up, and a row refused for a target outside the core
+        keeps its lookup but not the mark, as the scalar loop's first
+        query would leave it.
+        """
+        row = self._rows.get(source_id) if source_id is not None else None
+        if row is None:
+            reason = ("endpoint_missing" if source_id is None
+                      else "row_not_cached")
+        elif not targets_in_core:
+            reason = "target_missing"
+        else:
+            row.used = True
+            return row
+        mx = self._metrics
+        if mx:
+            mx.inc("oracle.fallback", site=site, reason=reason)
+        return None
+
+    def pairwise_distances(
+        self, nodes: Sequence[Node], out: np.ndarray
+    ) -> None:
+        """Write ``distance(nodes[i], nodes[j])`` into ``out[i, j]``, ``i < j``.
+
+        Semantically ``out[i, i + 1:] = distances_to(nodes[i], nodes[i +
+        1:])`` for every ``i``, so the last node's row is never looked
+        up; ``out`` is a float64 array of at least that shape, and
+        entries on and below the diagonal are left as they are.  Each
+        row passes :meth:`distances_to`'s gate (one counted lookup and
+        the ``used`` mark of the row it serves from) and is one gather
+        written straight into ``out``.  A row that is not cached, or
+        whose targets include a node outside the core, runs the scalar
+        loop instead, counted as
+        ``oracle.fallback{site=pairwise_distances,reason}``.  A metered
+        call records one ``oracle.query{op=pairwise_distances}`` span.
+        """
+        mx = self._metrics
+        t0 = mx.clock() if mx else 0.0
+        index = self._search_core().index
+        ids = [index.get(node) for node in nodes]
+        # Row ``i`` has a target outside the core iff ``i`` < the last
+        # such node's position.
+        last_missing = max(
+            (i for i, sid in enumerate(ids) if sid is None), default=-1
+        )
+        tids = np.array([0 if sid is None else sid for sid in ids], np.int64)
+        size = len(nodes)
+        for i in range(size - 1):
+            row = self._batch_row(ids[i], last_missing <= i,
+                                  "pairwise_distances")
+            if row is None:
+                source = nodes[i]
+                out[i, i + 1:size] = [
+                    self.distance(source, t) for t in nodes[i + 1:]
+                ]
+            else:
+                # Every id is in range; ``clip`` lets ``take`` write
+                # into ``out`` unbuffered.
+                np.take(kernel.f8_view(row.dist), tids[i + 1:],
+                        out=out[i, i + 1:size], mode="clip")
+        if mx:
+            mx.span("oracle.query", t0, op="pairwise_distances",
+                    trace_args={"targets": len(nodes)})
 
     def detour_distances(
         self, source: Node, last_vms: Sequence[Node], targets: Sequence[Node]
@@ -1290,6 +1351,19 @@ class FrozenOracle:
         gather.
         """
         return DetourBlock(self, source, last_vms, targets)
+
+    def walk_batch(self, hops: int) -> Optional["WalkBatch"]:
+        """A :class:`WalkBatch` of walks of ``hops`` hops each.
+
+        The batch entry point of Procedure 3's walk pricing: it stands
+        for the ``path`` calls that would expand the walks, hop by hop,
+        and prices them all in one compiled call.  ``None`` on a
+        contracted oracle, whose ``path`` re-expands chain interiors
+        through a memo the batch does not replay.
+        """
+        if self.contracted is not None:
+            return None
+        return WalkBatch(self, hops)
 
     def path(self, source: Node, target: Node) -> List[Node]:
         """A shortest path as a node list; raises if unreachable."""
@@ -1560,3 +1634,108 @@ class DetourBlock:
         self.pairs = pairs
         self._da = da
         self._db = db
+
+
+class WalkBatch:
+    """Walks along the oracle's rows, priced in one compiled call.
+
+    Made by :meth:`FrozenOracle.walk_batch` on an uncontracted oracle.
+    Walk ``w`` stands for the walk that ``path(a, b)`` calls over each
+    hop of a node sequence would expand, concatenated.  :meth:`add`
+    replays those calls' lasting side effects at the caller's place, in
+    their order -- per hop, one counted row-store lookup of its head's
+    row, a cold build on a miss and the row's ``used`` mark (a hop whose
+    head is its tail looks nothing up), and ``path``'s errors -- and
+    keeps the row objects it got.  :meth:`costs` prices every walk at
+    once (:func:`kernel.walk_costs`): each walk's edge weights from the
+    live CSR, folded left to right along the walk, plus the caller's
+    setup costs folded the same way.  :meth:`paths` rebuilds one walk's
+    hop paths from the kept rows, with no lookup.
+
+    Lifetime: the kept rows' parent buffers are the oracle's live ones,
+    which a patch repairs in place, so prices and paths hold until the
+    oracle's next patch.  A row evicted since :meth:`add` keeps its
+    parent buffer here, as it was, outside the row cache's accounting.
+    """
+
+    __slots__ = ("_oracle", "_core", "_hops", "_parents", "_slots",
+                 "_triples", "_setups")
+
+    def __init__(self, oracle: FrozenOracle, hops: int) -> None:
+        if hops < 1:
+            raise ValueError(f"a walk needs at least one hop, got {hops}")
+        self._oracle = oracle
+        self._core = oracle.core
+        self._hops = hops
+        #: The kept rows' parent buffers, each once, and each buffer's
+        #: slot by ``id``: the buffers stay alive here, so no id is
+        #: reused, and an evicted row's ``dist`` buffer is not kept.
+        self._parents: List[array] = []
+        self._slots: Dict[int, int] = {}
+        #: ``(slot, head, tail)`` per hop; ``slot`` -1 reads no row.
+        self._triples = array("q")
+        self._setups = array("d")
+
+    def __len__(self) -> int:
+        return len(self._setups) // self._hops
+
+    def add(self, nodes: Sequence[Node], setups: Sequence[float]) -> int:
+        """Replay the ``path`` calls of the walk through ``nodes``.
+
+        ``nodes`` holds ``hops + 1`` nodes and ``setups`` one setup cost
+        per hop, folded into the walk's price.  Raises as ``path`` does
+        (``KeyError`` for a first node outside the graph, ``ValueError``
+        for an unreachable one), with nothing added.  Returns the walk's
+        index.
+        """
+        if len(nodes) != self._hops + 1 or len(setups) != self._hops:
+            raise ValueError(
+                f"a walk of {self._hops} hops takes {self._hops + 1} nodes "
+                f"and {self._hops} setup costs"
+            )
+        oracle = self._oracle
+        index = self._core.index
+        slots = self._slots
+        triples: List[int] = []
+        head = nodes[0]
+        source_id = index[head]
+        for tail in nodes[1:]:
+            tid = index.get(tail)
+            if tid is None:
+                raise ValueError(f"no path from {head!r} to {tail!r}")
+            slot = -1
+            if tid != source_id:
+                row = oracle._row(source_id)
+                if row.dist[tid] == INF:
+                    raise ValueError(f"no path from {head!r} to {tail!r}")
+                parent = row.parent
+                slot = slots.get(id(parent))
+                if slot is None:
+                    slot = slots[id(parent)] = len(self._parents)
+                    self._parents.append(parent)
+            triples += (slot, source_id, tid)
+            head, source_id = tail, tid
+        walk = len(self)
+        self._triples.extend(triples)
+        self._setups.extend(setups)
+        return walk
+
+    def costs(self) -> array:
+        """Every walk's connection plus setup cost, in :meth:`add` order."""
+        return kernel.walk_costs(self._core.csr, self._parents,
+                                 self._triples, self._setups, self._hops)
+
+    def paths(self, walk: int) -> List[List[Node]]:
+        """Walk ``walk``'s hop paths as ``path`` returned them."""
+        nodes = self._core.nodes
+        triples = self._triples
+        out: List[List[Node]] = []
+        for h in range(walk * self._hops, (walk + 1) * self._hops):
+            slot, head, tail = triples[3 * h:3 * h + 3]
+            if slot < 0:
+                out.append([nodes[head]])
+            else:
+                chain = FrozenOracle._core_chain(self._parents[slot], head,
+                                                 tail)
+                out.append([nodes[c] for c in chain])
+        return out

@@ -5,22 +5,26 @@ topology tombstones) left the per-label search loops and pure
 interpreter overhead as the dominant costs.  This module holds three
 primitives:
 
-- **Search loops** -- :func:`settle`, the single seeded label-setting
-  loop every oracle row build and repair runs (contract in
-  :func:`settle_python`), and :func:`repair`, the increase half of
+- **Compiled loops** -- :func:`settle`, the single seeded
+  label-setting loop every oracle row build and repair runs (contract
+  in :func:`settle_python`); :func:`repair`, the increase half of
   Ramalingam--Reps on one row in one call (contract in
-  :func:`repair_python`), which ends in that loop.  Both are written
-  once in C (``_settle.c``, compiled with the system ``cc`` when this
-  module is imported, so no timed window pays for it, and loaded
-  through :mod:`ctypes` from a cache file whose name hashes the source,
-  the flags and ``EXT_SUFFIX``; the file is written atomically into
-  this package's ``__pycache__/``, or ``~/.cache/repro/`` when that is
+  :func:`repair_python`), which ends in that loop; and
+  :func:`walk_costs`, which prices Procedure 3's walks along rows'
+  parent trees without building them (contract in
+  :func:`walk_costs_python`).  All three are written once in C
+  (``_settle.c``, compiled with the system ``cc`` when this module is
+  imported, so no timed window pays for it, and loaded through
+  :mod:`ctypes` from a cache file whose name hashes the source, the
+  flags and ``EXT_SUFFIX``; the file is written atomically into this
+  package's ``__pycache__/``, or ``~/.cache/repro/`` when that is
   read-only) and once in Python (:func:`settle_python`,
-  :func:`repair_python`), which runs only when no compiler or compiled
-  object is usable -- announced by one ``RuntimeWarning`` naming the
-  reason -- and is the tests' reference.  :data:`NATIVE` says which
-  pair :func:`settle` and :func:`repair` are, and :data:`NATIVE_REASON`
-  why the compiled loops are not in use.
+  :func:`repair_python`, :func:`walk_costs_python`), which runs only
+  when no compiler or compiled object is usable -- announced by one
+  ``RuntimeWarning`` naming the reason -- and is the tests' reference.
+  :data:`NATIVE` says which set :func:`settle`, :func:`repair` and
+  :func:`walk_costs` are, and :data:`NATIVE_REASON` why the compiled
+  loops are not in use.
 - **Label buffers** -- every cached oracle row stores ``dist``/``parent``
   as ``array('d')``/``array('q')`` buffers (:func:`new_labels`), which
   the loops write in place.  Scalar indexing still returns plain
@@ -220,6 +224,76 @@ def repair_python(
         settle_python(csr, dist, parent, seeds, mask=mask)
 
 
+_WALK_ERROR = (
+    "walk_costs: the hops do not split into walks, or a hop leaves its "
+    "row's parent tree"
+)
+
+
+def walk_costs_python(
+    csr: Tuple[array, array, array],
+    parents: Sequence[array],
+    hops: array,
+    setups: array,
+    per_walk: int,
+) -> array:
+    """Price walks along rows' parent trees without building them.
+
+    ``parents`` are rows' ``array('q')`` parent buffers over ``csr``.
+    ``hops`` (``array('q')``) holds one ``(row, head, tail)`` triple per
+    hop: the tree path of ``parents[row]`` from ``head`` down to
+    ``tail``, read by walking up from ``tail``; each edge weighs what
+    the child's first live CSR slot to its parent holds.  Every
+    ``per_walk`` consecutive hops make one walk.  A walk's connection
+    cost folds those weights left to right along the walk, hop after
+    hop, from ``0``, and its setup cost folds the hops' ``setups``
+    (``array('d')``) the same way; the result holds each walk's
+    connection plus setup cost, in walk order.  A hop whose head is its
+    tail has no edges and reads no row.
+
+    Raises ``ValueError`` when the hops do not split into walks, a hop
+    names a node or row out of range, or a parent chain leaves the tree
+    (reaches ``-1`` or an id out of range, runs longer than ``n`` edges,
+    or crosses an edge with no live slot) before its head.
+
+    This is the Python twin of ``walk_costs`` in ``_settle.c``,
+    statement for statement: the fallback when no compiled object is
+    usable, and the tests' reference.
+    """
+    indptr, indices, weights = csr
+    n = len(indptr) - 1
+    nhops = len(setups)
+    if per_walk <= 0 or nhops % per_walk != 0:
+        raise ValueError(_WALK_ERROR)
+    out = array(DIST_TYPECODE)
+    for start in range(0, nhops, per_walk):
+        connection = 0.0
+        setup = 0.0
+        for h in range(start, start + per_walk):
+            row, head, v = hops[3 * h], hops[3 * h + 1], hops[3 * h + 2]
+            chain: List[float] = []
+            if not (0 <= head < n and 0 <= v < n):
+                raise ValueError(_WALK_ERROR)
+            if v != head and not 0 <= row < len(parents):
+                raise ValueError(_WALK_ERROR)
+            while v != head:
+                p = parents[row][v]
+                if not 0 <= p < n or len(chain) == n:
+                    raise ValueError(_WALK_ERROR)
+                for pos in range(indptr[v], indptr[v + 1]):
+                    if indices[pos] == p and weights[pos] != INF:
+                        break
+                else:
+                    raise ValueError(_WALK_ERROR)
+                chain.append(weights[pos])
+                v = p
+            while chain:
+                connection += chain.pop()
+            setup += setups[h]
+        out.append(connection + setup)
+    return out
+
+
 _SOURCE = Path(__file__).with_name("_settle.c")
 
 #: Compiler flags of the settle object.  Plain ``-O2``: no fast-math or
@@ -323,16 +397,19 @@ def _load_native() -> Tuple[Optional[ctypes.CDLL], Optional[Path], str]:
             return None, None, error
     try:
         lib = ctypes.CDLL(str(path))
-        settle_fn, repair_fn = lib.settle, lib.repair
+        settle_fn, repair_fn, walks_fn = lib.settle, lib.repair, lib.walk_costs
     except (OSError, AttributeError) as exc:
         return None, None, f"cannot load {path}: {exc}"
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    settle_fn.restype = repair_fn.restype = i64
+    settle_fn.restype = repair_fn.restype = walks_fn.restype = i64
     # (indptr, indices, weights, dist, parent, seeds, nseeds, mask,
     #  counter_ties), as in _settle.c.
     settle_fn.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64)
     # (indptr, indices, weights, dist, parent, n, roots, nroots).
     repair_fn.argtypes = (ptr, ptr, ptr, ptr, ptr, i64, ptr, i64)
+    # (indptr, indices, weights, n, parents, nparents, hops, setups,
+    #  nhops, per_walk, out).
+    walks_fn.argtypes = (ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, i64, i64, ptr)
     return lib, path, ""
 
 
@@ -423,9 +500,57 @@ def repair_native(
         raise MemoryError("repair: a buffer could not be allocated")
 
 
+def walk_costs_native(
+    csr: Tuple[array, array, array],
+    parents: Sequence[array],
+    hops: array,
+    setups: array,
+    per_walk: int,
+) -> array:
+    """The compiled walk pricing; same contract as :func:`walk_costs_python`.
+
+    Buffer types and sizes are checked here first, as for
+    :func:`settle_native`; the C loop checks every hop and parent chain
+    itself, since they index the buffers.
+    """
+    indptr, indices, weights = csr
+    n = len(indptr) - 1
+    nhops = len(setups)
+    if not (
+        indptr.typecode == indices.typecode == hops.typecode == "q"
+        and weights.typecode == setups.typecode == "d"
+        and n >= 0 and len(indices) == len(weights) == indptr[-1]
+        and len(hops) == 3 * nhops
+        and all(p.typecode == "q" and len(p) == n for p in parents)
+    ):
+        raise ValueError(
+            "walk_costs: inconsistent CSR, parent, hop or setup buffers"
+        )
+    if per_walk <= 0 or nhops % per_walk != 0:
+        raise ValueError(_WALK_ERROR)
+    out = array(DIST_TYPECODE, bytes(8 * (nhops // per_walk)))
+    if not nhops:
+        return out
+    table = (ctypes.c_void_p * max(1, len(parents)))(
+        *(p.buffer_info()[0] for p in parents)
+    )
+    result = _NATIVE.walk_costs(
+        indptr.buffer_info()[0], indices.buffer_info()[0],
+        weights.buffer_info()[0], n, table, len(parents),
+        hops.buffer_info()[0], setups.buffer_info()[0], nhops, per_walk,
+        out.buffer_info()[0],
+    )
+    if result == -1:
+        raise MemoryError("walk_costs: a buffer could not be allocated")
+    if result < 0:
+        raise ValueError(_WALK_ERROR)
+    return out
+
+
 _NATIVE, NATIVE_PATH, NATIVE_REASON = _load_native()
 
-#: Whether :func:`settle` and :func:`repair` are the compiled loops.
+#: Whether :func:`settle`, :func:`repair` and :func:`walk_costs` are the
+#: compiled loops.
 NATIVE = _NATIVE is not None
 
 #: The settle loop every oracle row build and repair runs:
@@ -437,6 +562,11 @@ settle = settle_native if NATIVE else settle_python
 #: same object as :func:`settle` (:func:`repair_native`), else
 #: :func:`repair_python`.
 repair = repair_native if NATIVE else repair_python
+
+#: The walk pricing of Procedure 3's sweep, from the same object as
+#: :func:`settle` (:func:`walk_costs_native`), else
+#: :func:`walk_costs_python`.
+walk_costs = walk_costs_native if NATIVE else walk_costs_python
 
 if not NATIVE:
     warnings.warn(

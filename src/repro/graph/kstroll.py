@@ -71,8 +71,16 @@ class KStrollInstance:
         return self.cost[u][v]
 
     def path_cost(self, path: Sequence[Node]) -> float:
-        """Total cost of a path in the instance."""
-        return sum(self.edge(a, b) for a, b in zip(path, path[1:]))
+        """Total cost of a path in the instance, folded left to right.
+
+        An explicit fold from ``0``, not ``sum``: ``sum`` of floats is
+        compensated since Python 3.12, and :func:`solve_kstroll_block`'s
+        path costs must equal this bit for bit.
+        """
+        total = 0
+        for a, b in zip(path, path[1:]):
+            total += self.edge(a, b)
+        return total
 
 
 def _validate_k(instance: KStrollInstance, k: int) -> List[Node]:
@@ -371,7 +379,7 @@ def _greedy_block(cost: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
 
 
 def _path_costs(cost: np.ndarray, paths: np.ndarray) -> np.ndarray:
-    """:meth:`KStrollInstance.path_cost` of each row: ``sum`` from ``0``."""
+    """:meth:`KStrollInstance.path_cost` of each row: a fold from ``0``."""
     rows = np.arange(len(paths))
     total = np.zeros(len(paths))
     for i in range(paths.shape[1] - 1):

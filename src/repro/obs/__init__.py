@@ -56,6 +56,8 @@ label       values
 ==========  ==============================================================
 ``site``    ``"distances_to"`` | ``"detour_distances"`` (the pool-cap gate,
             one count per refused ``(source, last VM)`` pair) |
+            ``"pairwise_distances"`` (the metric block's gather, one
+            count per refused VM row) |
             ``"insertable"`` (a link recovery the oracle cannot revive in
             place, counted by an incremental ``OnlineSimulator``)
 ``reason``  ``"row_not_cached"`` (a row the batch reads is not cached),
@@ -65,16 +67,19 @@ label       values
             before the core was built, so it has no slot to revive)
 ==========  ==============================================================
 
-Procedure 2's path (``sofda.procedure2``) and rejections (``sim.embeds``)
--------------------------------------------------------------------------
+Procedure 2 (``sofda.procedure2``, ``sofda.walk``), rejections (``sim.embeds``)
+-------------------------------------------------------------------------------
 
 Procedure 3's sweep counts every ``(source, last VM)`` pair once as
 ``sofda.procedure2{path=block}`` or
 ``sofda.procedure2{path=scalar,reason}``, ``reason`` one of
 ``"uncapped_pool"``, ``"kstroll_method"``, ``"source_cost"`` and
-``"setup_override"``.  A rejected embed
-counts as ``sim.embeds{outcome=rejected,reason}``, ``reason`` the type
-name of the exception the embedder raised.
+``"setup_override"``.  A block pair with a k-stroll also counts its
+walk once, as ``sofda.walk{path=priced}`` (uncontracted core: priced
+from the oracle rows, built only if the Steiner tree selects it) or
+``sofda.walk{path=expanded,reason=contracted}`` (built at once).  A
+rejected embed counts as ``sim.embeds{outcome=rejected,reason}``,
+``reason`` the type name of the exception the embedder raised.
 
 The Steiner step's path (``sofda.steiner_oracle``)
 --------------------------------------------------

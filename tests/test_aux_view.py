@@ -9,8 +9,9 @@ materialized ``Ĝ`` -- the copy SOFDA used to make -- node by node
 (neighbour and weight lists) and row by row, on a floor-cost simulator
 driven through commits, departures, background load and interleaved
 link failures and recoveries; the view's reads against the materialized
-graph's; and SOFDA's forests against the forests of the materialized
-path.  The last tests pin each Steiner search's path
+graph's; SOFDA's forests against the forests of the materialized
+path; and the virtual edges priced from the rows against the walks
+``expand_stroll`` builds.  The last tests pin each Steiner search's path
 (``sofda.steiner_oracle``) against spies, and the simulator's count of a
 link recovery that cannot revive in place.
 """
@@ -25,6 +26,7 @@ from repro.core.problem import ServiceChain
 from repro.core.sofda import (
     AuxiliaryOracle, AuxiliaryView, build_auxiliary_graph,
 )
+from repro.core.transform import expand_stroll
 from repro.graph import FrozenOracle, Graph, IndexedGraph
 from repro.obs import MetricsRegistry, Recorder
 from repro.online import OnlineSimulator, RequestGenerator
@@ -164,6 +166,38 @@ def test_assembled_core_matches_the_materialized_copy():
     _replay(simulator, network, check)
     # The walk above revived links whose slots the assembly must move.
     assert len(reordered) >= 3
+
+
+def test_priced_virtual_edges_equal_the_expanded_walks():
+    """Procedure 3 prices each block pair's virtual edge from the rows
+    its walk would be expanded from, without expanding it.  On the same
+    replay -- so the rows read include repaired ones, and the walks
+    cross links revived in place -- every priced cost equals
+    ``expand_stroll``'s ``total_cost`` for the pair's stroll bit for
+    bit, and the walk ``walk_for`` expands from the kept rows equals
+    ``expand_stroll``'s walk."""
+    network = _network()
+    recorder = Recorder(registry=MetricsRegistry())
+    simulator = OnlineSimulator(network, vms_per_datacenter=2,
+                                metrics=recorder)
+    priced, revived = [], []
+
+    def check(request):
+        instance = simulator.current_instance(request)
+        aux = build_auxiliary_graph(instance)
+        pending = [pair for pair in aux.costs if pair not in aux.walks]
+        for pair in pending:
+            walk = aux.walk_for(*pair)
+            expanded = expand_stroll(instance, walk.stroll)
+            assert aux.costs[pair] == expanded.total_cost
+            assert walk == expanded
+        priced.append(len(pending))
+        revived.append(len(instance.oracle._revivals))
+
+    _replay(simulator, network, check)
+    assert min(priced) > 0 and max(revived) > 0
+    counters = recorder.snapshot()["counters"]
+    assert counters["oracle.repair.rows{path=planned}"] > 0
 
 
 def test_sofda_forests_match_the_materialized_path(monkeypatch):

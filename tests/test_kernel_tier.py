@@ -13,11 +13,15 @@ are pinned against the scalar ``distance`` loop.
 import random
 from array import array
 
+import numpy as np
 import pytest
 
 from helpers import assert_rows_match_cold, row_states
+from repro.core.problem import ServiceChain
 from repro.graph import FrozenOracle, Graph
 from repro.graph import indexed
+from repro.obs import MetricsRegistry, Recorder
+from repro.topology import inet_network
 
 
 
@@ -230,6 +234,81 @@ def test_distances_to_matches_scalar(patched):
             assert batched.distances_to(source, nodes) == [
                 expected[t] for t in nodes
             ]
+
+
+def _fallbacks(recorder, site):
+    """``{reason: count}`` of ``oracle.fallback`` at ``site``."""
+    prefix = "oracle.fallback{"
+    out = {}
+    for key, value in recorder.snapshot()["counters"].items():
+        if key.startswith(prefix) and f"site={site}" in key:
+            labels = dict(part.split("=") for part in key[len(prefix):-1].split(","))
+            out[labels["reason"]] = value
+    return out
+
+
+@pytest.mark.parametrize("contracted", [False, True])
+def test_pairwise_distances_matches_the_per_row_loop(contracted):
+    """``pairwise_distances`` equals the ``distances_to`` loop it stands
+    for bit for bit -- values, row-store lookups, ``used`` marks, cached
+    rows and fallbacks by reason -- in every cache state, on both cores.
+    Uncontracted, a node not in the graph ends some lists (every earlier
+    row has a target missing) and cost patches interleave; contracted,
+    interior nodes sit among the members, as sources and as targets."""
+    for trial in range(3):
+        rng = random.Random(720 + trial)
+        if contracted:
+            instance = inet_network(
+                num_nodes=400, num_links=800, num_datacenters=60,
+                seed=3 + trial,
+            ).make_instance(num_sources=2, num_destinations=4, num_vms=30,
+                            chain=ServiceChain.of_length(3), seed=5)
+            graph = instance.graph
+            hot = instance.vms | instance.sources | instance.destinations
+        else:
+            graph = random_graph(rng)
+            hot = rng.sample(list(graph.nodes()), 5)
+        nodes = list(graph.nodes())
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        recorders = [Recorder(registry=MetricsRegistry()) for _ in range(2)]
+        batched, looped = (
+            FrozenOracle(graph.copy(), hot=hot, metrics=recorder)
+            for recorder in recorders
+        )
+        assert (batched.contracted is not None) == contracted
+        for _ in range(20):
+            members = rng.sample(nodes, rng.randint(2, 12))
+            if not contracted and rng.random() < 0.3:
+                members.append(("ghost", rng.randint(0, 5)))
+            if rng.random() < 0.5:
+                warm = rng.sample(members, rng.randint(1, len(members)))
+                batched.prefetch_rows(warm)
+                looped.prefetch_rows(warm)
+            size = len(members)
+            out = np.full((size + 1, size + 2), -1.0)
+            batched.pairwise_distances(members, out)
+            for i in range(size):
+                want = looped.distances_to(members[i], members[i + 1:])
+                assert out[i, i + 1:size].tolist() == want
+                assert (out[i, :i + 1] == -1.0).all()
+                assert (out[i, size:] == -1.0).all()
+            assert (out[size] == -1.0).all()
+            assert _lookups(batched) == _lookups(looped)
+            assert _used(batched) == _used(looped)
+            assert row_states(batched) == row_states(looped)
+            if not contracted and rng.random() < 0.3:
+                changed = {
+                    (u, v): batched.graph.cost(u, v) * rng.uniform(0.3, 2.5)
+                    for u, v in rng.sample(edges, rng.randint(1, 4))
+                }
+                batched.patch_edge_costs(changed)
+                looped.patch_edge_costs(changed)
+        reasons = _fallbacks(recorders[0], "pairwise_distances")
+        assert reasons == _fallbacks(recorders[1], "distances_to")
+        assert reasons.get("row_not_cached")
+        assert reasons.get(
+            "endpoint_missing" if contracted else "target_missing"
+        )
 
 
 def _detour_scalar(oracle, a, u, targets):

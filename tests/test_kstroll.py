@@ -190,3 +190,26 @@ def test_block_heuristics_match_scalar_dispatch(k, symmetric):
 def test_block_rejects_k_beyond_the_nodes():
     with pytest.raises(ValueError):
         solve_kstroll_block(np.zeros((1, 4, 4)), np.array([3]), 5)
+
+
+def test_path_cost_folds_left_to_right():
+    """Path costs fold left to right from 0, whatever the Python version:
+    ``sum`` of floats is compensated since 3.12, where it gives 0.6 for
+    this path, and the block solver's path costs must equal these bit
+    for bit."""
+    weights = {(0, 1): 0.1, (1, 2): 0.2, (2, 3): 0.3}
+    cost = {u: {} for u in range(4)}
+    for (u, v), w in weights.items():
+        cost[u][v] = cost[v][u] = w
+    instance = KStrollInstance(nodes=[0, 1, 2, 3], source=0, target=3,
+                               cost=cost)
+    folded = (0.1 + 0.2) + 0.3
+    assert folded != 0.6
+    assert instance.path_cost([0, 1, 2, 3]) == folded
+    matrix = np.full((1, 4, 4), 10.0)
+    matrix[0][np.diag_indices(4)] = 0.0
+    for (u, v), w in weights.items():
+        matrix[0, u, v] = matrix[0, v, u] = w
+    paths, costs, solved = solve_kstroll_block(matrix, np.array([3]), 4)
+    assert solved[0] and paths[0].tolist() == [0, 1, 2, 3]
+    assert costs[0] == folded

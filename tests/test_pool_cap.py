@@ -15,6 +15,7 @@ path (block or scalar, with its reason) against spies.
 
 import importlib
 
+import numpy as np
 import pytest
 
 from helpers import row_states
@@ -22,7 +23,8 @@ from repro.core.problem import ServiceChain, SOFInstance
 from repro.core.sofda import build_auxiliary_graph
 from repro.core.transform import POOL_CAP, PoolCap, chain_walk
 from repro.core.validation import check_forest
-from repro.graph.indexed import DetourBlock
+from repro.graph import FrozenOracle
+from repro.graph.indexed import DetourBlock, WalkBatch
 from repro.graph.rowcache import row_nbytes
 from repro.obs import MetricsRegistry, Recorder
 from repro.online import OnlineSimulator, RequestGenerator
@@ -95,28 +97,45 @@ def _oracle_state(oracle):
     }
 
 
+def _assert_walks_match(aux, walks):
+    """Every pair's virtual-edge cost and walk equal the per-pair ones,
+    bit for bit and in sweep order; every walk is expanded.  Returns how
+    many pairs were priced without a walk before that."""
+    priced = len(aux.costs) - len(aux.walks)
+    assert list(aux.costs) == list(walks)
+    for pair, walk in walks.items():
+        assert aux.costs[pair] == walk.total_cost
+        assert aux.walk_for(*pair) == walk
+    assert len(aux.walks) == len(walks)
+    return priced
+
+
 def _assert_sweep_matches_per_pair(make):
+    """Returns the swept instance and how many of its pairs were priced."""
     swept, per_pair = make(), make()
     aux = build_auxiliary_graph(swept)
-    walks = _per_pair_walks(per_pair)
-    assert aux.walks == walks
+    priced = _assert_walks_match(aux, _per_pair_walks(per_pair))
     assert _oracle_state(swept.oracle) == _oracle_state(per_pair.oracle)
-    return swept
+    return swept, priced
 
 
 def test_sweep_matches_per_pair_walks_uncontracted():
     def make():
         return _simulator()[1]
 
-    instance = _assert_sweep_matches_per_pair(make)
+    instance, priced = _assert_sweep_matches_per_pair(make)
     assert instance.oracle.contracted is None
     assert len(instance.vms) - 2 > POOL_CAP
+    # Every pair's walk was priced from the rows, none expanded.
+    assert not instance.sources & instance.vms
+    assert priced == len(instance.sources) * len(instance.vms)
 
 
 def test_sweep_matches_per_pair_walks_contracted():
-    instance = _assert_sweep_matches_per_pair(_inet_instance)
+    instance, priced = _assert_sweep_matches_per_pair(_inet_instance)
     assert instance.oracle.contracted is not None
     assert len(instance.vms) > POOL_CAP + 1
+    assert priced == 0  # a contracted core expands every walk eagerly
 
 
 def test_sweep_matches_per_pair_walks_under_a_tight_budget(monkeypatch):
@@ -137,12 +156,72 @@ def test_sweep_matches_per_pair_walks_under_a_tight_budget(monkeypatch):
     per_pair = _simulator(row_budget_bytes=budget)[1]
     aux = build_auxiliary_graph(swept)
     regathers = len(gathers) - len(swept.sources)
-    assert aux.walks == _per_pair_walks(per_pair)
+    assert _assert_walks_match(aux, _per_pair_walks(per_pair)) > 0
     assert _oracle_state(swept.oracle) == _oracle_state(per_pair.oracle)
     snapshot = swept.oracle.cache_snapshot()
     assert snapshot["budget_evictions"] > 0
     assert snapshot["overshoots"] == 0
     assert regathers > 0
+
+
+def _metric_block_per_row(instance):
+    """``SOFInstance.metric_block`` as it was built before its gather:
+    one ``distances_to`` call per VM row."""
+    oracle = instance.oracle
+    vms = instance.sorted_vms()
+    oracle.prefetch_rows(vms)
+    setups = np.array([instance.setup_cost(v) for v in vms])
+    block = np.zeros((len(vms), len(vms)))
+    for i, v1 in enumerate(vms):
+        ds = oracle.distances_to(v1, vms[i + 1:])
+        costs = np.asarray(ds) + (setups[i] + setups[i + 1:]) / 2.0
+        block[i, i + 1:] = costs
+        block[i + 1:, i] = costs
+    return block
+
+
+def _tight_budget_instance():
+    """``_simulator()``'s request under a budget of 20 rows: the VM
+    pool does not fit, so rows are evicted while the block is read."""
+    budget = 20 * row_nbytes(len(_simulator()[1].graph))
+    return _simulator(row_budget_bytes=budget)[1]
+
+
+@pytest.mark.parametrize("case", ["uncontracted", "contracted",
+                                  "tight_budget"])
+def test_metric_block_matches_the_per_row_loop(monkeypatch, case):
+    """The metric block's one gather per VM row equals the per-row
+    ``distances_to`` loop bit for bit, with the same lookups, ``used``
+    marks, residency and cache counters, on both cores; under a tight
+    budget some rows are refused and run the scalar loop, each counted
+    once as ``oracle.fallback{site=pairwise_distances}``."""
+    make = {
+        "uncontracted": lambda: _simulator()[1],
+        "contracted": _inet_instance,
+        "tight_budget": _tight_budget_instance,
+    }[case]
+    refused = []
+    gate = FrozenOracle._batch_row
+
+    def spy(self, source_id, targets_in_core, site):
+        row = gate(self, source_id, targets_in_core, site)
+        if row is None and site == "pairwise_distances":
+            refused.append(source_id)
+        return row
+
+    monkeypatch.setattr(FrozenOracle, "_batch_row", spy)
+    gathered, looped = make(), make()
+    recorder = Recorder(registry=MetricsRegistry())
+    gathered.oracle._metrics = recorder
+    block = gathered.metric_block()
+    assert block.tobytes() == _metric_block_per_row(looped).tobytes()
+    assert _oracle_state(gathered.oracle) == _oracle_state(looped.oracle)
+    assert (gathered.oracle.contracted is not None) == (case == "contracted")
+    counters = recorder.snapshot()["counters"]
+    assert counters.get(
+        "oracle.fallback{reason=row_not_cached,site=pairwise_distances}", 0
+    ) == len(refused)
+    assert bool(refused) == (case == "tight_budget")
 
 
 # ----------------------------------------------------------------------
@@ -343,3 +422,52 @@ def test_a_source_with_no_feasible_stroll_leaves_the_others_serving():
     forest = sofda_module.sofda(request).forest
     check_forest(request, forest)
     assert forest.used_sources() == {healthy}
+
+
+@pytest.mark.parametrize("contracted", [False, True])
+def test_block_walks_are_counted(monkeypatch, contracted):
+    """Every block pair with a stroll counts its walk once: priced from
+    the rows on an uncontracted core (one ``WalkBatch.add`` each), and
+    expanded at once on a contracted one (one ``expand_stroll`` each),
+    as spies see them run.  Only the deployed pairs are expanded later,
+    with no ``expand_stroll`` path lookups."""
+    recorder = Recorder(registry=MetricsRegistry())
+    if contracted:
+        instance = _inet_instance()
+        instance._oracle = FrozenOracle(
+            instance.graph,
+            hot=instance.vms | instance.sources | instance.destinations,
+            metrics=recorder,
+        )
+    else:
+        recorder, _, instance = _metered()
+    added, expanded = [], []
+    add, expand = WalkBatch.add, sofda_module.expand_stroll
+
+    def spy_add(self, nodes, setups):
+        added.append(tuple(nodes))
+        return add(self, nodes, setups)
+
+    def spy_expand(instance, stroll, *args, **kwargs):
+        expanded.append((tuple(stroll), "paths" in kwargs))
+        return expand(instance, stroll, *args, **kwargs)
+
+    monkeypatch.setattr(WalkBatch, "add", spy_add)
+    monkeypatch.setattr(sofda_module, "expand_stroll", spy_expand)
+    result = sofda_module.sofda(instance)
+    counters = {
+        key: value for key, value in recorder.snapshot()["counters"].items()
+        if key.startswith("sofda.walk")
+    }
+    if contracted:
+        eager = [stroll for stroll, lazy in expanded if not lazy]
+        assert counters == {
+            "sofda.walk{path=expanded,reason=contracted}": len(eager),
+        }
+        assert eager and not added and len(eager) == len(expanded)
+    else:
+        assert counters == {"sofda.walk{path=priced}": len(added)}
+        assert added
+        # Only the selected walks, each from the rows it was priced on.
+        assert all(lazy for _, lazy in expanded)
+        assert len(expanded) == result.num_virtual_edges

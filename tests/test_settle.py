@@ -330,6 +330,175 @@ def test_native_repair_rejects_inconsistent_buffers():
     assert (dist.tobytes(), parent.tobytes()) == before
 
 
+# ----------------------------------------------------------------------
+# walk pricing
+# ----------------------------------------------------------------------
+
+def _walks_both(csr, parents, hops, setups, per_walk):
+    """Price with the compiled call and the twin; assert identical."""
+    native = kernel.walk_costs_native(csr, parents, hops, setups, per_walk)
+    twin = kernel.walk_costs_python(csr, parents, hops, setups, per_walk)
+    assert native.typecode == twin.typecode == "d"
+    assert native.tobytes() == twin.tobytes()
+    return twin
+
+
+def _with_dead_twins(rng, adjacency, parent):
+    """``adjacency`` with a tombstoned slot beside some tree edges.
+
+    A copy of a child--parent edge at weight ``inf`` goes in front of
+    the live slot at both ends, so only a reader that skips dead slots
+    prices the edge right.
+    """
+    out = [list(row) for row in adjacency]
+    for v, p in enumerate(parent):
+        if p >= 0 and rng.random() < 0.5:
+            out[v].insert(0, (p, INF))
+            out[p].insert(0, (v, INF))
+    return out
+
+
+def _live_slot(csr, a, b):
+    """The first live CSR slot of ``a`` to ``b``."""
+    indptr, indices, weights = csr
+    return next(pos for pos in range(indptr[a], indptr[a + 1])
+                if indices[pos] == b and weights[pos] != INF)
+
+
+def _walk_rows(rng, kind, n=60):
+    """One random graph with dead slots beside live tree edges, and rows
+    over it: cold ones (node and push-counter ties) and one repaired
+    after a tree edge grew threefold.  Returns ``[(csr, rows)]``, each
+    row a ``(source, parent)`` pair over that ``csr``."""
+    adjacency = _random_adjacency(rng, kind, n)
+    sources = rng.sample(range(n), 3)
+    _, tree = _full_row(_to_csr(adjacency), sources[0])
+    csr = _to_csr(_with_dead_twins(rng, adjacency, tree))
+    rows = [(s, _full_row(csr, s)[1]) for s in sources]
+    dist, parent = kernel.new_labels(n)
+    dist[sources[1]] = 0.0
+    kernel.settle_python(csr, dist, parent, (sources[1],), counter=True)
+    rows.append((sources[1], parent))
+    dist, parent = _full_row(csr, sources[2])
+    child = rng.choice([v for v in range(n) if parent[v] >= 0])
+    grown = (csr[0], csr[1], csr[2][:])
+    for a, b in ((child, parent[child]), (parent[child], child)):
+        grown[2][_live_slot(grown, a, b)] *= 3.0
+    kernel.repair_python(grown, dist, parent, [child])
+    return [(csr, rows), (grown, [(sources[2], parent)])]
+
+
+@native
+@pytest.mark.parametrize("kind", KINDS)
+def test_walk_costs_match_the_twin(kind):
+    """Walks over cold and repaired rows: C and twin bit for bit, and
+    each walk's price the left-to-right fold of its edges' live weights
+    plus the fold of its setups.  Heads are the rows' sources or other
+    ancestors of the tails, some hops are empty (head = tail, no row),
+    and many edges sit behind a dead slot to the same neighbour."""
+    rng = random.Random(f"walks-{kind}")
+    priced = behind_dead = 0
+    for _ in range(GRAPHS_PER_KIND):
+        for csr, rows in _walk_rows(rng, kind):
+            indices, weights = csr[1], csr[2]
+            parents = [parent for _, parent in rows]
+            for per_walk in (1, 3):
+                hops, setups, expected = array("q"), array("d"), []
+                for _ in range(12):
+                    connection = setup = 0.0
+                    for _ in range(per_walk):
+                        slot = rng.randrange(len(rows))
+                        source, parent = rows[slot]
+                        tail = rng.choice([v for v in range(len(parent))
+                                           if parent[v] >= 0])
+                        path = [tail]
+                        while path[-1] != source:
+                            path.append(parent[path[-1]])
+                        path.reverse()
+                        head = path[rng.choice((0, 0, rng.randrange(len(path))))]
+                        path = path[path.index(head):]
+                        hops.extend((slot if len(path) > 1 else -1, head,
+                                     tail))
+                        for a, b in zip(path, path[1:]):
+                            pos = _live_slot(csr, b, a)
+                            connection += weights[pos]
+                            behind_dead += any(
+                                indices[q] == a and weights[q] == INF
+                                for q in range(csr[0][b], pos)
+                            )
+                        cost = rng.choice((0.0, 0.1, 0.2, rng.uniform(0, 9)))
+                        setups.append(cost)
+                        setup += cost
+                    expected.append(connection + setup)
+                out = _walks_both(csr, parents, hops, setups, per_walk)
+                assert list(out) == expected
+                priced += len(out)
+    assert priced and behind_dead
+
+
+def test_walk_costs_fold_left_to_right():
+    """0.1 + 0.2 + 0.3 along one hop is ``(0.1 + 0.2) + 0.3``, which is
+    not what a compensated sum gives."""
+    adjacency = [[(1, 0.1)], [(0, 0.1), (2, 0.2)], [(1, 0.2), (3, 0.3)],
+                 [(2, 0.3)]]
+    csr = _to_csr(adjacency)
+    _, parent = _full_row(csr, 0)
+    hops = array("q", (0, 0, 3))
+    fns = [kernel.walk_costs_python]
+    if kernel.NATIVE:
+        fns.append(kernel.walk_costs_native)
+    for fn in fns:
+        out = fn(csr, [parent], hops, array("d", [0.0]), 1)
+        assert out[0] == (0.1 + 0.2) + 0.3 != 0.6
+
+
+@native
+def test_native_walk_costs_rejects_bad_buffers_and_chains():
+    """Inconsistent buffers are refused before the C loop runs; a hop
+    whose chain leaves the tree (reaches -1, loops, names an id or row
+    out of range, or crosses only a dead slot) is refused by the loop
+    itself -- and by the twin, the same way."""
+    csr = _random_csr(random.Random(4), "continuous", n=10)
+    _, parent = _full_row(csr, 0)
+    ok = (csr, [parent], array("q", (0, 0, 5)), array("d", [1.0]), 1)
+    assert len(kernel.walk_costs_native(*ok)) == 1
+    inconsistent = [
+        (csr, [parent[:9]], ok[2], ok[3], 1),
+        (csr, [array("d", parent)], ok[2], ok[3], 1),
+        (csr, [parent], array("d", ok[2]), ok[3], 1),
+        (csr, [parent], ok[2], array("f", ok[3]), 1),
+        (csr, [parent], array("q", (0, 0, 5, 0)), ok[3], 1),
+        (csr[:2] + (csr[2][:-1],), [parent], ok[2], ok[3], 1),
+    ]
+    for args in inconsistent:
+        with pytest.raises(ValueError, match="inconsistent"):
+            kernel.walk_costs_native(*args)
+    looped = parent[:]
+    looped[parent[5]] = 5  # 5 -> parent -> 5 over one live edge
+    other = next(v for v in range(1, 10)
+                 if v != parent[5] and 5 not in _subtree(parent, v))
+    dead = (csr[0], csr[1], csr[2][:])
+    _set_weight(dead, parent[5], 5, INF)
+    bad_chains = [
+        (csr, [parent], array("q", (0, other, 5)), ok[3], 1),  # hits -1
+        (csr, [looped], array("q", (0, other, 5)), ok[3], 1),  # loops
+        (csr, [parent], array("q", (0, 10, 5)), ok[3], 1),     # head
+        (csr, [parent], array("q", (0, 0, -1)), ok[3], 1),     # tail
+        (csr, [parent], array("q", (1, 0, 5)), ok[3], 1),      # row
+        (dead, [parent], ok[2], ok[3], 1),                     # dead slot
+        (csr, [parent], ok[2], ok[3], 0),                      # per_walk
+        (csr, [parent], array("q", (0, 0, 5) * 2),
+         array("d", [1.0, 2.0]), 3),                            # split
+    ]
+    wild = parent[:]
+    wild[5] = 99  # an id out of range
+    bad_chains.append((csr, [wild], ok[2], ok[3], 1))
+    for args in bad_chains:
+        for fn in (kernel.walk_costs_native, kernel.walk_costs_python):
+            with pytest.raises(ValueError, match="walk_costs"):
+                fn(*args)
+
+
 def test_counter_ties_replicate_the_dict_dijkstra_on_equal_costs():
     """With every cost equal, only the push-counter tie-break decides
     the parents; they must be the dict Dijkstra's."""
@@ -406,6 +575,7 @@ def _assert_twin_runs(module):
     assert module.NATIVE_PATH is None
     assert module.settle is module.settle_python
     assert module.repair is module.repair_python
+    assert module.walk_costs is module.walk_costs_python
     csr = _random_csr(random.Random(1), "continuous", n=12)
     dist, parent = module.new_labels(12)
     dist[0] = 0.0

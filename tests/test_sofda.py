@@ -27,14 +27,16 @@ def test_auxiliary_graph_structure(fig2_instance):
     for u in fig2_instance.vms:
         assert g.cost(u, ("vm^", u)) == 0.0
     # Virtual edges price complete candidate chains.
-    for (v, u), walk in aux.walks.items():
-        assert g.cost(("src^", v), ("vm^", u)) == pytest.approx(walk.total_cost)
+    for (v, u), cost in aux.costs.items():
+        walk = aux.walk_for(v, u)
+        assert g.cost(("src^", v), ("vm^", u)) == cost == walk.total_cost
         assert len(walk.stroll) == len(fig2_instance.chain) + 1
 
 
 def test_virtual_edge_cost_equals_chain_cost(fig2_instance):
     aux = build_auxiliary_graph(fig2_instance)
-    for walk in aux.walks.values():
+    for pair in aux.costs:
+        walk = aux.walk_for(*pair)
         recomputed = sum(
             fig2_instance.graph.cost(a, b)
             for a, b in zip(walk.walk, walk.walk[1:])

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_instance
 from repro import Graph, ServiceChain, SOFInstance
-from repro.core.transform import build_kstroll_instance, chain_walk
+from repro.core.transform import build_kstroll_instance, chain_walk, expand_stroll
 
 
 @pytest.fixture
@@ -141,3 +141,22 @@ def test_chain_walk_setup_cost_override(diamond_instance):
     cw = chain_walk(diamond_instance, 0, 4, setup_costs={1: 0.0})
     assert 1 in cw.stroll
     assert cw.setup_cost == pytest.approx(2.0)  # only VM 4 pays
+
+
+def test_expand_stroll_folds_costs_left_to_right():
+    """A walk's connection and setup costs fold left to right from 0,
+    whatever the Python version: ``sum`` of floats is compensated since
+    3.12, where it gives 0.6 for both, and the priced virtual edges of
+    Procedure 3 must equal these bit for bit."""
+    graph = Graph.from_edges([(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3)])
+    instance = SOFInstance(
+        graph=graph, vms={1, 2, 3}, sources={0}, destinations={3},
+        chain=ServiceChain.of_length(3),
+        node_costs={1: 0.1, 2: 0.2, 3: 0.3},
+    )
+    walk = expand_stroll(instance, [0, 1, 2, 3])
+    folded = (0.1 + 0.2) + 0.3
+    assert folded != 0.6
+    assert walk.walk == [0, 1, 2, 3]
+    assert walk.connection_cost == folded
+    assert walk.setup_cost == folded
