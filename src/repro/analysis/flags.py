@@ -11,7 +11,6 @@ at every threading site:
 site                  satisfied when
 ====================  =====================================================
 FrozenOracle.rebased  the clone construction passes the flag by keyword
-AuxiliaryOracle       its fallback-oracle construction passes the flag
 OnlineSimulator       its oracle construction passes the flag
 Controller            its per-domain oracle construction passes the flag
 DistributedSOFDA      its ``Controller.for_domain`` calls pass the flag
@@ -46,7 +45,6 @@ _NON_FLAG_PARAMS = ("self", "graph", "hot")
 #: the oracle class itself.
 _SITES: Tuple[Tuple[str, str], ...] = (
     ("FrozenOracle.rebased", "method"),
-    ("AuxiliaryOracle", "class"),
     ("OnlineSimulator", "class"),
     ("Controller", "class"),
     ("DistributedSOFDA", "class"),

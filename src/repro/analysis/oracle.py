@@ -2,19 +2,19 @@
 
 The single-oracle invariant (PR 1) is the architectural backbone of the
 reproduction: one :class:`~repro.graph.indexed.FrozenOracle` per
-instance serves Procedure-1 sweeps, conflict repairs, Steiner closures,
-baselines, and (condensed) the SOFDA Steiner step; the distributed layer
-follows the same rule per scope.  Building a second oracle over the same
+instance serves Procedure-1 sweeps, conflict repairs, Steiner closures
+and baselines, and its core, extended by the auxiliary graph's virtual
+part, serves the SOFDA Steiner step; the distributed layer follows the
+same rule per scope.  Building a second oracle over the same
 graph silently forks the cache state and spends a full Dijkstra sweep
 the shared rows already paid for.
 
 - ``oracle-second-build`` -- a ``FrozenOracle``/``DistanceOracle``
   construction outside the whitelisted factory sites.  Allowed are the
   known factories (``FrozenOracle.rebased``, ``FrozenOracle.extended``,
-  ``AuxiliaryOracle._ensure_fallback``, ``OnlineSimulator.__init__``,
-  ``Controller.oracle``, ``SOFInstance.oracle``,
-  ``DistributedSOFDA.verify_abstraction`` -- each owns a *different*
-  graph) and the lazy default-factory idiom
+  ``OnlineSimulator.__init__``, ``Controller.oracle``,
+  ``SOFInstance.oracle``, ``DistributedSOFDA.verify_abstraction`` --
+  each owns a *different* graph) and the lazy default-factory idiom
   (``oracle = oracle or FrozenOracle(...)`` or construction guarded by
   ``if <name> is None``), which only builds when the caller supplied
   none.  Anything else must receive an oracle from its instance.
@@ -57,7 +57,6 @@ ALLOWED_FACTORY_QUALNAMES = frozenset({
     # SOFDA's KMB oracle over the auxiliary graph Ĝ (the instance graph
     # plus its virtual part), which no other oracle serves.
     "FrozenOracle.extended",
-    "AuxiliaryOracle._ensure_fallback",
     "OnlineSimulator.__init__",
     "Controller.oracle",
     "SOFInstance.oracle",

@@ -30,16 +30,12 @@ oracle rows in one compiled call after the sweep
 (:class:`~repro.graph.indexed.WalkBatch`) and only the selected ones
 are built, from the same rows.  ``Ĝ`` is never copied from ``G``: an
 :class:`AuxiliaryView` reads ``G`` live and records only the virtual
-part.  KMB's Steiner step searches it
-without interning ``Ĝ`` either -- on a contracted instance an
-:class:`AuxiliaryOracle` answers terminal distance/path queries from
-base-graph oracle rows over a condensed graph of the virtual part, and
-on an uncontracted one an oracle whose core is assembled from the
-instance oracle's CSR (:meth:`~repro.graph.indexed.FrozenOracle.extended`)
-serves exactly what a fresh oracle over a copy of ``Ĝ`` would.  Only
-other Steiner methods, and ``Ĝ``s whose fresh oracle might contract,
-materialize ``Ĝ`` as a :class:`Graph` (see "Performance architecture"
-in ROADMAP.md).
+part.  KMB's Steiner step searches it without interning ``Ĝ`` either,
+through an oracle whose core is the instance oracle's core -- contracted
+or not -- extended in numpy by the virtual part
+(:meth:`~repro.graph.indexed.FrozenOracle.extended`).  Only other
+Steiner methods materialize ``Ĝ`` as a :class:`Graph` (see
+"Performance architecture" in ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 from repro.graph import FrozenOracle, Graph, steiner_tree
 from repro.graph.graph import cost_error
 from repro.graph.indexed import WalkBatch
-from repro.graph.shortest_paths import dijkstra, reconstruct_path
 from repro.graph.steiner import resolve_steiner_method
 from repro.core.conflict import (
     ResolutionStats,
@@ -181,172 +176,29 @@ class AuxiliaryView:
             self._graph = graph
         return self._graph
 
-    def search_oracle(self, terminals: List[Node]) -> Optional[FrozenOracle]:
-        """KMB's oracle over ``Ĝ``, assembled from the instance oracle.
+    def search_oracle(self) -> FrozenOracle:
+        """KMB's oracle over ``Ĝ``: the instance oracle's core extended by
+        the virtual part (:meth:`FrozenOracle.extended`).
 
-        It serves bit for bit what ``FrozenOracle(materialize(),
-        hot=terminals)`` would (see :meth:`FrozenOracle.extended`), and
-        is ``None`` when that oracle might contract: on a contracted
-        instance, or when ``Ĝ`` holds too many distinct edge costs.
+        On an uncontracted instance it serves bit for bit what a fresh
+        ``FrozenOracle(materialize())`` would; on a contracted one it
+        searches the contracted core plus the virtual part, with exact
+        distances.
         """
         return self._oracle.extended(
-            self, self._nodes, (self._heads, self._tails, self._costs),
-            hot=terminals,
+            self, self._nodes, (self._heads, self._tails, self._costs)
         )
-
-
-class AuxiliaryOracle:
-    """Distance/path oracle for ``Ĝ`` served from base-graph oracle rows.
-
-    Every ``Ĝ`` shortest path between real nodes (or ``ŝ``) decomposes into
-    real segments whose endpoints are VMs or query terminals, joined by
-    hops through the virtual part (``ŝ``, source duplicates, VM
-    duplicates).  A condensed graph over those ~|S| + |M| anchor nodes --
-    with real segments replaced by base-graph shortest-path distances --
-    therefore has *exactly* the ``Ĝ`` distances, and a Dijkstra on it costs
-    microseconds instead of a full sweep of the 5000-node auxiliary graph.
-
-    The virtual part is read from the :class:`AuxiliaryView`.  Queries
-    whose endpoints are not registered terminals (e.g. the exact
-    Dreyfus--Wagner solver probing interior nodes) fall back to a
-    :class:`FrozenOracle` over the materialized ``Ĝ``, which is always
-    exact.
-    """
-
-    def __init__(
-        self,
-        instance: SOFInstance,
-        aux_graph: AuxiliaryView,
-        virtual_source: Node,
-        terminals: List[Node],
-    ) -> None:
-        self._instance = instance
-        self._aux_graph = aux_graph
-        self._virtual_source = virtual_source
-        self._terminals = set(terminals)
-        self._condensed: Optional[Graph] = None
-        self._rows: Dict[Node, Tuple[Dict[Node, float], Dict[Node, Node]]] = {}
-        self._fallback: Optional[FrozenOracle] = None
-
-    @property
-    def graph(self) -> Graph:
-        """The auxiliary graph this oracle answers queries about."""
-        return self._aux_graph.materialize()
-
-    # ------------------------------------------------------------------
-    def _build_condensed(self) -> Graph:
-        """The anchor graph: virtual part verbatim + metric real segments."""
-        if self._condensed is not None:
-            return self._condensed
-        instance = self._instance
-        base = instance.oracle
-        aux = self._aux_graph
-        vsrc = self._virtual_source
-        condensed = Graph()
-        condensed.add_node(vsrc)
-        # Virtual part verbatim: s^ -- v^ -- u^ -- u edges.
-        for nbr, cost in aux.neighbor_items(vsrc):
-            condensed.add_edge(vsrc, nbr, cost)
-        for v in sorted(instance.sources, key=repr):
-            vdup = _src_dup(v)
-            if vdup not in aux:
-                continue
-            for nbr, cost in aux.neighbor_items(vdup):
-                if nbr != vsrc:
-                    condensed.add_edge(vdup, nbr, cost)
-        anchors: List[Node] = []
-        for u in sorted(instance.vms, key=repr):
-            udup = _vm_dup(u)
-            if udup not in aux:
-                continue
-            condensed.add_edge(udup, u, aux.cost(udup, u))
-            anchors.append(u)
-        # Real segments between anchors (VM attachment points and query
-        # terminals) become metric edges from the shared base oracle.
-        reals = anchors + sorted(
-            (t for t in self._terminals if t != vsrc and t not in anchors),
-            key=repr,
-        )
-        for node in reals:
-            condensed.add_node(node)  # keep unreachable terminals queryable
-        for i, a in enumerate(reals):
-            rest = reals[i + 1:]
-            for b, d in zip(rest, base.distances_to(a, rest)):
-                if d < INF and a != b:
-                    condensed.add_edge(a, b, d)
-        self._condensed = condensed
-        return condensed
-
-    def _condensed_row(
-        self, source: Node
-    ) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-        row = self._rows.get(source)
-        if row is None:
-            row = dijkstra(self._build_condensed(), source)
-            self._rows[source] = row
-        return row
-
-    def _serves(self, node: Node) -> bool:
-        return node == self._virtual_source or node in self._terminals
-
-    def _ensure_fallback(self) -> FrozenOracle:
-        if self._fallback is None:
-            base = self._instance.oracle
-            self._fallback = FrozenOracle(
-                self._aux_graph.materialize(),
-                row_budget_bytes=base.row_budget_bytes,
-                metrics=base.metrics,
-            )
-        return self._fallback
-
-    # ------------------------------------------------------------------
-    def distance(self, source: Node, target: Node) -> float:
-        """Shortest-path cost in ``Ĝ``; ``inf`` if unreachable."""
-        if not (self._serves(source) and self._serves(target)):
-            return self._ensure_fallback().distance(source, target)
-        dist, _ = self._condensed_row(source)
-        return dist.get(target, INF)
-
-    def path(self, source: Node, target: Node) -> List[Node]:
-        """A shortest ``Ĝ`` path, with real segments expanded through the
-        base oracle."""
-        if not (self._serves(source) and self._serves(target)):
-            return self._ensure_fallback().path(source, target)
-        dist, parent = self._condensed_row(source)
-        if target not in dist:
-            raise ValueError(f"no path from {source!r} to {target!r}")
-        condensed_path = reconstruct_path(parent, source, target)
-        aux = self._aux_graph
-        base = self._instance.oracle
-        out: List[Node] = [condensed_path[0]]
-        for a, b in zip(condensed_path, condensed_path[1:]):
-            if aux.has_edge(a, b) and aux.cost(a, b) == self._condensed.cost(a, b):
-                out.append(b)
-            else:
-                out.extend(base.path(a, b)[1:])
-        return out
-
-    def distances_from(self, source: Node) -> Dict[Node, float]:
-        """All ``Ĝ`` shortest-path costs from ``source``."""
-        return self._ensure_fallback().distances_from(source)
-
-    def invalidate(self) -> None:
-        """Drop all cached state."""
-        self._condensed = None
-        self._rows.clear()
-        self._fallback = None
 
 
 @dataclass
 class AuxiliaryGraph:
-    """Procedure 3 output: the Steiner instance ``Ĝ`` as a view, the cost
-    and walk behind each virtual edge, and the condensed oracle that
-    answers ``Ĝ`` queries on a contracted instance.
+    """Procedure 3 output: the Steiner instance ``Ĝ`` as a view, and the
+    cost and walk behind each virtual edge.
 
-    ``view`` is what the Steiner step reads; :attr:`graph` materializes
+    ``view`` is what the Steiner step reads (KMB through
+    :meth:`AuxiliaryView.search_oracle`); :attr:`graph` materializes
     ``Ĝ`` as a :class:`Graph` on first read, for the readers that need
-    one (Steiner methods other than KMB, the condensed oracle's
-    non-terminal fallback).
+    one (Steiner methods other than KMB).
 
     ``costs`` holds every ``(source, last_vm)`` pair's virtual-edge cost
     in sweep order, and ``walks`` the walks expanded so far: every pair
@@ -361,7 +213,6 @@ class AuxiliaryGraph:
     virtual_source: Node
     costs: Dict[Tuple[Node, Node], float] = field(default_factory=dict)
     walks: Dict[Tuple[Node, Node], ChainWalk] = field(default_factory=dict)
-    oracle: Optional[AuxiliaryOracle] = None
     #: The priced pairs not expanded yet: each one's stroll and its walk
     #: in :attr:`_batch`.
     _priced: Dict[Tuple[Node, Node], Tuple[List[Node], int]] = field(
@@ -414,15 +265,18 @@ def build_auxiliary_graph(
     ``expand_stroll`` would make and keeps the rows, and after the sweep
     one compiled call prices every kept walk -- its edges' live weights
     folded left to right, plus its setup costs -- bit for bit
-    ``expand_stroll(...).total_cost``.  On a contracted one each stroll
-    is expanded at once (:func:`expand_stroll`).  A pair the block does
+    ``expand_stroll(...).total_cost``.  On a contracted one, or one
+    with a row budget (whose evictions would strand kept rows outside
+    the budget), each stroll is expanded at once (:func:`expand_stroll`),
+    with the same lookups.  A pair the block does
     not cover runs the scalar ``chain_walk`` with its capped pool: an
     uncapped pool, a ``kstroll_method`` other than ``auto``, or a source
     with an Appendix-D setup cost.  With a recorder on the instance
     oracle, each pair counts as ``sofda.procedure2{path=block}`` or
     ``sofda.procedure2{path=scalar,reason=...}``, and each block pair's
     walk as ``sofda.walk{path=priced}`` or
-    ``sofda.walk{path=expanded,reason=contracted}``.
+    ``sofda.walk{path=expanded,reason}`` (``reason`` ``contracted`` or
+    ``row_budget``).
 
     ``Ĝ`` is not a copy of ``G``: it is an :class:`AuxiliaryView` of
     ``G`` plus its virtual part -- ``ŝ``, the source and VM duplicates
@@ -475,8 +329,10 @@ def build_auxiliary_graph(
                     if stroll is not None and batch is not None:
                         mx.inc("sofda.walk", path="priced")
                     elif stroll is not None:
-                        mx.inc("sofda.walk", path="expanded",
-                               reason="contracted")
+                        mx.inc("sofda.walk", path="expanded", reason=(
+                            "contracted" if oracle.contracted is not None
+                            else "row_budget"
+                        ))
             if reason is not None:
                 cw = chain_walk(
                     instance, v, u, candidate_vms=pool,
@@ -502,10 +358,8 @@ def build_auxiliary_graph(
             costs[pair] = prices[index]
     for (v, u), cost in costs.items():
         aux.add_edge(_src_dup(v), _vm_dup(u), cost)
-    terminals = [_VSRC] + sorted(instance.destinations, key=repr)
     return AuxiliaryGraph(
         view=aux, virtual_source=_VSRC, costs=costs, walks=walks,
-        oracle=AuxiliaryOracle(instance, aux, _VSRC, terminals),
         _priced=priced, _batch=batch, _instance=instance,
     )
 
@@ -530,44 +384,26 @@ def _steiner_search(
     aux: AuxiliaryGraph,
     terminals: List[Node],
     steiner_method: str,
-) -> Tuple[Union[AuxiliaryView, Graph],
-           Optional[Union[AuxiliaryOracle, FrozenOracle]]]:
+) -> Tuple[Union[AuxiliaryView, Graph], Optional[FrozenOracle]]:
     """The graph and oracle the Steiner step searches ``Ĝ`` through.
 
-    KMB asks only terminal distances and paths.  On a contracted
-    instance the condensed :class:`AuxiliaryOracle` answers them
-    (``path=condensed``); it may pick a different, equally short path
-    when shortest paths tie, so it engages only there, where ties are
-    measure-zero.  On an uncontracted instance the view's assembled
-    oracle answers them bit for bit as a fresh oracle over the
-    materialized ``Ĝ`` would (``path=assembled``), whenever that oracle
-    provably could not contract.  Any other solve materializes ``Ĝ``
-    and lets the solver build its own oracle (``path=materialized``,
-    ``reason`` ``steiner_method`` or ``distinct_costs``).  With a
-    recorder on the instance oracle the choice counts as
-    ``sofda.steiner_oracle{path,reason}``.
+    KMB asks only terminal distances and paths, which it reads from the
+    view's assembled oracle (:meth:`AuxiliaryView.search_oracle`, the
+    instance oracle's core extended by the virtual part;
+    ``path=assembled``).  Any other Steiner method materializes ``Ĝ``
+    and builds its own oracle (``path=materialized``,
+    ``reason=steiner_method``).  With a recorder on the instance oracle
+    the choice counts as ``sofda.steiner_oracle{path,reason}``.
     """
-    base = instance.oracle
-    path, reason, oracle = "materialized", None, None
+    mx = instance.oracle.metrics
     if resolve_steiner_method(aux.view, terminals, steiner_method) != "kmb":
-        reason = "steiner_method"
-    elif base.contracted is not None:
-        path, oracle = "condensed", aux.oracle
-    else:
-        oracle = aux.view.search_oracle(terminals)
-        if oracle is None:
-            reason = "distinct_costs"
-        else:
-            path = "assembled"
-    mx = base.metrics
-    if mx:
-        if reason is None:
-            mx.inc("sofda.steiner_oracle", path=path)
-        else:
-            mx.inc("sofda.steiner_oracle", path=path, reason=reason)
-    if oracle is None:
+        if mx:
+            mx.inc("sofda.steiner_oracle", path="materialized",
+                   reason="steiner_method")
         return aux.graph, None
-    return aux.view, oracle
+    if mx:
+        mx.inc("sofda.steiner_oracle", path="assembled")
+    return aux.view, aux.view.search_oracle()
 
 
 @dataclass

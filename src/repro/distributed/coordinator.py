@@ -69,7 +69,7 @@ class DistributedSOFDA:
         self.instance = instance
         self.domains = partition_domains(instance.graph, num_domains, seed=seed)
         # Per-domain oracles inherit the instance oracle's row budget and
-        # recorder, mirroring AuxiliaryOracle's fallback.
+        # recorder, as ``FrozenOracle.rebased`` clones do.
         base = instance.oracle
         self._metrics = base.metrics
         self.controllers = [

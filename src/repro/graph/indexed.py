@@ -150,6 +150,68 @@ def _costs_mostly_distinct(graph: Graph) -> bool:
     return count > 0 and len(seen) >= CONTRACT_MIN_DISTINCT_COSTS * count
 
 
+def _extend_csr(core, out, nodes, edges, last=()):
+    """Fill ``out`` with ``core``'s CSR plus new ``nodes`` and ``edges``.
+
+    The one assembly of both cores' ``extended``: it reads only
+    ``core``'s ``nodes``, ``index``, ``indptr``, ``indices`` and
+    ``weights`` and sets the same five fields on ``out``, which it
+    returns.  Each node lists its lower-id neighbours ascending, then
+    its higher-id ones in slot order, then the ``last`` slots in the
+    given order (each named at its lower-id end), then its new edges in
+    insertion order.  ``edges`` holds three parallel sequences -- heads,
+    tails and a float64 cost array -- and every edge has a node of
+    ``nodes`` as an endpoint and its other one in ``core``.  Tombstoned
+    slots are dropped.  The new nodes take ids from ``len(core)`` on,
+    in their order.
+    """
+    heads, tails, costs = edges
+    n, k, r = len(core.nodes), len(costs), len(last)
+    indptr = np.frombuffer(core.indptr, np.int64)
+    indices = np.frombuffer(core.indices, np.int64)
+    weights = np.frombuffer(core.weights, np.float64)
+    m = len(indices)
+    span = n + m + r + k
+    index = dict(core.index)
+    index.update(zip(nodes, range(n, n + len(nodes))))
+    head_ids = np.array(_target_ids(index, heads) if k else [], np.int64)
+    tail_ids = np.array(_target_ids(index, tails) if k else [], np.int64)
+    # One sort key per slot, owner-major.  Inside an owner's list: a
+    # lower-id neighbour's id, else n + slot; then the ``last`` slots,
+    # then the new edges in insertion order.  Keys are unique within an
+    # owner, so any sort gives one order.
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    key = np.where(indices < owner, indices, np.arange(n, n + m))
+    if r:
+        key[np.asarray(last, np.int64)] = np.arange(n + m, n + m + r)
+    key += owner * span
+    live = weights != INF
+    new_key = np.arange(n + m + r, span)
+    order = np.argsort(np.concatenate((
+        key[live], head_ids * span + new_key, tail_ids * span + new_key,
+    )))
+    size = n + len(nodes)
+    counts = np.bincount(owner[live], minlength=size)
+    counts += np.bincount(head_ids, minlength=size)
+    counts += np.bincount(tail_ids, minlength=size)
+    del owner, key  # freed before the gathers below copy the slots
+    # Set field by field: a constructor would re-intern every node.
+    out.nodes = core.nodes + list(nodes)
+    out.index = index
+    out.indptr = array("q", [0])
+    out.indptr.frombytes(np.cumsum(counts, dtype=np.int64).view(np.uint8))
+    out.indices = array("q")
+    out.indices.frombytes(
+        np.concatenate((indices[live], tail_ids, head_ids))[order]
+        .view(np.uint8)
+    )
+    out.weights = array("d")
+    out.weights.frombytes(
+        np.concatenate((weights[live], costs, costs))[order].view(np.uint8)
+    )
+    return out
+
+
 class IndexedGraph:
     """A frozen, int-indexed view of an undirected weighted graph.
 
@@ -199,67 +261,16 @@ class IndexedGraph:
         edges: Tuple[Sequence[Node], Sequence[Node], np.ndarray],
         last: Sequence[int] = (),
     ) -> "IndexedGraph":
-        """This graph plus new ``nodes`` and ``edges``, assembled in numpy.
+        """This graph plus new ``nodes`` and ``edges`` (:func:`_extend_csr`).
 
         The result interns, up to node ids, what :meth:`from_graph`
         interns from this graph rebuilt edge by edge (``Graph.edges()``
-        order) and then extended: each node lists its lower-id
-        neighbours ascending, then its higher-id ones in slot order,
-        then its new edges in insertion order.  ``last`` names slots
-        (each at its lower-id end) that go after the other higher-id
-        ones, in the given order: edges a graph re-appended after this
-        CSR was interned.  ``edges`` holds three parallel sequences --
-        heads, tails and a float64 cost array -- and every edge has a
-        node of ``nodes`` as an endpoint.  Tombstoned slots are dropped.
-        The new nodes take ids from ``len(self)`` on, in their order.
+        order) and then extended, when ``last`` names the slots of the
+        edges that graph re-appended after this CSR was interned, in
+        their order.
         """
-        heads, tails, costs = edges
-        n, k, r = len(self.nodes), len(costs), len(last)
-        indptr = np.frombuffer(self.indptr, np.int64)
-        indices = np.frombuffer(self.indices, np.int64)
-        weights = np.frombuffer(self.weights, np.float64)
-        m = len(indices)
-        span = n + m + r + k
-        index = dict(self.index)
-        index.update(zip(nodes, range(n, n + len(nodes))))
-        head_ids = np.array(_target_ids(index, heads) if k else [], np.int64)
-        tail_ids = np.array(_target_ids(index, tails) if k else [], np.int64)
-        # One sort key per slot, owner-major.  Inside an owner's list: a
-        # lower-id neighbour's id, else n + slot; then the ``last``
-        # slots, then the new edges in insertion order.  Keys are unique
-        # within an owner, so any sort gives one order.
-        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        key = np.where(indices < owner, indices, np.arange(n, n + m))
-        if r:
-            key[np.asarray(last, np.int64)] = np.arange(n + m, n + m + r)
-        key += owner * span
-        live = weights != INF
-        new_key = np.arange(n + m + r, span)
-        order = np.argsort(np.concatenate((
-            key[live], head_ids * span + new_key, tail_ids * span + new_key,
-        )))
-        size = n + len(nodes)
-        counts = np.bincount(owner[live], minlength=size)
-        counts += np.bincount(head_ids, minlength=size)
-        counts += np.bincount(tail_ids, minlength=size)
-        del owner, key  # freed before the gathers below copy the slots
-        # Built field by field: ``__init__`` would re-intern every node.
-        out = IndexedGraph.__new__(IndexedGraph)
-        out.nodes = self.nodes + list(nodes)
-        out.index = index
-        out.indptr = array("q", [0])
-        out.indptr.frombytes(np.cumsum(counts, dtype=np.int64).view(np.uint8))
-        out.indices = array("q")
-        out.indices.frombytes(
-            np.concatenate((indices[live], tail_ids, head_ids))[order]
-            .view(np.uint8)
-        )
-        out.weights = array("d")
-        out.weights.frombytes(
-            np.concatenate((weights[live], costs, costs))[order]
-            .view(np.uint8)
-        )
-        return out
+        return _extend_csr(self, IndexedGraph.__new__(IndexedGraph), nodes,
+                           edges, last)
 
     @property
     def csr(self) -> Tuple[array, array, array]:
@@ -480,6 +491,24 @@ class _ContractedCore:
     def csr(self) -> Tuple[array, array, array]:
         """``(indptr, indices, weights)``, the :func:`kernel.settle` input."""
         return self.indptr, self.indices, self.weights
+
+    def extended(
+        self,
+        nodes: Sequence[Node],
+        edges: Tuple[Sequence[Node], Sequence[Node], np.ndarray],
+    ) -> "_ContractedCore":
+        """This core plus new core ``nodes`` and ``edges`` (see
+        :func:`_extend_csr`), with ``meta``, ``chains`` and ``interior``
+        carried over: old ids are kept, so every spliced edge and chain
+        still names its core endpoints.  Its searches break ties on the
+        node id, so the slot order the assembly picks moves no label or
+        parent."""
+        out = _extend_csr(self, _ContractedCore.__new__(_ContractedCore),
+                          nodes, edges)
+        out.meta, out.chains, out.interior = (
+            self.meta, self.chains, self.interior
+        )
+        return out
 
     def dijkstra(self, source: int) -> Tuple[array, array]:
         """Full single-source Dijkstra over the contracted core.
@@ -1098,59 +1127,62 @@ class FrozenOracle:
         graph: Graph,
         nodes: Sequence[Node],
         edges: Tuple[Sequence[Node], Sequence[Node], Sequence[float]],
-        hot: Iterable[Node],
-    ) -> Optional["FrozenOracle"]:
+    ) -> "FrozenOracle":
         """An oracle over this oracle's graph plus ``nodes`` and ``edges``.
 
         ``graph`` is the extended graph the new oracle reports as its
-        own; ``nodes`` are the new nodes and ``edges`` the new edges as
+        own, and searches on its exact slow path for a node outside its
+        core; ``nodes`` are the new nodes and ``edges`` the new edges as
         three parallel sequences (heads, tails, costs), both in
-        insertion order, and every edge touches a new node.  The oracle
-        serves bit for bit what ``FrozenOracle(copy, hot=hot)`` serves,
-        where ``copy`` is this oracle's graph rebuilt edge by edge
-        (``Graph.edges()`` order, then every node) and extended by the
-        new nodes and edges: its core is this oracle's live CSR
-        reordered and extended in numpy (:meth:`IndexedGraph.extended`),
-        with each edge revived in place re-appended as the graph did, so
-        push-counter labels and parents match the copy's.  It has no row
-        budget and no recorder.
+        insertion order, and every edge touches a new node.  The new
+        oracle's core is this oracle's active core extended in numpy by
+        the new nodes and edges, with no node re-interned.  It has no
+        row budget and no recorder.
 
-        Returns ``None`` unless a fresh oracle over the copy provably
-        could not contract either: this oracle must be uncontracted, and
-        the extended graph's distinct edge costs must number fewer than
-        :data:`CONTRACT_MIN_DISTINCT_COSTS` times the continuity probe's
-        sample (:data:`_DISTINCT_COST_SAMPLE` edges, or every edge of a
-        smaller graph) -- no sample can hold more distinct costs than
-        the whole graph.
+        On an uncontracted oracle it serves bit for bit what
+        ``FrozenOracle(copy)`` serves, where ``copy`` is this oracle's
+        graph rebuilt edge by edge (``Graph.edges()`` order, then every
+        node) and extended by the new nodes and edges: its core is this
+        oracle's live CSR reordered (:meth:`IndexedGraph.extended`),
+        with each edge revived in place re-appended as the graph did, so
+        push-counter labels and parents match the copy's.
+
+        On a contracted oracle its core is the contracted core extended
+        (:meth:`_ContractedCore.extended`), chains and all, so it serves
+        exact distances with node-id ties.  A new edge's other endpoint
+        that this oracle contracted away is made hot first
+        (:meth:`extend_hot`, which drops this oracle's rows and
+        re-contracts the graph with it in the core); an oracle hot at
+        every such endpoint, as every
+        :attr:`~repro.core.problem.SOFInstance.oracle` is at its VMs, is
+        left as it is.
         """
-        hot = set(hot)
-        if self.contracted is not None:
-            return None
-        core = self._core
         heads, tails, costs = edges
-        costs = np.asarray(costs, np.float64)
-        weights = np.frombuffer(core.weights, np.float64)
-        live = weights[weights != INF]
-        count = len(live) // 2 + len(costs)
-        if hot and count:
-            # Sorted, a value is new where it differs from its predecessor
-            # (``np.unique`` would import ``numpy.ma`` on first use).
-            values = np.sort(np.concatenate((live, costs)))
-            distinct = 1 + np.count_nonzero(values[1:] != values[:-1])
-            if distinct >= CONTRACT_MIN_DISTINCT_COSTS * min(
-                _DISTINCT_COST_SAMPLE, count
-            ):
-                return None
-        index, indptr, indices = core.index, core.indptr, core.indices
-        last: List[int] = []
-        for u, v in self._revivals:
-            a, b = sorted((index[u], index[v]))
-            pos = indptr[a]
-            while indices[pos] != b:
-                pos += 1
-            last.append(pos)
-        oracle = FrozenOracle(graph, hot=hot)
-        oracle._core = core.extended(nodes, (heads, tails, costs), last)
+        edges = (heads, tails, np.asarray(costs, np.float64))
+        contracted = self.contracted
+        if contracted is not None:
+            new = set(nodes)
+            outside = [
+                node for side in (heads, tails) for node in side
+                if node not in new and node not in contracted.index
+            ]
+            if outside:
+                self.extend_hot(outside)
+                contracted = self.contracted
+        oracle = FrozenOracle(graph)
+        if contracted is not None:
+            oracle._contracted = contracted.extended(nodes, edges)
+        else:
+            core = self._core
+            index, indptr, indices = core.index, core.indptr, core.indices
+            last: List[int] = []
+            for u, v in self._revivals:
+                a, b = sorted((index[u], index[v]))
+                pos = indptr[a]
+                while indices[pos] != b:
+                    pos += 1
+                last.append(pos)
+            oracle._core = core.extended(nodes, edges, last)
         oracle._built = True
         return oracle
 
@@ -1359,9 +1391,11 @@ class FrozenOracle:
         for the ``path`` calls that would expand the walks, hop by hop,
         and prices them all in one compiled call.  ``None`` on a
         contracted oracle, whose ``path`` re-expands chain interiors
-        through a memo the batch does not replay.
+        through a memo the batch does not replay, and on an oracle with
+        a row budget, which may evict a row whose parent buffer the
+        batch would then keep outside the budget.
         """
-        if self.contracted is not None:
+        if self.contracted is not None or self._rows.budget_bytes is not None:
             return None
         return WalkBatch(self, hops)
 
@@ -1639,9 +1673,10 @@ class DetourBlock:
 class WalkBatch:
     """Walks along the oracle's rows, priced in one compiled call.
 
-    Made by :meth:`FrozenOracle.walk_batch` on an uncontracted oracle.
-    Walk ``w`` stands for the walk that ``path(a, b)`` calls over each
-    hop of a node sequence would expand, concatenated.  :meth:`add`
+    Made by :meth:`FrozenOracle.walk_batch` on an uncontracted oracle
+    with no row budget.  Walk ``w`` stands for the walk that ``path(a,
+    b)`` calls over each hop of a node sequence would expand,
+    concatenated.  :meth:`add`
     replays those calls' lasting side effects at the caller's place, in
     their order -- per hop, one counted row-store lookup of its head's
     row, a cold build on a miss and the row's ``used`` mark (a hop whose
@@ -1654,8 +1689,9 @@ class WalkBatch:
 
     Lifetime: the kept rows' parent buffers are the oracle's live ones,
     which a patch repairs in place, so prices and paths hold until the
-    oracle's next patch.  A row evicted since :meth:`add` keeps its
-    parent buffer here, as it was, outside the row cache's accounting.
+    oracle's next patch.  An unbudgeted oracle evicts rows only at a
+    patch (or an :meth:`~FrozenOracle.invalidate`), so until then every
+    kept buffer is a resident row's.
     """
 
     __slots__ = ("_oracle", "_core", "_hops", "_parents", "_slots",
@@ -1669,7 +1705,7 @@ class WalkBatch:
         self._hops = hops
         #: The kept rows' parent buffers, each once, and each buffer's
         #: slot by ``id``: the buffers stay alive here, so no id is
-        #: reused, and an evicted row's ``dist`` buffer is not kept.
+        #: reused.
         self._parents: List[array] = []
         self._slots: Dict[int, int] = {}
         #: ``(slot, head, tail)`` per hop; ``slot`` -1 reads no row.

@@ -57,10 +57,8 @@ def metric_closure(
     contraction keeps them; it serves each pair from the row of the
     pair's earlier node in ``nodes``, built on first use.  SOFDA's
     KMB step never lets that default intern its auxiliary graph ``Ĝ``:
-    it passes the condensed auxiliary oracle on a contracted instance and
-    otherwise one assembled from the instance oracle's core
-    (:meth:`FrozenOracle.extended`), and materializes ``Ĝ`` for a fresh
-    oracle only when that one might contract.
+    it passes an oracle whose core is the instance oracle's, extended by
+    ``Ĝ``'s virtual part (:meth:`FrozenOracle.extended`).
     """
     oracle = oracle or FrozenOracle(graph, hot=nodes)
     closure = Graph()
@@ -325,9 +323,9 @@ def resolve_steiner_method(
 ) -> str:
     """Resolve ``auto`` to a concrete solver name (shared dispatch rule).
 
-    Callers that pre-select per-solver resources (e.g. SOFDA's condensed
-    auxiliary oracle, which only serves KMB's terminal queries) use this
-    so their choice can never drift from :func:`steiner_tree`'s dispatch.
+    Callers that pre-select per-solver resources (e.g. SOFDA's assembled
+    auxiliary-graph oracle, which it hands only to KMB) use this so their
+    choice can never drift from :func:`steiner_tree`'s dispatch.
     """
     if method != "auto":
         return method

@@ -77,9 +77,11 @@ Procedure 3's sweep counts every ``(source, last VM)`` pair once as
 ``"setup_override"``.  A block pair with a k-stroll also counts its
 walk once, as ``sofda.walk{path=priced}`` (uncontracted core: priced
 from the oracle rows, built only if the Steiner tree selects it) or
-``sofda.walk{path=expanded,reason=contracted}`` (built at once).  A
-rejected embed counts as ``sim.embeds{outcome=rejected,reason}``,
-``reason`` the type name of the exception the embedder raised.
+``sofda.walk{path=expanded,reason}`` (built at once), ``reason``
+``"contracted"`` (a contracted core) or ``"row_budget"`` (an oracle
+with a row budget).  A rejected embed counts as
+``sim.embeds{outcome=rejected,reason}``, ``reason`` the type name of
+the exception the embedder raised.
 
 The Steiner step's path (``sofda.steiner_oracle``)
 --------------------------------------------------
@@ -89,13 +91,11 @@ Every SOFDA solve counts how its Steiner step searched ``Ĝ``:
 ==========  ==============================================================
 label       values
 ==========  ==============================================================
-``path``    ``"condensed"`` (contracted instance: the condensed
-            ``AuxiliaryOracle``), ``"assembled"`` (uncontracted instance:
-            an oracle assembled from the instance oracle's CSR),
-            ``"materialized"`` (``Ĝ`` copied into a ``Graph``)
+``path``    ``"assembled"`` (KMB: an oracle whose core is the instance
+            oracle's, contracted or not, extended by ``Ĝ``'s virtual
+            part), ``"materialized"`` (``Ĝ`` copied into a ``Graph``)
 ``reason``  only with ``"materialized"``: ``"steiner_method"`` (a method
-            other than KMB) or ``"distinct_costs"`` (a fresh oracle over
-            ``Ĝ`` might contract, so none is assembled)
+            other than KMB)
 ==========  ==============================================================
 """
 

@@ -855,14 +855,14 @@ def test_fake_flag_is_reported_at_every_threading_site(tmp_path):
     flagged_sites = {
         site for f in findings
         for site in (
-            "FrozenOracle.rebased", "AuxiliaryOracle", "OnlineSimulator",
-            "Controller", "DistributedSOFDA",
+            "FrozenOracle.rebased", "OnlineSimulator", "Controller",
+            "DistributedSOFDA",
         )
         if f"'{site}'" in f.message
     }
     assert flagged_sites == {
-        "FrozenOracle.rebased", "AuxiliaryOracle", "OnlineSimulator",
-        "Controller", "DistributedSOFDA",
+        "FrozenOracle.rebased", "OnlineSimulator", "Controller",
+        "DistributedSOFDA",
     }
     # The comparison runners forward **simulator_kwargs and stay clean.
     assert not any("run_online_comparison" in f.message for f in findings)

@@ -1,17 +1,21 @@
 """Procedure 3's auxiliary graph ``Ĝ`` as a view over the instance graph.
 
 SOFDA does not copy ``G`` into ``Ĝ``: :class:`AuxiliaryView` reads ``G``
-live and records only the virtual part, and on an uncontracted instance
-KMB searches ``Ĝ`` through an oracle assembled from the instance
-oracle's CSR (:meth:`FrozenOracle.extended`).  The differential tests
-compare that oracle's core with a fresh ``IndexedGraph`` of the
-materialized ``Ĝ`` -- the copy SOFDA used to make -- node by node
-(neighbour and weight lists) and row by row, on a floor-cost simulator
-driven through commits, departures, background load and interleaved
-link failures and recoveries; the view's reads against the materialized
-graph's; SOFDA's forests against the forests of the materialized
-path; and the virtual edges priced from the rows against the walks
-``expand_stroll`` builds.  The last tests pin each Steiner search's path
+live and records only the virtual part, and KMB searches ``Ĝ`` through
+an oracle whose core is the instance oracle's core, contracted or not,
+extended by the virtual part (:meth:`FrozenOracle.extended`).  The
+differential tests compare that oracle's uncontracted core with a fresh
+``IndexedGraph`` of the materialized ``Ĝ`` -- the copy SOFDA used to
+make -- node by node (neighbour and weight lists) and row by row, on a
+floor-cost simulator driven through commits, departures, background
+load and interleaved link failures and recoveries; the view's reads
+against the materialized graph's; SOFDA's forests against the forests
+of the materialized path, on that simulator and on contracted Inet
+instances (with an instance oracle hot at every VM and destination, or
+lacking one); the extended contracted core's terminal distances and
+paths against a fresh oracle over the materialized ``Ĝ``; and the
+virtual edges priced from the rows against the walks ``expand_stroll``
+builds.  The last tests pin each Steiner search's path
 (``sofda.steiner_oracle``) against spies, and the simulator's count of a
 link recovery that cannot revive in place.
 """
@@ -22,10 +26,8 @@ import random
 import pytest
 
 from helpers import random_instance
-from repro.core.problem import ServiceChain
-from repro.core.sofda import (
-    AuxiliaryOracle, AuxiliaryView, build_auxiliary_graph,
-)
+from repro.core.problem import ServiceChain, SOFInstance
+from repro.core.sofda import AuxiliaryView, build_auxiliary_graph
 from repro.core.transform import expand_stroll
 from repro.graph import FrozenOracle, Graph, IndexedGraph
 from repro.obs import MetricsRegistry, Recorder
@@ -141,8 +143,7 @@ def test_assembled_core_matches_the_materialized_copy():
         aux = build_auxiliary_graph(instance)
         terminals = [aux.virtual_source] + sorted(instance.destinations,
                                                   key=repr)
-        assembled = aux.view.search_oracle(terminals)
-        assert assembled is not None
+        assembled = aux.view.search_oracle()
         assert assembled.graph is aux.view
         materialized = aux.graph
         reference = IndexedGraph.from_graph(materialized)
@@ -200,9 +201,32 @@ def test_priced_virtual_edges_equal_the_expanded_walks():
     assert counters["oracle.repair.rows{path=planned}"] > 0
 
 
+def _forest_key(forest):
+    return (
+        [(tuple(c.walk), sorted(c.placements.items()))
+         for c in forest.chains],
+        sorted(forest.tree_edges, key=repr),
+        forest.total_cost(),
+    )
+
+
+def _force_materialized(monkeypatch):
+    """Make every Steiner step search the materialized ``Ĝ`` through a
+    fresh oracle of its own; returns the log of forced solves."""
+    forced = []
+
+    def materialized(instance, aux, terminals, steiner_method):
+        forced.append(terminals)
+        return aux.graph, None
+
+    monkeypatch.setattr(sofda_module, "_steiner_search", materialized)
+    return forced
+
+
 def test_sofda_forests_match_the_materialized_path(monkeypatch):
-    """The same replay with the assembled oracle refused: every forest
-    and cost equals the materialized path's."""
+    """The same replay with the Steiner step forced onto the
+    materialized ``Ĝ``: every forest and cost equals the assembled
+    path's."""
 
     def run():
         network = _network()
@@ -211,28 +235,109 @@ def test_sofda_forests_match_the_materialized_path(monkeypatch):
 
         def check(request):
             instance = simulator.current_instance(request)
-            forest = _embed(instance)
-            forests.append((
-                [(tuple(c.walk), sorted(c.placements.items()))
-                 for c in forest.chains],
-                sorted(forest.tree_edges, key=repr),
-                forest.total_cost(),
-            ))
+            forests.append(_forest_key(_embed(instance)))
 
         costs = _replay(simulator, network, check, steps=6)
         return costs, forests
 
     assembled = run()
-    refused = []
-
-    def refuse(self, terminals):
-        refused.append(terminals)
-        return None
-
-    monkeypatch.setattr(AuxiliaryView, "search_oracle", refuse)
+    forced = _force_materialized(monkeypatch)
     materialized = run()
-    assert refused  # the forced path ran
+    assert forced  # the forced path ran
     assert materialized == assembled
+
+
+def _inet_instance(seed):
+    """A seeded instance on a 412-node Inet, whose oracle contracts."""
+    network = inet_network(num_nodes=400, num_links=800,
+                           num_datacenters=60, seed=3)
+    return network.make_instance(
+        num_sources=2, num_destinations=4, num_vms=12,
+        chain=ServiceChain.of_length(3), seed=seed,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 8])
+def test_contracted_forests_match_the_materialized_path(monkeypatch, seed):
+    """On contracted instances KMB searches the extended contracted
+    core; every forest and cost equals the one found through a fresh
+    oracle over the materialized ``Ĝ``."""
+    assembled = _inet_instance(seed)
+    result = sofda_module.sofda(assembled)
+    assert assembled.oracle.contracted is not None
+    _force_materialized(monkeypatch)
+    reference = sofda_module.sofda(_inet_instance(seed))
+    assert _forest_key(result.forest) == _forest_key(reference.forest)
+    assert result.cost == reference.cost
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_extended_contracted_core_serves_exact_terminal_queries(seed):
+    """Every terminal pair KMB can ask about: the distance is within
+    1e-9 of a fresh oracle's over the materialized ``Ĝ``, and the path
+    is a ``Ĝ`` path between the two whose cost is that distance."""
+    instance = _inet_instance(seed)
+    aux = build_auxiliary_graph(instance)
+    oracle = aux.view.search_oracle()
+    assert oracle.contracted is not None
+    assert len(oracle.contracted) == (
+        len(instance.oracle.contracted) + len(aux.view) - len(instance.graph)
+    )
+    reference = FrozenOracle(aux.graph)
+    terminals = [aux.virtual_source] + sorted(instance.destinations,
+                                              key=repr)
+    for i, a in enumerate(terminals):
+        for b in terminals[i + 1:]:
+            distance = oracle.distance(a, b)
+            assert abs(distance - reference.distance(a, b)) <= 1e-9
+            path = oracle.path(a, b)
+            assert path[0] == a and path[-1] == b
+            cost = 0.0
+            for x, y in zip(path, path[1:]):
+                cost += aux.view.cost(x, y)
+            assert cost == pytest.approx(distance, rel=1e-12, abs=1e-9)
+
+
+def _relay(graph, nodes):
+    """The first degree-2 node of ``nodes`` in repr order."""
+    return min((n for n in nodes if graph.degree(n) == 2), key=repr)
+
+
+@pytest.mark.parametrize("role", ["vm", "destination"])
+def test_an_oracle_cold_at_a_vm_or_destination_solves_exactly(role):
+    """An instance oracle shared from an instance whose hot set lacks
+    one of this instance's VMs or destinations, which it contracted
+    away, still solves exactly: a missing VM is made hot before ``Ĝ``
+    is assembled (it is a virtual edge's endpoint), and a missing
+    destination is served on the extended oracle's exact slow path.
+    Forest and cost equal those of a fresh oracle hot at every VM and
+    destination."""
+
+    def make():
+        instance = _inet_instance(5)
+        graph = instance.graph
+        if role == "destination":
+            return instance, _relay(graph, instance.destinations)
+        taken = instance.vms | instance.sources | instance.destinations
+        missing = _relay(graph, (n for n in graph.nodes() if n not in taken))
+        vms = sorted(instance.vms, key=repr)[1:] + [missing]
+        swapped = SOFInstance(
+            graph=instance.graph, vms=vms, sources=instance.sources,
+            destinations=instance.destinations, chain=instance.chain,
+            node_costs=instance.node_costs,
+        )
+        return swapped, missing
+
+    instance, missing = make()
+    hot = instance.vms | instance.sources | instance.destinations
+    instance._oracle = FrozenOracle(instance.graph, hot=hot - {missing})
+    assert missing in instance.oracle.contracted.interior
+    result = sofda_module.sofda(instance)
+    reference = sofda_module.sofda(make()[0])
+    assert _forest_key(result.forest) == _forest_key(reference.forest)
+    assert result.cost == reference.cost
+    in_core = missing in instance.oracle.contracted.index
+    assert in_core == (role == "vm")
 
 
 # ----------------------------------------------------------------------
@@ -310,23 +415,16 @@ def test_assembled_path_is_counted(monkeypatch):
     }
 
 
-def test_condensed_path_is_counted(monkeypatch):
-    def make():
-        network = inet_network(num_nodes=400, num_links=800,
-                               num_datacenters=60, seed=3)
-        return network.make_instance(
-            num_sources=2, num_destinations=4, num_vms=12,
-            chain=ServiceChain.of_length(3), seed=5,
-        )
-
-    recorder, instance = _metered_instance(make)
+def test_contracted_instance_searches_the_assembled_core(monkeypatch):
+    recorder, instance = _metered_instance(lambda: _inet_instance(5))
     graph, oracle, built = _spied_solve(monkeypatch, instance)
     assert instance.oracle.contracted is not None
     assert isinstance(graph, AuxiliaryView)
-    assert isinstance(oracle, AuxiliaryOracle)
+    assert isinstance(oracle, FrozenOracle) and oracle.graph is graph
+    assert oracle.contracted is not None
     assert built == []
     assert _steiner_counts(recorder) == {
-        "sofda.steiner_oracle{path=condensed}": 1,
+        "sofda.steiner_oracle{path=assembled}": 1,
     }
 
 
@@ -343,19 +441,21 @@ def test_materialized_path_for_another_steiner_method(monkeypatch, method):
     }
 
 
-def test_materialized_path_for_distinct_costs(monkeypatch):
+def test_distinct_cost_instance_searches_the_assembled_core(monkeypatch):
     """A small continuous-cost instance never contracts its own oracle,
-    but a fresh oracle over its ``Ĝ`` might: the solve materializes."""
+    though a fresh oracle over its ``Ĝ`` might: KMB still searches the
+    assembled core, and nothing is copied or re-interned."""
     recorder, instance = _metered_instance(
         lambda: random_instance(3, n=40, num_vms=8, num_sources=2,
                                 num_dests=3, chain_len=2)
     )
     graph, oracle, built = _spied_solve(monkeypatch, instance)
     assert instance.oracle.contracted is None
-    assert type(graph) is Graph and oracle is None
-    assert built == ["materialize", "from_graph"]
+    assert isinstance(graph, AuxiliaryView)
+    assert isinstance(oracle, FrozenOracle) and oracle.contracted is None
+    assert built == []
     assert _steiner_counts(recorder) == {
-        "sofda.steiner_oracle{path=materialized,reason=distinct_costs}": 1,
+        "sofda.steiner_oracle{path=assembled}": 1,
     }
 
 

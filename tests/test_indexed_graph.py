@@ -188,10 +188,10 @@ def test_extend_hot_rebuilds_for_contracted_interior(contracted_setting):
     assert oracle.distance(interior, probe) == reference.distance(interior, probe)
 
 
-def test_early_stopped_row_never_reported_full_on_break():
-    # Regression: with hot = {a, u} on the path a-u-v, a row that stops
-    # once u settles never relaxes u's out-edge to v; the row from a must
-    # still serve v exactly (every row now runs to exhaustion).
+def test_row_serves_nodes_past_a_hot_node_exactly():
+    # With hot = {a, u} on the path a-u-v, the row from a must serve v,
+    # which lies past the hot node u, exactly: a row never stops once
+    # the hot set has settled.
     graph = Graph.from_edges([("a", "u", 1.0), ("u", "v", 1.0)])
     oracle = FrozenOracle(graph, hot=["a", "u"])
     assert oracle.distance("a", "u") == 1.0

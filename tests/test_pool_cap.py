@@ -141,7 +141,10 @@ def test_sweep_matches_per_pair_walks_contracted():
 def test_sweep_matches_per_pair_walks_under_a_tight_budget(monkeypatch):
     """Under a budget smaller than the VM pool, rows are evicted and
     rebuilt mid-sweep: pairs fall back, and a pair whose rows the block
-    did not read (evicted, or not cached yet at the gather) regathers."""
+    did not read (evicted, or not cached yet at the gather) regathers.
+    Nothing is priced: a budgeted oracle makes no ``WalkBatch``, whose
+    kept parent buffers would outlive their rows' evictions, so every
+    walk is expanded at once, with the same lookups."""
     gathers = []
     gather = DetourBlock._gather
 
@@ -156,7 +159,7 @@ def test_sweep_matches_per_pair_walks_under_a_tight_budget(monkeypatch):
     per_pair = _simulator(row_budget_bytes=budget)[1]
     aux = build_auxiliary_graph(swept)
     regathers = len(gathers) - len(swept.sources)
-    assert _assert_walks_match(aux, _per_pair_walks(per_pair)) > 0
+    assert _assert_walks_match(aux, _per_pair_walks(per_pair)) == 0
     assert _oracle_state(swept.oracle) == _oracle_state(per_pair.oracle)
     snapshot = swept.oracle.cache_snapshot()
     assert snapshot["budget_evictions"] > 0
@@ -471,3 +474,36 @@ def test_block_walks_are_counted(monkeypatch, contracted):
         # Only the selected walks, each from the rows it was priced on.
         assert all(lazy for _, lazy in expanded)
         assert len(expanded) == result.num_virtual_edges
+
+
+def test_budgeted_block_walks_are_expanded_at_once(monkeypatch):
+    """An oracle with a row budget makes no ``WalkBatch``: each block
+    pair's walk is expanded at its place in the sweep and counted as
+    ``sofda.walk{path=expanded,reason=row_budget}``."""
+    instance = _tight_budget_instance()
+    recorder = Recorder(registry=MetricsRegistry())
+    instance.oracle._metrics = recorder
+    added, expanded = [], []
+    add, expand = WalkBatch.add, sofda_module.expand_stroll
+
+    def spy_add(self, nodes, setups):
+        added.append(tuple(nodes))
+        return add(self, nodes, setups)
+
+    def spy_expand(instance, stroll, *args, **kwargs):
+        expanded.append("paths" in kwargs)
+        return expand(instance, stroll, *args, **kwargs)
+
+    monkeypatch.setattr(WalkBatch, "add", spy_add)
+    monkeypatch.setattr(sofda_module, "expand_stroll", spy_expand)
+    result = sofda_module.sofda(instance)
+    check_forest(instance, result.forest)
+    counters = {
+        key: value for key, value in recorder.snapshot()["counters"].items()
+        if key.startswith("sofda.walk")
+    }
+    assert instance.oracle.contracted is None
+    assert counters == {
+        "sofda.walk{path=expanded,reason=row_budget}": len(expanded),
+    }
+    assert expanded and not added and not any(expanded)
