@@ -357,7 +357,3 @@ def repair_chain(
         if chain.placements and chain.last_vm == point:
             return idx
     raise AssertionError("graft target vanished")
-
-
-#: Backwards-compatible alias; external callers should use :func:`repair_chain`.
-_repair_chain = repair_chain

@@ -31,7 +31,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from repro.core.forest import DeployedChain, ServiceOverlayForest
 from repro.core.problem import ServiceChain, SOFInstance
 from repro.core.transform import chain_walk
-from repro.core.validation import check_forest
+from repro.core.validation import check_forest, is_feasible
 from repro.graph.graph import canonical_edge
 
 Node = Hashable
@@ -365,6 +365,51 @@ def vnf_insertion(
 # ----------------------------------------------------------------------
 # 5./6. congestion handling
 # ----------------------------------------------------------------------
+def _reroute_distribution(
+    forest: ServiceOverlayForest,
+    out: ServiceOverlayForest,
+    bad: Tuple[Node, Node],
+) -> None:
+    """Give ``out`` the distribution edges of ``forest`` without ``bad``.
+
+    When ``bad`` was one of them, the dangling edges are pruned, and if
+    a destination lost its delivery, every destination re-joins the
+    forest, in repr order, along a shortest path from its nearest
+    delivery point (chain tails from their last VNF, tree-edge ends):
+    the first nearest point in repr order wins, so equal-distance
+    tie-breaks do not depend on the salted set order.  Raises
+    :class:`DynamicError` for a destination no delivery point reaches.
+    """
+    out.tree_edges = {e for e in forest.tree_edges if e != bad}
+    if bad not in forest.tree_edges:
+        return
+    out.prune_tree_edges()
+    instance = out.instance
+    if is_feasible(instance, out):
+        return
+    points: Set[Node] = set()
+    for chain in out.chains:
+        if chain.placements:
+            points.update(chain.walk[max(chain.placements):])
+    points |= {a for e in out.tree_edges for a in e}
+    points_in_order = sorted(points, key=repr)
+    oracle = instance.oracle
+    for dest in sorted(instance.destinations, key=repr):
+        best_pt: Optional[Node] = None
+        best_d = float("inf")
+        for p in points_in_order:
+            d = oracle.distance(p, dest)
+            if d < best_d:
+                best_d, best_pt = d, p
+        if best_pt is None:
+            raise DynamicError(
+                f"destination {dest!r} unreachable after losing {bad!r}"
+            )
+        path = oracle.path(best_pt, dest)
+        for a, b in zip(path, path[1:]):
+            out.add_tree_edge(a, b)
+
+
 def reroute_congested_link(
     forest: ServiceOverlayForest,
     link: Tuple[Node, Node],
@@ -400,7 +445,6 @@ def reroute_congested_link(
         source_costs=instance.source_costs,
     )
     new_instance._oracle = new_oracle
-    oracle = new_instance.oracle
     bad = canonical_edge(u, v)
 
     out = ServiceOverlayForest(instance=new_instance)
@@ -419,32 +463,7 @@ def reroute_congested_link(
 
     # Distribution edges: rebuild destination paths avoiding the bad link
     # when they crossed it.
-    out.tree_edges = {
-        e for e in forest.tree_edges if e != bad
-    }
-    if bad in forest.tree_edges:
-        out.prune_tree_edges()
-        # Destinations that lost connectivity re-join through shortest paths.
-        from repro.core.validation import is_feasible
-
-        if not is_feasible(new_instance, out):
-            points: Set[Node] = set()
-            for chain in out.chains:
-                if chain.placements:
-                    points.update(chain.walk[max(chain.placements):])
-            points |= {a for e in out.tree_edges for a in e}
-            # Sorted scans: ``min`` over the salted set (and the salted
-            # destination order) would break equal-distance tie-breaks
-            # differently per process.
-            for dest in sorted(new_instance.destinations, key=repr):
-                best_pt = min(
-                    sorted(points, key=repr),
-                    key=lambda p: oracle.distance(p, dest),
-                )
-                for a, b in zip(
-                    oracle.path(best_pt, dest), oracle.path(best_pt, dest)[1:]
-                ):
-                    out.add_tree_edge(a, b)
+    _reroute_distribution(forest, out, bad)
     check_forest(new_instance, out)
     return new_instance, out
 
@@ -512,32 +531,7 @@ def reroute_failed_link(
                     walk.extend(tail[1:])
             out.add_chain(DeployedChain(walk=walk, placements=placements))
 
-        out.tree_edges = {e for e in forest.tree_edges if e != bad}
-        if bad in forest.tree_edges:
-            out.prune_tree_edges()
-            from repro.core.validation import is_feasible
-
-            if not is_feasible(instance, out):
-                points: Set[Node] = set()
-                for chain in out.chains:
-                    if chain.placements:
-                        points.update(chain.walk[max(chain.placements):])
-                points |= {a for e in out.tree_edges for a in e}
-                for dest in sorted(instance.destinations, key=repr):
-                    best_pt: Optional[Node] = None
-                    best_d = float("inf")
-                    for p in sorted(points, key=repr):
-                        d = oracle.distance(p, dest)
-                        if d < best_d:
-                            best_d, best_pt = d, p
-                    if best_pt is None:
-                        raise DynamicError(
-                            f"destination {dest!r} unreachable after "
-                            f"failure of {bad!r}"
-                        )
-                    path = oracle.path(best_pt, dest)
-                    for a, b in zip(path, path[1:]):
-                        out.add_tree_edge(a, b)
+        _reroute_distribution(forest, out, bad)
         check_forest(instance, out)
     except ValueError as exc:
         # ``oracle.path`` (no surviving path) or a VNF conflict while

@@ -31,7 +31,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from repro.graph import KStrollInstance, solve_kstroll
-from repro.graph.kstroll import EXACT_DP_NODE_LIMIT, solve_kstroll_block
+from repro.graph.kstroll import solve_kstroll_block
 from repro.core.forest import DeployedChain
 from repro.core.problem import SOFInstance
 
@@ -200,8 +200,8 @@ STROLL_BLOCK = 32
 class PoolCap:
     """Procedure 2's pool cap for one source across a run of last VMs.
 
-    A pair ``(source, u)`` whose VM pool holds more than ``pool_cap``
-    candidates keeps only the ``pool_cap`` with the lowest corridor
+    A pair ``(source, u)`` whose VM pool holds more than :data:`POOL_CAP`
+    candidates keeps only the :data:`POOL_CAP` with the lowest corridor
     detour ``(d(s, m) + setup(m)) + d(u, m)``, ties in pool order: the
     repr order of the candidates (``instance.sorted_vms()`` when
     ``candidate_vms`` is ``None``), without ``s`` and ``u``.
@@ -213,7 +213,7 @@ class PoolCap:
     remaining last VMs -- the source row plus the setup vector,
     broadcast against the last VMs' rows -- and one stable argsort of
     that row ranks them, so a pair's own interpreter work is bounded by
-    ``pool_cap``, not by the pool.  The stable argsort of a whole row,
+    the cap, not by the pool.  The stable argsort of a whole row,
     with ``u`` dropped afterwards, orders the pool exactly as sorting
     the pair's own list would, ``inf`` scores of unreachable VMs tying
     in pool order.
@@ -235,7 +235,6 @@ class PoolCap:
         last_vms: Sequence[Node],
         candidate_vms: Optional[Iterable[Node]] = None,
         setup_costs: Optional[Dict[Node, float]] = None,
-        pool_cap: int = POOL_CAP,
     ) -> None:
         if candidate_vms is None:
             pool = [m for m in instance.sorted_vms() if m != source]
@@ -252,7 +251,6 @@ class PoolCap:
         self._position = {u: i for i, u in enumerate(self._last_vms)}
         self._pool = pool
         self._column = {m: k for k, m in enumerate(pool)}
-        self._cap = pool_cap
         self._overrides = setup_costs is not None
         # ``setup_cost`` is exactly ``node_costs.get(node, 0.0)``.
         node_cost = instance.node_costs.get
@@ -274,9 +272,8 @@ class PoolCap:
 
     def capped(self, last_vm: Node) -> bool:
         """Whether the pool of ``(source, last_vm)`` exceeds the cap."""
-        cap = self._cap
         column = self._column.get(last_vm)
-        return bool(cap) and len(self._pool) - (column is not None) > cap
+        return len(self._pool) - (column is not None) > POOL_CAP
 
     def select(self, last_vm: Node) -> Optional[Set[Node]]:
         """The capped pool of ``(source, last_vm)``, ``last_vm`` one of
@@ -286,22 +283,22 @@ class PoolCap:
         j = self._serve(last_vm)
         if j is None:
             return self._select_scalar(last_vm)
-        cap = self._cap
         column = self._column.get(last_vm)
-        order = np.argsort(self._scores[j], kind="stable")[:cap + 1].tolist()
-        kept = [k for k in order if k != column][:cap]
+        order = np.argsort(self._scores[j], kind="stable")[:POOL_CAP + 1]
+        kept = [k for k in order.tolist() if k != column][:POOL_CAP]
         pool = self._pool
         return {pool[k] for k in kept}
 
     def block_refusal(self, kstroll_method: str) -> Optional[str]:
         """Why :meth:`stroll` cannot serve this source's pairs, or ``None``.
 
-        The block runs the ``auto`` dispatcher's heuristics (a capped
-        pool of ``pool_cap + 2`` nodes too small for them takes the exact
-        DP instead) on Procedure 1's main-body costs, which hold without
-        Appendix-D source costs and setup overrides.
+        The block runs the ``auto`` dispatcher's heuristics on Procedure
+        1's main-body costs.  The heuristics are what ``auto`` runs on a
+        capped pool (its ``POOL_CAP + 2`` nodes exceed
+        :data:`~repro.graph.kstroll.EXACT_DP_NODE_LIMIT`), and the costs
+        hold without Appendix-D source costs and setup overrides.
         """
-        if kstroll_method != "auto" or self._cap + 2 <= EXACT_DP_NODE_LIMIT:
+        if kstroll_method != "auto":
             return "kstroll_method"
         if self._instance.source_setup_cost(self._source):
             return "source_cost"
@@ -346,13 +343,12 @@ class PoolCap:
             last_columns = np.array(
                 [self._column[self._last_vms[i]] for i in pairs]
             )
-            cap = self._cap
             order = np.argsort(self._scores[j:stop], axis=1, kind="stable")
-            order = order[:, :cap + 1]
+            order = order[:, :POOL_CAP + 1]
             # The pool is the cap + 1 best with ``u``, or the cap best
             # and ``u``: its sorted columns are its repr order.
             missing = ~(order == last_columns[:, None]).any(axis=1)
-            order[missing, cap] = last_columns[missing]
+            order[missing, POOL_CAP] = last_columns[missing]
             order.sort(axis=1)
             self._solved_first = j
             self._solved = self._solve(order, last_columns, k)
@@ -393,7 +389,7 @@ class PoolCap:
              if item[0] != last_vm),
             key=detour,
         )
-        return {m for m, _ in ranked[:self._cap]}
+        return {m for m, _ in ranked[:POOL_CAP]}
 
     def _procedure1_costs(self) -> None:
         """Read Procedure 1's source-independent costs over the pool."""
@@ -498,7 +494,6 @@ def chain_walk(
     setup_costs: Optional[Dict[Node, float]] = None,
     kstroll_method: str = "auto",
     num_vms: Optional[int] = None,
-    pool_cap: int = POOL_CAP,
 ) -> Optional[ChainWalk]:
     """Procedure 2: find a walk from ``source`` through ``num_vms`` VMs to ``last_vm``.
 
@@ -506,11 +501,11 @@ def chain_walk(
     small or endpoints are unreachable (callers treat the candidate as
     unavailable rather than failing the whole embedding).
 
-    When the VM pool exceeds ``pool_cap``, only the ``pool_cap`` candidates
-    with the lowest detour ``d(s, m) + setup(m) + d(m, u)`` are kept: a
-    cheap walk never strays far from the source--last-VM corridor, so the
-    restriction is empirically lossless while bounding the k-stroll cost
-    independently of ``|M|``.  The cap runs through a one-pair
+    When the VM pool exceeds :data:`POOL_CAP`, only the :data:`POOL_CAP`
+    candidates with the lowest detour ``d(s, m) + setup(m) + d(m, u)``
+    are kept: a cheap walk never strays far from the source--last-VM
+    corridor, so the restriction is empirically lossless while bounding
+    the k-stroll cost independently of ``|M|``.  The cap runs through a one-pair
     :class:`PoolCap`.  Procedure 3's sweep caps all the pairs of a source
     through one :class:`PoolCap` instead and solves the strolls of their
     capped pools there (:meth:`PoolCap.stroll`); it calls this function,
@@ -525,11 +520,11 @@ def chain_walk(
     pool = set(candidate_vms) if candidate_vms is not None else set(instance.vms)
     pool.discard(source)
     pool.discard(last_vm)
-    if pool_cap and len(pool) > pool_cap:
+    if len(pool) > POOL_CAP:
         pool = PoolCap(
             instance, source, [last_vm],
             candidate_vms=None if candidate_vms is None else pool,
-            setup_costs=setup_costs, pool_cap=pool_cap,
+            setup_costs=setup_costs,
         ).select(last_vm)
     kinst = build_kstroll_instance(
         instance,

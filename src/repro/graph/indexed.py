@@ -302,15 +302,7 @@ class IndexedGraph:
         ``updates`` holds ``(u_id, v_id, new_cost)`` triples for existing
         edges; both CSR directions are written.
         """
-        indptr, indices, weights = self.indptr, self.indices, self.weights
-        for u, v, cost in updates:
-            for a, b in ((u, v), (v, u)):
-                for pos in range(indptr[a], indptr[a + 1]):
-                    if indices[pos] == b:
-                        weights[pos] = cost
-                        break
-                else:
-                    raise KeyError(f"no edge between ids {u} and {v}")
+        self._write_slots(updates, None)
 
     def remove_edges(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Tombstone edges in place: weight becomes ``inf``, slots persist.
@@ -320,15 +312,7 @@ class IndexedGraph:
         the absent edge costs every search and repair nothing.  Raises
         ``KeyError`` for a missing or already-removed edge.
         """
-        indptr, indices, weights = self.indptr, self.indices, self.weights
-        for u, v in pairs:
-            for a, b in ((u, v), (v, u)):
-                for pos in range(indptr[a], indptr[a + 1]):
-                    if indices[pos] == b and weights[pos] != INF:
-                        weights[pos] = INF
-                        break
-                else:
-                    raise KeyError(f"no live edge between ids {u} and {v}")
+        self._write_slots(((u, v, INF) for u, v in pairs), False)
 
     def restore_edges(self, updates: Iterable[Tuple[int, int, float]]) -> None:
         """Un-tombstone edges: write a finite cost back into dead slots.
@@ -337,16 +321,27 @@ class IndexedGraph:
         tombstoned (both CSR directions at ``inf``).  Raises ``KeyError``
         when no tombstoned slot exists for a pair.
         """
+        self._write_slots(updates, True)
+
+    def _write_slots(
+        self, updates: Iterable[Tuple[int, int, float]], dead: Optional[bool]
+    ) -> None:
+        """Write each ``(u, v, w)``'s ``w`` into the first ``(u, v)`` and
+        the first ``(v, u)`` slot whose tombstone state is ``dead``
+        (``None``: any slot); ``KeyError`` when a direction has none."""
         indptr, indices, weights = self.indptr, self.indices, self.weights
         for u, v, cost in updates:
             for a, b in ((u, v), (v, u)):
                 for pos in range(indptr[a], indptr[a + 1]):
-                    if indices[pos] == b and weights[pos] == INF:
+                    if indices[pos] == b and (
+                        dead is None or (weights[pos] == INF) is dead
+                    ):
                         weights[pos] = cost
                         break
                 else:
+                    state = {None: "", False: "live ", True: "tombstoned "}
                     raise KeyError(
-                        f"no tombstoned edge between ids {u} and {v}"
+                        f"no {state[dead]}edge between ids {u} and {v}"
                     )
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ with extra switches hanging off for destinations.
 import pytest
 
 from repro import DeployedChain, Graph, ServiceChain, ServiceOverlayForest, SOFInstance
-from repro.core.conflict import ResolutionStats, resolve_and_add_chain
+from repro.core.conflict import ResolutionStats, repair_chain, resolve_and_add_chain
 from repro.core.transform import ChainWalk
 from repro.core.validation import check_forest
 
@@ -168,12 +168,10 @@ def test_repair_uses_free_vms(path_instance):
         forest, _walk(path_instance, ["s1", "m1", "m2"], ["s1", "m1", "m2"]),
         stats,
     )
-    from repro.core.conflict import _repair_chain
-
     candidate = _walk(
         path_instance, ["s2", "m4", "m3", "m2"], ["s2", "m4", "m2"]
     )
-    _repair_chain(forest, candidate, stats)
+    repair_chain(forest, candidate, stats)
     assert stats.repairs == 1
     # The repaired chain used only previously-unenabled VMs.
     for chain in forest.chains[1:]:

@@ -77,6 +77,37 @@ def test_indexed_graph_roundtrip():
         )
 
 
+def test_slot_writers_keep_their_contracts():
+    """``patch_edges``, ``remove_edges`` and ``restore_edges`` write both
+    CSR directions, and each refuses a pair with no slot in the state
+    it accepts: a missing edge, a dead edge removed again, a live edge
+    restored."""
+    core = IndexedGraph.from_graph(
+        Graph.from_edges([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 5.0), (2, 3, 1.0)])
+    )
+
+    def weight(u, v):
+        i, j = core.id_of(u), core.id_of(v)
+        slots = range(core.indptr[i], core.indptr[i + 1])
+        return next(core.weights[p] for p in slots if core.indices[p] == j)
+
+    edge = (core.id_of(0), core.id_of(2))
+    core.patch_edges([(*edge, 4.0)])
+    assert weight(0, 2) == weight(2, 0) == 4.0
+    core.remove_edges([edge])
+    assert weight(0, 2) == weight(2, 0) == INF
+    core.restore_edges([(*edge, 3.0)])
+    assert weight(0, 2) == weight(2, 0) == 3.0
+    assert core.num_edges() == 4
+    with pytest.raises(KeyError, match="no edge"):
+        core.patch_edges([(core.id_of(0), core.id_of(3), 1.0)])
+    core.remove_edges([edge])
+    with pytest.raises(KeyError, match="no live edge"):
+        core.remove_edges([edge])
+    with pytest.raises(KeyError, match="no tombstoned edge"):
+        core.restore_edges([(core.id_of(0), core.id_of(1), 1.0)])
+
+
 # ----------------------------------------------------------------------
 # FrozenOracle vs DistanceOracle (both modes)
 # ----------------------------------------------------------------------

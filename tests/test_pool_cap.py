@@ -25,6 +25,7 @@ from repro.core.transform import POOL_CAP, PoolCap, chain_walk
 from repro.core.validation import check_forest
 from repro.graph import FrozenOracle
 from repro.graph.indexed import DetourBlock, WalkBatch
+from repro.graph.kstroll import EXACT_DP_NODE_LIMIT
 from repro.graph.rowcache import row_nbytes
 from repro.obs import MetricsRegistry, Recorder
 from repro.online import OnlineSimulator, RequestGenerator
@@ -303,6 +304,13 @@ def test_caps_match_scalar_reference_with_setup_overrides(contracted):
     overrides[vms[1]] = 1e6
     source = sorted(instance.sources, key=repr)[-1]
     _assert_caps_match_reference(instance, source, setup_costs=overrides)
+
+
+def test_capped_pools_are_past_the_exact_dp():
+    """A capped pool's k-stroll instance (source, last VM and
+    ``POOL_CAP`` more) is too large for the exact DP, so ``auto`` runs
+    the heuristics the block replays and never the DP it does not."""
+    assert POOL_CAP + 2 > EXACT_DP_NODE_LIMIT
 
 
 def test_pool_that_fits_is_not_capped():

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import random_instance
 from repro import Graph, ServiceChain, SOFInstance
+from repro.core import transform
 from repro.core.transform import build_kstroll_instance, chain_walk, expand_stroll
 
 
@@ -124,12 +125,14 @@ def test_chain_walk_pool_too_small_returns_none(diamond_instance):
     assert chain_walk(diamond_instance, 0, 4, candidate_vms={4}) is None
 
 
-def test_chain_walk_pool_cap_still_valid():
+def test_chain_walk_pool_cap_still_valid(monkeypatch):
     instance = random_instance(3, n=40, num_vms=30, chain_len=3)
     source = sorted(instance.sources, key=repr)[0]
     last = sorted(instance.vms, key=repr)[0]
-    capped = chain_walk(instance, source, last, pool_cap=5)
-    uncapped = chain_walk(instance, source, last, pool_cap=0)
+    monkeypatch.setattr(transform, "POOL_CAP", 5)
+    capped = chain_walk(instance, source, last)
+    monkeypatch.setattr(transform, "POOL_CAP", len(instance.vms))
+    uncapped = chain_walk(instance, source, last)
     assert capped is not None and uncapped is not None
     assert len(capped.stroll) == len(instance.chain) + 1
     # Capping can only lose quality, never validity.
