@@ -25,12 +25,13 @@ their k-strolls in numpy blocks over the instance-wide Procedure-1 metric
 block (one gather per VM row); pairs the block does not cover (uncapped
 pools among them) run the scalar ``chain_walk``.  ``Ĝ`` needs every
 candidate chain's cost but step 3 needs only the walks ``T`` selects, so
-on an uncontracted oracle the block pairs' walks are priced from the
-oracle rows in one compiled call after the sweep
-(:class:`~repro.graph.indexed.WalkBatch`) and only the selected ones
-are built, from the same rows.  ``Ĝ`` is never copied from ``G``: an
-:class:`AuxiliaryView` reads ``G`` live and records only the virtual
-part.  KMB's Steiner step searches it without interning ``Ĝ`` either,
+the sweep keeps each pair's cost and stroll, and step 3 expands only the
+selected strolls, through the oracle's ``path``.  On an uncontracted
+oracle with no row budget the sweep builds no block pair's walk: it
+prices them from the oracle rows in one compiled call
+(:class:`~repro.graph.indexed.WalkBatch`).  ``Ĝ`` is never copied from
+``G``: an :class:`AuxiliaryView` reads ``G`` live and records only the
+virtual part.  KMB's Steiner step searches it without interning ``Ĝ`` either,
 through an oracle whose core is the instance oracle's core -- contracted
 or not -- extended in numpy by the virtual part
 (:meth:`~repro.graph.indexed.FrozenOracle.extended`).  Only other
@@ -193,37 +194,23 @@ class AuxiliaryView:
 @dataclass
 class AuxiliaryGraph:
     """Procedure 3 output: the Steiner instance ``Ĝ`` as a view, and the
-    cost and walk behind each virtual edge.
+    cost and stroll behind each virtual edge.
 
     ``view`` is what the Steiner step reads (KMB through
     :meth:`AuxiliaryView.search_oracle`); :attr:`graph` materializes
     ``Ĝ`` as a :class:`Graph` on first read, for the readers that need
     one (Steiner methods other than KMB).
 
-    ``costs`` holds every ``(source, last_vm)`` pair's virtual-edge cost
-    in sweep order, and ``walks`` the walks expanded so far: every pair
-    the sweep expanded eagerly, and each priced pair once
-    :meth:`walk_for` has expanded it.  A priced pair's walk comes from
-    the oracle rows its price was read from, which the instance oracle's
-    next patch repairs in place, so expand the pairs you need before
-    then (:func:`build_auxiliary_graph`'s lifetime contract).
+    ``costs`` and ``strolls`` hold every ``(source, last_vm)`` pair's
+    virtual-edge cost and Procedure-2 stroll, in sweep order.  No walk
+    is kept: :meth:`walk_for` builds one from its stroll on demand.
     """
 
     view: AuxiliaryView
     virtual_source: Node
-    costs: Dict[Tuple[Node, Node], float] = field(default_factory=dict)
-    walks: Dict[Tuple[Node, Node], ChainWalk] = field(default_factory=dict)
-    #: The priced pairs not expanded yet: each one's stroll and its walk
-    #: in :attr:`_batch`.
-    _priced: Dict[Tuple[Node, Node], Tuple[List[Node], int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _batch: Optional[WalkBatch] = field(
-        default=None, repr=False, compare=False
-    )
-    _instance: Optional[SOFInstance] = field(
-        default=None, repr=False, compare=False
-    )
+    costs: Dict[Tuple[Node, Node], float]
+    strolls: Dict[Tuple[Node, Node], List[Node]]
+    instance: SOFInstance = field(repr=False, compare=False)
 
     @property
     def graph(self) -> Graph:
@@ -231,20 +218,10 @@ class AuxiliaryGraph:
         return self.view.materialize()
 
     def walk_for(self, source: Node, last_vm: Node) -> ChainWalk:
-        """The candidate chain represented by virtual edge ``(v̂, û)``.
-
-        A priced pair is expanded on its first call, from the rows its
-        price was read from, into the walk ``expand_stroll`` would have
-        built at its place in the sweep; no oracle lookup is made.
-        """
-        pair = (source, last_vm)
-        walk = self.walks.get(pair)
-        if walk is None:
-            stroll, index = self._priced.pop(pair)
-            walk = self.walks[pair] = expand_stroll(
-                self._instance, stroll, paths=self._batch.paths(index)
-            )
-        return walk
+        """The candidate chain represented by virtual edge ``(v̂, û)``:
+        the pair's stroll expanded through the instance oracle's
+        ``path`` (:func:`expand_stroll`), anew on every call."""
+        return expand_stroll(self.instance, self.strolls[(source, last_vm)])
 
 
 def build_auxiliary_graph(
@@ -262,13 +239,13 @@ def build_auxiliary_graph(
     (:meth:`PoolCap.stroll`).  On an uncontracted instance oracle such a
     pair's walk is not built: at the pair's place in the sweep a
     :class:`~repro.graph.indexed.WalkBatch` replays the row lookups its
-    ``expand_stroll`` would make and keeps the rows, and after the sweep
-    one compiled call prices every kept walk -- its edges' live weights
-    folded left to right, plus its setup costs -- bit for bit
+    ``expand_stroll`` would make, and after the sweep one compiled call
+    prices every added walk -- its edges' live weights folded left to
+    right, plus its setup costs -- bit for bit
     ``expand_stroll(...).total_cost``.  On a contracted one, or one
-    with a row budget (whose evictions would strand kept rows outside
-    the budget), each stroll is expanded at once (:func:`expand_stroll`),
-    with the same lookups.  A pair the block does
+    with a row budget (whose evictions would strand the batch's parent
+    buffers outside the budget), each stroll is expanded at once
+    (:func:`expand_stroll`), with the same lookups.  A pair the block does
     not cover runs the scalar ``chain_walk`` with its capped pool: an
     uncapped pool, a ``kstroll_method`` other than ``auto``, or a source
     with an Appendix-D setup cost.  With a recorder on the instance
@@ -284,14 +261,13 @@ def build_auxiliary_graph(
     order.  Nothing here reads the oracle before the sweep, so a cold
     instance oracle is built by the sweep's first query.
 
-    Lifetime contract: a priced pair's walk is expanded on demand
-    (:meth:`AuxiliaryGraph.walk_for`) from the kept rows' parent
-    buffers, which are the instance oracle's live ones, and a patch of
-    that oracle repairs them in place.  So the returned graph's
-    unexpanded walks are valid until the oracle's next patch: expand
-    every walk you need before it -- :func:`sofda` expands the pairs its
-    Steiner tree selects right after the Steiner step.  Every pair's
-    cost in :attr:`AuxiliaryGraph.costs` stays valid.
+    The sweep keeps every pair's cost (:attr:`AuxiliaryGraph.costs`)
+    and stroll (:attr:`AuxiliaryGraph.strolls`), and no walk:
+    :meth:`AuxiliaryGraph.walk_for` expands a stroll through the
+    oracle's ``path``, and :func:`sofda` expands only the pairs its
+    Steiner tree selects.  A walk expanded after a patch of the oracle
+    follows the patched rows (``path`` raises ``ValueError`` where a hop
+    became unreachable); the costs stay those the sweep read.
     """
     vms = instance.sorted_vms()
     aux = AuxiliaryView(instance)
@@ -304,8 +280,8 @@ def build_auxiliary_graph(
     k = len(instance.chain) + 1
     setup_of = instance.setup_cost
     costs: Dict[Tuple[Node, Node], float] = {}
-    walks: Dict[Tuple[Node, Node], ChainWalk] = {}
-    priced: Dict[Tuple[Node, Node], Tuple[List[Node], int]] = {}
+    strolls: Dict[Tuple[Node, Node], List[Node]] = {}
+    priced: List[Tuple[Node, Node]] = []
     batch: Optional[WalkBatch] = None
     for v in sorted(instance.sources, key=repr):
         last_vms = [u for u in vms if u != v]
@@ -341,26 +317,25 @@ def build_auxiliary_graph(
             elif stroll is None:
                 cw = None
             elif batch is not None:
-                setups = [setup_of(m) for m in stroll[1:]]
-                priced[(v, u)] = (stroll, batch.add(stroll, setups))
+                batch.add(stroll, [setup_of(m) for m in stroll[1:]])
+                priced.append((v, u))
+                strolls[(v, u)] = stroll
                 costs[(v, u)] = INF  # priced after the sweep
                 continue
             else:
                 cw = expand_stroll(instance, stroll)
             if cw is not None:
-                walks[(v, u)] = cw
+                strolls[(v, u)] = cw.stroll
                 costs[(v, u)] = cw.total_cost
     if not costs:
         raise RuntimeError("no candidate service chain exists for any (source, VM) pair")
     if batch is not None:
-        prices = batch.costs()
-        for pair, (_, index) in priced.items():
-            costs[pair] = prices[index]
+        costs.update(zip(priced, batch.costs()))
     for (v, u), cost in costs.items():
         aux.add_edge(_src_dup(v), _vm_dup(u), cost)
     return AuxiliaryGraph(
-        view=aux, virtual_source=_VSRC, costs=costs, walks=walks,
-        _priced=priced, _batch=batch, _instance=instance,
+        view=aux, virtual_source=_VSRC, costs=costs, strolls=strolls,
+        instance=instance,
     )
 
 
@@ -446,8 +421,7 @@ def sofda(
         graph, terminals, method=steiner_method, oracle=oracle
     ).tree
 
-    # Expand the walks behind the selected virtual edges now, while the
-    # rows their prices were read from are as the sweep left them.
+    # Build only the walks behind the selected virtual edges.
     pairs = _selected_virtual_edges(tree, instance)
     walks = {pair: aux.walk_for(*pair) for pair in pairs}
 

@@ -12,9 +12,10 @@ resulting node sequence back into a walk in ``G`` by concatenating shortest
 paths, yielding a candidate service chain from ``s`` to the designated last
 VM ``u``.  :func:`chain_walk` does both for one pair; Procedure 3's sweep
 solves the capped pairs of a source in numpy blocks (:meth:`PoolCap.stroll`)
-and expands each stroll through the same :func:`expand_stroll` -- on an
-uncontracted oracle only for the strolls its Steiner tree selects, from
-the rows their walks were priced on (see
+and keeps each pair's stroll and cost, and SOFDA expands only the strolls
+its Steiner tree selects, through the same :func:`expand_stroll`.  On an
+uncontracted oracle with no row budget the sweep prices those strolls'
+walks from the oracle rows without building them (see
 :func:`~repro.core.sofda.build_auxiliary_graph`).  A walk's costs are
 explicit left folds over its edges and VMs, which that pricing equals
 bit for bit.
@@ -446,26 +447,21 @@ def expand_stroll(
     instance: SOFInstance,
     stroll: Sequence[Node],
     setup_costs: Optional[Dict[Node, float]] = None,
-    paths: Optional[Iterable[List[Node]]] = None,
 ) -> ChainWalk:
     """Procedure 2's walk behind a stroll ``(s, m1, ..., m|C|)``.
 
-    Concatenates one ``oracle.path`` per hop -- or the given hop
-    ``paths``, which :class:`~repro.graph.indexed.WalkBatch` rebuilds
-    from the rows those calls read -- then folds the walk's edge costs
-    and the setup costs of the stroll's VMs (``setup_costs``
+    Concatenates one ``oracle.path`` per hop, then folds the walk's edge
+    costs and the setup costs of the stroll's VMs (``setup_costs``
     overriding), each left to right from ``0``.  The folds are explicit:
     ``sum`` of floats is compensated since Python 3.12, and
     :meth:`WalkBatch.costs` must equal this walk's ``total_cost`` bit
     for bit.
     """
-    if paths is None:
-        path = instance.oracle.path
-        paths = (path(a, b) for a, b in zip(stroll, stroll[1:]))
+    path = instance.oracle.path
     walk: List[Node] = [stroll[0]]
     positions: List[int] = [0]
-    for segment in paths:
-        walk.extend(segment[1:])
+    for a, b in zip(stroll, stroll[1:]):
+        walk.extend(path(a, b)[1:])
         positions.append(len(walk) - 1)
     cost = instance.graph.cost
     connection = 0

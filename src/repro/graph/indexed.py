@@ -1384,11 +1384,11 @@ class FrozenOracle:
 
         The batch entry point of Procedure 3's walk pricing: it stands
         for the ``path`` calls that would expand the walks, hop by hop,
-        and prices them all in one compiled call.  ``None`` on a
-        contracted oracle, whose ``path`` re-expands chain interiors
-        through a memo the batch does not replay, and on an oracle with
-        a row budget, which may evict a row whose parent buffer the
-        batch would then keep outside the budget.
+        and prices them all in one compiled call, with no walk built.
+        ``None`` on a contracted oracle, whose ``path`` re-expands chain
+        interiors through a memo the batch does not replay, and on an
+        oracle with a row budget, which may evict a row whose parent
+        buffer the batch would then keep outside the budget.
         """
         if self.contracted is not None or self._rows.budget_bytes is not None:
             return None
@@ -1676,17 +1676,15 @@ class WalkBatch:
     their order -- per hop, one counted row-store lookup of its head's
     row, a cold build on a miss and the row's ``used`` mark (a hop whose
     head is its tail looks nothing up), and ``path``'s errors -- and
-    keeps the row objects it got.  :meth:`costs` prices every walk at
+    keeps each row's parent buffer.  :meth:`costs` prices every walk at
     once (:func:`kernel.walk_costs`): each walk's edge weights from the
     live CSR, folded left to right along the walk, plus the caller's
-    setup costs folded the same way.  :meth:`paths` rebuilds one walk's
-    hop paths from the kept rows, with no lookup.
+    setup costs folded the same way.  No walk is built.
 
-    Lifetime: the kept rows' parent buffers are the oracle's live ones,
-    which a patch repairs in place, so prices and paths hold until the
-    oracle's next patch.  An unbudgeted oracle evicts rows only at a
-    patch (or an :meth:`~FrozenOracle.invalidate`), so until then every
-    kept buffer is a resident row's.
+    The kept buffers are the oracle's live ones, which a patch repairs
+    in place, so fill and price a batch with no patch in between, as
+    Procedure 3's sweep does: :meth:`add` at each pair's place, one
+    :meth:`costs` call after the sweep.
     """
 
     __slots__ = ("_oracle", "_core", "_hops", "_parents", "_slots",
@@ -1707,17 +1705,13 @@ class WalkBatch:
         self._triples = array("q")
         self._setups = array("d")
 
-    def __len__(self) -> int:
-        return len(self._setups) // self._hops
-
-    def add(self, nodes: Sequence[Node], setups: Sequence[float]) -> int:
+    def add(self, nodes: Sequence[Node], setups: Sequence[float]) -> None:
         """Replay the ``path`` calls of the walk through ``nodes``.
 
         ``nodes`` holds ``hops + 1`` nodes and ``setups`` one setup cost
         per hop, folded into the walk's price.  Raises as ``path`` does
         (``KeyError`` for a first node outside the graph, ``ValueError``
-        for an unreachable one), with nothing added.  Returns the walk's
-        index.
+        for an unreachable one), with nothing added.
         """
         if len(nodes) != self._hops + 1 or len(setups) != self._hops:
             raise ValueError(
@@ -1746,27 +1740,10 @@ class WalkBatch:
                     self._parents.append(parent)
             triples += (slot, source_id, tid)
             head, source_id = tail, tid
-        walk = len(self)
         self._triples.extend(triples)
         self._setups.extend(setups)
-        return walk
 
     def costs(self) -> array:
         """Every walk's connection plus setup cost, in :meth:`add` order."""
         return kernel.walk_costs(self._core.csr, self._parents,
                                  self._triples, self._setups, self._hops)
-
-    def paths(self, walk: int) -> List[List[Node]]:
-        """Walk ``walk``'s hop paths as ``path`` returned them."""
-        nodes = self._core.nodes
-        triples = self._triples
-        out: List[List[Node]] = []
-        for h in range(walk * self._hops, (walk + 1) * self._hops):
-            slot, head, tail = triples[3 * h:3 * h + 3]
-            if slot < 0:
-                out.append([nodes[head]])
-            else:
-                chain = FrozenOracle._core_chain(self._parents[slot], head,
-                                                 tail)
-                out.append([nodes[c] for c in chain])
-        return out

@@ -111,7 +111,6 @@ class DistanceOracle:
         self._graph = graph
         self._dist: Dict[Node, Dict[Node, float]] = {}
         self._parent: Dict[Node, Dict[Node, Node]] = {}
-        self._queries: Dict[Node, int] = {}
 
     @property
     def graph(self) -> Graph:
@@ -128,25 +127,12 @@ class DistanceOracle:
         """Shortest-path cost; ``inf`` if unreachable.
 
         Undirected symmetry contract: ``distance(u, v) == distance(v, u)``,
-        so the oracle may answer from a row rooted at either endpoint.  A
-        cached row always wins; when *neither* endpoint is cached, the row
-        is computed from the endpoint more likely to be reused -- the one
-        that has appeared in more ``distance`` queries so far (ties keep
-        ``source``, the historical behaviour).
+        so the oracle may answer from a row rooted at either endpoint: the
+        source's cached row, else the target's, else a newly computed row
+        of the source -- the rule of
+        :meth:`~repro.graph.indexed.FrozenOracle.distance`.
         """
-        queries = self._queries
-        queries[source] = queries.get(source, 0) + 1
-        queries[target] = queries.get(target, 0) + 1
-        cached = source in self._dist
-        # Serve from the reverse direction if already cached (undirected).
-        if target in self._dist and not cached:
-            return self._dist[target].get(source, INF)
-        if (
-            not cached
-            and queries[target] > queries[source]
-            and target in self._graph
-        ):
-            self._ensure(target)
+        if source not in self._dist and target in self._dist:
             return self._dist[target].get(source, INF)
         self._ensure(source)
         return self._dist[source].get(target, INF)

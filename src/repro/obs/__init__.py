@@ -77,7 +77,8 @@ Procedure 3's sweep counts every ``(source, last VM)`` pair once as
 ``"setup_override"``.  A block pair with a k-stroll also counts its
 walk once, as ``sofda.walk{path=priced}`` (uncontracted core: priced
 from the oracle rows, built only if the Steiner tree selects it) or
-``sofda.walk{path=expanded,reason}`` (built at once), ``reason``
+``sofda.walk{path=expanded,reason}`` (built at once, and again if
+selected), ``reason``
 ``"contracted"`` (a contracted core) or ``"row_budget"`` (an oracle
 with a row budget).  A rejected embed counts as
 ``sim.embeds{outcome=rejected,reason}``, ``reason`` the type name of

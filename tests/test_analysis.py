@@ -842,7 +842,7 @@ def test_fake_flag_is_reported_at_every_threading_site(tmp_path):
     assert text.count(_INIT_TAIL) == 1, "FrozenOracle.__init__ moved"
     indexed.write_text(text.replace(
         _INIT_TAIL,
-        "        row_budget_bytes: Optional[int] = None,\n"
+        "        metrics: Optional[object] = None,\n"
         "        fake_knob: bool = False,\n"
         "    ) -> None:",
     ), encoding="utf-8")

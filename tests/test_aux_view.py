@@ -173,26 +173,29 @@ def test_priced_virtual_edges_equal_the_expanded_walks():
     """Procedure 3 prices each block pair's virtual edge from the rows
     its walk would be expanded from, without expanding it.  On the same
     replay -- so the rows read include repaired ones, and the walks
-    cross links revived in place -- every priced cost equals
+    cross links revived in place -- every pair's cost equals
     ``expand_stroll``'s ``total_cost`` for the pair's stroll bit for
-    bit, and the walk ``walk_for`` expands from the kept rows equals
-    ``expand_stroll``'s walk."""
+    bit, and ``walk_for`` returns that walk."""
     network = _network()
     recorder = Recorder(registry=MetricsRegistry())
     simulator = OnlineSimulator(network, vms_per_datacenter=2,
                                 metrics=recorder)
     priced, revived = [], []
 
+    def count():
+        return recorder.snapshot()["counters"].get(
+            "sofda.walk{path=priced}", 0
+        )
+
     def check(request):
         instance = simulator.current_instance(request)
+        before = count()
         aux = build_auxiliary_graph(instance)
-        pending = [pair for pair in aux.costs if pair not in aux.walks]
-        for pair in pending:
-            walk = aux.walk_for(*pair)
-            expanded = expand_stroll(instance, walk.stroll)
+        priced.append(count() - before)
+        for pair, stroll in aux.strolls.items():
+            expanded = expand_stroll(instance, stroll)
             assert aux.costs[pair] == expanded.total_cost
-            assert walk == expanded
-        priced.append(len(pending))
+            assert aux.walk_for(*pair) == expanded
         revived.append(len(instance.oracle._revivals))
 
     _replay(simulator, network, check)

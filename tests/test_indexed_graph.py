@@ -122,12 +122,9 @@ def test_frozen_oracle_matches_distance_oracle_small_graphs():
         assert frozen.contracted is None  # too small to contract
         for _ in range(60):
             u, v = rng.choice(nodes), rng.choice(nodes)
-            # Either oracle may serve a query from the reverse row (the
-            # documented symmetry contract), whose float summation order
-            # differs in the last ulp.
-            assert frozen.distance(u, v) == pytest.approx(
-                reference.distance(u, v), rel=0, abs=1e-9
-            )
+            # Both oracles serve a query from the same row (the source's
+            # cached row, else the target's, else a new source row).
+            assert frozen.distance(u, v) == reference.distance(u, v)
         for _ in range(20):
             u, v = rng.choice(nodes), rng.choice(nodes)
             if reference.distance(u, v) == INF:

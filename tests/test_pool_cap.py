@@ -5,12 +5,14 @@ Procedure 3 caps the VM pools of all the pairs of one source through one
 block; ``chain_walk`` on its own caps its single pair through the same
 class.  The differential tests run ``build_auxiliary_graph`` on one
 simulator or instance and a local loop of per-pair ``chain_walk`` calls
-on its twin, and require the same walks and the same oracle state: row
-labels and trees, ``used`` marks, cache counters and resident rows.  The
-scalar-reference tests pin every pair's capped pool to the first
-``POOL_CAP`` of the pool stably sorted by scalar ``distance`` scores.
-The last tests pin the ``sofda.procedure2`` count of each swept pair's
-path (block or scalar, with its reason) against spies.
+on its twin, and require the same oracle state right after the sweep
+(row labels and trees, ``used`` marks, cache counters and resident
+rows), then the same costs, strolls and walks.  The scalar-reference
+tests pin every pair's capped pool to the first ``POOL_CAP`` of the pool
+stably sorted by scalar ``distance`` scores.  The last tests pin the
+``sofda.procedure2`` count of each swept pair's path (block or scalar,
+with its reason) and the ``sofda.walk`` count of each block pair's walk
+against spies.
 """
 
 import importlib
@@ -98,33 +100,64 @@ def _oracle_state(oracle):
     }
 
 
+def _spy_walks(monkeypatch):
+    """Log the walks ``sofda`` prices or expands: ``added`` holds each
+    ``WalkBatch.add``, ``swept`` each ``expand_stroll`` call inside
+    ``build_auxiliary_graph`` and ``deployed`` each one after it."""
+    log = {"added": [], "swept": [], "deployed": []}
+    phase = ["swept"]
+    add, expand = WalkBatch.add, sofda_module.expand_stroll
+    build = sofda_module.build_auxiliary_graph
+
+    def spy_add(self, nodes, setups):
+        log["added"].append(tuple(nodes))
+        return add(self, nodes, setups)
+
+    def spy_expand(instance, stroll, *args, **kwargs):
+        log[phase[0]].append(tuple(stroll))
+        return expand(instance, stroll, *args, **kwargs)
+
+    def spy_build(*args, **kwargs):
+        phase[0] = "swept"
+        aux = build(*args, **kwargs)
+        phase[0] = "deployed"
+        return aux
+
+    monkeypatch.setattr(WalkBatch, "add", spy_add)
+    monkeypatch.setattr(sofda_module, "expand_stroll", spy_expand)
+    monkeypatch.setattr(sofda_module, "build_auxiliary_graph", spy_build)
+    return log
+
+
 def _assert_walks_match(aux, walks):
-    """Every pair's virtual-edge cost and walk equal the per-pair ones,
-    bit for bit and in sweep order; every walk is expanded.  Returns how
-    many pairs were priced without a walk before that."""
-    priced = len(aux.costs) - len(aux.walks)
-    assert list(aux.costs) == list(walks)
+    """Every pair's virtual-edge cost, stroll and walk equal the
+    per-pair ones, bit for bit and in sweep order."""
+    assert list(aux.costs) == list(aux.strolls) == list(walks)
     for pair, walk in walks.items():
         assert aux.costs[pair] == walk.total_cost
+        assert aux.strolls[pair] == walk.stroll
         assert aux.walk_for(*pair) == walk
-    assert len(aux.walks) == len(walks)
-    return priced
 
 
-def _assert_sweep_matches_per_pair(make):
-    """Returns the swept instance and how many of its pairs were priced."""
+def _assert_sweep_matches_per_pair(monkeypatch, make):
+    """The sweep leaves the oracle as the per-pair loop does, before
+    any walk is expanded, and ``walk_for`` then builds the per-pair
+    walks.  Returns the swept instance and how many walks the sweep
+    priced without building them."""
     swept, per_pair = make(), make()
-    aux = build_auxiliary_graph(swept)
-    priced = _assert_walks_match(aux, _per_pair_walks(per_pair))
+    log = _spy_walks(monkeypatch)
+    aux = sofda_module.build_auxiliary_graph(swept)
+    walks = _per_pair_walks(per_pair)
     assert _oracle_state(swept.oracle) == _oracle_state(per_pair.oracle)
-    return swept, priced
+    _assert_walks_match(aux, walks)
+    return swept, len(log["added"])
 
 
-def test_sweep_matches_per_pair_walks_uncontracted():
+def test_sweep_matches_per_pair_walks_uncontracted(monkeypatch):
     def make():
         return _simulator()[1]
 
-    instance, priced = _assert_sweep_matches_per_pair(make)
+    instance, priced = _assert_sweep_matches_per_pair(monkeypatch, make)
     assert instance.oracle.contracted is None
     assert len(instance.vms) - 2 > POOL_CAP
     # Every pair's walk was priced from the rows, none expanded.
@@ -132,8 +165,10 @@ def test_sweep_matches_per_pair_walks_uncontracted():
     assert priced == len(instance.sources) * len(instance.vms)
 
 
-def test_sweep_matches_per_pair_walks_contracted():
-    instance, priced = _assert_sweep_matches_per_pair(_inet_instance)
+def test_sweep_matches_per_pair_walks_contracted(monkeypatch):
+    instance, priced = _assert_sweep_matches_per_pair(
+        monkeypatch, _inet_instance
+    )
     assert instance.oracle.contracted is not None
     assert len(instance.vms) > POOL_CAP + 1
     assert priced == 0  # a contracted core expands every walk eagerly
@@ -145,7 +180,8 @@ def test_sweep_matches_per_pair_walks_under_a_tight_budget(monkeypatch):
     did not read (evicted, or not cached yet at the gather) regathers.
     Nothing is priced: a budgeted oracle makes no ``WalkBatch``, whose
     kept parent buffers would outlive their rows' evictions, so every
-    walk is expanded at once, with the same lookups."""
+    walk is expanded at once, with the same lookups.  A deployed walk
+    whose hop rows were evicted since is built from cold rebuilds."""
     gathers = []
     gather = DetourBlock._gather
 
@@ -154,14 +190,11 @@ def test_sweep_matches_per_pair_walks_under_a_tight_budget(monkeypatch):
         return gather(self, first, source_row)
 
     monkeypatch.setattr(DetourBlock, "_gather", spy)
-    rows = 20  # of 34 VM rows and the request's endpoint rows
-    budget = rows * row_nbytes(len(_simulator()[1].graph))
-    swept = _simulator(row_budget_bytes=budget)[1]
-    per_pair = _simulator(row_budget_bytes=budget)[1]
-    aux = build_auxiliary_graph(swept)
+    swept, priced = _assert_sweep_matches_per_pair(
+        monkeypatch, _tight_budget_instance
+    )
     regathers = len(gathers) - len(swept.sources)
-    assert _assert_walks_match(aux, _per_pair_walks(per_pair)) == 0
-    assert _oracle_state(swept.oracle) == _oracle_state(per_pair.oracle)
+    assert priced == 0
     snapshot = swept.oracle.cache_snapshot()
     assert snapshot["budget_evictions"] > 0
     assert snapshot["overshoots"] == 0
@@ -435,13 +468,20 @@ def test_a_source_with_no_feasible_stroll_leaves_the_others_serving():
     assert forest.used_sources() == {healthy}
 
 
+def _walk_counts(recorder):
+    return {
+        key: value for key, value in recorder.snapshot()["counters"].items()
+        if key.startswith("sofda.walk")
+    }
+
+
 @pytest.mark.parametrize("contracted", [False, True])
 def test_block_walks_are_counted(monkeypatch, contracted):
     """Every block pair with a stroll counts its walk once: priced from
     the rows on an uncontracted core (one ``WalkBatch.add`` each), and
     expanded at once on a contracted one (one ``expand_stroll`` each),
-    as spies see them run.  Only the deployed pairs are expanded later,
-    with no ``expand_stroll`` path lookups."""
+    as spies see them run inside ``build_auxiliary_graph``.  After it,
+    only the deployed pairs' walks are expanded, one each."""
     recorder = Recorder(registry=MetricsRegistry())
     if contracted:
         instance = _inet_instance()
@@ -452,66 +492,58 @@ def test_block_walks_are_counted(monkeypatch, contracted):
         )
     else:
         recorder, _, instance = _metered()
-    added, expanded = [], []
-    add, expand = WalkBatch.add, sofda_module.expand_stroll
-
-    def spy_add(self, nodes, setups):
-        added.append(tuple(nodes))
-        return add(self, nodes, setups)
-
-    def spy_expand(instance, stroll, *args, **kwargs):
-        expanded.append((tuple(stroll), "paths" in kwargs))
-        return expand(instance, stroll, *args, **kwargs)
-
-    monkeypatch.setattr(WalkBatch, "add", spy_add)
-    monkeypatch.setattr(sofda_module, "expand_stroll", spy_expand)
+    log = _spy_walks(monkeypatch)
     result = sofda_module.sofda(instance)
-    counters = {
-        key: value for key, value in recorder.snapshot()["counters"].items()
-        if key.startswith("sofda.walk")
-    }
     if contracted:
-        eager = [stroll for stroll, lazy in expanded if not lazy]
-        assert counters == {
-            "sofda.walk{path=expanded,reason=contracted}": len(eager),
+        assert _walk_counts(recorder) == {
+            "sofda.walk{path=expanded,reason=contracted}": len(log["swept"]),
         }
-        assert eager and not added and len(eager) == len(expanded)
+        assert log["swept"] and not log["added"]
     else:
-        assert counters == {"sofda.walk{path=priced}": len(added)}
-        assert added
-        # Only the selected walks, each from the rows it was priced on.
-        assert all(lazy for _, lazy in expanded)
-        assert len(expanded) == result.num_virtual_edges
+        assert _walk_counts(recorder) == {
+            "sofda.walk{path=priced}": len(log["added"]),
+        }
+        assert log["added"] and not log["swept"]
+    assert len(log["deployed"]) == result.num_virtual_edges > 0
 
 
 def test_budgeted_block_walks_are_expanded_at_once(monkeypatch):
     """An oracle with a row budget makes no ``WalkBatch``: each block
     pair's walk is expanded at its place in the sweep and counted as
-    ``sofda.walk{path=expanded,reason=row_budget}``."""
+    ``sofda.walk{path=expanded,reason=row_budget}``, and after the sweep
+    only the deployed pairs' walks are expanded again."""
     instance = _tight_budget_instance()
     recorder = Recorder(registry=MetricsRegistry())
     instance.oracle._metrics = recorder
-    added, expanded = [], []
-    add, expand = WalkBatch.add, sofda_module.expand_stroll
-
-    def spy_add(self, nodes, setups):
-        added.append(tuple(nodes))
-        return add(self, nodes, setups)
-
-    def spy_expand(instance, stroll, *args, **kwargs):
-        expanded.append("paths" in kwargs)
-        return expand(instance, stroll, *args, **kwargs)
-
-    monkeypatch.setattr(WalkBatch, "add", spy_add)
-    monkeypatch.setattr(sofda_module, "expand_stroll", spy_expand)
+    log = _spy_walks(monkeypatch)
     result = sofda_module.sofda(instance)
     check_forest(instance, result.forest)
-    counters = {
-        key: value for key, value in recorder.snapshot()["counters"].items()
-        if key.startswith("sofda.walk")
-    }
     assert instance.oracle.contracted is None
-    assert counters == {
-        "sofda.walk{path=expanded,reason=row_budget}": len(expanded),
+    assert _walk_counts(recorder) == {
+        "sofda.walk{path=expanded,reason=row_budget}": len(log["swept"]),
     }
-    assert expanded and not added and not any(expanded)
+    assert log["swept"] and not log["added"]
+    assert len(log["deployed"]) == result.num_virtual_edges > 0
+
+
+def test_a_walk_expanded_after_a_patch_follows_the_live_graph():
+    """``Ĝ`` keeps strolls, not walks, so a pair expanded after a link
+    failure reads the patched rows: once the failure cuts the first
+    source off, each of its pairs raises ``ValueError`` and every other
+    pair's walk crosses only live links."""
+    simulator, instance = _simulator()
+    aux = build_auxiliary_graph(instance)
+    graph = instance.graph
+    cut = sorted(instance.sources, key=repr)[0]
+    simulator.fail_link(cut, next(iter(graph.neighbors(cut))))
+    raised = set()
+    for pair in aux.costs:
+        try:
+            walk = aux.walk_for(*pair)
+        except ValueError:
+            raised.add(pair)
+            continue
+        assert all(graph.has_edge(a, b)
+                   for a, b in zip(walk.walk, walk.walk[1:]))
+    assert raised == {pair for pair in aux.costs if pair[0] == cut}
+    assert 0 < len(raised) < len(aux.costs)
