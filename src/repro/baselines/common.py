@@ -35,24 +35,29 @@ def greedy_chain(
     instance: SOFInstance,
     source: Node,
     allowed_vms: Iterable[Node],
-    num_functions: Optional[int] = None,
+    anchor: Optional[Node] = None,
 ) -> Optional[DeployedChain]:
     """Nearest-VM sequential chain construction (the style of [13]).
 
     From the current endpoint, repeatedly hop to the unused allowed VM
-    minimising (shortest-path distance + setup cost), once per function
-    (``num_functions`` defaults to ``|C|``; eNEMP passes ``|C|-1`` and
-    places the last VNF on its anchor VM itself).
+    minimising (shortest-path distance + setup cost), once per function.
+    With an ``anchor`` (eNEMP) the anchor runs ``f_|C|``: the greedy
+    hops place ``f1..f_{|C|-1}``, each scoring also the remaining
+    distance to the anchor so the chain heads toward it, and a last
+    shortest path reaches the anchor.
 
-    Returns a (possibly partial) :class:`DeployedChain` or ``None`` when
-    the pool is too small or disconnected.
+    Returns the :class:`DeployedChain` or ``None`` when the pool is too
+    small or disconnected.
     """
     oracle = instance.oracle
     distance = oracle.distance
     setup_cost = instance.setup_cost
-    count = num_functions if num_functions is not None else len(instance.chain)
+    count = len(instance.chain)
     pool = set(allowed_vms)
     pool.discard(source)
+    if anchor is not None:
+        pool.discard(anchor)
+        count -= 1
     if len(pool) < count:
         return None
     walk: List[Node] = [source]
@@ -67,9 +72,10 @@ def greedy_chain(
         # not depend on the hash seed.
         for vm in sorted(pool, key=repr):
             d = distance(current, vm)
-            if d == float("inf"):
+            tail = 0.0 if anchor is None else distance(vm, anchor)
+            if d == float("inf") or tail == float("inf"):
                 continue
-            score = d + setup_cost(vm)
+            score = d + setup_cost(vm) + tail
             if score < best_score:
                 best_vm, best_score = vm, score
         if best_vm is None:
@@ -79,6 +85,11 @@ def greedy_chain(
         placements[len(walk) - 1] = vnf
         pool.discard(best_vm)
         current = best_vm
+    if anchor is not None:
+        if distance(current, anchor) == float("inf"):
+            return None
+        walk.extend(oracle.path(current, anchor)[1:])
+        placements[len(walk) - 1] = count
     return DeployedChain(walk=walk, placements=placements)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Optional
 
-from repro.baselines.common import SingleTree, chain_total_cost
+from repro.baselines.common import SingleTree, chain_total_cost, greedy_chain
 from repro.baselines.multi_source import iterative_multi_source
 from repro.core.forest import ServiceOverlayForest
 from repro.core.problem import SOFInstance
@@ -60,7 +60,7 @@ def _enemp_single_tree(
     # deployment in the style of [13]), but *anchored*: every hop scores
     # (distance + setup + remaining distance to the anchor), so the chain
     # heads toward the VM the tree hangs off; the anchor runs f_|C|.
-    chain = _anchored_greedy_chain(instance, source, allowed, best_anchor)
+    chain = greedy_chain(instance, source, allowed, anchor=best_anchor)
     if chain is None:
         return None
     return SingleTree(
@@ -69,56 +69,10 @@ def _enemp_single_tree(
     )
 
 
-def _anchored_greedy_chain(
-    instance: SOFInstance,
-    source: Node,
-    allowed_vms,
-    anchor: Node,
-):
-    """Greedy chain from ``source`` that ends with ``f_|C|`` at ``anchor``."""
-    from repro.core.forest import DeployedChain
-
-    oracle = instance.oracle
-    num_functions = len(instance.chain)
-    pool = set(allowed_vms) - {source, anchor}
-    if len(pool) < num_functions - 1:
-        return None
-    walk = [source]
-    placements = {}
-    current = source
-    for vnf in range(num_functions - 1):
-        best_vm = None
-        best_score = float("inf")
-        # Repr order, as in greedy_chain: hash-seed-free ties and row
-        # build order.
-        for vm in sorted(pool, key=repr):
-            d = oracle.distance(current, vm)
-            tail = oracle.distance(vm, anchor)
-            if d == float("inf") or tail == float("inf"):
-                continue
-            score = d + instance.setup_cost(vm) + tail
-            if score < best_score:
-                best_vm, best_score = vm, score
-        if best_vm is None:
-            return None
-        segment = oracle.path(current, best_vm)
-        walk.extend(segment[1:])
-        placements[len(walk) - 1] = vnf
-        pool.discard(best_vm)
-        current = best_vm
-    if oracle.distance(current, anchor) == float("inf"):
-        return None
-    segment = oracle.path(current, anchor)
-    walk.extend(segment[1:])
-    placements[len(walk) - 1] = num_functions - 1
-    return DeployedChain(walk=walk, placements=placements)
-
-
 def enemp_baseline(
     instance: SOFInstance,
     steiner_method: str = "kmb",
     multi_source: bool = True,
-    validate: bool = True,
 ) -> ServiceOverlayForest:
     """Run eNEMP (optionally with the iterative multi-source extension)."""
     return iterative_multi_source(
@@ -126,5 +80,4 @@ def enemp_baseline(
         _enemp_single_tree,
         steiner_method=steiner_method,
         multi_source=multi_source,
-        validate=validate,
     )

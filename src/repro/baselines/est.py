@@ -66,7 +66,6 @@ def est_baseline(
     instance: SOFInstance,
     steiner_method: str = "kmb",
     multi_source: bool = True,
-    validate: bool = True,
 ) -> ServiceOverlayForest:
     """Run eST (optionally with the iterative multi-source extension)."""
     return iterative_multi_source(
@@ -74,5 +73,4 @@ def est_baseline(
         _est_single_tree,
         steiner_method=steiner_method,
         multi_source=multi_source,
-        validate=validate,
     )

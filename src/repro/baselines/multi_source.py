@@ -32,7 +32,6 @@ def iterative_multi_source(
     builder: SingleTreeBuilder,
     steiner_method: str = "kmb",
     multi_source: bool = True,
-    validate: bool = True,
 ) -> ServiceOverlayForest:
     """Grow a forest one service tree at a time while the cost drops.
 
@@ -44,7 +43,6 @@ def iterative_multi_source(
             the destination-assignment combiner.
         multi_source: when ``False``, stop after the first tree (the
             single-source variants used in the #sources=1 sweeps).
-        validate: feasibility-check the final forest.
     """
     used_sources: Set[Node] = set()
     used_vms: Set[Node] = set()
@@ -84,6 +82,5 @@ def iterative_multi_source(
 
     if best_forest is None:
         raise RuntimeError("multi-source wrapper produced no feasible forest")
-    if validate:
-        check_forest(instance, best_forest)
+    check_forest(instance, best_forest)
     return best_forest

@@ -23,7 +23,6 @@ Node = Hashable
 def st_baseline(
     instance: SOFInstance,
     steiner_method: str = "kmb",
-    validate: bool = True,
 ) -> ServiceOverlayForest:
     """Run the ST baseline and return its (single-tree) forest."""
     oracle = instance.oracle
@@ -59,6 +58,5 @@ def st_baseline(
     forest.add_chain(chain)
     forest.add_tree(best_tree.tree)
     forest.prune_tree_edges()
-    if validate:
-        check_forest(instance, forest)
+    check_forest(instance, forest)
     return forest

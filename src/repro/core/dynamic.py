@@ -26,7 +26,7 @@ controller).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.forest import DeployedChain, ServiceOverlayForest
 from repro.core.problem import ServiceChain, SOFInstance
@@ -41,25 +41,20 @@ class DynamicError(Exception):
     """Raised when a dynamic adjustment cannot be applied."""
 
 
-def _forest_with(instance: SOFInstance, base: ServiceOverlayForest) -> ServiceOverlayForest:
-    out = ServiceOverlayForest(instance=instance)
-    out.chains = [c.copy() for c in base.chains]
-    out.tree_edges = set(base.tree_edges)
-    out.enabled = dict(base.enabled)
-    return out
-
-
 def _rebuild_chain(
     instance: SOFInstance,
     old_chain: DeployedChain,
     anchors: List[Tuple[Node, int]],
+    dead: Optional[Tuple[Node, Node]] = None,
 ) -> DeployedChain:
     """Rebuild a chain walk through a new anchor (VM, vnf) sequence.
 
     Consecutive anchors are connected by fresh shortest paths; the original
     walk's *delivery tail* (everything after its last placement, which may
     pass through several destinations) is preserved verbatim, re-connected
-    from the new final anchor if needed.
+    from the new final anchor if needed.  A tail that crosses the failed
+    link ``dead`` (a canonical edge) cannot be kept: the destinations it
+    passed are re-delivered in order over fresh shortest paths instead.
     """
     oracle = instance.oracle
     anchors = sorted(anchors, key=lambda a: a[1])
@@ -70,11 +65,17 @@ def _rebuild_chain(
         walk.extend(segment[1:])
         placements[len(walk) - 1] = vnf
     if old_chain.placements:
-        orig_last_pos = max(old_chain.placements)
-        tail = old_chain.walk[orig_last_pos:]
-        if walk[-1] != tail[0]:
-            walk.extend(oracle.path(walk[-1], tail[0])[1:])
-        walk.extend(tail[1:])
+        tail = old_chain.walk[max(old_chain.placements):]
+        if dead is not None and any(
+            canonical_edge(a, b) == dead for a, b in zip(tail, tail[1:])
+        ):
+            for stop in tail[1:]:
+                if stop in instance.destinations and stop != walk[-1]:
+                    walk.extend(oracle.path(walk[-1], stop)[1:])
+        else:
+            if walk[-1] != tail[0]:
+                walk.extend(oracle.path(walk[-1], tail[0])[1:])
+            walk.extend(tail[1:])
     return DeployedChain(walk=walk, placements=placements)
 
 
@@ -94,17 +95,11 @@ def destination_leave(
     instance = forest.instance
     if destination not in instance.destinations:
         raise DynamicError(f"{destination!r} is not a current destination")
-    new_instance = SOFInstance(
-        graph=instance.graph,
-        vms=instance.vms,
-        sources=instance.sources,
-        destinations=instance.destinations - {destination},
-        chain=instance.chain,
-        node_costs=instance.node_costs,
-        source_costs=instance.source_costs,
+    new_instance = instance.derive(
+        destinations=instance.destinations - {destination}
     )
-    new_instance._oracle = instance._oracle
-    out = _forest_with(new_instance, forest)
+    out = forest.copy()
+    out.instance = new_instance
     # prune_tree_edges recomputes exactly the per-destination needed paths,
     # which implements "remove v and all intermediate nodes and links up to
     # the closest upstream branch node" for leaf destinations and is a
@@ -125,10 +120,7 @@ def _vnf_progress(forest: ServiceOverlayForest) -> Dict[Node, int]:
     progress: Dict[Node, int] = {}
     L = len(forest.instance.chain)
     for chain in forest.chains:
-        applied = 0
-        for i, node in enumerate(chain.walk):
-            if i in chain.placements:
-                applied = chain.placements[i] + 1
+        for node, applied in zip(chain.walk, chain.stages()):
             progress[node] = max(progress.get(node, -1), applied)
     for u, v in forest.tree_edges:
         progress[u] = max(progress.get(u, -1), L)
@@ -204,35 +196,29 @@ def destination_join(
         raise DynamicError(f"no feasible join point for {destination!r}")
 
     _, join_node, suffix_chain, path = best
-    new_instance = SOFInstance(
-        graph=instance.graph,
-        vms=instance.vms,
-        sources=instance.sources,
-        destinations=instance.destinations | {destination},
-        chain=instance.chain,
-        node_costs=instance.node_costs,
-        source_costs=instance.source_costs,
+    new_instance = instance.derive(
+        destinations=instance.destinations | {destination}
     )
-    new_instance._oracle = instance._oracle
-    out = _forest_with(new_instance, forest)
+    out = forest.copy()
+    out.instance = new_instance
     if suffix_chain is None:
         for a, b in zip(path, path[1:]):
             out.add_tree_edge(a, b)
     else:
         # The suffix walk extends the serving chain: find the chain whose
         # walk contains the join node with full progress and splice.
-        host_idx = None
-        host_pos = None
-        for idx, chain in enumerate(out.chains):
-            applied = 0
-            for i, node in enumerate(chain.walk):
-                if i in chain.placements:
-                    applied = chain.placements[i] + 1
-                if node == join_node and applied == L - len(suffix_chain.placements):
-                    host_idx, host_pos = idx, i
-                    break
-            if host_idx is not None:
-                break
+        join_stage = L - len(suffix_chain.placements)
+        host_idx, host_pos = next(
+            (
+                (idx, i)
+                for idx, chain in enumerate(out.chains)
+                for i, (node, stage) in enumerate(
+                    zip(chain.walk, chain.stages())
+                )
+                if node == join_node and stage == join_stage
+            ),
+            (None, None),
+        )
         if host_idx is None:
             raise DynamicError(
                 f"join point {join_node!r} not found on any chain walk"
@@ -387,10 +373,7 @@ def _reroute_distribution(
     instance = out.instance
     if is_feasible(instance, out):
         return
-    points: Set[Node] = set()
-    for chain in out.chains:
-        if chain.placements:
-            points.update(chain.walk[max(chain.placements):])
+    points = set(out.delivery_points())
     points |= {a for e in out.tree_edges for a in e}
     points_in_order = sorted(points, key=repr)
     oracle = instance.oracle
@@ -408,6 +391,35 @@ def _reroute_distribution(
         path = oracle.path(best_pt, dest)
         for a, b in zip(path, path[1:]):
             out.add_tree_edge(a, b)
+
+
+def _reroute_around(
+    forest: ServiceOverlayForest,
+    instance: SOFInstance,
+    bad: Tuple[Node, Node],
+    failed: bool,
+) -> ServiceOverlayForest:
+    """``forest`` over ``instance`` with every use of the link ``bad`` rerouted.
+
+    Each chain crossing ``bad`` (a canonical edge) is rebuilt between
+    its anchors (:func:`_rebuild_chain`, with ``bad`` as the dead link
+    when it ``failed``), the others are kept, and the distribution part
+    drops ``bad`` and re-joins any destination it served
+    (:func:`_reroute_distribution`).
+    """
+    out = ServiceOverlayForest(instance=instance)
+    for chain in forest.chains:
+        if any(canonical_edge(a, b) == bad for a, b in chain.all_edges()):
+            anchors = [
+                (chain.walk[pos], vnf) for pos, vnf in chain.vnf_positions()
+            ]
+            out.add_chain(_rebuild_chain(
+                instance, chain, anchors, dead=bad if failed else None
+            ))
+        else:
+            out.add_chain(chain.copy())
+    _reroute_distribution(forest, out, bad)
+    return out
 
 
 def reroute_congested_link(
@@ -435,35 +447,14 @@ def reroute_congested_link(
     else:
         graph.add_edge(u, v, new_cost)
         new_oracle = None
-    new_instance = SOFInstance(
-        graph=graph,
-        vms=instance.vms,
-        sources=instance.sources,
-        destinations=instance.destinations,
-        chain=instance.chain,
-        node_costs=instance.node_costs,
-        source_costs=instance.source_costs,
+    new_instance = instance.derive(oracle=new_oracle, graph=graph)
+    # Chain segments crossing the link are re-connected between their
+    # anchors (a delivery tail is preserved; its congested hops, if any,
+    # are reflected in the updated cost), and destination paths crossing
+    # it are rebuilt.
+    out = _reroute_around(
+        forest, new_instance, canonical_edge(u, v), failed=False
     )
-    new_instance._oracle = new_oracle
-    bad = canonical_edge(u, v)
-
-    out = ServiceOverlayForest(instance=new_instance)
-    for chain in forest.chains:
-        uses = any(
-            canonical_edge(a, b) == bad for a, b in chain.all_edges()
-        )
-        if not uses:
-            out.add_chain(chain.copy())
-            continue
-        # Re-connect between consecutive anchors with fresh shortest paths
-        # (the delivery tail is preserved; its congested hops, if any, are
-        # reflected in the updated cost).
-        anchors = [(chain.walk[pos], vnf) for pos, vnf in chain.vnf_positions()]
-        out.add_chain(_rebuild_chain(new_instance, chain, anchors))
-
-    # Distribution edges: rebuild destination paths avoiding the bad link
-    # when they crossed it.
-    _reroute_distribution(forest, out, bad)
     check_forest(new_instance, out)
     return new_instance, out
 
@@ -492,46 +483,9 @@ def reroute_failed_link(
     u, v = link
     if instance.graph.has_edge(u, v):
         raise DynamicError(f"({u!r}, {v!r}) is still a live link")
-    oracle = instance.oracle
     bad = canonical_edge(u, v)
-
-    out = ServiceOverlayForest(instance=instance)
     try:
-        for chain in forest.chains:
-            uses = any(
-                canonical_edge(a, b) == bad for a, b in chain.all_edges()
-            )
-            if not uses:
-                out.add_chain(chain.copy())
-                continue
-            anchors = sorted(
-                ((chain.walk[pos], vnf) for pos, vnf in chain.vnf_positions()),
-                key=lambda a: a[1],
-            )
-            walk: List[Node] = [chain.walk[0]]
-            placements: Dict[int, int] = {}
-            for node, vnf in anchors:
-                walk.extend(oracle.path(walk[-1], node)[1:])
-                placements[len(walk) - 1] = vnf
-            if chain.placements:
-                tail = chain.walk[max(chain.placements):]
-                if any(
-                    canonical_edge(a, b) == bad
-                    for a, b in zip(tail, tail[1:])
-                ):
-                    # The preserved-verbatim tail walks the dead link:
-                    # re-deliver to the destinations it passed, in order,
-                    # over surviving shortest paths.
-                    for stop in tail[1:]:
-                        if stop in instance.destinations and stop != walk[-1]:
-                            walk.extend(oracle.path(walk[-1], stop)[1:])
-                else:
-                    if walk[-1] != tail[0]:
-                        walk.extend(oracle.path(walk[-1], tail[0])[1:])
-                    walk.extend(tail[1:])
-            out.add_chain(DeployedChain(walk=walk, placements=placements))
-
-        _reroute_distribution(forest, out, bad)
+        out = _reroute_around(forest, instance, bad, failed=True)
         check_forest(instance, out)
     except ValueError as exc:
         # ``oracle.path`` (no surviving path) or a VNF conflict while
@@ -559,16 +513,7 @@ def relocate_overloaded_vm(
     vnf = forest.enabled[vm]
     node_costs = dict(instance.node_costs)
     node_costs[vm] = new_setup_cost
-    new_instance = SOFInstance(
-        graph=instance.graph,
-        vms=instance.vms,
-        sources=instance.sources,
-        destinations=instance.destinations,
-        chain=instance.chain,
-        node_costs=node_costs,
-        source_costs=instance.source_costs,
-    )
-    new_instance._oracle = instance._oracle
+    new_instance = instance.derive(node_costs=node_costs)
     oracle = new_instance.oracle
 
     replacement: Optional[Node] = None

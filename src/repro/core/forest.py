@@ -5,16 +5,21 @@ edges:
 
 - A :class:`DeployedChain` is a walk in ``G`` from a source to the chain's
   last VM, together with the walk positions where the VNFs ``f1..f|C|`` run.
-  Walks may revisit nodes (the paper's clones); every traversal of an edge
-  is paid.  When a chain has been *attached* to another chain during VNF
-  conflict resolution (Procedure 4), its leading edges are physically the
-  other chain's edges and are not paid again -- ``paid_from_edge`` marks
-  where this chain's own payment starts.
+  Walks may revisit nodes (the paper's clones).  When a chain has been
+  *attached* to another chain during VNF conflict resolution (Procedure
+  4), its leading edges are physically the other chain's edges.
+  ``paid_from_edge`` records where the attached chain's own edges start;
+  it is informational (printed by :meth:`ServiceOverlayForest.describe`,
+  range-checked by ``check_forest``) and the objective never reads it:
+  the borrowed prefix carries the same stages as the chain it was
+  borrowed from, so the stage rule of
+  :meth:`ServiceOverlayForest.paid_edges` already leaves it unpaid.
 - The forest's ``tree_edges`` are the multicast distribution part (the
   Steiner tree(s) connecting last VMs to destinations); each is paid once.
 
-Total cost = VM setup of enabled VMs (once each) + per-traversal walk edge
-cost + tree edge cost, exactly matching Section III.
+Total cost = VM setup of enabled VMs (once each) + the connection cost of
+:meth:`ServiceOverlayForest.paid_edges`, each ``(stage, arc)`` once,
+exactly matching Section III.
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ class DeployedChain:
         placements: mapping from walk position to VNF index (0-based).
             Positions are strictly increasing with the VNF index and cover
             ``0..|C|-1`` exactly once for a complete chain.
-        paid_from_edge: index of the first walk edge this chain pays for.
-            0 for a standalone chain; >0 when the prefix is borrowed from
-            another chain after conflict resolution.
+        paid_from_edge: index of the first walk edge that is this chain's
+            own: 0 for a standalone chain; >0 when the prefix is borrowed
+            from another chain after conflict resolution.  Informational:
+            the objective pays by stage (:meth:`ServiceOverlayForest
+            .paid_edges`), not from this index.
         attached_to: index of the parent chain in the forest when the prefix
             is borrowed (informational; used by validation and pruning).
     """
@@ -74,10 +81,20 @@ class DeployedChain:
                 return self.walk[pos]
         raise KeyError(f"VNF {vnf_index} is not placed on this chain")
 
-    def paid_edges(self) -> Iterable[Tuple[Node, Node]]:
-        """Edges this chain pays for, one item per traversal."""
-        for i in range(self.paid_from_edge, len(self.walk) - 1):
-            yield self.walk[i], self.walk[i + 1]
+    def stages(self) -> List[int]:
+        """The processing stage at every walk position.
+
+        Entry ``i`` is the number of VNFs applied at or before position
+        ``i`` (placing ``f_{k+1}`` there sets it to ``k + 1``), so walk
+        edge ``i`` carries stage-``stages()[i]`` content.
+        """
+        stages: List[int] = []
+        stage = 0
+        for i in range(len(self.walk)):
+            if i in self.placements:
+                stage = self.placements[i] + 1
+            stages.append(stage)
+        return stages
 
     def all_edges(self) -> Iterable[Tuple[Node, Node]]:
         """All walk edges (including any borrowed prefix)."""
@@ -149,40 +166,46 @@ class ServiceOverlayForest:
         )
         return cost
 
-    def connection_cost(self) -> float:
-        """Stage-keyed connection cost, matching the paper's IP accounting.
+    def paid_edges(self) -> List[Tuple[int, Node, Node]]:
+        """The ``(stage, u, v)`` arcs the objective pays, in payment order.
 
         All destinations request the *same* demand, so the content carried
         over an edge is fully determined by the processing stage: how many
         of ``f1..f|C|`` have been applied so far.  The paper's IP therefore
         pays each ``(stage f, arc)`` once (variable ``τ_{f,u,v}``), and a
         clone pass of the same physical edge at a *different* stage pays
-        again (Fig. 1(b)).  We reproduce exactly that: every walk-edge
-        traversal is annotated with its stage (number of VNFs applied at or
-        before the tail position) and paid once per distinct
-        ``(stage, directed edge)``; distribution-tree edges carry
-        final-stage content and dedup against final-stage walk tails.
+        again (Fig. 1(b)).  Every walk-edge traversal is keyed by its stage
+        (:meth:`DeployedChain.stages`) and listed at its first traversal,
+        chain by chain in walk order; distribution-tree edges follow in
+        repr order, carrying final-stage content, each skipped when a
+        final-stage walk traversal crossed it in either direction.  The
+        connection cost and the online simulator's bandwidth charges
+        both read this list.
         """
-        graph = self.instance.graph
         num_functions = len(self.instance.chain)
         paid: Set[Tuple[int, Node, Node]] = set()
-        cost = 0.0
+        arcs: List[Tuple[int, Node, Node]] = []
         for chain in self.chains:
-            stage = 0
-            for i in range(len(chain.walk) - 1):
-                if i in chain.placements:
-                    stage = chain.placements[i] + 1
-                u, v = chain.walk[i], chain.walk[i + 1]
-                key = (stage, u, v)
+            walk = chain.walk
+            for i, stage in enumerate(chain.stages()[:-1]):
+                key = (stage, walk[i], walk[i + 1])
                 if key not in paid:
                     paid.add(key)
-                    cost += graph.cost(u, v)
+                    arcs.append(key)
         # Sorted so the float accumulation order (hence the last-ulp
         # rounding) does not follow the set's hash-salted iteration.
         for u, v in sorted(self.tree_edges, key=repr):
             if (num_functions, u, v) in paid or (num_functions, v, u) in paid:
                 continue
             paid.add((num_functions, u, v))
+            arcs.append((num_functions, u, v))
+        return arcs
+
+    def connection_cost(self) -> float:
+        """Stage-keyed connection cost: :meth:`paid_edges` folded left."""
+        graph = self.instance.graph
+        cost = 0.0
+        for _, u, v in self.paid_edges():
             cost += graph.cost(u, v)
         return cost
 
@@ -204,6 +227,20 @@ class ServiceOverlayForest:
     def num_trees(self) -> int:
         """Number of distinct used sources (= service trees in the forest)."""
         return len(self.used_sources())
+
+    def delivery_points(self) -> Dict[Node, int]:
+        """Nodes holding fully processed content, each with its first chain.
+
+        A chain with placements delivers at its last VM and at every walk
+        node after it (its delivery tail); the value is the index of the
+        first chain that delivers at the node.
+        """
+        points: Dict[Node, int] = {}
+        for index, chain in enumerate(self.chains):
+            if chain.placements:
+                for node in chain.walk[max(chain.placements):]:
+                    points.setdefault(node, index)
+        return points
 
     def distribution_graph(self) -> Graph:
         """The tree-edge part as a :class:`Graph` (costs from the instance)."""
@@ -232,13 +269,7 @@ class ServiceOverlayForest:
         if not self.tree_edges:
             return
         graph = self.distribution_graph()
-        # Anchors: every node holding fully-processed content -- the last VM
-        # and any pass-through walk tail after it (same definition as the
-        # validator's delivery points).
-        anchors: Set[Node] = set()
-        for chain in self.chains:
-            if chain.placements:
-                anchors.update(chain.walk[max(chain.placements):])
+        anchors = self.delivery_points()
         needed: Set[Edge] = set()
         import heapq
 

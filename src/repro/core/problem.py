@@ -144,14 +144,6 @@ class SOFInstance:
             )
         return self._oracle
 
-    def invalidate_oracle(self) -> None:
-        """Drop cached shortest paths (after graph/cost mutation)."""
-        self._oracle = None
-        self._metric_block = None
-        self._metric_rows = None
-        self._source_vm_rows = {}
-        self._procedure1_rows = {}
-
     def sorted_vms(self) -> list:
         """The VM set in canonical (repr) order, cached."""
         if self._sorted_vms is None:
@@ -213,7 +205,7 @@ class SOFInstance:
         ``i < j`` comes from row ``v_i`` (the oracle's symmetry contract),
         gathered straight into the block
         (:meth:`FrozenOracle.pairwise_distances`, one gather per row), and
-        is mirrored to ``[j, i]``.  Invalidated together with the oracle.
+        is mirrored to ``[j, i]``.
         """
         if self._metric_block is None:
             oracle = self.oracle
@@ -247,6 +239,39 @@ class SOFInstance:
         return frozenset(self.graph.nodes()) - self.vms
 
     # ------------------------------------------------------------------
+    def derive(
+        self, oracle: Optional[FrozenOracle] = None, **changes
+    ) -> "SOFInstance":
+        """A copy of the instance with ``changes`` applied to its fields.
+
+        ``changes`` name constructor arguments (``graph``, ``vms``,
+        ``sources``, ``destinations``, ``chain``, ``node_costs``,
+        ``source_costs``); the copy is validated like any instance.  It
+        keeps this instance's oracle unless the graph changes, in which
+        case it gets ``oracle`` (``None``: one built on first use).  When
+        only the chain or the sources change it also keeps the
+        Procedure-1 caches (the metric block, its dict rows and the
+        source-to-VM rows), which neither change moves.
+        """
+        fields = dict(
+            graph=self.graph,
+            vms=self.vms,
+            sources=self.sources,
+            destinations=self.destinations,
+            chain=self.chain,
+            node_costs=self.node_costs,
+            source_costs=self.source_costs,
+        )
+        fields.update(changes)
+        clone = SOFInstance(**fields)
+        clone._oracle = oracle if "graph" in changes else self._oracle
+        if changes.keys() <= {"chain", "sources"}:
+            clone._metric_block = self._metric_block
+            clone._metric_rows = self._metric_rows
+            clone._source_vm_rows = self._source_vm_rows
+            clone._procedure1_rows = self._procedure1_rows
+        return clone
+
     def replicate_vms(self, copies: int, attach_cost: float = 0.0) -> "SOFInstance":
         """Return a new instance where each VM is replicated ``copies`` times.
 
@@ -269,51 +294,15 @@ class SOFInstance:
                 graph.add_edge(vm, replica, attach_cost)
                 new_vms.add(replica)
                 node_costs[replica] = self.setup_cost(vm)
-        return SOFInstance(
-            graph=graph,
-            vms=new_vms,
-            sources=self.sources,
-            destinations=self.destinations,
-            chain=self.chain,
-            node_costs=node_costs,
-            source_costs=self.source_costs,
-        )
+        return self.derive(graph=graph, vms=new_vms, node_costs=node_costs)
 
     def with_chain(self, chain: ServiceChain) -> "SOFInstance":
         """Return a copy of the instance demanding a different chain."""
-        clone = SOFInstance(
-            graph=self.graph,
-            vms=self.vms,
-            sources=self.sources,
-            destinations=self.destinations,
-            chain=chain,
-            node_costs=self.node_costs,
-            source_costs=self.source_costs,
-        )
-        clone._oracle = self._oracle  # shortest paths do not depend on the chain
-        clone._metric_block = self._metric_block
-        clone._metric_rows = self._metric_rows
-        clone._source_vm_rows = self._source_vm_rows
-        clone._procedure1_rows = self._procedure1_rows
-        return clone
+        return self.derive(chain=chain)
 
     def restrict_sources(self, sources: Iterable[Node]) -> "SOFInstance":
         """Return a copy restricted to a subset of the sources."""
-        clone = SOFInstance(
-            graph=self.graph,
-            vms=self.vms,
-            sources=sources,
-            destinations=self.destinations,
-            chain=self.chain,
-            node_costs=self.node_costs,
-            source_costs=self.source_costs,
-        )
-        clone._oracle = self._oracle
-        clone._metric_block = self._metric_block
-        clone._metric_rows = self._metric_rows
-        clone._source_vm_rows = self._source_vm_rows
-        clone._procedure1_rows = self._procedure1_rows
-        return clone
+        return self.derive(sources=sources)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

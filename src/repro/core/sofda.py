@@ -401,7 +401,6 @@ def sofda(
     kstroll_method: str = "auto",
     resolve_conflicts: bool = True,
     prune: bool = True,
-    validate: bool = True,
 ) -> SOFDAResult:
     """Run SOFDA (Algorithm 2) and return the embedded forest.
 
@@ -412,7 +411,6 @@ def sofda(
         resolve_conflicts: when ``False``, conflicting chains go straight to
             the repair path (the ablation in DESIGN.md §5.3).
         prune: drop distribution edges that serve no destination.
-        validate: run the feasibility checker on the result.
     """
     aux = build_auxiliary_graph(instance, kstroll_method=kstroll_method)
     terminals = [aux.virtual_source] + sorted(instance.destinations, key=repr)
@@ -456,8 +454,7 @@ def sofda(
 
     if prune:
         forest.prune_tree_edges()
-    if validate:
-        check_forest(instance, forest)
+    check_forest(instance, forest)
     return SOFDAResult(
         forest=forest, stats=stats, num_virtual_edges=len(pairs)
     )

@@ -30,7 +30,6 @@ def sofda_ss(
     steiner_method: str = "kmb",
     kstroll_method: str = "auto",
     candidate_last_vms: Optional[Iterable[Node]] = None,
-    validate: bool = True,
 ) -> ServiceOverlayForest:
     """Run SOFDA-SS and return the best single-tree forest.
 
@@ -43,7 +42,6 @@ def sofda_ss(
         kstroll_method: k-stroll solver (``auto``/``exact``/``insertion``/``greedy``).
         candidate_last_vms: restrict the last-VM sweep (used by tests and
             the online simulator); defaults to all VMs.
-        validate: run the feasibility checker on the result.
 
     Returns:
         The minimum-cost forest over all examined last VMs.
@@ -91,6 +89,5 @@ def sofda_ss(
 
     if best is None:
         raise RuntimeError("SOFDA-SS found no feasible embedding")
-    if validate:
-        check_forest(instance, best)
+    check_forest(instance, best)
     return best

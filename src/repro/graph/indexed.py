@@ -753,25 +753,18 @@ class FrozenOracle:
             )
 
     @property
-    def core(self) -> IndexedGraph:
-        """The uncontracted interned core (built on demand)."""
-        if self._core is None:
-            self._core = IndexedGraph.from_graph(self._graph)
-            self._built = True
-        return self._core
+    def core(self) -> Union[IndexedGraph, _ContractedCore]:
+        """The core rows are built over, built on demand: the contracted
+        core when contraction engaged, else the uncontracted one."""
+        self._build()
+        contracted = self._contracted
+        return contracted if contracted is not None else self._core
 
     @property
     def contracted(self) -> Optional[_ContractedCore]:
         """The contracted core, or ``None`` when contraction is inactive."""
         self._build()
         return self._contracted
-
-    def _search_core(self) -> Union[IndexedGraph, _ContractedCore]:
-        """The core rows are built over, built on demand: the contracted
-        core when contraction engaged, else the uncontracted one."""
-        self._build()
-        contracted = self._contracted
-        return contracted if contracted is not None else self._core
 
     def prefetch_rows(self, nodes: Iterable[Node]) -> None:
         """Precompute rows for ``nodes``: touch the cached, build the rest.
@@ -785,7 +778,7 @@ class FrozenOracle:
         (:meth:`~repro.core.problem.SOFInstance.metric_block`, the online
         simulator's VM-pool warms) route here.
         """
-        index = self._search_core().index
+        index = self.core.index
         missing: List[int] = []
         seen: set = set()
         for node in nodes:
@@ -1201,7 +1194,7 @@ class FrozenOracle:
         """
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        row = _Row(*self._search_core().dijkstra(sid))
+        row = _Row(*self.core.dijkstra(sid))
         rows = self._rows
         rows[sid] = row
         if rows.budget_bytes is not None:
@@ -1231,7 +1224,7 @@ class FrozenOracle:
         over the graph.  Raises ``KeyError`` when ``source`` is not in
         the graph.
         """
-        index = self._search_core().index
+        index = self.core.index
         source_id = index.get(source)
         tid = index.get(target)
         if source_id is None or tid is None:
@@ -1282,7 +1275,7 @@ class FrozenOracle:
         targets = list(targets)
         if not targets:
             return []
-        index = self._search_core().index
+        index = self.core.index
         tids = _target_ids(index, targets)
         row = self._batch_row(index.get(source), tids is not None,
                               "distances_to")
@@ -1337,7 +1330,7 @@ class FrozenOracle:
         """
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        index = self._search_core().index
+        index = self.core.index
         ids = [index.get(node) for node in nodes]
         # Row ``i`` has a target outside the core iff ``i`` < the last
         # such node's position.
@@ -1573,7 +1566,7 @@ class DetourBlock:
         last_vms: Sequence[Node],
         targets: Sequence[Node],
     ) -> None:
-        index = oracle._search_core().index
+        index = oracle.core.index
         targets = list(targets)
         self._oracle = oracle
         self._source_id = index.get(source)

@@ -40,10 +40,6 @@ class SteinerResult:
     cost: float
     terminals: FrozenSet[Node] = field(default_factory=frozenset)
 
-    def contains_terminals(self) -> bool:
-        """Whether every terminal is present in the tree."""
-        return all(t in self.tree for t in self.terminals)
-
 
 def metric_closure(
     graph: Graph,

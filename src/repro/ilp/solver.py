@@ -128,15 +128,14 @@ def solve_sof_ilp(
     instance: SOFInstance,
     time_limit: Optional[float] = None,
     decode: bool = True,
-    validate: bool = True,
 ) -> ILPSolution:
     """Solve the SOF IP exactly (the paper's CPLEX column).
 
     Args:
         instance: the SOF instance.
         time_limit: optional solver wall-clock limit in seconds.
-        decode: also reconstruct the forest from the solution vector.
-        validate: feasibility-check the decoded forest.
+        decode: also reconstruct the forest from the solution vector
+            (always feasibility-checked).
     """
     model = build_model(instance)
     options: Dict[str, float] = {}
@@ -154,8 +153,7 @@ def solve_sof_ilp(
     forest = None
     if decode:
         forest = extract_forest(model, result.x)
-        if validate:
-            check_forest(instance, forest)
+        check_forest(instance, forest)
     return ILPSolution(
         objective=float(result.fun),
         forest=forest,

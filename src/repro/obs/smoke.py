@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 from typing import List, Optional
@@ -78,17 +79,15 @@ def run_smoke(trace_out: Optional[str] = None) -> str:
         file=sys.stderr,
     )
 
-    # Round-trip the trace through the validating codec.
-    if trace_out is None:
-        with tempfile.NamedTemporaryFile(
-            mode="w", suffix=".jsonl", delete=False
-        ) as handle:
-            trace_out = handle.name
-    write_trace_events(recorder.tracer.events, trace_out)
-    events = read_trace_events(trace_out)
+    # Round-trip the trace through the validating codec; without
+    # ``trace_out`` the file lives and dies in a scratch directory.
+    with tempfile.TemporaryDirectory() as scratch:
+        path = trace_out or os.path.join(scratch, "trace.jsonl")
+        write_trace_events(recorder.tracer.events, path)
+        events = read_trace_events(path)
     if len(events) != len(recorder.tracer.events):
         raise SystemExit("smoke: trace round-trip lost events")
-    print(f"smoke: trace valid ({len(events)} spans, {trace_out})",
+    print(f"smoke: trace valid ({len(events)} spans, {path})",
           file=sys.stderr)
 
     # Span totals must reconcile with the per-phase histogram sums.

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from typing import Hashable, List, Tuple
 
-from repro.core.dynamic import reroute_congested_link
+from repro.core.dynamic import DynamicError, reroute_congested_link
 from repro.core.forest import ServiceOverlayForest
 from repro.core.problem import SOFInstance
+from repro.core.validation import ForestInfeasible
 from repro.costmodel import LoadTracker
 from repro.graph.graph import canonical_edge, edge_sort_key
 
@@ -75,7 +76,7 @@ def reroute_forest_around_congestion(
         new_cost = tracker.link_cost(*link)
         try:
             instance, current = reroute_congested_link(current, link, new_cost)
-        except Exception:
+        except (DynamicError, ForestInfeasible, ValueError):
             # A link with no alternative stays in place; its cost update
             # still steers future requests away.
             continue

@@ -307,9 +307,7 @@ class OnlineSimulator:
         """
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        link_totals = self._charge_links(
-            forest, request.demand_mbps, len(request.chain)
-        )
+        link_totals = self._charge_links(forest, request.demand_mbps)
         node_totals: Dict[Node, float] = {}
         for vm in forest.enabled:
             self._tracker.add_node_load(vm, 1.0)
@@ -330,38 +328,20 @@ class OnlineSimulator:
         return lease
 
     def _charge_links(
-        self,
-        forest: ServiceOverlayForest,
-        demand_mbps: float,
-        num_functions: int,
+        self, forest: ServiceOverlayForest, demand_mbps: float
     ) -> Dict[Edge, float]:
-        """Account ``forest``'s bandwidth on the tracker (per-stage dedup).
+        """Charge ``demand_mbps`` on every arc ``forest`` pays for.
 
-        Returns the per-canonical-edge totals charged -- exactly the
+        One charge per :meth:`ServiceOverlayForest.paid_edges` entry, so
+        a link carries one stream copy per stage the objective pays it
+        at.  Returns the per-canonical-edge totals charged -- exactly the
         amounts a lease must hand back on release.
         """
-        seen = set()
         link_totals: Dict[Edge, float] = {}
-
-        def charge(u: Node, v: Node) -> None:
+        for _, u, v in forest.paid_edges():
             self._tracker.add_link_load(u, v, demand_mbps)
             key = canonical_edge(u, v)
             link_totals[key] = link_totals.get(key, 0.0) + demand_mbps
-
-        for chain in forest.chains:
-            stage = 0
-            for i in range(len(chain.walk) - 1):
-                if i in chain.placements:
-                    stage = chain.placements[i] + 1
-                key = (stage, chain.walk[i], chain.walk[i + 1])
-                if key in seen:
-                    continue
-                seen.add(key)
-                charge(chain.walk[i], chain.walk[i + 1])
-        for u, v in forest.tree_edges:
-            if (num_functions, u, v) in seen or (num_functions, v, u) in seen:
-                continue
-            charge(u, v)
         return link_totals
 
     def release(self, lease: Lease) -> None:
@@ -482,9 +462,7 @@ class OnlineSimulator:
         """
         for (a, b), demand in lease.link_loads:
             self._tracker.release_link_load(a, b, demand)
-        link_totals = self._charge_links(
-            forest, lease.request.demand_mbps, len(lease.request.chain)
-        )
+        link_totals = self._charge_links(forest, lease.request.demand_mbps)
         lease.link_loads = tuple(link_totals.items())
         lease.forest = forest
 

@@ -33,13 +33,7 @@ def destination_paths(forest: ServiceOverlayForest) -> Dict[Node, List[Edge]]:
     instance = forest.instance
     paths: Dict[Node, List[Edge]] = {}
 
-    # Delivery points and the chain serving each.
-    point_chain: Dict[Node, int] = {}
-    for idx, chain in enumerate(forest.chains):
-        if not chain.placements:
-            continue
-        for node in chain.walk[max(chain.placements):]:
-            point_chain.setdefault(node, idx)
+    point_chain = forest.delivery_points()
 
     tree_adj: Dict[Node, List[Node]] = {}
     for u, v in forest.tree_edges:
@@ -86,19 +80,13 @@ def destination_paths(forest: ServiceOverlayForest) -> Dict[Node, List[Edge]]:
 
 
 def stream_multiplicity(forest: ServiceOverlayForest) -> Dict[Edge, int]:
-    """Distinct stream copies per physical link (stage-keyed, Section III)."""
-    uses = set()
-    for chain in forest.chains:
-        stage = 0
-        for i in range(len(chain.walk) - 1):
-            if i in chain.placements:
-                stage = chain.placements[i] + 1
-            uses.add((stage, canonical_edge(chain.walk[i], chain.walk[i + 1])))
-    L = len(forest.instance.chain)
-    for u, v in forest.tree_edges:
-        uses.add((L, canonical_edge(u, v)))
-    counts: Counter = Counter(edge for _, edge in uses)
-    return dict(counts)
+    """Distinct stream copies per physical link (stage-keyed, Section III).
+
+    One copy per stage at which :meth:`ServiceOverlayForest.paid_edges`
+    crosses the link, in either direction.
+    """
+    uses = {(stage, canonical_edge(u, v)) for stage, u, v in forest.paid_edges()}
+    return dict(Counter(edge for _, edge in uses))
 
 
 @dataclass
@@ -142,10 +130,6 @@ class FlowSimulator:
     def paths(self) -> Dict[Node, List[Edge]]:
         """Per-destination delivery paths (edge lists)."""
         return self._paths
-
-    def path_length(self, destination: Node) -> int:
-        """Hop count of a destination's delivery path."""
-        return len(self._paths[destination])
 
     def step_goodput(self) -> Dict[Node, float]:
         """Draw one second of link bandwidths; return per-destination goodput.

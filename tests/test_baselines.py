@@ -47,11 +47,6 @@ def test_greedy_chain_pool_too_small(fig2_instance):
     assert greedy_chain(fig2_instance, 1, {2}) is None
 
 
-def test_greedy_chain_partial_length(fig2_instance):
-    chain = greedy_chain(fig2_instance, 1, fig2_instance.vms, num_functions=1)
-    assert len(chain.placements) == 1
-
-
 def test_chain_total_cost(fig2_instance):
     chain = greedy_chain(fig2_instance, 1, fig2_instance.vms)
     cost = chain_total_cost(fig2_instance, chain)
@@ -122,8 +117,6 @@ def test_greedy_chains_scan_the_pool_in_repr_order(anchored, monkeypatch):
     Integer VMs iterate a set in hash-bucket order, which is not repr
     order, so a set scan fails here under every hash seed.
     """
-    from repro.baselines.enemp import _anchored_greedy_chain
-
     instance = random_instance(1, n=30, num_vms=12, num_sources=2,
                                num_dests=3, chain_len=3)
     source = min(instance.sources)
@@ -142,10 +135,7 @@ def test_greedy_chains_scan_the_pool_in_repr_order(anchored, monkeypatch):
         return real_distance(u, v)
 
     monkeypatch.setattr(instance.oracle, "distance", spy)
-    if anchored:
-        chain = _anchored_greedy_chain(instance, source, pool, anchor)
-    else:
-        chain = greedy_chain(instance, source, pool)
+    chain = greedy_chain(instance, source, pool, anchor=anchor)
     assert chain is not None
     scans = _scans(calls, skip=anchor)
     assert len(scans) == len(instance.chain) - (1 if anchored else 0)

@@ -2,13 +2,22 @@
 
 import pytest
 
-from repro import ServiceChain, check_forest, sofda
+from repro import (
+    DeployedChain,
+    Graph,
+    ServiceChain,
+    ServiceOverlayForest,
+    SOFInstance,
+    check_forest,
+    sofda,
+)
 from repro.core.dynamic import (
     DynamicError,
     destination_join,
     destination_leave,
     relocate_overloaded_vm,
     reroute_congested_link,
+    reroute_failed_link,
     vnf_deletion,
     vnf_insertion,
 )
@@ -170,6 +179,36 @@ def test_reroute_unknown_link_raises(embedded):
     _, forest = embedded
     with pytest.raises(DynamicError):
         reroute_congested_link(forest, ("x", "y"), 10.0)
+
+
+def test_reroute_failed_link_redelivers_a_dead_tail():
+    # Source 0, f1 on VM 1, f2 on VM 2; the delivery tail 2-3-4-5 passes
+    # destination 3, then crosses the link (3, 4) that fails, on its way
+    # to destination 5.  A dead tail cannot be kept verbatim: the chain
+    # re-delivers to 3 and then 5 over live shortest paths.
+    graph = Graph.from_edges([
+        (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0),
+        (3, 6, 2.0), (6, 5, 2.0), (2, 7, 1.0), (7, 4, 9.0),
+    ])
+    instance = SOFInstance(
+        graph=graph, vms={1, 2, 7}, sources={0}, destinations={3, 5},
+        chain=ServiceChain.of_length(2), node_costs={1: 1.0, 2: 1.0, 7: 1.0},
+    )
+    forest = ServiceOverlayForest(instance=instance)
+    forest.add_chain(
+        DeployedChain(walk=[0, 1, 2, 3, 4, 5], placements={1: 0, 2: 1})
+    )
+    check_forest(instance, forest)
+    graph.remove_edge(3, 4)
+
+    rerouted = reroute_failed_link(forest, (4, 3))
+
+    (chain,) = rerouted.chains
+    assert chain.walk == [0, 1, 2, 3, 6, 5]
+    assert chain.placements == {1: 0, 2: 1}
+    assert all(graph.has_edge(a, b) for a, b in chain.all_edges())
+    check_forest(instance, rerouted)
+    assert forest.chains[0].walk == [0, 1, 2, 3, 4, 5]  # input untouched
 
 
 def test_relocate_overloaded_vm(embedded):

@@ -118,9 +118,19 @@ def test_describe_mentions_cost(line_instance):
     assert "cost=" in text and "chain 0" in text
 
 
-def test_paid_edges_respects_paid_from(line_instance):
-    chain = DeployedChain(
+def test_stages_leave_a_borrowed_prefix_unpaid(line_instance):
+    # f1 at position 1, f2 at 2: edge i carries stage stages()[i].
+    attached = DeployedChain(
         walk=[0, 1, 2, 3], placements={1: 0, 2: 1}, paid_from_edge=2
     )
-    assert list(chain.paid_edges()) == [(2, 3)]
-    assert len(list(chain.all_edges())) == 3
+    assert attached.stages() == [0, 1, 2, 2]
+    assert DeployedChain(walk=[0, 1, 2, 1], placements={1: 0}).stages() == [
+        0, 1, 1, 1
+    ]
+    # The attached chain's prefix carries the stages it carried on the
+    # chain it was borrowed from, so only its own edge (2, 3) is paid.
+    forest = ServiceOverlayForest(instance=line_instance)
+    forest.add_chain(DeployedChain(walk=[0, 1, 2], placements={1: 0, 2: 1}))
+    forest.add_chain(attached)
+    assert forest.paid_edges() == [(0, 0, 1), (1, 1, 2), (2, 2, 3)]
+    assert forest.connection_cost() == 1 + 2 + 4

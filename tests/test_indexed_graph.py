@@ -153,6 +153,20 @@ def test_frozen_oracle_contracts_large_continuous_graphs(contracted_setting):
     assert len(oracle.contracted.interior) >= CONTRACT_MIN_INTERIOR
 
 
+def test_core_is_the_one_active_core_accessor(contracted_setting):
+    # Read first, ``core`` contracts exactly as a first query would, and
+    # on a built contracted oracle it interns no second, uncontracted core.
+    instance = contracted_setting
+    oracle = FrozenOracle(
+        instance.graph, hot=instance.vms | instance.sources | instance.destinations
+    )
+    core = oracle.core
+    assert oracle.contracted is not None
+    assert core is oracle.contracted
+    assert instance.oracle.core is instance.oracle.contracted
+    assert oracle._core is None and instance.oracle._core is None
+
+
 def test_contracted_distances_exact(contracted_setting):
     instance = contracted_setting
     oracle = instance.oracle

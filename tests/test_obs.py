@@ -602,3 +602,13 @@ def test_smoke_snapshot_is_canonical(tmp_path):
     assert set(snap) == {"counters", "gauges", "histograms"}
     assert out == json.dumps(snap, sort_keys=True, indent=2)
     assert (tmp_path / "trace.jsonl").exists()
+
+
+def test_smoke_without_trace_out_leaves_no_file(tmp_path, monkeypatch):
+    import tempfile
+
+    from repro.obs.smoke import run_smoke
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    run_smoke()
+    assert list(tmp_path.iterdir()) == []

@@ -7,9 +7,15 @@ import pytest
 from repro import sofda
 from repro.baselines import est_baseline
 from repro.graph import FrozenOracle
-from repro.graph.graph import edge_sort_key
+from repro.graph.graph import canonical_edge, edge_sort_key
 from repro.online import OnlineSimulator, RequestGenerator, run_online_comparison
 from repro.topology import softlayer_network
+from repro.workload import (
+    ExponentialHolding,
+    PoissonArrivals,
+    WorkloadEngine,
+    build_schedule,
+)
 
 
 @pytest.fixture
@@ -221,6 +227,48 @@ def test_sync_costs_patches_graph_in_place(network):
     loaded = next(iter(sim.tracker.link_load))
     assert sim._graph.cost(*loaded) == max(
         sim.tracker.link_cost(*loaded), sim._cost_floor
+    )
+
+
+def test_every_lease_charges_exactly_the_paid_edges(network):
+    # The simulator loads what the objective pays: one demand per
+    # ``paid_edges()`` arc, so a link's lease total is the demand times
+    # the number of stages it is paid at.
+    simulator = OnlineSimulator(network)
+    schedule = build_schedule(
+        PoissonArrivals(RequestGenerator(network, seed=0), rate=1.0, seed=1),
+        horizon=8.0, holding=ExponentialHolding(2.0, seed=2),
+    )
+    commit = simulator.commit
+    leases = []
+
+    def checked_commit(forest, request):
+        lease = commit(forest, request)
+        paid = forest.paid_edges()
+        multiplicity = {}
+        for _, u, v in paid:
+            key = canonical_edge(u, v)
+            multiplicity[key] = multiplicity.get(key, 0) + 1
+        assert dict(lease.link_loads) == {
+            key: request.demand_mbps * count
+            for key, count in multiplicity.items()
+        }
+        cost = 0.0
+        for _, u, v in paid:
+            cost += forest.instance.graph.cost(u, v)
+        assert forest.connection_cost() == cost
+        leases.append(lease)
+        return lease
+
+    simulator.commit = checked_commit
+    result = WorkloadEngine(
+        simulator, lambda instance: sofda(instance).forest
+    ).run(schedule)
+    assert len(leases) == result.accepted > 1
+    assert result.departures > 0
+    assert any(
+        len(lease.link_loads) < len(lease.forest.paid_edges())
+        for lease in leases
     )
 
 

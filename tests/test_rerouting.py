@@ -56,6 +56,22 @@ def test_reroute_produces_feasible_forest(embedded_with_tracker):
     assert instance.graph.cost(*edge) == pytest.approx(tracker.link_cost(*edge))
 
 
+def test_reroute_programming_errors_propagate(embedded_with_tracker,
+                                              monkeypatch):
+    # Only an unusable link or path reads as "no alternative"; a bug in
+    # the reroute must surface, not count as a link left in place.
+    forest, tracker = embedded_with_tracker
+    edge = canonical_edge(*next(iter(forest.chains[0].all_edges())))
+    tracker.add_link_load(*edge, 95.0)
+
+    def broken(instance, forest):
+        raise TypeError("bug in the reroute")
+
+    monkeypatch.setattr("repro.core.dynamic.check_forest", broken)
+    with pytest.raises(TypeError, match="bug in the reroute"):
+        reroute_forest_around_congestion(forest, tracker)
+
+
 class _StubForest:
     """Just enough forest surface for ``congested_forest_links``."""
 
