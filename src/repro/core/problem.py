@@ -100,7 +100,6 @@ class SOFInstance:
         self._metric_block = None
         self._metric_rows = None
         self._source_vm_rows = {}
-        self._procedure1_rows = {}
         self._sorted_vms = None
         self.validate()
 
@@ -150,33 +149,24 @@ class SOFInstance:
             self._sorted_vms = sorted(self.vms, key=repr)
         return self._sorted_vms
 
-    def procedure1_rows(self, source: Node) -> Dict[Node, Dict[Node, float]]:
-        """Mutable per-source copies of :meth:`metric_block`'s dict rows.
+    def metric_rows(self) -> Dict[Node, Dict[Node, float]]:
+        """:meth:`metric_block` as dict rows, derived once and never written.
 
-        ``rows[v1][v2]`` is ``metric_block()[i1, i2]`` for every VM pair
-        but ``source``'s own row.  ``build_kstroll_instance`` stamps the
-        Procedure-1 source column into these rows in place, one
-        ``last_vm`` at a time -- its callers consume each instance before
-        requesting the next, so a single copy per source replaces one
-        copy per (source, last_vm) pair.  Only the scalar Procedure-2 path
-        asks for them, so the dict rows are derived from the array at the
-        first such request; Procedure 3's block path reads the array.
+        ``rows[v1][v2]`` is ``metric_block()[i1, i2]`` for every pair of
+        distinct VMs.  Every scalar Procedure-1 instance over a pool of
+        VMs shares these rows (``build_kstroll_instance``) and builds
+        only its source row, the one row its solvers read a source edge
+        from: a VM source's entries here are never read as source edges.
+        Procedure 3's block path reads the array.
         """
-        rows = self._procedure1_rows.get(source)
-        if rows is None:
+        if self._metric_rows is None:
             block = self.metric_block()
-            if self._metric_rows is None:
-                vms = self.sorted_vms()
-                self._metric_rows = {
-                    v: {w: cost for w, cost in zip(vms, values) if w != v}
-                    for v, values in zip(vms, block.tolist())
-                }
-            rows = {
-                v: dict(r) for v, r in self._metric_rows.items()
-                if v != source
+            vms = self.sorted_vms()
+            self._metric_rows = {
+                v: {w: cost for w, cost in zip(vms, values) if w != v}
+                for v, values in zip(vms, block.tolist())
             }
-            self._procedure1_rows[source] = rows
-        return rows
+        return self._metric_rows
 
     def source_vm_distances(self, source: Node) -> Dict[Node, float]:
         """Base-graph distances from ``source`` to every VM (cached).
@@ -198,14 +188,13 @@ class SOFInstance:
         A float64 ``|M| x |M|`` array in :meth:`sorted_vms` order whose
         entry ``[i, j]`` is ``d(v_i, v_j) + (setup(v_i) + setup(v_j)) / 2``
         (``inf`` when ``v_j`` is unreachable) -- the Procedure-1 edge cost
-        of every VM pair that involves neither the chain's source nor a
-        setup-cost override; the diagonal is ``0``.  Those entries do not
-        depend on the ``(source, last_vm)`` pair, so one block serves the
-        entire |S| x |M| auxiliary-graph sweep.  Entry ``[i, j]`` with
-        ``i < j`` comes from row ``v_i`` (the oracle's symmetry contract),
-        gathered straight into the block
-        (:meth:`FrozenOracle.pairwise_distances`, one gather per row), and
-        is mirrored to ``[j, i]``.
+        of every VM pair that does not involve the chain's source; the
+        diagonal is ``0``.  Those entries do not depend on the ``(source,
+        last_vm)`` pair, so one block serves the entire |S| x |M|
+        auxiliary-graph sweep.  Entry ``[i, j]`` with ``i < j`` comes from
+        row ``v_i`` (the oracle's symmetry contract), gathered straight
+        into the block (:meth:`FrozenOracle.pairwise_distances`, one
+        gather per row), and is mirrored to ``[j, i]``.
         """
         if self._metric_block is None:
             oracle = self.oracle
@@ -269,7 +258,6 @@ class SOFInstance:
             clone._metric_block = self._metric_block
             clone._metric_rows = self._metric_rows
             clone._source_vm_rows = self._source_vm_rows
-            clone._procedure1_rows = self._procedure1_rows
         return clone
 
     def replicate_vms(self, copies: int, attach_cost: float = 0.0) -> "SOFInstance":

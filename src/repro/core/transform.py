@@ -20,14 +20,19 @@ walks from the oracle rows without building them (see
 explicit left folds over its edges and VMs, which that pricing equals
 bit for bit.
 
-The Appendix-D variant (nonzero source setup cost) is supported through the
-``source_cost`` argument.
+Every scalar Procedure-1 instance is one read-only nested dict.  Over a
+pool of VMs it shares the metric block's rows
+(:meth:`SOFInstance.metric_rows`) and builds only its source row; a pool
+with a non-VM node, or a source with an Appendix-D setup cost
+(:meth:`SOFInstance.source_setup_cost`), gets every row priced from the
+oracle with Appendix D's sharing, which is the main body's at a zero
+source cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -45,107 +50,73 @@ def build_kstroll_instance(
     source: Node,
     last_vm: Node,
     candidate_vms: Optional[Iterable[Node]] = None,
-    setup_costs: Optional[Dict[Node, float]] = None,
-    source_cost: float = 0.0,
 ) -> KStrollInstance:
     """Procedure 1: construct the metric k-stroll instance.
 
     Args:
-        instance: the SOF instance (provides graph, VM set, setup costs).
+        instance: the SOF instance (provides graph, VM set, setup costs
+            and the source's Appendix-D setup cost).
         source: the chain's source ``s``.
         last_vm: the designated last VM ``u``.
         candidate_vms: VM pool to draw intermediate VMs from; defaults to
             ``instance.vms``.  ``last_vm`` is always included.
-        setup_costs: optional override of per-VM setup costs (used by the
-            dynamic-case repairs, where already-enabled VMs cost 0).
-        source_cost: the source's own setup cost (Appendix D; default 0).
 
     Returns:
         The complete metric instance over the candidate pool plus ``s``.
-
-    Lifetime contract: when no per-call overrides are given, the returned
-    instance's cost matrix references the per-source dict rows cached on
-    ``instance`` (:meth:`SOFInstance.procedure1_rows`, one copy per source
-    instead of one per ``(source, last_vm)`` pair, derived from the
-    metric-block array at the source's first call), and a later call
-    with the same ``source`` re-stamps the source column in place.
-    Consume each instance before requesting the next one for that source
-    -- every in-repo caller does.  Procedure 3's block path builds no
-    such instance: :meth:`PoolCap.stroll` reads the array directly.
+        Its cost dict is read only: over a pool of VMs with no source
+        setup cost, every pool VM maps to its shared row of
+        :meth:`SOFInstance.metric_rows` and only the source row is built
+        here.  Procedure 3's block path builds no such instance:
+        :meth:`PoolCap.stroll` reads the metric block directly.
     """
-    oracle = instance.oracle
     pool = set(candidate_vms) if candidate_vms is not None else set(instance.vms)
     pool.add(last_vm)
     pool.discard(source)
+    source_cost = instance.source_setup_cost(source)
+    setup_of = instance.setup_cost
+    cu = setup_of(last_vm)
 
-    if setup_costs is None and source_cost == 0.0 and pool <= instance.vms:
-        # Fast path for the |S| x |M| sweep: every edge cost that involves
-        # neither the source nor an override is shared across all
-        # (source, last_vm) pairs, so reference the per-source copies of
-        # the instance-wide metric block and only stamp the source column
-        # per call.  The arithmetic mirrors ``edge_cost`` below term for
-        # term; VM-pair entries are symmetrised from one Dijkstra
-        # direction (the oracle's documented symmetry contract), so a
-        # reversed lazy query may disagree in the last ulp.
+    if source_cost == 0.0 and pool <= instance.vms:
+        # The |S| x |M| sweep's path: every edge between two VMs is the
+        # same for all (source, last_vm) pairs, so share the metric
+        # block's rows and price only the source row.  The rows come
+        # first: the block's prefetch decides which row serves each
+        # source distance.
+        rows = instance.metric_rows()
         sorted_vms = instance.sorted_vms()
         if len(pool) == len(sorted_vms) - (source in instance.vms):
             ordered = [v for v in sorted_vms if v != source]
         else:
             ordered = sorted(pool, key=repr)
-        nodes: List[Node] = [source] + ordered
-        rows = instance.procedure1_rows(source)
         base_row = instance.source_vm_distances(source)
-        cu = instance.setup_cost(last_vm)
-        setup_of = instance.setup_cost
-        source_row: Dict[Node, float] = {}
-        matrix: Dict[Node, Dict[Node, float]] = {source: source_row}
-        for v in ordered:
-            base = base_row[v]
-            cost = INF if base == INF else base + (cu + setup_of(v)) / 2.0
-            source_row[v] = cost
-            row = rows[v]
-            row[source] = cost
-            matrix[v] = row
-        return KStrollInstance(
-            nodes=nodes, source=source, target=last_vm, cost=matrix
-        )
+        matrix = {v: rows[v] for v in ordered}
+        matrix[source] = {
+            v: base_row[v] + (cu + setup_of(v)) / 2.0 for v in ordered
+        }
+    else:
+        ordered = sorted(pool, key=repr)
+        distance = instance.oracle.distance
 
-    nodes = [source] + sorted(pool, key=repr)
+        def price(v1: Node, v2: Node) -> float:
+            """Appendix D's sharing: an edge end at ``s`` or ``u`` adds
+            half of ``c(s) + c(u)``, a VM end half of its setup cost."""
+            base = distance(v1, v2)
+            if v1 == source:
+                if v2 == last_vm:
+                    return base + source_cost + cu
+                return base + (source_cost + cu + setup_of(v2)) / 2.0
+            if last_vm in (v1, v2):
+                other = v2 if v1 == last_vm else v1
+                return base + (setup_of(other) + source_cost + cu) / 2.0
+            return base + (setup_of(v1) + setup_of(v2)) / 2.0
 
-    def setup(node: Node) -> float:
-        """Effective setup cost of a VM (honouring overrides)."""
-        if setup_costs is not None and node in setup_costs:
-            return setup_costs[node]
-        return instance.setup_cost(node)
-
-    s, u = source, last_vm
-    cu = setup(u)
-
-    def edge_cost(v1: Node, v2: Node) -> float:
-        """Lazy Procedure-1 edge cost (shortest path + shared setups)."""
-        base = oracle.distance(v1, v2)
-        if base == INF:
-            return INF
-        if source_cost == 0.0:
-            # Main-body cost sharing (Section IV).
-            if v1 == s:
-                return base + (cu + setup(v2)) / 2.0
-            if v2 == s:
-                return base + (setup(v1) + cu) / 2.0
-            return base + (setup(v1) + setup(v2)) / 2.0
-        # Appendix-D sharing with a source setup cost.
-        pair = {v1, v2}
-        if pair == {s, u}:
-            return base + source_cost + cu
-        if s in pair:
-            other = v2 if v1 == s else v1
-            return base + (source_cost + cu + setup(other)) / 2.0
-        if u in pair:
-            other = v2 if v1 == u else v1
-            return base + (setup(other) + source_cost + cu) / 2.0
-        return base + (setup(v1) + setup(v2)) / 2.0
-
-    return KStrollInstance(nodes=nodes, source=s, target=u, cost=edge_cost)
+        matrix = {
+            v1: {v2: price(v1, v2) for v2 in ordered if v2 != v1}
+            for v1 in [source] + ordered
+        }
+    return KStrollInstance(
+        nodes=[source] + ordered, source=source, target=last_vm, cost=matrix
+    )
 
 
 @dataclass
@@ -235,7 +206,6 @@ class PoolCap:
         source: Node,
         last_vms: Sequence[Node],
         candidate_vms: Optional[Iterable[Node]] = None,
-        setup_costs: Optional[Dict[Node, float]] = None,
     ) -> None:
         if candidate_vms is None:
             pool = [m for m in instance.sorted_vms() if m != source]
@@ -252,14 +222,7 @@ class PoolCap:
         self._position = {u: i for i, u in enumerate(self._last_vms)}
         self._pool = pool
         self._column = {m: k for k, m in enumerate(pool)}
-        self._overrides = setup_costs is not None
-        # ``setup_cost`` is exactly ``node_costs.get(node, 0.0)``.
-        node_cost = instance.node_costs.get
-        self._setups = [
-            setup_costs.get(m, node_cost(m, 0.0)) if setup_costs is not None
-            else node_cost(m, 0.0)
-            for m in pool
-        ]
+        self._setups = [instance.setup_cost(m) for m in pool]
         self._block = None
         self._db: Optional[np.ndarray] = None
         self._scores: Optional[np.ndarray] = None
@@ -297,14 +260,12 @@ class PoolCap:
         1's main-body costs.  The heuristics are what ``auto`` runs on a
         capped pool (its ``POOL_CAP + 2`` nodes exceed
         :data:`~repro.graph.kstroll.EXACT_DP_NODE_LIMIT`), and the costs
-        hold without Appendix-D source costs and setup overrides.
+        hold without an Appendix-D source cost.
         """
         if kstroll_method != "auto":
             return "kstroll_method"
         if self._instance.source_setup_cost(self._source):
             return "source_cost"
-        if self._overrides:
-            return "setup_override"
         return None
 
     def stroll(self, last_vm: Node, k: int) -> Optional[List[Node]]:
@@ -443,19 +404,14 @@ class PoolCap:
         return out
 
 
-def expand_stroll(
-    instance: SOFInstance,
-    stroll: Sequence[Node],
-    setup_costs: Optional[Dict[Node, float]] = None,
-) -> ChainWalk:
+def expand_stroll(instance: SOFInstance, stroll: Sequence[Node]) -> ChainWalk:
     """Procedure 2's walk behind a stroll ``(s, m1, ..., m|C|)``.
 
     Concatenates one ``oracle.path`` per hop, then folds the walk's edge
-    costs and the setup costs of the stroll's VMs (``setup_costs``
-    overriding), each left to right from ``0``.  The folds are explicit:
-    ``sum`` of floats is compensated since Python 3.12, and
-    :meth:`WalkBatch.costs` must equal this walk's ``total_cost`` bit
-    for bit.
+    costs and the setup costs of the stroll's VMs, each left to right
+    from ``0``.  The folds are explicit: ``sum`` of floats is compensated
+    since Python 3.12, and :meth:`WalkBatch.costs` must equal this walk's
+    ``total_cost`` bit for bit.
     """
     path = instance.oracle.path
     walk: List[Node] = [stroll[0]]
@@ -469,10 +425,7 @@ def expand_stroll(
         connection += cost(u, v)
     setup = 0
     for node in stroll[1:]:
-        if setup_costs is not None and node in setup_costs:
-            setup += setup_costs[node]
-        else:
-            setup += instance.setup_cost(node)
+        setup += instance.setup_cost(node)
     return ChainWalk(
         walk=walk,
         stroll=list(stroll),
@@ -487,7 +440,6 @@ def chain_walk(
     source: Node,
     last_vm: Node,
     candidate_vms: Optional[Iterable[Node]] = None,
-    setup_costs: Optional[Dict[Node, float]] = None,
     kstroll_method: str = "auto",
     num_vms: Optional[int] = None,
 ) -> Optional[ChainWalk]:
@@ -520,15 +472,9 @@ def chain_walk(
         pool = PoolCap(
             instance, source, [last_vm],
             candidate_vms=None if candidate_vms is None else pool,
-            setup_costs=setup_costs,
         ).select(last_vm)
     kinst = build_kstroll_instance(
-        instance,
-        source,
-        last_vm,
-        candidate_vms=pool,
-        setup_costs=setup_costs,
-        source_cost=instance.source_setup_cost(source),
+        instance, source, last_vm, candidate_vms=pool
     )
     k = chain_len + 1  # |C| VMs plus the source itself
     if k > len(kinst.nodes):
@@ -542,4 +488,4 @@ def chain_walk(
     if stroll_cost == INF:
         return None
 
-    return expand_stroll(instance, stroll, setup_costs)
+    return expand_stroll(instance, stroll)

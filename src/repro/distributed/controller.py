@@ -39,8 +39,6 @@ class Controller:
     #: Optional shared :class:`~repro.obs.recorder.Recorder`; ``None``
     #: (the default) keeps every query seam zero-overhead.
     metrics: Optional[object] = None
-    #: Materialised oracle rows, keyed by source node.
-    _local_dist: Dict[Node, Dict[Node, float]] = field(default_factory=dict, repr=False)
     _oracle: Optional[FrozenOracle] = field(default=None, repr=False)
 
     @classmethod
@@ -101,15 +99,16 @@ class Controller:
         return snapshot
 
     def local_distances_from(self, node: Node) -> Dict[Node, float]:
-        """Intra-domain shortest-path costs from ``node`` (an oracle row)."""
-        if node not in self._local_dist:
-            if self.metrics:
-                self.metrics.inc(
-                    "dist.query", domain=self.controller_id,
-                    op="distances_from",
-                )
-            self._local_dist[node] = self.oracle.distances_from(node)
-        return self._local_dist[node]
+        """Intra-domain shortest-path costs from ``node`` (an oracle row).
+
+        Read from the per-domain oracle on every call and kept nowhere
+        else, so the oracle's row budget bounds what the controller holds.
+        """
+        if self.metrics:
+            self.metrics.inc(
+                "dist.query", domain=self.controller_id, op="distances_from",
+            )
+        return self.oracle.distances_from(node)
 
     def border_matrix(self) -> Dict[Tuple[Node, Node], float]:
         """The abstracted border-to-border distance matrix.

@@ -21,7 +21,8 @@ The paper cites the Chaudhuri--Godfrey--Rao--Talwar (FOCS'03)
 
 All solvers return a simple path ``s = v1, v2, ..., vk = u`` over distinct
 nodes; by the triangle inequality its cost lower-bounds any longer walk that
-visits the same node set.
+visits the same node set.  The scalar solvers read an instance's costs from
+one nested dict, each source edge from the source's own row.
 """
 
 from __future__ import annotations
@@ -47,18 +48,24 @@ class KStrollInstance:
         nodes: all candidate nodes (must include ``source`` and ``target``).
         source: the walk's start node (the chain's source in SOF).
         target: the walk's end node (the chain's last VM in SOF).
-        cost: either a symmetric nested-dict lookup ``cost[u][v]`` or a
-            callable ``cost(u, v)`` evaluated lazily -- large SOF sweeps use
-            the callable form to avoid materialising |M|^2 matrices per
-            (source, last-VM) pair.
+        cost: a read-only nested dict: ``cost[source][v]`` is the edge
+            between the source and ``v``, in both directions, and
+            ``cost[u][v]`` the edge between two other nodes.  Other rows
+            may be shared between instances (Procedure 1 shares the SOF
+            instance's metric rows) and may hold entries nothing reads,
+            the source's column included.
     """
 
     nodes: List[Node]
     source: Node
     target: Node
-    cost: object
+    cost: Dict[Node, Dict[Node, float]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cost, dict):
+            raise TypeError(
+                f"cost must be a nested dict, not {type(self.cost).__name__}"
+            )
         if self.source not in self.nodes:
             raise ValueError("source must be among the instance nodes")
         if self.target not in self.nodes:
@@ -66,8 +73,8 @@ class KStrollInstance:
 
     def edge(self, u: Node, v: Node) -> float:
         """Cost of the (complete-graph) edge between ``u`` and ``v``."""
-        if callable(self.cost):
-            return self.cost(u, v)
+        if v == self.source:
+            return self.cost[v][u]
         return self.cost[u][v]
 
     def path_cost(self, path: Sequence[Node]) -> float:
@@ -113,12 +120,13 @@ def solve_kstroll_exact(instance: KStrollInstance, k: int) -> Tuple[List[Node], 
         return [s, t], instance.edge(s, t)
 
     n = len(pool)
-    index = {node: i for i, node in enumerate(pool)}
+    source_row = instance.cost[s]
+    rows = [instance.cost[node] for node in pool]
     # dp maps (mask, last_index) -> cost; parent for reconstruction.
     dp: List[List[float]] = [[INF] * n for _ in range(1 << n)]
     parent: Dict[Tuple[int, int], int] = {}
     for i, node in enumerate(pool):
-        dp[1 << i][i] = instance.edge(s, node)
+        dp[1 << i][i] = source_row[node]
 
     best_cost = INF
     best_state: Optional[Tuple[int, int]] = None
@@ -131,8 +139,9 @@ def solve_kstroll_exact(instance: KStrollInstance, k: int) -> Tuple[List[Node], 
             cost = row[last]
             if cost == INF or not (mask >> last) & 1:
                 continue
+            row_last = rows[last]
             if count == need:
-                total = cost + instance.edge(pool[last], t)
+                total = cost + row_last[t]
                 if total < best_cost:
                     best_cost = total
                     best_state = (mask, last)
@@ -140,7 +149,7 @@ def solve_kstroll_exact(instance: KStrollInstance, k: int) -> Tuple[List[Node], 
             for nxt in range(n):
                 if (mask >> nxt) & 1:
                     continue
-                ncost = cost + instance.edge(pool[last], pool[nxt])
+                ncost = cost + row_last[pool[nxt]]
                 nmask = mask | (1 << nxt)
                 if ncost < dp[nmask][nxt]:
                     dp[nmask][nxt] = ncost
@@ -177,31 +186,23 @@ def solve_kstroll_insertion(instance: KStrollInstance, k: int) -> Tuple[List[Nod
     # Keep the pool's (deterministic) order: a set here would break
     # equal-delta ties in hash-salted iteration order.
     remaining = list(pool)
-    cost = instance.cost
-    matrix = None if callable(cost) else cost
-    edge = instance.edge
+    matrix = instance.cost
     while len(path) < k:
         best_delta = INF
         best_node: Optional[Node] = None
         best_pos = -1
-        # Hoist the per-position hop costs and cost rows: they are
-        # identical for every candidate node of this round.
+        # Hoist the per-position cost rows and hop costs: they are
+        # identical for every candidate node of this round.  The source
+        # only ever heads a hop, so every edge is read from its head's row.
         positions = range(len(path) - 1)
-        hop = [edge(path[pos], path[pos + 1]) for pos in positions]
-        if matrix is not None:
-            rows = [matrix[path[pos]] for pos in positions]
-            for node in remaining:
-                row_n = matrix[node]
-                for pos in positions:
-                    delta = rows[pos][node] + row_n[path[pos + 1]] - hop[pos]
-                    if delta < best_delta:
-                        best_delta, best_node, best_pos = delta, node, pos
-        else:
-            for node in remaining:
-                for pos in positions:
-                    delta = edge(path[pos], node) + edge(node, path[pos + 1]) - hop[pos]
-                    if delta < best_delta:
-                        best_delta, best_node, best_pos = delta, node, pos
+        rows = [matrix[path[pos]] for pos in positions]
+        hop = [rows[pos][path[pos + 1]] for pos in positions]
+        for node in remaining:
+            row_n = matrix[node]
+            for pos in positions:
+                delta = rows[pos][node] + row_n[path[pos + 1]] - hop[pos]
+                if delta < best_delta:
+                    best_delta, best_node, best_pos = delta, node, pos
         if best_node is None:
             raise ValueError("no feasible k-stroll found")
         path.insert(best_pos + 1, best_node)
@@ -223,14 +224,9 @@ def solve_kstroll_greedy(instance: KStrollInstance, k: int) -> Tuple[List[Node],
     # Keep the pool's (deterministic) order: ``min`` over a set breaks
     # equal-cost ties in hash-salted iteration order.
     remaining = list(pool)
-    cost = instance.cost
-    matrix = None if callable(cost) else cost
+    matrix = instance.cost
     while len(path) < k - 1:
-        current = path[-1]
-        if matrix is not None:
-            nxt = min(remaining, key=matrix[current].__getitem__)
-        else:
-            nxt = min(remaining, key=lambda node: instance.edge(current, node))
+        nxt = min(remaining, key=matrix[path[-1]].__getitem__)
         path.append(nxt)
         remaining.remove(nxt)
     path.append(t)

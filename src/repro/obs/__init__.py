@@ -73,8 +73,8 @@ Procedure 2 (``sofda.procedure2``, ``sofda.walk``), rejections (``sim.embeds``)
 Procedure 3's sweep counts every ``(source, last VM)`` pair once as
 ``sofda.procedure2{path=block}`` or
 ``sofda.procedure2{path=scalar,reason}``, ``reason`` one of
-``"uncapped_pool"``, ``"kstroll_method"``, ``"source_cost"`` and
-``"setup_override"``.  A block pair with a k-stroll also counts its
+``"uncapped_pool"``, ``"kstroll_method"`` and ``"source_cost"``.  A
+block pair with a k-stroll also counts its
 walk once, as ``sofda.walk{path=priced}`` (uncontracted core: priced
 from the oracle rows, built only if the Steiner tree selects it) or
 ``sofda.walk{path=expanded,reason}`` (built at once, and again if

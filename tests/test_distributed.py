@@ -1,10 +1,14 @@
 """Tests for the distributed multi-controller implementation."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro import ServiceChain, check_forest, sofda
 from repro.distributed import Controller, DistributedSOFDA, MessageBus, partition_domains
-from repro.topology import softlayer_network
+from repro.graph.rowcache import row_nbytes
+from repro.topology import cogent_network, softlayer_network
 
 
 @pytest.fixture
@@ -49,6 +53,31 @@ def test_controller_borders(instance):
             assert d >= 0
             assert matrix[(y, x)] == pytest.approx(d)
         assert c.matrix_size() == len(c.border_routers) * (len(c.border_routers) - 1)
+
+
+def test_controller_memory_stays_within_its_row_budget():
+    """A query from every node of a domain leaves the controller holding
+    about its oracle's row budget: no distance dict is kept beside the
+    budgeted rows."""
+    graph = cogent_network(seed=0).graph
+    domain = max(partition_domains(graph, 4, seed=0), key=len)
+    budget = 3 * row_nbytes(len(domain))
+    controller = Controller.for_domain(0, domain, graph, row_budget_bytes=budget)
+    nodes = sorted(domain, key=repr)
+    controller.local_distances_from(nodes[0])  # builds the oracle's core
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for node in nodes:
+            controller.local_distances_from(node)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    snapshot = controller.cache_snapshot()
+    assert snapshot["rows"] == 3
+    assert snapshot["budget_evictions"] == len(nodes) - 3
+    assert retained < 3 * budget
 
 
 def test_controller_rejects_foreign_node(instance):

@@ -255,22 +255,29 @@ def test_oracle_error_contract():
 
 
 # ----------------------------------------------------------------------
-# Procedure-1 fast path vs the lazy edge-cost closure
+# Procedure-1 shared metric rows vs costs priced from the oracle
 # ----------------------------------------------------------------------
 def test_kstroll_fast_path_matches_lazy_costs(contracted_setting):
     instance = contracted_setting
     source = sorted(instance.sources, key=repr)[0]
     last_vm = sorted(instance.vms, key=repr)[0]
     fast = build_kstroll_instance(instance, source, last_vm)
-    # Passing an (empty) override dict forces the historical lazy closure
-    # while leaving every effective setup cost unchanged.
-    lazy = build_kstroll_instance(instance, source, last_vm, setup_costs={})
-    assert fast.nodes == lazy.nodes
-    assert not callable(fast.cost) and callable(lazy.cost)
+    # A non-VM node in the pool sends the instance down the path that
+    # prices every edge from the oracle, with the same setup costs.
+    destination = sorted(instance.destinations, key=repr)[0]
+    assert destination not in instance.vms
+    priced = build_kstroll_instance(
+        instance, source, last_vm, candidate_vms=instance.vms | {destination}
+    )
+    rows = instance.metric_rows()
+    assert all(fast.cost[v] is rows[v] for v in fast.nodes[1:])
+    assert sorted(priced.nodes, key=repr) == sorted(
+        fast.nodes + [destination], key=repr
+    )
     for i, a in enumerate(fast.nodes):
         for b in fast.nodes[i + 1:]:
-            assert fast.edge(a, b) == lazy.edge(a, b)
-            assert fast.edge(b, a) == lazy.edge(a, b)
+            assert fast.edge(a, b) == priced.edge(a, b)
+            assert fast.edge(b, a) == priced.edge(a, b)
 
 
 # ----------------------------------------------------------------------

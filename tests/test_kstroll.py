@@ -114,17 +114,30 @@ def test_unknown_method_raises():
         solve_kstroll(instance, 3, method="oracle")
 
 
-def test_callable_cost_form():
-    cost_fn = lambda u, v: abs(u - v)  # noqa: E731
-    instance = KStrollInstance(nodes=[0, 1, 2, 3], source=0, target=3, cost=cost_fn)
-    path, cost = solve_kstroll_exact(instance, 4)
-    assert path == [0, 1, 2, 3]
-    assert cost == pytest.approx(3.0)
-
-
 def test_endpoints_must_be_in_nodes():
+    cost = {u: {v: 1.0 for v in (0, 1, 2) if v != u} for u in (0, 1, 2)}
     with pytest.raises(ValueError):
-        KStrollInstance(nodes=[1, 2], source=0, target=2, cost=lambda u, v: 1.0)
+        KStrollInstance(nodes=[1, 2], source=0, target=2, cost=cost)
+
+
+def test_cost_must_be_a_dict():
+    """A callable cost is refused when the instance is built, not by a
+    solver's first row lookup."""
+    with pytest.raises(TypeError, match="nested dict"):
+        KStrollInstance(nodes=[0, 1], source=0, target=1,
+                        cost=lambda u, v: 1.0)
+
+
+def test_source_edges_are_read_from_the_source_row():
+    """Both directions of a source edge read the source's own row, so a
+    shared row may hold any value at the source's column."""
+    cost = {0: {1: 2.0, 2: 5.0}, 1: {0: 99.0, 2: 1.0}, 2: {1: 1.0}}
+    instance = KStrollInstance(nodes=[0, 1, 2], source=0, target=2, cost=cost)
+    assert instance.edge(1, 0) == instance.edge(0, 1) == 2.0
+    assert instance.edge(2, 0) == instance.edge(0, 2) == 5.0
+    for solver in (solve_kstroll_exact, solve_kstroll_insertion,
+                   solve_kstroll_greedy):
+        assert solver(instance, 3) == ([0, 1, 2], 3.0)
 
 
 # ----------------------------------------------------------------------

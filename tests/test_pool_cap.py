@@ -265,35 +265,28 @@ def test_metric_block_matches_the_per_row_loop(monkeypatch, case):
 # scalar reference
 # ----------------------------------------------------------------------
 
-def _reference_pool(instance, source, last_vm, setup_costs=None):
+def _reference_pool(instance, source, last_vm):
     """The first POOL_CAP of the pool, stably sorted by scalar scores."""
     oracle = instance.oracle
     pool = [m for m in instance.sorted_vms() if m not in (source, last_vm)]
-
-    def setup(m):
-        if setup_costs is not None and m in setup_costs:
-            return setup_costs[m]
-        return instance.setup_cost(m)
-
     scores = [
-        oracle.distance(source, m) + setup(m) + oracle.distance(last_vm, m)
+        oracle.distance(source, m) + instance.setup_cost(m)
+        + oracle.distance(last_vm, m)
         for m in pool
     ]
     order = sorted(range(len(pool)), key=scores.__getitem__)
     return {pool[k] for k in order[:POOL_CAP]}
 
 
-def _assert_caps_match_reference(instance, source, setup_costs=None):
+def _assert_caps_match_reference(instance, source):
     """Every pair of ``source`` is served from the block and matches."""
     oracle = instance.oracle
     oracle.prefetch_rows([source] + instance.sorted_vms())
     last_vms = [u for u in instance.sorted_vms() if u != source]
-    caps = PoolCap(instance, source, last_vms, setup_costs=setup_costs)
+    caps = PoolCap(instance, source, last_vms)
     misses = oracle._rows.misses
     for u in last_vms:
-        assert caps.select(u) == _reference_pool(
-            instance, source, u, setup_costs
-        )
+        assert caps.select(u) == _reference_pool(instance, source, u)
     # Every gate passed and every pair was served from one gather.
     assert oracle._rows.misses == misses
     assert caps._db.shape == (len(last_vms), len(caps._pool))
@@ -327,16 +320,6 @@ def test_caps_match_scalar_reference_for_a_vm_source():
     )
     as_source._oracle = instance.oracle
     _assert_caps_match_reference(as_source, vm)
-
-
-@pytest.mark.parametrize("contracted", [False, True])
-def test_caps_match_scalar_reference_with_setup_overrides(contracted):
-    instance = _inet_instance() if contracted else _simulator()[1]
-    vms = instance.sorted_vms()
-    overrides = {vm: 0.0 for vm in vms[::3]}
-    overrides[vms[1]] = 1e6
-    source = sorted(instance.sources, key=repr)[-1]
-    _assert_caps_match_reference(instance, source, setup_costs=overrides)
 
 
 def test_capped_pools_are_past_the_exact_dp():

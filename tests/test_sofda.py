@@ -5,7 +5,10 @@ import pytest
 from helpers import random_instance
 from repro import Graph, ServiceChain, SOFInstance, check_forest, sofda
 from repro.core.sofda import build_auxiliary_graph
+from repro.core.transform import POOL_CAP
 from repro.ilp import solve_sof_ilp
+from repro.obs import MetricsRegistry, Recorder
+from repro.topology import softlayer_network
 
 
 def test_fig2_matches_optimum(fig2_instance):
@@ -114,3 +117,56 @@ def test_result_diagnostics(fig2_instance):
     stats = result.stats.as_dict()
     assert stats["clean"] >= 1
     assert result.stats.total_conflicted() + stats["clean"] >= result.num_virtual_edges
+
+
+# ----------------------------------------------------------------------
+# Forest costs pinned on the scalar Procedure-1 paths
+# ----------------------------------------------------------------------
+
+#: Forest costs of the k-stroll ablation's first SoftLayer instance
+#: (``benchmarks/bench_ablation_kstroll.py``, seed 0) per k-stroll
+#: method, recorded before Procedure 1 shared the metric rows.
+KSTROLL_METHOD_COSTS = {
+    "exact": 1407.7372205741617,
+    "insertion": 1407.7372205741617,
+    "greedy": 1372.7134731092863,
+}
+
+
+@pytest.mark.parametrize("method", sorted(KSTROLL_METHOD_COSTS))
+def test_forest_cost_per_kstroll_method(method):
+    instance = softlayer_network(seed=1).make_instance(
+        num_sources=6, num_destinations=4, num_vms=12,
+        chain=ServiceChain.of_length(4), seed=0,
+    )
+    result = sofda(instance, kstroll_method=method)
+    check_forest(instance, result.forest)
+    assert result.cost == KSTROLL_METHOD_COSTS[method]
+
+
+def test_forest_cost_with_source_costs_on_capped_pools():
+    """Appendix-D source setup costs send every swept pair down the
+    scalar path, whose capped pools are priced from the oracle; the
+    forest cost was recorded before Procedure 1 shared the metric rows."""
+    base = softlayer_network(seed=1).make_instance(
+        num_sources=4, num_destinations=4, num_vms=30,
+        chain=ServiceChain.of_length(3), seed=2,
+    )
+    sources = sorted(base.sources, key=repr)
+    instance = base.derive(
+        source_costs={s: 3.5 + 1.25 * i for i, s in enumerate(sources)}
+    )
+    assert len(instance.vms) - 1 > POOL_CAP
+    recorder = Recorder(registry=MetricsRegistry())
+    instance.oracle._metrics = recorder
+    result = sofda(instance)
+    check_forest(instance, result.forest)
+    assert result.cost == 388.2317244317428
+    counters = recorder.snapshot()["counters"]
+    assert {
+        key: value for key, value in counters.items()
+        if key.startswith("sofda.procedure2")
+    } == {
+        "sofda.procedure2{path=scalar,reason=source_cost}":
+            len(sources) * len(instance.vms),
+    }

@@ -1,5 +1,6 @@
 """Tests for Procedures 1-2: k-stroll instance construction and chain walks."""
 
+import copy
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from helpers import random_instance
 from repro import Graph, ServiceChain, SOFInstance
 from repro.core import transform
 from repro.core.transform import build_kstroll_instance, chain_walk, expand_stroll
+from repro.graph import solve_kstroll
 
 
 @pytest.fixture
@@ -65,8 +67,8 @@ def test_lemma1_triangle_inequality(seed):
 
 
 def test_appendix_d_source_cost(diamond_instance):
-    instance = diamond_instance
-    kinst = build_kstroll_instance(instance, 0, 4, source_cost=7.0)
+    instance = diamond_instance.derive(source_costs={0: 7.0})
+    kinst = build_kstroll_instance(instance, 0, 4)
     # Direct (s, u): path + c(s) + c(u).
     expected = instance.oracle.distance(0, 4) + 7.0 + 2.0
     assert kinst.edge(0, 4) == pytest.approx(expected)
@@ -139,11 +141,36 @@ def test_chain_walk_pool_cap_still_valid(monkeypatch):
     assert capped.total_cost >= uncapped.total_cost - 1e-9
 
 
-def test_chain_walk_setup_cost_override(diamond_instance):
-    # Pre-enabled VM 1 made free: the walk should now prefer it.
-    cw = chain_walk(diamond_instance, 0, 4, setup_costs={1: 0.0})
-    assert 1 in cw.stroll
-    assert cw.setup_cost == pytest.approx(2.0)  # only VM 4 pays
+def test_vm_source_edges_come_from_the_source_row():
+    """A VM source's edges cost ``d(s, v) + (c(u) + c(v)) / 2`` in both
+    directions, never the VM-pair cost that the shared metric row of
+    ``v`` holds at the source's column."""
+    instance = random_instance(4, n=16, num_vms=6, chain_len=2)
+    source, last, *others = instance.sorted_vms()
+    kinst = build_kstroll_instance(instance, source, last)
+    rows = instance.metric_rows()
+    distance = instance.oracle.distance
+    cu = instance.setup_cost(last)
+    assert kinst.nodes == [source, last] + others
+    for v in [last] + others:
+        expected = distance(source, v) + (cu + instance.setup_cost(v)) / 2.0
+        assert kinst.edge(v, source) == kinst.edge(source, v) == expected
+        assert kinst.cost[source][v] == expected
+        assert rows[v][source] != expected
+        assert kinst.cost[v] is rows[v]
+
+
+def test_instances_leave_the_metric_rows_unchanged():
+    """Instances for two sources (one a VM) and two last VMs each share
+    the metric rows and write none of them."""
+    instance = random_instance(5, n=16, num_vms=6, chain_len=2)
+    vms = instance.sorted_vms()
+    before = copy.deepcopy(instance.metric_rows())
+    for source in (sorted(instance.sources, key=repr)[0], vms[0]):
+        for last in vms[1:3]:
+            kinst = build_kstroll_instance(instance, source, last)
+            solve_kstroll(kinst, 3, method="exact")
+    assert instance.metric_rows() == before
 
 
 def test_expand_stroll_folds_costs_left_to_right():
